@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-perf test-aio test-tenancy coverage bench bench-snapshot perf-smoke live-demo report quick-report figures clean
+.PHONY: install test test-fast test-perf test-aio test-tenancy coverage bench bench-e2e perf-smoke live-demo report quick-report figures clean
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -15,8 +15,9 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -p no:randomly -m "not slow"
 
-# Perf-path correctness: the golden-trace flag matrix and the
-# warm-start fallback battery (run by the blocking CI perf-smoke job)
+# Perf-path correctness: golden-trace identity of the engine's run loop
+# and its debug wrapper, and the warm-start fallback battery (run by
+# the blocking CI perf-smoke job)
 test-perf:
 	$(PYTHON) -m pytest tests/ -x -q -m perf
 
@@ -42,15 +43,18 @@ coverage:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-snapshot:
-	$(PYTHON) tools/bench_snapshot.py
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md):
+# seven workloads, three fresh-interpreter runs each
+bench-e2e:
+	python3 -m bench
 
-# regression check vs the latest committed BENCH_*.json: engine
-# events/s regressions fail — both the tuple-loop bench (relative) and
-# the batched bench (relative + absolute 2.8M events/s floor) are
-# blocking; sim wall times only warn
+# The benchmark's own tests, then the paper's headline sweep once:
+# fails on a wrong output ("correct": false), never on timing — shared
+# runners are too noisy for a wall-clock floor
 perf-smoke:
-	$(PYTHON) tools/bench_snapshot.py --check
+	python3 -m pytest bench/ -q
+	python3 -m bench --workload fig7_sweep --seconds 12 --trace 0 \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 live-demo:
 	$(PYTHON) examples/live_cluster.py

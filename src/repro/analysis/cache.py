@@ -48,8 +48,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Subpackages of ``repro`` whose source participates in the code salt —
 #: everything a simulated number can depend on.  Analysis/reporting code
 #: is deliberately excluded: it only *arranges* results.  The glob picks
-#: up every module in these packages, so engine additions (the flat
-#: event store, future compiled shims) are covered automatically.
+#: up every module in these packages, so new engine modules are covered
+#: automatically.
 SALT_PACKAGES = ("sim", "core", "models", "strategies")
 
 #: Individual analysis modules that *do* influence cached numbers:

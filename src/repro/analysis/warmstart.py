@@ -9,10 +9,9 @@ copies of a cycle it has already seen.
 
 This module replaces those copies with extrapolation:
 
-1. run a short **warm** simulation of ``warm_k`` iterations with live
-   engine counters and a cycle hook recording, at every worker-0
-   iteration boundary, the clock, the events-processed counter, and
-   the pending-event count;
+1. run a short **warm** simulation of ``warm_k`` iterations with a
+   cycle hook recording, at every worker-0 iteration boundary, the
+   clock, the events-processed counter, and the pending-event count;
 2. **verify** the steady state actually reached periodicity at some
    period ``p`` (:data:`PERIODS`): over the last ``VERIFY_CYCLES``
    occurrences of each phase, per-iteration event counts and pending
@@ -219,8 +218,7 @@ def execute_point_warm(point: SimPoint, model: Optional[ModelSpec] = None,
         cluster = ClusterSim(model, point.strategy, point.config,
                              artifacts=artifacts, cycle_hook=hook)
         sim_ref.append(cluster.sim)
-        warm = cluster.run(iterations=warm_k, warmup=warmup,
-                           live_counters=True)
+        warm = cluster.run(iterations=warm_k, warmup=warmup)
 
         trace = cluster.iterations
         durations = [trace.iteration_times(worker=w, skip=0).tolist()

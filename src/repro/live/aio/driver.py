@@ -29,7 +29,8 @@ import numpy as np
 
 from ...obs.events import normalize_timestamps
 from ..config import LiveClusterConfig
-from ..driver import LiveRunError, LiveRunResult, _fault_events
+from ..driver import (LiveRunError, LiveRunResult, _fault_events,
+                      agreed_params)
 from ..membership import MembershipSchedule, epoch_plans
 from .aggregator import AioAggregator
 from .server import AioServerShard
@@ -216,16 +217,8 @@ async def _run_cluster(cfg: LiveClusterConfig,
 
     # Replicas can only be compared within the final epoch's membership:
     # a worker that left mid-run froze at its last active round.
-    final_active = sched.active(sched.n_epochs - 1)
-    final = results[final_active[0]]["params"]
-    for wid in final_active[1:]:
-        for name, value in results[wid]["params"].items():
-            if not np.array_equal(final[name], value):
-                raise LiveRunError(
-                    f"replica divergence: worker {wid} disagrees with "
-                    f"worker {final_active[0]} on {name!r} — the "
-                    f"synchronous data plane must keep replicas "
-                    f"bit-identical")
+    final = agreed_params({w: r["params"] for w, r in results.items()},
+                          sched.active(sched.n_epochs - 1))
     return LiveRunResult(
         strategy=strategy,
         config=cfg,

@@ -33,6 +33,33 @@ class LiveRunError(Exception):
     """A live run failed to launch, converge, or shut down cleanly."""
 
 
+def agreed_params(params: Dict[int, Dict[str, np.ndarray]],
+                  workers: Sequence[int]) -> Dict[str, np.ndarray]:
+    """The final parameters of ``workers``' replicas, which the
+    synchronous data plane must have kept bit-identical.
+
+    Finiteness is checked first: parameters that overflowed hold NaN,
+    and NaN != NaN would report a training run that blew up (learning
+    rate too high for the model) as a transport bug.
+    """
+    for wid in workers:
+        for name, value in params[wid].items():
+            if not np.all(np.isfinite(value)):
+                raise LiveRunError(
+                    f"run diverged numerically: worker {wid}'s {name!r} "
+                    f"holds non-finite values (learning rate too high?) "
+                    f"— replicas cannot be compared")
+    first = workers[0]
+    for wid in workers[1:]:
+        for name, value in params[wid].items():
+            if not np.array_equal(params[first][name], value):
+                raise LiveRunError(
+                    f"replica divergence: worker {wid} disagrees with "
+                    f"worker {first} on {name!r} — the synchronous data "
+                    f"plane must keep replicas bit-identical")
+    return params[first]
+
+
 @dataclass
 class LiveRunResult:
     """Outcome of one live training run (cf. :class:`repro.sim.RunResult`)."""
@@ -285,14 +312,8 @@ def run_live(cfg: LiveClusterConfig, strategy: Optional[str] = None,
     finally:
         _reap_children(list(servers) + list(workers), queues=queues)
 
-    final = results[0]["params"]
-    for wid in range(1, cfg.n_workers):
-        for name, value in results[wid]["params"].items():
-            if not np.array_equal(final[name], value):
-                raise LiveRunError(
-                    f"replica divergence: worker {wid} disagrees with "
-                    f"worker 0 on {name!r} — the synchronous data plane "
-                    f"must keep replicas bit-identical")
+    final = agreed_params({w: r["params"] for w, r in results.items()},
+                          range(cfg.n_workers))
     return LiveRunResult(
         strategy=strategy,
         config=cfg,

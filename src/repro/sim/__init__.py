@@ -11,7 +11,7 @@ from .cluster import (
     plan_signature,
     simulate,
 )
-from .engine import BatchFire, EventHandle, SimulationError, Simulator
+from .engine import EventHandle, SimulationError, Simulator
 from .faults import (
     ChaosFault,
     FaultInjector,
@@ -40,7 +40,6 @@ from .trace import IterationRecord, IterationTrace, UtilizationTrace, utilizatio
 
 __all__ = [
     "BackgroundTraffic",
-    "BatchFire",
     "Channel",
     "build_trace_events",
     "export_chrome_trace",

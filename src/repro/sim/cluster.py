@@ -412,6 +412,10 @@ class ClusterSim:
         dynamic_links = config.fault_plan is not None and bool(config.fault_plan)
         if link_cancellable is not None:
             dynamic_links = dynamic_links or link_cancellable
+        # Background tenants enqueue NOISE straight onto RX channels, so
+        # those cannot commit arrivals ahead of time (Channel.fuse_hop
+        # needs the transport as the only producer).
+        dynamic_rx = dynamic_links or config.background_load > 0
         fabric = None
         if config.oversubscription > 1.0:
             # Shared core switch: aggregate edge bandwidth divided by the
@@ -442,7 +446,7 @@ class ClusterSim:
                          overhead_bytes=config.overhead_bytes,
                          per_message_cpu_s=config.per_message_cpu_s,
                          trace=self.utilization,
-                         cancellable=dynamic_links)
+                         cancellable=dynamic_rx)
             self.tx_channels.append(tx)
             self.rx_channels.append(rx)
 
@@ -557,17 +561,11 @@ class ClusterSim:
     # Execution
     # ------------------------------------------------------------------
     def run(self, iterations: int, warmup: int = 2,
-            max_events: Optional[int] = None,
-            live_counters: bool = False) -> RunResult:
+            max_events: Optional[int] = None) -> RunResult:
         """Simulate ``iterations`` full iterations per worker and measure
-        throughput over the last ``iterations - warmup`` of them.
-
-        ``live_counters`` keeps the engine's event/pending counters
-        exact during the run (slower loop) so hooks can read them
-        mid-simulation — the warm-start verifier needs this.
-        """
+        throughput over the last ``iterations - warmup`` of them."""
         self.start_run(iterations, warmup)
-        self.sim.run(max_events=max_events, live_counters=live_counters)
+        self.sim.run(max_events=max_events)
         return self.collect()
 
     def start_run(self, iterations: int, warmup: int = 2) -> None:

@@ -17,42 +17,28 @@ Hot-path design (this loop dominates every sweep's wall time, see
   comparison never reaches ``fn``;
 * :meth:`Simulator.after` is the fire-and-forget fast path: it skips
   allocating an :class:`EventHandle` entirely (``handle`` is ``None``)
-  for the vast majority of events that are never cancelled;
-* :meth:`Simulator.run` pops each entry exactly once (no
-  ``peek_time()``+``step()`` double touch) and runs with the cyclic
-  garbage collector paused — per-event garbage is acyclic and freed by
-  refcounting, so collection passes only add jitter;
-* ``pending`` is a live O(1) counter maintained by ``schedule`` /
-  ``cancel`` / the pop loop, so :meth:`snapshot` no longer scans the
-  heap on every observability export.
+  for the vast majority of events that are never cancelled.  Hot
+  components push such entries onto ``_heap`` themselves, with the same
+  arithmetic and the same sequence counter;
+* :meth:`Simulator.run` is one loop: it pops each entry exactly once
+  and runs with the cyclic garbage collector paused — per-event garbage
+  is acyclic and freed by refcounting, so collection passes only add
+  jitter;
+* ``pending`` is derived — heap length minus the cancelled entries the
+  loop has not reached yet — so neither a push nor a pop maintains a
+  counter for it, and it is exact whenever a callback reads it.
 
-Vectorized batching (``REPRO_SIM_BATCH``, default on):
+``events_processed`` counts *protocol* events.  A component that can
+prove one of its events would decide nothing may skip scheduling it and
+credit the counter instead (the transport does for a link-latency hop
+towards a busy receive channel, see ``Channel.fuse_hop``), so the count
+does not depend on which path a channel takes.  ``pending`` counts
+scheduled callbacks, i.e. live heap entries.
 
-* :meth:`Simulator.schedule_at_batch` bulk-loads one callback at many
-  times — components that can precompute a whole run of completions
-  (a static FIFO channel's backlog, a worker's backward pass) schedule
-  it in one call instead of chaining per-event pushes.  Every entry
-  still *fires* individually in global ``(time, seq)`` order, so
-  batch-scheduling cannot reorder anything another component does in
-  between;
-* callbacks wrapped in :class:`BatchFire` additionally opt into
-  *batch-firing*: when the run loop pops one and the next heap entries
-  are the same callback, it drains the whole run and hands the times
-  and argument tuples over in a single call.  This skips the
-  per-event dispatch entirely, but is only sound for callbacks that
-  never schedule new work before the run's last timestamp — hence the
-  explicit opt-in wrapper rather than structural detection.
-
-The flat event store (``REPRO_SIM_FASTHEAP``, default off) swaps the
-tuple heap for :class:`repro.sim._fastheap.FlatHeap`: O(1) handle-free
-tombstone cancellation and O(n+k) bulk loads, with an optional compiled
-implementation resolved by :func:`repro.sim._fastheap.flatheap_impl`.
-
-None of this changes a single simulated timestamp: entries keep the
-exact ``(time, seq)`` ordering either way (golden-trace matrix in
-``tests/obs/test_golden_trace.py``), and cancellation stays lazy.
-``REPRO_SIM_DEBUG`` (or ``Simulator(debug=True)``) turns on periodic
-heap-invariant and pending-counter verification in the run loop.
+``REPRO_SIM_DEBUG`` (or ``Simulator(debug=True)``) dispatches every
+event through :meth:`Simulator.step` with periodic heap-invariant and
+pending-counter verification; so do ``until=`` / ``max_events=`` and a
+per-instance ``step`` wrapper (:class:`~repro.sim.invariants.InvariantMonitor`).
 """
 
 from __future__ import annotations
@@ -64,12 +50,7 @@ import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ._fastheap import flatheap_impl, heap_extend, check_heap
-
-#: Feature-flag environment variables, read at ``Simulator()`` time so a
-#: test can monkeypatch the environment per-instance.
-BATCH_ENV = "REPRO_SIM_BATCH"
-FASTHEAP_ENV = "REPRO_SIM_FASTHEAP"
+#: Read at ``Simulator()`` time so a test can set it per instance.
 DEBUG_ENV = "REPRO_SIM_DEBUG"
 
 _TRUE = frozenset(("1", "true", "yes", "on"))
@@ -93,43 +74,31 @@ class SimulationError(RuntimeError):
 
 
 class BatchFire:
-    """Opt-in wrapper marking a callback safe for batch-firing.
+    """Shim for ``bench/probes.py::engine_wave_events_per_s``; remove it,
+    :meth:`Simulator.schedule_at_batch` and ``Simulator(batch=)`` together
+    with that probe.  Batch-firing is gone: ``fire_batch`` is never
+    called and every entry fires through ``fire``."""
 
-    When the run loop pops an event whose callback is a ``BatchFire``
-    and the following heap entries carry the *same* wrapper, it drains
-    the whole homogeneous run and calls ``fire_batch(times, args_list)``
-    once, with the clock advanced to the run's last timestamp.
+    __slots__ = ("fire",)
 
-    Contract: ``fire_batch`` must not schedule new events earlier than
-    ``times[-1]`` — events it schedules cannot be interleaved between
-    the already-drained entries.  Callbacks that cannot promise this
-    must stay plain functions (they still benefit from bulk
-    *scheduling* via :meth:`Simulator.schedule_at_batch`; every entry
-    then fires individually in global order, which is always sound).
-    """
-
-    __slots__ = ("fire", "fire_batch")
-
-    def __init__(self, fire: Callable[..., None],
-                 fire_batch: Callable[[List[float], List[tuple]], None]):
+    def __init__(self, fire: Callable[..., None], fire_batch: object):
         self.fire = fire
-        self.fire_batch = fire_batch
 
     def __call__(self, *args: Any) -> None:
         self.fire(*args)
 
 
 class EventHandle:
-    """Cancellable reference to a scheduled callback (tuple heap).
+    """Cancellable reference to a scheduled callback.
 
     Cancellation is lazy: the heap entry stays in place and is skipped
     when popped, which keeps :meth:`Simulator.cancel` O(1).  The handle
     keeps a back-reference to its simulator so cancelling it directly
-    (``handle.cancel()``) maintains the live pending-event counter.
+    (``handle.cancel()``) keeps :attr:`Simulator.pending` exact.
 
     ``fired`` is set by the pop loops: cancelling a handle whose event
-    already ran is a no-op (it must not decrement the pending counter a
-    second time — that was the cancel-after-fire accounting bug).
+    already ran is a no-op (its heap entry is gone, so counting it as a
+    cancelled-but-queued entry would corrupt ``pending``).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
@@ -151,7 +120,7 @@ class EventHandle:
         if not self.cancelled and not self.fired:
             self.cancelled = True
             if self._sim is not None:
-                self._sim._pending -= 1
+                self._sim._dead += 1
 
     def __lt__(self, other: "EventHandle") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -162,199 +131,77 @@ class EventHandle:
         return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
-class FlatHandle:
-    """Cancellable reference to a flat-heap event (fastheap mode).
-
-    Wraps the flat heap's ``(slot, seq)`` token; cancellation is an
-    O(1) tombstone in the slot table.  Stale tokens (event already
-    fired, slot reused) are rejected by the heap itself, so a late
-    ``cancel()`` can never corrupt the pending counter.
-    """
-
-    __slots__ = ("time", "seq", "cancelled", "_slot", "_sim")
-
-    def __init__(self, time: float, seq: int, slot: int, sim: "Simulator"):
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self._slot = slot
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent; a no-op after
-        the event has already fired."""
-        if self.cancelled:
-            return
-        sim = self._sim
-        if sim._flat.cancel(self._slot, self.seq):
-            self.cancelled = True
-            sim._pending -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "live-or-fired"
-        return f"FlatHandle(t={self.time:.6f}, seq={self.seq}, {state})"
-
-
 class Simulator:
     """Binary-heap event loop with a floating-point clock in seconds.
 
-    ``batch`` / ``fastheap`` / ``debug`` default to the corresponding
-    environment flags (``REPRO_SIM_BATCH`` on, ``REPRO_SIM_FASTHEAP``
-    off, ``REPRO_SIM_DEBUG`` off); passing an explicit boolean overrides
-    the environment for this instance.
+    ``debug`` defaults to ``$REPRO_SIM_DEBUG`` (off); passing a boolean
+    overrides the environment for this instance.  ``batch`` is accepted
+    and ignored (see :class:`BatchFire`).
     """
 
-    def __init__(self, *, batch: Optional[bool] = None,
-                 fastheap: Optional[bool] = None,
-                 debug: Optional[bool] = None) -> None:
+    def __init__(self, *, debug: Optional[bool] = None,
+                 batch: Optional[bool] = None) -> None:
         # Entries: (time, seq, fn, args, handle-or-None).
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._events_processed = 0
-        self._pending = 0
+        # Cancelled entries still in the heap (lazy cancellation).
+        self._dead = 0
         self._running = False
-        # Deferred homogeneous run: (times, fn, argss, seq0) captured by
-        # schedule_at_batch when the heap is empty mid-batch-loop.  The
-        # run is fired wholesale — no per-event heap entries at all —
-        # unless an intervening event forces a spill (see
-        # _run_fast_batch / _spill_batch).
-        self._batch_buf: Optional[tuple] = None
-        self._buffering = False
-        self.batch_enabled = (_env_flag(BATCH_ENV, True)
-                              if batch is None else bool(batch))
         self.debug = (_env_flag(DEBUG_ENV, False)
                       if debug is None else bool(debug))
-        use_flat = (_env_flag(FASTHEAP_ENV, False)
-                    if fastheap is None else bool(fastheap))
-        self._flat = None
-        self.heap_impl = "tuple"
-        if use_flat:
-            cls, impl_name = flatheap_impl()
-            self._flat = cls(self._seq.__next__)
-            self.heap_impl = impl_name
-
-    @property
-    def fastheap_enabled(self) -> bool:
-        return self._flat is not None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any):
+    def schedule(self, delay: float, fn: Callable[..., None],
+                 *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any):
+    def schedule_at(self, time: float, fn: Callable[..., None],
+                    *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        flat = self._flat
-        if flat is None:
-            seq = next(self._seq)
-            handle = EventHandle(time, seq, fn, args, self)
-            heappush(self._heap, (time, seq, fn, args, handle))
-        else:
-            slot, seq = flat.push(time, fn, args)
-            handle = FlatHandle(time, seq, slot, self)
-        self._pending += 1
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, fn, args, handle))
         return handle
 
     def after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no :class:`EventHandle`.
 
         The hot path for events that are never cancelled (message
-        delivery hops, compute-segment completions): skipping the handle
+        deliveries, compute-segment completions): skipping the handle
         allocation saves an object per event.  Semantics are otherwise
         identical to ``schedule`` — same ordering, same validation.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        flat = self._flat
-        if flat is None:
-            heappush(self._heap,
-                     (self.now + delay, next(self._seq), fn, args, None))
-        else:
-            flat.push_noh(self.now + delay, fn, args)
-        self._pending += 1
+        heappush(self._heap,
+                 (self.now + delay, next(self._seq), fn, args, None))
 
     def schedule_at_batch(self, times: Sequence[float],
                           fn: Callable[..., None],
                           args_seq: Optional[Sequence[tuple]] = None) -> None:
-        """Bulk fire-and-forget scheduling of ``fn`` at absolute times.
-
-        One entry per time; ``args_seq`` (when given) supplies each
-        entry's argument tuple.  Callers pass monotonically
-        non-decreasing times (cumulative completion chains), so only
-        the first is validated against the clock.  Entries consume
-        consecutive sequence numbers in ``times`` order and each fires
-        *individually* through the normal run loop — bulk loading
-        changes the heap's internal arrangement, never the pop order.
-        """
-        k = len(times)
-        if k == 0:
-            return
-        if times[0] < self.now:
+        """Fire-and-forget ``fn`` at each of ``times`` (non-decreasing);
+        a plain loop of pushes.  Shim, see :class:`BatchFire`."""
+        if len(times) and times[0] < self.now:
             raise SimulationError(
                 f"cannot schedule at t={times[0]} before current "
                 f"time t={self.now}")
-        flat = self._flat
-        if flat is not None:
-            flat.push_batch(times, fn, args_seq)
-        elif (self._buffering and self._batch_buf is None
-                and not self._heap and fn.__class__ is BatchFire):
-            # Heap empty inside the batch run loop: defer the whole run
-            # as one buffer — no per-event heap entries.  Sequence
-            # numbers are still reserved contiguously so a spill (or any
-            # later tie-break) reproduces the eager arrangement exactly.
-            seq0 = next(self._seq)
-            if k > 1:
-                next(itertools.islice(self._seq, k - 2, k - 1))
-            self._batch_buf = (list(times), fn,
-                               None if args_seq is None else list(args_seq),
-                               seq0)
-        else:
-            sn = self._seq.__next__
-            if args_seq is None:
-                entries = [(t, sn(), fn, (), None) for t in times]
-            else:
-                entries = [(t, sn(), fn, a, None)
-                           for t, a in zip(times, args_seq)]
-            heap_extend(self._heap, entries)
-        self._pending += k
+        for i, time in enumerate(times):
+            heappush(self._heap,
+                     (time, next(self._seq), fn,
+                      () if args_seq is None else args_seq[i], None))
 
-    def _spill_batch(self) -> None:
-        """Materialize the deferred batch run into the heap.
-
-        Uses the sequence numbers reserved at schedule time, so the
-        entries are bit-identical to what the eager path would have
-        pushed — any event scheduled since holds a later sequence.
-        """
-        buf = self._batch_buf
-        if buf is None:
-            return
-        self._batch_buf = None
-        times, fn, argss, seq0 = buf
-        if argss is None:
-            entries = [(t, seq0 + i, fn, (), None)
-                       for i, t in enumerate(times)]
-        else:
-            entries = [(t, seq0 + i, fn, a, None)
-                       for i, (t, a) in enumerate(zip(times, argss))]
-        heap_extend(self._heap, entries)
-
-    def after_batch(self, delays: Sequence[float], fn: Callable[..., None],
-                    args_seq: Optional[Sequence[tuple]] = None) -> None:
-        """Relative-time convenience wrapper over
-        :meth:`schedule_at_batch` (each delay is from *now*)."""
-        now = self.now
-        self.schedule_at_batch([now + d for d in delays], fn, args_seq)
-
-    def cancel(self, handle) -> None:
+    def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event."""
         handle.cancel()
 
@@ -364,7 +211,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still in the queue (O(1))."""
-        return self._pending
+        return len(self._heap) - self._dead
 
     @property
     def events_processed(self) -> int:
@@ -376,87 +223,64 @@ class Simulator:
         return {
             "now_s": self.now,
             "events_processed": self._events_processed,
-            "pending_events": self._pending,
+            "pending_events": self.pending,
         }
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        flat = self._flat
-        if flat is not None:
-            return flat.peek_time()
-        if self._batch_buf is not None:
-            self._spill_batch()
         heap = self._heap
         while heap:
             handle = heap[0][4]
             if handle is None or not handle.cancelled:
                 return heap[0][0]
             heappop(heap)
+            self._dead -= 1
         return None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False when none remain."""
-        flat = self._flat
-        if flat is not None:
-            popped = flat.pop()
-            if popped is None:
-                return False
-            time, fn, args = popped
-            self.now = time
-            self._events_processed += 1
-            self._pending -= 1
-            fn(*args)
-            return True
-        if self._batch_buf is not None:
-            self._spill_batch()
         heap = self._heap
         while heap:
             time, _seq, fn, args, handle = heappop(heap)
             if handle is not None:
                 if handle.cancelled:
+                    self._dead -= 1
                     continue
                 handle.fired = True
             self.now = time
             self._events_processed += 1
-            self._pending -= 1
             fn(*args)
             return True
         return False
 
     def check_invariants(self) -> None:
-        """Verify heap ordering and the live pending counter (O(n)).
+        """Verify heap ordering and the cancelled-entry counter (O(n)).
 
         Run automatically every few thousand events in debug mode;
         callable directly from tests.  Raises :class:`AssertionError`
         on a broken heap and :class:`SimulationError` on a counter
         mismatch.
         """
-        flat = self._flat
-        if flat is not None:
-            flat.check_invariants()
-            live = flat.live_count()
-        else:
-            check_heap(self._heap)
-            live = sum(1 for e in self._heap
-                       if e[4] is None or not e[4].cancelled)
-            if self._batch_buf is not None:
-                live += len(self._batch_buf[0])
-        if live != self._pending:
+        heap = self._heap
+        for i in range(1, len(heap)):
+            parent = heap[(i - 1) >> 1]
+            # (time, seq, ...) with unique seq: never compares payloads.
+            if heap[i] < parent:
+                raise AssertionError(
+                    f"heap invariant violated at index {i}: "
+                    f"{heap[i][:2]} < parent {parent[:2]}")
+        dead = sum(1 for e in heap if e[4] is not None and e[4].cancelled)
+        if dead != self._dead:
             raise SimulationError(
-                f"pending counter {self._pending} != live heap entries {live}")
+                f"cancelled-entry counter {self._dead} != cancelled heap "
+                f"entries {dead}")
 
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None,
-            live_counters: bool = False) -> float:
+            max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.  Returns the final clock value.
-
-        ``live_counters=True`` keeps ``events_processed`` / ``pending``
-        exact *during* the run (callbacks may read them mid-flight, as
-        the warm-start verifier does) at the cost of two attribute
-        writes per event; the default loop accumulates locally and
-        syncs on exit.
-        """
+        ``max_events`` callbacks have fired.  Returns the final clock
+        value.  ``events_processed`` and ``pending`` are exact whenever
+        a callback reads them."""
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
@@ -473,41 +297,22 @@ class Simulator:
             # Instrumentation (e.g. the invariant monitor) may wrap
             # ``step`` per instance; dispatch through it in that case so
             # wrappers observe every event.
-            plain_step = "step" not in self.__dict__
-            if until is None and max_events is None:
-                if not plain_step:
-                    while self.step():
-                        pass
-                elif self.debug:
-                    self._run_checked()
-                elif self._flat is not None:
-                    if live_counters:
-                        while self.step():
-                            pass
-                    else:
-                        self._run_flat()
-                elif live_counters:
-                    if self.batch_enabled:
-                        self._run_live_batch()
-                    else:
-                        self._run_live()
-                elif self.batch_enabled:
-                    self._run_fast_batch()
-                else:
-                    self._run_fast()
-                return self.now
-            processed = 0
-            while True:
-                if max_events is not None and processed >= max_events:
-                    break
-                nxt = self.peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    self.now = until
-                    break
-                self.step()
-                processed += 1
+            if (until is not None or max_events is not None or self.debug
+                    or "step" in self.__dict__):
+                self._run_stepwise(until, max_events)
+            else:
+                heap = self._heap
+                pop = heappop
+                while heap:
+                    time, _seq, fn, args, handle = pop(heap)
+                    if handle is not None:
+                        if handle.cancelled:
+                            self._dead -= 1
+                            continue
+                        handle.fired = True
+                    self.now = time
+                    self._events_processed += 1
+                    fn(*args)
         finally:
             self._running = False
             sys.setswitchinterval(old_switch)
@@ -515,237 +320,21 @@ class Simulator:
                 gc.enable()
         return self.now
 
-    # ------------------------------------------------------------------
-    # Run-loop variants.  All maintain identical semantics per event;
-    # they differ only in batching, counter synchronization, and the
-    # backing store.  Each is selected once per ``run()`` call.
-    # ------------------------------------------------------------------
-    def _run_fast(self) -> None:
-        """Tuple heap, batching off: the minimal single-pop loop."""
-        heap = self._heap
-        pop = heappop
-        processed = 0
-        try:
-            while heap:
-                time, _seq, fn, args, handle = pop(heap)
-                if handle is not None:
-                    if handle.cancelled:
-                        continue
-                    handle.fired = True
-                self.now = time
-                processed += 1
-                fn(*args)
-        finally:
-            self._events_processed += processed
-            self._pending -= processed
-
-    def _run_fast_batch(self) -> None:
-        """Tuple heap with :class:`BatchFire` run draining.
-
-        A popped ``BatchFire`` whose successor entries carry the same
-        wrapper has its whole run drained into parallel time/args lists
-        and fired once.  The clock lands on the run's last timestamp —
-        exactly where per-event dispatch would have left it.
-
-        While this loop runs, a ``schedule_at_batch`` that finds the
-        heap *empty* defers its run as a buffer instead of building heap
-        entries at all.  The buffer fires wholesale when nothing in the
-        heap precedes its last timestamp; otherwise it is spilled into
-        the heap (with its reserved sequence numbers) and interleaved
-        normally — so buffering is pure mechanics, never ordering.
-        """
-        heap = self._heap
-        pop = heappop
-        processed = 0
-        batch_cls = BatchFire
-        self._buffering = True
-        try:
-            while True:
-                buf = self._batch_buf
-                if buf is not None:
-                    times = buf[0]
-                    if not heap or heap[0][0] >= times[-1]:
-                        # Nothing can interleave: fire the run wholesale.
-                        # Any heap entry at exactly times[-1] was
-                        # scheduled after the buffer (the heap was empty
-                        # when it was captured) and so loses the
-                        # sequence tie-break anyway.
-                        self._batch_buf = None
-                        fn = buf[1]
-                        argss = buf[2]
-                        if argss is None:
-                            argss = [()] * len(times)
-                        self.now = times[-1]
-                        processed += len(times)
-                        fn.fire_batch(times, argss)
-                        continue
-                    self._spill_batch()
-                if not heap:
-                    break
-                time, _seq, fn, args, handle = pop(heap)
-                if handle is not None:
-                    if handle.cancelled:
-                        continue
-                    handle.fired = True
-                self.now = time
-                processed += 1
-                if (fn.__class__ is batch_cls and heap
-                        and heap[0][2] is fn):
-                    times = [time]
-                    argss = [args]
-                    t_append = times.append
-                    a_append = argss.append
-                    while heap and heap[0][2] is fn:
-                        t2, _s2, _f2, a2, h2 = pop(heap)
-                        if h2 is not None:
-                            if h2.cancelled:
-                                continue
-                            h2.fired = True
-                        t_append(t2)
-                        a_append(a2)
-                    self.now = times[-1]
-                    processed += len(times) - 1
-                    fn.fire_batch(times, argss)
-                else:
-                    fn(*args)
-        finally:
-            self._buffering = False
-            if self._batch_buf is not None:
-                self._spill_batch()
-            self._events_processed += processed
-            self._pending -= processed
-
-    def _run_flat(self) -> None:
-        """Flat event store, with :class:`BatchFire` run draining."""
-        flat = self._flat
-        heap = flat.heap
-        fns = flat.fns
-        argl = flat.args
-        free = flat.free
-        pop = heappop
-        batch = self.batch_enabled
-        batch_cls = BatchFire
-        processed = 0
-        try:
-            while heap:
-                time, _seq, slot = pop(heap)
-                fn = fns[slot]
-                if fn is None:  # tombstone
-                    free.append(slot)
-                    continue
-                args = argl[slot]
-                fns[slot] = None
-                argl[slot] = None
-                free.append(slot)
-                self.now = time
-                processed += 1
-                if (batch and fn.__class__ is batch_cls and heap
-                        and fns[heap[0][2]] is fn):
-                    times = [time]
-                    argss = [args]
-                    while heap and fns[heap[0][2]] is fn:
-                        t2, _s2, s2 = pop(heap)
-                        argss.append(argl[s2])
-                        fns[s2] = None
-                        argl[s2] = None
-                        free.append(s2)
-                        times.append(t2)
-                    self.now = times[-1]
-                    processed += len(times) - 1
-                    fn.fire_batch(times, argss)
-                else:
-                    fn(*args)
-        finally:
-            self._events_processed += processed
-            self._pending -= processed
-
-    def _run_live(self) -> None:
-        """Tuple heap with per-event counter sync (no batch-firing —
-        callers wanting live counters want exact per-event accounting)."""
-        heap = self._heap
-        pop = heappop
-        while heap:
-            time, _seq, fn, args, handle = pop(heap)
-            if handle is not None:
-                if handle.cancelled:
-                    continue
-                handle.fired = True
-            self.now = time
-            self._events_processed += 1
-            self._pending -= 1
-            fn(*args)
-
-    def _run_live_batch(self) -> None:
-        """Tuple heap, batch-firing, counters synced at every dispatch.
-
-        :meth:`_run_fast_batch` semantics with ``events_processed`` /
-        ``pending`` kept exact whenever a callback can observe them: a
-        drained (or buffered) run of ``k`` events syncs all ``k``
-        before its single ``fire_batch`` — exactly the counter state
-        ``k`` individual fires would leave by the time any *other*
-        event (e.g. the warm-start cycle hook) runs.  This keeps warm
-        verification runs on the vectorized path instead of paying the
-        per-event loop.
-        """
-        heap = self._heap
-        pop = heappop
-        batch_cls = BatchFire
-        self._buffering = True
-        try:
-            while True:
-                buf = self._batch_buf
-                if buf is not None:
-                    times = buf[0]
-                    if not heap or heap[0][0] >= times[-1]:
-                        self._batch_buf = None
-                        fn = buf[1]
-                        argss = buf[2]
-                        if argss is None:
-                            argss = [()] * len(times)
-                        self.now = times[-1]
-                        self._events_processed += len(times)
-                        self._pending -= len(times)
-                        fn.fire_batch(times, argss)
-                        continue
-                    self._spill_batch()
-                if not heap:
-                    break
-                time, _seq, fn, args, handle = pop(heap)
-                if handle is not None:
-                    if handle.cancelled:
-                        continue
-                    handle.fired = True
-                self.now = time
-                if (fn.__class__ is batch_cls and heap
-                        and heap[0][2] is fn):
-                    times = [time]
-                    argss = [args]
-                    while heap and heap[0][2] is fn:
-                        t2, _s2, _f2, a2, h2 = pop(heap)
-                        if h2 is not None:
-                            if h2.cancelled:
-                                continue
-                            h2.fired = True
-                        times.append(t2)
-                        argss.append(a2)
-                    self.now = times[-1]
-                    self._events_processed += len(times)
-                    self._pending -= len(times)
-                    fn.fire_batch(times, argss)
-                else:
-                    self._events_processed += 1
-                    self._pending -= 1
-                    fn(*args)
-        finally:
-            self._buffering = False
-            if self._batch_buf is not None:
-                self._spill_batch()
-
-    def _run_checked(self) -> None:
-        """Debug loop: step-dispatched with periodic invariant checks."""
-        n = 0
-        while self.step():
-            n += 1
-            if not n & 4095:
+    def _run_stepwise(self, until: Optional[float],
+                      max_events: Optional[int]) -> None:
+        """The bounded / instrumented wrapper around :meth:`step`, with
+        periodic invariant checks in debug mode."""
+        fired = 0
+        while max_events is None or fired < max_events:
+            nxt = self.peek_time()
+            if nxt is None:
+                break
+            if until is not None and nxt > until:
+                self.now = until
+                break
+            self.step()
+            fired += 1
+            if self.debug and not fired & 4095:
                 self.check_invariants()
-        self.check_invariants()
+        if self.debug:
+            self.check_invariants()

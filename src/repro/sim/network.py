@@ -28,8 +28,6 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .engine import EventHandle, SimulationError, Simulator
 
 
@@ -423,34 +421,18 @@ class Channel:
         rate, overhead, CPU cost, queue, and trace sink are all fixed for
         the channel's lifetime and can be captured as closure cells —
         no ``self.`` lookups on the per-message path.  Completion events
-        push directly onto the engine event store with the exact
-        arithmetic of :meth:`Simulator.after` (``now + delay``, same
-        sequence counter), so timestamps and tie-breaks are bit-identical;
-        only the Python frame and EventHandle disappear.  Mutable state
+        push directly onto the engine heap with the exact arithmetic of
+        :meth:`Simulator.after` (``now + delay``, same sequence
+        counter), so timestamps and tie-breaks are bit-identical; only
+        the Python frame and EventHandle disappear.  Mutable state
         (``busy``, transfer counters, ``observer``, ``on_complete``)
         stays on ``self`` because faults, observability wiring, and the
         invariant harness rebind or read it dynamically.
-
-        Batched runs (``sim.batch_enabled``): when the channel is FIFO,
-        unobserved, and its backlog holds more than one message at pop
-        time, the whole backlog's completion times are computed up front
-        (occupancies are a pure function of message sizes on a static
-        channel) and bulk-loaded via ``schedule_at_batch``.  Each
-        completion still *fires* individually in global event order —
-        this batches the scheduling, not the firing, so interleaved
-        traffic from other machines is ordered exactly as before.  The
-        per-message arithmetic (``t += cpu + wire/rate``, and the numpy
-        cumulative-sum path for long runs) reproduces the sequential
-        chain bit for bit: IEEE-754 addition is commutative and
-        ``np.cumsum`` accumulates left to right.  Priority queues are
-        excluded (a later higher-priority arrival may overtake the
-        backlog), as are observed channels (``on_pop`` must see the
-        queue state at each pop) and degenerate zero-occupancy
-        configurations (batch entries must carry strictly increasing
-        times so no third-party event can land *between* two entries
-        that per-event scheduling would have separated).
         """
         sim = self.sim
+        heap = sim._heap
+        seq_next = sim._seq.__next__
+        push = heappush
         q_push = self._q_push
         q_pop = self._q_pop
         backing = self._backing
@@ -460,12 +442,6 @@ class Channel:
         trace = self.trace
         machine = self.machine
         direction = self.direction
-        # Strictly positive per-message occupancy is guaranteed when
-        # there is CPU cost, or when a finite rate meets a non-empty
-        # envelope (wire_bytes >= overhead > 0).
-        batch_on = (sim.batch_enabled and isinstance(backing, deque)
-                    and (cpu > 0 or (rate is not None and overhead > 0)))
-        schedule_batch = sim.schedule_at_batch
 
         def finish_fast(msg: Message, start: float, wire_bytes: int) -> None:
             now = sim.now
@@ -480,119 +456,22 @@ class Channel:
             if backing:
                 start_next()
 
-        def finish_run(msg: Message, start: float, wire_bytes: int,
-                       last: bool) -> None:
-            # Per-message completion of a batch-scheduled run: same
-            # bookkeeping as finish_fast, but the channel only goes
-            # idle (and re-examines its queue) after the run's final
-            # message.  Runs never start with an observer attached.
-            now = sim.now
-            self.busy_time += now - start
-            if trace is not None:
-                trace(machine, direction, start, now, wire_bytes)
-            if last:
-                self.busy = False
-                self.on_complete(msg)
-                if backing:
-                    start_next()
-            else:
-                self.on_complete(msg)
-
-        def start_run() -> None:
-            # Drain the whole FIFO backlog and schedule every
-            # completion at once.  Messages arriving mid-run queue
-            # behind it (busy stays True) — exactly where per-event
-            # scheduling would have put them.
-            msgs = list(backing)
-            backing.clear()
+        def start_next() -> None:
+            if not backing:
+                return
+            msg = q_pop()
+            obs = self.observer
+            if obs is not None:
+                obs.on_pop(self, msg)
             self.busy = True
-            k = len(msgs)
-            last = k - 1
+            wire_bytes = msg.payload_bytes + overhead
+            self.bytes_transferred += wire_bytes
+            self.messages_transferred += 1
             now = sim.now
-            argss = []
-            append = argss.append
-            total = 0
-            if k >= 64 and rate is not None:
-                # Vectorized completion chain: elementwise occupancy
-                # then a left-to-right cumulative sum — bit-identical
-                # to the sequential `t += cpu + wire/rate` chain.
-                wires = [m.payload_bytes + overhead for m in msgs]
-                occ = np.asarray(wires, dtype=np.float64)
-                occ /= rate
-                occ += cpu
-                occ[0] += now
-                times = np.cumsum(occ).tolist()
-                start = now
-                for i in range(k):
-                    wire_bytes = wires[i]
-                    total += wire_bytes
-                    append((msgs[i], start, wire_bytes, i == last))
-                    start = times[i]
-            else:
-                times = []
-                t_append = times.append
-                t = now
-                i = 0
-                for msg in msgs:
-                    wire_bytes = msg.payload_bytes + overhead
-                    total += wire_bytes
-                    append((msg, t, wire_bytes, i == last))
-                    t = t + (cpu if rate is None
-                             else cpu + wire_bytes / rate)
-                    t_append(t)
-                    i += 1
-            self.bytes_transferred += total
-            self.messages_transferred += k
-            schedule_batch(times, finish_run, argss)
-
-        flat = sim._flat
-        if flat is None:
-            heap = sim._heap
-            seq_next = sim._seq.__next__
-            push = heappush
-
-            def start_next() -> None:
-                if not backing:
-                    return
-                if batch_on and len(backing) > 1 and self.observer is None:
-                    start_run()
-                    return
-                msg = q_pop()
-                obs = self.observer
-                if obs is not None:
-                    obs.on_pop(self, msg)
-                self.busy = True
-                wire_bytes = msg.payload_bytes + overhead
-                self.bytes_transferred += wire_bytes
-                self.messages_transferred += 1
-                now = sim.now
-                push(heap, (now + (cpu if rate is None
-                                   else cpu + wire_bytes / rate),
-                            seq_next(), finish_fast,
-                            (msg, now, wire_bytes), None))
-                sim._pending += 1
-        else:
-            raw_push = flat.push_noh
-
-            def start_next() -> None:
-                if not backing:
-                    return
-                if batch_on and len(backing) > 1 and self.observer is None:
-                    start_run()
-                    return
-                msg = q_pop()
-                obs = self.observer
-                if obs is not None:
-                    obs.on_pop(self, msg)
-                self.busy = True
-                wire_bytes = msg.payload_bytes + overhead
-                self.bytes_transferred += wire_bytes
-                self.messages_transferred += 1
-                now = sim.now
-                raw_push(now + (cpu if rate is None
-                                else cpu + wire_bytes / rate),
-                         finish_fast, (msg, now, wire_bytes))
-                sim._pending += 1
+            push(heap, (now + (cpu if rate is None
+                               else cpu + wire_bytes / rate),
+                        seq_next(), finish_fast,
+                        (msg, now, wire_bytes), None))
 
         def enqueue(msg: Message) -> None:
             q_push(msg)
@@ -601,6 +480,113 @@ class Channel:
 
         self._start_next = start_next  # type: ignore[method-assign]
         self.enqueue = enqueue  # type: ignore[method-assign]
+
+    def fuse_hop(self, latency_s: float) -> Callable[[Message], None]:
+        """Skip the link-latency events in front of this receive channel
+        that decide nothing; returns ``arrive(msg)``, which the transport
+        calls the moment ``msg`` leaves the sender's TX (or the shared
+        fabric).
+
+        A static FIFO RX is a pure function of arrival order, and with a
+        constant latency arrival order is the order of ``arrive`` calls.
+        So when ``arrive`` sees that the channel's committed work ends
+        after ``now + latency``, the hop event would only append ``msg`` to a
+        busy channel's queue: it is elided (and credited to
+        ``events_processed``, which counts protocol events), and ``msg``
+        is committed on the spot — service starts when its predecessor
+        completes and ends ``cpu + wire/rate`` later, term for term what
+        ``finish_fast`` -> ``start_next`` computes.  Otherwise the
+        channel may be idle when ``msg`` lands, the hop is the event
+        that starts it, and it is scheduled as usual.  Either way every
+        completion is pushed where the unfused path pushes it (from the
+        hop on an idle channel, else after the predecessor's
+        ``on_complete`` returns), so simultaneous events keep their
+        order and a fused run is the unfused run, event for event.
+
+        At most one completion per channel sits in the engine heap: the
+        head of line.  Committed messages wait here, so a wide incast
+        backs up in this deque, not in the global heap.
+
+        Requires a static FIFO channel with no other producer: a direct
+        :meth:`enqueue` at ``now`` would be overtaken by arrivals already
+        committed, so it raises once the channel is fused.  ``observer``
+        sees ``on_sent`` only (a FIFO RX never reorders at pop).
+        """
+        if self.cancellable or not isinstance(self._backing, deque):
+            raise SimulationError("only a static FIFO channel can be fused")
+        sim = self.sim
+        heap = sim._heap
+        seq_next = sim._seq.__next__
+        push = heappush
+        overhead = self.overhead_bytes
+        cpu = self.per_message_cpu_s
+        rate = self.rate
+        trace = self.trace
+        machine = self.machine
+        direction = self.direction
+        # (completion time, completion args) of committed messages behind
+        # the head of line, the completion time of the last one, and the
+        # hop events in flight (a later message must not be committed
+        # ahead of one that has yet to land).
+        waiting: Deque[Tuple[float, tuple]] = deque()
+        wait = waiting.append
+        next_waiting = waiting.popleft
+        free_at = 0.0
+        hops = 0
+
+        def deliver(msg: Message, start: float, wire_bytes: int) -> None:
+            now = sim.now
+            self.busy_time += now - start
+            self.bytes_transferred += wire_bytes
+            self.messages_transferred += 1
+            if trace is not None:
+                trace(machine, direction, start, now, wire_bytes)
+            obs = self.observer
+            if obs is not None:
+                obs.on_sent(self, msg, start, now)
+            self.on_complete(msg)
+            if waiting:
+                done, args = next_waiting()
+                push(heap, (done, seq_next(), deliver, args, None))
+            else:
+                self.busy = False
+
+        def land(msg: Message) -> None:
+            nonlocal free_at, hops
+            hops -= 1
+            busy = self.busy
+            wire_bytes = msg.payload_bytes + overhead
+            start = free_at if busy else sim.now
+            free_at = done = start + (cpu if rate is None
+                                      else cpu + wire_bytes / rate)
+            if busy:
+                wait((done, (msg, start, wire_bytes)))
+            else:
+                self.busy = True
+                push(heap, (done, seq_next(), deliver,
+                            (msg, start, wire_bytes), None))
+
+        def arrive(msg: Message) -> None:
+            nonlocal free_at, hops
+            arrival = sim.now + latency_s
+            if free_at > arrival and not hops:
+                sim._events_processed += 1  # the elided link-latency hop
+                wire_bytes = msg.payload_bytes + overhead
+                start = free_at
+                free_at = done = start + (cpu if rate is None
+                                          else cpu + wire_bytes / rate)
+                wait((done, (msg, start, wire_bytes)))
+            else:
+                hops += 1
+                push(heap, (arrival, seq_next(), land, (msg,), None))
+
+        def enqueue(msg: Message) -> None:
+            raise SimulationError(
+                f"direct enqueue on fused channel {machine}/{direction}; "
+                "construct it with cancellable=True")
+
+        self.enqueue = enqueue  # type: ignore[method-assign]
+        return arrive
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +598,14 @@ class Transport:
     Local traffic (worker and its colocated PS shard on the same machine)
     bypasses the NIC — ps-lite sends to self over loopback, which is not
     bandwidth-constrained — and is delivered after ``loopback_latency_s``.
+
+    A remote message goes TX -> (fabric ->) link latency -> RX.  Where a
+    machine's RX is a static FIFO channel, the RX itself takes messages
+    as they leave the TX (or the fabric) and schedules a latency event
+    only for those that may find it idle (:meth:`Channel.fuse_hop`);
+    otherwise every hop is its own event that enqueues on the RX
+    channel.  :meth:`register` picks per machine from what the channel
+    it is handed already says.
     """
 
     def __init__(
@@ -627,26 +621,16 @@ class Transport:
         self._tx: dict = {}
         self._rx: dict = {}
         self._deliver: dict = {}
-        # Hot-path bindings: per-machine ``rx.enqueue`` bound methods
-        # (creating a bound method per forwarded message is an
-        # allocation), the engine's fire-and-forget scheduler, and the
-        # raw heap/sequence pair for the inlined forwarding push (the
-        # per-hop event rate makes even the ``after`` frame measurable;
-        # the inline site repeats its exact arithmetic).
-        self._rx_enq: dict = {}
-        self._after = sim.after
+        # machine -> callable taking a message that just left a TX (or
+        # the fabric) towards that machine.
+        self._forward: dict = {}
+        # Hot-path bindings: the raw heap/sequence pair for the inlined
+        # pushes below (the per-message event rate makes even the
+        # ``Simulator.after`` frame measurable; the inline sites repeat
+        # its exact arithmetic).
         self._heap = sim._heap
         self._seq_next = sim._seq.__next__
         self._local_cb = self._local_deliver
-        # Flat event store (fastheap mode): the tuple-heap inline push
-        # below would corrupt the flat heap's 3-tuple layout, so bind
-        # the flat-aware send/forward variants as instance attributes
-        # (``register`` resolves ``_on_tx_done`` through the instance,
-        # so the shadowing happens before any channel captures it).
-        if sim.fastheap_enabled:
-            self._raw_push = sim._flat.push_noh
-            self.send = self._send_flat  # type: ignore[method-assign]
-            self._on_tx_done = self._on_tx_done_flat  # type: ignore[method-assign]
         # Optional shared core fabric: when set, all inter-machine
         # traffic serializes through it (oversubscribed switch model).
         self.fabric = fabric
@@ -663,12 +647,10 @@ class Transport:
         self._tx[machine] = tx
         self._rx[machine] = rx
         self._deliver[machine] = deliver
-        self._rx_enq[machine] = rx.enqueue
         tx.on_complete = self._on_tx_done
         # RX completion delivers straight to the endpoint: a closure
         # over this machine's deliver callback skips the generic
-        # `_on_rx_done` -> `_local_deliver` -> dict-lookup chain on
-        # every received message.
+        # `_local_deliver` dict-lookup chain on every received message.
         sim = self.sim
 
         def _rx_done(msg: Message, _sim=sim, _deliver=deliver) -> None:
@@ -676,10 +658,23 @@ class Transport:
             _deliver(msg)
 
         rx.on_complete = _rx_done
+        if not rx.cancellable and isinstance(rx.queue, FifoQueue):
+            self._forward[machine] = rx.fuse_hop(self.latency_s)
+        else:
+            heap = self._heap
+            seq_next = self._seq_next
+            latency = self.latency_s
+            rx_enqueue = rx.enqueue
+
+            def hop(msg: Message) -> None:
+                # Inlined Simulator.after: one link-latency event.
+                heappush(heap, (sim.now + latency, seq_next(), rx_enqueue,
+                                (msg,), None))
+
+            self._forward[machine] = hop
 
     def send(self, msg: Message) -> None:
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         msg.enqueue_time = now
         if msg.src == msg.dst:
             # Inlined Simulator.after (same arithmetic, same sequence
@@ -687,7 +682,6 @@ class Transport:
             heappush(self._heap, (now + self.loopback_latency_s,
                                   self._seq_next(), self._local_cb,
                                   (msg,), None))
-            sim._pending += 1
         else:
             self._tx[msg.src].enqueue(msg)
 
@@ -697,41 +691,10 @@ class Transport:
         if self.fabric is not None:
             self.fabric.enqueue(msg)
         else:
-            # Inlined Simulator.after: one link-latency hop per
-            # forwarded message, the hottest transport event.
-            sim = self.sim
-            heappush(self._heap, (sim.now + self.latency_s,
-                                  self._seq_next(), self._rx_enq[msg.dst],
-                                  (msg,), None))
-            sim._pending += 1
-
-    def _send_flat(self, msg: Message) -> None:
-        sim = self.sim
-        now = sim.now
-        msg.enqueue_time = now
-        if msg.src == msg.dst:
-            self._raw_push(now + self.loopback_latency_s,
-                           self._local_cb, (msg,))
-            sim._pending += 1
-        else:
-            self._tx[msg.src].enqueue(msg)
-
-    def _on_tx_done_flat(self, msg: Message) -> None:
-        if msg.kind is MsgKind.NOISE:
-            return
-        if self.fabric is not None:
-            self.fabric.enqueue(msg)
-        else:
-            sim = self.sim
-            self._raw_push(sim.now + self.latency_s,
-                           self._rx_enq[msg.dst], (msg,))
-            sim._pending += 1
+            self._forward[msg.dst](msg)
 
     def _on_fabric_done(self, msg: Message) -> None:
-        self._after(self.latency_s, self._rx_enq[msg.dst], msg)
-
-    def _on_rx_done(self, msg: Message) -> None:
-        self._local_deliver(msg)
+        self._forward[msg.dst](msg)
 
     def _local_deliver(self, msg: Message) -> None:
         msg.deliver_time = self.sim.now

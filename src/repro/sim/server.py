@@ -65,6 +65,7 @@ class SimServerShard:
         self._job_done_cb = self._job_done
         self._credit = ctx.strategy.credit_slices is not None
         self._async = ctx.strategy.async_updates
+        self._pull_policy = ctx.strategy.pull_policy
         # Under the two-tier topology the shard's clients are the group
         # aggregators, not the workers: rounds complete after n_groups
         # combined pushes and replies fan back through the aggregators.
@@ -192,8 +193,8 @@ class SimServerShard:
             counts[key] = n
 
     def _on_pull(self, msg: Message) -> None:
-        policy = self.ctx.strategy.pull_policy
-        if policy is PullPolicy.NOTIFY_PULL or self.ctx.strategy.async_updates:
+        policy = self._pull_policy
+        if policy is PullPolicy.NOTIFY_PULL or self._async:
             # The worker only pulls after our notify, so the update is
             # guaranteed complete: reply immediately.
             self._send_param(msg.key, msg.sender_worker)
@@ -255,12 +256,9 @@ class SimServerShard:
     # Returning parameters
     # ------------------------------------------------------------------
     def _dispatch(self, key: int, recipients: List[int]) -> None:
-        policy = self.ctx.strategy.pull_policy
-        if self.ctx.strategy.async_updates:
+        policy = self._pull_policy
+        if self._async or policy is PullPolicy.BROADCAST:
             # ASGD replies directly to the pushing worker.
-            for w in recipients:
-                self._send_param(key, w)
-        elif policy is PullPolicy.BROADCAST:
             for w in recipients:
                 self._send_param(key, w)
         elif policy is PullPolicy.NOTIFY_PULL:

@@ -60,23 +60,6 @@ class SimWorker:
         self._fwd_cb = self._forward_layer_done
         self._bwd_cb = self._backward_layer_done
         self._push_payload = ctx.push_payload
-        # Backward-pass bulk scheduling: all segment completion times
-        # are known when the pass starts (compute durations don't react
-        # to events), so one schedule_at_batch replaces n chained
-        # pushes.  Each completion still fires individually, in order,
-        # interleaved with network traffic exactly as before — the
-        # cumulative `t += dur` chain reproduces the per-event
-        # arithmetic bit for bit.  Straggler faults mutate
-        # ``fault_slowdown`` mid-pass, so any fault plan falls back to
-        # the chained path.
-        cfg = ctx.config
-        dynamic_faults = cfg.fault_plan is not None and bool(cfg.fault_plan)
-        self._bwd_batch = (ctx.sim.batch_enabled and not dynamic_faults
-                           and self.n_layers > 1)
-        self._bwd_batch_cb = self._backward_layer_done_batch
-        self._bwd_batch_args = tuple(
-            (i,) for i in range(self.n_layers - 1, -1, -1))
-        self._schedule_at_batch = ctx.sim.schedule_at_batch
         if ctx.two_tier:
             # Two-tier topology: every push/pull goes to this worker's
             # group aggregator, which combines and forwards upstream.
@@ -192,30 +175,8 @@ class SimWorker:
         assert self._record is not None
         self._record.backward_start = self.ctx.sim.now
         self.bwd_layer = self.n_layers - 1
-        if self._bwd_batch:
-            bwd = self.bwd_times
-            jitter = self._jitter_mult
-            slow = self.fault_slowdown
-            t = self.ctx.sim.now
-            times = []
-            append = times.append
-            for i in range(self.n_layers - 1, -1, -1):
-                t = t + bwd[i] * jitter * slow
-                append(t)
-            self._schedule_at_batch(times, self._bwd_batch_cb,
-                                    self._bwd_batch_args)
-            return
         dur = self.bwd_times[self.bwd_layer] * self._jitter_mult * self.fault_slowdown
         self._after(dur, self._bwd_cb)
-
-    def _backward_layer_done_batch(self, layer: int) -> None:
-        # Batch-scheduled variant: the segment chain was laid out by
-        # _begin_backward, so only the per-layer sync work remains.
-        self.params_arrived[layer] = 0
-        self._push_layer(layer)
-        self.bwd_layer = layer - 1
-        if layer == 0:
-            self._finish_backward()
 
     def _backward_layer_done(self) -> None:
         i = self.bwd_layer

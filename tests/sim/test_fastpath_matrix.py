@@ -1,235 +1,74 @@
-"""Bit-identity of the engine's fast paths, and their edge mechanics.
+"""Bit-identity of the engine's run loop and its debug wrapper, and the
+counter mechanics the golden trace cannot see from the outside.
 
-The vectorized core ships behind two feature flags — ``REPRO_SIM_BATCH``
-(batch scheduling + batch firing, default on) and ``REPRO_SIM_FASTHEAP``
-(flat event store, default off) — with the hard contract that **no flag
-combination changes a single simulated timestamp**.  The matrix test
-here runs the golden-trace reference workload under all four
-combinations (plus debug mode) and demands byte-equal canonical traces.
-
-The remaining tests pin the mechanics the matrix can't see from the
-outside: the deferred-buffer path of the batch run loop (wholesale
-fires, spills, equal-time tie-breaks), exact live counters on the
-batched loop, and the cancel-after-fire accounting fix.
+The engine has one run loop plus the step-dispatched wrapper that
+``REPRO_SIM_DEBUG``, ``until=`` / ``max_events=`` and an instrumented
+``step`` select.  Both must reproduce the golden-trace reference
+workload byte for byte; ``events_processed`` / ``pending`` must be exact
+whenever a callback reads them (the warm-start verifier does, at every
+iteration boundary); and cancelling a handle after its event fired must
+stay a no-op.  Static-vs-dynamic channel identity lives in
+``test_static_dynamic_identity.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from repro.sim.engine import BatchFire, Simulator
+from repro.sim.engine import Simulator
 from tests.obs.test_golden_trace import build_canonical_trace
-
-FLAG_MATRIX = list(itertools.product(("0", "1"), ("0", "1")))
 
 
 @pytest.mark.perf
-@pytest.mark.parametrize("batch,fastheap", FLAG_MATRIX)
-def test_golden_trace_identical_under_flag_matrix(monkeypatch, batch,
-                                                  fastheap):
-    """Every {batch} x {fastheap} combination reproduces the reference
-    workload's canonical trace exactly — the perf paths are pure
-    mechanics, never behaviour."""
-    monkeypatch.setenv("REPRO_SIM_BATCH", batch)
-    monkeypatch.setenv("REPRO_SIM_FASTHEAP", fastheap)
-    got = build_canonical_trace()
-    monkeypatch.setenv("REPRO_SIM_BATCH", "1")
-    monkeypatch.setenv("REPRO_SIM_FASTHEAP", "0")
-    reference = build_canonical_trace()
-    assert got == reference
-
-
-def test_golden_trace_identical_under_debug_mode(monkeypatch):
-    """Debug mode (periodic invariant checks) observes, never perturbs."""
+def test_golden_trace_identical_in_default_and_debug_mode(monkeypatch):
+    """Debug mode (step dispatch + periodic invariant checks) observes,
+    never perturbs; ``tests/obs/test_golden_trace.py`` pins the default
+    loop to the committed file."""
+    monkeypatch.delenv("REPRO_SIM_DEBUG", raising=False)
+    default = build_canonical_trace()
     monkeypatch.setenv("REPRO_SIM_DEBUG", "1")
-    got = build_canonical_trace()
-    monkeypatch.delenv("REPRO_SIM_DEBUG")
-    assert got == build_canonical_trace()
+    assert build_canonical_trace() == default
 
 
-# ----------------------------------------------------------------------
-# Deferred-buffer mechanics (batch run loop)
-# ----------------------------------------------------------------------
-def _wave_sim(waves, log):
-    """A Simulator running ``waves`` chained BatchFire waves; each fire
-    appends ``(clock, tag)`` to ``log``."""
-    sim = Simulator(batch=True)
-
-    def fire(tag) -> None:
-        # Single-dispatch fallback: same semantics as a 1-run batch.
-        fire_batch([sim.now], [(tag,)])
-
-    def fire_batch(times, argss) -> None:
-        for t, a in zip(times, argss):
-            log.append((t, a[0]))
-        if waves:
-            offsets, scheduler = waves.pop(0)
-            base = times[-1]
-            sim.schedule_at_batch([base + o for o in offsets], bf,
-                                  [(f"w{len(waves)}-{i}",)
-                                   for i in range(len(offsets))])
-            if scheduler is not None:
-                scheduler(sim, base)
-
-    bf = BatchFire(fire, fire_batch)
-    return sim, bf
-
-
-def test_buffer_fires_wholesale_and_counts_events():
-    log = []
-    waves = [((1.0, 2.0, 3.0), None), ((1.0, 2.0), None)]
-    sim, bf = _wave_sim(waves, log)
-    sim.schedule_at_batch([1.0, 2.0], bf, [("w-a",), ("w-b",)])
-    sim.run()
-    assert [tag for _t, tag in log] == \
-        ["w-a", "w-b", "w1-0", "w1-1", "w1-2", "w0-0", "w0-1"]
-    assert sim.events_processed == 7
-    assert sim.pending == 0
-
-
-def test_buffer_spills_when_plain_event_interleaves():
-    """A single event landing *inside* a buffered run forces a spill;
-    global time order must hold exactly as in unbatched mode."""
-    order = []
-
-    def probe() -> None:
-        order.append(("probe", sim.now))
-
-    def scheduler(s, base) -> None:
-        s.after(1.5, probe)  # strictly inside the next wave's span
-
-    log = []
-    waves = [((1.0, 2.0, 3.0), scheduler)]
-    sim, bf = _wave_sim(waves, log)
-    sim.schedule_at_batch([1.0], bf, [("seed",)])
-    sim.run()
-    times = [t for t, _tag in log]
-    assert times == [1.0, 2.0, 3.0, 4.0]
-    assert order == [("probe", 2.5)]
-    assert sim.events_processed == 5
-
-
-def test_buffer_equal_time_tie_breaks_by_schedule_order():
-    """A plain event at exactly the buffer's last timestamp was scheduled
-    after the buffer, so the whole buffered run still fires first."""
-    order = []
-
-    def probe() -> None:
-        order.append(len(order))
-
-    def scheduler(s, base) -> None:
-        s.schedule(2.0, probe)  # == the next wave's last time
-
-    log = []
-    waves = [((1.0, 2.0), scheduler)]
-    sim, bf = _wave_sim(waves, log)
-    sim.schedule_at_batch([1.0], bf, [("seed",)])
-    sim.run()
-    assert [tag for _t, tag in log] == ["seed", "w0-0", "w0-1"]
-    assert order == [0]
-    assert sim.now == 3.0
-
-
-def test_peek_time_inside_batch_run_spills_buffer():
-    """A callback peeking at the queue mid-run sees buffered events."""
-    seen = []
-
-    def fire() -> None:
-        fire_batch([sim.now], [()])
-
-    def fire_batch(times, argss) -> None:
-        if not seen:
-            sim.schedule_at_batch([times[-1] + 1.0, times[-1] + 2.0], bf)
-            seen.append(sim.peek_time())
-
-    bf = BatchFire(fire, fire_batch)
-    sim = Simulator(batch=True)
-    sim.schedule_at_batch([1.0], bf)
-    sim.run()
-    assert seen == [2.0]
-    assert sim.pending == 0
-
-
-def test_live_counters_exact_on_batched_loop():
-    """``run(live_counters=True)`` keeps events_processed/pending exact
-    at every observation point, batching included — the warm-start
-    verifier's requirement."""
+@pytest.mark.parametrize("debug", [False, True])
+def test_counters_exact_mid_run(debug):
+    """A callback sees itself already counted and off the queue, and a
+    cancelled entry still in the heap is not pending."""
+    sim = Simulator(debug=debug)
     snapshots = []
-
-    def fire(_i) -> None:
-        pass
-
-    def fire_batch(times, argss) -> None:
-        pass
 
     def observe() -> None:
         snapshots.append((sim.events_processed, sim.pending))
 
-    for live in (False, True):
-        snapshots.clear()
-        sim = Simulator(batch=True)
-        bf = BatchFire(fire, fire_batch)
-        sim.schedule_at_batch([1.0, 2.0, 3.0], bf,
-                              [(i,) for i in range(3)])
-        sim.schedule(4.0, observe)
-        sim.schedule_at_batch([5.0, 6.0], bf, [(i,) for i in range(2)])
-        sim.schedule(7.0, observe)
-        sim.run(live_counters=live)
-        assert sim.events_processed == 7
-        assert sim.pending == 0
-        if live:
-            # The firing event is itself already counted, exactly as
-            # the per-event live loop counts it.
-            assert snapshots == [(4, 3), (7, 0)]
+    for t in (1.0, 2.0, 3.0):
+        sim.after(t, lambda: None)
+    sim.schedule(4.0, observe)
+    doomed = sim.schedule(5.0, lambda: None)
+    sim.after(6.0, doomed.cancel)  # stale by then: fired at t=5
+    sim.schedule_at_batch([7.0, 8.0], lambda: None)
+    cancelled = sim.schedule(8.5, lambda: None)
+    cancelled.cancel()
+    sim.schedule(9.0, observe)
+    assert sim.pending == 9
+    sim.run()
+    assert snapshots == [(4, 5), (9, 0)]
+    assert sim.events_processed == 9 and sim.pending == 0
+    sim.check_invariants()
 
 
-def test_cancel_after_fire_is_noop():
+@pytest.mark.parametrize("debug", [False, True])
+def test_cancel_after_fire_is_noop(debug):
     """Cancelling a handle whose event already ran must not corrupt the
-    pending counter (regression: double-decrement)."""
-    sim = Simulator(batch=False)
+    pending count (regression: double-decrement)."""
+    sim = Simulator(debug=debug)
     fired = []
     handle = sim.schedule(1.0, fired.append, 1)
     sim.run()
     assert fired == [1] and sim.pending == 0
     handle.cancel()
     assert sim.pending == 0
+    sim.check_invariants()
     sim.schedule(2.0, fired.append, 2)
     assert sim.pending == 1
     sim.run()
     assert fired == [1, 2] and sim.pending == 0
-
-
-@pytest.mark.parametrize("batch,fastheap", FLAG_MATRIX)
-def test_cancel_after_fire_under_matrix(monkeypatch, batch, fastheap):
-    monkeypatch.setenv("REPRO_SIM_BATCH", batch)
-    monkeypatch.setenv("REPRO_SIM_FASTHEAP", fastheap)
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    sim.run()
-    handle.cancel()  # stale: must be a no-op in every mode
-    assert sim.pending == 0
-    sim.check_invariants()
-
-
-def test_debug_mode_checks_buffered_invariants():
-    """check_invariants must count deferred-buffer events as live."""
-    sim = Simulator(batch=True, debug=True)
-
-    def fire(_i) -> None:
-        fire_batch([sim.now], [(_i,)])
-
-    checked = []
-
-    def fire_batch(times, argss) -> None:
-        if not checked:
-            sim.schedule_at_batch([times[-1] + 1.0], bf, [(0,)])
-            sim.check_invariants()  # buffer live: must reconcile
-            checked.append(True)
-
-    bf = BatchFire(fire, fire_batch)
-    sim.schedule_at_batch([1.0], bf, [(0,)])
-    sim.run()
-    assert checked == [True]
-    assert sim.events_processed == 2

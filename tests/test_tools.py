@@ -5,8 +5,6 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 
-import pytest
-
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -53,45 +51,3 @@ def test_main_writes_file(tmp_path):
     out = tmp_path / "api.md"
     assert gen.main(["--out", str(out)]) == 0
     assert out.exists()
-
-
-# ----------------------------------------------------------------------
-# bench_snapshot.py
-# ----------------------------------------------------------------------
-def _load_bench():
-    spec = importlib.util.spec_from_file_location(
-        "bench_snapshot", TOOLS / "bench_snapshot.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_bench_snapshot_numbering(tmp_path):
-    bench = _load_bench()
-    assert bench.next_snapshot_path(tmp_path).name == "BENCH_1.json"
-    (tmp_path / "BENCH_1.json").write_text("{}")
-    (tmp_path / "BENCH_7.json").write_text("{}")
-    (tmp_path / "BENCH_extra.json").write_text("{}")  # non-numeric ignored
-    assert bench.next_snapshot_path(tmp_path).name == "BENCH_8.json"
-
-
-@pytest.mark.slow
-def test_bench_snapshot_quick_run(tmp_path, capsys):
-    """End-to-end --quick run: writes a schema-valid BENCH_1.json."""
-    import json
-
-    bench = _load_bench()
-    assert bench.main(["--quick", "--iterations", "2",
-                       "--out-dir", str(tmp_path)]) == 0
-    path = tmp_path / "BENCH_1.json"
-    assert path.exists()
-    snap = json.loads(path.read_text())
-    assert snap["schema"] == bench.SCHEMA_VERSION
-    assert {"python", "numpy", "platform"} <= set(snap["environment"])
-    rows = snap["sim_throughput"]
-    assert {r["strategy"] for r in rows} == {"baseline", "slicing", "p3"}
-    assert all(r["throughput"] > 0 for r in rows)
-    micro = snap["live_microbench"]
-    assert micro["goodput_bytes_per_s"] > 0
-    assert micro["shaping_error"] < 1.0
-    assert "wrote" in capsys.readouterr().out

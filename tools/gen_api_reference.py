@@ -39,7 +39,6 @@ MODULES = [
     "repro.placement.apply",
     "repro.strategies.base",
     "repro.sim.engine",
-    "repro.sim._fastheap",
     "repro.sim.network",
     "repro.sim.cluster",
     "repro.sim.worker",
