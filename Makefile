@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-perf test-aio test-tenancy coverage bench bench-e2e perf-smoke live-demo report quick-report figures clean
+.PHONY: install test test-fast test-perf test-live test-tenancy coverage bench bench-e2e perf-smoke live-demo report quick-report figures clean
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -21,12 +21,13 @@ test-fast:
 test-perf:
 	$(PYTHON) -m pytest tests/ -x -q -m perf
 
-# The async-live battery: membership properties, async transport,
-# elastic conformance, driver cleanup (CI runs this as its own job)
-test-aio:
+# The live-cluster battery: membership properties, async transport,
+# static/elastic/two-tier conformance, fail-fast and teardown (CI runs
+# this as its own job)
+test-live:
 	$(PYTHON) -m pytest tests/live/test_membership.py \
 	    tests/live/test_aio_transport.py tests/live/test_aio_cluster.py \
-	    tests/live/test_driver_cleanup.py -x -q
+	    -x -q
 
 # The multi-tenant battery: fairness/starvation properties, tenant
 # isolation (bit-identity), cross-substrate scheduler conformance, and

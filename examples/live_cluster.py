@@ -1,9 +1,10 @@
 """Live cluster demo: run the SAME training job three ways and compare.
 
 1. In-process ``DistributedStore`` loop (ground truth).
-2. ``repro.live`` — real worker/server processes over localhost TCP with
-   a priority-scheduled, rate-shaped transport, once with FIFO scheduling
-   (baseline) and once with P3 priorities.
+2. ``repro.live`` — worker and server-shard nodes on one event loop,
+   talking over real localhost TCP through a priority-scheduled,
+   rate-shaped transport, once with FIFO scheduling (baseline) and once
+   with P3 priorities.
 3. ``repro.sim`` — the discrete-event simulator's prediction for the
    same workload and bandwidth.
 

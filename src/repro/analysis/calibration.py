@@ -5,7 +5,7 @@ The live transport (:mod:`repro.live`) makes two falsifiable promises:
 1. **Value fidelity** — final parameters from a live run are
    *bit-identical* to the in-process functional store's for the same
    model/seed (the paper's Section 5.6 convergence-neutrality, now
-   across process and socket boundaries).
+   across socket boundaries).
 2. **Timing fidelity** — on a token-bucket-shaped link, the measured
    live P3-vs-baseline speedup agrees in sign (within a documented
    tolerance, see :attr:`CalibrationReport.tolerance`) with what
@@ -25,19 +25,19 @@ Mapping a live config into the simulator
   accounting uses the paper's fp32 (4 B/param), so the simulated
   bandwidth is ``rate_bytes_per_s * (4/8)`` — equal transfer *time* for
   equal parameter counts.
-* Live shards are separate processes with their own shapers, i.e. their
+* Live shards are separate nodes with their own shapers, i.e. their
   own NICs: ``colocate_servers=False``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..live.config import LiveClusterConfig
-from ..live.driver import LiveRunResult, run_live
+from ..live.result import LiveRunResult
 from ..live.wire import WIRE_BYTES_PER_PARAM
 from ..models.base import BYTES_PER_PARAM, LayerSpec, ModelSpec
 from ..obs import ObsSession, sim_session
@@ -355,11 +355,14 @@ def calibrate_faults(cfg: LiveClusterConfig,
     plan = plan if plan is not None else cfg.fault_plan
     if plan is None or not plan:
         raise ValueError("calibrate_faults needs a non-empty FaultPlan")
+    # Imported on use: importing repro.analysis must not load asyncio.
+    from ..live.aio import run_live_aio
+
     clean_cfg = dc_replace(cfg, fault_plan=None)
     faulty_cfg = dc_replace(cfg, fault_plan=plan)
 
-    live_clean = run_live(clean_cfg, strategy=strategy)
-    live_faulty = run_live(faulty_cfg, strategy=strategy)
+    live_clean = run_live_aio(clean_cfg, strategy=strategy)
+    live_faulty = run_live_aio(faulty_cfg, strategy=strategy)
     ref = run_inprocess(cfg, strategy)
     return FaultCalibrationReport(
         strategy=strategy,
@@ -379,7 +382,6 @@ def calibrate(cfg: LiveClusterConfig,
               tolerance: float = DEFAULT_TOLERANCE,
               live_results: Optional[Dict[str, LiveRunResult]] = None,
               observe: bool = False,
-              runner: Callable[..., LiveRunResult] = run_live,
               ) -> CalibrationReport:
     """Run baseline and P3 live, check both fidelity claims.
 
@@ -389,15 +391,15 @@ def calibrate(cfg: LiveClusterConfig,
     :mod:`repro.obs` event stream and the report gains comparable
     per-phase (compute / wire / queueing / gate-stall) breakdowns;
     pre-supplied live results must then come from an observed config.
-    ``runner`` selects the live substrate: the default blocking
-    multi-process driver, or :func:`repro.live.aio.run_live_aio` for the
-    single-process event-loop stack (how the 64-worker scale check runs).
     """
+    # Imported on use: importing repro.analysis must not load asyncio.
+    from ..live.aio import run_live_aio
+
     live_results = dict(live_results or {})
     run_cfg = dc_replace(cfg, observe=True) if observe else cfg
     for strategy in ("baseline", "p3"):
         if strategy not in live_results:
-            live_results[strategy] = runner(run_cfg, strategy=strategy)
+            live_results[strategy] = run_live_aio(run_cfg, strategy=strategy)
     live_base, live_p3 = live_results["baseline"], live_results["p3"]
 
     ref_base = run_inprocess(cfg, "baseline")

@@ -320,12 +320,9 @@ def _parse_faults(spec: str, seed: int):
 def cmd_live(args: argparse.Namespace) -> None:
     """Run the live (real-socket) transport and calibrate it vs the sim."""
     from .analysis.calibration import calibrate, calibrate_faults
-    from .live import LiveClusterConfig, run_live
+    from .live import LiveClusterConfig
+    from .live.aio import run_live_aio
 
-    if args.substrate == "aio":
-        from .live.aio import run_live_aio as runner
-    else:
-        runner = run_live
     observe = bool(args.trace or args.metrics)
     plan = (_parse_faults(args.faults, args.fault_seed)
             if args.faults else None)
@@ -345,7 +342,7 @@ def cmd_live(args: argparse.Namespace) -> None:
     )
     print(f"live cluster: {cfg.n_workers} workers + {cfg.n_servers} shards "
           f"on {cfg.host}, link shaped to {args.rate_mbps:.0f} Mbit/s "
-          f"({cfg.placement} placement, {args.substrate} substrate)")
+          f"({cfg.placement} placement)")
     if plan is not None:
         # Calibration-under-faults mode: same plan through both
         # substrates, report recovery counters + degradation agreement.
@@ -362,10 +359,9 @@ def cmd_live(args: argparse.Namespace) -> None:
     results = {}
     for strategy in ("baseline", "p3"):
         print(f"  running live {strategy} ({cfg.iterations} iterations) ...")
-        results[strategy] = runner(cfg, strategy=strategy)
+        results[strategy] = run_live_aio(cfg, strategy=strategy)
     print()
-    report = calibrate(cfg, live_results=results, observe=observe,
-                       runner=runner)
+    report = calibrate(cfg, live_results=results, observe=observe)
     print(report.summary())
     goodput = results["p3"].goodput_bytes_per_s(0) * 8 / 1e6
     print(f"  worker-0 p3 tx goodput: {goodput:.1f} Mbit/s")
@@ -559,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "drop=0.05,dup=0.02,corrupt=0.01,delay=0.1:0.02")
     live_p.add_argument("--fault-seed", type=int, default=0,
                         help="FaultPlan seed (chaos determinism)")
-    live_p.add_argument("--substrate", default="mp", choices=("mp", "aio"),
-                        help="mp: one OS process per role (default); aio: "
-                             "the whole cluster on one asyncio event loop "
-                             "(scales to 64+ workers on one machine)")
     live_p.add_argument("--trace", help="record repro.obs events and write "
                                         "a chrome://tracing JSON here")
     live_p.add_argument("--metrics", help="record repro.obs events and "

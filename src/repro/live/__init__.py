@@ -2,16 +2,16 @@
 
 Where :mod:`repro.sim` *models* when bytes move and :mod:`repro.kvstore`
 computes *what* they contain in-process, this package runs the same
-functional data plane across real OS processes and TCP sockets on
-localhost, with priority-scheduled sending and token-bucket bandwidth
-shaping — the software analogue of the paper's ``tc qdisc``-throttled
-testbed.  See ``docs/live.md``.
+functional data plane over real TCP sockets on localhost, with
+priority-scheduled sending and token-bucket bandwidth shaping — the
+software analogue of the paper's ``tc qdisc``-throttled testbed.  The
+cluster itself (worker, server-shard and aggregator nodes on one event
+loop) is :mod:`repro.live.aio`; it is imported on use, so this package
+never loads ``asyncio``.  See ``docs/live.md``.
 """
 
-from .aggregator import LiveAggregator, LiveAggregatorError, serve_aggregator
-from .chaos import ChaosChannel, maybe_wrap
+from .chaos import ChaosChannel
 from .config import KeyPlan, LiveClusterConfig, make_plan
-from .driver import LiveRunError, LiveRunResult, run_live
 from .membership import (
     EpochTracker,
     MembershipEpoch,
@@ -20,7 +20,12 @@ from .membership import (
     elastic_reference,
     epoch_plans,
 )
-from .server import LiveServerShard, serve_shard
+from .result import (
+    LiveAggregatorError,
+    LiveRunError,
+    LiveRunResult,
+    LiveWorkerError,
+)
 from .transport import (
     BARRIER_PRIORITY,
     CONTROL_PRIORITY,
@@ -32,7 +37,6 @@ from .transport import (
     RetryPolicy,
     TokenBucket,
     TransportError,
-    connect_with_retry,
     goodput_bytes_per_s,
     timeline_utilization,
 )
@@ -47,7 +51,6 @@ from .wire import (
     encode_frame,
     split_message,
 )
-from .worker import LiveWorker, LiveWorkerError, run_worker
 
 __all__ = [
     "BARRIER_PRIORITY",
@@ -61,13 +64,10 @@ __all__ = [
     "MembershipEpoch",
     "MembershipError",
     "MembershipSchedule",
-    "LiveAggregator",
     "LiveAggregatorError",
     "LiveClusterConfig",
     "LiveRunError",
     "LiveRunResult",
-    "LiveServerShard",
-    "LiveWorker",
     "LiveWorkerError",
     "PrioritySender",
     "Reassembler",
@@ -80,18 +80,12 @@ __all__ = [
     "WireError",
     "WireKind",
     "WireMessage",
-    "connect_with_retry",
     "elastic_reference",
     "encode_array",
     "encode_frame",
     "epoch_plans",
     "goodput_bytes_per_s",
     "make_plan",
-    "maybe_wrap",
-    "run_live",
-    "run_worker",
-    "serve_aggregator",
-    "serve_shard",
     "split_message",
     "timeline_utilization",
 ]

@@ -1,13 +1,12 @@
 """Asyncio intra-group aggregator (two-tier topology, repro.live.aio).
 
-The event-loop twin of :class:`repro.live.aggregator.LiveAggregator`:
-toward its members it behaves like a shard (listener, heartbeat ACKs,
+Toward its members it behaves like a shard (listener, heartbeat ACKs,
 BYE counting), toward the root shards like a worker (one reliable
 prioritized sender per shard with ``sender_id`` = group id, upstream
-watchdog).  Combine and pull-dedup logic are identical — member
-gradients summed in member-id order, first pull of a round forwarded
-once, the response cached until the whole group consumed it — so
-two-tier aio runs stay bit-identical to the in-process grouped store.
+watchdog).  Member gradients are summed in member-id order, the first
+pull of a round is forwarded once and the response cached until the
+whole group consumed it — so two-tier runs stay bit-identical to the
+in-process grouped store.
 
 Two-tier topologies are static: the aggregator takes no part in the
 membership handshake and the driver only instantiates it when
@@ -22,8 +21,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..aggregator import LiveAggregatorError
 from ..config import LiveClusterConfig, make_plan
+from ..result import LiveAggregatorError
 from ..transport import CONTROL_PRIORITY, TokenBucket, TransportError
 from ..wire import WireKind, WireMessage, encode_array
 from .node import Node, PeerConnection
@@ -52,7 +51,6 @@ class AioAggregator(Node):
         self._resp: Dict[Tuple[int, int], bytes] = {}
         self._resp_served: Dict[Tuple[int, int], Set[int]] = {}
         self._member_senders: Dict[int, AsyncPrioritySender] = {}
-        self._member_conns: List[PeerConnection] = []
         self._up_conns: List[PeerConnection] = []
         self._done = asyncio.Event()
         self.error: Optional[str] = None
@@ -87,7 +85,8 @@ class AioAggregator(Node):
                 on_message=self._on_upstream, on_eof=self._on_up_eof)
             self._up_conns.append(conn)
         self.spawn(self._watchdog())
-        return await self.listen(self.cfg.host, self._on_connection)
+        return await self.listen(self.cfg.host, self._on_member,
+                                 self._sender_for, self._on_member_eof)
 
     async def run(self) -> None:
         """Serve until every member said BYE, then say BYE upstream."""
@@ -95,8 +94,7 @@ class AioAggregator(Node):
         try:
             await asyncio.wait_for(self._done.wait(), budget)
         except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"aggregator {self.gid}: members never completed") from None
+            self._fail("members never completed")
         if self.error is not None:
             raise LiveAggregatorError(f"aggregator {self.gid}: {self.error}")
         for conn in self._up_conns:
@@ -105,15 +103,6 @@ class AioAggregator(Node):
             except TransportError:
                 pass
         await self.shutdown(self.cfg.peer_timeout_s)
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        conn = PeerConnection(
-            f"{self.name}-member{len(self._member_conns)}", reader, writer,
-            on_message=self._on_member,
-            sender_for=lambda frame: self._sender_for(conn, frame.sender),
-            on_eof=self._on_member_eof, clock=self._clock)
-        self._member_conns.append(conn)
 
     def _sender_for(self, conn: PeerConnection,
                     worker: int) -> AsyncPrioritySender:
@@ -143,9 +132,12 @@ class AioAggregator(Node):
             self._fail(f"{conn.name} closed the upstream connection")
 
     def _fail(self, reason: str) -> None:
+        """A failed aggregator hangs up on members and shards alike, so
+        they see EOF at once; :meth:`run` then raises :attr:`error`."""
         if self.error is None:
             self.error = reason
         self._done.set()
+        self.abort()
 
     async def _watchdog(self) -> None:
         """Probe the shards; surface a dead upstream peer loudly."""
@@ -172,7 +164,7 @@ class AioAggregator(Node):
             seq += 1
 
     # ------------------------------------------------------------------
-    # Protocol (synchronous handlers, same logic as the thread version)
+    # Protocol (synchronous handlers)
     # ------------------------------------------------------------------
     def _on_member(self, conn: PeerConnection, msg: WireMessage) -> None:
         if msg.kind is WireKind.PUSH:

@@ -1,14 +1,21 @@
 """Asyncio cluster driver: one event loop hosting the whole run.
 
-:func:`run_live_aio` is the event-loop counterpart of
-:func:`repro.live.driver.run_live`: instead of forking one OS process
-per role it instantiates every shard, aggregator, and worker as
-coroutine-hosted :class:`~repro.live.aio.node.Node`\\ s on a single
-loop, wired over real localhost TCP with the unchanged v2 wire
-protocol.  That is what makes 64-worker runs practical on one machine —
-and what makes **elastic membership** possible at all: the blocking
-driver's process topology is fixed at launch, while here workers simply
-appear (dial + JOIN) and disappear (LEAVE + BYE) between epochs.
+:func:`run_live_aio` is the live counterpart of
+:func:`repro.sim.simulate`: it instantiates every shard, aggregator,
+and worker as coroutine-hosted :class:`~repro.live.aio.node.Node`\\ s
+on a single loop, wired over real localhost TCP with the v2 wire
+protocol, waits with hard deadlines (no hung test suites), and returns
+a :class:`~repro.live.result.LiveRunResult`.  One loop is what makes
+64-worker runs practical on one machine — and what makes **elastic
+membership** simple: workers just appear (dial + JOIN) and disappear
+(LEAVE + BYE) between epochs.
+
+A node that fails hangs up on its peers, so the first failure surfaces
+within a round trip; the driver then aborts every node, awaits the end
+of every task, and raises a :class:`~repro.live.result.LiveRunError`
+naming the nodes that failed.  A run that *succeeds* is held to the
+same standard: :func:`run_live_aio` refuses to return while any task it
+started is still pending.
 
 The :class:`EpochCoordinator` is the driver-side half of the membership
 handshake: shards *seal* an epoch once their tracker says every barrier
@@ -23,21 +30,24 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Awaitable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
 from ...obs.events import normalize_timestamps
 from ..config import LiveClusterConfig
-from ..driver import (LiveRunError, LiveRunResult, _fault_events,
-                      agreed_params)
 from ..membership import MembershipSchedule, epoch_plans
+from ..result import (LiveRunError, LiveRunResult, _fault_events,
+                      agreed_params)
 from .aggregator import AioAggregator
+from .node import Node
 from .server import AioServerShard
 from .worker import AioWorker
 
 #: Grace added to the run deadline for connection setup and teardown.
 LAUNCH_MARGIN_S = 30.0
+
+T = TypeVar("T")
 
 
 class EpochCoordinator:
@@ -95,7 +105,29 @@ def run_live_aio(cfg: LiveClusterConfig,
     allocation — the rack-level fair-sharing model of
     :func:`repro.tenancy.run_live_tenants`.
     """
-    return asyncio.run(_run_cluster(cfg, strategy, shaper=shaper))
+    return asyncio.run(leaving_no_task(
+        _run_cluster(cfg, strategy, shaper=shaper)))
+
+
+async def leaving_no_task(job: Awaitable[T]) -> T:
+    """Await ``job`` as the loop's only business; let nothing outlive it.
+
+    The loop holds tasks weakly: a drain or read task whose connection
+    was dropped rather than closed is garbage-collected mid-wait
+    (``Task was destroyed but it is pending!``) — or keeps retransmitting
+    into the next run's measurements.  Only the loop's owner can tell
+    such a task from a sibling job's, so the check lives here and not in
+    :func:`_run_cluster`, which tenancy runs several of per loop.
+    """
+    result = await job
+    me = asyncio.current_task()
+    leaked = sorted(task.get_name() for task in asyncio.all_tasks()
+                    if task is not me and not task.done())
+    if leaked:
+        raise LiveRunError(
+            f"live run finished with {len(leaked)} task(s) still "
+            f"pending: {', '.join(leaked)}")
+    return result
 
 
 async def _run_cluster(cfg: LiveClusterConfig,
@@ -121,80 +153,79 @@ async def _run_cluster(cfg: LiveClusterConfig,
                               shaper=shaper)
                for s in range(cfg.n_servers)]
     coordinator.servers = servers
-    aggregators: List[AioAggregator] = []
-    agg_tasks: List[asyncio.Task] = []
-    workers: Dict[int, AioWorker] = {}
-    failed = False
+    nodes: List[Node] = list(servers)
+    #: Every aggregator's and worker's run(), named after its node.
+    running: List[asyncio.Task] = []
+    loop = asyncio.get_running_loop()
+
+    def shard_errors() -> List[str]:
+        return [srv.error for srv in servers if srv.error is not None]
+
     try:
         addresses = [(cfg.host, await srv.start()) for srv in servers]
         if cfg.two_tier:
             aggregators = [AioAggregator(g, cfg, strategy, epoch0,
                                          shaper=shaper)
                            for g in range(cfg.n_groups)]
+            nodes += aggregators
             agg_ports = [await agg.start(addresses) for agg in aggregators]
             worker_addresses = {
                 w: [(cfg.host, agg_ports[cfg.group_of(w)])]
                 for w in sched.all_workers}
-            agg_tasks = [asyncio.get_running_loop().create_task(agg.run())
-                         for agg in aggregators]
+            # Aggregators exit once all their members said BYE.
+            running += [loop.create_task(agg.run(), name=agg.name)
+                        for agg in aggregators]
         else:
             worker_addresses = {w: addresses for w in sched.all_workers}
         workers = {w: AioWorker(w, cfg, plans, sched, strategy, epoch0,
                                 shaper=shaper)
                    for w in sched.all_workers}
+        nodes += workers.values()
 
         async def _drive(w: int) -> dict:
             final = await workers[w].run(worker_addresses[w])
             return workers[w].result(final)
 
+        worker_tasks = [loop.create_task(_drive(w), name=workers[w].name)
+                        for w in sched.all_workers]
+        running += worker_tasks
         deadline = cfg.round_timeout_s * cfg.iterations + LAUNCH_MARGIN_S
-        try:
-            outcomes = await asyncio.wait_for(
-                asyncio.gather(*(_drive(w) for w in sched.all_workers),
-                               return_exceptions=True),
-                deadline)
-        except asyncio.TimeoutError:
-            failed = True
+        # The first node to fail ends the run: its peers would otherwise
+        # sit out their round timeouts waiting for a round that cannot
+        # complete.
+        done, pending = await asyncio.wait(
+            running, timeout=deadline, return_when=asyncio.FIRST_EXCEPTION)
+        # A dead shard is the cause of its clients' errors: name it first.
+        failures = shard_errors()
+        for task in running:
+            if task in done:
+                outcome, = await asyncio.gather(task, return_exceptions=True)
+                if isinstance(outcome, BaseException):
+                    failures.append(f"{task.get_name()}: "
+                                    f"{type(outcome).__name__}: {outcome}")
+        if failures:
+            raise LiveRunError(f"node failures: {failures}")
+        if pending:
             raise LiveRunError(
-                f"aio run: event loop did not complete within "
-                f"{deadline:.1f}s") from None
-        results: Dict[int, dict] = {}
-        errors: Dict[int, str] = {}
-        for w, outcome in zip(sched.all_workers, outcomes):
-            if isinstance(outcome, BaseException):
-                errors[w] = f"{type(outcome).__name__}: {outcome}"
-            else:
-                results[outcome["worker"]] = outcome
-        if errors:
-            failed = True
-            raise LiveRunError(f"worker failures: {errors}")
-        if agg_tasks:
-            # Aggregators exit once all their members said BYE.
-            for gid, task in enumerate(agg_tasks):
-                try:
-                    await asyncio.wait_for(task, LAUNCH_MARGIN_S)
-                except asyncio.TimeoutError:
-                    failed = True
-                    raise LiveRunError(
-                        f"aggregator {gid} never finished") from None
-                except Exception as exc:
-                    failed = True
-                    raise LiveRunError(
-                        f"aggregator {gid} failed: {exc}") from exc
+                f"live run: {sorted(t.get_name() for t in pending)} did "
+                f"not complete within {deadline:.1f}s")
+        results = {w: task.result()
+                   for w, task in zip(sched.all_workers, worker_tasks)}
         run_end = time.monotonic()
         for srv in servers:
             await srv.stop()
-        shard_errors = [srv.error for srv in servers
-                        if srv.error is not None]
-        if shard_errors:
-            failed = True
-            raise LiveRunError(f"shard failures: {shard_errors}")
-    finally:
-        if failed:
-            for node in list(workers.values()) + aggregators + servers:
-                node.abort()
-            for task in agg_tasks:
-                task.cancel()
+        failures = shard_errors()
+        if failures:
+            raise LiveRunError(f"node failures: {failures}")
+    except BaseException:
+        for node in nodes:
+            node.abort()
+        for task in running:
+            task.cancel()
+        await asyncio.gather(*running,
+                             *(node.wait_closed() for node in nodes),
+                             return_exceptions=True)
+        raise
 
     events: List[dict] = []
     if cfg.observe:

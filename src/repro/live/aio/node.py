@@ -1,11 +1,11 @@
 """Event-loop node plumbing: named peers, watchdogs, reconnect.
 
-A :class:`Node` is the shared substrate of every asyncio role (worker,
-server shard, aggregator): it owns a set of named
-:class:`PeerConnection`\\ s, an optional listener, and the task
-bookkeeping for clean shutdown.  One OS process can host any number of
-Nodes on one event loop — the property that lets a single machine run
-64+ workers where the thread stack needed ~4 threads per connection.
+A :class:`Node` is the shared substrate of every role (worker, server
+shard, aggregator): it owns every :class:`PeerConnection` it dials or
+accepts, an optional listener, and the task bookkeeping for clean
+shutdown — a connection no node owns is a drain task nobody stops.  One
+OS process can host any number of Nodes on one event loop — the
+property that lets a single machine run 64+ workers.
 
 A :class:`PeerConnection` pairs one :class:`AsyncPrioritySender` with
 one :class:`~repro.live.transport.ReliableReceiver` over an asyncio
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Coroutine, List, Optional
 
 from ..transport import ReliableReceiver, TransportError
 from ..wire import Frame, WireMessage
@@ -46,13 +46,15 @@ class PeerConnection:
                  sender_for: Optional[Callable[
                      [Frame], Optional[AsyncPrioritySender]]] = None,
                  on_eof: Optional[Callable[["PeerConnection"], None]] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 accepted: bool = False) -> None:
         self.name = name
         self.reader = reader
         self.writer = writer
         self.sender = sender
         self.on_message = on_message
         self.on_eof = on_eof
+        self.accepted = accepted
         self._clock = clock
         self.last_rx = clock()
         self.saw_bye = False
@@ -64,7 +66,7 @@ class PeerConnection:
             else (lambda _frame: self.sender)
         self.receiver = ReliableReceiver(sender_for=resolve)
         self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
+            self._read_loop(), name=f"{name}:read")
 
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
@@ -103,30 +105,32 @@ class PeerConnection:
         if self.sender is not None:
             self.sender.rebind(writer)
         self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
+            self._read_loop(), name=f"{self.name}:read")
 
     async def close(self, flush_timeout_s: float = 30.0) -> None:
-        """Flush and close the sender, half-close the stream, stop reading."""
-        self.closed = True
-        if self.sender is not None:
+        """End the connection from this side, leaving no task behind.
+
+        A dialled connection flushes and closes its sender, half-closes
+        the stream and stops reading.  An accepted one hangs up second:
+        the client's own flush needs our acks, so wait for its EOF —
+        whatever is still unacked after that has no reader left.
+        """
+        if self.accepted:
+            await asyncio.wait([self._read_task], timeout=flush_timeout_s)
+        else:
+            self.closed = True
+            if self.sender is not None:
+                try:
+                    await self.sender.close(flush_timeout_s)
+                except TransportError:
+                    pass
             try:
-                await self.sender.close(flush_timeout_s)
-            except TransportError:
+                if self.writer.can_write_eof():
+                    self.writer.write_eof()  # peer reads our last frames
+            except (OSError, RuntimeError):
                 pass
-        try:
-            if self.writer.can_write_eof():
-                self.writer.write_eof()  # let the peer read our last frames
-        except (OSError, RuntimeError):
-            pass
-        self._read_task.cancel()
-        try:
-            await self._read_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        try:
-            self.writer.close()
-        except Exception:  # noqa: BLE001
-            pass
+        self.abort()
+        await self.wait_closed()
 
     def abort(self) -> None:
         """Tear down without flushing (error-path shutdown)."""
@@ -139,39 +143,65 @@ class PeerConnection:
         except Exception:  # noqa: BLE001
             pass
 
+    async def wait_closed(self) -> None:
+        """After :meth:`close` or :meth:`abort`: until both tasks ended."""
+        tasks = [self._read_task]
+        if self.sender is not None:
+            tasks.append(self.sender.wait_closed())
+        await asyncio.gather(*tasks, return_exceptions=True)
+
 
 class Node:
     """One logical cluster member on the event loop.
 
-    Roles subclass or compose this: it tracks named peers, hosts an
-    optional listener, spawns supervised tasks, and tears everything
-    down idempotently.  ``name`` appears in task names and error
-    messages so a 100-connection single-process run stays debuggable.
+    Roles subclass this: it owns every connection the role dials or
+    accepts, hosts an optional listener, spawns supervised tasks, and
+    tears everything down idempotently.  ``name`` appears in task names
+    and error messages so a 100-connection single-process run stays
+    debuggable.
     """
 
     def __init__(self, name: str,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.name = name
         self._clock = clock
-        self.peers: Dict[str, PeerConnection] = {}
+        #: Every connection this node ever dialled or accepted, dead
+        #: incarnations included (their counters feed the run's stats).
+        self.conns: List[PeerConnection] = []
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
         self._stopped = False
 
     # ------------------------------------------------------------------
-    def spawn(self, coro: Awaitable[None]) -> asyncio.Task:
+    def spawn(self, coro: Coroutine[None, None, None]) -> asyncio.Task:
         """Run a coroutine under this node's supervision."""
-        task = asyncio.get_running_loop().create_task(coro)
+        task = asyncio.get_running_loop().create_task(
+            coro, name=f"{self.name}:{coro.__name__}")
         self._tasks.append(task)
         return task
 
     async def listen(self, host: str,
-                     on_connection: Callable[
-                         [asyncio.StreamReader, asyncio.StreamWriter],
-                         None]) -> int:
-        """Bind an ephemeral port; return it (reported to the driver)."""
-        self._listener = await asyncio.start_server(
-            lambda r, w: on_connection(r, w), host, 0)
+                     on_message: Callable[[PeerConnection, WireMessage], None],
+                     sender_for: Callable[[PeerConnection, int],
+                                          AsyncPrioritySender],
+                     on_eof: Callable[[PeerConnection], None]) -> int:
+        """Bind an ephemeral port and own every connection accepted on
+        it; return the port (reported to the driver).
+
+        A listener only learns which peer a connection belongs to from
+        its frames: ``sender_for(conn, peer_id)`` supplies the
+        connection's TX sender on first use.
+        """
+        def accept(reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+            conn = PeerConnection(
+                f"{self.name}-conn{len(self.conns)}", reader, writer,
+                on_message=on_message,
+                sender_for=lambda frame: sender_for(conn, frame.sender),
+                on_eof=on_eof, clock=self._clock, accepted=True)
+            self.conns.append(conn)
+
+        self._listener = await asyncio.start_server(accept, host, 0)
         return self._listener.sockets[0].getsockname()[1]
 
     async def dial(self, peer_name: str, host: str, port: int,
@@ -181,47 +211,50 @@ class Node:
                    on_message: Callable[[PeerConnection, WireMessage], None],
                    on_eof: Optional[Callable[[PeerConnection], None]] = None,
                    ) -> PeerConnection:
-        """Connect to a named peer and register the connection."""
+        """Connect to a named peer and own the connection."""
         reader, writer = await open_connection_with_retry(host, port,
                                                           timeout_s)
         conn = PeerConnection(peer_name, reader, writer,
                               on_message=on_message,
                               sender=make_sender(writer),
                               on_eof=on_eof, clock=self._clock)
-        self.peers[peer_name] = conn
+        self.conns.append(conn)
         return conn
 
     async def shutdown(self, flush_timeout_s: float = 30.0) -> None:
-        """Close every peer cleanly, stop the listener and all tasks.
+        """Graceful teardown; returns once nothing of this node runs.
 
-        Idempotent: safe to call from both error paths and normal exit.
+        Closes every connection cleanly, then the listener, then cancels
+        the node's tasks and awaits the end of all of them.  Idempotent:
+        safe to call from both error paths and normal exit.
         """
-        if self._stopped:
-            return
-        self._stopped = True
-        for conn in list(self.peers.values()):
-            if not conn.closed:
-                try:
+        if not self._stopped:
+            self._stopped = True
+            # Watchdogs first: a probe of a closing sender is no failure.
+            for task in self._tasks:
+                task.cancel()
+            if self._listener is not None:
+                self._listener.close()  # accept nothing while closing
+            for conn in self.conns:
+                if not conn.closed:
                     await conn.close(flush_timeout_s)
-                except Exception:  # noqa: BLE001 - teardown best-effort
-                    conn.abort()
-        if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        self.abort()
+        await self.wait_closed()
 
     def abort(self) -> None:
-        """Immediate teardown without flushing."""
+        """Immediate teardown: sockets closed, tasks cancelled."""
         self._stopped = True
-        for conn in self.peers.values():
+        for conn in self.conns:
             conn.abort()
         if self._listener is not None:
             self._listener.close()
         for task in self._tasks:
             task.cancel()
+
+    async def wait_closed(self) -> None:
+        """After :meth:`abort`: until every task of this node ended."""
+        if self._listener is not None:
+            await self._listener.wait_closed()
+        await asyncio.gather(*self._tasks,
+                             *(conn.wait_closed() for conn in self.conns),
+                             return_exceptions=True)

@@ -1,10 +1,10 @@
 """Asyncio parameter-server shard (repro.live.aio).
 
-The event-loop twin of :class:`repro.live.server.LiveServerShard`: the
-same staged, worker-id-ordered application of each round onto the same
-functional :class:`~repro.kvstore.server.ServerShard`, with the accept
-loop and per-connection reader threads replaced by one read task per
-connection — and, new here, the **membership epoch** machinery:
+Stages pushes per (key, round, worker) and applies each complete round
+with its contributors in rank order onto the in-process oracle's own
+functional :class:`~repro.kvstore.server.ServerShard` — which is what
+makes live rounds bit-identical to it — one read task per connection,
+plus the **membership epoch** machinery:
 
 * JOIN/LEAVE barrier tokens feed an :class:`~repro.live.membership.
   EpochTracker`; when every token for the next epoch has arrived *and*
@@ -70,7 +70,6 @@ class AioServerShard(Node):
         # key -> list of (iteration, worker, priority) awaiting a value
         self._waiting: Dict[int, List[Tuple[int, int, int]]] = {}
         self._senders: Dict[int, AsyncPrioritySender] = {}
-        self._conns: List[PeerConnection] = []
         self._ready = asyncio.Event()
         self.error: Optional[str] = None
         self.pushes_received = 0
@@ -91,22 +90,14 @@ class AioServerShard(Node):
     # ------------------------------------------------------------------
     async def start(self) -> int:
         """Bind, start serving and (if elastic-capable) tracking epochs."""
-        port = await self.listen(self.cfg.host, self._on_connection)
+        port = await self.listen(self.cfg.host, self._on_message,
+                                 self._conn_sender, self._on_eof)
         if self._handshake:
             self.spawn(self._membership_loop())
         return port
 
     async def stop(self) -> None:
         await self.shutdown(self.cfg.peer_timeout_s)
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        conn = PeerConnection(
-            f"{self.name}-conn{len(self._conns)}", reader, writer,
-            on_message=self._on_message,
-            sender_for=lambda frame: self._conn_sender(conn, frame.sender),
-            on_eof=self._on_eof, clock=self._clock)
-        self._conns.append(conn)
 
     def _conn_sender(self, conn: PeerConnection,
                      worker: int) -> AsyncPrioritySender:
@@ -135,9 +126,13 @@ class AioServerShard(Node):
                        "— worker died mid-protocol?")
 
     def _fail(self, reason: str) -> None:
+        """A failed shard hangs up on everyone, as a dead process would:
+        its clients see EOF at once instead of a silent peer, and the
+        driver attributes their failures to :attr:`error`."""
         if self.error is None:
             self.error = f"shard {self.sid}: {reason}"
         self._ready.set()  # unwedge the membership loop
+        self.abort()
 
     # ------------------------------------------------------------------
     # Message handling (synchronous — called from read tasks)
@@ -318,7 +313,7 @@ class AioServerShard(Node):
         for sender in self._senders.values():
             for name, value in sender.stats().items():
                 totals[name] = totals.get(name, 0) + value
-        for conn in self._conns:
+        for conn in self.conns:
             for name, value in conn.receiver.stats().items():
                 totals[name] = totals.get(name, 0) + value
         return totals

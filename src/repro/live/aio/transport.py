@@ -1,14 +1,15 @@
-"""Asyncio transport: the sync stack's scheduling core on async streams.
+"""Asyncio transport: the pure scheduling core on async streams.
 
-:class:`AsyncPrioritySender` is :class:`repro.live.transport.PrioritySender`
-re-hosted on an event loop — same :class:`ChunkScheduler` heap, same
-:class:`ReliableOutbox` Go-Back-N state, same :class:`TokenBucket`
-shaping, same wire frames — with the sender *thread* replaced by one
-asyncio task per connection.  That is what lets a single process carry
-64+ workers and hundreds of connections: each connection costs a task
-and a heap, not two OS threads.
+:class:`AsyncPrioritySender` hosts :mod:`repro.live.transport`'s sans-IO
+pieces on an event loop — the :class:`ChunkScheduler` heap, the
+:class:`ReliableOutbox` Go-Back-N state, :class:`TokenBucket` shaping,
+the v2 wire frames — with one drain task per connection.  That is what
+lets a single process carry 64+ workers and hundreds of connections:
+each connection costs a task and a heap, not two OS threads
+(:class:`~repro.live.transport.PrioritySender` is the thread-hosted
+twin of the same core).
 
-Two capabilities the thread version never needed:
+Two capabilities the thread-hosted sender does not have:
 
 * **Chaos without a socket** — fault injection reuses
   :meth:`repro.live.chaos.ChaosChannel.plan_frame` (the exact seeded
@@ -57,8 +58,7 @@ def chaos_policy(plan: Optional[FaultPlan], machine: int, peer: int,
     Only the pure :meth:`~repro.live.chaos.ChaosChannel.plan_frame`
     decision procedure is used, so the wrapped socket is ``None``;
     returns ``None`` when the plan doesn't target ``machine`` (zero
-    overhead on clean runs) — the async analogue of
-    :func:`repro.live.chaos.maybe_wrap`.
+    overhead on clean runs).
     """
     if plan is None or not chaos_specs_for(plan, machine):
         return None
@@ -68,12 +68,12 @@ def chaos_policy(plan: Optional[FaultPlan], machine: int, peer: int,
 class AsyncPrioritySender:
     """Priority heap + Go-Back-N reliability on one asyncio stream.
 
-    API mirrors the thread sender — ``send`` / ``send_ack`` /
+    API mirrors the thread-hosted sender — ``send`` / ``send_ack`` /
     ``handle_ack`` are synchronous and never touch the network (handlers
     may call them from read callbacks); ``flush`` / ``close`` are
     coroutines.  The draining task pops the most urgent chunk, shapes
     it, applies chaos, writes, and re-consults the heap — preemption
-    granularity stays ``chunk_bytes`` exactly as on the thread stack.
+    granularity is ``chunk_bytes``.
     """
 
     def __init__(self, writer: asyncio.StreamWriter, sender_id: int,
@@ -102,7 +102,8 @@ class AsyncPrioritySender:
         self._broken: Optional[BaseException] = None
         self._wake = asyncio.Event()
         self._progress = asyncio.Event()
-        self._task = asyncio.get_running_loop().create_task(self._run())
+        self._task = asyncio.get_running_loop().create_task(
+            self._run(), name=f"{node}:send")
 
     # ------------------------------------------------------------------
     # Synchronous entry points (callable from read callbacks)
@@ -212,6 +213,10 @@ class AsyncPrioritySender:
         """Stop immediately without flushing (error-path teardown)."""
         self._closing = True
         self._task.cancel()
+
+    async def wait_closed(self) -> None:
+        """After :meth:`close` / :meth:`abort`: until the drain task ended."""
+        await asyncio.gather(self._task, return_exceptions=True)
 
     def stats(self) -> Dict[str, int]:
         """Reliability counters (zeros when no :class:`RetryPolicy`)."""
@@ -365,9 +370,8 @@ async def open_connection_with_retry(
         host: str, port: int, timeout_s: float = 15.0,
         interval_s: float = 0.05
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Dial ``(host, port)``, retrying until ``timeout_s`` — workers may
-    start before their servers finish binding (the async twin of
-    :func:`repro.live.transport.connect_with_retry`)."""
+    """Dial ``(host, port)``, retrying until ``timeout_s`` — a peer may
+    still be binding (transient faults are expected, not fatal)."""
     deadline = time.monotonic() + timeout_s
     last_err: Optional[Exception] = None
     while time.monotonic() < deadline:

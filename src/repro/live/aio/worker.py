@@ -1,9 +1,9 @@
 """Asyncio training worker (repro.live.aio).
 
-The event-loop twin of :class:`repro.live.worker.LiveWorker` — the same
-gated forward / backward-emission loop, the same priorities, the same
-numerics — reorganized around coroutines so that 64+ workers cohabit one
-process, plus the **elastic membership** choreography:
+Gated forward (layer *i* waits only on its own parameters), real
+gradients, backward emission last-layer-first at P3 or FIFO priorities
+— as coroutines, so that 64+ workers cohabit one process — plus the
+**elastic membership** choreography:
 
 * A worker executes each of its schedule *spans* as a fresh
   **incarnation**: new connections, fresh transport state.  Rejoining
@@ -39,8 +39,8 @@ from ..transport import (
     TokenBucket,
     TransportError,
 )
+from ..result import LiveWorkerError
 from ..wire import WireKind, WireMessage, encode_array
-from ..worker import LiveWorkerError
 from .node import Node, PeerConnection
 from .transport import AsyncPrioritySender, chaos_policy
 
@@ -90,8 +90,7 @@ class AioWorker(Node):
             self._shaper = (TokenBucket(cfg.rate_bytes_per_s,
                                         cfg.burst_bytes)
                             if cfg.rate_bytes_per_s is not None else None)
-        self._conns: List[PeerConnection] = []
-        self._all_conns: List[PeerConnection] = []
+        self._conns: List[PeerConnection] = []  # this incarnation's
         self._wd_task: Optional[asyncio.Task] = None
         self.iter_starts: List[float] = []
         self.iter_end: float = 0.0
@@ -135,7 +134,7 @@ class AioWorker(Node):
             if self._error is not None:
                 raise LiveWorkerError(
                     f"worker {self.wid}: receive path failed while "
-                    f"waiting for {what}") from self._error
+                    f"waiting for {what}: {self._error}") from self._error
             if pred():
                 return self._clock() - t_enter
             remaining = deadline - self._clock()
@@ -171,7 +170,6 @@ class AioWorker(Node):
                                        self.epoch0)),
                 on_message=self._on_message, on_eof=self._on_eof)
             self._conns.append(conn)
-            self._all_conns.append(conn)
         self._wd_task = self.spawn(self._watchdog(list(self._conns)))
 
     async def _watchdog(self, conns: List[PeerConnection]) -> None:
@@ -245,9 +243,13 @@ class AioWorker(Node):
                 leaves = (e1 if e1 + 1 < self.schedule.n_epochs else None)
                 try:
                     await self._run_span(params, e0, e1)
-                finally:
-                    await self._disconnect(
-                        leaves if self._error is None else None)
+                except BaseException:
+                    # Died mid-span: hang up.  A LEAVE/BYE would certify
+                    # to the shards that this worker's traffic drained.
+                    self.abort()
+                    raise
+                await self._disconnect(
+                    leaves if self._error is None else None)
         finally:
             await self.shutdown(cfg.peer_timeout_s)
         self.iter_end = self._clock()
@@ -355,7 +357,7 @@ class AioWorker(Node):
 
     def timeline(self) -> List[ChunkRecord]:
         out: List[ChunkRecord] = []
-        for conn in self._all_conns:
+        for conn in self.conns:
             if conn.sender is not None:
                 out.extend(conn.sender.timeline)
         return sorted(out, key=lambda r: r.start)
@@ -363,7 +365,7 @@ class AioWorker(Node):
     def transport_stats(self) -> Dict[str, int]:
         """Aggregated reliability/chaos counters across incarnations."""
         totals: Dict[str, int] = {}
-        for conn in self._all_conns:
+        for conn in self.conns:
             if conn.sender is not None:
                 for name, value in conn.sender.stats().items():
                     totals[name] = totals.get(name, 0) + value
@@ -372,8 +374,7 @@ class AioWorker(Node):
         return totals
 
     def result(self, final: Dict[str, np.ndarray]) -> Dict[str, object]:
-        """The driver-facing record, schema-compatible with
-        :func:`repro.live.worker.run_worker`'s queue payloads."""
+        """The driver-facing record of this worker's run."""
         return {
             "worker": self.wid,
             "params": final,

@@ -187,13 +187,3 @@ class ChaosChannel:
         for payload in payloads:
             self._sock.sendall(payload)
 
-
-def maybe_wrap(sock, plan: Optional[FaultPlan], machine: int, peer: int,
-               epoch: float,
-               clock: Callable[[], float] = time.monotonic):
-    """Wrap ``sock`` in a :class:`ChaosChannel` iff the plan targets
-    ``machine`` with at least one chaos fault; otherwise return it
-    untouched (zero overhead on clean runs)."""
-    if plan is None or not chaos_specs_for(plan, machine):
-        return sock
-    return ChaosChannel(sock, plan, machine, peer, epoch, clock=clock)

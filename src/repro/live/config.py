@@ -102,15 +102,15 @@ class LiveClusterConfig:
     max_retries: int = 12
     peer_timeout_s: float = 10.0       # no frames/acks for this long = dead
 
-    # Elastic membership (asyncio stack only).  When set, the run's
+    # Elastic membership.  When set, the run's
     # rounds are partitioned into epochs with per-epoch active worker
     # sets (and optional placement overrides); workers JOIN/LEAVE at
     # epoch boundaries via the membership handshake.  ``n_workers`` then
     # bounds the worker *id space* (machine-id layout), not the live
-    # count.  The blocking multiprocess driver rejects elastic configs.
+    # count.
     membership: Optional[MembershipSchedule] = None
 
-    # Observability (repro.obs): when True every process records the
+    # Observability (repro.obs): when True every node records the
     # shared event stream (slice enqueued/sent/preempted/applied, gate
     # opens, round applies) and the driver merges it into
     # :attr:`LiveRunResult.events`.  Observation-only: recording never
@@ -135,9 +135,6 @@ class LiveClusterConfig:
             raise ValueError("peer_timeout_s must be positive")
         # Placement knobs validate through the subsystem's own spec.
         self.placement_spec()
-        if self.placement == "two_tier" and self.fault_plan is not None:
-            raise ValueError(
-                "two_tier placement does not support fault injection yet")
         # Fail fast on bad retry knobs (RetryPolicy revalidates).
         self.retry_policy(0)
         if self.membership is not None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -539,6 +538,11 @@ class PrioritySender:
     exponential backoff when the ack timer expires — so a lossy channel
     (:mod:`repro.live.chaos`) delays delivery but never loses it.
     ``flush()`` then waits for acknowledgement, not just for the write.
+
+    The cluster's nodes use :class:`repro.live.aio.AsyncPrioritySender`,
+    the event-loop host of the same :class:`ChunkScheduler` core; this
+    thread-hosted one is what ``bench/probes.py``'s ``sender.*`` probes
+    and ``tests/live/test_transport.py`` drive.
     """
 
     def __init__(self, sock, sender_id: int,
@@ -564,6 +568,7 @@ class PrioritySender:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._closing = False
+        self._writing = False  # a popped chunk is not on the wire yet
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"sender-{sender_id}")
@@ -617,7 +622,7 @@ class PrioritySender:
         :class:`RetryPolicy` is attached, acknowledged by the peer."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            while (len(self._sched)
+            while (len(self._sched) or self._writing
                    or (self._outbox is not None and len(self._outbox))) \
                     and self._error is None:
                 remaining = deadline - time.monotonic()
@@ -683,6 +688,7 @@ class PrioritySender:
                     if not retrans:
                         item, chunk, offset, done, preempted = \
                             self._sched.pop_chunk()
+                        self._writing = True
                         seq = SEQ_NONE
                         if (self._outbox is not None
                                 and item.kind in RELIABLE_KINDS):
@@ -742,6 +748,7 @@ class PrioritySender:
                         queue_s=queue_s, wire_s=item.wire_s,
                         detail=item.kind.name.lower())
                 with self._cond:
+                    self._writing = False
                     if not len(self._sched):
                         self._cond.notify_all()
         except BaseException as exc:  # noqa: BLE001 - reported via .failed
@@ -760,21 +767,3 @@ class PrioritySender:
                             offset=offset, total=len(item.payload),
                             seq=seq)
 
-
-def connect_with_retry(address: Tuple[str, int], timeout_s: float = 15.0,
-                       interval_s: float = 0.05) -> socket.socket:
-    """Dial ``address``, retrying until ``timeout_s`` — workers may start
-    before their servers finish binding (PR 1's robustness vocabulary:
-    transient faults are expected, not fatal)."""
-    deadline = time.monotonic() + timeout_s
-    last_err: Optional[Exception] = None
-    while time.monotonic() < deadline:
-        try:
-            sock = socket.create_connection(address, timeout=timeout_s)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-        except OSError as exc:
-            last_err = exc
-            time.sleep(interval_s)
-    raise TransportError(f"could not connect to {address} within "
-                         f"{timeout_s}s") from last_err

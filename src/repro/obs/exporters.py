@@ -1,7 +1,7 @@
 """Exporters: one run, three comparable artifacts (repro.obs).
 
 Whatever produced the records — :func:`repro.sim.simulate` or a live
-:func:`repro.live.run_live` — the same three exporters apply:
+:func:`repro.live.aio.run_live_aio` — the same three exporters apply:
 
 * :func:`export_chrome_trace` — ``chrome://tracing`` / Perfetto JSON
   with compute/stall/network spans plus the shared

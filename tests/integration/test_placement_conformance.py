@@ -9,7 +9,7 @@ tests pin that promise at two levels:
   keys, same sizes, same shard assignment, same split structure;
 * **round identity** — a live run under each placement policy produces
   final parameters bit-identical to the in-process store fed the same
-  seeded plan (the live tests fork real processes and are ``slow``).
+  seeded plan (the live tests run real sockets and are ``slow``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.calibration import live_model_spec, run_inprocess
-from repro.live import LiveClusterConfig, make_plan, run_live
+from repro.live import LiveClusterConfig, make_plan
+from repro.live.aio import run_live_aio
 from repro.sim import ClusterConfig, ClusterSim
 from repro.strategies import baseline, p3
 
@@ -94,8 +95,8 @@ def test_two_tier_groups_agree_across_substrates():
 
 
 def test_seeded_plans_are_reproducible():
-    """Same config, fresh processes: byte-for-byte the same plan (the
-    property every forked live process relies on)."""
+    """Same config, built twice: byte-for-byte the same plan (the
+    property every live node relies on)."""
     cfg_a = live_cfg("balanced")
     cfg_b = live_cfg("balanced")
     metas_a = [(m.key, m.name, m.start, m.stop, m.server)
@@ -106,7 +107,7 @@ def test_seeded_plans_are_reproducible():
 
 
 # ----------------------------------------------------------------------
-# Round identity (forks real processes)
+# Round identity (real sockets)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -114,9 +115,9 @@ def test_live_round_results_bit_identical_per_placement(placement):
     """Same seeded plan, real sockets vs in-process store: the final
     parameters must agree bit for bit under every placement policy —
     including split keys (balanced) and partial aggregation through a
-    real aggregator process (two_tier)."""
+    real aggregator node (two_tier)."""
     cfg = live_cfg(placement, rate_bytes_per_s=2_000_000.0)
-    live = run_live(cfg, strategy="p3")
+    live = run_live_aio(cfg, strategy="p3")
     ref = run_inprocess(cfg, strategy="p3")
     assert set(live.final_params) == set(ref)
     for name in ref:

@@ -1,8 +1,7 @@
-"""End-to-end asyncio cluster tests: conformance, elasticity, chaos.
+"""End-to-end live cluster tests: conformance, elasticity, chaos, teardown.
 
-The tentpole acceptance battery.  Every test pits the single-process
-event-loop substrate (:func:`repro.live.aio.run_live_aio`) against an
-independent ground truth:
+Every test pits the live cluster (:func:`repro.live.aio.run_live_aio`:
+real sockets, one event loop) against an independent ground truth:
 
 * **Cross-substrate conformance** — final parameters bit-identical to
   the in-process functional store, for every placement policy
@@ -15,21 +14,34 @@ independent ground truth:
 * **Chaos under elasticity** — the acceptance run: frames dropped,
   duplicated, and corrupted *while the membership changes mid-run*, and
   the values still match the reference exactly.
-* **Scale** — ``calibrate()`` completes with 64 workers on one event
-  loop, bit-identical (the run the thread-per-connection stack could
-  not host).
+* **Timing** — P3 front-loads the first layer on a backlogged link,
+  and ``calibrate()`` agrees in sign with the simulator; it also
+  completes, bit-identical, with 64 workers on one event loop.
+* **Teardown** — a run that succeeds leaves no task or socket behind;
+  a worker or shard that dies mid-round is a prompt ``LiveRunError``
+  naming it, and leaves none either.
 """
 
 from __future__ import annotations
+
+import asyncio
+import gc
+import logging
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.calibration import calibrate, run_inprocess
-from repro.live import LiveClusterConfig
-from repro.live.aio import run_live_aio
+from repro.analysis.calibration import (calibrate, calibrate_faults,
+                                        run_inprocess)
+from repro.live import LiveClusterConfig, LiveRunError, LiveRunResult
+from repro.live.aio import AioServerShard, AioWorker, run_live_aio
+from repro.live.aio.driver import _run_cluster, leaving_no_task
+from repro.live.config import make_plan
 from repro.live.membership import (
     MembershipEpoch,
     MembershipSchedule,
@@ -50,6 +62,43 @@ def aio_cfg(**overrides) -> LiveClusterConfig:
     )
     defaults.update(overrides)
     return LiveClusterConfig(**defaults)
+
+
+def shaped_cfg(**overrides) -> LiveClusterConfig:
+    """2 workers + 2 shards, ~7k-param MLP with emulated compute on a
+    1 MB/s shaped link: small, but timing means something."""
+    defaults = dict(
+        n_workers=2, n_servers=2, iterations=3, warmup=1,
+        in_size=8, hidden=16, depth=1, n_train=32, n_val=16, batch_size=8,
+        slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
+        fwd_layer_s=0.004, bwd_layer_s=0.008, heartbeat_interval_s=0.05,
+    )
+    defaults.update(overrides)
+    return LiveClusterConfig(**defaults)
+
+
+#: 8% drop + 3% dup + 3% corrupt on every connection.  The retransmit
+#: timer is cut from 250 ms (still >> a loopback round trip): a lossy run
+#: is mostly spent waiting on it.
+LOSSY = FaultPlan((ChaosFault(machine=-1, drop_rate=0.08, dup_rate=0.03,
+                              corrupt_rate=0.03),), seed=2)
+LOSSY_LINK = dict(fault_plan=LOSSY, rate_bytes_per_s=5_000_000.0,
+                  chunk_bytes=4096, ack_timeout_s=0.05)
+
+#: Worker 2 joins mid-run.
+JOIN_SCHED = MembershipSchedule(epochs=(
+    MembershipEpoch(workers=(0, 1), rounds=2),
+    MembershipEpoch(workers=(0, 1, 2), rounds=2),
+))
+
+
+def transport_totals(per_worker: dict) -> dict:
+    """Sum per-worker transport counters (``transport_stats``)."""
+    totals: dict = {}
+    for stats in per_worker.values():
+        for k, v in stats.items():
+            totals[k] = totals.get(k, 0) + v
+    return totals
 
 
 def assert_params_equal(got, want, context=""):
@@ -84,20 +133,26 @@ def test_aio_matches_inprocess_bit_for_bit(placement, strategy):
                         f"{placement}/{strategy}")
 
 
+@pytest.mark.parametrize("link", [
+    {}, pytest.param(LOSSY_LINK, marks=pytest.mark.chaos, id="lossy")])
 @pytest.mark.parametrize("strategy", ["baseline", "p3"])
-def test_aio_two_tier_matches_inprocess(strategy):
+def test_aio_two_tier_matches_inprocess(strategy, link):
     cfg = aio_cfg(n_workers=4, batch_size=8, placement="two_tier",
-                  agg_group_size=2, strategy=strategy)
+                  agg_group_size=2, strategy=strategy, **link)
     live = run_live_aio(cfg)
     ref = run_inprocess(cfg)
     assert_params_equal(live.final_params, ref, f"two_tier/{strategy}")
+    if link:
+        totals = transport_totals(live.transport_stats)
+        assert totals["frames_dropped"] > 0 < totals["frames_retransmitted"]
+        assert totals["unacked_frames"] == 0
 
 
 def test_aio_reports_the_run_result_schema():
     """Iteration times, TX timelines, heartbeats, and transport counters
-    survive the substrate change with the blocking driver's schema."""
+    all reach the :class:`LiveRunResult`."""
     cfg = aio_cfg(strategy="p3", rate_bytes_per_s=5_000_000.0,
-                  chunk_bytes=4096)
+                  chunk_bytes=4096, heartbeat_interval_s=0.002)
     result = run_live_aio(cfg)
     for wid in range(cfg.n_workers):
         times = result.iteration_times[wid]
@@ -105,8 +160,40 @@ def test_aio_reports_the_run_result_schema():
         assert (times > 0).all()
         assert result.timelines[wid], "every worker must record tx chunks"
         assert "frames_retransmitted" in result.transport_stats[wid]
-    assert result.mean_iteration_time > 0
+    assert result.mean_iteration_time > 0 and result.throughput > 0
     assert result.utilization(worker=0).total_bytes(0, "tx") > 0
+    assert result.goodput_bytes_per_s(0) > 0
+    assert sum(result.heartbeat_acks.values()) > 0, \
+        "liveness traffic must cross the cluster while gradients move"
+
+
+def test_p3_sends_urgent_layers_earlier_than_baseline():
+    """On the wire, P3 must front-load the forward-urgent first layer:
+    the mean transmission rank of its PUSH chunks drops vs the baseline."""
+    def mean_rank_of_first_layer(cfg, result):
+        plan = make_plan(cfg, cfg.strategy)
+        first_keys = {m.key for m in plan.by_name[plan.names[0]]}
+        ranks = []
+        for records in result.timelines.values():
+            data = [r for r in records if r.kind == 1]  # PUSH chunks
+            ranks += [rank / max(1, len(data) - 1)
+                      for rank, rec in enumerate(data)
+                      if rec.key in first_keys]
+        assert ranks, "no PUSH chunks recorded for the first layer"
+        return float(np.mean(ranks))
+
+    # Backlog the link so several pushes queue at once: fast backward
+    # emission (1 ms/layer) against a slow shaped wire (150 kB/s).
+    # Otherwise each push drains before the next is enqueued and the
+    # heap degenerates to FIFO for both strategies.
+    ranks = {}
+    for strategy in ("baseline", "p3"):
+        cfg = shaped_cfg(strategy=strategy, hidden=64, iterations=2,
+                         warmup=0, fwd_layer_s=0.001, bwd_layer_s=0.001,
+                         rate_bytes_per_s=150_000.0, chunk_bytes=1_024)
+        ranks[strategy] = mean_rank_of_first_layer(cfg, run_live_aio(cfg))
+    # Baseline emits in generation order => layer 0 last; P3 pulls it up.
+    assert ranks["p3"] < ranks["baseline"]
 
 
 # ----------------------------------------------------------------------
@@ -161,40 +248,54 @@ def test_random_membership_schedules_match_reference(sched):
 # Chaos under elasticity (the acceptance run)
 # ----------------------------------------------------------------------
 @pytest.mark.chaos
-def test_chaos_during_membership_change_preserves_bit_identity():
-    """8% drop + 3% dup + 3% corrupt on every connection while worker 2
-    joins mid-run: Go-Back-N recovery + the epoch barrier keep the
-    values exactly equal to the clean reference."""
-    plan = FaultPlan((ChaosFault(machine=-1, drop_rate=0.08, dup_rate=0.03,
-                                 corrupt_rate=0.03),), seed=2)
-    sched = MembershipSchedule(epochs=(
-        MembershipEpoch(workers=(0, 1), rounds=2),
-        MembershipEpoch(workers=(0, 1, 2), rounds=2),
-    ))
-    cfg = aio_cfg(membership=sched, fault_plan=plan,
-                  rate_bytes_per_s=5_000_000.0, chunk_bytes=4096)
+@pytest.mark.parametrize("membership", [JOIN_SCHED, None],
+                         ids=["joining", "static"])
+def test_chaos_preserves_bit_identity(membership):
+    """Frames dropped, duplicated and corrupted on every connection —
+    also while worker 2 joins mid-run: Go-Back-N recovery + the epoch
+    barrier keep the values exactly equal to the clean reference."""
+    cfg = aio_cfg(membership=membership, **LOSSY_LINK)
     live = run_live_aio(cfg, strategy="p3")
     ref = elastic_reference(cfg, "p3")
-    assert_params_equal(live.final_params, ref, "chaos+elastic")
-    totals: dict = {}
-    for stats in live.transport_stats.values():
-        for k, v in stats.items():
-            totals[k] = totals.get(k, 0) + v
-    assert totals.get("frames_dropped", 0) > 0, \
-        "chaos must actually have bitten"
-    assert totals.get("frames_retransmitted", 0) > 0, \
+    assert_params_equal(live.final_params, ref, "chaos")
+    totals = transport_totals(live.transport_stats)
+    assert totals["frames_dropped"] >= 0.05 * totals["frames_seen"] * 0.5, \
+        "chaos must actually have bitten, near the configured 8%"
+    assert totals["frames_retransmitted"] > 0 < totals["acks_received"], \
         "recovery must actually have happened"
-    assert totals.get("unacked_frames", 0) == 0, \
+    assert totals["unacked_frames"] == 0, \
         "every reliable frame must be acknowledged by the end"
 
 
+@pytest.mark.chaos
+def test_fault_calibration_runs_the_plan_through_the_live_cluster():
+    report = calibrate_faults(shaped_cfg(ack_timeout_s=0.05), plan=LOSSY)
+    assert report.bit_identical_under_faults
+    totals = transport_totals(report.live_transport_stats)
+    assert totals["frames_dropped"] > 0 < totals["frames_retransmitted"]
+
+
 # ----------------------------------------------------------------------
-# Scale: 64 workers on one event loop
+# Calibration against the simulator, small and at scale
 # ----------------------------------------------------------------------
-def test_calibrate_completes_at_64_workers_on_the_aio_stack():
-    """The run the thread-per-connection stack could not host: a full
-    calibrate() — baseline + P3, live vs in-process — with 64 workers
-    (128 worker-shard connections) on a single event loop."""
+def test_calibration_report_end_to_end():
+    """Bit-identity plus sign agreement with the simulator's prediction,
+    within the documented tolerance."""
+    report = calibrate(shaped_cfg(iterations=4))
+    assert report.bit_identical
+    assert report.max_abs_diff == 0.0
+    assert report.sim_speedup > 1.0, \
+        "at 1 MB/s the simulator must predict a P3 win for this workload"
+    assert report.agrees(tolerance=0.5), (
+        f"live speedup {report.live_speedup:.2f}x disagrees in sign with "
+        f"sim {report.sim_speedup:.2f}x beyond tolerance")
+    summary = report.summary()
+    assert "bit-identical" in summary and "YES" in summary
+
+
+def test_calibrate_completes_at_64_workers_on_one_event_loop():
+    """A full calibrate() — baseline + P3, live vs in-process — with 64
+    workers (128 worker-shard connections) on a single event loop."""
     cfg = LiveClusterConfig(
         n_workers=64, n_servers=2, iterations=3, warmup=1,
         batch_size=64, in_size=6, hidden=8, depth=1,
@@ -203,7 +304,87 @@ def test_calibrate_completes_at_64_workers_on_the_aio_stack():
         rate_bytes_per_s=50_000_000.0, chunk_bytes=4096,
         heartbeat_interval_s=0.5,
     )
-    report = calibrate(cfg, runner=run_live_aio)
+    report = calibrate(cfg)
     assert report.bit_identical, \
         f"64-worker aio run diverged (max |diff| = {report.max_abs_diff})"
     assert report.live_baseline_s > 0 and report.live_p3_s > 0
+
+
+# ----------------------------------------------------------------------
+# Teardown: nothing outlives a run, whether it succeeds or fails
+# ----------------------------------------------------------------------
+def run_and_audit(cfg, strategy="p3"):
+    """One cluster on a loop this test owns, and what it left behind:
+    ``(result or LiveRunError, pending task names, leaked sockets)``."""
+    async def main():
+        fds = len(os.listdir("/proc/self/fd"))
+        try:
+            outcome = await _run_cluster(cfg, strategy)
+        except LiveRunError as exc:
+            outcome = exc
+        await asyncio.sleep(0.05)  # a closed transport frees its fd a pass later
+        gc.collect()               # an orphan task dies here, loudly
+        me = asyncio.current_task()
+        pending = sorted(t.get_name() for t in asyncio.all_tasks()
+                         if t is not me and not t.done())
+        return outcome, pending, len(os.listdir("/proc/self/fd")) - fds
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(membership=JOIN_SCHED), id="joining"),
+    pytest.param(LOSSY_LINK, marks=pytest.mark.chaos, id="lossy")])
+def test_successful_run_leaves_no_task_or_socket_behind(overrides, caplog):
+    """Regression: shards never closed the connections they accepted, so
+    their drain tasks were garbage-collected mid-wait."""
+    with warnings.catch_warnings(record=True) as caught, \
+            caplog.at_level(logging.ERROR, logger="asyncio"):
+        warnings.simplefilter("always", ResourceWarning)
+        outcome, pending, leaked_fds = run_and_audit(aio_cfg(**overrides))
+        gc.collect()
+    assert isinstance(outcome, LiveRunResult), outcome
+    assert pending == [] and leaked_fds == 0
+    assert not caplog.records, caplog.text  # "Task was destroyed but ..."
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_standing_check_names_a_task_left_pending():
+    async def leaky():
+        orphan = asyncio.get_running_loop().create_task(
+            asyncio.sleep(60), name="orphan-drain")
+        return orphan  # referenced, pending, and nobody's to stop
+
+    with pytest.raises(LiveRunError, match="orphan-drain"):
+        asyncio.run(leaving_no_task(leaky()))
+
+
+async def _dying_iteration(self, params, e, t, lo, hi,
+                           real=AioWorker._iteration):
+    if self.wid == 1 and t == 1:
+        raise RuntimeError("boom")
+    await real(self, params, e, t, lo, hi)
+
+
+def _failing_apply(self, key, real=AioServerShard._apply_ready):
+    if self.sid == 0 and self.pushes_received > 3:
+        raise RuntimeError("boom")
+    real(self, key)
+
+
+@pytest.mark.parametrize("cls, method, patch, victim", [
+    (AioWorker, "_iteration", _dying_iteration, "worker1"),
+    (AioServerShard, "_apply_ready", _failing_apply, "shard 0")],
+    ids=["worker", "shard"])
+def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
+                                                  patch, victim):
+    """A dead worker or shard is a prompt, attributed LiveRunError — its
+    peers must not sit out their 60 s round timeouts — and the failed
+    run still leaves no task pending and no socket open."""
+    monkeypatch.setattr(cls, method, patch)
+    start = time.monotonic()
+    outcome, pending, leaked_fds = run_and_audit(aio_cfg())
+    elapsed = time.monotonic() - start
+    assert isinstance(outcome, LiveRunError), "the run must fail"
+    assert victim in str(outcome) and "boom" in str(outcome)
+    assert elapsed < 8.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
+    assert pending == [] and leaked_fds == 0

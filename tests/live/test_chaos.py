@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live.chaos import ChaosChannel, chaos_specs_for, maybe_wrap
+from repro.live.aio import chaos_policy
+from repro.live.chaos import ChaosChannel, chaos_specs_for
 from repro.live.transport import (
     PrioritySender,
     ReliableInbox,
@@ -157,11 +158,9 @@ def test_chaos_targeting_by_machine():
     plan = chaos_plan(drop=0.5, machine=2)
     assert chaos_specs_for(plan, 2)
     assert not chaos_specs_for(plan, 0)
-    assert maybe_wrap(object(), plan, machine=0, peer=2, epoch=0.0) is not None
-    sock = object()
-    assert maybe_wrap(sock, plan, machine=0, peer=2, epoch=0.0) is sock
-    assert maybe_wrap(sock, None, machine=2, peer=0, epoch=0.0) is sock
-    assert isinstance(maybe_wrap(sock, plan, machine=2, peer=0, epoch=0.0),
+    assert chaos_policy(plan, machine=0, peer=2, epoch=0.0) is None
+    assert chaos_policy(None, machine=2, peer=0, epoch=0.0) is None
+    assert isinstance(chaos_policy(plan, machine=2, peer=0, epoch=0.0),
                       ChaosChannel)
 
 

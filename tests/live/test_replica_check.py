@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.live.driver import LiveRunError, agreed_params
+from repro.live.result import LiveRunError, agreed_params
 
 
 def _replicas(n: int = 3):

@@ -5,6 +5,7 @@ priority preemption on a rate-shaped loopback socket pair."""
 from __future__ import annotations
 
 import socket
+import sys
 import time
 
 import pytest
@@ -344,6 +345,10 @@ def test_control_priority_jumps_all_queues():
 
 def test_timeline_records_every_chunk():
     left, right = socket.socketpair()
+    # A tiny switch interval lands the flush() between the last chunk's
+    # write and its record: flush must wait for the record too.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
         sender = PrioritySender(left, sender_id=0, chunk_bytes=1_000)
         sender.send(WireKind.PUSH, key=1, iteration=0, priority=0,
@@ -360,6 +365,7 @@ def test_timeline_records_every_chunk():
         assert goodput_bytes_per_s(sender.timeline) > 0
         sender.close()
     finally:
+        sys.setswitchinterval(interval)
         left.close()
         right.close()
 

@@ -4,8 +4,8 @@ The simulator and the live data plane must describe a run with the same
 records.  Both halves run a comparable toy workload, validate every
 emitted record against :data:`repro.obs.EVENT_SCHEMA`, and check that
 each synchronization slice goes through the same lifecycle kinds on
-either substrate.  The live half forks real processes and is marked
-``slow``.
+either substrate.  The live half moves real bytes over localhost TCP
+and is marked ``slow``.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ def test_sim_stream_conforms():
 
 @pytest.mark.slow
 def test_live_stream_conforms_and_matches_sim_vocabulary():
-    from repro.live import LiveClusterConfig, run_live
+    from repro.live import LiveClusterConfig
+    from repro.live.aio import run_live_aio
 
     cfg = LiveClusterConfig(
         n_workers=2, n_servers=1, iterations=3, warmup=1,
         in_size=8, hidden=16, depth=1, n_train=32, n_val=16, batch_size=8,
         slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
         fwd_layer_s=0.002, bwd_layer_s=0.004, observe=True)
-    result = run_live(cfg, strategy="p3")
+    result = run_live_aio(cfg, strategy="p3")
     live_by_key = _check_stream(result.events)
     assert all(e["source"] == "live" for e in result.events)
     assert min(float(e["ts"]) for e in result.events) == 0.0, \
@@ -106,7 +107,8 @@ def test_same_fault_plan_same_event_vocabulary_on_both_substrates():
     at the slice level — that is the bit-identity guarantee showing up
     in the observability stream).
     """
-    from repro.live import LiveClusterConfig, run_live
+    from repro.live import LiveClusterConfig
+    from repro.live.aio import run_live_aio
     from repro.sim.faults import ChaosFault, FaultPlan
 
     # Permanent fault: exactly one fault_on per substrate, no fault_off,
@@ -120,7 +122,7 @@ def test_same_fault_plan_same_event_vocabulary_on_both_substrates():
         slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
         fwd_layer_s=0.002, bwd_layer_s=0.004, observe=True,
         fault_plan=plan)
-    result = run_live(cfg, strategy="p3")
+    result = run_live_aio(cfg, strategy="p3")
     live_by_key = _check_stream(result.events)
 
     sess = sim_session()

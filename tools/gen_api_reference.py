@@ -94,10 +94,7 @@ MODULES = [
     "repro.live.transport",
     "repro.live.chaos",
     "repro.live.config",
-    "repro.live.server",
-    "repro.live.worker",
-    "repro.live.aggregator",
-    "repro.live.driver",
+    "repro.live.result",
     "repro.live.membership",
     "repro.live.aio.transport",
     "repro.live.aio.node",
