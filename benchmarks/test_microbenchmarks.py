@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.slicing import slice_model
 from repro.models import resnet50, vgg19
 from repro.sim import ClusterConfig, simulate
 from repro.sim.engine import Simulator
@@ -41,7 +40,7 @@ def test_engine_event_throughput(benchmark):
 def test_slicing_throughput(benchmark):
     """Slice VGG-19 (2874 slices) repeatedly."""
     model = vgg19()
-    slices = benchmark(slice_model, model, 50_000)
+    slices = benchmark(lambda: p3().plan(model, 4, np.random.default_rng(0)))
     assert len(slices) > 2500
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from repro.analysis.schedules import _toy_cluster
 from repro.models import fig4_model
-from repro.sim import build_trace_events, simulate
+from repro.obs import build_chrome_events
+from repro.sim import simulate
 from repro.strategies import baseline, p3
 
 
@@ -46,7 +47,8 @@ def main() -> None:
     for strategy in (baseline(), p3(slice_params=5_000)):
         result = simulate(model, strategy, _toy_cluster(), iterations=5,
                           warmup=2, trace_utilization=True)
-        events = build_trace_events(result)
+        events = build_chrome_events(result.iterations.records,
+                                     result.utilization.records)
         recs = result.iterations.worker_iterations(0)
         t0 = recs[2].forward_start
         t1 = recs[3].end if len(recs) > 3 else result.steady_end

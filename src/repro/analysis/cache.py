@@ -15,8 +15,10 @@ Keys are ``sha256(canonical-JSON(point) + code_salt)``:
   iteration counts) with sorted keys and no whitespace, so logically
   equal configurations hash equally regardless of construction order;
 * the *code salt* hashes the source bytes of every package the
-  simulated numbers depend on (``repro.sim``, ``repro.core``,
-  ``repro.models``, ``repro.strategies``).  Any source edit — even a
+  simulated numbers depend on (``repro.sim`` and everything it and the
+  key planner import: ``repro.core``, ``repro.models``,
+  ``repro.strategies``, ``repro.placement``, ``repro.obs``).  Any
+  source edit — even a
   perf refactor that should not change results — invalidates every
   entry, so a stale cache can never mask a behaviour change.
 
@@ -46,11 +48,12 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Subpackages of ``repro`` whose source participates in the code salt —
-#: everything a simulated number can depend on.  Analysis/reporting code
-#: is deliberately excluded: it only *arranges* results.  The glob picks
-#: up every module in these packages, so new engine modules are covered
-#: automatically.
-SALT_PACKAGES = ("sim", "core", "models", "strategies")
+#: everything a simulated number can depend on: the simulator and every
+#: package it, the strategies and the key planner import.  Analysis/
+#: reporting code is deliberately excluded: it only *arranges* results.
+#: The glob picks up every module in these packages, so new engine
+#: modules are covered automatically.
+SALT_PACKAGES = ("sim", "core", "models", "strategies", "placement", "obs")
 
 #: Individual analysis modules that *do* influence cached numbers:
 #: the grid executor and the warm-start extrapolator compute the result

@@ -178,9 +178,24 @@ def cmd_shared(args: argparse.Namespace) -> None:
     _emit(fig, args)
 
 
+def _export_sim_trace(result, path, events=None):
+    """Write a simulated run's iteration and transmission records (and
+    optionally its obs event stream) as a Chrome-tracing JSON file."""
+    from .obs import export_chrome_trace
+    return export_chrome_trace(
+        path,
+        iteration_records=result.iterations.records,
+        transmissions=(result.utilization.records
+                       if result.utilization is not None else None),
+        events=events,
+        metadata={"model": result.model_name,
+                  "strategy": result.strategy_name,
+                  "bandwidth_gbps": result.config.bandwidth_gbps})
+
+
 def cmd_trace(args: argparse.Namespace) -> None:
     """Export a simulated run as a chrome://tracing JSON timeline."""
-    from .sim import ClusterConfig, export_chrome_trace, simulate
+    from .sim import ClusterConfig, simulate
     from .strategies import get_strategy
     model = get_model(args.model)
     cfg = ClusterConfig(n_workers=args.workers,
@@ -188,7 +203,7 @@ def cmd_trace(args: argparse.Namespace) -> None:
     result = simulate(model, get_strategy(args.strategy), cfg,
                       iterations=args.iterations, warmup=1,
                       trace_utilization=True)
-    path = export_chrome_trace(result, args.out)
+    path = _export_sim_trace(result, args.out)
     print(f"wrote {path} — open in chrome://tracing or ui.perfetto.dev")
 
 
@@ -210,7 +225,6 @@ def _run_observed_sim(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> None:
     """Simulate one run with the unified observability layer attached."""
     from .obs import ascii_timeline, export_metrics_summary
-    from .sim.chrome_trace import export_chrome_trace
     result, sess = _run_observed_sim(args)
     print(f"{result.model_name}/{result.strategy_name}: "
           f"{result.throughput:.1f} samples/s, "
@@ -221,8 +235,8 @@ def cmd_run(args: argparse.Namespace) -> None:
     meta = {"model": result.model_name, "strategy": result.strategy_name,
             "bandwidth_gbps": args.bandwidth, "workers": args.workers}
     if args.trace:
-        path = export_chrome_trace(result, args.trace,
-                                   events=sess.recorder.to_dicts())
+        path = _export_sim_trace(result, args.trace,
+                                 events=sess.recorder.to_dicts())
         print(f"wrote {path} — open in chrome://tracing or ui.perfetto.dev")
     if args.metrics:
         path = export_metrics_summary(sess, args.metrics, metadata=meta)

@@ -1,24 +1,5 @@
-"""P3 core mechanisms: parameter slicing, priorities, key placement."""
+"""P3's priority policies (slicing and placement: :mod:`repro.placement`)."""
 
-from .placement import (
-    KVSTORE_BIG_LAYER_THRESHOLD,
-    PlacedKey,
-    kvstore_sharding,
-    round_robin_placement,
-    server_load,
-)
 from .priority import make_priorities
-from .slicing import DEFAULT_SLICE_PARAMS, Slice, slice_layer, slice_model
 
-__all__ = [
-    "DEFAULT_SLICE_PARAMS",
-    "KVSTORE_BIG_LAYER_THRESHOLD",
-    "PlacedKey",
-    "Slice",
-    "kvstore_sharding",
-    "make_priorities",
-    "round_robin_placement",
-    "server_load",
-    "slice_layer",
-    "slice_model",
-]
+__all__ = ["make_priorities"]

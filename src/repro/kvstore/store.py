@@ -19,60 +19,46 @@ model convergence" (Section 5.6), which the test suite asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.placement import KVSTORE_BIG_LAYER_THRESHOLD
-from ..core.slicing import DEFAULT_SLICE_PARAMS
+from ..placement.keyplan import (DEFAULT_SLICE_PARAMS,
+                                 KVSTORE_BIG_LAYER_THRESHOLD, PlacedKey,
+                                 plan_keys)
+from ..placement.plan import PlacementSpec, worker_groups
 from ..training.optim import SGD
 from .server import ServerShard
 
 
-@dataclass(frozen=True)
-class KeyMeta:
-    """Where one key's data lives: which array span, which shard."""
-
-    key: int
-    name: str        # parameter array name
-    start: int       # flat-index span within the array
-    stop: int
-    server: int
-    priority: int    # forward index of the owning array (lower = urgent)
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
 class DistributedStore:
-    """Shared machinery: key planning, push/aggregate/pull, reassembly."""
+    """Shared machinery: key planning, push/aggregate/pull, reassembly.
+
+    Subclasses only choose the planner's rule: ``slice_params`` (P3's
+    slice size, or ``None`` for KVStore's threshold split) and
+    ``threshold``.
+    """
+
+    slice_params: Optional[int] = None
+    threshold: int = KVSTORE_BIG_LAYER_THRESHOLD
 
     def __init__(self, n_workers: int, n_servers: int,
                  lr: float = 0.1, momentum: float = 0.9,
                  weight_decay: float = 0.0, seed: int = 0,
-                 placement: str = "round_robin",
-                 split_factor: float = 2.0, max_splits: int = 4,
-                 group_size: int = 0) -> None:
+                 placement: PlacementSpec = PlacementSpec()) -> None:
         if n_workers <= 0 or n_servers <= 0:
             raise ValueError("n_workers and n_servers must be positive")
         self.n_workers = n_workers
         self.n_servers = n_servers
         self._rng = np.random.default_rng(seed)
-        # Placement subsystem (repro.placement): a non-round-robin policy
-        # re-packs the subclass's key plan at init() time; "two_tier"
-        # additionally groups workers so each shard sees one partial sum
-        # per group instead of one gradient per worker.
-        from ..placement import PlacementSpec, worker_groups
-        self.placement_spec = PlacementSpec(
-            policy=placement, split_factor=split_factor,
-            max_splits=max_splits,
-            group_size=(group_size if placement == "two_tier" else 0))
+        # A non-round-robin policy re-packs the key plan at init() time;
+        # "two_tier" additionally groups workers so each shard sees one
+        # partial sum per group instead of one gradient per worker.
+        self.placement_spec = placement
         self.placement_plan = None
         self.groups: Tuple[Tuple[int, ...], ...] = ()
-        if placement == "two_tier":
-            self.groups = worker_groups(n_workers, group_size)
+        if placement.policy == "two_tier":
+            self.groups = worker_groups(n_workers, placement.group_size)
         n_clients = len(self.groups) if self.groups else n_workers
         denominator = n_workers if self.groups else None
         self.shards = [
@@ -80,48 +66,36 @@ class DistributedStore:
                         denominator=denominator)
             for s in range(n_servers)
         ]
-        self.keys: List[KeyMeta] = []
+        self.keys: List[PlacedKey] = []
+        self._names: List[str] = []   # forward order; key.layer_index indexes it
         self._shapes: Dict[str, Tuple[int, ...]] = {}
-        self._by_name: Dict[str, List[KeyMeta]] = {}
+        self._by_layer: Sequence[Sequence[PlacedKey]] = ()
         self._initialized = False
-
-    # ------------------------------------------------------------------
-    # Planning (overridden by subclasses)
-    # ------------------------------------------------------------------
-    def _plan_array(self, name: str, size: int, forward_index: int,
-                    next_key: int) -> List[KeyMeta]:
-        raise NotImplementedError
 
     def init(self, params: Dict[str, np.ndarray]) -> None:
         """Install initial parameters; dict order defines forward order."""
         if self._initialized:
             raise RuntimeError("store already initialized")
-        flats: Dict[str, np.ndarray] = {}
-        metas_all: List[KeyMeta] = []
-        key = 0
-        for forward_index, (name, value) in enumerate(params.items()):
-            self._shapes[name] = value.shape
-            metas = self._plan_array(name, value.size, forward_index, key)
-            if sum(m.size for m in metas) != value.size:
-                raise AssertionError(f"plan for {name} does not cover the array")
-            flats[name] = np.asarray(value, dtype=np.float64).ravel()
-            metas_all.extend(metas)
-            key += len(metas)
-        if self.placement_spec.policy != "round_robin":
-            # Re-pack the subclass's plan by measured load (key sizes):
-            # hot keys may split across shards, and every key may move.
-            from ..placement import KeyDemand, apply_to_metas, plan_placement
-            demands = [KeyDemand(m.key, m.size, m.priority)
-                       for m in metas_all]
-            self.placement_plan = plan_placement(
-                demands, self.n_servers, self.placement_spec,
-                n_workers=self.n_workers)
-            metas_all = apply_to_metas(metas_all, self.placement_plan)
-        for m in metas_all:
-            self.shards[m.server].init_key(m.key, flats[m.name][m.start:m.stop])
-            self.keys.append(m)
-            self._by_name.setdefault(m.name, []).append(m)
+        table = plan_keys(
+            [value.size for value in params.values()], self.n_servers,
+            slice_params=self.slice_params, threshold=self.threshold,
+            rng=self._rng, spec=self.placement_spec,
+            n_workers=self.n_workers)
+        self.placement_plan = table.placement
+        self.keys = list(table)
+        self._by_layer = table.by_layer
+        self._names = list(params)
+        self._shapes = {name: value.shape for name, value in params.items()}
+        flats = self._flatten(params)
+        for pk in self.keys:
+            self.shards[pk.server].init_key(pk.key,
+                                            flats[pk.layer_index][pk.span])
         self._initialized = True
+
+    def _flatten(self, arrays: Dict[str, np.ndarray]) -> List[np.ndarray]:
+        """Per-layer flat fp64 views, indexed by ``PlacedKey.layer_index``."""
+        return [np.asarray(arrays[name], dtype=np.float64).ravel()
+                for name in self._names]
 
     # ------------------------------------------------------------------
     # Synchronous round
@@ -142,25 +116,19 @@ class DistributedStore:
             # (members added in worker-id order, exactly as the live
             # aggregator process does); shards count groups and divide
             # by the true worker count.
-            for gid, members in enumerate(self.groups):
-                flats = {}
-                for w in members:
-                    for name, g in worker_grads[w].items():
-                        flat = np.asarray(g, dtype=np.float64).ravel()
-                        if name in flats:
-                            flats[name] = flats[name] + flat
-                        else:
-                            flats[name] = flat
-                for meta in self.transmission_order():
-                    self.shards[meta.server].push(
-                        gid, meta.key, flats[meta.name][meta.start:meta.stop])
-            return self.pull_all()
-        for worker, grads in enumerate(worker_grads):
-            flats = {name: np.asarray(g, dtype=np.float64).ravel()
-                     for name, g in grads.items()}
-            for meta in self.transmission_order():
-                self.shards[meta.server].push(
-                    worker, meta.key, flats[meta.name][meta.start:meta.stop])
+            contributions = []
+            for members in self.groups:
+                flats = self._flatten(worker_grads[members[0]])
+                for w in members[1:]:
+                    flats = [acc + flat for acc, flat in
+                             zip(flats, self._flatten(worker_grads[w]))]
+                contributions.append(flats)
+        else:
+            contributions = [self._flatten(grads) for grads in worker_grads]
+        for client, flats in enumerate(contributions):
+            for pk in self.transmission_order():
+                self.shards[pk.server].push(
+                    client, pk.key, flats[pk.layer_index][pk.span])
         return self.pull_all()
 
     def round_sparse(
@@ -184,13 +152,13 @@ class DistributedStore:
         for worker, sparse in enumerate(worker_sparse):
             if set(sparse) != set(self._shapes):
                 raise KeyError("sparse names do not match initialized params")
-            for meta in self.transmission_order():
-                idx, values = sparse[meta.name]
+            for pk in self.transmission_order():
+                idx, values = sparse[self._names[pk.layer_index]]
                 idx = np.asarray(idx, dtype=np.int64)
                 values = np.asarray(values, dtype=np.float64)
-                in_span = (idx >= meta.start) & (idx < meta.stop)
-                self.shards[meta.server].push_sparse(
-                    worker, meta.key, idx[in_span] - meta.start,
+                in_span = (idx >= pk.offset) & (idx < pk.offset + pk.params)
+                self.shards[pk.server].push_sparse(
+                    worker, pk.key, idx[in_span] - pk.offset,
                     values[in_span])
         return self.pull_all()
 
@@ -198,14 +166,15 @@ class DistributedStore:
         """Reassemble every parameter array from its shards."""
         self._check_ready()
         out: Dict[str, np.ndarray] = {}
-        for name, shape in self._shapes.items():
+        for name, layer_keys in zip(self._names, self._by_layer):
+            shape = self._shapes[name]
             flat = np.empty(int(np.prod(shape)), dtype=np.float64)
-            for m in self._by_name[name]:
-                flat[m.start:m.stop] = self.shards[m.server].pull(m.key)
+            for pk in layer_keys:
+                flat[pk.span] = self.shards[pk.server].pull(pk.key)
             out[name] = flat.reshape(shape)
         return out
 
-    def transmission_order(self) -> List[KeyMeta]:
+    def transmission_order(self) -> List[PlacedKey]:
         """The order a worker would emit keys; FIFO generation order for
         the baseline, priority order for P3.  Pure introspection for the
         functional store — aggregation results cannot depend on it,
@@ -228,8 +197,8 @@ class DistributedStore:
     def server_load(self) -> np.ndarray:
         """Parameters per shard (load-balance introspection)."""
         load = np.zeros(self.n_servers, dtype=np.int64)
-        for m in self.keys:
-            load[m.server] += m.size
+        for pk in self.keys:
+            load[pk.server] += pk.params
         return load
 
 
@@ -241,20 +210,6 @@ class BaselineKVStore(DistributedStore):
         super().__init__(*args, **kwargs)
         self.threshold = threshold
 
-    def _plan_array(self, name: str, size: int, forward_index: int,
-                    next_key: int) -> List[KeyMeta]:
-        if size > self.threshold and self.n_servers > 1:
-            base, extra = divmod(size, self.n_servers)
-            metas, start = [], 0
-            for s in range(self.n_servers):
-                span = base + (1 if s < extra else 0)
-                metas.append(KeyMeta(next_key + s, name, start, start + span,
-                                     s, forward_index))
-                start += span
-            return metas
-        server = int(self._rng.integers(self.n_servers))
-        return [KeyMeta(next_key, name, 0, size, server, forward_index)]
-
 
 class P3Store(DistributedStore):
     """P3 placement: balanced slices, round-robin shards, priorities."""
@@ -265,22 +220,8 @@ class P3Store(DistributedStore):
         if slice_params <= 0:
             raise ValueError("slice_params must be positive")
         self.slice_params = slice_params
-        self._rr = 0  # round-robin cursor across arrays, like P3Worker's
 
-    def _plan_array(self, name: str, size: int, forward_index: int,
-                    next_key: int) -> List[KeyMeta]:
-        n_parts = max(1, -(-size // self.slice_params))
-        base, extra = divmod(size, n_parts)
-        metas, start = [], 0
-        for part in range(n_parts):
-            span = base + (1 if part < extra else 0)
-            metas.append(KeyMeta(next_key + part, name, start, start + span,
-                                 self._rr % self.n_servers, forward_index))
-            self._rr += 1
-            start += span
-        return metas
-
-    def transmission_order(self) -> List[KeyMeta]:
+    def transmission_order(self) -> List[PlacedKey]:
         """Priority order (stable): what the P3Worker consumer thread
         would drain if every key were enqueued at once."""
-        return sorted(self.keys, key=lambda m: (m.priority, m.key))
+        return sorted(self.keys, key=lambda pk: (pk.priority, pk.key))

@@ -11,14 +11,13 @@ never loads ``asyncio``.  See ``docs/live.md``.
 """
 
 from .chaos import ChaosChannel
-from .config import KeyPlan, LiveClusterConfig, make_plan
+from .config import LiveClusterConfig
 from .membership import (
     EpochTracker,
     MembershipEpoch,
     MembershipError,
     MembershipSchedule,
     elastic_reference,
-    epoch_plans,
 )
 from .result import (
     LiveAggregatorError,
@@ -60,7 +59,6 @@ __all__ = [
     "EpochTracker",
     "Frame",
     "FrameDecoder",
-    "KeyPlan",
     "MembershipEpoch",
     "MembershipError",
     "MembershipSchedule",
@@ -83,9 +81,7 @@ __all__ = [
     "elastic_reference",
     "encode_array",
     "encode_frame",
-    "epoch_plans",
     "goodput_bytes_per_s",
-    "make_plan",
     "split_message",
     "timeline_utilization",
 ]

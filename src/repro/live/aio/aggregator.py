@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..config import LiveClusterConfig, make_plan
+from ...placement.keyplan import KeyTable, PlacedKey
+from ..config import LiveClusterConfig
 from ..result import LiveAggregatorError
 from ..transport import CONTROL_PRIORITY, TokenBucket, TransportError
 from ..wire import WireKind, WireMessage, encode_array
@@ -33,7 +34,7 @@ class AioAggregator(Node):
     """One group's combine/forward node on the event loop."""
 
     def __init__(self, group_id: int, cfg: LiveClusterConfig,
-                 strategy: Optional[str] = None,
+                 plan: KeyTable, strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
         super().__init__(f"agg{group_id}")
@@ -42,8 +43,7 @@ class AioAggregator(Node):
         self.strategy = strategy or cfg.strategy
         self.epoch0 = epoch0 if epoch0 is not None else time.monotonic()
         self.members = list(cfg.worker_groups()[group_id])
-        self.plan = make_plan(cfg, self.strategy)
-        self._meta = {m.key: m for m in self.plan.metas}
+        self._meta = {pk.key: pk for pk in plan}
         # (key, iteration) -> worker -> staged gradient vector
         self._staged: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
         # (key, iteration) -> members whose pulls await the upstream value
@@ -190,7 +190,7 @@ class AioAggregator(Node):
             self._on_pull_resp(msg)
         # ACKs answer our heartbeats; nothing to do.
 
-    def _priority(self, meta) -> int:
+    def _priority(self, meta: PlacedKey) -> int:
         if self.strategy == "p3":
             return meta.priority
         self._fifo_seq += 1

@@ -36,7 +36,7 @@ import numpy as np
 
 from ...obs.events import normalize_timestamps
 from ..config import LiveClusterConfig
-from ..membership import MembershipSchedule, epoch_plans
+from ..membership import MembershipSchedule
 from ..result import (LiveRunError, LiveRunResult, _fault_events,
                       agreed_params)
 from .aggregator import AioAggregator
@@ -83,15 +83,15 @@ class EpochCoordinator:
         if epoch == 0:
             return
         old, new = self.plans[epoch - 1], self.plans[epoch]
-        for m_old, m_new in zip(old.metas, new.metas):
-            if m_old.server == m_new.server:
+        for pk_old, pk_new in zip(old, new):
+            if pk_old.server == pk_new.server:
                 continue
             value, velocity, version = \
-                self.servers[m_old.server].export_live_key(m_old.key)
-            self.servers[m_new.server].adopt_live_key(
-                m_new.key, value, velocity, version)
+                self.servers[pk_old.server].export_live_key(pk_old.key)
+            self.servers[pk_new.server].adopt_live_key(
+                pk_new.key, value, velocity, version)
             self.migrations.append(
-                (epoch, m_old.key, m_old.server, m_new.server))
+                (epoch, pk_old.key, pk_old.server, pk_new.server))
 
 
 def run_live_aio(cfg: LiveClusterConfig,
@@ -137,7 +137,8 @@ async def _run_cluster(cfg: LiveClusterConfig,
     epoch0 = time.monotonic()
     sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
                                                         cfg.iterations)
-    plans = epoch_plans(cfg, strategy)
+    # Planned once per epoch, here; every node is handed the tables.
+    plans = cfg.key_plan(strategy)
     if cfg.membership is not None:
         # The store's shard layout must match the epoch-0 plan; values
         # are placement-invariant, so this is layout only.
@@ -164,7 +165,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
     try:
         addresses = [(cfg.host, await srv.start()) for srv in servers]
         if cfg.two_tier:
-            aggregators = [AioAggregator(g, cfg, strategy, epoch0,
+            aggregators = [AioAggregator(g, cfg, plans[0], strategy, epoch0,
                                          shaper=shaper)
                            for g in range(cfg.n_groups)]
             nodes += aggregators

@@ -30,7 +30,8 @@ import numpy as np
 
 from ...kvstore.server import ServerShard
 from ...obs.events import EventKind, EventRecorder
-from ..config import KeyPlan, LiveClusterConfig
+from ...placement.keyplan import KeyTable
+from ..config import LiveClusterConfig
 from ..membership import EpochTracker, MembershipSchedule
 from ..transport import CONTROL_PRIORITY, TokenBucket
 from ..wire import WireKind, WireMessage, encode_array
@@ -42,7 +43,7 @@ class AioServerShard(Node):
     """One shard on the event loop: staging + epochs around a ServerShard."""
 
     def __init__(self, shard_id: int, cfg: LiveClusterConfig,
-                 shard: ServerShard, plans: List[KeyPlan],
+                 shard: ServerShard, plans: List[KeyTable],
                  schedule: MembershipSchedule, coordinator,
                  strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
@@ -63,7 +64,7 @@ class AioServerShard(Node):
         self._client_machine = (cfg.aggregator_machine if cfg.two_tier
                                 else cfg.worker_machine)
         self.tracker = EpochTracker(schedule)
-        self.my_keys = plans[0].server_keys(shard_id)
+        self.my_keys = plans[0].on_server(shard_id)
         self.version: Dict[int, int] = {k: 0 for k in self.my_keys}
         # key -> iteration -> worker -> staged gradient
         self._staged: Dict[int, Dict[int, Dict[int, np.ndarray]]] = {}
@@ -82,8 +83,6 @@ class AioServerShard(Node):
                             if cfg.rate_bytes_per_s is not None else None)
         self.recorder = (EventRecorder("live", clock=time.monotonic)
                          if cfg.observe else None)
-        self._layer_index = {name: i for i, name in
-                             enumerate(plans[0].names)}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -213,17 +212,17 @@ class AioServerShard(Node):
             del self._staged[key][round_idx]
             self.version[key] = round_idx + 1
             if self.recorder is not None:
-                meta = self.my_keys[key]
-                layer = self._layer_index[meta.name]
+                pk = self.my_keys[key]
                 detail = f"contribs={len(contributors)}"
                 self.recorder.emit(
                     EventKind.SLICE_APPLIED, node=self.name, key=key,
-                    iteration=round_idx, priority=meta.priority,
-                    layer=layer, nbytes=meta.size * 8, detail=detail)
+                    iteration=round_idx, priority=pk.priority,
+                    layer=pk.layer_index, nbytes=pk.params * 8,
+                    detail=detail)
                 self.recorder.emit(
                     EventKind.ROUND_APPLIED, node=self.name, key=key,
-                    iteration=round_idx, priority=meta.priority,
-                    layer=layer, detail=detail)
+                    iteration=round_idx, priority=pk.priority,
+                    layer=pk.layer_index, detail=detail)
             value = encode_array(self.shard.pull(key))
             still_waiting = []
             for iteration, worker, priority in self._waiting.get(key, []):
@@ -280,7 +279,7 @@ class AioServerShard(Node):
 
     def _install_epoch(self, epoch: int) -> None:
         """Adopt the epoch's key plan and active set; commit the tracker."""
-        self.my_keys = self.plans[epoch].server_keys(self.sid)
+        self.my_keys = self.plans[epoch].on_server(self.sid)
         n_active = len(self.schedule.active(epoch))
         self.shard.n_workers = n_active
         self.shard.denominator = n_active

@@ -98,6 +98,7 @@ class AsyncPrioritySender:
         self._next_seq = 0
         self._sched = ChunkScheduler(chunk_bytes)
         self._closing = False
+        self._writing = False  # a popped chunk is not on the wire yet
         self._error: Optional[BaseException] = None
         self._broken: Optional[BaseException] = None
         self._wake = asyncio.Event()
@@ -182,7 +183,7 @@ class AsyncPrioritySender:
         deadline = self._clock() + timeout
         # Partially sent messages re-queue themselves in the heap, so
         # len(self._sched) covers in-flight multi-chunk messages too.
-        while ((len(self._sched)
+        while ((len(self._sched) or self._writing
                 or (self._outbox is not None and len(self._outbox)))
                and self._error is None):
             remaining = deadline - self._clock()
@@ -271,6 +272,7 @@ class AsyncPrioritySender:
                         pass
                     continue
                 item, chunk, offset, done, preempted = popped
+                self._writing = True
                 seq = SEQ_NONE
                 if self._outbox is not None and item.kind in RELIABLE_KINDS:
                     seq = self._next_seq
@@ -292,6 +294,7 @@ class AsyncPrioritySender:
                         detail=f"overtaken_by_key={item.key}")
                 t0 = self._clock()
                 if not await self._write(frame, item.priority):
+                    self._writing = False  # parked; the outbox holds it
                     continue
                 t1 = self._clock()
                 item.wire_s += t1 - t0
@@ -307,6 +310,7 @@ class AsyncPrioritySender:
                         priority=item.priority, nbytes=len(item.payload),
                         queue_s=queue_s, wire_s=item.wire_s,
                         detail=item.kind.name.lower())
+                self._writing = False
                 if not len(self._sched):
                     self._progress.set()
         except asyncio.CancelledError:

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ...obs.events import EventKind, EventRecorder
-from ..config import KeyPlan, LiveClusterConfig
+from ...placement.keyplan import KeyTable, PlacedKey
+from ..config import LiveClusterConfig
 from ..membership import MembershipSchedule
 from ..transport import (
     BARRIER_PRIORITY,
@@ -49,7 +50,7 @@ class AioWorker(Node):
     """One coroutine-hosted training replica with elastic membership."""
 
     def __init__(self, worker_id: int, cfg: LiveClusterConfig,
-                 plans: List[KeyPlan], schedule: MembershipSchedule,
+                 plans: List[KeyTable], schedule: MembershipSchedule,
                  strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
@@ -64,11 +65,12 @@ class AioWorker(Node):
         self.dataset = cfg.build_dataset()
         self.batches = cfg.batch_schedule()
         self._handshake = not cfg.two_tier
-        # Key geometry (names/slices/priorities) is epoch-invariant; only
-        # the server column moves.  Plan 0 serves for gathers and shapes.
+        # Key geometry (layers/spans/priorities) is epoch-invariant; only
+        # the server column moves.  Plan 0 serves for gathers.
         self.plan = plans[0]
-        self._layer_index = {name: i for i, name in
-                             enumerate(self.plan.names)}
+        self.shapes = {name: value.shape  # forward order
+                       for name, value in self.net.parameters().items()}
+        self.names = list(self.shapes)
         if cfg.two_tier:
             self._route = [0] * cfg.n_servers
         else:
@@ -173,30 +175,25 @@ class AioWorker(Node):
         self._wd_task = self.spawn(self._watchdog(list(self._conns)))
 
     async def _watchdog(self, conns: List[PeerConnection]) -> None:
-        """Probe liveness; surface dead peers/failed transports."""
+        """Probe liveness; raising fails the worker (:meth:`Node.spawn`)."""
         seq = 0
-        try:
-            while True:
-                await asyncio.sleep(self.cfg.heartbeat_interval_s)
-                now = self._clock()
-                for conn in conns:
-                    if conn.sender.failed:
-                        raise LiveWorkerError(
-                            f"worker {self.wid}: transport to {conn.name} "
-                            f"failed: {conn.sender.failure}")
-                    stale = now - conn.last_rx
-                    if stale > self.cfg.peer_timeout_s:
-                        raise LiveWorkerError(
-                            f"worker {self.wid}: no bytes from {conn.name} "
-                            f"for {stale:.1f}s (peer_timeout_s="
-                            f"{self.cfg.peer_timeout_s}) — peer dead?")
-                    conn.sender.send(WireKind.HEARTBEAT, 0, seq,
-                                     CONTROL_PRIORITY)
-                seq += 1
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - surfaced to run()
-            self._fail(exc)
+        while True:
+            await asyncio.sleep(self.cfg.heartbeat_interval_s)
+            now = self._clock()
+            for conn in conns:
+                if conn.sender.failed:
+                    raise LiveWorkerError(
+                        f"worker {self.wid}: transport to {conn.name} "
+                        f"failed: {conn.sender.failure}")
+                stale = now - conn.last_rx
+                if stale > self.cfg.peer_timeout_s:
+                    raise LiveWorkerError(
+                        f"worker {self.wid}: no bytes from {conn.name} "
+                        f"for {stale:.1f}s (peer_timeout_s="
+                        f"{self.cfg.peer_timeout_s}) — peer dead?")
+                conn.sender.send(WireKind.HEARTBEAT, 0, seq,
+                                 CONTROL_PRIORITY)
+            seq += 1
 
     async def _disconnect(self, leave_epoch: Optional[int]) -> None:
         """End an incarnation: optional LEAVE, then BYE, flush, close.
@@ -253,8 +250,11 @@ class AioWorker(Node):
         finally:
             await self.shutdown(cfg.peer_timeout_s)
         self.iter_end = self._clock()
-        return {name: params[name].reshape(self.plan.shapes[name])
-                for name in self.plan.names}
+        return self._shaped(params)
+
+    def _shaped(self, params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        return {name: params[name].reshape(shape)
+                for name, shape in self.shapes.items()}
 
     async def _run_span(self, params: Dict[str, np.ndarray],
                         e0: int, e1: int) -> None:
@@ -273,10 +273,10 @@ class AioWorker(Node):
                     # Mid-run joiner: bootstrap the replica at the
                     # epoch's predecessor round; the round loop's normal
                     # gather consumes the responses.
-                    for meta in self.plans[e].metas:
-                        sender = self._conns[self._route[meta.server]].sender
-                        sender.send(WireKind.PULL_REQ, meta.key, first - 1,
-                                    self._priority(meta))
+                    for pk in self.plans[e]:
+                        sender = self._conns[self._route[pk.server]].sender
+                        sender.send(WireKind.PULL_REQ, pk.key, first - 1,
+                                    self._priority(pk))
             rank = self.schedule.rank_of(e, self.wid)
             n_active = len(self.schedule.active(e))
             per = cfg.batch_size // n_active
@@ -285,8 +285,8 @@ class AioWorker(Node):
                 await self._iteration(params, e, t, lo, hi)
         # Collect the span's final round before tearing down.
         last = self.schedule.rounds_of(e1)[-1]
-        for name in self.plan.names:
-            await self._gather_layer(params, name, last)
+        for layer in range(len(self.names)):
+            await self._gather_layer(params, layer, last)
 
     async def _iteration(self, params: Dict[str, np.ndarray], e: int,
                          t: int, lo: int, hi: int) -> None:
@@ -294,19 +294,16 @@ class AioWorker(Node):
         self.iter_starts.append(self._clock())
         # Gated forward: consume layer i only once its round-(t-1)
         # parameters landed, then spend its emulated compute time.
-        for name in self.plan.names:
-            waited = await self._gather_layer(params, name, t - 1) \
+        for layer in range(len(self.names)):
+            waited = await self._gather_layer(params, layer, t - 1) \
                 if t > 0 else 0.0
             if self.recorder is not None:
                 self.recorder.emit(
                     EventKind.FORWARD_GATE_OPEN, node=self.name,
-                    iteration=t, layer=self._layer_index[name],
-                    queue_s=waited)
+                    iteration=t, layer=layer, queue_s=waited)
             await asyncio.sleep(cfg.fwd_layer_s)
         if t > 0:
-            self.net.set_parameters({
-                name: params[name].reshape(self.plan.shapes[name])
-                for name in self.plan.names})
+            self.net.set_parameters(self._shaped(params))
         idx = self.batches[t]
         xb = self.dataset.x_train[idx][lo:hi]
         yb = self.dataset.y_train[idx][lo:hi]
@@ -315,32 +312,33 @@ class AioWorker(Node):
                  for name, g in self.net.gradients().items()}
         # Backward emission: generation order (last layer first), routed
         # by the *epoch's* plan — the only column that varies is server.
-        for name in reversed(self.plan.names):
+        for layer in reversed(range(len(self.names))):
             await asyncio.sleep(cfg.bwd_layer_s)
-            for meta in self.plans[e].by_name[name]:
-                prio = self._priority(meta)
-                payload = encode_array(grads[name][meta.start:meta.stop])
-                sender = self._conns[self._route[meta.server]].sender
-                sender.send(WireKind.PUSH, meta.key, t, prio, payload)
-                sender.send(WireKind.PULL_REQ, meta.key, t, prio)
+            grad = grads[self.names[layer]]
+            for pk in self.plans[e].by_layer[layer]:
+                prio = self._priority(pk)
+                sender = self._conns[self._route[pk.server]].sender
+                sender.send(WireKind.PUSH, pk.key, t, prio,
+                            encode_array(grad[pk.span]))
+                sender.send(WireKind.PULL_REQ, pk.key, t, prio)
 
-    def _priority(self, meta) -> int:
+    def _priority(self, pk: PlacedKey) -> int:
         if self.strategy == "p3":
-            return meta.priority
+            return pk.priority
         self._fifo_seq += 1
         return self._fifo_seq  # FIFO: priority == enqueue order
 
-    async def _gather_layer(self, params: Dict[str, np.ndarray], name: str,
+    async def _gather_layer(self, params: Dict[str, np.ndarray], layer: int,
                             iteration: int) -> float:
-        """Await every slice of ``name``'s round; splice in.  Returns the
-        seconds spent waiting (the forward gate's stall)."""
-        metas = self.plan.by_name[name]
+        """Await every slice of the layer's round; splice in.  Returns
+        the seconds spent waiting (the forward gate's stall)."""
+        keys = self.plan.by_layer[layer]
         waited = await self._wait_for(
-            lambda: all((m.key, iteration) in self._pulled for m in metas),
-            f"keys {[m.key for m in metas]} @ round {iteration}")
-        for m in metas:
-            params[name][m.start:m.stop] = self._pulled.pop(
-                (m.key, iteration))
+            lambda: all((pk.key, iteration) in self._pulled for pk in keys),
+            f"keys {[pk.key for pk in keys]} @ round {iteration}")
+        flat = params[self.names[layer]]
+        for pk in keys:
+            flat[pk.span] = self._pulled.pop((pk.key, iteration))
         return waited
 
     # ------------------------------------------------------------------

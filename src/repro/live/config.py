@@ -1,23 +1,26 @@
 """Shared configuration of a live cluster run (repro.live).
 
-Every process of a live run — driver, each server shard, each worker —
-receives one pickled :class:`LiveClusterConfig` and *derives the entire
-shared world from it deterministically*: the network replica, the
-dataset, the batch schedule, and the key plan (slicing + placement +
-priorities).  That removes any need for a metadata exchange protocol:
-two processes with the same config always agree on what key 17 means,
-which server owns it, and how urgent it is, exactly as MXNet workers
+Every node of a live run — each server shard, aggregator and worker —
+receives the same :class:`LiveClusterConfig` and derives its share of
+the world from it deterministically: the network replica, the dataset
+and the batch schedule.  The key plan (slicing + placement +
+priorities) is computed once by the driver
+(:meth:`LiveClusterConfig.key_plan`, one table per membership epoch)
+and handed to every node, so all of them agree on what key 17 means,
+which server owns it and how urgent it is, exactly as MXNet workers
 and servers agree through their common KVStore configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..kvstore.store import BaselineKVStore, DistributedStore, KeyMeta, P3Store
+from ..kvstore.store import BaselineKVStore, DistributedStore, P3Store
+from ..placement.keyplan import KeyTable, plan_keys
+from ..placement.plan import PlacementSpec, worker_groups
 from ..sim.faults import FaultPlan
 from ..training.data import Dataset, SyntheticSpec, make_dataset
 from ..training.model import Network
@@ -172,8 +175,7 @@ class LiveClusterConfig:
     # ------------------------------------------------------------------
     # Placement / two-tier topology
     # ------------------------------------------------------------------
-    def placement_spec(self) -> "PlacementSpec":
-        from ..placement import PlacementSpec
+    def placement_spec(self) -> PlacementSpec:
         return PlacementSpec(
             policy=self.placement, split_factor=self.split_factor,
             max_splits=self.max_splits,
@@ -187,7 +189,6 @@ class LiveClusterConfig:
     def worker_groups(self) -> Tuple[Tuple[int, ...], ...]:
         if not self.two_tier:
             return ()
-        from ..placement import worker_groups
         return worker_groups(self.n_workers, self.agg_group_size)
 
     @property
@@ -226,19 +227,38 @@ class LiveClusterConfig:
                             spec=SyntheticSpec(image_size=self.in_size),
                             seed=self.data_seed)
 
+    def key_plan(self, strategy: Optional[str] = None) -> List[KeyTable]:
+        """The run's key tables, one per membership epoch (a static run
+        has one): the same planner call the in-process store makes, on
+        the same seed, so the tables match the store's by construction.
+
+        An epoch's placement override re-packs the same keys; the rng is
+        reseeded per epoch, as a fresh store's would be.
+        """
+        sizes = [value.size
+                 for value in self.build_network().parameters().values()]
+        baseline = (strategy or self.strategy) == "baseline"
+        spec = self.placement_spec()
+        policies = ([self.placement] if self.membership is None else
+                    [e.placement or self.placement
+                     for e in self.membership.epochs])
+        return [plan_keys(sizes, self.n_servers,
+                          slice_params=(None if baseline
+                                        else self.slice_params),
+                          threshold=self.threshold,
+                          rng=np.random.default_rng(self.store_seed),
+                          spec=replace(spec, policy=policy),
+                          n_workers=self.n_workers)
+                for policy in policies]
+
     def build_store(self, strategy: Optional[str] = None) -> DistributedStore:
         """The in-process functional store this live run must reproduce
-        bit-for-bit (it also serves as the key planner)."""
-        kind = strategy or self.strategy
+        bit-for-bit."""
         common = dict(n_workers=self.n_workers, n_servers=self.n_servers,
                       lr=self.lr, momentum=self.momentum,
                       weight_decay=self.weight_decay, seed=self.store_seed,
-                      placement=self.placement,
-                      split_factor=self.split_factor,
-                      max_splits=self.max_splits,
-                      group_size=(self.agg_group_size
-                                  if self.placement == "two_tier" else 0))
-        if kind == "baseline":
+                      placement=self.placement_spec())
+        if (strategy or self.strategy) == "baseline":
             return BaselineKVStore(threshold=self.threshold, **common)
         return P3Store(slice_params=self.slice_params, **common)
 
@@ -257,38 +277,3 @@ class LiveClusterConfig:
     def worker_slice(self, worker_id: int) -> Tuple[int, int]:
         lo = worker_id * self.worker_batch
         return lo, lo + self.worker_batch
-
-
-@dataclass
-class KeyPlan:
-    """The key layout shared by workers and servers, derived from config."""
-
-    metas: List[KeyMeta]
-    shapes: Dict[str, Tuple[int, ...]]
-    names: List[str] = field(init=False)          # forward order
-    by_name: Dict[str, List[KeyMeta]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.names = []
-        self.by_name = {}
-        for m in self.metas:
-            if m.name not in self.by_name:
-                self.by_name[m.name] = []
-                self.names.append(m.name)
-            self.by_name[m.name].append(m)
-
-    def server_keys(self, server_id: int) -> Dict[int, KeyMeta]:
-        return {m.key: m for m in self.metas if m.server == server_id}
-
-    @property
-    def n_keys(self) -> int:
-        return len(self.metas)
-
-
-def make_plan(cfg: LiveClusterConfig,
-              strategy: Optional[str] = None) -> KeyPlan:
-    """Materialize the shared key plan for one strategy."""
-    store = cfg.build_initialized_store(strategy)
-    shapes = {name: value.shape
-              for name, value in cfg.build_network().parameters().items()}
-    return KeyPlan(metas=list(store.keys), shapes=shapes)

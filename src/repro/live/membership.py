@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports us)
-    from .config import KeyPlan, LiveClusterConfig
+    from .config import LiveClusterConfig
 
 
 class MembershipError(ValueError):
@@ -230,39 +230,13 @@ class MembershipSchedule:
                     f"epoch {e}: batch_size {cfg.batch_size} not divisible "
                     f"by {len(epoch.workers)} active workers")
         # One key universe across all epochs (modulo shard assignment).
-        plans = epoch_plans(cfg)
-        ref = [(m.key, m.name, m.start, m.stop, m.priority)
-               for m in plans[0].metas]
-        for e, plan in enumerate(plans[1:], start=1):
-            got = [(m.key, m.name, m.start, m.stop, m.priority)
-                   for m in plan.metas]
-            if got != ref:
+        universes = [[dc_replace(pk, server=0) for pk in table]
+                     for table in cfg.key_plan()]
+        for e, universe in enumerate(universes[1:], start=1):
+            if universe != universes[0]:
                 raise MembershipError(
                     f"epoch {e} placement re-slices keys; per-epoch "
                     "placement may only move keys between shards")
-
-
-def epoch_plans(cfg: "LiveClusterConfig",
-                strategy: Optional[str] = None) -> List["KeyPlan"]:
-    """The per-epoch key plans (placement re-planned at each boundary).
-
-    Derived from a membership-free copy of the config (breaking the
-    ``__post_init__`` → ``validate`` → ``epoch_plans`` recursion) with
-    the epoch's placement override applied.  ``batch_size`` is
-    irrelevant to key planning, so it is normalized to keep the copy
-    valid for any active-set size.
-    """
-    from .config import make_plan
-    sched = cfg.membership
-    if sched is None:
-        return [make_plan(cfg, strategy)]
-    plans: List["KeyPlan"] = []
-    for epoch in sched.epochs:
-        policy = epoch.placement or cfg.placement
-        ecfg = dc_replace(cfg, membership=None, placement=policy,
-                          batch_size=cfg.n_workers)
-        plans.append(make_plan(ecfg, strategy))
-    return plans
 
 
 class EpochTracker:

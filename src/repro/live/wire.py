@@ -15,7 +15,7 @@ Frame layout (little-endian, 40-byte header + payload chunk)::
     kind      u8    WireKind
     flags     u16   reserved (must be zero)
     sender    i16   worker/server id (-1 = driver)
-    key       i32   synchronization key (KeyMeta.key)
+    key       i32   synchronization key (PlacedKey.key)
     iteration i32   training round the message belongs to
     priority  i32   scheduling priority (lower = more urgent)
     offset    u32   byte offset of this chunk within the logical payload

@@ -1,14 +1,23 @@
-"""Pluggable key-to-server placement (load balance, splits, two-tier).
+"""Key planning and pluggable key-to-server placement.
 
-The planning layer that replaces the static round-robin ``KeyPlan``:
-:func:`plan_placement` turns per-key demands into a deterministic
-:class:`PlacementPlan` (assignment + hot-key splits + worker groups),
-:mod:`~repro.placement.loads` measures demands from the shared obs
-event stream, and :mod:`~repro.placement.apply` rewrites each
-substrate's key tables to execute the plan.  See ``docs/sharding.md``.
+:func:`plan_keys` (:mod:`~repro.placement.keyplan`) is the one planner
+every substrate calls: it cuts layers into keys by the paper's slicing
+or threshold-split rule and returns the :class:`KeyTable` the
+simulator, the in-process store and the live cluster all execute.
+Under a non-round-robin :class:`PlacementSpec` it hands the keys to
+:func:`plan_placement` (assignment + hot-key splits + worker groups)
+and re-cuts them accordingly; :mod:`~repro.placement.loads` measures
+per-key demands from the shared obs event stream.  See
+``docs/sharding.md``.
 """
 
-from .apply import apply_to_metas, apply_to_placed
+from .keyplan import (
+    DEFAULT_SLICE_PARAMS,
+    KVSTORE_BIG_LAYER_THRESHOLD,
+    KeyTable,
+    PlacedKey,
+    plan_keys,
+)
 from .loads import key_loads_from_events, measured_demands
 from .plan import (
     PLACEMENT_POLICIES,
@@ -25,17 +34,20 @@ from .plan import (
 )
 
 __all__ = [
+    "DEFAULT_SLICE_PARAMS",
+    "KVSTORE_BIG_LAYER_THRESHOLD",
     "PLACEMENT_POLICIES",
     "KeyDemand",
     "KeyPlacement",
+    "KeyTable",
+    "PlacedKey",
     "PlacementPlan",
     "PlacementSpec",
-    "apply_to_metas",
-    "apply_to_placed",
     "coverage_check",
     "key_loads_from_events",
     "lease_block",
     "measured_demands",
+    "plan_keys",
     "plan_placement",
     "round_robin_max_load",
     "split_demand",

@@ -4,8 +4,9 @@ P3's original layout (Section 4.2) deals slices to servers round-robin,
 which balances load only when every key is the same size.  Parameter Hub
 (arXiv:1805.07891) and Parameter Box (arXiv:1801.09805) show that
 rack-scale parameter servers need three more mechanisms, all of which
-this module plans *declaratively* so both substrates (`repro.sim` and
-`repro.live`) can execute the identical decision:
+this module plans *declaratively*, for
+:func:`repro.placement.keyplan.plan_keys` to apply to every substrate's
+key table:
 
 * **load-balanced assignment** — greedy bin-packing (LPT) of keys onto
   shards by measured demand, with a guarantee that it never does worse
@@ -162,8 +163,9 @@ def round_robin_max_load(demands: Sequence[KeyDemand],
 def split_demand(load: int, n_parts: int) -> Tuple[int, ...]:
     """Split a load into ``n_parts`` near-equal positive sizes.
 
-    Uses the same ``divmod`` arithmetic as :func:`repro.core.slicing`
-    (first ``extra`` parts get one more unit), so splitting a key's
+    The codebase's one balanced split (first ``extra`` parts get one
+    more unit): :func:`repro.placement.keyplan.plan_keys` cuts slices,
+    threshold shards and re-packed parts with it, so splitting a key's
     demand and splitting its parameter span agree exactly.
     """
     if n_parts < 1:

@@ -1,7 +1,6 @@
 """Discrete-event cluster simulator: the paper's testbed substitute."""
 
 from .background import BackgroundTraffic
-from .chrome_trace import build_trace_events, export_chrome_trace
 from .cluster import (
     ClusterConfig,
     ClusterSim,
@@ -41,8 +40,6 @@ from .trace import IterationRecord, IterationTrace, UtilizationTrace, utilizatio
 __all__ = [
     "BackgroundTraffic",
     "Channel",
-    "build_trace_events",
-    "export_chrome_trace",
     "ChaosFault",
     "ClusterConfig",
     "ClusterSim",

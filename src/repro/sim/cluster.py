@@ -13,10 +13,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.placement import PlacedKey
 from ..models.base import ModelSpec
 from ..obs.events import EventKind
 from ..obs.registry import ObsSession
+from ..placement.keyplan import PlacedKey
+from ..placement.plan import PlacementPlan, PlacementSpec
 from ..strategies.base import PullPolicy, StrategyConfig
 from .background import BackgroundTraffic
 from .engine import SimulationError, Simulator
@@ -109,8 +110,7 @@ class ClusterConfig:
         # Placement knobs validate through the subsystem's own spec.
         self.placement_spec()
 
-    def placement_spec(self) -> "PlacementSpec":
-        from ..placement import PlacementSpec
+    def placement_spec(self) -> PlacementSpec:
         return PlacementSpec(
             policy=self.placement,
             split_factor=self.placement_split_factor,
@@ -254,12 +254,12 @@ class PlanArtifacts:
     """
 
     signature: tuple
-    placed: List[PlacedKey]
-    placement_plan: Optional[object]
+    placed: Tuple[PlacedKey, ...]
+    placement_plan: Optional[PlacementPlan]
     groups: Tuple[Tuple[int, ...], ...]
     group_of: Dict[int, int]
     keys: Dict[int, PlacedKey]
-    keys_by_layer: List[List[PlacedKey]]
+    keys_by_layer: Tuple[Tuple[PlacedKey, ...], ...]
     push_payload: Dict[int, int]
     key_server_machine: Dict[int, int]
     key_layer: Dict[int, int]
@@ -278,43 +278,15 @@ def plan_signature(model: ModelSpec, strategy: StrategyConfig,
 
 def build_plan(model: ModelSpec, strategy: StrategyConfig,
                config: ClusterConfig) -> PlanArtifacts:
-    """Run the strategy's key plan and the placement subsystem once."""
+    """Run the key planner once (:func:`repro.placement.plan_keys`)."""
     n_workers = config.n_workers
-    n_servers = config.servers
-    rng = np.random.default_rng(config.seed)
-    placed: List[PlacedKey] = strategy.plan(model, n_servers, rng)
-    # Placement subsystem (repro.placement): re-pack / split / group
-    # the strategy's keys when a non-round-robin policy is selected.
-    placement_plan = None
-    if config.placement != "round_robin":
-        from ..placement import KeyDemand, apply_to_placed, plan_placement
-        loads = (dict(config.measured_key_loads)
-                 if config.measured_key_loads is not None else None)
-        if loads is None:
-            demands = [KeyDemand(pk.key, pk.params, pk.priority)
-                       for pk in placed]
-        else:
-            demands = [KeyDemand(pk.key, loads.get(pk.key) or pk.params,
-                                 pk.priority)
-                       for pk in placed]
-        placement_plan = plan_placement(
-            demands, n_servers, config.placement_spec(),
-            n_workers=n_workers)
-        placed = apply_to_placed(placed, placement_plan)
-    groups: Tuple[Tuple[int, ...], ...] = ()
-    group_of: Dict[int, int] = {}
-    if config.two_tier:
-        groups = placement_plan.groups
-        for g, members in enumerate(groups):
-            for w in members:
-                group_of[w] = g
+    loads = config.measured_key_loads
+    table = strategy.plan(model, config.servers,
+                          np.random.default_rng(config.seed),
+                          config.placement_spec(), n_workers,
+                          dict(loads) if loads is not None else None)
+    placed = table.keys
     keys: Dict[int, PlacedKey] = {pk.key: pk for pk in placed}
-    keys_by_layer: List[List[PlacedKey]] = [[] for _ in model.layers]
-    for pk in placed:
-        keys_by_layer[pk.layer_index].append(pk)
-    for idx, layer_keys in enumerate(keys_by_layer):
-        if not layer_keys:
-            raise SimulationError(f"layer {idx} has no synchronization keys")
 
     # Per-key lookup tables shared by every worker (payloads, shard
     # machines, owning layer).  These are identical across workers,
@@ -330,11 +302,12 @@ def build_plan(model: ModelSpec, strategy: StrategyConfig,
     return PlanArtifacts(
         signature=plan_signature(model, strategy, config),
         placed=placed,
-        placement_plan=placement_plan,
-        groups=groups,
-        group_of=group_of,
+        placement_plan=table.placement,
+        groups=table.groups,
+        group_of={w: g for g, members in enumerate(table.groups)
+                  for w in members},
         keys=keys,
-        keys_by_layer=keys_by_layer,
+        keys_by_layer=table.by_layer,
         push_payload={pk.key: max(1, int(pk.bytes * gs)) for pk in placed},
         key_server_machine={pk.key: server_machine(pk.server)
                             for pk in placed},

@@ -24,7 +24,7 @@ from ..strategies.base import PullPolicy
 from .network import Message, MsgKind, Role
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.placement import PlacedKey
+    from ..placement.keyplan import PlacedKey
     from .cluster import ClusterSim
 
 # Hot-path dispatch constants: module-level bindings skip the

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from ..core.placement import PlacedKey, kvstore_sharding, round_robin_placement
 from ..core.priority import make_priorities
-from ..core.slicing import DEFAULT_SLICE_PARAMS, slice_model
 from ..models.base import ModelSpec
+from ..placement.keyplan import DEFAULT_SLICE_PARAMS, KeyTable, plan_keys
+from ..placement.plan import PlacementSpec
 
 
 class PullPolicy(Enum):
@@ -76,13 +76,18 @@ class StrategyConfig:
         return "priority" if self.prioritized else "fifo"
 
     def plan(self, model: ModelSpec, n_servers: int,
-             rng: np.random.Generator) -> List[PlacedKey]:
-        """Materialize the synchronization keys and their server placement."""
+             rng: np.random.Generator,
+             spec: PlacementSpec = PlacementSpec(), n_workers: int = 0,
+             measured_loads: Optional[Mapping[int, int]] = None) -> KeyTable:
+        """Materialize the synchronization keys and their server placement.
+
+        The priority policy draws from ``rng`` before the planner does.
+        """
         priorities = make_priorities(model, self.priority_policy, rng)
-        if self.slice_params is None:
-            return kvstore_sharding(model, n_servers, rng, priorities=priorities)
-        slices = slice_model(model, self.slice_params, priorities=priorities)
-        return round_robin_placement(slices, n_servers)
+        return plan_keys([layer.params for layer in model.layers], n_servers,
+                         slice_params=self.slice_params, rng=rng,
+                         priorities=priorities, spec=spec,
+                         n_workers=n_workers, measured_loads=measured_loads)
 
     def with_slice(self, slice_params: Optional[int]) -> "StrategyConfig":
         """Copy with a different slice size (Figure 12 sweeps)."""

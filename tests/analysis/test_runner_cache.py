@@ -8,16 +8,19 @@ byte-identical JSON however they were executed.
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import (
     SimCache,
     fig7_bandwidth_sweep,
     save_figure,
 )
 from repro.analysis import runner
-from repro.analysis.cache import code_salt
+from repro.analysis.cache import SALT_PACKAGES, code_salt
 from repro.analysis.runner import (
     PointResult,
     SimPoint,
@@ -167,6 +170,17 @@ def test_cache_salt_invalidates(tmp_path):
     cache_v1.put(doc, execute_point(point).to_doc())
     assert SimCache(tmp_path / "cache", salt="v1").get(doc) is not None
     assert SimCache(tmp_path / "cache", salt="v2").get(doc) is None
+
+
+def test_code_salt_covers_every_package_a_simulated_point_imports():
+    """An edit to anything `build_plan` or the key planner imports must
+    start a fresh cache subtree (`repro.placement` used not to)."""
+    root = Path(repro.__file__).parent
+    for module in ("sim/cluster.py", "strategies/base.py",
+                   "placement/keyplan.py", "placement/plan.py"):
+        imported = set(re.findall(r"^\s*from \.\.(\w+)",
+                                  (root / module).read_text(), re.M))
+        assert imported <= set(SALT_PACKAGES), module
 
 
 def test_code_salt_is_stable_and_hexlike():

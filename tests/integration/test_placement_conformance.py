@@ -1,15 +1,11 @@
-"""Cross-substrate placement conformance: one plan, two executors.
+"""Cross-substrate placement conformance: one key table, executed twice.
 
-The placement subsystem plans in abstract demand units precisely so the
-simulator and the live cluster can execute the *same* decision.  These
-tests pin that promise at two levels:
-
-* **plan identity** — for the same workload, the sim's rewritten key
-  table and the live store's rewritten key plan are identical: same
-  keys, same sizes, same shard assignment, same split structure;
-* **round identity** — a live run under each placement policy produces
-  final parameters bit-identical to the in-process store fed the same
-  seeded plan (the live tests run real sockets and are ``slow``).
+The simulator, the in-process store and the live cluster get their key
+table from the same planner (``tests/placement/test_keyplan.py`` holds
+its properties and that the three tables are one).  What is left to pin
+here is **round identity**: a live run under each placement policy
+produces final parameters bit-identical to the in-process store's (real
+sockets, so the tests are ``slow``).
 """
 
 from __future__ import annotations
@@ -17,11 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.calibration import live_model_spec, run_inprocess
-from repro.live import LiveClusterConfig, make_plan
+from repro.analysis.calibration import run_inprocess
+from repro.live import LiveClusterConfig
 from repro.live.aio import run_live_aio
-from repro.sim import ClusterConfig, ClusterSim
-from repro.strategies import baseline, p3
 
 PLACEMENTS = ("round_robin", "balanced", "two_tier")
 
@@ -37,73 +31,6 @@ def live_cfg(placement: str, **overrides) -> LiveClusterConfig:
     )
     defaults.update(overrides)
     return LiveClusterConfig(**defaults)
-
-
-def sim_for(cfg: LiveClusterConfig, strategy: str) -> ClusterSim:
-    """The live workload re-expressed on the simulator substrate."""
-    strat = p3(cfg.slice_params) if strategy == "p3" else baseline()
-    sim_cfg = ClusterConfig(
-        n_workers=cfg.n_workers, n_servers=cfg.n_servers,
-        bandwidth_gbps=1.0, colocate_servers=False, seed=cfg.store_seed,
-        placement=cfg.placement, placement_split_factor=cfg.split_factor,
-        placement_max_splits=cfg.max_splits,
-        agg_group_size=cfg.agg_group_size)
-    return ClusterSim(live_model_spec(cfg), strat, sim_cfg)
-
-
-# ----------------------------------------------------------------------
-# Plan identity (pure, fast)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("placement", PLACEMENTS)
-@pytest.mark.parametrize("strategy", ["baseline", "p3"])
-def test_sim_and_live_agree_on_every_shard_assignment(placement, strategy):
-    cfg = live_cfg(placement)
-    live_plan = make_plan(cfg, strategy)
-    sim = sim_for(cfg, strategy)
-
-    live_table = [(m.key, m.size, m.server, m.priority)
-                  for m in live_plan.metas]
-    sim_table = [(pk.key, pk.params, pk.server, pk.priority)
-                 for pk in sim.placed]
-    assert live_table == sim_table
-    # per-shard key sets line up exactly
-    for s in range(cfg.n_servers):
-        live_keys = sorted(live_plan.server_keys(s))
-        sim_keys = sorted(pk.key for pk in sim.placed if pk.server == s)
-        assert live_keys == sim_keys, f"shard {s} disagrees"
-
-
-@pytest.mark.parametrize("placement", ["balanced", "two_tier"])
-def test_sim_and_live_compute_the_same_placement_plan(placement):
-    """Deeper than table equality: the PlacementPlan object itself —
-    spec, splits, groups — is equal across substrates."""
-    cfg = live_cfg(placement)
-    store = cfg.build_initialized_store("p3")
-    sim = sim_for(cfg, "p3")
-    assert store.placement_plan is not None
-    assert sim.placement_plan is not None
-    assert store.placement_plan == sim.placement_plan
-
-
-def test_two_tier_groups_agree_across_substrates():
-    cfg = live_cfg("two_tier")
-    store = cfg.build_initialized_store("p3")
-    sim = sim_for(cfg, "p3")
-    assert store.groups == sim.groups == cfg.worker_groups()
-    for w in range(cfg.n_workers):
-        assert cfg.group_of(w) == sim.group_of[w]
-
-
-def test_seeded_plans_are_reproducible():
-    """Same config, built twice: byte-for-byte the same plan (the
-    property every live node relies on)."""
-    cfg_a = live_cfg("balanced")
-    cfg_b = live_cfg("balanced")
-    metas_a = [(m.key, m.name, m.start, m.stop, m.server)
-               for m in make_plan(cfg_a, "p3").metas]
-    metas_b = [(m.key, m.name, m.start, m.stop, m.server)
-               for m in make_plan(cfg_b, "p3").metas]
-    assert metas_a == metas_b
 
 
 # ----------------------------------------------------------------------

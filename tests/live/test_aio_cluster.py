@@ -41,7 +41,6 @@ from repro.analysis.calibration import (calibrate, calibrate_faults,
 from repro.live import LiveClusterConfig, LiveRunError, LiveRunResult
 from repro.live.aio import AioServerShard, AioWorker, run_live_aio
 from repro.live.aio.driver import _run_cluster, leaving_no_task
-from repro.live.config import make_plan
 from repro.live.membership import (
     MembershipEpoch,
     MembershipSchedule,
@@ -171,8 +170,8 @@ def test_p3_sends_urgent_layers_earlier_than_baseline():
     """On the wire, P3 must front-load the forward-urgent first layer:
     the mean transmission rank of its PUSH chunks drops vs the baseline."""
     def mean_rank_of_first_layer(cfg, result):
-        plan = make_plan(cfg, cfg.strategy)
-        first_keys = {m.key for m in plan.by_name[plan.names[0]]}
+        plan, = cfg.key_plan()
+        first_keys = {pk.key for pk in plan.by_layer[0]}
         ranks = []
         for records in result.timelines.values():
             data = [r for r in records if r.kind == 1]  # PUSH chunks
@@ -371,10 +370,17 @@ def _failing_apply(self, key, real=AioServerShard._apply_ready):
     real(self, key)
 
 
+def _failing_install(self, epoch, real=AioServerShard._install_epoch):
+    if self.sid == 0:
+        raise RuntimeError("boom")  # inside the spawned _membership_loop
+    real(self, epoch)
+
+
 @pytest.mark.parametrize("cls, method, patch, victim", [
     (AioWorker, "_iteration", _dying_iteration, "worker1"),
-    (AioServerShard, "_apply_ready", _failing_apply, "shard 0")],
-    ids=["worker", "shard"])
+    (AioServerShard, "_apply_ready", _failing_apply, "shard 0"),
+    (AioServerShard, "_install_epoch", _failing_install, "shard 0")],
+    ids=["worker", "shard", "shard-spawned-task"])
 def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
                                                   patch, victim):
     """A dead worker or shard is a prompt, attributed LiveRunError — its
@@ -386,5 +392,5 @@ def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
     assert victim in str(outcome) and "boom" in str(outcome)
-    assert elapsed < 8.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
+    assert elapsed < 5.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
     assert pending == [] and leaked_fds == 0

@@ -104,6 +104,35 @@ async def test_urgent_message_preempts_bulk_mid_flight():
         await server.wait_closed()
 
 
+@pytest.mark.asyncio
+async def test_flush_waits_for_the_last_chunk_to_be_written():
+    """The drain task pops the last chunk, then sleeps in the shaper
+    before writing it: flush() must not return in that window (the
+    thread sender's test_timeline_records_every_chunk, on the loop)."""
+    server, port, accepted = await start_accept_server()
+    try:
+        _creader, cwriter = await asyncio.open_connection(HOST, port)
+        sreader, swriter = await accepted.get()
+        # ~0.1 s per chunk: longer than flush()'s 50 ms poll.
+        sender = AsyncPrioritySender(
+            cwriter, sender_id=0, chunk_bytes=1_000,
+            shaper=TokenBucket(rate_bytes_per_s=10_000, burst_bytes=1))
+        sender.send(WireKind.PUSH, key=1, iteration=0, priority=0,
+                    payload=b"t" * 5_500)
+        await sender.flush(10.0)
+        assert len(sender.timeline) == 6  # ceil(5500 / 1000)
+        frames = await read_frames_until(
+            sreader, lambda fs: any(f.is_final_chunk for f in fs), 1.0)
+        assert sum(len(f.payload) for f in frames) == 5_500
+        await sender.close(5.0)
+        for writer in (cwriter, swriter):
+            writer.close()
+            await writer.wait_closed()
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
 # ----------------------------------------------------------------------
 # Reconnect: decoder/inbox reset + backlog retransmission
 # ----------------------------------------------------------------------

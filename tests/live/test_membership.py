@@ -24,7 +24,6 @@ from repro.live.membership import (
     MembershipError,
     MembershipSchedule,
     elastic_reference,
-    epoch_plans,
 )
 
 WORKER_UNIVERSE = (0, 1, 2, 3, 4)
@@ -236,19 +235,18 @@ def test_schedule_rejects_two_tier():
                   membership=sched)
 
 
-def test_epoch_plans_share_one_key_universe():
+def test_epoch_key_tables_share_one_key_universe():
     sched = MembershipSchedule(epochs=(
         MembershipEpoch(workers=(0, 1), rounds=2),
         MembershipEpoch(workers=(0, 1, 2), rounds=2, placement="balanced"),
     ))
     cfg = small_cfg(membership=sched)
-    plans = epoch_plans(cfg)
+    plans = cfg.key_plan()
     assert len(plans) == 2
-    ref = [(m.key, m.name, m.start, m.stop) for m in plans[0].metas]
-    got = [(m.key, m.name, m.start, m.stop) for m in plans[1].metas]
+    ref = [(pk.key, pk.layer_index, pk.span) for pk in plans[0]]
+    got = [(pk.key, pk.layer_index, pk.span) for pk in plans[1]]
     assert got == ref, "placement overrides may only move keys"
-    assert any(a.server != b.server
-               for a, b in zip(plans[0].metas, plans[1].metas)), \
+    assert any(a.server != b.server for a, b in zip(*plans)), \
         "balanced override should move at least one key between shards"
 
 

@@ -50,7 +50,19 @@ def test_build_chrome_events_covers_all_streams():
     assert {"compute", "network", "obs"} <= cats
     names = {e["name"] for e in events}
     assert any(n.startswith("forward[") for n in names)
+    assert any(n.startswith("backward[") for n in names)
     assert EventKind.SLICE_SENT.value in names
+    # lane layout: pid = machine; tid 0 compute/stall, 1 NIC tx, 2 NIC rx
+    for e in events:
+        assert e["ts"] >= 0
+        assert isinstance(e["pid"], int) and isinstance(e["tid"], int)
+        if e["ph"] == "X":
+            assert e["dur"] >= 0
+            assert e["tid"] == 0 if e["cat"] in ("compute", "stall") \
+                else e["tid"] in (1, 2)
+    # a run without channel tracing exports its compute lanes alone
+    bare = build_chrome_events(result.iterations.records)
+    assert bare and all(e["cat"] in ("compute", "stall") for e in bare)
 
 
 def test_export_chrome_trace_writes_valid_json(tmp_path):

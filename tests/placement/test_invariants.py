@@ -18,6 +18,7 @@ import pytest
 from repro.kvstore import P3Store
 from repro.models import get_model, toy_model
 from repro.models.base import LayerSpec, ModelSpec
+from repro.placement import PlacementSpec
 from repro.sim import ClusterConfig, SimulationError, simulate, simulate_checked
 from repro.strategies import baseline, p3
 
@@ -111,8 +112,9 @@ def _run_store(**kw):
 def test_split_key_merges_to_unsplit_values():
     """Partial aggregation over disjoint spans is elementwise: a key
     split across shards must update to exactly the unsplit values."""
-    unsplit = _run_store(placement="round_robin")
-    split = _run_store(placement="balanced", split_factor=1.01, max_splits=4)
+    unsplit = _run_store()
+    split = _run_store(placement=PlacementSpec(
+        policy="balanced", split_factor=1.01, max_splits=4))
     for name in unsplit:
         np.testing.assert_array_equal(unsplit[name], split[name])
 
@@ -120,8 +122,9 @@ def test_split_key_merges_to_unsplit_values():
 def test_two_tier_grouped_rounds_match_flat():
     """Grouped (two-tier) aggregation sums the same numbers in a fixed
     tree order; values match the flat store to fp round-off."""
-    flat = _run_store(placement="round_robin")
-    grouped = _run_store(placement="two_tier", group_size=2)
+    flat = _run_store()
+    grouped = _run_store(placement=PlacementSpec(policy="two_tier",
+                                                 group_size=2))
     for name in flat:
         np.testing.assert_allclose(flat[name], grouped[name],
                                    rtol=1e-12, atol=1e-12)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacedKey
+from repro.placement import PlacedKey
 from repro.models import toy_model, vgg19
 from repro.strategies import (
     STRATEGY_FACTORIES,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -75,7 +77,9 @@ def test_trace_command(tmp_path, capsys):
     out_path = tmp_path / "t.json"
     assert main(["trace", "--model", "resnet50", "--iterations", "3",
                  "--out", str(out_path)]) == 0
-    assert out_path.exists()
+    doc = json.loads(out_path.read_text())
+    assert doc["otherData"]["model"] == "resnet50"
+    assert {e["cat"] for e in doc["traceEvents"]} >= {"compute", "network"}
 
 
 def test_requires_subcommand():

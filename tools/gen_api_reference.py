@@ -31,12 +31,10 @@ MODULES = [
     "repro.models.toy",
     "repro.models.transformer",
     "repro.models.vgg",
-    "repro.core.slicing",
     "repro.core.priority",
-    "repro.core.placement",
+    "repro.placement.keyplan",
     "repro.placement.plan",
     "repro.placement.loads",
-    "repro.placement.apply",
     "repro.strategies.base",
     "repro.sim.engine",
     "repro.sim.network",
@@ -48,7 +46,6 @@ MODULES = [
     "repro.sim.background",
     "repro.sim.faults",
     "repro.sim.invariants",
-    "repro.sim.chrome_trace",
     "repro.obs.registry",
     "repro.obs.events",
     "repro.obs.exporters",
