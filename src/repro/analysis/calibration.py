@@ -418,8 +418,7 @@ def calibrate(cfg: LiveClusterConfig,
             name: phase_breakdown(result.events, compute_s=compute_s)
             for name, result in live_results.items()}
         sim_phases = {
-            name: phase_breakdown(sess.recorder.to_dicts(),
-                                  compute_s=compute_s)
+            name: phase_breakdown(sess.events(), compute_s=compute_s)
             for name, sess in sim_sessions.items()}
     return CalibrationReport(
         live_baseline_s=live_base.mean_iteration_time,

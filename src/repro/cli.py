@@ -224,19 +224,17 @@ def _run_observed_sim(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> None:
     """Simulate one run with the unified observability layer attached."""
-    from .obs import ascii_timeline, export_metrics_summary
+    from .obs import ascii_timeline, export_metrics_summary, metrics_summary
     result, sess = _run_observed_sim(args)
     print(f"{result.model_name}/{result.strategy_name}: "
           f"{result.throughput:.1f} samples/s, "
           f"mean iteration {result.mean_iteration_time * 1000:.1f} ms")
-    counts = sess.recorder.counts_by_kind()
-    print("events: " + ", ".join(f"{k}={n}"
-                                 for k, n in sorted(counts.items())))
+    counts = metrics_summary(sess)["event_counts"]
+    print("events: " + ", ".join(f"{k}={n}" for k, n in counts.items()))
     meta = {"model": result.model_name, "strategy": result.strategy_name,
             "bandwidth_gbps": args.bandwidth, "workers": args.workers}
     if args.trace:
-        path = _export_sim_trace(result, args.trace,
-                                 events=sess.recorder.to_dicts())
+        path = _export_sim_trace(result, args.trace, events=sess.events())
         print(f"wrote {path} — open in chrome://tracing or ui.perfetto.dev")
     if args.metrics:
         path = export_metrics_summary(sess, args.metrics, metadata=meta)

@@ -16,7 +16,6 @@ from .events import (
     EVENT_SCHEMA,
     EventKind,
     EventRecorder,
-    ObsEvent,
     SLICE_KINDS,
     SchemaError,
     kinds_per_slice,
@@ -55,7 +54,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "ObsEvent",
     "ObsSession",
     "SCHEMA_VERSION",
     "SLICE_KINDS",

@@ -23,15 +23,15 @@ Event kinds
                        driver from the same FaultPlan schedule)
 ``fault_off``          a fault occurrence lifted
 
-Every record is a flat, JSON-serializable :class:`ObsEvent`;
-:func:`validate_event` is the executable schema both sides must satisfy
-(see ``tests/obs/test_schema_conformance.py``).
+Every record is a flat, JSON-serializable dict with the fields of
+:data:`EVENT_SCHEMA`; :func:`validate_event` is the executable schema
+both sides must satisfy (see ``tests/obs/test_schema_conformance.py``).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field
+from collections import Counter
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
@@ -59,38 +59,18 @@ SLICE_KINDS: Set[str] = {
 }
 
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """One observed moment of a run, sim or live.
-
-    ``ts`` is seconds on the run's own clock (simulated seconds for the
-    simulator, normalized monotonic seconds for live processes).
-    ``queue_s``/``wire_s`` are filled on ``slice_sent``: time the slice
-    spent waiting (not on the wire) and transmitting, respectively —
-    the raw material of the per-phase calibration breakdown.
-    """
-
-    ts: float
-    source: str          # "sim" | "live"
-    node: str            # "worker0", "server1", ...
-    kind: str            # EventKind value
-    key: int = -1        # synchronization key (slice events)
-    iteration: int = -1  # training round, when known
-    priority: int = 0    # scheduling priority (lower = more urgent)
-    layer: int = -1      # forward layer index (gate events)
-    nbytes: int = 0      # payload bytes (slice events)
-    queue_s: float = 0.0
-    wire_s: float = 0.0
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-#: Executable schema: field -> (accepted types, required).  ``ObsEvent``
-#: instances always conform; the validator exists so *foreign* streams
-#: (JSON re-loaded from an exporter, another process's records) can be
-#: checked against the same contract.
+#: Executable schema: field -> (accepted types, required), in record
+#: order.  ``ts`` is seconds on the run's own clock (simulated seconds
+#: for the simulator, normalized monotonic seconds for live processes);
+#: ``source`` is "sim" | "live"; ``node`` is "worker0", "server1", ...;
+#: ``key``/``iteration``/``layer`` are -1 when not known; lower
+#: ``priority`` is more urgent.  ``queue_s``/``wire_s`` are filled on
+#: ``slice_sent``: time the slice spent waiting (not on the wire) and
+#: transmitting — the raw material of the per-phase calibration
+#: breakdown.  What an :class:`EventRecorder` returns always conforms;
+#: the validator exists so *foreign* streams (JSON re-loaded from an
+#: exporter, another process's records) can be checked against the same
+#: contract.
 EVENT_SCHEMA: Dict[str, tuple] = {
     "ts": ((int, float), True),
     "source": ((str,), True),
@@ -108,6 +88,9 @@ EVENT_SCHEMA: Dict[str, tuple] = {
 
 VALID_SOURCES = ("sim", "live")
 VALID_KINDS: Set[str] = {k.value for k in EventKind}
+#: ``EventKind`` member or its value -> the plain ``str`` a record holds
+#: (a member hashes and compares as its value).
+_KIND_VALUE: Dict[str, str] = {value: value for value in VALID_KINDS}
 
 
 class SchemaError(ValueError):
@@ -151,12 +134,13 @@ def validate_events(records: Iterable[Dict[str, object]]) -> int:
 
 
 class EventRecorder:
-    """Append-only, thread-safe collector of :class:`ObsEvent` records.
+    """Append-only, thread-safe collector of event records.
 
     The recorder never schedules work, never sleeps, and never consumes
     randomness: attaching one to a run is observation-only by
     construction (the guarantee ``tests/obs/test_observation_only.py``
-    enforces).
+    enforces).  Recording costs one tuple; the dicts the schema
+    describes are built when the stream is read.
     """
 
     def __init__(self, source: str,
@@ -165,10 +149,11 @@ class EventRecorder:
             raise ValueError(f"source must be one of {VALID_SOURCES}")
         self.source = source
         self._clock = clock
-        self._events: List[ObsEvent] = []
+        # One row per event: the schema's fields in order, less ``source``.
+        self._rows: List[tuple] = []
         self._lock = threading.Lock()
 
-    def emit(self, kind: EventKind, node: str, *, ts: Optional[float] = None,
+    def emit(self, kind: str, node: str, *, ts: Optional[float] = None,
              key: int = -1, iteration: int = -1, priority: int = 0,
              layer: int = -1, nbytes: int = 0, queue_s: float = 0.0,
              wire_s: float = 0.0, detail: str = "") -> None:
@@ -176,32 +161,32 @@ class EventRecorder:
             if self._clock is None:
                 raise ValueError("recorder has no clock; pass ts explicitly")
             ts = self._clock()
-        event = ObsEvent(ts=float(ts), source=self.source, node=node,
-                         kind=EventKind(kind).value, key=key,
-                         iteration=iteration, priority=priority, layer=layer,
-                         nbytes=nbytes, queue_s=queue_s, wire_s=wire_s,
-                         detail=detail)
+        # A miss is an unknown kind: EventKind() raises the ValueError.
+        kind = _KIND_VALUE.get(kind) or EventKind(kind).value
+        row = (float(ts), node, kind, key, iteration, priority, layer,
+               nbytes, queue_s, wire_s, detail)
         with self._lock:
-            self._events.append(event)
+            self._rows.append(row)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
-
-    @property
-    def events(self) -> List[ObsEvent]:
-        """A snapshot of the recorded events, in emission order."""
-        with self._lock:
-            return list(self._events)
+            return len(self._rows)
 
     def to_dicts(self) -> List[Dict[str, object]]:
-        return [e.to_dict() for e in self.events]
+        """The recorded events as schema dicts, in emission order."""
+        source = self.source
+        with self._lock:
+            rows = list(self._rows)
+        return [{"ts": ts, "source": source, "node": node, "kind": kind,
+                 "key": key, "iteration": iteration, "priority": priority,
+                 "layer": layer, "nbytes": nbytes, "queue_s": queue_s,
+                 "wire_s": wire_s, "detail": detail}
+                for (ts, node, kind, key, iteration, priority, layer,
+                     nbytes, queue_s, wire_s, detail) in rows]
 
     def counts_by_kind(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
+        with self._lock:
+            return dict(Counter(row[2] for row in self._rows))
 
 
 def kinds_per_slice(records: Iterable[Dict[str, object]]) -> Dict[int, Set[str]]:

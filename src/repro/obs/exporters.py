@@ -5,9 +5,7 @@ Whatever produced the records — :func:`repro.sim.simulate` or a live
 
 * :func:`export_chrome_trace` — ``chrome://tracing`` / Perfetto JSON
   with compute/stall/network spans plus the shared
-  :mod:`repro.obs.events` stream as instant events.  This unifies and
-  supersedes the sim-only ``repro.sim.chrome_trace`` exporter (which now
-  delegates here).
+  :mod:`repro.obs.events` stream as instant events.
 * :func:`export_metrics_summary` — a per-run JSON document carrying the
   metrics registry snapshot (p50/p95/p99 and counters) and event counts.
 * :func:`ascii_timeline` — the NIC utilization timeline rendered with
@@ -22,8 +20,10 @@ both substrates can feed it without adapters.
 from __future__ import annotations
 
 import json
+import zlib
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .events import EventKind
 from .registry import ObsSession
@@ -38,17 +38,21 @@ TID_TX = 1
 TID_RX = 2
 TID_EVENTS = 3
 
+#: Trace events encoded and written per ``json.dumps`` call.
+_EXPORT_BATCH = 4096
+
 #: pid offset for server nodes so "worker0" and "server0" (distinct
 #: processes in a live run) never collide in the trace viewer.
 SERVER_PID_BASE = 1000
 
 
 def node_pid(node: str) -> int:
-    """Map a node name ("worker3", "server1") to a stable trace pid."""
+    """Map a node name ("worker3", "server1", "agg0") to a trace pid
+    that is the same in every process (``hash(str)`` is salted)."""
     for prefix, base in (("worker", 0), ("server", SERVER_PID_BASE)):
         if node.startswith(prefix) and node[len(prefix):].isdigit():
             return base + int(node[len(prefix):])
-    return 2 * SERVER_PID_BASE + (hash(node) % SERVER_PID_BASE)
+    return 2 * SERVER_PID_BASE + zlib.crc32(node.encode()) % SERVER_PID_BASE
 
 
 def _complete(name: str, cat: str, start: float, end: float,
@@ -84,6 +88,28 @@ def _instant(record: Dict[str, object]) -> dict:
     }
 
 
+def _chrome_events(iteration_records, transmissions, events
+                   ) -> Iterator[dict]:
+    for rec in iteration_records or ():
+        pid = rec.worker
+        yield _complete(f"forward[{rec.iteration}]", "compute",
+                        rec.forward_start, rec.backward_start, pid,
+                        TID_COMPUTE, {"iteration": rec.iteration})
+        yield _complete(f"backward[{rec.iteration}]", "compute",
+                        rec.backward_start, rec.backward_end, pid,
+                        TID_COMPUTE, {"iteration": rec.iteration})
+        if rec.end > rec.backward_end:
+            yield _complete(f"stall[{rec.iteration}]", "stall",
+                            rec.backward_end, rec.end, pid, TID_COMPUTE)
+    tids = {"tx": TID_TX, "rx": TID_RX}
+    for t in transmissions or ():
+        yield _complete(f"{t.direction} {t.wire_bytes}B", "network",
+                        t.start, t.end, t.machine, tids[t.direction],
+                        {"bytes": t.wire_bytes})
+    for record in events or ():
+        yield _instant(record)
+
+
 def build_chrome_events(
     iteration_records: Optional[Iterable] = None,
     transmissions: Optional[Iterable] = None,
@@ -97,26 +123,7 @@ def build_chrome_events(
     need ``machine/direction/start/end/wire_bytes``, and ``events`` are
     shared-schema dicts (:mod:`repro.obs.events`).
     """
-    out: List[dict] = []
-    for rec in iteration_records or ():
-        pid = rec.worker
-        out.append(_complete(f"forward[{rec.iteration}]", "compute",
-                             rec.forward_start, rec.backward_start, pid,
-                             TID_COMPUTE, {"iteration": rec.iteration}))
-        out.append(_complete(f"backward[{rec.iteration}]", "compute",
-                             rec.backward_start, rec.backward_end, pid,
-                             TID_COMPUTE, {"iteration": rec.iteration}))
-        if rec.end > rec.backward_end:
-            out.append(_complete(f"stall[{rec.iteration}]", "stall",
-                                 rec.backward_end, rec.end, pid, TID_COMPUTE))
-    tids = {"tx": TID_TX, "rx": TID_RX}
-    for t in transmissions or ():
-        out.append(_complete(f"{t.direction} {t.wire_bytes}B", "network",
-                             t.start, t.end, t.machine, tids[t.direction],
-                             {"bytes": t.wire_bytes}))
-    for record in events or ():
-        out.append(_instant(record))
-    return out
+    return list(_chrome_events(iteration_records, transmissions, events))
 
 
 def export_chrome_trace(
@@ -126,17 +133,24 @@ def export_chrome_trace(
     events: Optional[Iterable[Dict[str, object]]] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Write a unified Chrome-tracing JSON file; return its path."""
+    """Write a unified Chrome-tracing JSON file; return its path.
+
+    One pass, a batch of trace events at a time, so neither the event
+    list nor the text is ever whole in memory; the bytes are those of
+    ``json.dumps`` over the whole document.  Each batch goes through the
+    C encoder (``json.dump`` to a file drives the pure-Python one).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "traceEvents": build_chrome_events(iteration_records, transmissions,
-                                           events),
-        "displayTimeUnit": "ms",
-        "otherData": dict(metadata or {}, schema=SCHEMA_VERSION),
-    }
+    trace_events = _chrome_events(iteration_records, transmissions, events)
+    other = json.dumps(dict(metadata or {}, schema=SCHEMA_VERSION))
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write('{"traceEvents": [')
+        separator = ""
+        while batch := list(islice(trace_events, _EXPORT_BATCH)):
+            f.write(separator + json.dumps(batch)[1:-1])  # less its [ ]
+            separator = ", "
+        f.write('], "displayTimeUnit": "ms", "otherData": %s}' % other)
     return path
 
 
@@ -214,18 +228,14 @@ def session_from_events(events: Iterable[Dict[str, object]],
 def metrics_summary(session: ObsSession,
                     metadata: Optional[Dict[str, object]] = None) -> dict:
     """One JSON-ready document summarizing a run's metrics and events."""
-    events = session.events()
-    counts: Dict[str, int] = {}
-    for record in events:
-        kind = str(record["kind"])
-        counts[kind] = counts.get(kind, 0) + 1
+    counts = session.recorder.counts_by_kind()
     return {
         "schema": SCHEMA_VERSION,
         "source": session.source,
         "metadata": dict(metadata or {}),
         "metrics": session.metrics(),
         "event_counts": {k: counts[k] for k in sorted(counts)},
-        "n_events": len(events),
+        "n_events": len(session.recorder),
     }
 
 
@@ -236,8 +246,8 @@ def export_metrics_summary(session: ObsSession, path: Union[str, Path],
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(metrics_summary(session, metadata), f, indent=2,
-                  sort_keys=True)
+        f.write(json.dumps(metrics_summary(session, metadata), indent=2,
+                           sort_keys=True))
     return path
 
 

@@ -8,8 +8,9 @@ connected by a full-duplex network whose per-interface rate models the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class RunResult:
 
 
 class _ChannelObsAdapter(ChannelObserver):
-    """Feeds TX-channel activity into a :class:`repro.obs.ObsSession`.
+    """Feeds one TX channel's activity into a :class:`repro.obs.ObsSession`.
 
     Emission is a list append plus histogram bucket increments with the
     simulator's own clock as the timestamp — no events are scheduled and
@@ -168,57 +169,62 @@ class _ChannelObsAdapter(ChannelObserver):
     #: event stream.
     _SLICE_KINDS = (MsgKind.PUSH, MsgKind.PARAM)
 
-    def __init__(self, cluster: "ClusterSim", obs: ObsSession) -> None:
-        self.cluster = cluster
-        self.obs = obs
+    def __init__(self, cluster: "ClusterSim", obs: ObsSession,
+                 machine: int) -> None:
+        self._sim = cluster.sim
+        self._layer_of = cluster.key_layer.get
+        self._emit = obs.recorder.emit
+        # PUSHes leave workers; PARAMs leave the PS shard on this machine.
+        self._server = "server%d" % (
+            machine if cluster.config.colocate_servers
+            else machine - cluster.n_workers)
         self._queue_delay = obs.registry.histogram("net.queue_delay_s")
         self._wire = obs.registry.histogram("net.wire_s")
         self._slices = obs.registry.counter("net.slices_sent")
         self._bytes = obs.registry.counter("net.bytes_sent")
         self._preempted = obs.registry.counter("net.preemptions")
+        # The slices waiting on the channel, oldest first.  A slice
+        # popped from behind the head stays until it surfaces (lazy
+        # deletion); ``_popped`` holds the ids of those.
+        self._waiting: Deque[Message] = deque()
+        self._popped: set = set()
 
-    def _node(self, channel: Channel, msg: Message) -> str:
-        """Name the logical sender: PUSHes leave workers, PARAMs leave
-        the PS shard hosted on ``channel.machine``."""
+    def _node(self, msg: Message) -> str:
         if msg.kind is MsgKind.PUSH:
             return f"worker{msg.sender_worker}"
-        if self.cluster.config.colocate_servers:
-            return f"server{channel.machine}"
-        return f"server{channel.machine - self.cluster.n_workers}"
+        return self._server
 
-    def _layer(self, msg: Message) -> int:
-        pk = self.cluster.keys.get(msg.key)
-        return pk.layer_index if pk is not None else -1
+    def on_enqueue(self, msg: Message) -> None:
+        if msg.kind in self._SLICE_KINDS:
+            self._waiting.append(msg)
 
-    def on_pop(self, channel: Channel, msg: Message) -> None:
+    def on_pop(self, msg: Message) -> None:
         if msg.kind not in self._SLICE_KINDS:
             return
+        waiting = self._waiting
+        popped = self._popped
+        popped.add(id(msg))
+        while waiting and id(waiting[0]) in popped:
+            popped.remove(id(waiting.popleft()))
         # A priority queue "preempts" by overtaking: popping msg while an
-        # older slice still waits means that slice lost its turn.  The
-        # scan is O(queue) but runs only with an observer attached.
-        overtaken: Optional[Message] = None
-        for other in channel.queue.pending():
-            if other.kind not in self._SLICE_KINDS:
-                continue
-            if other.enqueue_time < msg.enqueue_time and (
-                    overtaken is None
-                    or other.enqueue_time < overtaken.enqueue_time):
-                overtaken = other
-        if overtaken is not None:
+        # older slice still waits means that slice lost its turn.  Enqueue
+        # times never decrease along the deque, so its head is the oldest
+        # waiting slice and, among equally old ones, the first enqueued.
+        if waiting and waiting[0].enqueue_time < msg.enqueue_time:
+            overtaken = waiting[0]
             self._preempted.inc()
-            self.obs.recorder.emit(
+            self._emit(
                 EventKind.SLICE_PREEMPTED,
-                node=self._node(channel, overtaken),
-                ts=channel.sim.now,
+                node=self._node(overtaken),
+                ts=self._sim.now,
                 key=overtaken.key,
                 priority=overtaken.priority,
-                layer=self._layer(overtaken),
+                layer=self._layer_of(overtaken.key, -1),
                 nbytes=overtaken.payload_bytes,
                 detail=f"overtaken_by_key={msg.key}",
             )
 
-    def on_sent(self, channel: Channel, msg: Message,
-                start: float, end: float) -> None:
+    def on_sent(self, msg: Message, start: float, end: float) -> None:
         if msg.kind not in self._SLICE_KINDS:
             return
         queue_s = max(0.0, start - msg.enqueue_time)
@@ -227,13 +233,13 @@ class _ChannelObsAdapter(ChannelObserver):
         self._wire.observe(wire_s)
         self._slices.inc()
         self._bytes.inc(msg.payload_bytes)
-        self.obs.recorder.emit(
+        self._emit(
             EventKind.SLICE_SENT,
-            node=self._node(channel, msg),
+            node=self._node(msg),
             ts=end,
             key=msg.key,
             priority=msg.priority,
-            layer=self._layer(msg),
+            layer=self._layer_of(msg.key, -1),
             nbytes=msg.payload_bytes,
             queue_s=queue_s,
             wire_s=wire_s,
@@ -411,7 +417,9 @@ class ClusterSim:
                          overhead_bytes=config.overhead_bytes,
                          per_message_cpu_s=config.per_message_cpu_s,
                          trace=self.utilization,
-                         cancellable=dynamic_links)
+                         cancellable=dynamic_links,
+                         observer=(_ChannelObsAdapter(self, obs, m)
+                                   if obs is not None else None))
             # Receive order is arrival order regardless of strategy; P3's
             # receiver-side prioritization lives in the server work queue.
             rx = Channel(self.sim, m, "rx", rate, make_queue("fifo"),
@@ -436,10 +444,6 @@ class ClusterSim:
             self.transport.register(m, self.tx_channels[m],
                                     self.rx_channels[m],
                                     self._make_deliver(m))
-        if obs is not None:
-            adapter = _ChannelObsAdapter(self, obs)
-            for tx in self.tx_channels:
-                tx.observer = adapter
         self._done_count = 0
         self._run_iterations = 0
         self._run_warmup = 0

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from .engine import EventHandle, SimulationError, Simulator
 
@@ -103,14 +103,6 @@ class TxQueue:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def pending(self) -> Iterable[Message]:
-        """Iterate the queued messages, in no particular order.
-
-        Observation-only (used by :mod:`repro.obs` to detect when a pop
-        overtakes older traffic); implementations must not mutate state.
-        """
-        raise NotImplementedError
-
 
 class FifoQueue(TxQueue):
     """First-come-first-served: the baseline's send order.
@@ -129,9 +121,6 @@ class FifoQueue(TxQueue):
 
     def __len__(self) -> int:
         return len(self._q)
-
-    def pending(self) -> Iterable[Message]:
-        return iter(self._q)
 
 
 class PriorityQueue(TxQueue):
@@ -165,9 +154,6 @@ class PriorityQueue(TxQueue):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def pending(self) -> Iterable[Message]:
-        return (entry[2] for entry in self._heap)
-
 
 def make_queue(discipline: str) -> TxQueue:
     """Factory for queue disciplines: ``"fifo"`` or ``"priority"``."""
@@ -186,20 +172,23 @@ TraceCallback = Callable[[int, str, float, float, int], None]
 
 
 class ChannelObserver:
-    """Observation-only hooks a channel calls when one is attached.
+    """Observation-only hooks of the one channel an observer is given to.
 
     Implementations (see :mod:`repro.obs` wiring in
     :class:`~repro.sim.cluster.ClusterSim`) must not schedule events,
     mutate messages, or consume randomness: attaching an observer must
-    leave the simulated timeline bit-identical.
+    leave the simulated timeline bit-identical.  Every hook is O(1) in
+    the queue length; the channel never shows its queue.
     """
 
-    def on_pop(self, channel: "Channel", msg: Message) -> None:
-        """``msg`` was popped for transmission (queue not yet drained)."""
+    def on_enqueue(self, msg: Message) -> None:
+        """``msg`` is about to join the queue (it may be popped at once)."""
 
-    def on_sent(self, channel: "Channel", msg: Message,
-                start: float, end: float) -> None:
-        """``msg`` finished transmitting on ``channel``."""
+    def on_pop(self, msg: Message) -> None:
+        """``msg`` was popped for transmission."""
+
+    def on_sent(self, msg: Message, start: float, end: float) -> None:
+        """``msg`` finished transmitting."""
 
 
 class Channel:
@@ -232,6 +221,7 @@ class Channel:
         per_message_cpu_s: float = 0.0,
         trace: Optional[TraceCallback] = None,
         cancellable: bool = True,
+        observer: Optional[ChannelObserver] = None,
     ) -> None:
         if rate_bytes_per_s is not None and rate_bytes_per_s <= 0:
             raise ValueError("rate_bytes_per_s must be positive (or None for infinite)")
@@ -245,8 +235,9 @@ class Channel:
         self.overhead_bytes = overhead_bytes
         self.per_message_cpu_s = per_message_cpu_s
         self.trace = trace
-        # Optional repro.obs hook; None keeps the hot path branch-cheap.
-        self.observer: Optional[ChannelObserver] = None
+        # Optional repro.obs hook, fixed for the channel's lifetime so
+        # the transmit closures below can capture it.
+        self.observer = observer
         self.busy = False
         self.bytes_transferred = 0
         self.messages_transferred = 0
@@ -278,6 +269,17 @@ class Channel:
         self.cancellable = cancellable
         if not cancellable and self._backing is not None:
             self._bind_static_path()
+        if observer is not None:
+            # The enqueue hook exists only on an observed channel: an
+            # unobserved one pays nothing for it.
+            on_enqueue = observer.on_enqueue
+            inner = self.enqueue
+
+            def enqueue(msg: Message) -> None:
+                on_enqueue(msg)
+                inner(msg)
+
+            self.enqueue = enqueue  # type: ignore[method-assign]
 
     def occupancy(self, msg: Message) -> float:
         """Seconds this channel is occupied transmitting ``msg`` at the
@@ -357,7 +359,7 @@ class Channel:
             return
         msg = self._q_pop()
         if self.observer is not None:
-            self.observer.on_pop(self, msg)
+            self.observer.on_pop(msg)
         self.busy = True
         now = self.sim.now
         rate = self.rate
@@ -395,7 +397,7 @@ class Channel:
             self.trace(self.machine, self.direction, self._seg_start,
                        now, self._seg_wire_bytes)
         if self.observer is not None:
-            self.observer.on_sent(self, msg, self._seg_start, now)
+            self.observer.on_sent(msg, self._seg_start, now)
         self.busy = False
         self._seg_msg = None
         self._finish_handle = None
@@ -418,16 +420,16 @@ class Channel:
         """Close the transmit loop over this channel's immutable state.
 
         ``cancellable=False`` guarantees ``set_rate`` never runs, so the
-        rate, overhead, CPU cost, queue, and trace sink are all fixed for
-        the channel's lifetime and can be captured as closure cells —
-        no ``self.`` lookups on the per-message path.  Completion events
-        push directly onto the engine heap with the exact arithmetic of
-        :meth:`Simulator.after` (``now + delay``, same sequence
-        counter), so timestamps and tie-breaks are bit-identical; only
-        the Python frame and EventHandle disappear.  Mutable state
-        (``busy``, transfer counters, ``observer``, ``on_complete``)
-        stays on ``self`` because faults, observability wiring, and the
-        invariant harness rebind or read it dynamically.
+        rate, overhead, CPU cost, queue, trace sink and observer are all
+        fixed for the channel's lifetime and can be captured as closure
+        cells — no ``self.`` lookups on the per-message path.  Completion
+        events push directly onto the engine heap with the exact
+        arithmetic of :meth:`Simulator.after` (``now + delay``, same
+        sequence counter), so timestamps and tie-breaks are
+        bit-identical; only the Python frame and EventHandle disappear.
+        Mutable state (``busy``, transfer counters, ``on_complete``)
+        stays on ``self`` because faults and the invariant harness
+        rebind or read it dynamically.
         """
         sim = self.sim
         heap = sim._heap
@@ -440,6 +442,7 @@ class Channel:
         cpu = self.per_message_cpu_s
         rate = self.rate
         trace = self.trace
+        obs = self.observer
         machine = self.machine
         direction = self.direction
 
@@ -448,9 +451,8 @@ class Channel:
             self.busy_time += now - start
             if trace is not None:
                 trace(machine, direction, start, now, wire_bytes)
-            obs = self.observer
             if obs is not None:
-                obs.on_sent(self, msg, start, now)
+                obs.on_sent(msg, start, now)
             self.busy = False
             self.on_complete(msg)
             if backing:
@@ -460,9 +462,8 @@ class Channel:
             if not backing:
                 return
             msg = q_pop()
-            obs = self.observer
             if obs is not None:
-                obs.on_pop(self, msg)
+                obs.on_pop(msg)
             self.busy = True
             wire_bytes = msg.payload_bytes + overhead
             self.bytes_transferred += wire_bytes
@@ -507,13 +508,15 @@ class Channel:
         head of line.  Committed messages wait here, so a wide incast
         backs up in this deque, not in the global heap.
 
-        Requires a static FIFO channel with no other producer: a direct
-        :meth:`enqueue` at ``now`` would be overtaken by arrivals already
-        committed, so it raises once the channel is fused.  ``observer``
-        sees ``on_sent`` only (a FIFO RX never reorders at pop).
+        Requires an unobserved static FIFO channel with no other
+        producer: a direct :meth:`enqueue` at ``now`` would be overtaken
+        by arrivals already committed, so it raises once the channel is
+        fused.
         """
-        if self.cancellable or not isinstance(self._backing, deque):
-            raise SimulationError("only a static FIFO channel can be fused")
+        if (self.cancellable or self.observer is not None
+                or not isinstance(self._backing, deque)):
+            raise SimulationError(
+                "only an unobserved static FIFO channel can be fused")
         sim = self.sim
         heap = sim._heap
         seq_next = sim._seq.__next__
@@ -541,9 +544,6 @@ class Channel:
             self.messages_transferred += 1
             if trace is not None:
                 trace(machine, direction, start, now, wire_bytes)
-            obs = self.observer
-            if obs is not None:
-                obs.on_sent(self, msg, start, now)
             self.on_complete(msg)
             if waiting:
                 done, args = next_waiting()

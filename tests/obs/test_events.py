@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import pytest
 
 from repro.obs import (
@@ -26,6 +28,44 @@ def _record(**overrides):
 
 def test_recorder_round_trip_validates():
     assert validate_events([_record()]) == 1
+
+
+@dataclass(frozen=True)
+class ParentObsEvent:
+    """The record class the recorder stored before it kept rows; here
+    only as the reference ``to_dicts()`` must keep matching."""
+
+    ts: float
+    source: str
+    node: str
+    kind: str
+    key: int = -1
+    iteration: int = -1
+    priority: int = 0
+    layer: int = -1
+    nbytes: int = 0
+    queue_s: float = 0.0
+    wire_s: float = 0.0
+    detail: str = ""
+
+
+@pytest.mark.parametrize("kind", list(EventKind))
+def test_to_dicts_matches_asdict_of_the_parent_record(kind):
+    fields = dict(key=7, iteration=2, priority=3, layer=1, nbytes=4096,
+                  queue_s=0.25, wire_s=0.125, detail="overtaken_by_key=9")
+    rec = EventRecorder("sim")
+    rec.emit(kind, node="server1", ts=3, **fields)       # int ts -> float
+    rec.emit(kind.value, node="worker0", ts=4.5)         # all defaults
+    want = [asdict(ParentObsEvent(ts=3.0, source="sim", node="server1",
+                                  kind=kind.value, **fields)),
+            asdict(ParentObsEvent(ts=4.5, source="sim", node="worker0",
+                                  kind=kind.value))]
+    got = rec.to_dicts()
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert all(type(d["kind"]) is str and type(d["ts"]) is float
+               for d in got)
+    with pytest.raises(ValueError, match="not a valid EventKind"):
+        rec.emit("teleport", node="worker0", ts=0.0)
 
 
 def test_recorder_needs_clock_or_explicit_ts():

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from repro.models import toy_model
 from repro.obs import (
     EventKind,
+    EventRecorder,
     SCHEMA_VERSION,
     ascii_timeline,
     build_chrome_events,
@@ -37,6 +43,23 @@ def test_node_pid_separates_workers_and_servers():
     assert node_pid("server0") == 1000
     assert node_pid("server1") == 1001
     assert node_pid("mystery") >= 2000  # unknown nodes never collide
+
+
+def test_node_pid_is_the_same_in_every_process():
+    """``hash(str)`` is salted per process; an aggregator's or a fault
+    event's pid must not be."""
+    code = ("from repro.obs import node_pid; "
+            "print(node_pid('agg0'), node_pid('machine3'), node_pid('all'))")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, text=True,
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+        for seed in ("1", "2")}
+    assert outputs == {"%d %d %d\n" % (node_pid("agg0"),
+                                       node_pid("machine3"),
+                                       node_pid("all"))}
 
 
 def test_build_chrome_events_covers_all_streams():
@@ -75,6 +98,26 @@ def test_export_chrome_trace_writes_valid_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["otherData"] == {"model": "toy3", "schema": SCHEMA_VERSION}
     assert doc["traceEvents"]
+
+
+@pytest.mark.parametrize("n_events", [0, 3, 4096, 9000])
+def test_export_chrome_trace_bytes_are_json_dumps_of_the_document(
+        tmp_path, n_events):
+    """The exporter writes batch by batch; the file is still, byte for
+    byte, ``json.dumps`` of the whole document (what it wrote before)."""
+    rec = EventRecorder("sim")
+    for i in range(n_events):
+        rec.emit(EventKind.SLICE_SENT, node=f"worker{i % 4}", ts=i * 1e-3,
+                 key=i, nbytes=100 + i, wire_s=1e-4, detail="push")
+    events = rec.to_dicts()
+    for metadata in (None, {"model": "toy3", "workers": 4}):
+        path = export_chrome_trace(tmp_path / "trace.json", events=events,
+                                   metadata=metadata)
+        assert path.read_text() == json.dumps({
+            "traceEvents": build_chrome_events(events=events),
+            "displayTimeUnit": "ms",
+            "otherData": dict(metadata or {}, schema=SCHEMA_VERSION),
+        })
 
 
 def test_canonicalize_sorts_and_rounds():

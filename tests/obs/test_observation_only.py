@@ -9,17 +9,35 @@ unmonitored one.
 
 from __future__ import annotations
 
-import numpy as np
+from collections import deque
 
+import numpy as np
+import pytest
+
+from repro.models import get_model
 from repro.obs import sim_session, validate_events
-from repro.sim import ClusterConfig, simulate
+from repro.sim import ClusterConfig, ClusterSim, simulate
+from repro.sim.faults import FaultPlan, LinkFault
+from repro.sim.network import TxQueue
 from repro.strategies import baseline, p3
 
 
-def _run(tiny_model, strategy, obs=None):
-    cfg = ClusterConfig(n_workers=2, bandwidth_gbps=1.0, seed=0)
-    return simulate(tiny_model, strategy, cfg, iterations=5, warmup=1,
+def _run(model, strategy, obs=None, **config):
+    cfg = ClusterConfig(n_workers=2, bandwidth_gbps=1.0, seed=0, **config)
+    return simulate(model, strategy, cfg, iterations=5, warmup=1,
                     trace_utilization=True, obs=obs)
+
+
+def _assert_same_run(watched, plain):
+    assert watched.mean_iteration_time == plain.mean_iteration_time
+    assert watched.throughput == plain.throughput
+    assert watched.events_processed == plain.events_processed
+    np.testing.assert_array_equal(watched.iteration_times,
+                                  plain.iteration_times)
+    assert watched.iterations.records == plain.iterations.records
+    assert (watched.utilization.records ==
+            plain.utilization.records), \
+        "observation must not add, drop, or move any transmission"
 
 
 def test_observed_run_is_bit_identical(tiny_model):
@@ -27,17 +45,65 @@ def test_observed_run_is_bit_identical(tiny_model):
         plain = _run(tiny_model, strategy_factory())
         sess = sim_session()
         watched = _run(tiny_model, strategy_factory(), obs=sess)
-
-        assert watched.mean_iteration_time == plain.mean_iteration_time
-        assert watched.throughput == plain.throughput
-        assert watched.events_processed == plain.events_processed
-        np.testing.assert_array_equal(watched.iteration_times,
-                                      plain.iteration_times)
-        assert watched.iterations.records == plain.iterations.records
-        assert (watched.utilization.records ==
-                plain.utilization.records), \
-            "observation must not add, drop, or move any transmission"
+        _assert_same_run(watched, plain)
         assert len(sess.events()) > 0, "the watched run must record events"
+
+
+@pytest.mark.parametrize("config", [
+    # A link fault makes every channel cancellable: the generic
+    # Channel._start_next/_finish path, not the static closures.
+    dict(fault_plan=FaultPlan((LinkFault(machine=0, rate_factor=0.5,
+                                         start=0.01, duration=0.05),))),
+    # Background tenants enqueue NOISE next to the slices on every TX
+    # and keep the RX channels generic and unfused.
+    dict(background_load=0.3),
+], ids=["fault_plan", "background_load"])
+def test_observed_run_is_bit_identical_on_dynamic_channels(skewed_model,
+                                                           config):
+    plain = _run(skewed_model, p3(), **config)
+    sess = sim_session()
+    watched = _run(skewed_model, p3(), obs=sess, **config)
+    _assert_same_run(watched, plain)
+    counts = sess.recorder.counts_by_kind()
+    assert counts["slice_preempted"] > 0
+    assert counts["slice_enqueued"] == counts["slice_sent"]
+
+
+def test_observer_work_is_linear_in_pops():
+    """The cost shape, not the cost: over a whole vgg19/p3 run every
+    waiting-slice deque sees one append and one popleft per slice its
+    channel sent and is never iterated, and a TX queue offers nothing to
+    iterate it with."""
+
+    class CountingDeque(deque):
+        ops = 0
+
+        def append(self, msg):
+            self.ops += 1
+            super().append(msg)
+
+        def popleft(self):
+            self.ops += 1
+            return super().popleft()
+
+        def __iter__(self):
+            raise AssertionError("the observer scanned its waiting slices")
+
+    assert not hasattr(TxQueue, "pending")
+    sess = sim_session()
+    cluster = ClusterSim(get_model("vgg19"), p3(),
+                         ClusterConfig(n_workers=4, bandwidth_gbps=10.0,
+                                       seed=0), obs=sess)
+    for tx in cluster.tx_channels:
+        tx.observer._waiting = CountingDeque()
+    cluster.run(iterations=1, warmup=0)
+    sent = sess.registry.counter("net.slices_sent").value
+    assert sent > 10_000
+    assert sess.registry.counter("net.preemptions").value > 10_000
+    assert sum(tx.observer._waiting.ops
+               for tx in cluster.tx_channels) == 2 * sent
+    assert all(not tx.observer._waiting and not tx.observer._popped
+               for tx in cluster.tx_channels)
 
 
 def test_observed_events_conform_and_cover_the_run(tiny_model):
