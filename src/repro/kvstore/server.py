@@ -12,11 +12,24 @@ Keys are opaque integers; the worker-side stores (:mod:`.baseline`,
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..training.optim import SGD
+
+
+def scatter_add(accum: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                what: str) -> None:
+    """``accum[indices] += values`` for a sparse contribution (repeated
+    positions accumulate), refusing ragged or out-of-range input."""
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if indices.shape != values.shape:
+        raise ValueError("indices and values must have the same shape")
+    if indices.size and (indices.min() < 0 or indices.max() >= accum.size):
+        raise IndexError(f"sparse indices out of range for {what}")
+    np.add.at(accum, indices, values)
 
 
 class ServerShard:
@@ -56,22 +69,7 @@ class ServerShard:
         contributed) and the update was applied — the moment KVServer
         would notify/broadcast.
         """
-        if key not in self.values:
-            raise KeyError(f"key {key} not on shard {self.sid}")
-        if worker in self._contributed[key]:
-            raise RuntimeError(
-                f"worker {worker} pushed key {key} twice in one round")
-        grad = np.asarray(grad, dtype=np.float64).ravel()
-        if grad.shape != self.values[key].shape:
-            raise ValueError(
-                f"key {key}: gradient shape {grad.shape} != value shape "
-                f"{self.values[key].shape}")
-        self._accum[key] += grad
-        self._contributed[key].add(worker)
-        if len(self._contributed[key]) == self.n_workers:
-            self._apply_update(key)
-            return True
-        return False
+        return self._contribute(worker, key, None, grad)
 
     def push_sparse(self, worker: int, key: int, indices: np.ndarray,
                     values: np.ndarray) -> bool:
@@ -80,19 +78,28 @@ class ServerShard:
         ``indices`` are key-local flat positions.  Returns True when the
         round completed, as :meth:`push` does.
         """
+        return self._contribute(worker, key, indices, values)
+
+    def _contribute(self, worker: int, key: int,
+                    indices: Optional[np.ndarray], values: np.ndarray) -> bool:
+        """The one path a contribution takes — dense (``indices`` is
+        None) or sparse: validate, accumulate, complete the round on the
+        last one."""
         if key not in self.values:
             raise KeyError(f"key {key} not on shard {self.sid}")
         if worker in self._contributed[key]:
             raise RuntimeError(
                 f"worker {worker} pushed key {key} twice in one round")
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must have the same shape")
-        if indices.size and (indices.min() < 0
-                             or indices.max() >= self.values[key].size):
-            raise IndexError(f"sparse indices out of range for key {key}")
-        np.add.at(self._accum[key], indices, values)
+        accum = self._accum[key]
+        if indices is None:
+            values = np.asarray(values, dtype=np.float64).ravel()
+            if values.shape != accum.shape:
+                raise ValueError(
+                    f"key {key}: gradient shape {values.shape} != value "
+                    f"shape {accum.shape}")
+            accum += values
+        else:
+            scatter_add(accum, indices, values, f"key {key}")
         self._contributed[key].add(worker)
         if len(self._contributed[key]) == self.n_workers:
             self._apply_update(key)
@@ -132,11 +139,7 @@ class ServerShard:
     def adopt_key(self, key: int, value: np.ndarray,
                   velocity: np.ndarray | None = None) -> None:
         """Install a migrated key with its optimizer state."""
-        if key in self.values:
-            raise KeyError(f"key {key} already on shard {self.sid}")
-        self.values[key] = np.asarray(value, dtype=np.float64).ravel()
-        self._accum[key] = np.zeros_like(self.values[key])
-        self._contributed[key] = set()
+        self.init_key(key, value)
         self.optimizer.adopt_state(key, velocity)
 
     def pull(self, key: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from ..placement.keyplan import (DEFAULT_SLICE_PARAMS,
                                  plan_keys)
 from ..placement.plan import PlacementSpec, worker_groups
 from ..training.optim import SGD
-from .server import ServerShard
+from .server import ServerShard, scatter_add
 
 
 class DistributedStore:
@@ -105,31 +105,8 @@ class DistributedStore:
 
         ``worker_grads`` holds one ``{name: gradient}`` dict per worker.
         """
-        self._check_ready()
-        if len(worker_grads) != self.n_workers:
-            raise ValueError(f"expected {self.n_workers} gradient dicts")
-        for grads in worker_grads:
-            if set(grads) != set(self._shapes):
-                raise KeyError("gradient names do not match initialized params")
-        if self.groups:
-            # Two-tier: each group's aggregator pushes one partial sum
-            # (members added in worker-id order, exactly as the live
-            # aggregator process does); shards count groups and divide
-            # by the true worker count.
-            contributions = []
-            for members in self.groups:
-                flats = self._flatten(worker_grads[members[0]])
-                for w in members[1:]:
-                    flats = [acc + flat for acc, flat in
-                             zip(flats, self._flatten(worker_grads[w]))]
-                contributions.append(flats)
-        else:
-            contributions = [self._flatten(grads) for grads in worker_grads]
-        for client, flats in enumerate(contributions):
-            for pk in self.transmission_order():
-                self.shards[pk.server].push(
-                    client, pk.key, flats[pk.layer_index][pk.span])
-        return self.pull_all()
+        self._check_round(worker_grads, "gradient")
+        return self._round_dense(worker_grads, self._flatten)
 
     def round_sparse(
         self,
@@ -141,17 +118,14 @@ class DistributedStore:
         with array-local flat indices (the output of
         :meth:`repro.training.dgc.DGCCompressor.compress`).  Each
         contribution is partitioned across the name's key spans, so
-        compression composes with slicing and sharding.
+        compression composes with slicing and sharding.  Under two-tier
+        grouping an aggregator has to densify its members' contributions
+        to sum them, so the shards see one dense partial per group.
         """
-        self._check_ready()
+        self._check_round(worker_sparse, "sparse")
         if self.groups:
-            raise RuntimeError(
-                "sparse rounds are not supported under two_tier grouping")
-        if len(worker_sparse) != self.n_workers:
-            raise ValueError(f"expected {self.n_workers} sparse dicts")
+            return self._round_dense(worker_sparse, self._densify)
         for worker, sparse in enumerate(worker_sparse):
-            if set(sparse) != set(self._shapes):
-                raise KeyError("sparse names do not match initialized params")
             for pk in self.transmission_order():
                 idx, values = sparse[self._names[pk.layer_index]]
                 idx = np.asarray(idx, dtype=np.int64)
@@ -161,6 +135,50 @@ class DistributedStore:
                     worker, pk.key, idx[in_span] - pk.offset,
                     values[in_span])
         return self.pull_all()
+
+    def _check_round(self, per_worker: Sequence[Dict[str, object]],
+                     what: str) -> None:
+        self._check_ready()
+        if len(per_worker) != self.n_workers:
+            raise ValueError(f"expected {self.n_workers} {what} dicts")
+        for contribution in per_worker:
+            if set(contribution) != set(self._shapes):
+                raise KeyError(
+                    f"{what} names do not match initialized params")
+
+    def _round_dense(self, per_worker: Sequence[Dict[str, object]],
+                     flats_of) -> Dict[str, np.ndarray]:
+        """Push one dense contribution per client, where
+        ``flats_of(contribution)`` gives a worker's per-layer flats."""
+        if self.groups:
+            # Two-tier: each group's aggregator pushes one partial sum
+            # (members added in worker-id order, exactly as the live
+            # aggregator node does); shards count groups and divide by
+            # the true worker count.
+            contributions = []
+            for members in self.groups:
+                flats = flats_of(per_worker[members[0]])
+                for w in members[1:]:
+                    flats = [acc + flat for acc, flat in
+                             zip(flats, flats_of(per_worker[w]))]
+                contributions.append(flats)
+        else:
+            contributions = [flats_of(c) for c in per_worker]
+        for client, flats in enumerate(contributions):
+            for pk in self.transmission_order():
+                self.shards[pk.server].push(
+                    client, pk.key, flats[pk.layer_index][pk.span])
+        return self.pull_all()
+
+    def _densify(self, sparse: Dict[str, Tuple[np.ndarray, np.ndarray]]
+                 ) -> List[np.ndarray]:
+        """One worker's sparse contribution as per-layer dense flats."""
+        flats = []
+        for name in self._names:
+            dense = np.zeros(int(np.prod(self._shapes[name])))
+            scatter_add(dense, *sparse[name], f"array {name!r}")
+            flats.append(dense)
+        return flats
 
     def pull_all(self) -> Dict[str, np.ndarray]:
         """Reassemble every parameter array from its shards."""

@@ -214,7 +214,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
                    for w, task in zip(sched.all_workers, worker_tasks)}
         run_end = time.monotonic()
         for srv in servers:
-            await srv.stop()
+            await srv.shutdown(cfg.peer_timeout_s)
         failures = shard_errors()
         if failures:
             raise LiveRunError(f"node failures: {failures}")

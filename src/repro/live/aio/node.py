@@ -1,4 +1,4 @@
-"""Event-loop node plumbing: named peers, watchdogs, reconnect.
+"""Event-loop node plumbing: named peers, the two faces, reconnect.
 
 A :class:`Node` is the shared substrate of every role (worker, server
 shard, aggregator): it owns every :class:`PeerConnection` it dials or
@@ -6,6 +6,19 @@ accepts, an optional listener, and the task bookkeeping for clean
 shutdown — a connection no node owns is a drain task nobody stops.  One
 OS process can host any number of Nodes on one event loop — the
 property that lets a single machine run 64+ workers.
+
+A node talks through at most two **faces**, each written once here:
+
+* the **listener face** (:meth:`Node.listen`) a shard shows its
+  clients: one TX sender per accepted connection, made on its first
+  frame; ``HEARTBEAT`` answered with ``ACK``; ``BYE`` accounted;
+* the **dial face** (:meth:`Node.dial_peers`) a worker shows its
+  shards: one prioritized reliable sender per peer and a watchdog that
+  fails the node when a peer goes silent or a sender dies.
+
+A worker has the dial face, a shard the listener face, an aggregator
+both (a shard to its members, a client to the roots); roles add only
+their protocol handlers, ``_on_client`` / ``_on_reply``.
 
 A :class:`PeerConnection` pairs one :class:`AsyncPrioritySender` with
 one :class:`~repro.live.transport.ReliableReceiver` over an asyncio
@@ -25,11 +38,19 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Coroutine, List, Optional, Union
+from typing import (Callable, Coroutine, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
-from ..transport import ReliableReceiver, TransportError
-from ..wire import Frame, WireMessage
-from .transport import AsyncPrioritySender, open_connection_with_retry
+import numpy as np
+
+from ...obs.events import EventRecorder
+from ...placement.keyplan import PlacedKey
+from ..config import LiveClusterConfig
+from ..transport import (CONTROL_PRIORITY, ReliableReceiver, TokenBucket,
+                         TransportError)
+from ..wire import Frame, WireKind, WireMessage
+from .transport import (AsyncPrioritySender, chaos_policy,
+                        open_connection_with_retry)
 
 #: Read granularity of every connection's read task.
 READ_CHUNK = 65536
@@ -158,18 +179,49 @@ class Node:
     accepts, hosts an optional listener, spawns supervised tasks, and
     tears everything down idempotently.  ``name`` appears in task names
     and error messages so a 100-connection single-process run stays
-    debuggable.
+    debuggable; ``sender_id`` is what the node's frames carry as their
+    sender (worker, shard or group id) and ``machine`` its id in the
+    fault plan's machine numbering.
     """
 
-    def __init__(self, name: str,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, name: str, sender_id: int, machine: int,
+                 cfg: LiveClusterConfig, strategy: Optional[str] = None,
+                 epoch0: Optional[float] = None,
+                 shaper: Optional[TokenBucket] = None) -> None:
         self.name = name
-        self._clock = clock
+        self.cfg = cfg
+        self.strategy = strategy or cfg.strategy
+        self.epoch0 = epoch0 if epoch0 is not None else time.monotonic()
+        self._sender_id = sender_id
+        self._machine = machine
+        self._clock = time.monotonic
+        # Two-tier runs are static: a shard's clients are aggregators and
+        # the membership handshake is skipped entirely.
+        self._handshake = not cfg.two_tier
+        # One bucket across connections and incarnations: the "NIC".
+        # An injected shaper (any object with reserve/refund — e.g. a
+        # repro.tenancy TenantShare) replaces the private bucket so many
+        # nodes can draw from one fair-shared allocation.
+        if shaper is not None:
+            self._shaper = shaper
+        else:
+            self._shaper = (TokenBucket(cfg.rate_bytes_per_s,
+                                        cfg.burst_bytes)
+                            if cfg.rate_bytes_per_s is not None else None)
+        #: Set by the roles whose events the driver collects.
+        self.recorder: Optional[EventRecorder] = None
         #: Every connection this node ever dialled or accepted, dead
         #: incarnations included (their counters feed the run's stats).
         self.conns: List[PeerConnection] = []
+        #: Listener face: client id -> the sender replies to it go out on.
+        self.client_senders: Dict[int, AsyncPrioritySender] = {}
+        # (key, round) -> contributor -> staged gradient vector
+        self._staged: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
+        self.heartbeat_acks = 0
+        self._fifo_seq = 0
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
+        self._wd_task: Optional[asyncio.Task] = None
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -193,46 +245,166 @@ class Node:
         """Record the node's first failure and hang up on its peers."""
         raise NotImplementedError
 
-    async def listen(self, host: str,
-                     on_message: Callable[[PeerConnection, WireMessage], None],
-                     sender_for: Callable[[PeerConnection, int],
-                                          AsyncPrioritySender],
-                     on_eof: Callable[[PeerConnection], None]) -> int:
+    def _make_sender(self, writer: asyncio.StreamWriter,
+                     peer_machine: int) -> AsyncPrioritySender:
+        """The one way a node builds a TX sender, whichever face asks."""
+        return AsyncPrioritySender(
+            writer, sender_id=self._sender_id, shaper=self._shaper,
+            chunk_bytes=self.cfg.chunk_bytes, recorder=self.recorder,
+            node=self.name, retry=self.cfg.retry_policy(self._machine),
+            chaos=chaos_policy(self.cfg.fault_plan, self._machine,
+                               peer_machine, self.epoch0))
+
+    def _priority(self, pk: PlacedKey) -> int:
+        if self.strategy == "p3":
+            return pk.priority
+        self._fifo_seq += 1
+        return self._fifo_seq  # FIFO: priority == enqueue order
+
+    def _unexpected(self, conn: PeerConnection,
+                    msg: WireMessage) -> RuntimeError:
+        """What a handler raises for a kind it has no business getting:
+        the read task dies with it and the EOF hook fails the node."""
+        return RuntimeError(f"{self.name}: unexpected {msg.kind.name} from "
+                            f"{conn.name} (sender id {msg.sender})")
+
+    def _on_eof(self, conn: PeerConnection) -> None:
+        """Either face: a connection ended that this node did not close.
+        (A shard never says ``BYE`` to those who dialled it.)"""
+        if conn.error is not None:
+            self._fail(f"receive path from {conn.name} failed: "
+                       f"{conn.error!r}")
+        elif not conn.saw_bye and not self._stopped:
+            self._fail(f"{conn.name} closed the connection without BYE "
+                       "— peer died mid-protocol?")
+
+    def _stage(self, msg: WireMessage) -> Dict[int, np.ndarray]:
+        """Stage one ``PUSH`` under its (key, round) by contributor and
+        return that round's pushes so far: rounds are applied whole, in
+        contributor order, whatever order the wire delivered them in."""
+        staged = self._staged.setdefault((msg.key, msg.iteration), {})
+        if msg.sender in staged:
+            raise RuntimeError(
+                f"{self.name}: client {msg.sender} double-pushed key "
+                f"{msg.key} @ round {msg.iteration}")
+        staged[msg.sender] = msg.array()
+        return staged
+
+    # ------------------------------------------------------------------
+    # Listener face: what a shard shows its clients
+    # ------------------------------------------------------------------
+    async def listen(self, client_machine: Callable[[int], int]) -> int:
         """Bind an ephemeral port and own every connection accepted on
         it; return the port (reported to the driver).
 
-        A listener only learns which peer a connection belongs to from
-        its frames: ``sender_for(conn, peer_id)`` supplies the
-        connection's TX sender on first use.
+        ``client_machine`` maps a client id to its machine (for the
+        fault plan).  Protocol messages reach the role's synchronous
+        ``_on_client(conn, msg)``, which refuses kinds it does not know.
         """
+        self._client_machine = client_machine
+
         def accept(reader: asyncio.StreamReader,
                    writer: asyncio.StreamWriter) -> None:
             conn = PeerConnection(
                 f"{self.name}-conn{len(self.conns)}", reader, writer,
-                on_message=on_message,
-                sender_for=lambda frame: sender_for(conn, frame.sender),
-                on_eof=on_eof, clock=self._clock, accepted=True)
+                on_message=self._from_client,
+                sender_for=lambda frame: self.client_sender(conn,
+                                                            frame.sender),
+                on_eof=self._on_eof, clock=self._clock,
+                accepted=True)
             self.conns.append(conn)
 
-        self._listener = await asyncio.start_server(accept, host, 0)
+        self._listener = await asyncio.start_server(accept, self.cfg.host, 0)
         return self._listener.sockets[0].getsockname()[1]
 
-    async def dial(self, peer_name: str, host: str, port: int,
-                   timeout_s: float,
-                   make_sender: Callable[[asyncio.StreamWriter],
-                                         AsyncPrioritySender],
-                   on_message: Callable[[PeerConnection, WireMessage], None],
-                   on_eof: Optional[Callable[[PeerConnection], None]] = None,
-                   ) -> PeerConnection:
-        """Connect to a named peer and own the connection."""
-        reader, writer = await open_connection_with_retry(host, port,
-                                                          timeout_s)
-        conn = PeerConnection(peer_name, reader, writer,
-                              on_message=on_message,
-                              sender=make_sender(writer),
-                              on_eof=on_eof, clock=self._clock)
-        self.conns.append(conn)
-        return conn
+    def client_sender(self, conn: PeerConnection,
+                      client: int) -> AsyncPrioritySender:
+        """The connection's TX sender, created on its first frame (a
+        listener only learns which client a connection belongs to from
+        the frames themselves)."""
+        if conn.sender is None:
+            conn.sender = self._make_sender(conn.writer,
+                                            self._client_machine(client))
+            # Latest connection wins: a rejoining worker's fresh link
+            # replaces its dead incarnation's sender.
+            self.client_senders[client] = conn.sender
+        return conn.sender
+
+    def _from_client(self, conn: PeerConnection, msg: WireMessage) -> None:
+        if msg.kind is WireKind.HEARTBEAT:
+            self.client_sender(conn, msg.sender).send(
+                WireKind.ACK, msg.key, msg.iteration, CONTROL_PRIORITY)
+        elif msg.kind is WireKind.BYE:
+            conn.saw_bye = True
+            self._on_bye()
+        else:
+            self._on_client(conn, msg)
+
+    def _on_bye(self) -> None:
+        """A client finished cleanly (a role that ends with its clients
+        counts these)."""
+
+    # ------------------------------------------------------------------
+    # Dial face: what a worker shows its shards
+    # ------------------------------------------------------------------
+    async def dial_peers(self, addresses: Sequence[Tuple[str, int]],
+                         peer_machine: Callable[[int], int]
+                         ) -> List[PeerConnection]:
+        """Connect to every address as ``server{i}``, each connection
+        with its own prioritized reliable sender, and watch them all.
+        Replies reach the role's synchronous ``_on_reply(conn, msg)``,
+        which refuses kinds it does not know."""
+        conns = []
+        for i, (host, port) in enumerate(addresses):
+            reader, writer = await open_connection_with_retry(
+                host, port, self.cfg.connect_timeout_s)
+            conn = PeerConnection(
+                f"server{i}", reader, writer, on_message=self._from_peer,
+                sender=self._make_sender(writer, peer_machine(i)),
+                on_eof=self._on_eof, clock=self._clock)
+            self.conns.append(conn)
+            conns.append(conn)
+        self._wd_task = self.spawn(self._watchdog(conns))
+        return conns
+
+    async def _watchdog(self, conns: List[PeerConnection]) -> None:
+        """Probe liveness; raising fails the node (:meth:`spawn`)."""
+        seq = 0
+        while True:
+            await asyncio.sleep(self.cfg.heartbeat_interval_s)
+            now = self._clock()
+            for conn in conns:
+                if conn.sender.failed:
+                    raise TransportError(
+                        f"{self.name}: transport to {conn.name} failed: "
+                        f"{conn.sender.failure}")
+                stale = now - conn.last_rx
+                if stale > self.cfg.peer_timeout_s:
+                    raise TransportError(
+                        f"{self.name}: no bytes from {conn.name} for "
+                        f"{stale:.1f}s (peer_timeout_s="
+                        f"{self.cfg.peer_timeout_s}) — peer dead?")
+                conn.sender.send(WireKind.HEARTBEAT, 0, seq,
+                                 CONTROL_PRIORITY)
+            seq += 1
+
+    def _from_peer(self, conn: PeerConnection, msg: WireMessage) -> None:
+        if msg.kind is WireKind.ACK:
+            self.heartbeat_acks += 1  # answers the watchdog's probe
+        else:
+            self._on_reply(conn, msg)
+
+
+    def transport_stats(self) -> Dict[str, int]:
+        """Aggregated reliability/chaos counters across every connection
+        (and incarnation) of this node."""
+        totals: Dict[str, int] = {}
+        for conn in self.conns:
+            for part in (conn.sender, conn.receiver):
+                if part is not None:
+                    for name, value in part.stats().items():
+                        totals[name] = totals.get(name, 0) + value
+        return totals
 
     async def shutdown(self, flush_timeout_s: float = 30.0) -> None:
         """Graceful teardown; returns once nothing of this node runs.

@@ -1,5 +1,6 @@
 """Asyncio parameter-server shard (repro.live.aio).
 
+A :class:`~repro.live.aio.node.Node` showing only its listener face.
 Stages pushes per (key, round, worker) and applies each complete round
 with its contributors in rank order onto the in-process oracle's own
 functional :class:`~repro.kvstore.server.ServerShard` — which is what
@@ -36,7 +37,6 @@ from ..membership import EpochTracker, MembershipSchedule
 from ..transport import CONTROL_PRIORITY, TokenBucket
 from ..wire import WireKind, WireMessage, encode_array
 from .node import Node, PeerConnection
-from .transport import AsyncPrioritySender, chaos_policy
 
 
 class AioServerShard(Node):
@@ -48,39 +48,22 @@ class AioServerShard(Node):
                  strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
-        super().__init__(f"server{shard_id}")
+        super().__init__(f"server{shard_id}", shard_id,
+                         cfg.server_machine(shard_id), cfg, strategy, epoch0,
+                         shaper)
         self.sid = shard_id
-        self.cfg = cfg
-        self.strategy = strategy or cfg.strategy
-        self.epoch0 = epoch0 if epoch0 is not None else time.monotonic()
         self.shard = shard
         self.plans = plans
         self.schedule = schedule
         self.coordinator = coordinator
-        # Two-tier runs are static: clients are aggregators and the
-        # membership handshake is skipped entirely.
-        self._handshake = not cfg.two_tier
-        self.n_clients = cfg.n_server_clients
-        self._client_machine = (cfg.aggregator_machine if cfg.two_tier
-                                else cfg.worker_machine)
         self.tracker = EpochTracker(schedule)
         self.my_keys = plans[0].on_server(shard_id)
         self.version: Dict[int, int] = {k: 0 for k in self.my_keys}
-        # key -> iteration -> worker -> staged gradient
-        self._staged: Dict[int, Dict[int, Dict[int, np.ndarray]]] = {}
         # key -> list of (iteration, worker, priority) awaiting a value
         self._waiting: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._senders: Dict[int, AsyncPrioritySender] = {}
         self._ready = asyncio.Event()
         self.error: Optional[str] = None
         self.pushes_received = 0
-        self.heartbeats_seen = 0
-        if shaper is not None:
-            self._shaper = shaper
-        else:
-            self._shaper = (TokenBucket(cfg.rate_bytes_per_s,
-                                        cfg.burst_bytes)
-                            if cfg.rate_bytes_per_s is not None else None)
         self.recorder = (EventRecorder("live", clock=time.monotonic)
                          if cfg.observe else None)
 
@@ -89,40 +72,12 @@ class AioServerShard(Node):
     # ------------------------------------------------------------------
     async def start(self) -> int:
         """Bind, start serving and (if elastic-capable) tracking epochs."""
-        port = await self.listen(self.cfg.host, self._on_message,
-                                 self._conn_sender, self._on_eof)
+        port = await self.listen(self.cfg.aggregator_machine
+                                 if self.cfg.two_tier
+                                 else self.cfg.worker_machine)
         if self._handshake:
             self.spawn(self._membership_loop())
         return port
-
-    async def stop(self) -> None:
-        await self.shutdown(self.cfg.peer_timeout_s)
-
-    def _conn_sender(self, conn: PeerConnection,
-                     worker: int) -> AsyncPrioritySender:
-        """The connection's TX sender, created on its first frame (a
-        server only learns which worker a connection belongs to from the
-        frames themselves)."""
-        if conn.sender is None:
-            machine = self.cfg.server_machine(self.sid)
-            peer = self._client_machine(worker)
-            conn.sender = AsyncPrioritySender(
-                conn.writer, sender_id=self.sid, shaper=self._shaper,
-                chunk_bytes=self.cfg.chunk_bytes, recorder=self.recorder,
-                node=self.name, retry=self.cfg.retry_policy(machine),
-                chaos=chaos_policy(self.cfg.fault_plan, machine, peer,
-                                   self.epoch0))
-            # Latest connection wins: a rejoining worker's fresh link
-            # replaces its dead incarnation's sender.
-            self._senders[worker] = conn.sender
-        return conn.sender
-
-    def _on_eof(self, conn: PeerConnection) -> None:
-        if conn.error is not None:
-            self._fail(f"reader failed: {conn.error!r}")
-        elif not conn.saw_bye and not self._stopped:
-            self._fail("worker connection closed without BYE "
-                       "— worker died mid-protocol?")
 
     def _fail(self, reason: str) -> None:
         """A failed shard hangs up on everyone, as a dead process would:
@@ -136,34 +91,26 @@ class AioServerShard(Node):
     # ------------------------------------------------------------------
     # Message handling (synchronous — called from read tasks)
     # ------------------------------------------------------------------
-    def _on_message(self, conn: PeerConnection, msg: WireMessage) -> None:
+    def _on_client(self, conn: PeerConnection, msg: WireMessage) -> None:
         if msg.kind is WireKind.PUSH:
             self._on_push(msg)
         elif msg.kind is WireKind.PULL_REQ:
             self._on_pull(msg)
-        elif msg.kind is WireKind.HEARTBEAT:
-            self.heartbeats_seen += 1
-            self._conn_sender(conn, msg.sender).send(
-                WireKind.ACK, msg.key, msg.iteration, CONTROL_PRIORITY)
         elif msg.kind is WireKind.JOIN:
             self.tracker.note_join(msg.sender, msg.key)
-            self._senders[msg.sender] = self._conn_sender(conn, msg.sender)
             self._check_ready()
         elif msg.kind is WireKind.LEAVE:
             self.tracker.note_leave(msg.sender, msg.key)
             self._check_ready()
-        elif msg.kind is WireKind.BYE:
-            conn.saw_bye = True
         else:
-            raise RuntimeError(f"shard {self.sid}: unexpected "
-                               f"{msg.kind.name} from worker {msg.sender}")
+            raise self._unexpected(conn, msg)
 
     def _contributors(self, round_idx: int) -> Tuple[int, ...]:
         """Who must push for ``round_idx`` (workers, or groups under
         two-tier), in the application's accumulation order."""
         if self._handshake:
             return self.schedule.active(self.schedule.round_epoch(round_idx))
-        return tuple(range(self.n_clients))
+        return tuple(range(self.cfg.n_server_clients))
 
     def rounds_applied(self) -> int:
         """Globally applied rounds on this shard: every owned key is at
@@ -184,15 +131,8 @@ class AioServerShard(Node):
                 f"shard {self.sid}: push for round {msg.iteration} "
                 f"before its epoch committed (current="
                 f"{self.tracker.current}) — worker ignored the EPOCH gate")
-        grad = msg.array()
+        self._stage(msg)
         self.pushes_received += 1
-        staged = self._staged.setdefault(msg.key, {}).setdefault(
-            msg.iteration, {})
-        if msg.sender in staged:
-            raise RuntimeError(
-                f"shard {self.sid}: worker {msg.sender} double-pushed "
-                f"key {msg.key} @ iteration {msg.iteration}")
-        staged[msg.sender] = grad
         self._apply_ready(msg.key)
 
     def _apply_ready(self, key: int) -> None:
@@ -203,13 +143,13 @@ class AioServerShard(Node):
             round_idx = self.version[key]
             contributors = self._contributors(round_idx) \
                 if round_idx < self.schedule.total_rounds else ()
-            ready = self._staged.get(key, {}).get(round_idx)
+            ready = self._staged.get((key, round_idx))
             if not contributors or ready is None \
                     or len(ready) < len(contributors):
                 break
             for rank, worker in enumerate(contributors):
                 self.shard.push(rank, key, ready[worker])
-            del self._staged[key][round_idx]
+            del self._staged[(key, round_idx)]
             self.version[key] = round_idx + 1
             if self.recorder is not None:
                 pk = self.my_keys[key]
@@ -232,8 +172,8 @@ class AioServerShard(Node):
                     still_waiting.append((iteration, worker, priority))
             self._waiting[key] = still_waiting
         for worker, iteration, priority, value in responses:
-            self._senders[worker].send(WireKind.PULL_RESP, key, iteration,
-                                       priority, value)
+            self.client_senders[worker].send(
+                WireKind.PULL_RESP, key, iteration, priority, value)
         if self._handshake:
             self._check_ready()
 
@@ -243,7 +183,7 @@ class AioServerShard(Node):
                            f"here (epoch {self.tracker.current})")
         if self.version[msg.key] > msg.iteration:
             value = encode_array(self.shard.pull(msg.key))
-            self._senders[msg.sender].send(
+            self.client_senders[msg.sender].send(
                 WireKind.PULL_RESP, msg.key, msg.iteration, msg.priority,
                 value)
         else:
@@ -273,7 +213,7 @@ class AioServerShard(Node):
             await self.coordinator.seal(self.sid, epoch)
             self._install_epoch(epoch)
             for worker in self.schedule.active(epoch):
-                self._senders[worker].send(
+                self.client_senders[worker].send(
                     WireKind.EPOCH, epoch, self.schedule.first_round(epoch),
                     CONTROL_PRIORITY)
 
@@ -289,12 +229,12 @@ class AioServerShard(Node):
     def export_live_key(self, key: int) -> Tuple[np.ndarray,
                                                  Optional[np.ndarray], int]:
         """Hand off one key's full live state: value, momentum, version."""
-        staged = self._staged.pop(key, {})
+        staged = sorted(r for k, r in self._staged if k == key)
         waiting = self._waiting.pop(key, [])
         if staged or waiting:
             raise RuntimeError(
                 f"shard {self.sid}: key {key} migrating with pending "
-                f"traffic (staged={sorted(staged)}, waiting={waiting}) — "
+                f"traffic (staged={staged}, waiting={waiting}) — "
                 "the JOIN/LEAVE barrier should have drained it")
         value, velocity = self.shard.export_key(key)
         return value, velocity, self.version.pop(key)
@@ -305,14 +245,3 @@ class AioServerShard(Node):
         self.shard.adopt_key(key, value, velocity)
         self.version[key] = version
 
-    # ------------------------------------------------------------------
-    def transport_stats(self) -> Dict[str, int]:
-        """Aggregated reliability/chaos counters across connections."""
-        totals: Dict[str, int] = {}
-        for sender in self._senders.values():
-            for name, value in sender.stats().items():
-                totals[name] = totals.get(name, 0) + value
-        for conn in self.conns:
-            for name, value in conn.receiver.stats().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals

@@ -1,5 +1,6 @@
 """Asyncio training worker (repro.live.aio).
 
+A :class:`~repro.live.aio.node.Node` showing only its dial face.
 Gated forward (layer *i* waits only on its own parameters), real
 gradients, backward emission last-layer-first at P3 or FIFO priorities
 — as coroutines, so that 64+ workers cohabit one process — plus the
@@ -25,17 +26,16 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ...obs.events import EventKind, EventRecorder
-from ...placement.keyplan import KeyTable, PlacedKey
+from ...placement.keyplan import KeyTable
 from ..config import LiveClusterConfig
 from ..membership import MembershipSchedule
 from ..transport import (
     BARRIER_PRIORITY,
-    CONTROL_PRIORITY,
     ChunkRecord,
     TokenBucket,
     TransportError,
@@ -43,7 +43,6 @@ from ..transport import (
 from ..result import LiveWorkerError
 from ..wire import WireKind, WireMessage, encode_array
 from .node import Node, PeerConnection
-from .transport import AsyncPrioritySender, chaos_policy
 
 
 class AioWorker(Node):
@@ -54,46 +53,34 @@ class AioWorker(Node):
                  strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
-        super().__init__(f"worker{worker_id}")
+        super().__init__(f"worker{worker_id}", worker_id,
+                         cfg.worker_machine(worker_id), cfg, strategy, epoch0,
+                         shaper)
         self.wid = worker_id
-        self.cfg = cfg
-        self.strategy = strategy or cfg.strategy
-        self.epoch0 = epoch0 if epoch0 is not None else time.monotonic()
         self.plans = plans
         self.schedule = schedule
         self.net = cfg.build_network()
         self.dataset = cfg.build_dataset()
         self.batches = cfg.batch_schedule()
-        self._handshake = not cfg.two_tier
         # Key geometry (layers/spans/priorities) is epoch-invariant; only
         # the server column moves.  Plan 0 serves for gathers.
         self.plan = plans[0]
         self.shapes = {name: value.shape  # forward order
                        for name, value in self.net.parameters().items()}
         self.names = list(self.shapes)
-        if cfg.two_tier:
+        if cfg.two_tier:  # one peer for every key: the group's aggregator
+            agg = cfg.aggregator_machine(cfg.group_of(worker_id))
             self._route = [0] * cfg.n_servers
+            self._peer_machine = lambda _i: agg
         else:
             self._route = list(range(cfg.n_servers))
+            self._peer_machine = cfg.server_machine
         # Inbox of reassembled parameter slices: (key, iteration) -> vector
         self._pulled: Dict[Tuple[int, int], np.ndarray] = {}
         self._epoch_acks: Dict[int, Set[int]] = {}
         self._notify = asyncio.Event()
         self._error: Optional[BaseException] = None
-        self._acks = 0
-        self._fifo_seq = 0
-        # One bucket across connections and incarnations: the "NIC".
-        # An injected shaper (any object with reserve/refund — e.g. a
-        # repro.tenancy TenantShare) replaces the private bucket so many
-        # nodes can draw from one fair-shared allocation.
-        if shaper is not None:
-            self._shaper = shaper
-        else:
-            self._shaper = (TokenBucket(cfg.rate_bytes_per_s,
-                                        cfg.burst_bytes)
-                            if cfg.rate_bytes_per_s is not None else None)
         self._conns: List[PeerConnection] = []  # this incarnation's
-        self._wd_task: Optional[asyncio.Task] = None
         self.iter_starts: List[float] = []
         self.iter_end: float = 0.0
         self.recorder = (EventRecorder("live", clock=time.monotonic)
@@ -102,30 +89,21 @@ class AioWorker(Node):
     # ------------------------------------------------------------------
     # Receive path (synchronous, called by read tasks)
     # ------------------------------------------------------------------
-    def _on_message(self, conn: PeerConnection, msg: WireMessage) -> None:
+    def _on_reply(self, conn: PeerConnection, msg: WireMessage) -> None:
         if msg.kind is WireKind.PULL_RESP:
             self._pulled[(msg.key, msg.iteration)] = msg.array()
-        elif msg.kind is WireKind.ACK:
-            self._acks += 1
         elif msg.kind is WireKind.EPOCH:
             self._epoch_acks.setdefault(msg.key, set()).add(msg.sender)
         else:
-            self._fail(LiveWorkerError(
-                f"worker {self.wid}: unexpected {msg.kind.name} "
-                f"from {conn.name}"))
+            raise self._unexpected(conn, msg)
         self._notify.set()
 
-    def _on_eof(self, conn: PeerConnection) -> None:
-        if not conn.closed and not self._stopped:
-            self._fail(LiveWorkerError(
-                f"worker {self.wid}: {conn.name} closed the connection "
-                "mid-run" if conn.error is None else
-                f"worker {self.wid}: receive path from {conn.name} "
-                f"failed: {conn.error!r}"))
-
-    def _fail(self, exc: BaseException) -> None:
+    def _fail(self, reason: Union[str, BaseException]) -> None:
+        """The training loop raises the first failure at its next wait
+        (and hangs up then); nothing is torn down from a read task."""
         if self._error is None:
-            self._error = exc
+            self._error = (reason if isinstance(reason, BaseException) else
+                           LiveWorkerError(f"worker {self.wid}: {reason}"))
         self._notify.set()
 
     async def _wait_for(self, pred, what: str) -> float:
@@ -153,48 +131,8 @@ class AioWorker(Node):
                 pass
 
     # ------------------------------------------------------------------
-    # Connections / watchdog (one incarnation = one span)
+    # Connections (one incarnation = one span)
     # ------------------------------------------------------------------
-    async def _connect(self, addresses: List[Tuple[str, int]]) -> None:
-        machine = self.cfg.worker_machine(self.wid)
-        self._conns = []
-        for sid, (host, port) in enumerate(addresses):
-            peer = (self.cfg.aggregator_machine(self.cfg.group_of(self.wid))
-                    if self.cfg.two_tier else self.cfg.server_machine(sid))
-            conn = await self.dial(
-                f"server{sid}", host, port, self.cfg.connect_timeout_s,
-                make_sender=lambda writer, peer=peer: AsyncPrioritySender(
-                    writer, sender_id=self.wid, shaper=self._shaper,
-                    chunk_bytes=self.cfg.chunk_bytes,
-                    recorder=self.recorder, node=self.name,
-                    retry=self.cfg.retry_policy(machine),
-                    chaos=chaos_policy(self.cfg.fault_plan, machine, peer,
-                                       self.epoch0)),
-                on_message=self._on_message, on_eof=self._on_eof)
-            self._conns.append(conn)
-        self._wd_task = self.spawn(self._watchdog(list(self._conns)))
-
-    async def _watchdog(self, conns: List[PeerConnection]) -> None:
-        """Probe liveness; raising fails the worker (:meth:`Node.spawn`)."""
-        seq = 0
-        while True:
-            await asyncio.sleep(self.cfg.heartbeat_interval_s)
-            now = self._clock()
-            for conn in conns:
-                if conn.sender.failed:
-                    raise LiveWorkerError(
-                        f"worker {self.wid}: transport to {conn.name} "
-                        f"failed: {conn.sender.failure}")
-                stale = now - conn.last_rx
-                if stale > self.cfg.peer_timeout_s:
-                    raise LiveWorkerError(
-                        f"worker {self.wid}: no bytes from {conn.name} "
-                        f"for {stale:.1f}s (peer_timeout_s="
-                        f"{self.cfg.peer_timeout_s}) — peer dead?")
-                conn.sender.send(WireKind.HEARTBEAT, 0, seq,
-                                 CONTROL_PRIORITY)
-            seq += 1
-
     async def _disconnect(self, leave_epoch: Optional[int]) -> None:
         """End an incarnation: optional LEAVE, then BYE, flush, close.
 
@@ -236,7 +174,8 @@ class AioWorker(Node):
                 f"worker {self.wid} appears in no epoch of the schedule")
         try:
             for e0, e1 in spans:
-                await self._connect(addresses)
+                self._conns = await self.dial_peers(addresses,
+                                                    self._peer_machine)
                 leaves = (e1 if e1 + 1 < self.schedule.n_epochs else None)
                 try:
                     await self._run_span(params, e0, e1)
@@ -322,12 +261,6 @@ class AioWorker(Node):
                             encode_array(grad[pk.span]))
                 sender.send(WireKind.PULL_REQ, pk.key, t, prio)
 
-    def _priority(self, pk: PlacedKey) -> int:
-        if self.strategy == "p3":
-            return pk.priority
-        self._fifo_seq += 1
-        return self._fifo_seq  # FIFO: priority == enqueue order
-
     async def _gather_layer(self, params: Dict[str, np.ndarray], layer: int,
                             iteration: int) -> float:
         """Await every slice of the layer's round; splice in.  Returns
@@ -344,10 +277,6 @@ class AioWorker(Node):
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    @property
-    def heartbeat_acks(self) -> int:
-        return self._acks
-
     def iteration_times(self) -> np.ndarray:
         """Per-iteration durations (final-gather end closes the last)."""
         stamps = self.iter_starts + [self.iter_end]
@@ -355,21 +284,9 @@ class AioWorker(Node):
 
     def timeline(self) -> List[ChunkRecord]:
         out: List[ChunkRecord] = []
-        for conn in self.conns:
-            if conn.sender is not None:
-                out.extend(conn.sender.timeline)
+        for conn in self.conns:  # all dialled: each has its sender
+            out.extend(conn.sender.timeline)
         return sorted(out, key=lambda r: r.start)
-
-    def transport_stats(self) -> Dict[str, int]:
-        """Aggregated reliability/chaos counters across incarnations."""
-        totals: Dict[str, int] = {}
-        for conn in self.conns:
-            if conn.sender is not None:
-                for name, value in conn.sender.stats().items():
-                    totals[name] = totals.get(name, 0) + value
-            for name, value in conn.receiver.stats().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
 
     def result(self, final: Dict[str, np.ndarray]) -> Dict[str, object]:
         """The driver-facing record of this worker's run."""

@@ -7,31 +7,33 @@ single combined push travels on to the root PS shard.  Root fan-in per
 key drops from W pushes to W/g, at the cost of one extra hop for every
 non-lead worker.
 
-The aggregator mirrors the server shard's single-consumer pipeline: a
-group-complete key becomes one combination job (CPU cost modelled with
-the same ``update_bytes_per_s`` rate), and the finished partial travels
-upstream with ``sender_worker`` set to the *group id* — root shards
-count groups, not workers.
+The aggregator has no pipeline of its own.  Facing its members it *is*
+a shard (:class:`~repro.sim.server.SimServerShard`) whose clients are
+the group: the same push counting, work queue and timed job (a
+combination costs what an update over ``group_size`` contributions
+costs), the same receipt ``ACK`` under credit flow control, pause and
+resume, and the same parked-pull bookkeeping.  Facing the roots it is
+one client whose id is the *group id* — root shards count groups, not
+workers.  Two things differ from a shard, and only they live here:
 
-Downstream traffic reverses through the same node: ``PARAM`` broadcasts
-fan out to the group's members, ``NOTIFY`` control forwards likewise,
-and ``PULL_REQ``\\ s deduplicate — the first member pull of a round goes
-upstream, the returned value is cached and served to every member, and
-the cache is dropped once the whole group consumed it.  Per-key rounds
-are strictly ordered at the aggregator (a member cannot push round
-``t+1`` before consuming round ``t``), which is what makes the
-single-slot cache sufficient.
+* a finished job is not an applied update but a partial sum, so it
+  leaves as one ``PUSH`` upstream and nothing is applied or replied;
+* replies start when the root answers.  Its ``PARAM`` broadcast and
+  ``NOTIFY`` fan out to the members as a shard's own would; member
+  ``PULL_REQ``\\ s deduplicate — the first of a round goes upstream, the
+  returned value serves the parked pulls, stays for the late ones and
+  is dropped once the whole group consumed it.  Per-key rounds are
+  strictly ordered here (a member cannot push round ``t+1`` before
+  consuming round ``t``), which is what makes one slot per key enough.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from ..strategies.base import PullPolicy
 from .network import Message, MsgKind, Role
+from .server import SimServerShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ClusterSim
@@ -40,166 +42,63 @@ _PUSH = MsgKind.PUSH
 _PARAM = MsgKind.PARAM
 _NOTIFY = MsgKind.NOTIFY
 _PULL_REQ = MsgKind.PULL_REQ
+_ACK = MsgKind.ACK
 
 
-class SimAggregator:
-    """State machine for one group's combine/forward pipeline."""
+class SimAggregator(SimServerShard):
+    """One group's aggregator: shard to its members, client to the roots."""
 
     def __init__(self, ctx: "ClusterSim", group_id: int) -> None:
-        self.ctx = ctx
         self.gid = group_id
         self.members: List[int] = list(ctx.groups[group_id])
-        self.group_size = len(self.members)
-        self.machine = ctx.aggregator_machine(group_id)
-        self.prioritized = ctx.strategy.prioritized
-        self._broadcast = ctx.strategy.pull_policy is PullPolicy.BROADCAST
-
-        self._after = ctx.sim.after
-        self._transport = ctx.transport
-        self._job_done_cb = self._job_done
-        self._update_rate = ctx.config.update_bytes_per_s
-        self._per_update = ctx.config.per_update_s
+        self._init_pipeline(
+            ctx, f"agg{group_id}", ctx.aggregator_machine(group_id), ctx.keys,
+            self.members, {w: ctx.worker_machine(w) for w in self.members},
+            Role.WORKER)
         self._push_payload = ctx.push_payload
-        self._key_priority = {k: pk.priority for k, pk in ctx.keys.items()}
-        self._key_bytes = {k: pk.bytes for k, pk in ctx.keys.items()}
-        self._param_payload = {
-            k: max(1, int(pk.bytes * ctx.strategy.param_scale))
-            for k, pk in ctx.keys.items()}
-        self._root_machine = {k: ctx.server_machine(pk.server)
-                              for k, pk in ctx.keys.items()}
-        self._member_machine = [ctx.worker_machine(w) for w in self.members]
+        self._root_machine = ctx.key_server_machine
 
-        # Upstream combine pipeline (single consumer, like the shard's).
-        self.push_count: Dict[int, int] = {k: 0 for k in ctx.keys}
-        self._fifo: Deque[int] = deque()
-        self._heap: List[Tuple[int, int, int]] = []
-        self._seq = itertools.count()
-        self.busy = False
-        if self.prioritized:
-            heap = self._heap
-            prio = self._key_priority
-
-            def _qpush(key: int, _push=heapq.heappush, _heap=heap,
-                       _prio=prio, _next=self._seq.__next__) -> None:
-                _push(_heap, (_prio[key], _next(), key))
-
-            def _qpop(_pop=heapq.heappop, _heap=heap) -> int:
-                return _pop(_heap)[2]
-
-            self._queue_push = _qpush
-            self._queue_pop = _qpop
-            self._queue_backing: object = heap
-        else:
-            fifo = self._fifo
-            self._queue_push = fifo.append
-            self._queue_pop = fifo.popleft
-            self._queue_backing = fifo
-
-        # Downstream pull round state (NOTIFY_PULL only): members whose
-        # pulls are parked, whether the round's value arrived, and how
-        # many members consumed it.
-        self._pull_waiting: Dict[int, List[int]] = {k: [] for k in ctx.keys}
-        self._param_cached: Dict[int, bool] = {k: False for k in ctx.keys}
-        self._pulls_served: Dict[int, int] = {k: 0 for k in ctx.keys}
-
-        self.combines_done = 0
-
-    # ------------------------------------------------------------------
-    # Message handling
-    # ------------------------------------------------------------------
     def on_message(self, msg: Message) -> None:
         kind = msg.kind
         if kind is _PUSH:
             self._on_push(msg)
-        elif kind is _PARAM:
-            self._on_param(msg)
-        elif kind is _NOTIFY:
-            self._forward_control(_NOTIFY, msg.key)
         elif kind is _PULL_REQ:
             self._on_pull(msg)
-        else:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"aggregator received unexpected {msg}")
+        elif kind is _PARAM or kind is _NOTIFY:
+            self._on_root_reply(msg)
+        elif kind is not _ACK:  # pragma: no cover - protocol violation
+            # (An ACK is the root's receipt of our combined push under
+            # credit flow control; the credit windows are the members'.)
+            raise RuntimeError(f"{self.name} received unexpected {msg}")
 
-    # -- upstream: combine member pushes ------------------------------
-    def _on_push(self, msg: Message) -> None:
-        counts = self.push_count
-        n = counts[msg.key] + 1
-        if n == self.group_size:
-            counts[msg.key] = 0
-            self._queue_push(msg.key)
-            if not self.busy:
-                self._next_job()
-        else:
-            counts[msg.key] = n
-
-    def _next_job(self) -> None:
-        key = self._queue_pop()
-        self.busy = True
-        dur = (self._key_bytes[key] * self.group_size / self._update_rate
-               + self._per_update)
-        self._after(dur, self._job_done_cb, key)
-
-    def _job_done(self, key: int) -> None:
-        self.busy = False
-        self.combines_done += 1
+    # -- client face: towards the root shards -------------------------
+    def _to_root(self, kind: MsgKind, key: int, payload: int) -> None:
         self._transport.send(Message(
-            MsgKind.PUSH, key, self._push_payload[key],
-            self._key_priority[key], self.machine, self._root_machine[key],
-            Role.SERVER, self.gid,
+            kind, key, payload, self._key_priority[key], self.machine,
+            self._root_machine[key], Role.SERVER, self.gid,
         ))
-        if self._queue_backing:
-            self._next_job()
 
-    # -- downstream: fan parameters back out --------------------------
-    def _on_param(self, msg: Message) -> None:
-        key = msg.key
-        if self._broadcast:
-            # BROADCAST round: nobody pulls, everybody receives.
-            for machine in self._member_machine:
-                self._send_param(key, machine)
-            return
-        # NOTIFY_PULL round: serve parked pulls, cache for late ones.
-        waiting = self._pull_waiting[key]
-        for worker in waiting:
-            self._send_param(key, self.ctx.worker_machine(worker))
-        served = self._pulls_served[key] + len(waiting)
-        waiting.clear()
-        if served >= self.group_size:
-            self._pulls_served[key] = 0
-            self._param_cached[key] = False
-        else:
-            self._pulls_served[key] = served
-            self._param_cached[key] = True
+    def _publish(self, key: int, recipients: List[int],
+                 n_contribs: int) -> None:
+        """A finished job here is the group's partial sum: one combined
+        ``PUSH`` upstream.  Nothing was applied, so nothing is emitted
+        and nobody is answered yet."""
+        self._to_root(_PUSH, key, self._push_payload[key])
 
     def _on_pull(self, msg: Message) -> None:
         key = msg.key
-        if self._param_cached[key]:
-            self._send_param(key, self.ctx.worker_machine(msg.sender_worker))
-            served = self._pulls_served[key] + 1
-            if served >= self.group_size:
-                self._pulls_served[key] = 0
-                self._param_cached[key] = False
-            else:
-                self._pulls_served[key] = served
-            return
-        waiting = self._pull_waiting[key]
-        waiting.append(msg.sender_worker)
-        if len(waiting) == 1 and not self._pulls_served[key]:
-            # First pull of a fresh round: fetch from the root once.
-            self._transport.send(Message(
-                MsgKind.PULL_REQ, key, 0, self._key_priority[key],
-                self.machine, self._root_machine[key], Role.SERVER, self.gid,
-            ))
+        fresh = not (self.params_available[key] or self.pulls_waiting[key]
+                     or self.replies_sent[key])
+        self._serve_or_park(key, msg.sender_worker)
+        if fresh:
+            # First member pull of a round: fetch from the root once.
+            self._to_root(_PULL_REQ, key, 0)
 
-    def _forward_control(self, kind: MsgKind, key: int) -> None:
-        prio = self._key_priority[key]
-        for machine in self._member_machine:
-            self._transport.send(Message(
-                kind, key, 0, prio, self.machine, machine, Role.WORKER,
-            ))
-
-    def _send_param(self, key: int, machine: int) -> None:
-        self._transport.send(Message(
-            MsgKind.PARAM, key, self._param_payload[key],
-            self._key_priority[key], self.machine, machine, Role.WORKER,
-        ))
+    # -- shard face: replies start with the root's answer -------------
+    def _on_root_reply(self, msg: Message) -> None:
+        if msg.kind is _NOTIFY or self._pull_policy is PullPolicy.BROADCAST:
+            self._dispatch(msg.key, self._all_recipients)
+        else:
+            # The value the round's first member pull fetched: answer
+            # the pulls parked behind it, in arrival order.
+            self._release_pulls(msg.key)

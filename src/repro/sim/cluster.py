@@ -178,6 +178,12 @@ class _ChannelObsAdapter(ChannelObserver):
         self._server = "server%d" % (
             machine if cluster.config.colocate_servers
             else machine - cluster.n_workers)
+        # Under two-tier a group's lead machine also hosts its
+        # aggregator (named here by ClusterSim once it exists).  Workers
+        # and shards then talk to aggregators only, so whatever is
+        # addressed to another role is the aggregator's: its combined
+        # PUSHes and its PARAM fan-out.
+        self.aggregator: Optional[str] = None
         self._queue_delay = obs.registry.histogram("net.queue_delay_s")
         self._wire = obs.registry.histogram("net.wire_s")
         self._slices = obs.registry.counter("net.slices_sent")
@@ -190,6 +196,9 @@ class _ChannelObsAdapter(ChannelObserver):
         self._popped: set = set()
 
     def _node(self, msg: Message) -> str:
+        if (self.aggregator is not None
+                and msg.dst_role is not Role.AGGREGATOR):
+            return self.aggregator
         if msg.kind is MsgKind.PUSH:
             return f"worker{msg.sender_worker}"
         return self._server
@@ -330,6 +339,13 @@ class ClusterSim:
                  artifacts: Optional[PlanArtifacts] = None,
                  cycle_hook=None, sim: Optional[Simulator] = None,
                  link_cancellable: Optional[bool] = None) -> None:
+        if config.two_tier and strategy.async_updates:
+            # The one combination two-tier cannot mean anything for,
+            # refused before anything is built.
+            raise SimulationError(
+                "two_tier placement requires synchronous updates: ASGD "
+                "applies every push on its own, so there is no group "
+                "round for an aggregator to combine")
         self.model = model
         self.strategy = strategy
         self.config = config
@@ -357,19 +373,6 @@ class ClusterSim:
         self.groups = artifacts.groups
         self.n_groups = len(artifacts.groups)
         self.group_of = artifacts.group_of
-        if self.two_tier:
-            if strategy.async_updates:
-                raise SimulationError(
-                    "two_tier placement requires synchronous updates")
-            if strategy.credit_slices is not None:
-                raise SimulationError(
-                    "two_tier placement does not support credit flow control")
-            if strategy.pull_policy is PullPolicy.DEFERRED_PULL:
-                raise SimulationError(
-                    "two_tier placement does not support deferred pulls")
-            if config.fault_plan is not None and bool(config.fault_plan):
-                raise SimulationError(
-                    "two_tier placement does not support fault injection yet")
         self.keys = artifacts.keys
         self.keys_by_layer = artifacts.keys_by_layer
         self.push_payload = artifacts.push_payload
@@ -437,6 +440,9 @@ class ClusterSim:
             SimAggregator(self, g) for g in range(self.n_groups)]
         self._agg_by_machine: Dict[int, SimAggregator] = {
             a.machine: a for a in self.aggregators}
+        if obs is not None:
+            for agg in self.aggregators:
+                self.tx_channels[agg.machine].observer.aggregator = agg.name
         # Registration happens after the endpoints exist so each
         # machine's deliver closure binds its worker/shard `on_message`
         # directly instead of re-resolving them per message.

@@ -12,7 +12,9 @@ checks, live and at end of run:
   transport is delivered exactly once, with the same payload, and every
   transmission a channel starts it also completes;
 * **exactly-once updates** — every gradient push delivered to a PS
-  shard is applied in exactly one aggregation/update job;
+  shard is applied in exactly one aggregation/update job, and under
+  two-tier every member push delivered to a group aggregator is
+  consumed by exactly one combine job;
 * **forward gating** — a forward layer never starts before all of its
   parameter keys arrived for the current round, and no round ever
   receives more parameter messages than it has keys.
@@ -67,14 +69,11 @@ class InvariantMonitor:
         self.delivered: Dict[Tuple[int, int, str], list] = defaultdict(lambda: [0, 0])
         # (machine, direction) -> wire bytes whose transmission completed
         self.channel_completed: Dict[Tuple[int, str], int] = defaultdict(int)
-        # key -> gradient pushes delivered to its shard / contributions
-        # consumed by update jobs
-        self.pushes_delivered: Dict[int, int] = defaultdict(int)
-        self.contribs_consumed: Dict[int, int] = defaultdict(int)
-        # Two-tier only: (group, key) -> member pushes delivered to the
-        # aggregator / member contributions consumed by combine jobs
-        self.agg_pushes_delivered: Dict[Tuple[int, int], int] = defaultdict(int)
-        self.agg_contribs_consumed: Dict[Tuple[int, int], int] = defaultdict(int)
+        # (node, key) -> gradient pushes delivered to that shard or
+        # group aggregator / contributions consumed by its update or
+        # combine jobs
+        self.pushes_delivered: Dict[Tuple[str, int], int] = defaultdict(int)
+        self.contribs_consumed: Dict[Tuple[str, int], int] = defaultdict(int)
         self.events_seen = 0
         # On a shared engine (repro.tenancy) the multi-job monitor wraps
         # the clock exactly once and fans events_seen out to each job
@@ -83,12 +82,10 @@ class InvariantMonitor:
             self._wrap_clock()
         self._wrap_transport()
         self._wrap_channels()
-        for server in cluster.servers:
+        for server in cluster.servers + cluster.aggregators:
             self._wrap_server(server)
         for worker in cluster.workers:
             self._wrap_worker(worker)
-        for agg in cluster.aggregators:
-            self._wrap_aggregator(agg)
 
     # ------------------------------------------------------------------
     # Wrappers
@@ -151,41 +148,24 @@ class InvariantMonitor:
             ch.on_complete = on_complete
 
     def _wrap_server(self, server) -> None:
+        """Conservation at one push-counting node — a shard, or a group
+        aggregator (a shard towards its members): every push delivered
+        to it is consumed by exactly one job."""
+        node = server.name
         orig_on_push = server._on_push
         orig_pop = server._queue_pop
 
         def on_push(msg: Message) -> None:
-            self.pushes_delivered[msg.key] += 1
+            self.pushes_delivered[(node, msg.key)] += 1
             orig_on_push(msg)
 
         def queue_pop():
             key, recipients, n_contribs = orig_pop()
-            self.contribs_consumed[key] += n_contribs
+            self.contribs_consumed[(node, key)] += n_contribs
             return key, recipients, n_contribs
 
         server._on_push = on_push
         server._queue_pop = queue_pop
-
-    def _wrap_aggregator(self, agg) -> None:
-        """Two-tier conservation at the group aggregator: every member
-        push is consumed by exactly one combine job (``group_size``
-        contributions each)."""
-        gid = agg.gid
-        group_size = agg.group_size
-        orig_on_push = agg._on_push
-        orig_pop = agg._queue_pop
-
-        def on_push(msg: Message) -> None:
-            self.agg_pushes_delivered[(gid, msg.key)] += 1
-            orig_on_push(msg)
-
-        def queue_pop():
-            key = orig_pop()
-            self.agg_contribs_consumed[(gid, key)] += group_size
-            return key
-
-        agg._on_push = on_push
-        agg._queue_pop = queue_pop
 
     def _wrap_worker(self, worker) -> None:
         """Forward gating, checked against an *independent* ledger.
@@ -266,39 +246,23 @@ class InvariantMonitor:
 
     def assert_updates_exactly_once(self) -> None:
         """Every gradient push delivered to a shard was consumed by
-        exactly one update job, and no shard holds unfinished work."""
-        for server in self.cluster.servers:
+        exactly one update job, every member push delivered to a group
+        aggregator by exactly one combine job, and none of those nodes
+        holds unfinished work."""
+        for server in self.cluster.servers + self.cluster.aggregators:
             if server.busy or server._queue_len() > 0:
                 raise InvariantViolation(
-                    f"server {server.sid} did not drain (busy={server.busy}, "
+                    f"{server.name} did not drain (busy={server.busy}, "
                     f"queued jobs={server._queue_len()})")
-        keys = set(self.pushes_delivered) | set(self.contribs_consumed)
-        for key in sorted(keys):
-            pushed = self.pushes_delivered[key]
-            consumed = self.contribs_consumed[key]
+        pairs = set(self.pushes_delivered) | set(self.contribs_consumed)
+        for node, key in sorted(pairs):
+            pushed = self.pushes_delivered[(node, key)]
+            consumed = self.contribs_consumed[(node, key)]
             if pushed != consumed:
                 raise InvariantViolation(
-                    f"key {key}: {pushed} gradient pushes delivered but "
-                    f"{consumed} consumed by update jobs")
-
-    def assert_aggregators_exactly_once(self) -> None:
-        """Two-tier: every member push delivered to a group aggregator
-        was consumed by exactly one combine job, and every aggregator
-        ends the run drained."""
-        for agg in self.cluster.aggregators:
-            if agg.busy or len(agg._queue_backing) > 0:
-                raise InvariantViolation(
-                    f"aggregator {agg.gid} did not drain (busy={agg.busy}, "
-                    f"queued={len(agg._queue_backing)})")
-        pairs = set(self.agg_pushes_delivered) | set(self.agg_contribs_consumed)
-        for pair in sorted(pairs):
-            pushed = self.agg_pushes_delivered[pair]
-            consumed = self.agg_contribs_consumed[pair]
-            if pushed != consumed:
-                gid, key = pair
-                raise InvariantViolation(
-                    f"aggregator {gid}, key {key}: {pushed} member pushes "
-                    f"delivered but {consumed} consumed by combine jobs")
+                    f"{node}, key {key}: {pushed} gradient pushes delivered "
+                    f"but {consumed} consumed — every push must enter "
+                    "exactly one job")
 
     def assert_clock_advanced(self) -> None:
         if self.events_seen == 0 or self.cluster.sim.now <= 0.0:
@@ -310,7 +274,6 @@ class InvariantMonitor:
         self.assert_message_conservation()
         self.assert_channels_drained()
         self.assert_updates_exactly_once()
-        self.assert_aggregators_exactly_once()
 
     def summary(self) -> Dict[str, int]:
         """Ledger totals, for test diagnostics."""

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from ..obs.events import EventKind
 from ..strategies.base import PullPolicy
@@ -37,23 +36,51 @@ class SimServerShard:
     """State machine for one PS shard's aggregation/update pipeline."""
 
     def __init__(self, ctx: "ClusterSim", server_id: int) -> None:
-        self.ctx = ctx
         self.sid = server_id
-        self.machine = ctx.server_machine(server_id)
-        self.keys: Dict[int, "PlacedKey"] = {
-            pk.key: pk for pk in ctx.placed if pk.server == server_id
-        }
+        # Under the two-tier topology the shard's clients are the group
+        # aggregators, not the workers: rounds complete after n_groups
+        # combined pushes and replies fan back through the aggregators.
+        if ctx.two_tier:
+            machines = [ctx.aggregator_machine(g)
+                        for g in range(ctx.n_groups)]
+        else:
+            machines = [ctx.worker_machine(w) for w in range(ctx.n_workers)]
+        self._init_pipeline(
+            ctx, f"server{server_id}", ctx.server_machine(server_id),
+            {pk.key: pk for pk in ctx.placed if pk.server == server_id},
+            list(range(len(machines))), machines,
+            Role.AGGREGATOR if ctx.two_tier else Role.WORKER)
+        # Observability (repro.obs): pure emission, never scheduling.
+        self._obs = ctx.obs
+        if self._obs is not None:
+            self._update_hist = self._obs.registry.histogram("server.update_s")
+            self._applied_counter = self._obs.registry.counter(
+                "server.updates_applied")
+            self._rounds_counter = self._obs.registry.counter(
+                "server.rounds_applied")
+
+    def _init_pipeline(self, ctx: "ClusterSim", name: str, machine: int,
+                       keys: Dict[int, "PlacedKey"], clients: List[int],
+                       client_machine: Union[List[int], Dict[int, int]],
+                       client_role: Role) -> None:
+        """Everything a node needs to count pushes from its clients, run
+        one timed job per complete round and reply: its ``keys``, its
+        client ids and, indexed by client id, the machine that client's
+        replies go to.  The two-tier aggregator builds the same pipeline
+        facing its group's members
+        (:class:`repro.sim.aggregator.SimAggregator`)."""
+        self.ctx = ctx
+        self.name = name
+        self.machine = machine
+        self.keys = keys
         self.push_count: Dict[int, int] = {k: 0 for k in self.keys}
-        # DEFERRED_PULL bookkeeping: which workers' pulls are parked, and
-        # whether the current round's update has completed.
-        self.pulls_waiting: Dict[int, Set[int]] = {k: set() for k in self.keys}
+        # Parked-pull bookkeeping: which clients' pulls wait for the
+        # round's value (in arrival order), whether that value is here,
+        # and how many clients consumed it.
+        self.pulls_waiting: Dict[int, List[int]] = {k: [] for k in self.keys}
         self.params_available: Dict[int, bool] = {k: False for k in self.keys}
         self.replies_sent: Dict[int, int] = {k: 0 for k in self.keys}
 
-        self.prioritized = ctx.strategy.prioritized
-        self._fifo: Deque[Tuple[int, List[int]]] = deque()
-        self._heap: List[Tuple[int, int, int, List[int]]] = []
-        self._seq = itertools.count()
         self.busy = False
         # ------------------------------------------------------------------
         # Hot-path bindings and precomputation.  Everything below is
@@ -66,13 +93,12 @@ class SimServerShard:
         self._credit = ctx.strategy.credit_slices is not None
         self._async = ctx.strategy.async_updates
         self._pull_policy = ctx.strategy.pull_policy
-        # Under the two-tier topology the shard's clients are the group
-        # aggregators, not the workers: rounds complete after n_groups
-        # combined pushes and replies fan back through the aggregators.
-        self._n_clients = ctx.n_groups if ctx.two_tier else ctx.n_workers
+        self._n_clients = len(clients)
         # Shared recipients list for full synchronous rounds: dispatch
         # only ever iterates it, so one list serves every round.
-        self._all_recipients = list(range(self._n_clients))
+        self._all_recipients = clients
+        self._recipient_machine = client_machine
+        self._recipient_role = client_role
         self._update_rate = ctx.config.update_bytes_per_s
         self._per_update = ctx.config.per_update_s
         ps = ctx.strategy.param_scale
@@ -80,42 +106,25 @@ class SimServerShard:
                                for k, pk in self.keys.items()}
         self._key_priority = {k: pk.priority for k, pk in self.keys.items()}
         self._key_bytes = {k: pk.bytes for k, pk in self.keys.items()}
-        if ctx.two_tier:
-            self._recipient_machine = [ctx.aggregator_machine(g)
-                                       for g in range(ctx.n_groups)]
-            self._recipient_role = Role.AGGREGATOR
-        else:
-            self._recipient_machine = [ctx.worker_machine(w)
-                                       for w in range(ctx.n_workers)]
-            self._recipient_role = Role.WORKER
-        # Queue discipline resolved once: `_queue_pop` stays an instance
-        # attribute (the invariant harness wraps it per instance).
-        if self.prioritized:
-            heap = self._heap
-            seq = self._seq
-            prio = self._key_priority
+        # One work queue for both disciplines, a heap ordered by
+        # (priority, arrival): FIFO is every key at the same priority.
+        # `_queue_pop` stays an instance attribute (the invariant
+        # harness wraps it per instance).
+        heap: List[Tuple[int, int, int, List[int], int]] = []
+        prio = (self._key_priority if ctx.strategy.prioritized
+                else dict.fromkeys(self.keys, 0))
 
-            def _qpush(key: int, recipients: List[int], n_contribs: int,
-                       _push=heapq.heappush, _heap=heap, _prio=prio,
-                       _next=seq.__next__) -> None:
-                _push(_heap, (_prio[key], _next(), key, recipients, n_contribs))
+        def _qpush(key: int, recipients: List[int], n_contribs: int,
+                   _push=heapq.heappush, _heap=heap, _prio=prio,
+                   _next=itertools.count().__next__) -> None:
+            _push(_heap, (_prio[key], _next(), key, recipients, n_contribs))
 
-            def _qpop(_pop=heapq.heappop, _heap=heap):
-                return _pop(_heap)[2:]
+        def _qpop(_pop=heapq.heappop, _heap=heap):
+            return _pop(_heap)[2:]
 
-            self._queue_push = _qpush
-            self._queue_pop = _qpop
-            self._queue_backing: object = heap
-        else:
-            fifo = self._fifo
-
-            def _qpush_fifo(key: int, recipients: List[int],
-                            n_contribs: int, _append=fifo.append) -> None:
-                _append((key, recipients, n_contribs))
-
-            self._queue_push = _qpush_fifo
-            self._queue_pop = fifo.popleft
-            self._queue_backing = fifo
+        self._queue_push = _qpush
+        self._queue_pop = _qpop
+        self._queue_backing = heap
         self.updates_done = 0
         self.update_busy_time = 0.0
         # Stall-fault support (repro.sim.faults): while the pause count
@@ -124,14 +133,6 @@ class SimServerShard:
         # when the stall begins finishes normally — the fault models a
         # wedged consumer thread, not a killed one.
         self._pause_count = 0
-        # Observability (repro.obs): pure emission, never scheduling.
-        self._obs = ctx.obs
-        if self._obs is not None:
-            self._update_hist = self._obs.registry.histogram("server.update_s")
-            self._applied_counter = self._obs.registry.counter(
-                "server.updates_applied")
-            self._rounds_counter = self._obs.registry.counter(
-                "server.rounds_applied")
 
     # ------------------------------------------------------------------
     # Fault hooks
@@ -147,7 +148,7 @@ class SimServerShard:
     def resume(self) -> None:
         """Undo one :meth:`pause`; drains the backlog when unpaused."""
         if self._pause_count <= 0:
-            raise RuntimeError(f"server {self.sid} resumed while not paused")
+            raise RuntimeError(f"{self.name} resumed while not paused")
         self._pause_count -= 1
         if not self.paused and not self.busy and self._queue_len() > 0:
             self._next_job()
@@ -162,12 +163,12 @@ class SimServerShard:
         elif kind is _PULL_REQ:
             self._on_pull(msg)
         else:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"server received unexpected {msg}")
+            raise RuntimeError(f"{self.name} received unexpected {msg}")
 
     def _on_push(self, msg: Message) -> None:
         key = msg.key
         if key not in self.keys:  # pragma: no cover - placement bug guard
-            raise RuntimeError(f"key {key} pushed to wrong shard {self.sid}")
+            raise RuntimeError(f"key {key} pushed to wrong node {self.name}")
         if self._credit:
             # Credit flow control acknowledges *receipt* (transport
             # level), never aggregation: an update-level ack would
@@ -181,10 +182,6 @@ class SimServerShard:
             return
         counts = self.push_count
         n = counts[key] + 1
-        if n == 1:
-            # First push of a new round invalidates last round's values.
-            self.params_available[key] = False
-            self.replies_sent[key] = 0
         if n == self._n_clients:
             counts[key] = 0
             self._enqueue_job(key, self._all_recipients,
@@ -199,10 +196,7 @@ class SimServerShard:
             # guaranteed complete: reply immediately.
             self._send_param(msg.key, msg.sender_worker)
         elif policy is PullPolicy.DEFERRED_PULL:
-            if self.params_available[msg.key]:
-                self._reply_deferred(msg.key, msg.sender_worker)
-            else:
-                self.pulls_waiting[msg.key].add(msg.sender_worker)
+            self._serve_or_park(msg.key, msg.sender_worker)
         else:  # pragma: no cover - broadcast strategies never pull
             raise RuntimeError(f"unexpected pull under {policy}")
 
@@ -229,10 +223,18 @@ class SimServerShard:
                   n_contribs: int) -> None:
         self.busy = False
         self.updates_done += 1
+        self._publish(key, recipients, n_contribs)
+        if self._queue_backing and not self._pause_count:
+            self._next_job()
+
+    def _publish(self, key: int, recipients: List[int],
+                 n_contribs: int) -> None:
+        """What a finished job means.  On a shard: the update is applied,
+        so its parameters go back to the clients."""
         if self._obs is not None:
             pk = self.keys[key]
             now = self.ctx.sim.now
-            node = f"server{self.sid}"
+            node = self.name
             dur = (pk.bytes * n_contribs / self.ctx.config.update_bytes_per_s
                    + self.ctx.config.per_update_s)
             self._update_hist.observe(dur)
@@ -249,8 +251,6 @@ class SimServerShard:
                     priority=pk.priority, layer=pk.layer_index,
                     detail=f"contribs={n_contribs}")
         self._dispatch(key, recipients)
-        if self._queue_backing and not self._pause_count:
-            self._next_job()
 
     # ------------------------------------------------------------------
     # Returning parameters
@@ -265,25 +265,40 @@ class SimServerShard:
             for w in recipients:
                 self._send_control(MsgKind.NOTIFY, key, w)
         elif policy is PullPolicy.DEFERRED_PULL:
-            self.params_available[key] = True
-            waiting = sorted(self.pulls_waiting[key])
-            self.pulls_waiting[key].clear()
-            for w in waiting:
-                self._reply_deferred(key, w)
+            # A shard answers the pulls that outran the update in
+            # client-id order.
+            self.pulls_waiting[key].sort()
+            self._release_pulls(key)
+
+    def _serve_or_park(self, key: int, worker: int) -> None:
+        """A pull that may outrun its round's value waits for it."""
+        if self.params_available[key]:
+            self._reply_deferred(key, worker)
+        else:
+            self.pulls_waiting[key].append(worker)
+
+    def _release_pulls(self, key: int) -> None:
+        """The round's value is here: answer the parked pulls and keep
+        it for the late ones."""
+        self.params_available[key] = True
+        waiting = self.pulls_waiting[key]
+        for w in waiting:
+            self._reply_deferred(key, w)
+        waiting.clear()
 
     def _reply_deferred(self, key: int, worker: int) -> None:
         self._send_param(key, worker)
         self.replies_sent[key] += 1
         if self.replies_sent[key] >= self._n_clients:
-            # Every worker consumed this round; next round starts clean.
+            # Every client consumed this round; next round starts clean.
             self.params_available[key] = False
             self.replies_sent[key] = 0
 
     def _send_param(self, key: int, worker: int) -> None:
         # Positional Message construction: the dataclass __init__ binds
         # positional args measurably faster than keywords on this path.
-        # ``worker`` is a client index: a worker id in the flat topology,
-        # a group id under two-tier.
+        # ``worker`` is a client id: a worker id on a flat shard and on
+        # an aggregator, a group id on a two-tier root shard.
         self._transport.send(Message(
             MsgKind.PARAM, key, self._param_payload[key],
             self._key_priority[key], self.machine,

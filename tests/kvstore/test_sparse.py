@@ -7,6 +7,7 @@ import pytest
 
 from repro.kvstore import BaselineKVStore, P3Store
 from repro.kvstore.server import ServerShard
+from repro.placement import PlacementSpec
 from repro.training.dgc import DGCCompressor, DGCConfig
 from repro.training.optim import SGD
 
@@ -86,6 +87,37 @@ def test_sparse_round_with_real_dgc_compressor():
     # Only ~10% of coordinates moved; most must be untouched this round.
     moved = np.sum(~np.isclose(new["w"], params["w"]))
     assert 0 < moved <= 2 * 50 + 5
+
+
+def test_grouped_sparse_round_is_the_grouped_dense_round_bit_for_bit():
+    """sparse x two_tier used to raise.  A group's aggregator densifies
+    its members' contributions and sums them in member-id order, so the
+    round must equal the grouped dense round over the densified
+    gradients exactly — ragged last group and repeated indices
+    included."""
+    rng = np.random.default_rng(4)
+    params = {"a": rng.normal(size=300), "b": rng.normal(size=(5, 9))}
+    spec = PlacementSpec(policy="two_tier", group_size=2)
+    stores = [P3Store(n_workers=5, n_servers=2, lr=0.1, momentum=0.9, seed=3,
+                      slice_params=37, placement=spec) for _ in range(2)]
+    for store in stores:
+        store.init(params)
+    assert stores[0].groups == ((0, 1), (2, 3), (4,))
+    for _ in range(3):
+        sparse, dense = [], []
+        for _w in range(5):
+            sparse.append({})
+            dense.append({})
+            for name, value in params.items():
+                idx = rng.integers(0, value.size, size=value.size // 4)
+                vals = rng.normal(size=idx.size)
+                sparse[-1][name] = (idx, vals)
+                dense[-1][name] = np.zeros(value.size)
+                np.add.at(dense[-1][name], idx, vals)
+        out_s = stores[0].round_sparse(sparse)
+        out_d = stores[1].round(dense)
+        for name in params:
+            np.testing.assert_array_equal(out_s[name], out_d[name])
 
 
 def test_sparse_round_validates_inputs():

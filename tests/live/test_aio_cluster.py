@@ -38,14 +38,17 @@ from hypothesis import strategies as st
 
 from repro.analysis.calibration import (calibrate, calibrate_faults,
                                         run_inprocess)
-from repro.live import LiveClusterConfig, LiveRunError, LiveRunResult
-from repro.live.aio import AioServerShard, AioWorker, run_live_aio
+from repro.live import (LiveAggregatorError, LiveClusterConfig, LiveRunError,
+                        LiveRunResult)
+from repro.live.aio import (AioAggregator, AioServerShard, AioWorker,
+                            run_live_aio)
 from repro.live.aio.driver import _run_cluster, leaving_no_task
 from repro.live.membership import (
     MembershipEpoch,
     MembershipSchedule,
     elastic_reference,
 )
+from repro.live.wire import WireKind, encode_frame
 from repro.sim.faults import ChaosFault, FaultPlan
 
 pytestmark = pytest.mark.slow
@@ -394,3 +397,36 @@ def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
     assert victim in str(outcome) and "boom" in str(outcome)
     assert elapsed < 5.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
     assert pending == [] and leaked_fds == 0
+
+
+def test_aggregator_fails_loudly_on_an_unexpected_upstream_frame():
+    """Regression: the aggregator dropped every upstream kind except
+    ``PULL_RESP`` on the floor, where a worker or a shard fails the node.
+    A root that answers the heartbeat probe with ``ACK`` and then sends
+    an ``EPOCH`` (no business of a static topology) must end the
+    aggregator at once, naming the kind and the peer."""
+    cfg = aio_cfg(n_servers=1, placement="two_tier", agg_group_size=3)
+
+    async def main():
+        async def root(reader, writer):
+            for kind in (WireKind.ACK, WireKind.EPOCH):
+                writer.write(encode_frame(kind, 0, 0, 0, 0))
+            await writer.drain()
+            await reader.read()  # until the aggregator hangs up
+            writer.close()
+
+        server = await asyncio.start_server(root, cfg.host, 0)
+        agg = AioAggregator(0, cfg, cfg.key_plan()[0])
+        try:
+            await agg.start([server.sockets[0].getsockname()[:2]])
+            with pytest.raises(LiveAggregatorError,
+                               match="unexpected EPOCH from server0"):
+                await asyncio.wait_for(agg.run(), 5.0)
+            assert agg.heartbeat_acks == 1
+        finally:
+            agg.abort()
+            await agg.wait_closed()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(leaving_no_task(main()))

@@ -20,7 +20,7 @@ from repro.obs import (
     sim_session,
     validate_events,
 )
-from repro.sim import ClusterConfig, simulate
+from repro.sim import ClusterConfig, ClusterSim, simulate
 from repro.strategies import p3
 
 #: The lifecycle every fully synchronized slice must traverse.  The
@@ -58,6 +58,47 @@ def test_sim_stream_conforms():
     # Timestamps are simulated seconds starting at/after zero, ordered
     # per emission (the engine clock is monotonic).
     assert min(float(e["ts"]) for e in events) >= 0.0
+
+
+def test_two_tier_stream_names_the_aggregators():
+    """Regression: an aggregator's combined pushes were booked to
+    ``worker{gid}`` and its PARAM fan-out to ``server{machine}``.  Every
+    ``slice_sent`` row belongs to the node whose NIC sent it (loopback
+    hops send nothing), and only a root shard *applies*: a combine job
+    is neither a ``slice_applied`` nor a ``round_applied``."""
+    iterations = 3
+    sess = sim_session()
+    cluster = ClusterSim(toy_model(), p3(),
+                         ClusterConfig(n_workers=4, placement="two_tier",
+                                       agg_group_size=2, seed=0), obs=sess)
+    cluster.run(iterations=iterations, warmup=1)
+    events = sess.events()
+    _check_stream(events, n_slices_expected=len(cluster.keys))
+
+    expected = {}
+    for agg in cluster.aggregators:
+        for w in agg.members:  # member pushes up, the PARAM fan-out back
+            if cluster.worker_machine(w) != agg.machine:
+                expected[f"worker{w}"] = len(cluster.keys) * iterations
+                expected[agg.name] = (expected.get(agg.name, 0)
+                                      + len(cluster.keys) * iterations)
+        for pk in cluster.keys.values():  # combined pushes, root PARAMs
+            if cluster.server_machine(pk.server) != agg.machine:
+                expected[agg.name] = expected.get(agg.name, 0) + iterations
+                root = f"server{pk.server}"
+                expected[root] = expected.get(root, 0) + iterations
+    sent = {}
+    for e in events:
+        if e["kind"] == EventKind.SLICE_SENT.value:
+            sent[e["node"]] = sent.get(e["node"], 0) + 1
+    assert sent == expected
+    assert any(node.startswith("agg") for node in sent)
+
+    applied = [e for e in events
+               if e["kind"] in (EventKind.SLICE_APPLIED.value,
+                                EventKind.ROUND_APPLIED.value)]
+    assert len(applied) == 2 * len(cluster.keys) * iterations
+    assert all(e["node"].startswith("server") for e in applied)
 
 
 @pytest.mark.slow

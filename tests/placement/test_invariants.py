@@ -19,8 +19,10 @@ from repro.kvstore import P3Store
 from repro.models import get_model, toy_model
 from repro.models.base import LayerSpec, ModelSpec
 from repro.placement import PlacementSpec
-from repro.sim import ClusterConfig, SimulationError, simulate, simulate_checked
-from repro.strategies import baseline, p3
+from repro.sim import (ClusterConfig, ClusterSim, FaultPlan, LinkFault,
+                       ServerStallFault, SimulationError, StragglerFault,
+                       simulate, simulate_checked)
+from repro.strategies import baseline, credit_p3, p3, tensorflow_style
 
 #: One hot layer behind small ones.  Kept *below* the baseline plan's
 #: big-layer threshold (10^6 params) so the strategy's own plan leaves
@@ -57,30 +59,61 @@ def test_invariants_hold_under_placement(placement, strategy):
 def test_balanced_actually_split_a_key():
     """Guard the guard: the skewed model must force a split, otherwise
     the invariant runs above exercise nothing new."""
-    from repro.sim import ClusterSim
     sim = ClusterSim(SKEWED_MODEL, baseline(), _cfg("balanced"))
     assert any(p.is_split for p in sim.placement_plan.placements)
 
 
 def test_two_tier_groups_cover_workers():
-    from repro.sim import ClusterSim
     sim = ClusterSim(SKEWED_MODEL, p3(), _cfg("two_tier"))
     flat = [w for g in sim.groups for w in g]
     assert sorted(flat) == list(range(sim.n_workers))
     assert len(sim.aggregators) == sim.n_groups > 1
 
 
-def test_two_tier_rejects_async_and_faults():
-    """Two-tier is a synchronous topology: incompatible knobs must fail
-    loudly at construction, not corrupt a run."""
-    from repro.sim import ClusterSim, FaultPlan, StragglerFault
+def test_two_tier_refuses_async_before_building_anything(monkeypatch):
+    """ASGD has no group round for an aggregator to combine — the one
+    two-tier refusal, made with its reason before a plan or a node
+    exists (not from the middle of a half-wired cluster)."""
+    from repro.sim import cluster
     from repro.strategies import asgd
-    with pytest.raises(SimulationError):
-        ClusterSim(toy_model(), asgd(), _cfg("two_tier"))
-    plan = FaultPlan((StragglerFault(worker=0, factor=2.0, start=0.0,
-                                     duration=0.01, period=0.05),))
-    with pytest.raises(SimulationError):
-        ClusterSim(toy_model(), p3(), _cfg("two_tier", fault_plan=plan))
+
+    def built(*_args, **_kwargs):
+        raise AssertionError("built something before refusing")
+
+    for name in ("build_plan", "SimWorker", "SimServerShard", "SimAggregator"):
+        monkeypatch.setattr(cluster, name, built)
+    with pytest.raises(SimulationError, match="no group round"):
+        cluster.ClusterSim(toy_model(), asgd(), _cfg("two_tier"))
+
+
+#: Aggregators sit on machines 0 and 2 (groups of 2 over 4 workers):
+#: one gets a slow NIC, the other a link that goes down outright, a
+#: member of the first group straggles and a root shard stalls.
+TWO_TIER_FAULTS = FaultPlan((
+    StragglerFault(worker=1, factor=2.5, start=0.002, duration=0.01,
+                   period=0.04),
+    LinkFault(machine=0, rate_factor=0.2, start=0.003, duration=0.01,
+              period=0.03),
+    LinkFault(machine=2, rate_factor=0.0, start=0.005, duration=0.004,
+              period=0.05),
+    ServerStallFault(server=1, start=0.004, duration=0.006, period=0.035),
+), seed=5)
+
+
+@pytest.mark.parametrize("strategy", [credit_p3, tensorflow_style, p3])
+def test_two_tier_keeps_every_invariant_under_faults(strategy):
+    """Credit flow control, deferred pulls and a fault plan each used to
+    be refused under two-tier; the aggregator now has them from the
+    shard it is built from, and every ledger still balances — on the
+    roots and, per group, on the aggregators."""
+    cfg = _cfg("two_tier", fault_plan=TWO_TIER_FAULTS)
+    cluster = ClusterSim(SKEWED_MODEL, strategy(), cfg)
+    assert {a.machine for a in cluster.aggregators} == {0, 2}
+    faulted = simulate_checked(SKEWED_MODEL, strategy(), cfg,
+                               iterations=4, warmup=1)
+    clean = simulate_checked(SKEWED_MODEL, strategy(), _cfg("two_tier"),
+                             iterations=4, warmup=1)
+    assert 0 < faulted.throughput < clean.throughput
 
 
 def test_placement_throughput_is_deterministic():

@@ -19,7 +19,7 @@ import pytest
 from repro.models import toy_model
 from repro.sim import ClusterConfig, ClusterSim, SimulationError
 from repro.sim.network import Message, MsgKind, Role
-from repro.strategies import STRATEGY_FACTORIES, PullPolicy
+from repro.strategies import STRATEGY_FACTORIES
 
 ITERATIONS, WARMUP = 4, 1
 
@@ -39,8 +39,7 @@ CONFIGS = {
 
 
 def _two_tier_capable(strategy) -> bool:
-    return (not strategy.async_updates and strategy.credit_slices is None
-            and strategy.pull_policy is not PullPolicy.DEFERRED_PULL)
+    return not strategy.async_updates
 
 
 def _cases():
