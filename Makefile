@@ -49,16 +49,20 @@ bench:
 bench-e2e:
 	python3 -m bench
 
-# The benchmark's own tests, then the paper's headline sweep once and
-# the observed run at test size (the one workload that checks observed
-# == unobserved, the exporters and the schema validator): fails on a
-# wrong output ("correct": false), never on timing — shared runners are
-# too noisy for a wall-clock floor
+# The benchmark's own tests, then the paper's headline sweep once, the
+# observed run at test size (the one workload that checks observed
+# == unobserved, the exporters and the schema validator) and the live
+# cluster at test size (final parameters bit-identical to the in-process
+# oracle, 0 failed operations): fails on a wrong output ("correct":
+# false), never on timing — shared runners are too noisy for a
+# wall-clock floor
 perf-smoke:
 	python3 -m pytest bench/ -q
 	python3 -m bench --workload fig7_sweep --seconds 12 --trace 0 \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload obs_traced_sim --scale tiny \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m bench --workload aio_live --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 live-demo:

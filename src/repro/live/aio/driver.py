@@ -105,8 +105,22 @@ def run_live_aio(cfg: LiveClusterConfig,
     allocation — the rack-level fair-sharing model of
     :func:`repro.tenancy.run_live_tenants`.
     """
-    return asyncio.run(leaving_no_task(
-        _run_cluster(cfg, strategy, shaper=shaper)))
+    return run_leaving_no_task(_run_cluster(cfg, strategy, shaper=shaper))
+
+
+def run_leaving_no_task(job: Awaitable[T]) -> T:
+    """``asyncio.run(leaving_no_task(job))``, minus the result riding the
+    main task: on its way out ``asyncio.run`` restores the SIGINT handler
+    it wrapped around that task, and ``signal`` formats the handler —
+    task, result and all (megabytes of ``ChunkRecord`` text) — into an
+    enum-lookup error it then discards."""
+    out: List[T] = []
+
+    async def main() -> None:
+        out.append(await leaving_no_task(job))
+
+    asyncio.run(main())
+    return out[0]
 
 
 async def leaving_no_task(job: Awaitable[T]) -> T:
@@ -244,7 +258,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
             events.sort(key=lambda e: (e["ts"], e["node"], e["kind"]))
             for r in results.values():
                 r["timeline"] = [
-                    dc_replace(c, start=c.start - t0, end=c.end - t0)
+                    c._replace(start=c.start - t0, end=c.end - t0)
                     for c in r["timeline"]]
 
     # Replicas can only be compared within the final epoch's membership:

@@ -73,7 +73,9 @@ class AsyncPrioritySender:
     may call them from read callbacks); ``flush`` / ``close`` are
     coroutines.  The draining task pops the most urgent chunk, shapes
     it, applies chaos, writes, and re-consults the heap — preemption
-    granularity is ``chunk_bytes``.
+    granularity is ``chunk_bytes``.  Unshaped and unsabotaged, a write
+    cannot yield between chunks anyway, so chunks popped back to back go
+    out as one write per burst (still one frame and record per chunk).
     """
 
     def __init__(self, writer: asyncio.StreamWriter, sender_id: int,
@@ -97,6 +99,7 @@ class AsyncPrioritySender:
         self._outbox = ReliableOutbox(retry) if retry is not None else None
         self._next_seq = 0
         self._sched = ChunkScheduler(chunk_bytes)
+        self._queued_ack: Optional[_Pending] = None  # pushed, not yet popped
         self._closing = False
         self._writing = False  # a popped chunk is not on the wire yet
         self._error: Optional[BaseException] = None
@@ -110,29 +113,38 @@ class AsyncPrioritySender:
     # Synchronous entry points (callable from read callbacks)
     # ------------------------------------------------------------------
     def send(self, kind: WireKind, key: int, iteration: int, priority: int,
-             payload: bytes = b"", ack_seq: int = SEQ_NONE) -> None:
+             payload: bytes = b"", ack_seq: int = SEQ_NONE) -> _Pending:
         """Enqueue one logical message for prioritized transmission."""
         if self._error is not None:
             raise TransportError("sender already failed") from self._error
         if self._closing:
             raise TransportError("sender is closed")
         now = self._clock()
-        self._sched.push(kind, key, iteration, priority, payload,
-                         enqueue_ts=now, ack_seq=ack_seq)
+        item = self._sched.push(kind, key, iteration, priority, payload,
+                                enqueue_ts=now, ack_seq=ack_seq)
         if self.recorder is not None and kind in DATA_KINDS:
             self.recorder.emit(
                 EventKind.SLICE_ENQUEUED, node=self.node, ts=now,
                 key=key, iteration=iteration, priority=priority,
                 nbytes=len(payload), detail=kind.name.lower())
         self._wake.set()
+        return item
 
     def send_ack(self, cum_seq: int) -> None:
-        """Enqueue a cumulative ``CHUNK_ACK`` for the reverse direction."""
+        """Queue a cumulative ``CHUNK_ACK`` for the reverse direction.
+
+        At most one is queued per connection: an ack the drain task has
+        not popped yet is raised in place, since only the last one
+        queued before the next drain step carries news.
+        """
         if cum_seq < 0:
             return
+        if self._queued_ack is not None:
+            self._queued_ack.ack_seq = max(self._queued_ack.ack_seq, cum_seq)
+            return
         try:
-            self.send(WireKind.CHUNK_ACK, -1, 0, CONTROL_PRIORITY,
-                      ack_seq=cum_seq)
+            self._queued_ack = self.send(WireKind.CHUNK_ACK, -1, 0,
+                                         CONTROL_PRIORITY, ack_seq=cum_seq)
         except TransportError:
             pass
 
@@ -158,6 +170,7 @@ class AsyncPrioritySender:
         self.writer = writer
         self._broken = None
         self._sched.purge((WireKind.CHUNK_ACK,))
+        self._queued_ack = None
         if self._outbox is not None:
             self._next_seq = self._outbox.renumber(reseq_frame, self._clock())
         else:
@@ -271,45 +284,71 @@ class AsyncPrioritySender:
                     except asyncio.TimeoutError:
                         pass
                     continue
-                item, chunk, offset, done, preempted = popped
+                # An unshaped, unsabotaged write does not yield below the
+                # transport's high-water mark, so nothing more urgent can
+                # arrive between its chunks: gather them into one write.
+                # Shaped or sabotaged links stay one write per chunk.
+                limit = (self.writer.transport.get_write_buffer_limits()[1]
+                         if self.shaper is None and self.chaos is None else 0)
                 self._writing = True
-                seq = SEQ_NONE
-                if self._outbox is not None and item.kind in RELIABLE_KINDS:
-                    seq = self._next_seq
-                    self._next_seq += 1
-                frame = self._encode_chunk(item, chunk, offset, seq)
-                if seq != SEQ_NONE:
-                    # Recorded before the write so an ack racing the
-                    # send can never miss the outbox entry — and so a
-                    # mid-frame disconnect never loses the chunk.
-                    self._outbox.record(seq, frame, self._clock())
-                if (preempted is not None and self.recorder is not None
-                        and preempted.kind in DATA_KINDS):
-                    self.recorder.emit(
-                        EventKind.SLICE_PREEMPTED, node=self.node,
-                        ts=self._clock(), key=preempted.key,
-                        iteration=preempted.iteration,
-                        priority=preempted.priority,
-                        nbytes=len(preempted.payload) - preempted.offset,
-                        detail=f"overtaken_by_key={item.key}")
+                frames: List[bytes] = []
+                burst: List[Tuple[_Pending, bool]] = []
+                gathered = 0
+                while popped is not None:
+                    item, chunk, offset, done, preempted = popped
+                    if item is self._queued_ack:
+                        self._queued_ack = None  # the next ack queues afresh
+                    reliable = (self._outbox is not None
+                                and item.kind in RELIABLE_KINDS)
+                    # ack_seq: SEQ_NONE, but for a CHUNK_ACK the reverse
+                    # direction's cumulative ack — neither is sequenced.
+                    seq = self._next_seq if reliable else item.ack_seq
+                    frame = encode_frame(
+                        item.kind, self.sender_id, item.key, item.iteration,
+                        item.priority, chunk, offset=offset,
+                        total=len(item.payload), seq=seq)
+                    if reliable:
+                        # Recorded before the write so an ack racing the
+                        # send can never miss the outbox entry — and so a
+                        # mid-frame disconnect never loses the chunk.
+                        self._next_seq += 1
+                        self._outbox.record(seq, frame, self._clock())
+                    if (preempted is not None and self.recorder is not None
+                            and preempted.kind in DATA_KINDS):
+                        self.recorder.emit(
+                            EventKind.SLICE_PREEMPTED, node=self.node,
+                            ts=self._clock(), key=preempted.key,
+                            iteration=preempted.iteration,
+                            priority=preempted.priority,
+                            nbytes=len(preempted.payload) - preempted.offset,
+                            detail=f"overtaken_by_key={item.key}")
+                    frames.append(frame)
+                    burst.append((item, done))
+                    gathered += len(frame)
+                    popped = (self._sched.pop_chunk() if gathered < limit
+                              else None)
                 t0 = self._clock()
-                if not await self._write(frame, item.priority):
+                if not await self._write(b"".join(frames), item.priority):
                     self._writing = False  # parked; the outbox holds it
                     continue
                 t1 = self._clock()
-                item.wire_s += t1 - t0
-                self.timeline.append(ChunkRecord(
-                    self.sender_id, int(item.kind), item.key, item.iteration,
-                    item.priority, t0, t1, len(frame)))
-                if (done and self.recorder is not None
-                        and item.kind in DATA_KINDS):
-                    queue_s = max(0.0, (t1 - item.enqueue_ts) - item.wire_s)
-                    self.recorder.emit(
-                        EventKind.SLICE_SENT, node=self.node, ts=t1,
-                        key=item.key, iteration=item.iteration,
-                        priority=item.priority, nbytes=len(item.payload),
-                        queue_s=queue_s, wire_s=item.wire_s,
-                        detail=item.kind.name.lower())
+                for (item, done), frame in zip(burst, frames):
+                    # Every frame carries its burst's write interval; a
+                    # message's own wire time is its share of the bytes.
+                    item.wire_s += (t1 - t0) * len(frame) / gathered
+                    self.timeline.append(ChunkRecord(
+                        self.sender_id, int(item.kind), item.key,
+                        item.iteration, item.priority, t0, t1, len(frame)))
+                    if (done and self.recorder is not None
+                            and item.kind in DATA_KINDS):
+                        queue_s = max(0.0,
+                                      (t1 - item.enqueue_ts) - item.wire_s)
+                        self.recorder.emit(
+                            EventKind.SLICE_SENT, node=self.node, ts=t1,
+                            key=item.key, iteration=item.iteration,
+                            priority=item.priority, nbytes=len(item.payload),
+                            queue_s=queue_s, wire_s=item.wire_s,
+                            detail=item.kind.name.lower())
                 self._writing = False
                 if not len(self._sched):
                     self._progress.set()
@@ -359,15 +398,6 @@ class AsyncPrioritySender:
             self._progress.set()
             return False
         return True
-
-    def _encode_chunk(self, item: _Pending, chunk: bytes, offset: int,
-                      seq: int = SEQ_NONE) -> bytes:
-        if item.kind is WireKind.CHUNK_ACK:
-            seq = item.ack_seq
-        return encode_frame(item.kind, self.sender_id, item.key,
-                            item.iteration, item.priority, chunk,
-                            offset=offset, total=len(item.payload),
-                            seq=seq)
 
 
 async def open_connection_with_retry(

@@ -27,8 +27,10 @@ import heapq
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..obs.events import EventKind, EventRecorder
 from ..sim.trace import UtilizationTrace
@@ -126,12 +128,12 @@ class TokenBucket:
             self._tokens = min(self.burst, self._tokens + nbytes)
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
+class ChunkRecord(NamedTuple):
     """One chunk's occupancy of the (shaped) link.
 
     Mirrors :class:`repro.sim.trace.TransmissionRecord` so live runs can
-    reuse the simulator's utilization analysis.
+    reuse the simulator's utilization analysis.  Chunks the async sender
+    wrote as one burst share that write's interval.
     """
 
     sender: int
@@ -167,20 +169,21 @@ def goodput_bytes_per_s(records: List[ChunkRecord]) -> float:
     return total / span if span > 0 else float("inf")
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class _Pending:
-    """Heap entry: one logical message part-way through transmission."""
+    """One logical message part-way through transmission; the heap
+    orders ``(priority, seq, item)`` tuples, never the items."""
 
     priority: int
     seq: int
-    kind: WireKind = field(compare=False)
-    key: int = field(compare=False)
-    iteration: int = field(compare=False)
-    payload: bytes = field(compare=False)
-    offset: int = field(compare=False, default=0)
-    enqueue_ts: float = field(compare=False, default=0.0)
-    wire_s: float = field(compare=False, default=0.0)
-    ack_seq: int = field(compare=False, default=SEQ_NONE)
+    kind: WireKind
+    key: int
+    iteration: int
+    payload: bytes
+    offset: int = 0
+    enqueue_ts: float = 0.0
+    wire_s: float = 0.0
+    ack_seq: int = SEQ_NONE
 
 
 #: Wire kinds that carry gradient/parameter slices and therefore appear
@@ -208,7 +211,7 @@ class ChunkScheduler:
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
         self.chunk_bytes = chunk_bytes
-        self._heap: List[_Pending] = []
+        self._heap: List[Tuple[int, int, _Pending]] = []
         self._seq = 0
         self._last: Optional[_Pending] = None  # message sent from last pop
 
@@ -221,7 +224,7 @@ class ChunkScheduler:
         item = _Pending(priority, self._seq, kind, key, iteration, payload,
                         enqueue_ts=enqueue_ts, ack_seq=ack_seq)
         self._seq += 1
-        heapq.heappush(self._heap, item)
+        heapq.heappush(self._heap, (priority, item.seq, item))
         return item
 
     def pop_chunk(self) -> Optional[Tuple[_Pending, bytes, int, bool,
@@ -238,7 +241,9 @@ class ChunkScheduler:
         """
         if not self._heap:
             return None
-        item = heapq.heappop(self._heap)
+        # The head's key does not change while it transmits, so it is
+        # advanced where it sits and leaves the heap only when done.
+        item = self._heap[0][2]
         offset = item.offset
         chunk = item.payload[offset:offset + self.chunk_bytes]
         done = offset + len(chunk) >= len(item.payload)
@@ -246,8 +251,8 @@ class ChunkScheduler:
         preempted = (prev if prev is not None and prev is not item
                      and prev.offset < len(prev.payload) else None)
         item.offset += len(chunk)
-        if not done:
-            heapq.heappush(self._heap, item)
+        if done:
+            heapq.heappop(self._heap)
         self._last = item
         return item, chunk, offset, done, preempted
 
@@ -258,7 +263,7 @@ class ChunkScheduler:
         connection's sequence space and would corrupt the peer's fresh
         outbox if they drained onto the new byte stream.
         """
-        kept = [item for item in self._heap if item.kind not in kinds]
+        kept = [entry for entry in self._heap if entry[2].kind not in kinds]
         removed = len(self._heap) - len(kept)
         if removed:
             heapq.heapify(kept)
@@ -320,7 +325,9 @@ class ReliableOutbox:
     def __init__(self, policy: RetryPolicy) -> None:
         self.policy = policy
         self._rng = random.Random(policy.seed)
-        self._pending: "Dict[int, bytes]" = {}   # seq -> frame bytes, ordered
+        #: (seq, frame bytes), ascending: record() and renumber() append
+        #: in seq order, so a cumulative ack only ever trims the front.
+        self._pending: "Deque[Tuple[int, bytes]]" = deque()
         self._retries = 0
         self._deadline: Optional[float] = None
         self.retransmits = 0
@@ -335,20 +342,21 @@ class ReliableOutbox:
 
     def record(self, seq: int, frame: bytes, now: float) -> None:
         """Track one sent sequenced frame until its ack arrives."""
-        self._pending[seq] = frame
+        self._pending.append((seq, frame))
         if self._deadline is None:
             self._deadline = now + self.policy.deadline_after(0, self._rng)
 
     def ack(self, upto: int) -> int:
         """Cumulative ack: drop every tracked seq <= ``upto``."""
-        acked = [s for s in self._pending if s <= upto]
-        for s in acked:
-            del self._pending[s]
+        pending, acked = self._pending, 0
+        while pending and pending[0][0] <= upto:
+            pending.popleft()
+            acked += 1
         if acked:
             self.acks_received += 1
             self._retries = 0       # progress: reset the backoff ladder
             self._deadline = None   # re-armed on the next due() / record()
-        return len(acked)
+        return acked
 
     def renumber(self, reseq: Callable[[bytes, int], bytes],
                  now: float) -> int:
@@ -363,13 +371,12 @@ class ReliableOutbox:
         a timeout.  Returns how many frames were rebased (the caller's
         next fresh seq).
         """
-        pending = sorted(self._pending.items())
-        self._pending = {}
-        for new_seq, (_, frame) in enumerate(pending):
-            self._pending[new_seq] = reseq(frame, new_seq)
+        self._pending = deque(
+            (new_seq, reseq(frame, new_seq))
+            for new_seq, (_, frame) in enumerate(self._pending))
         self._retries = 0
         self._deadline = now if self._pending else None
-        return len(pending)
+        return len(self._pending)
 
     def next_deadline(self, now: float) -> Optional[float]:
         """When the retransmit timer next fires (None = nothing pending)."""
@@ -391,14 +398,13 @@ class ReliableOutbox:
             return []
         self._retries += 1
         if self._retries > self.policy.max_retries:
-            oldest = min(self._pending)
             raise TransportError(
-                f"no ack for frame seq={oldest} after "
+                f"no ack for frame seq={self._pending[0][0]} after "
                 f"{self.policy.max_retries} retransmissions "
                 f"({len(self._pending)} frames unacked) — peer dead?")
         self._deadline = now + self.policy.deadline_after(
             self._retries, self._rng)
-        out = sorted(self._pending.items())
+        out = list(self._pending)
         self.retransmits += len(out)
         return out
 
@@ -451,7 +457,10 @@ class ReliableReceiver:
     * routing incoming ``CHUNK_ACK`` frames to the local sender's
       :meth:`PrioritySender.handle_ack`,
     * discarding duplicate/gap frames, and
-    * emitting one cumulative ack per :meth:`feed` batch.
+    * calling the sender's ``send_ack`` with the cumulative ack before
+      every completed message is handed up and once more when the batch
+      ends — the async sender keeps at most one such ack queued per
+      connection and raises it in place, so a batch costs one frame.
 
     ``sender_for`` maps a decoded frame to the connection's local
     sender; it is consulted per frame because a *server* only learns

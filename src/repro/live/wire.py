@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from bisect import bisect_right
 from enum import IntEnum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,9 @@ VERSION = 2
 HEADER_FMT = "<HBBHhiiiIIIII"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 CRC_OFFSET = HEADER_SIZE - 4  # crc32 is the last header field
+_HEADER = struct.Struct(HEADER_FMT)
+_HEAD = struct.Struct(HEADER_FMT[:-1])  # the CRC_OFFSET bytes the CRC covers
+_U32 = struct.Struct("<I")
 
 #: ``seq`` value of unsequenced (control) frames: they are delivered
 #: best-effort and never retransmitted or duplicate-suppressed.
@@ -94,8 +97,10 @@ class WireKind(IntEnum):
     EPOCH = 10      # server -> worker: epoch committed, rounds may start
 
 
-@dataclass(frozen=True)
-class Frame:
+_KINDS = {int(kind): kind for kind in WireKind}
+
+
+class Frame(NamedTuple):
     """One decoded wire frame (a chunk of a logical message)."""
 
     kind: WireKind
@@ -117,8 +122,7 @@ class Frame:
         return self.seq != SEQ_NONE and self.kind is not WireKind.CHUNK_ACK
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     """A fully reassembled logical message."""
 
     kind: WireKind
@@ -154,12 +158,10 @@ def encode_frame(kind: WireKind, sender: int, key: int, iteration: int,
         raise WireError("chunk extends past the declared message total")
     if not (0 <= seq <= SEQ_NONE):
         raise WireError(f"seq {seq} out of the u32 range")
-    header = struct.pack(HEADER_FMT, MAGIC, VERSION, int(kind), 0, sender,
-                         key, iteration, priority, offset, total,
-                         len(payload), seq, 0)
-    crc = zlib.crc32(header[:CRC_OFFSET])
-    crc = zlib.crc32(payload, crc)
-    return header[:CRC_OFFSET] + struct.pack("<I", crc) + payload
+    head = _HEAD.pack(MAGIC, VERSION, kind, 0, sender, key, iteration,
+                      priority, offset, total, len(payload), seq)
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((head, _U32.pack(crc), payload))
 
 
 def reseq_frame(frame: bytes, seq: int) -> bytes:
@@ -174,18 +176,13 @@ def reseq_frame(frame: bytes, seq: int) -> bytes:
         raise WireError("frame shorter than a header")
     if not (0 <= seq <= SEQ_NONE):
         raise WireError(f"seq {seq} out of the u32 range")
-    (magic, version, kind_i, flags, sender, key, iteration, priority,
-     offset, total, length, _old_seq, _crc) = \
-        struct.unpack_from(HEADER_FMT, frame)
+    magic, = struct.unpack_from("<H", frame)
     if magic != MAGIC:
         raise WireError(f"bad magic 0x{magic:04x}")
+    head = frame[:CRC_OFFSET - 4] + _U32.pack(seq)  # seq: last pre-CRC field
     payload = frame[HEADER_SIZE:]
-    header = struct.pack(HEADER_FMT, magic, version, kind_i, flags, sender,
-                         key, iteration, priority, offset, total, length,
-                         seq, 0)
-    crc = zlib.crc32(header[:CRC_OFFSET])
-    crc = zlib.crc32(payload, crc)
-    return header[:CRC_OFFSET] + struct.pack("<I", crc) + payload
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((head, _U32.pack(crc), payload))
 
 
 def split_message(kind: WireKind, sender: int, key: int, iteration: int,
@@ -226,6 +223,7 @@ class FrameDecoder:
 
     def __init__(self, strict: bool = True) -> None:
         self._buf = bytearray()
+        self._pos = 0  # read cursor: bytes before it are decoded already
         self.strict = strict
         self.crc_failures = 0
 
@@ -238,14 +236,18 @@ class FrameDecoder:
         previous connection's skip count.
         """
         self._buf.clear()
+        self._pos = 0
         self.crc_failures = 0
 
     def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
+        if self._pos:  # compact once per read, not once per frame
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf)
+        return len(self._buf) - self._pos
 
     def frames(self) -> Iterator[Frame]:
         while True:
@@ -255,12 +257,14 @@ class FrameDecoder:
             yield frame
 
     def _try_decode(self) -> Optional[Frame]:
+        buf = self._buf
         while True:
-            if len(self._buf) < HEADER_SIZE:
+            pos = self._pos
+            start = pos + HEADER_SIZE
+            if len(buf) < start:
                 return None
             (magic, version, kind_i, flags, sender, key, iteration, priority,
-             offset, total, length, seq, crc) = \
-                struct.unpack_from(HEADER_FMT, self._buf)
+             offset, total, length, seq, crc) = _HEADER.unpack_from(buf, pos)
             if magic != MAGIC:
                 raise WireError(f"bad magic 0x{magic:04x} (stream desync?)")
             if version != VERSION:
@@ -275,15 +279,16 @@ class FrameDecoder:
                                 f"{MAX_MESSAGE_BYTES}")
             if offset + length > total:
                 raise WireError("chunk extends past the declared message total")
-            try:
-                kind = WireKind(kind_i)
-            except ValueError:
-                raise WireError(f"unknown message kind {kind_i}") from None
-            if len(self._buf) < HEADER_SIZE + length:
+            kind = _KINDS.get(kind_i)
+            if kind is None:
+                raise WireError(f"unknown message kind {kind_i}")
+            end = start + length
+            if len(buf) < end:
                 return None
-            payload = bytes(self._buf[HEADER_SIZE:HEADER_SIZE + length])
-            expect = zlib.crc32(bytes(self._buf[:CRC_OFFSET]))
-            expect = zlib.crc32(payload, expect)
+            with memoryview(buf) as view:  # released before buf can resize
+                payload = bytes(view[start:end])
+                expect = zlib.crc32(payload,
+                                    zlib.crc32(view[pos:pos + CRC_OFFSET]))
             if crc != expect:
                 if self.strict:
                     raise WireError(f"CRC mismatch on {kind.name} frame "
@@ -291,19 +296,22 @@ class FrameDecoder:
                 # Lenient mode: framing fields were sane, so drop exactly
                 # this frame and keep decoding — retransmission repairs it.
                 self.crc_failures += 1
-                del self._buf[:HEADER_SIZE + length]
+                self._pos = end
                 continue
-            del self._buf[:HEADER_SIZE + length]
+            self._pos = end
             return Frame(kind, sender, key, iteration, priority, offset,
-                         total, payload, seq=seq)
+                         total, payload, seq)
 
 
 class Reassembler:
     """Reassembles interleaved chunked messages from one connection."""
 
     def __init__(self) -> None:
+        # ident -> (total, received runs, chunk by offset).  Runs are
+        # disjoint ``[lo, hi]`` lists sorted by ``lo``, touching ones
+        # merged: chunks arriving in order only ever extend the one run.
         self._partial: Dict[Tuple[int, int, int, int],
-                            Tuple[bytearray, List[Tuple[int, int]]]] = {}
+                            Tuple[int, List[List[int]], Dict[int, bytes]]] = {}
 
     @property
     def partial_messages(self) -> int:
@@ -311,23 +319,35 @@ class Reassembler:
 
     def add(self, frame: Frame) -> Optional[WireMessage]:
         """Absorb one frame; return the message if now complete."""
-        if frame.total == 0:
-            return WireMessage(frame.kind, frame.sender, frame.key,
-                               frame.iteration, frame.priority, b"")
+        payload, total, start = frame.payload, frame.total, frame.offset
+        end = start + len(payload)
         ident = (frame.sender, int(frame.kind), frame.key, frame.iteration)
-        if ident not in self._partial:
-            self._partial[ident] = (bytearray(frame.total), [])
-        buf, ranges = self._partial[ident]
-        if len(buf) != frame.total:
-            raise WireError(f"message {ident} changed its total length")
-        start, end = frame.offset, frame.offset + len(frame.payload)
-        for lo, hi in ranges:
-            if start < hi and lo < end:
-                raise WireError(f"message {ident} received overlapping chunks")
-        buf[start:end] = frame.payload
-        ranges.append((start, end))
-        if sum(hi - lo for lo, hi in ranges) == frame.total:
-            del self._partial[ident]
+        part = self._partial.get(ident)
+        if total == 0 or (part is None and end - start == total):
             return WireMessage(frame.kind, frame.sender, frame.key,
-                               frame.iteration, frame.priority, bytes(buf))
+                               frame.iteration, frame.priority, payload)
+        if part is None:
+            part = self._partial[ident] = (total, [], {})
+        expected, runs, chunks = part
+        if expected != total:
+            raise WireError(f"message {ident} changed its total length")
+        i = bisect_right(runs, [start, total])  # runs[:i] start <= start
+        if ((i and runs[i - 1][1] > start and runs[i - 1][0] < end)
+                or (i < len(runs) and runs[i][0] < end)):
+            raise WireError(f"message {ident} received overlapping chunks")
+        if payload:
+            chunks[start] = payload
+        if i and runs[i - 1][1] == start:
+            runs[i - 1][1] = end
+            if i < len(runs) and runs[i][0] == end:  # gap closed
+                runs[i - 1][1] = runs.pop(i)[1]
+        elif i < len(runs) and runs[i][0] == end:
+            runs[i][0] = start
+        elif payload:
+            runs.insert(i, [start, end])
+        if runs == [[0, total]]:
+            del self._partial[ident]
+            return WireMessage(
+                frame.kind, frame.sender, frame.key, frame.iteration,
+                frame.priority, b"".join(map(chunks.get, sorted(chunks))))
         return None

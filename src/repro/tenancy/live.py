@@ -19,7 +19,7 @@ import asyncio
 import time
 from typing import Dict, Mapping, Optional, Sequence
 
-from ..live.aio.driver import _run_cluster, leaving_no_task
+from ..live.aio.driver import _run_cluster, run_leaving_no_task
 from ..live.config import LiveClusterConfig
 from .scheduler import ClusterLease, JobScheduler
 from .shaper import FairShaper, TenantShare
@@ -61,8 +61,8 @@ def run_live_tenants(jobs: Sequence[JobSpec],
     if n_slots is None:
         n_slots = max(sum(j.n_workers for j in jobs),
                       max(j.n_workers for j in jobs))
-    return asyncio.run(leaving_no_task(_run_tenants(
-        jobs, configs, policy, n_slots, rate_bytes_per_s, burst_bytes)))
+    return run_leaving_no_task(_run_tenants(
+        jobs, configs, policy, n_slots, rate_bytes_per_s, burst_bytes))
 
 
 async def _run_tenants(jobs: Sequence[JobSpec],

@@ -350,6 +350,21 @@ def test_successful_run_leaves_no_task_or_socket_behind(overrides, caplog):
     assert not caught, [str(w.message) for w in caught]
 
 
+def test_the_run_result_is_never_formatted_on_the_way_out(monkeypatch):
+    """Regression: the result used to ride ``asyncio.run``'s main task,
+    and restoring the SIGINT handler wrapped around that task makes
+    ``signal`` format it — ``repr()`` of every ``ChunkRecord`` of the
+    run, twice, into an error message nobody reads (0.2 s and 5 MiB on
+    the benchmark's job).  Whatever the entry point becomes, tear-down
+    must not reach ``LiveRunResult.__repr__``."""
+    formatted = []
+    monkeypatch.setattr(LiveRunResult, "__repr__",
+                        lambda self: formatted.append(1) or "<result>")
+    result = run_live_aio(aio_cfg())
+    assert isinstance(result, LiveRunResult)
+    assert formatted == []
+
+
 def test_standing_check_names_a_task_left_pending():
     async def leaky():
         orphan = asyncio.get_running_loop().create_task(

@@ -358,3 +358,210 @@ async def test_control_lane_bypasses_shaper():
         writer.close()
         server.close()
         await server.wait_closed()
+
+
+# ----------------------------------------------------------------------
+# One queued CHUNK_ACK per connection
+# ----------------------------------------------------------------------
+async def _connected_pair():
+    """(server, client writer, server-side reader, server-side writer)."""
+    server, port, accepted = await start_accept_server()
+    _creader, cwriter = await asyncio.open_connection(HOST, port)
+    sreader, swriter = await accepted.get()
+    return server, cwriter, sreader, swriter
+
+
+def _acks(frames):
+    return [f.seq for f in frames if f.kind is WireKind.CHUNK_ACK]
+
+
+@pytest.mark.asyncio
+async def test_acks_queued_before_a_drain_step_leave_as_one():
+    """N ``send_ack`` calls inside one read callback — before the drain
+    task next runs — put ONE ``CHUNK_ACK`` on the wire, carrying the
+    maximum; once it has left, the next call queues afresh."""
+    server, cwriter, sreader, swriter = await _connected_pair()
+    try:
+        sender = AsyncPrioritySender(cwriter, sender_id=0)
+        for cum in (3, 7, 5, -1):  # -1: nothing delivered yet, no ack
+            sender.send_ack(cum)
+        assert len(sender._sched) == 1
+        sender.send(WireKind.HEARTBEAT, 0, 0, 0)  # closes the first batch
+        await sender.flush(5.0)
+        frames = await read_frames_until(
+            sreader, lambda fs: any(f.kind is WireKind.HEARTBEAT
+                                    for f in fs))
+        assert _acks(frames) == [7]
+
+        sender.send_ack(6)  # stale, but the wire is idle: it is sent
+        sender.send_ack(9)
+        sender.send(WireKind.HEARTBEAT, 0, 1, 0)
+        await sender.flush(5.0)
+        frames = await read_frames_until(
+            sreader, lambda fs: any(f.kind is WireKind.HEARTBEAT
+                                    for f in fs))
+        assert _acks(frames) == [9]
+        assert len(sender.timeline) == 4  # two acks, two heartbeats
+        await sender.close(5.0)
+    finally:
+        for writer in (cwriter, swriter):
+            writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+@pytest.mark.asyncio
+async def test_rebind_drops_the_queued_ack_and_the_next_queues_afresh():
+    """A queued ack names the dead stream's sequence space: ``rebind``
+    purges it and forgets it, so the next ``send_ack`` is not folded
+    into a heap entry that no longer exists."""
+    server, port, accepted = await start_accept_server()
+    writers = []
+    try:
+        _r0, w0 = await asyncio.open_connection(HOST, port)
+        sreader0, sw0 = await accepted.get()
+        _r1, w1 = await asyncio.open_connection(HOST, port)
+        sreader1, sw1 = await accepted.get()
+        writers += [w0, sw0, w1, sw1]
+        sender = AsyncPrioritySender(w0, sender_id=0, retry=_retry())
+        sender.send_ack(40)            # queued for the old stream ...
+        sender.rebind(w1)              # ... which dies before it drains
+        assert len(sender._sched) == 0
+        sender.send_ack(2)             # the fresh stream's first ack
+        sender.send(WireKind.HEARTBEAT, 0, 0, 0)
+        frames = await read_frames_until(
+            sreader1, lambda fs: any(f.kind is WireKind.HEARTBEAT
+                                     for f in fs))
+        assert _acks(frames) == [2]
+        sender.abort()
+        await sender.wait_closed()
+        w0.close()
+        assert await sreader0.read() == b""  # the old stream carried none
+    finally:
+        for writer in writers:
+            writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+@pytest.mark.asyncio
+async def test_closed_or_failed_sender_swallows_acks():
+    """The peer's retransmission elicits a fresh ack if one is needed,
+    so an ack to a sender that is closing or has failed is dropped
+    without a word — before and after one was already queued."""
+    from repro.live.transport import TransportError
+
+    server, cwriter, _sreader, swriter = await _connected_pair()
+    try:
+        closed = AsyncPrioritySender(cwriter, sender_id=0)
+        await closed.close(5.0)
+        closed.send_ack(3)
+        closed.send_ack(4)
+        assert len(closed._sched) == 0
+        with pytest.raises(TransportError, match="closed"):
+            closed.send(WireKind.HEARTBEAT, 0, 0, 0)
+
+        # No RetryPolicy: a dead connection fails the sender outright.
+        failed = AsyncPrioritySender(
+            BrokenWriter(), sender_id=0,
+            shaper=TokenBucket(rate_bytes_per_s=1e9))
+        failed.send_ack(1)
+        await _wait_until(lambda: failed.failed, "the write to fail")
+        failed.send_ack(2)
+        with pytest.raises(TransportError, match="failed"):
+            failed.send(WireKind.HEARTBEAT, 0, 0, 0)
+        await failed.wait_closed()
+    finally:
+        for writer in (cwriter, swriter):
+            writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+# ----------------------------------------------------------------------
+# Burst writes
+# ----------------------------------------------------------------------
+@pytest.mark.asyncio
+async def test_unshaped_sender_writes_bursts_and_records_every_frame():
+    """An unshaped, unsabotaged sender hands the transport one write per
+    burst (bounded by the transport's own high-water mark); the frames,
+    their order and the one-record-per-frame timeline are unchanged, and
+    every record carries its burst's write interval."""
+    server, cwriter, sreader, swriter = await _connected_pair()
+    try:
+        writes = []
+        real_write = cwriter.write
+        cwriter.write = lambda data: (writes.append(len(data)),
+                                      real_write(data))[1]
+        high_water = cwriter.transport.get_write_buffer_limits()[1]
+        sender = AsyncPrioritySender(cwriter, sender_id=0, chunk_bytes=4096,
+                                     retry=_retry())
+        sender.send(WireKind.PUSH, key=1, iteration=0, priority=5,
+                    payload=b"b" * (3 * high_water))
+        sender.send(WireKind.PUSH, key=2, iteration=0, priority=0,
+                    payload=b"u" * 100)
+        n_frames = 1 + -(-3 * high_water // 4096)
+        frames = await read_frames_until(
+            sreader, lambda fs: len(fs) >= n_frames)
+        assert [f.key for f in frames] == [2] + [1] * (n_frames - 1)
+        assert [f.seq for f in frames] == list(range(n_frames))
+        assert len(sender.timeline) == n_frames
+        assert sum(writes) == sum(r.nbytes for r in sender.timeline)
+        assert len(writes) < n_frames / 4, "one write per chunk is back"
+        assert max(writes) < high_water + 4096 + 40, \
+            "a burst ends at the transport's high-water mark"
+        intervals = {(r.start, r.end) for r in sender.timeline}
+        assert len(intervals) == len(writes)
+        sender.abort()
+        await sender.wait_closed()
+    finally:
+        for writer in (cwriter, swriter):
+            writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+# ----------------------------------------------------------------------
+# The watchdog's silent-peer branch
+# ----------------------------------------------------------------------
+@pytest.mark.asyncio
+async def test_watchdog_fails_the_node_when_a_peer_goes_silent():
+    """A shard that accepts and never answers — no ack, no ``EPOCH``, no
+    heartbeat reply — is a dead peer: the worker's watchdog must fail it
+    with an error naming ``server0`` within ``peer_timeout_s`` plus one
+    heartbeat interval, not leave it to the 60 s round timeout."""
+    from repro.live import LiveClusterConfig, LiveWorkerError
+    from repro.live.aio import AioWorker
+    from repro.live.membership import MembershipSchedule
+
+    cfg = LiveClusterConfig(
+        n_workers=1, n_servers=1, iterations=2, batch_size=4, in_size=4,
+        hidden=4, depth=1, n_train=8, n_val=4, fwd_layer_s=0.0,
+        bwd_layer_s=0.0, heartbeat_interval_s=0.05, peer_timeout_s=0.3)
+    mute = []  # accepted, held open, never read from or written to
+    server = await asyncio.start_server(lambda r, w: mute.append((r, w)),
+                                        HOST, 0)
+    port = server.sockets[0].getsockname()[1]
+    loop = asyncio.get_running_loop()
+    try:
+        worker = AioWorker(0, cfg, cfg.key_plan("p3"),
+                           MembershipSchedule.static(1, cfg.iterations),
+                           "p3", loop.time())
+        start = loop.time()
+        with pytest.raises(LiveWorkerError,
+                           match="no bytes from server0 .* peer dead"):
+            await worker.run([(HOST, port)])
+        elapsed = loop.time() - start
+        assert mute, "the listener must have accepted the connection"
+        assert elapsed >= cfg.peer_timeout_s
+        # + 0.25 s: loaded CI boxes stretch every sleep and the teardown
+        limit = cfg.peer_timeout_s + cfg.heartbeat_interval_s + 0.25
+        assert elapsed < limit, f"took {elapsed:.2f}s"
+        pending = [t.get_name() for t in asyncio.all_tasks()
+                   if t is not asyncio.current_task() and not t.done()]
+        assert pending == []
+    finally:
+        for _reader, writer in mute:
+            writer.close()
+        server.close()
+        await server.wait_closed()

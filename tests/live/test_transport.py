@@ -4,6 +4,7 @@ priority preemption on a rate-shaped loopback socket pair."""
 
 from __future__ import annotations
 
+import heapq
 import socket
 import sys
 import time
@@ -254,6 +255,97 @@ def test_scheduler_reports_preemption_of_in_flight_message():
     item, chunk, offset, done, preempted = sched.pop_chunk()
     assert (item.key, chunk, offset, done) == (1, b"bulk", 4, True)
     assert preempted is None
+
+
+class PopRepushScheduler:
+    """The rule ``ChunkScheduler`` had before it advanced the heap's
+    head in place, written out: pop the least ``(priority, enqueue
+    order)``, cut its next chunk, push it back unless that was its last."""
+
+    def __init__(self, chunk_bytes):
+        self.chunk_bytes, self.heap, self.msgs = chunk_bytes, [], {}
+        self.seq, self.last = 0, None
+
+    def push(self, kind, key, priority, payload):
+        self.msgs[self.seq] = dict(kind=kind, key=key, payload=payload,
+                                   offset=0)
+        heapq.heappush(self.heap, (priority, self.seq))
+        self.seq += 1
+
+    def pop_chunk(self):
+        if not self.heap:
+            return None
+        entry = heapq.heappop(self.heap)
+        msg = self.msgs[entry[1]]
+        offset = msg["offset"]
+        chunk = msg["payload"][offset:offset + self.chunk_bytes]
+        done = offset + len(chunk) >= len(msg["payload"])
+        last = self.last
+        preempted = (last["key"] if last is not None and last is not msg
+                     and last["offset"] < len(last["payload"]) else None)
+        msg["offset"] += len(chunk)
+        if not done:
+            heapq.heappush(self.heap, entry)
+        self.last = msg
+        return msg["key"], offset, len(chunk), done, preempted
+
+    def purge(self, kinds):
+        kept = [e for e in self.heap if self.msgs[e[1]]["kind"] not in kinds]
+        removed = len(self.heap) - len(kept)
+        heapq.heapify(kept)
+        self.heap = kept
+        if self.last is not None and self.last["kind"] in kinds:
+            self.last = None
+        return removed
+
+
+scheduler_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"),
+                  st.sampled_from([WireKind.PUSH, WireKind.CHUNK_ACK]),
+                  st.integers(min_value=-2, max_value=4),   # priority
+                  st.integers(min_value=0, max_value=40)),  # payload size
+        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=6)),
+        st.tuples(st.just("purge"))),
+    min_size=1, max_size=60)
+
+
+@given(ops=scheduler_ops, chunk_bytes=st.sampled_from([1, 5, 16]))
+@settings(max_examples=300, deadline=None)
+def test_scheduler_matches_the_pop_and_repush_rule(ops, chunk_bytes):
+    """Any interleaving of pushes, pops and purges yields the chunk
+    sequence pop-and-re-push yields — key, offset, length, ``done`` and
+    the preempted key — then drains to the same end."""
+    sched, model = ChunkScheduler(chunk_bytes), PopRepushScheduler(chunk_bytes)
+
+    def pop_both():
+        popped, expected = sched.pop_chunk(), model.pop_chunk()
+        if expected is None:
+            assert popped is None
+            return False
+        item, chunk, offset, done, preempted = popped
+        assert (item.key, offset, len(chunk), done,
+                None if preempted is None else preempted.key) == expected
+        return True
+
+    key = 0
+    for op in ops:
+        if op[0] == "push":
+            _, kind, priority, size = op
+            payload = bytes([key % 251]) * size
+            sched.push(kind, key, 0, priority, payload)
+            model.push(kind, key, priority, payload)
+            key += 1
+        elif op[0] == "pop":
+            for _ in range(op[1]):
+                pop_both()
+        else:
+            assert sched.purge((WireKind.CHUNK_ACK,)) == \
+                model.purge((WireKind.CHUNK_ACK,))
+        assert len(sched) == len(model.heap)
+    while pop_both():
+        pass
+    assert len(sched) == 0
 
 
 def test_scheduler_validates_chunk_bytes():

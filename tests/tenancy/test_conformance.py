@@ -114,3 +114,18 @@ def test_live_schedule_survives_unshaped_policy_none() -> None:
         got = res.jobs[name].result.final_params
         for pname in ref:
             np.testing.assert_array_equal(got[pname], ref[pname])
+
+
+def test_no_job_result_is_formatted_on_the_way_out(monkeypatch) -> None:
+    """The tenancy entry point shares ``run_live_aio``'s way out of the
+    loop: the ``TenancyResult`` must not ride ``asyncio.run``'s main
+    task, whose tear-down would ``repr()`` every job's whole result."""
+    from repro.live import LiveRunResult
+
+    formatted = []
+    monkeypatch.setattr(LiveRunResult, "__repr__",
+                        lambda self: formatted.append(1) or "<result>")
+    jobs, configs = two_tenant_schedule()
+    res = run_live_tenants(jobs, configs, policy="none")
+    assert set(res.jobs) == {"a", "b"}
+    assert formatted == []

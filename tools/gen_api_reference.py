@@ -16,6 +16,7 @@ import argparse
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 from typing import List
 
@@ -115,7 +116,9 @@ def _first_line(obj) -> str:
 
 def _signature(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        # typing.NamedTuple keeps postponed annotations as ForwardRefs.
+        return re.sub(r"ForwardRef\(('[^']*')\)", r"\1",
+                      str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
