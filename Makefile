@@ -69,10 +69,10 @@ live-demo:
 	$(PYTHON) examples/live_cluster.py
 
 report:
-	$(PYTHON) -m repro.analysis.report --out report.md
+	$(PYTHON) -m repro report --out report.md
 
 quick-report:
-	$(PYTHON) -m repro.analysis.report --quick --out report.md
+	$(PYTHON) -m repro report --quick --out report.md
 
 figures:
 	$(PYTHON) -m repro.cli summary

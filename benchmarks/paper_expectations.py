@@ -4,13 +4,9 @@ by roughly what factor, where crossovers fall).  Absolute values are not
 expected to match: the substrate is a simulator, not the authors'
 P4000/InfiniBand testbed (see DESIGN.md)."""
 
-# Abstract / Section 5.3: maximum P3-over-baseline speedups.
-PAPER_PEAK_SPEEDUP = {
-    "resnet50": 1.25,
-    "inceptionv3": 1.18,
-    "vgg19": 1.66,
-    "sockeye": 1.38,
-}
+# Abstract / Section 5.3: maximum P3-over-baseline speedups — the one
+# copy lives beside the Figure 7 grids; benchmarks import it from here.
+from repro.analysis.bandwidth import PAPER_PEAK_SPEEDUP  # noqa: F401
 
 # Section 5.3: where the baseline starts degrading (Gbps).
 PAPER_BASELINE_CROSSOVER_GBPS = {"resnet50": 6.0}

@@ -53,7 +53,7 @@ def test_ablation_priority_policies(benchmark):
 def test_ablation_latency(benchmark, report):
     """P3's gains are bandwidth-scheduling gains: robust to latency."""
     fig = run_once(benchmark, lambda: latency_sensitivity(
-        "resnet50", 4.0, latencies_us=(10, 50, 200, 1000)))
+        "resnet50", values=(10, 50, 200, 1000), bandwidth_gbps=4.0))
     report(fig, "ablation_latency.csv")
     p3_series = fig.get("p3")
     assert p3_series.y.min() > 0.75 * p3_series.y.max()

@@ -71,7 +71,7 @@ def test_fig07_crossovers_resnet50(benchmark, report):
     """The paper's crossover claim: baseline plateau ends ~6 Gbps,
     P3's ~4 Gbps."""
     fig = run_once(benchmark, lambda: fig7_bandwidth_sweep(
-        "resnet50", bandwidths=(3, 4, 5, 6, 7, 8), iterations=5))
+        "resnet50", values=(3, 4, 5, 6, 7, 8), iterations=5))
     report(fig, "fig7_crossover.csv")
     base, fast = fig.get("baseline"), fig.get("p3")
     plateau = 104.0

@@ -23,7 +23,7 @@ GRIDS = {
 @pytest.mark.parametrize("model_name", sorted(GRIDS))
 def test_fig12_slice_size(benchmark, report, model_name):
     fig = run_once(benchmark, lambda: fig12_slice_size_sweep(
-        model_name, slice_sizes=GRIDS[model_name], iterations=4))
+        model_name, values=GRIDS[model_name], iterations=4))
     report(fig)
     s = fig.get("p3")
     best = fig.notes["best_slice_size"]

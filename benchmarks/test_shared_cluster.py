@@ -14,7 +14,7 @@ from conftest import run_once
 
 def test_shared_cluster_contention(benchmark, report):
     fig = run_once(benchmark, lambda: shared_cluster_sweep(
-        "resnet50", bandwidth_gbps=6.0, loads=(0.0, 0.2, 0.4, 0.6)))
+        "resnet50", bandwidth_gbps=6.0, values=(0.0, 0.2, 0.4, 0.6)))
     report(fig)
     print(f"P3 speedup: unloaded {fig.notes['speedup_unloaded']:.2f}x -> "
           f"loaded {fig.notes['speedup_loaded']:.2f}x")
@@ -27,7 +27,7 @@ def test_shared_cluster_contention(benchmark, report):
 
 def test_straggler_sensitivity(benchmark, report):
     fig = run_once(benchmark, lambda: straggler_sensitivity(
-        "resnet50", slow_factors=(1.0, 1.5, 2.0)))
+        "resnet50", values=(1.0, 1.5, 2.0)))
     report(fig)
     sync = fig.get("baseline")
     async_ = fig.get("asgd")

@@ -23,7 +23,7 @@ from conftest import run_once
 
 def test_oversubscribed_core(benchmark, report):
     fig = run_once(benchmark, lambda: oversubscription_sweep(
-        "resnet50", ratios=(1.0, 2.0, 4.0), bandwidth_gbps=8.0))
+        "resnet50", values=(1.0, 2.0, 4.0), bandwidth_gbps=8.0))
     report(fig)
     print(f"P3 speedup: edge-bottleneck "
           f"{fig.notes['speedup_at_edge_bottleneck']:.2f}x -> core-bottleneck "

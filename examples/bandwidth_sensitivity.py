@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import ascii_plot, fig7_bandwidth_sweep
+from repro.analysis import PAPER_PEAK_SPEEDUP, ascii_plot, fig7_bandwidth_sweep
 from repro.analysis.series import speedup
 
 
@@ -28,8 +28,8 @@ def main(model_name: str = "vgg19") -> None:
     best_idx = ratios.y.argmax()
     print(f"\nP3 peak speedup: {ratios.y[best_idx]:.2f}x at "
           f"{ratios.x[best_idx]:g} Gbps")
-    print("Paper peaks: ResNet-50 1.25x, InceptionV3 1.18x, "
-          "VGG-19 1.66x, Sockeye 1.38x")
+    print("Paper peaks: " + ", ".join(
+        f"{name} {peak:.2f}x" for name, peak in PAPER_PEAK_SPEEDUP.items()))
 
 
 if __name__ == "__main__":

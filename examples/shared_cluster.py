@@ -11,33 +11,22 @@ Run:  python examples/shared_cluster.py
 
 from __future__ import annotations
 
-from repro import ClusterConfig, simulate
-from repro.models import resnet50
-from repro.strategies import asgd, baseline, p3
+from repro.analysis import shared_cluster_sweep, straggler_sensitivity
+from repro.strategies import asgd, p3
 
 
 def main() -> None:
-    model = resnet50()
-
     print("== background tenant traffic (ResNet-50 @ 6 Gbps, 4 workers) ==")
-    print(f"{'load':>6} {'baseline':>10} {'p3':>10} {'speedup':>9}")
-    for load in (0.0, 0.2, 0.4, 0.6):
-        cfg = ClusterConfig(n_workers=4, bandwidth_gbps=6.0, background_load=load)
-        base = simulate(model, baseline(), cfg, iterations=5, warmup=2)
-        fast = simulate(model, p3(), cfg, iterations=5, warmup=2)
-        print(f"{load:>6.1f} {base.throughput / 4:>10.1f} "
-              f"{fast.throughput / 4:>10.1f} "
-              f"{fast.speedup_over(base):>8.2f}x")
+    fig = shared_cluster_sweep("resnet50")
+    print(fig.table())
+    print(f"P3 speedup: {fig.notes['speedup_unloaded']:.2f}x unloaded, "
+          f"{fig.notes['speedup_loaded']:.2f}x at 60% background load")
 
+    # Any sweep takes its own axis values and strategies.
     print("\n== one straggling worker (ResNet-50 @ 10 Gbps, 4 workers) ==")
-    print(f"{'slowdown':>9} {'sync(P3)':>10} {'asgd':>10}")
-    for factor in (1.0, 1.5, 2.0):
-        cfg = ClusterConfig(n_workers=4, bandwidth_gbps=10.0,
-                            straggler_factors=(1.0, 1.0, 1.0, factor))
-        sync = simulate(model, p3(), cfg, iterations=5, warmup=2)
-        async_ = simulate(model, asgd(), cfg, iterations=5, warmup=2)
-        print(f"{factor:>9.1f} {sync.throughput / 4:>10.1f} "
-              f"{async_.throughput / 4:>10.1f}")
+    fig = straggler_sensitivity("resnet50", values=(1.0, 1.5, 2.0),
+                                strategies=(p3(), asgd()))
+    print(fig.table())
 
     print("\nTakeaways: P3's relative advantage survives contention "
           "(it needs less peak bandwidth); ASGD shrugs off stragglers "

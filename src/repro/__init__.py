@@ -21,7 +21,8 @@ Public API overview
     sockets and OS processes, with priority scheduling and token-bucket
     bandwidth shaping (the software ``tc qdisc``).
 ``repro.analysis``
-    One driver per paper figure, regenerating its data series.
+    One entry per paper figure, regenerating its data series (the
+    throughput figures are rows of one ``Sweep``).
 
 Quickstart
 ----------

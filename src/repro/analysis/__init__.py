@@ -1,4 +1,7 @@
-"""Experiment drivers: one per paper figure, plus ablations."""
+"""Experiment drivers: one per paper figure, plus ablations.
+
+The throughput figures are rows of :class:`~repro.analysis.sweep.Sweep`.
+"""
 
 from .ablations import (
     colocation_ablation,
@@ -17,7 +20,12 @@ from .accuracy import (
     fig15_asgd_vs_p3,
 )
 from .ascii_plot import ascii_plot
-from .bandwidth import FIG7_GRIDS, fig7_bandwidth_sweep, peak_speedups
+from .bandwidth import (
+    FIG7_GRIDS,
+    PAPER_PEAK_SPEEDUP,
+    fig7_bandwidth_sweep,
+    peak_speedups,
+)
 from .distributions import fig5_param_distribution, skew_statistics
 from .scalability import FIG10_SIZES, fig10_scalability
 from .sharding import (
@@ -56,6 +64,7 @@ from .sensitivity import sensitivity_scan, speedup_at
 from .series import FigureData, Series, speedup
 from .stats import SeedStats, speedup_stats, summarize, throughput_stats
 from .storage import load_figure, save_figure
+from .sweep import Sweep
 from .tails import iteration_time_percentiles, tail_comparison
 from .tenancy import (
     SWEEP_POLICIES,
@@ -89,11 +98,13 @@ __all__ = [
     "PLACEMENTS",
     "PLACEMENT_SIZES",
     "FIG7_GRIDS",
+    "PAPER_PEAK_SPEEDUP",
     "FIG8_9_CONFIGS",
     "FigureData",
     "HyperSetting",
     "ScheduleOutcome",
     "Series",
+    "Sweep",
     "CalibrationReport",
     "FaultCalibrationReport",
     "ascii_plot",

@@ -8,14 +8,11 @@ figure's axes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..models import get_model
-from ..sim import ClusterConfig
 from ..strategies import StrategyConfig, baseline, p3, slicing_only
-from .cache import SimCache
-from .runner import SimPoint, run_grid
 from .series import FigureData, speedup
+from .sweep import Sweep, config_axis
 
 # Bandwidth grids used by the paper's sub-figures.
 FIG7_GRIDS: Dict[str, Sequence[float]] = {
@@ -28,56 +25,32 @@ FIG7_GRIDS: Dict[str, Sequence[float]] = {
 FIG7_PANELS = {"resnet50": "fig7a", "inceptionv3": "fig7b",
                "vgg19": "fig7c", "sockeye": "fig7d"}
 
+# Abstract / Section 5.3: the paper's maximum P3-over-baseline speedups.
+PAPER_PEAK_SPEEDUP = {"resnet50": 1.25, "inceptionv3": 1.18,
+                      "vgg19": 1.66, "sockeye": 1.38}
+
 
 def default_strategies() -> Sequence[StrategyConfig]:
     return (baseline(), slicing_only(), p3())
 
 
-def fig7_bandwidth_sweep(
-    model_name: str,
-    bandwidths: Optional[Sequence[float]] = None,
-    strategies: Optional[Sequence[StrategyConfig]] = None,
-    n_workers: int = 4,
-    iterations: int = 5,
-    warmup: int = 2,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
-) -> FigureData:
-    """Throughput-vs-bandwidth series for one model (one Fig 7 panel).
-
-    ``jobs`` fans the grid across worker processes; ``cache`` reuses
-    previously simulated points (see :mod:`repro.analysis.runner`).
-    Both leave the figure byte-identical to a serial, uncached run.
-    """
-    model = get_model(model_name)
-    if bandwidths is None:
-        # Models outside the paper's four panels get the wide grid.
-        bandwidths = FIG7_GRIDS.get(model_name, (1, 2, 4, 6, 8, 10, 15, 20, 30))
-    strategies = strategies if strategies is not None else default_strategies()
-    fig = FigureData(
-        figure_id=FIG7_PANELS.get(model_name, f"fig7_{model_name}"),
-        title=f"Bandwidth vs throughput: {model_name}",
-        x_label="bandwidth (Gbps)",
-        y_label=f"throughput ({model.sample_unit}/s per worker)",
-    )
-    points = [
-        SimPoint(model_name, strat,
-                 ClusterConfig(n_workers=n_workers, bandwidth_gbps=float(bw),
-                               seed=seed),
-                 iterations, warmup)
-        for strat in strategies for bw in bandwidths
-    ]
-    results = iter(run_grid(points, jobs=jobs, cache=cache))
-    for strat in strategies:
-        ys = [next(results).throughput / n_workers for _ in bandwidths]
-        fig.add(strat.name, list(bandwidths), ys)
+def _peak_speedup(fig: FigureData) -> None:
     if {"baseline", "p3"} <= set(fig.labels):
         ratios = speedup(fig, over="baseline", of="p3")
         best = float(ratios.y.max())
         fig.notes["max_p3_speedup"] = round(best, 3)
         fig.notes["max_p3_speedup_at_gbps"] = float(ratios.x[ratios.y.argmax()])
-    return fig
+
+
+fig7_bandwidth_sweep = Sweep(
+    "fig7", "Bandwidth vs throughput: {model}", "bandwidth (Gbps)",
+    config_axis("bandwidth_gbps"),
+    # Models outside the paper's four panels get the wide grid.
+    grid=(1, 2, 4, 6, 8, 10, 15, 20, 30),
+    doc="Throughput-vs-bandwidth series for one model (one Fig 7 panel).",
+    strategies=default_strategies,
+    panels=FIG7_PANELS, model_grids=FIG7_GRIDS, notes=_peak_speedup,
+)
 
 
 def peak_speedups(model_names: Sequence[str] = tuple(FIG7_GRIDS),

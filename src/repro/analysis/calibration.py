@@ -100,6 +100,34 @@ def sim_bandwidth_gbps(cfg: LiveClusterConfig) -> float:
     return effective * 8.0 / 1e9
 
 
+def _simulate_twin(cfg: LiveClusterConfig, strategy: str,
+                   plan: Optional[FaultPlan] = None,
+                   obs: Optional[ObsSession] = None) -> float:
+    """Mean simulated iteration time of the live config's twin cluster.
+
+    The one place the live → ``ClusterConfig`` mapping (module
+    docstring) is written; ``plan`` is the only thing its callers vary.
+    """
+    sim_cfg = ClusterConfig(
+        n_workers=cfg.n_workers,
+        n_servers=cfg.n_servers,
+        bandwidth_gbps=sim_bandwidth_gbps(cfg),
+        colocate_servers=False,
+        seed=cfg.store_seed,
+        fault_plan=plan,
+        placement=cfg.placement,
+        placement_split_factor=cfg.split_factor,
+        placement_max_splits=cfg.max_splits,
+        agg_group_size=cfg.agg_group_size,
+    )
+    strat = (strategies.baseline() if strategy == "baseline"
+             else strategies.p3(cfg.slice_params))
+    result = simulate(live_model_spec(cfg), strat, sim_cfg,
+                      iterations=max(cfg.iterations, cfg.warmup + 2),
+                      warmup=cfg.warmup, obs=obs)
+    return result.mean_iteration_time
+
+
 def predict_sim(cfg: LiveClusterConfig,
                 obs_sessions: Optional[Dict[str, ObsSession]] = None
                 ) -> Tuple[float, float]:
@@ -110,26 +138,10 @@ def predict_sim(cfg: LiveClusterConfig,
     ``"p3"``) carrying the shared event stream, from which
     :func:`phase_breakdown` derives per-phase time.
     """
-    spec = live_model_spec(cfg)
-    sim_cfg = ClusterConfig(
-        n_workers=cfg.n_workers,
-        n_servers=cfg.n_servers,
-        bandwidth_gbps=sim_bandwidth_gbps(cfg),
-        colocate_servers=False,
-        seed=cfg.store_seed,
-        placement=cfg.placement,
-        placement_split_factor=cfg.split_factor,
-        placement_max_splits=cfg.max_splits,
-        agg_group_size=cfg.agg_group_size,
-    )
-    iters = max(cfg.iterations, cfg.warmup + 2)
     times = {}
-    for name, strat in (("baseline", strategies.baseline()),
-                        ("p3", strategies.p3(cfg.slice_params))):
+    for name in ("baseline", "p3"):
         sess = sim_session() if obs_sessions is not None else None
-        result = simulate(spec, strat, sim_cfg, iterations=iters,
-                          warmup=cfg.warmup, obs=sess)
-        times[name] = result.mean_iteration_time
+        times[name] = _simulate_twin(cfg, name, obs=sess)
         if obs_sessions is not None:
             obs_sessions[name] = sess
     return times["baseline"], times["p3"]
@@ -316,30 +328,6 @@ class FaultCalibrationReport:
         ])
 
 
-def _simulate_live_equivalent(cfg: LiveClusterConfig, strategy: str,
-                              plan: Optional[FaultPlan]) -> float:
-    """Mean simulated iteration time for the live config's twin cluster."""
-    spec = live_model_spec(cfg)
-    sim_cfg = ClusterConfig(
-        n_workers=cfg.n_workers,
-        n_servers=cfg.n_servers,
-        bandwidth_gbps=sim_bandwidth_gbps(cfg),
-        colocate_servers=False,
-        seed=cfg.store_seed,
-        fault_plan=plan,
-        placement=cfg.placement,
-        placement_split_factor=cfg.split_factor,
-        placement_max_splits=cfg.max_splits,
-        agg_group_size=cfg.agg_group_size,
-    )
-    strat = (strategies.baseline() if strategy == "baseline"
-             else strategies.p3(cfg.slice_params))
-    iters = max(cfg.iterations, cfg.warmup + 2)
-    result = simulate(spec, strat, sim_cfg, iterations=iters,
-                      warmup=cfg.warmup)
-    return result.mean_iteration_time
-
-
 def calibrate_faults(cfg: LiveClusterConfig,
                      plan: Optional[FaultPlan] = None,
                      strategy: str = "p3",
@@ -369,8 +357,8 @@ def calibrate_faults(cfg: LiveClusterConfig,
         plan=plan,
         live_clean_s=live_clean.mean_iteration_time,
         live_faulty_s=live_faulty.mean_iteration_time,
-        sim_clean_s=_simulate_live_equivalent(clean_cfg, strategy, None),
-        sim_faulty_s=_simulate_live_equivalent(faulty_cfg, strategy, plan),
+        sim_clean_s=_simulate_twin(clean_cfg, strategy),
+        sim_faulty_s=_simulate_twin(faulty_cfg, strategy, plan),
         bit_identical_under_faults=_identical(live_faulty.final_params, ref),
         max_abs_diff=_max_diff(live_faulty.final_params, ref),
         tolerance=tolerance,

@@ -6,15 +6,11 @@ mode shrinks sweeps and training epochs for smoke runs.
 
 Usage::
 
-    python -m repro.analysis.report [--quick] [--out report.md]
+    python -m repro report [--quick] [--out report.md] [--jobs N] [--cache]
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
-from pathlib import Path
 from typing import Callable, List, Optional
 
 from . import (
@@ -32,6 +28,7 @@ from . import (
     skew_statistics,
 )
 from .accuracy import DEFAULT_SETTINGS
+from .bandwidth import PAPER_PEAK_SPEEDUP
 from .cache import SimCache
 
 
@@ -87,9 +84,7 @@ def generate_report(quick: bool = False,
                      f"{s['max_share'] * 100:.1f}% of model.")
 
     lines += _section("Figure 7 — bandwidth vs throughput")
-    paper_peak = {"resnet50": 1.25, "inceptionv3": 1.18,
-                  "vgg19": 1.66, "sockeye": 1.38}
-    models = ("resnet50", "vgg19") if quick else tuple(paper_peak)
+    models = ("resnet50", "vgg19") if quick else tuple(PAPER_PEAK_SPEEDUP)
     for name in models:
         note(f"fig7 {name}")
         fig = fig7_bandwidth_sweep(name, iterations=iters, jobs=jobs,
@@ -97,7 +92,7 @@ def generate_report(quick: bool = False,
         lines.append(f"- {name}: peak P3 speedup "
                      f"{fig.notes['max_p3_speedup']:.2f}x at "
                      f"{fig.notes['max_p3_speedup_at_gbps']:g} Gbps "
-                     f"(paper: {paper_peak[name]:.2f}x).")
+                     f"(paper: {PAPER_PEAK_SPEEDUP[name]:.2f}x).")
 
     lines += _section("Figures 8 & 9 — network utilization")
     for name in (("vgg19",) if quick else ("resnet50", "vgg19", "sockeye")):
@@ -112,7 +107,7 @@ def generate_report(quick: bool = False,
     lines += _section("Figure 10 — scalability (10 Gbps)")
     for name in (("vgg19",) if quick else ("resnet50", "vgg19", "sockeye")):
         note(f"fig10 {name}")
-        fig = fig10_scalability(name, cluster_sizes=(2, 4) if quick else (2, 4, 8, 16),
+        fig = fig10_scalability(name, values=(2, 4) if quick else (2, 4, 8, 16),
                                 iterations=iters, jobs=jobs, cache=cache)
         lines.append(f"- {name}: max P3 speedup {fig.notes['max_p3_speedup']:.2f}x "
                      f"at {fig.notes['max_p3_speedup_at_size']} machines; "
@@ -132,7 +127,7 @@ def generate_report(quick: bool = False,
         note(f"fig12 {name}")
         sizes = (3_000, 50_000, 1_000_000) if quick else \
             (3_000, 10_000, 50_000, 200_000, 1_000_000)
-        fig = fig12_slice_size_sweep(name, slice_sizes=sizes, iterations=iters,
+        fig = fig12_slice_size_sweep(name, values=sizes, iterations=iters,
                                      jobs=jobs, cache=cache)
         lines.append(f"- {name}: best slice {fig.notes['best_slice_size']:,} "
                      f"params (paper: 50,000).")
@@ -161,26 +156,3 @@ def generate_report(quick: bool = False,
     lines.append("")
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out", default="report.md")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for simulation grids")
-    parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="reuse cached simulation results")
-    args = parser.parse_args(argv)
-    start = time.time()
-    text = generate_report(quick=args.quick,
-                           progress=lambda m: print(f"[{time.time() - start:6.1f}s] {m}"),
-                           jobs=args.jobs,
-                           cache=SimCache() if args.cache else None)
-    Path(args.out).write_text(text)
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,7 +33,7 @@ numbers, bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..models import get_model
 from ..sim import (
@@ -45,7 +45,6 @@ from ..sim import (
     StragglerFault,
 )
 from ..strategies import get_strategy
-from .cache import SimCache
 from .runner import SimPoint, run_grid
 from .series import FigureData
 
@@ -122,8 +121,7 @@ def robustness_sweep(
     iterations: int = 5,
     warmup: int = 2,
     seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
+    **grid,
 ) -> FigureData:
     """Throughput retention per strategy across a fault-severity grid.
 
@@ -139,8 +137,8 @@ def robustness_sweep(
     clean reference runs must finish first (the first strategy's
     iteration time scales every fault plan), then the full
     severity × strategy grid fans out through
-    :func:`repro.analysis.runner.run_grid` (``jobs`` processes,
-    optional ``cache``) with results identical to a serial run.
+    :func:`repro.analysis.runner.run_grid`, which ``**grid`` (``jobs``,
+    ``cache``) goes to, with results identical to a serial run.
     """
     get_model(model_name)  # fail fast on unknown models
 
@@ -154,7 +152,7 @@ def robustness_sweep(
     # the timescale for the dimensionless plan, shared by every
     # strategy so all see the same absolute fault schedule.
     clean_results = run_grid([point(name, FaultPlan()) for name in strategies],
-                             jobs=jobs, cache=cache)
+                             **grid)
     clean: Dict[str, float] = {
         name: r.throughput for name, r in zip(strategies, clean_results)}
     iter_t = clean_results[0].mean_iteration_time
@@ -167,14 +165,14 @@ def robustness_sweep(
     )
     absolute: Dict[str, list] = {name: [] for name in strategies}
     retention: Dict[str, list] = {name: [] for name in strategies}
-    grid = []
+    cells = []
     for severity in severities:
         plan = fault_plan_for(severity, iter_t, n_workers=n_workers,
                               kinds=kinds, seed=seed)
         for name in strategies:
-            grid.append((name, point(name, plan)))
-    grid_results = run_grid([p for _, p in grid], jobs=jobs, cache=cache)
-    for (name, _), result in zip(grid, grid_results):
+            cells.append((name, point(name, plan)))
+    grid_results = run_grid([p for _, p in cells], **grid)
+    for (name, _), result in zip(cells, grid_results):
         absolute[name].append(result.throughput)
         retention[name].append(result.throughput / clean[name])
     for name in strategies:

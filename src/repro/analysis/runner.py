@@ -343,18 +343,3 @@ def run_grid(
                 results[i] = PointResult.from_doc(result_doc)
     return results  # type: ignore[return-value]
 
-
-def grid_points(
-    model: str,
-    strategies: Sequence[StrategyConfig],
-    configs: Sequence[ClusterConfig],
-    iterations: int,
-    warmup: int,
-) -> List[SimPoint]:
-    """Cross product helper: one point per (strategy, config), strategy-major
-    — the iteration order every figure driver uses."""
-    return [
-        SimPoint(model, strategy, config, iterations, warmup)
-        for strategy in strategies
-        for config in configs
-    ]

@@ -8,56 +8,15 @@ the figure's ~800 img/s at 16 machines).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..models import get_model
-from ..sim import ClusterConfig
-from ..strategies import StrategyConfig, baseline, p3
-from .cache import SimCache
-from .runner import SimPoint, run_grid
 from .series import FigureData
+from .sweep import Sweep, config_axis
 
 FIG10_SIZES = (2, 4, 8, 16)
 FIG10_PANELS = {"resnet50": "fig10a", "vgg19": "fig10b", "sockeye": "fig10c"}
 AWS_COMPUTE_SCALE = 0.5
 
 
-def fig10_scalability(
-    model_name: str,
-    cluster_sizes: Sequence[int] = FIG10_SIZES,
-    strategies: Optional[Sequence[StrategyConfig]] = None,
-    bandwidth_gbps: float = 10.0,
-    compute_scale: float = AWS_COMPUTE_SCALE,
-    iterations: int = 5,
-    warmup: int = 2,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
-) -> FigureData:
-    """Cluster-total throughput at each cluster size, baseline vs P3.
-
-    ``jobs``/``cache`` parallelize and memoize the grid without
-    changing a digit of the output (:mod:`repro.analysis.runner`).
-    """
-    model = get_model(model_name)
-    strategies = strategies if strategies is not None else (baseline(), p3())
-    fig = FigureData(
-        figure_id=FIG10_PANELS.get(model_name, f"fig10_{model_name}"),
-        title=f"Scalability: {model_name} @ {bandwidth_gbps:g} Gbps",
-        x_label="cluster size",
-        y_label=f"throughput ({model.sample_unit}/s)",
-    )
-    points = [
-        SimPoint(model_name, strat,
-                 ClusterConfig(n_workers=int(n), bandwidth_gbps=bandwidth_gbps,
-                               compute_scale=compute_scale, seed=seed),
-                 iterations, warmup)
-        for strat in strategies for n in cluster_sizes
-    ]
-    results = iter(run_grid(points, jobs=jobs, cache=cache))
-    for strat in strategies:
-        ys = [next(results).throughput for _ in cluster_sizes]
-        fig.add(strat.name, list(cluster_sizes), ys)
+def _scaling_notes(fig: FigureData) -> None:
     base = fig.get("baseline")
     new = fig.get("p3")
     gains = new.y / base.y
@@ -67,4 +26,12 @@ def fig10_scalability(
         float((new.y[-1] / new.x[-1]) / (new.y[0] / new.x[0])), 3)
     fig.notes["scaling_efficiency_baseline"] = round(
         float((base.y[-1] / base.x[-1]) / (base.y[0] / base.x[0])), 3)
-    return fig
+
+
+fig10_scalability = Sweep(
+    "fig10", "Scalability: {model} @ {bandwidth_gbps:g} Gbps", "cluster size",
+    config_axis("n_workers", int), FIG10_SIZES,
+    doc="Cluster-total throughput at each cluster size, baseline vs P3.",
+    base={"bandwidth_gbps": 10.0, "compute_scale": AWS_COMPUTE_SCALE},
+    panels=FIG10_PANELS, per_worker=False, notes=_scaling_notes,
+)

@@ -9,15 +9,13 @@ communication-constrained operating point.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..models import get_model
-from ..sim import ClusterConfig, simulate
+from ..sim import ClusterConfig
 from ..strategies import baseline, p3
-from .cache import SimCache
 from .runner import SimPoint, run_grid
 from .series import FigureData
+from .sweep import Sweep, config_axis
 
 # knob -> sweep values (defaults marked by ClusterConfig defaults)
 DEFAULT_SWEEPS: Dict[str, Sequence[float]] = {
@@ -30,11 +28,15 @@ DEFAULT_SWEEPS: Dict[str, Sequence[float]] = {
 
 
 def speedup_at(model_name: str, cfg: ClusterConfig,
-               iterations: int = 4, warmup: int = 1) -> float:
-    """P3-over-baseline throughput ratio at one configuration."""
-    model = get_model(model_name)
-    base = simulate(model, baseline(), cfg, iterations=iterations, warmup=warmup)
-    fast = simulate(model, p3(), cfg, iterations=iterations, warmup=warmup)
+               iterations: int = 4, warmup: int = 1, **grid) -> float:
+    """P3-over-baseline throughput ratio at one configuration.
+
+    ``**grid`` goes to :func:`repro.analysis.runner.run_grid`
+    (``jobs``, ``cache``).
+    """
+    base, fast = run_grid(
+        [SimPoint(model_name, strategy, cfg, iterations, warmup)
+         for strategy in (baseline(), p3())], **grid)
     return fast.throughput / base.throughput
 
 
@@ -42,50 +44,34 @@ def sensitivity_scan(
     model_name: str = "resnet50",
     bandwidth_gbps: float = 4.0,
     sweeps: Dict[str, Sequence[float]] | None = None,
-    n_workers: int = 4,
-    iterations: int = 4,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
+    **run,
 ) -> FigureData:
     """P3 speedup as each cost constant sweeps; one series per knob.
 
     x is the knob value normalized to its default (so all series share
-    an axis); y is the P3/baseline speedup.  The whole
-    knob × value × strategy grid executes through one
-    :func:`repro.analysis.runner.run_grid` call (``jobs`` processes,
-    optional ``cache``) with output identical to the serial loop.
+    an axis); y is the P3/baseline speedup.  Each knob is one
+    :class:`~repro.analysis.sweep.Sweep` over that ``ClusterConfig``
+    field, so ``**run`` are a sweep's run parameters (``n_workers``,
+    ``iterations``, ``seed``, ``jobs``, ``cache``, ...).
     """
     sweeps = sweeps if sweeps is not None else DEFAULT_SWEEPS
-    base_cfg = ClusterConfig(n_workers=n_workers, bandwidth_gbps=bandwidth_gbps,
-                             seed=seed)
     fig = FigureData(
         figure_id="sensitivity",
         title=f"Speedup sensitivity: {model_name} @ {bandwidth_gbps:g} Gbps",
         x_label="knob value / default",
         y_label="P3 speedup over baseline",
     )
-    # speedup_at's warmup default (1) is part of the published numbers;
-    # keep it when building the equivalent grid points.
-    warmup = 1
-    points = []
     for knob, values in sweeps.items():
-        default = getattr(base_cfg, knob)
-        for value in values:
-            cfg = replace(base_cfg, **{knob: type(default)(value)})
-            points.append(SimPoint(model_name, baseline(), cfg,
-                                   iterations, warmup))
-            points.append(SimPoint(model_name, p3(), cfg, iterations, warmup))
-    results = iter(run_grid(points, jobs=jobs, cache=cache))
-    for knob, values in sweeps.items():
-        default = getattr(base_cfg, knob)
-        xs, ys = [], []
-        for value in values:
-            xs.append(value / default if default else float(value) + 1.0)
-            base_r = next(results)
-            fast_r = next(results)
-            ys.append(fast_r.throughput / base_r.throughput)
-        fig.add(knob, xs, ys)
+        default = getattr(ClusterConfig, knob)
+        # speedup_at's iteration counts (4, warmup 1) are part of the
+        # published numbers; the knob sweeps keep them.
+        totals = Sweep(
+            "sensitivity", "{model}", knob, config_axis(knob, type(default)),
+            values, per_worker=False, iterations=4, warmup=1,
+        )(model_name, bandwidth_gbps=bandwidth_gbps, **run)
+        ys = (totals.get("p3").y / totals.get("baseline").y).tolist()
+        fig.add(knob, [value / default if default else float(value) + 1.0
+                       for value in values], ys)
         fig.notes[f"{knob}_range"] = round(max(ys) - min(ys), 3)
     all_speedups = [y for s in fig.series for y in s.y]
     fig.notes["min_speedup"] = round(float(min(all_speedups)), 3)

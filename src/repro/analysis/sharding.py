@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 from ..models import get_model
 from ..sim import ClusterConfig, simulate
 from ..strategies import StrategyConfig, baseline, p3
-from .cache import SimCache
 from .runner import SimPoint, run_grid
 from .series import FigureData
 
@@ -93,16 +92,17 @@ def placement_sweep(
     iterations: int = 5,
     warmup: int = 2,
     seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
     measured: bool = False,
+    **grid,
 ) -> FigureData:
     """Cluster-total throughput per placement policy and strategy.
 
     One series per ``(strategy, placement)`` pair, named
-    ``"<strategy>/<placement>"``.  ``jobs``/``cache`` parallelize and
-    memoize the grid without changing a digit of the output
-    (:mod:`repro.analysis.runner`).
+    ``"<strategy>/<placement>"`` — two series dimensions, which is why
+    this figure arranges its own grid instead of being a
+    :class:`~repro.analysis.sweep.Sweep` row.  ``**grid`` (``jobs``,
+    ``cache``) goes to :func:`repro.analysis.runner.run_grid`, which
+    parallelizes and memoizes without changing a digit of the output.
 
     ``measured=True`` drives the non-round-robin policies with
     *observed* per-key gradient bytes instead of static parameter
@@ -143,7 +143,7 @@ def placement_sweep(
         for placement in placements
         for n in cluster_sizes
     ]
-    results = iter(run_grid(points, jobs=jobs, cache=cache))
+    results = iter(run_grid(points, **grid))
     for strat in strategies:
         for placement in placements:
             ys = [next(results).throughput for _ in cluster_sizes]

@@ -7,14 +7,9 @@ above it, pipelining/preemption granularity degrades.  The paper finds
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..models import get_model
-from ..sim import ClusterConfig
 from ..strategies import p3
-from .cache import SimCache
-from .runner import SimPoint, run_grid
 from .series import FigureData
+from .sweep import Sweep
 
 FIG12_SLICES = (1_000, 3_000, 10_000, 30_000, 50_000, 100_000, 300_000, 1_000_000)
 FIG12_PANELS = {"resnet50": "fig12a", "vgg19": "fig12b", "sockeye": "fig12c"}
@@ -22,41 +17,22 @@ FIG12_PANELS = {"resnet50": "fig12a", "vgg19": "fig12b", "sockeye": "fig12c"}
 FIG12_BANDWIDTH = {"resnet50": 4.0, "vgg19": 15.0, "sockeye": 4.0}
 
 
-def fig12_slice_size_sweep(
-    model_name: str,
-    slice_sizes: Sequence[int] = FIG12_SLICES,
-    bandwidth_gbps: float | None = None,
-    n_workers: int = 4,
-    iterations: int = 4,
-    warmup: int = 1,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[SimCache] = None,
-) -> FigureData:
-    """P3 throughput per worker at each slice size for one model.
-
-    ``jobs``/``cache`` parallelize and memoize the grid without
-    changing a digit of the output (:mod:`repro.analysis.runner`).
-    """
-    model = get_model(model_name)
-    bw = bandwidth_gbps if bandwidth_gbps is not None else FIG12_BANDWIDTH.get(model_name, 4.0)
-    fig = FigureData(
-        figure_id=FIG12_PANELS.get(model_name, f"fig12_{model_name}"),
-        title=f"Slice size vs throughput: {model_name} @ {bw:g} Gbps",
-        x_label="slice size (parameters)",
-        y_label=f"throughput ({model.sample_unit}/s per worker)",
-    )
-    points = [
-        SimPoint(model_name, p3(slice_params=int(size)),
-                 ClusterConfig(n_workers=n_workers, bandwidth_gbps=bw,
-                               seed=seed),
-                 iterations, warmup)
-        for size in slice_sizes
-    ]
-    results = run_grid(points, jobs=jobs, cache=cache)
-    ys = [r.throughput / n_workers for r in results]
-    fig.add("p3", [float(s) for s in slice_sizes], ys)
+def _best_slice(fig: FigureData) -> None:
     s = fig.get("p3")
     fig.notes["best_slice_size"] = int(s.x[s.y.argmax()])
     fig.notes["best_throughput"] = round(float(s.y.max()), 2)
-    return fig
+
+
+fig12_slice_size_sweep = Sweep(
+    "fig12", "Slice size vs throughput: {model} @ {bandwidth_gbps:g} Gbps",
+    "slice size (parameters)",
+    # The one axis that lands on the strategy, not the cluster.
+    lambda size, strategy, config: (strategy.with_slice(int(size)), config),
+    FIG12_SLICES,
+    doc="P3 throughput per worker at each slice size for one model.",
+    strategies=lambda: (p3(),),
+    base={"bandwidth_gbps": 4.0},
+    model_base={name: {"bandwidth_gbps": bw}
+                for name, bw in FIG12_BANDWIDTH.items()},
+    panels=FIG12_PANELS, iterations=4, warmup=1, notes=_best_slice,
+)

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..models import get_model
-from ..sim import ClusterConfig, simulate
 from ..strategies import StrategyConfig
+from .sweep import Sweep, config_axis
 
 
 @dataclass(frozen=True)
@@ -54,45 +53,41 @@ def summarize(values: Sequence[float]) -> SeedStats:
     return SeedStats(tuple(float(v) for v in arr), float(arr.mean()), std, half)
 
 
+# The seed is the swept quantity: one grid per call, so ``jobs`` and
+# ``cache`` spread and memoize the reruns like any other figure's.
+_across_seeds = Sweep(
+    "seed_spread", "Seed spread: {model} @ {bandwidth_gbps:g} Gbps", "seed",
+    config_axis("seed", int), (0, 1, 2, 3, 4), per_worker=False,
+)
+
+
 def throughput_stats(
     model_name: str,
     strategy: StrategyConfig,
     bandwidth_gbps: float,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
+    seeds: Sequence[int] = _across_seeds.grid,
     n_workers: int = 4,
-    iterations: int = 5,
-    warmup: int = 2,
     per_worker: bool = True,
+    **run,
 ) -> SeedStats:
-    """Per-worker throughput across seeds for one configuration."""
-    model = get_model(model_name)
-    values = []
-    for seed in seeds:
-        cfg = ClusterConfig(n_workers=n_workers, bandwidth_gbps=bandwidth_gbps,
-                            seed=int(seed))
-        result = simulate(model, strategy, cfg, iterations=iterations,
-                          warmup=warmup)
-        values.append(result.throughput / (n_workers if per_worker else 1))
-    return summarize(values)
+    """Per-worker throughput across seeds for one configuration.
+
+    ``**run`` are the sweep's run parameters (``iterations``,
+    ``warmup``, ``jobs``, ``cache``).
+    """
+    fig = _across_seeds(model_name, seeds, strategies=(strategy,),
+                        bandwidth_gbps=bandwidth_gbps, n_workers=n_workers,
+                        **run)
+    return summarize(fig.series[0].y / (n_workers if per_worker else 1))
 
 
 def speedup_stats(
     model_name: str,
     bandwidth_gbps: float,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    **kwargs,
+    seeds: Sequence[int] = _across_seeds.grid,
+    **run,
 ) -> SeedStats:
     """P3-over-baseline speedup across seeds (paired per seed)."""
-    from ..strategies import baseline, p3
-    model = get_model(model_name)
-    n_workers = kwargs.pop("n_workers", 4)
-    iterations = kwargs.pop("iterations", 5)
-    warmup = kwargs.pop("warmup", 2)
-    ratios = []
-    for seed in seeds:
-        cfg = ClusterConfig(n_workers=n_workers, bandwidth_gbps=bandwidth_gbps,
-                            seed=int(seed))
-        base = simulate(model, baseline(), cfg, iterations=iterations, warmup=warmup)
-        fast = simulate(model, p3(), cfg, iterations=iterations, warmup=warmup)
-        ratios.append(fast.throughput / base.throughput)
-    return summarize(ratios)
+    fig = _across_seeds(model_name, seeds, bandwidth_gbps=bandwidth_gbps,
+                        **run)
+    return summarize(fig.get("p3").y / fig.get("baseline").y)

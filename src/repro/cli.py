@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import analysis
 from .analysis import FigureData, SimCache, ascii_plot
@@ -22,18 +22,31 @@ from .models import available_models, get_model
 
 def _emit(fig: FigureData, args: argparse.Namespace, logx: bool = False) -> None:
     print(fig.summary())
-    if getattr(args, "plot", False):
+    if args.plot:
         print()
         print(ascii_plot(fig, logx=logx))
-    if getattr(args, "csv", None):
+    if args.csv:
         path = fig.to_csv(args.csv)
         print(f"\nwrote {path}")
 
 
-def _sweep_kwargs(args: argparse.Namespace) -> dict:
-    """``jobs``/``cache`` keyword arguments for grid-based sweeps."""
-    cache = SimCache() if getattr(args, "cache", False) else None
-    return {"jobs": getattr(args, "jobs", 1), "cache": cache}
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """Keywords of a figure call, from whichever of the run flags the
+    subcommand declares: ``--workers`` is ``n_workers=`` everywhere but
+    on the subcommands whose axis it is (``fig10``, ``sharding``), which
+    do not declare it."""
+    kwargs = {}
+    if "workers" in args:
+        kwargs["n_workers"] = args.workers
+    if "iterations" in args:
+        kwargs["iterations"] = args.iterations
+    if "epochs" in args:
+        kwargs["epochs"] = args.epochs
+    if "jobs" in args:
+        kwargs["jobs"] = args.jobs
+    if "cache" in args:
+        kwargs["cache"] = SimCache() if args.cache else None
+    return kwargs
 
 
 def _report_cache(kwargs: dict) -> None:
@@ -42,6 +55,43 @@ def _report_cache(kwargs: dict) -> None:
         stats = cache.stats()
         print(f"cache: {stats['hits']} hits, {stats['misses']} misses "
               f"({cache.root})")
+
+
+def _sensitivity_range(fig: FigureData) -> None:
+    print(f"P3 speedup stays within "
+          f"[{fig.notes['min_speedup']:.2f}x, {fig.notes['max_speedup']:.2f}x] "
+          f"across all knob sweeps")
+
+
+#: The subcommands that are one figure call share one handler; a row is
+#: the driver's name in :mod:`repro.analysis`, whether ``--plot`` draws
+#: a log-scale x axis, and what to print after the figure.
+FIGURES = {
+    "fig7": ("fig7_bandwidth_sweep", False, None),
+    "fig8": ("fig8_baseline_utilization", False, None),
+    "fig9": ("fig9_p3_utilization", False, None),
+    "fig10": ("fig10_scalability", False, None),
+    "fig11": ("fig11_p3_vs_dgc", False, None),
+    "fig12": ("fig12_slice_size_sweep", True, None),
+    "fig13": ("fig13_tensorflow_utilization", False, None),
+    "fig14": ("fig14_poseidon_utilization", False, None),
+    "fig15": ("fig15_asgd_vs_p3", False, None),
+    "shared": ("shared_cluster_sweep", False, None),
+    "sensitivity": ("sensitivity_scan", False, _sensitivity_range),
+}
+
+
+def cmd_figure(args: argparse.Namespace) -> None:
+    """Run one row of :data:`FIGURES` on the model (where the subcommand
+    declares ``--model``) with the run flags it declares."""
+    driver, logx, epilogue = FIGURES[args.command]
+    kwargs = _run_kwargs(args)
+    model = (args.model,) if "model" in args else ()
+    fig = getattr(analysis, driver)(*model, **kwargs)
+    _emit(fig, args, logx=logx)
+    _report_cache(kwargs)
+    if epilogue is not None:
+        epilogue(fig)
 
 
 def cmd_models(args: argparse.Namespace) -> None:
@@ -77,58 +127,6 @@ def cmd_fig6(args: argparse.Namespace) -> None:
         print(f"{name:18s} iteration={o.iteration_time:6.3f}s stall={o.stall_time:6.3f}s")
     saved = 1 - out["sliced"].stall_time / out["layer_granularity"].stall_time
     print(f"slicing reduces synchronization stall by {saved * 100:.0f}%")
-
-
-def cmd_fig7(args: argparse.Namespace) -> None:
-    kwargs = _sweep_kwargs(args)
-    fig = analysis.fig7_bandwidth_sweep(args.model, n_workers=args.workers,
-                                        iterations=args.iterations, **kwargs)
-    _emit(fig, args)
-    _report_cache(kwargs)
-
-
-def cmd_fig8(args: argparse.Namespace) -> None:
-    fig = analysis.fig8_baseline_utilization(args.model)
-    _emit(fig, args)
-
-
-def cmd_fig9(args: argparse.Namespace) -> None:
-    fig = analysis.fig9_p3_utilization(args.model)
-    _emit(fig, args)
-
-
-def cmd_fig10(args: argparse.Namespace) -> None:
-    kwargs = _sweep_kwargs(args)
-    fig = analysis.fig10_scalability(args.model, iterations=args.iterations,
-                                     **kwargs)
-    _emit(fig, args)
-    _report_cache(kwargs)
-
-
-def cmd_fig11(args: argparse.Namespace) -> None:
-    fig = analysis.fig11_p3_vs_dgc(epochs=args.epochs)
-    _emit(fig, args)
-
-
-def cmd_fig12(args: argparse.Namespace) -> None:
-    kwargs = _sweep_kwargs(args)
-    fig = analysis.fig12_slice_size_sweep(args.model,
-                                          iterations=args.iterations, **kwargs)
-    _emit(fig, args, logx=True)
-    _report_cache(kwargs)
-
-
-def cmd_fig13(args: argparse.Namespace) -> None:
-    _emit(analysis.fig13_tensorflow_utilization(), args)
-
-
-def cmd_fig14(args: argparse.Namespace) -> None:
-    _emit(analysis.fig14_poseidon_utilization(), args)
-
-
-def cmd_fig15(args: argparse.Namespace) -> None:
-    fig = analysis.fig15_asgd_vs_p3(epochs=args.epochs)
-    _emit(fig, args)
 
 
 def cmd_bounds(args: argparse.Namespace) -> None:
@@ -172,12 +170,6 @@ def cmd_allreduce(args: argparse.Namespace) -> None:
               f"{model.sample_unit}/s/worker ({r.speedup_over(base):.2f}x)")
 
 
-def cmd_shared(args: argparse.Namespace) -> None:
-    """Extension: shared-cluster contention sweep."""
-    fig = analysis.shared_cluster_sweep(args.model, iterations=args.iterations)
-    _emit(fig, args)
-
-
 def _export_sim_trace(result, path, events=None):
     """Write a simulated run's iteration and transmission records (and
     optionally its obs event stream) as a Chrome-tracing JSON file."""
@@ -193,53 +185,47 @@ def _export_sim_trace(result, path, events=None):
                   "bandwidth_gbps": result.config.bandwidth_gbps})
 
 
+def _simulate_one(args: argparse.Namespace, obs=None):
+    """The single run ``trace``, ``run`` and ``metrics`` look at."""
+    from .sim import ClusterConfig, simulate
+    from .strategies import get_strategy
+    cfg = ClusterConfig(n_workers=args.workers,
+                        bandwidth_gbps=args.bandwidth)
+    return simulate(get_model(args.model), get_strategy(args.strategy), cfg,
+                    iterations=args.iterations, warmup=1,
+                    trace_utilization=True, obs=obs)
+
+
+def _run_metadata(result, args: argparse.Namespace) -> dict:
+    return {"model": result.model_name, "strategy": result.strategy_name,
+            "bandwidth_gbps": args.bandwidth, "workers": args.workers}
+
+
 def cmd_trace(args: argparse.Namespace) -> None:
     """Export a simulated run as a chrome://tracing JSON timeline."""
-    from .sim import ClusterConfig, simulate
-    from .strategies import get_strategy
-    model = get_model(args.model)
-    cfg = ClusterConfig(n_workers=args.workers,
-                        bandwidth_gbps=args.bandwidth)
-    result = simulate(model, get_strategy(args.strategy), cfg,
-                      iterations=args.iterations, warmup=1,
-                      trace_utilization=True)
-    path = _export_sim_trace(result, args.out)
+    path = _export_sim_trace(_simulate_one(args), args.out)
     print(f"wrote {path} — open in chrome://tracing or ui.perfetto.dev")
-
-
-def _run_observed_sim(args: argparse.Namespace):
-    """One simulated run with the repro.obs session attached."""
-    from .obs import sim_session
-    from .sim import ClusterConfig, simulate
-    from .strategies import get_strategy
-    model = get_model(args.model)
-    cfg = ClusterConfig(n_workers=args.workers,
-                        bandwidth_gbps=args.bandwidth)
-    sess = sim_session()
-    result = simulate(model, get_strategy(args.strategy), cfg,
-                      iterations=args.iterations, warmup=1,
-                      trace_utilization=True, obs=sess)
-    return result, sess
 
 
 def cmd_run(args: argparse.Namespace) -> None:
     """Simulate one run with the unified observability layer attached."""
-    from .obs import ascii_timeline, export_metrics_summary, metrics_summary
-    result, sess = _run_observed_sim(args)
+    from .obs import (ascii_timeline, export_metrics_summary, metrics_summary,
+                      sim_session)
+    sess = sim_session()
+    result = _simulate_one(args, obs=sess)
     print(f"{result.model_name}/{result.strategy_name}: "
           f"{result.throughput:.1f} samples/s, "
           f"mean iteration {result.mean_iteration_time * 1000:.1f} ms")
     counts = metrics_summary(sess)["event_counts"]
     print("events: " + ", ".join(f"{k}={n}" for k, n in counts.items()))
-    meta = {"model": result.model_name, "strategy": result.strategy_name,
-            "bandwidth_gbps": args.bandwidth, "workers": args.workers}
     if args.trace:
         path = _export_sim_trace(result, args.trace, events=sess.events())
         print(f"wrote {path} — open in chrome://tracing or ui.perfetto.dev")
     if args.metrics:
-        path = export_metrics_summary(sess, args.metrics, metadata=meta)
+        path = export_metrics_summary(sess, args.metrics,
+                                      metadata=_run_metadata(result, args))
         print(f"wrote {path}")
-    if getattr(args, "plot", False) and result.utilization is not None:
+    if args.plot and result.utilization is not None:
         print()
         print(ascii_timeline(result.utilization, machines=range(args.workers),
                              title=f"{result.model_name} NIC tx"))
@@ -262,15 +248,14 @@ def _print_metrics_doc(doc: dict) -> None:
 def cmd_metrics(args: argparse.Namespace) -> None:
     """Print a run's metrics summary (counters, p50/p95/p99, events)."""
     import json
-    from .obs import metrics_summary
+    from .obs import metrics_summary, sim_session
     if args.load:
         with open(args.load) as f:
             doc = json.load(f)
     else:
-        result, sess = _run_observed_sim(args)
-        doc = metrics_summary(sess, metadata={
-            "model": result.model_name, "strategy": result.strategy_name,
-            "bandwidth_gbps": args.bandwidth, "workers": args.workers})
+        sess = sim_session()
+        result = _simulate_one(args, obs=sess)
+        doc = metrics_summary(sess, metadata=_run_metadata(result, args))
     _print_metrics_doc(doc)
     if args.out:
         with open(args.out, "w") as f:
@@ -281,27 +266,14 @@ def cmd_metrics(args: argparse.Namespace) -> None:
 def cmd_robustness(args: argparse.Namespace) -> None:
     """Extension: per-strategy throughput degradation under faults."""
     from .analysis.robustness import degradation_report, robustness_sweep
-    kwargs = _sweep_kwargs(args)
+    kwargs = _run_kwargs(args)
     fig = robustness_sweep(args.model, bandwidth_gbps=args.bandwidth,
                            kinds=tuple(args.kinds.split(",")),
-                           n_workers=args.workers, iterations=args.iterations,
                            seed=args.seed, **kwargs)
     _emit(fig, args)
     _report_cache(kwargs)
     print()
     print(degradation_report(fig))
-
-
-def cmd_sensitivity(args: argparse.Namespace) -> None:
-    """Robustness scan of the headline speedup across cost constants."""
-    kwargs = _sweep_kwargs(args)
-    fig = analysis.sensitivity_scan(args.model, iterations=args.iterations,
-                                    **kwargs)
-    _emit(fig, args)
-    _report_cache(kwargs)
-    print(f"P3 speedup stays within "
-          f"[{fig.notes['min_speedup']:.2f}x, {fig.notes['max_speedup']:.2f}x] "
-          f"across all knob sweeps")
 
 
 def _parse_faults(spec: str, seed: int):
@@ -399,15 +371,14 @@ def cmd_live(args: argparse.Namespace) -> None:
 
 def cmd_sharding(args: argparse.Namespace) -> None:
     """Placement-policy sweep: round-robin vs balanced vs two-tier."""
-    kwargs = _sweep_kwargs(args)
+    kwargs = _run_kwargs(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
     placements = tuple(args.placements.split(","))
     fig = analysis.placement_sweep(
         args.model, cluster_sizes=sizes, placements=placements,
         n_servers=args.shards, bandwidth_gbps=args.bandwidth,
         agg_group_size=args.group_size, split_factor=args.split_factor,
-        iterations=args.iterations, seed=args.seed,
-        measured=args.measured, **kwargs)
+        seed=args.seed, measured=args.measured, **kwargs)
     _emit(fig, args, logx=True)
     _report_cache(kwargs)
     for name, value in sorted(fig.notes.items()):
@@ -417,7 +388,7 @@ def cmd_sharding(args: argparse.Namespace) -> None:
 def cmd_report(args: argparse.Namespace) -> None:
     """Run the full evaluation and write a markdown report."""
     from .analysis.report import generate_report
-    kwargs = _sweep_kwargs(args)
+    kwargs = _run_kwargs(args)
     text = generate_report(quick=args.quick, progress=print, **kwargs)
     with open(args.out, "w") as f:
         f.write(text)
@@ -427,10 +398,10 @@ def cmd_report(args: argparse.Namespace) -> None:
 
 def cmd_summary(args: argparse.Namespace) -> None:
     """Headline numbers: peak P3 speedups (the abstract's 25/38/66%)."""
-    kwargs = _sweep_kwargs(args)
-    speedups = analysis.peak_speedups(iterations=args.iterations, **kwargs)
+    kwargs = _run_kwargs(args)
+    speedups = analysis.peak_speedups(**kwargs)
     _report_cache(kwargs)
-    paper = {"resnet50": 1.25, "inceptionv3": 1.18, "vgg19": 1.66, "sockeye": 1.38}
+    paper = analysis.PAPER_PEAK_SPEEDUP
     print(f"{'model':>12}  {'P3 peak speedup':>16}  {'paper':>8}")
     for model, s in speedups.items():
         print(f"{model:>12}  {s:>15.2f}x  {paper.get(model, float('nan')):>7.2f}x")
@@ -464,6 +435,37 @@ def cmd_tenants(args: argparse.Namespace) -> None:
         print(f"  t={ev.t:>9.3f}s  {ev.kind:<8} {ev.job}")
 
 
+#: The flags several subcommands share.  A subcommand declares exactly
+#: the ones its handler reads (tests/test_cli.py walks the parser to
+#: check), so a flag that would be ignored is a parse error instead.
+SHARED_FLAGS = {
+    "model": dict(choices=available_models()),
+    "workers": dict(type=int, default=4),
+    "iterations": dict(type=int, default=5),
+    "warmup": dict(type=int, default=1),
+    "epochs": dict(type=int, default=16),
+    "seed": dict(type=int, default=0),
+    "strategy": dict(default="p3"),
+    "bandwidth": dict(type=float, default=4.0, help="link bandwidth (Gbps)"),
+    "shards": dict(type=int),
+    "group-size": dict(type=int, help="two-tier aggregation group size"),
+    "split-factor": dict(type=float, default=1.5,
+                         help="hot-key split threshold (x ideal shard load)"),
+    "csv": dict(help="write the series to this CSV path"),
+    "plot": dict(action="store_true", help="ASCII plot"),
+    "jobs": dict(type=int, default=1,
+                 help="worker processes for simulation grids "
+                      "(clamped to available CPUs)"),
+    "cache": dict(action=argparse.BooleanOptionalAction, default=False,
+                  help="reuse simulation results from the on-disk "
+                       "cache ($REPRO_CACHE_DIR or .repro-cache)"),
+}
+RUN = ("workers", "iterations")
+EMIT = ("csv", "plot")
+GRID = ("jobs", "cache")
+ONE_RUN = RUN + ("strategy", "bandwidth")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p3-repro",
@@ -471,84 +473,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, fn, help_text: str, model_default: Optional[str] = None,
-            epochs: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, fn, help_text: str, flags: Sequence[str] = (),
+            **defaults) -> argparse.ArgumentParser:
+        """A subcommand with the shared ``flags``, plus one shared flag
+        per keyword (``group_size=8`` is ``--group-size``, default 8)."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if model_default is not None:
-            p.add_argument("--model", default=model_default,
-                           choices=available_models())
-        p.add_argument("--workers", type=int, default=4)
-        p.add_argument("--iterations", type=int, default=5)
-        if epochs:
-            p.add_argument("--epochs", type=int, default=16)
-        p.add_argument("--csv", help="write the series to this CSV path")
-        p.add_argument("--plot", action="store_true", help="ASCII plot")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for simulation grids "
-                            "(clamped to available CPUs)")
-        p.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="reuse simulation results from the on-disk "
-                            "cache ($REPRO_CACHE_DIR or .repro-cache)")
+        for dest, default in defaults.items():
+            flag = dest.replace("_", "-")
+            p.add_argument(f"--{flag}", **{**SHARED_FLAGS[flag],
+                                           "default": default})
+        for flag in flags:
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         return p
 
     add("models", cmd_models, "describe the model zoo")
     add("fig4", cmd_fig4, "toy schedule: aggressive vs priority sync")
-    add("fig5", cmd_fig5, "parameter distributions")
+    add("fig5", cmd_fig5, "parameter distributions", ("csv",))
     add("fig6", cmd_fig6, "toy granularity comparison")
-    add("fig7", cmd_fig7, "bandwidth vs throughput", model_default="resnet50")
-    add("fig8", cmd_fig8, "baseline network utilization", model_default="resnet50")
-    add("fig9", cmd_fig9, "P3 network utilization", model_default="resnet50")
-    add("fig10", cmd_fig10, "scalability", model_default="resnet50")
-    add("fig11", cmd_fig11, "P3 vs DGC accuracy", epochs=True)
-    add("fig12", cmd_fig12, "slice-size sweep", model_default="resnet50")
-    add("fig13", cmd_fig13, "TensorFlow-style utilization")
-    add("fig14", cmd_fig14, "Poseidon WFBP utilization")
-    add("fig15", cmd_fig15, "ASGD vs P3 accuracy over time", epochs=True)
-    add("summary", cmd_summary, "peak P3 speedups across models")
+    add("fig7", cmd_figure, "bandwidth vs throughput", RUN + EMIT + GRID,
+        model="resnet50")
+    add("fig8", cmd_figure, "baseline network utilization", EMIT,
+        model="resnet50")
+    add("fig9", cmd_figure, "P3 network utilization", EMIT, model="resnet50")
+    add("fig10", cmd_figure, "scalability", ("iterations",) + EMIT + GRID,
+        model="resnet50")
+    add("fig11", cmd_figure, "P3 vs DGC accuracy", ("epochs",) + EMIT)
+    add("fig12", cmd_figure, "slice-size sweep", RUN + EMIT + GRID,
+        model="resnet50")
+    add("fig13", cmd_figure, "TensorFlow-style utilization", EMIT)
+    add("fig14", cmd_figure, "Poseidon WFBP utilization", EMIT)
+    add("fig15", cmd_figure, "ASGD vs P3 accuracy over time",
+        ("epochs",) + EMIT)
+    add("summary", cmd_summary, "peak P3 speedups across models",
+        ("iterations",) + GRID)
     add("bounds", cmd_bounds, "fluid-limit bounds and crossovers",
-        model_default="resnet50")
-    add("allreduce", cmd_allreduce, "P3 principles on ring allreduce",
-        model_default="vgg19")
-    add("shared", cmd_shared, "shared-cluster contention sweep",
-        model_default="resnet50")
-    add("sensitivity", cmd_sensitivity, "cost-constant robustness scan",
-        model_default="resnet50")
+        ("workers",), model="resnet50")
+    add("allreduce", cmd_allreduce, "P3 principles on ring allreduce", RUN,
+        model="vgg19")
+    add("shared", cmd_figure, "shared-cluster contention sweep",
+        RUN + EMIT + GRID, model="resnet50")
+    add("sensitivity", cmd_figure, "cost-constant robustness scan",
+        RUN + EMIT + GRID, model="resnet50")
     robust_p = add("robustness", cmd_robustness,
                    "per-strategy degradation under injected faults",
-                   model_default="resnet50")
-    robust_p.add_argument("--bandwidth", type=float, default=16.0)
+                   RUN + EMIT + GRID + ("seed",), model="resnet50",
+                   bandwidth=16.0)
     robust_p.add_argument("--kinds", default="straggler,link,stall",
                           help="comma list of straggler,link,stall")
-    robust_p.add_argument("--seed", type=int, default=0)
     trace_p = add("trace", cmd_trace, "export a chrome://tracing timeline",
-                  model_default="resnet50")
-    trace_p.add_argument("--strategy", default="p3")
-    trace_p.add_argument("--bandwidth", type=float, default=4.0)
+                  ONE_RUN, model="resnet50")
     trace_p.add_argument("--out", dest="out", default="trace.json")
     run_p = add("run", cmd_run, "simulate one run with repro.obs attached",
-                model_default="resnet50")
-    run_p.add_argument("--strategy", default="p3")
-    run_p.add_argument("--bandwidth", type=float, default=4.0)
+                ONE_RUN + ("plot",), model="resnet50")
     run_p.add_argument("--trace", help="write a chrome://tracing JSON here")
     run_p.add_argument("--metrics", help="write a JSON metrics summary here")
     metrics_p = add("metrics", cmd_metrics,
                     "metrics summary of a run (counters, p50/p95/p99)",
-                    model_default="resnet50")
-    metrics_p.add_argument("--strategy", default="p3")
-    metrics_p.add_argument("--bandwidth", type=float, default=4.0)
+                    ONE_RUN, model="resnet50")
     metrics_p.add_argument("--load", help="pretty-print an existing metrics "
                                           "summary JSON instead of running")
     metrics_p.add_argument("--out", help="also write the summary JSON here")
-    live_p = sub.add_parser(
-        "live", help="run the real-socket live transport and calibrate "
-                     "it against the simulator")
-    live_p.set_defaults(fn=cmd_live)
-    live_p.add_argument("--workers", type=int, default=2)
-    live_p.add_argument("--shards", type=int, default=2)
-    live_p.add_argument("--iterations", type=int, default=5)
-    live_p.add_argument("--warmup", type=int, default=1)
+    live_p = add("live", cmd_live,
+                 "run the real-socket live transport and calibrate it "
+                 "against the simulator",
+                 ("iterations", "warmup", "split-factor"),
+                 workers=2, shards=2, group_size=2)
     live_p.add_argument("--batch", type=int, default=16)
     live_p.add_argument("--slice-params", type=int, default=5_000)
     live_p.add_argument("--rate-mbps", type=float, default=20.0,
@@ -556,10 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     live_p.add_argument("--placement", default="round_robin",
                         choices=("round_robin", "balanced", "two_tier"),
                         help="shard placement policy (see docs/sharding.md)")
-    live_p.add_argument("--group-size", type=int, default=2,
-                        help="two-tier aggregation group size")
-    live_p.add_argument("--split-factor", type=float, default=1.5,
-                        help="hot-key split threshold (x ideal shard load)")
     live_p.add_argument("--faults", metavar="SPEC",
                         help="inject a lossy channel on every connection and "
                              "calibrate degradation sim-vs-live; SPEC is "
@@ -574,19 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     shard_p = add("sharding", cmd_sharding,
                   "placement-policy sweep (round-robin vs balanced vs "
                   "two-tier) under skewed key sizes",
-                  model_default="vgg19")
+                  ("iterations", "split-factor", "seed") + EMIT + GRID,
+                  model="vgg19", shards=8, bandwidth=10.0, group_size=8)
     shard_p.add_argument("--sizes", default="16,64,256",
                          help="comma list of cluster sizes")
     shard_p.add_argument("--placements",
                          default="round_robin,balanced,two_tier",
                          help="comma list of placement policies")
-    shard_p.add_argument("--shards", type=int, default=8)
-    shard_p.add_argument("--bandwidth", type=float, default=10.0)
-    shard_p.add_argument("--group-size", type=int, default=8,
-                         help="two-tier aggregation group size")
-    shard_p.add_argument("--split-factor", type=float, default=1.5,
-                         help="hot-key split threshold (x ideal shard load)")
-    shard_p.add_argument("--seed", type=int, default=0)
     shard_p.add_argument("--measured", action="store_true",
                          help="drive placement with per-key loads measured "
                               "from a profiling run (obs event stream) "
@@ -594,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     tenants_p = add("tenants", cmd_tenants,
                     "multi-tenant scheduler: admission, fair sharing, and "
                     "per-job SLO report (see docs/tenancy.md)",
-                    model_default="resnet50")
+                    RUN + EMIT + ("warmup", "seed"), model="resnet50",
+                    bandwidth=10.0)
     tenants_p.add_argument("--tenants", type=int, default=4,
                            help="number of tenants (one job each)")
     tenants_p.add_argument("--policy", default="weighted",
@@ -604,18 +585,14 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("mixed", "p3", "baseline"),
                            help="per-job strategy; mixed alternates p3/"
                                 "baseline across tenants")
-    tenants_p.add_argument("--bandwidth", type=float, default=10.0,
-                           help="shared fabric bandwidth (Gbps)")
     tenants_p.add_argument("--slots", type=int,
                            help="worker-slot pool size (default: enough "
                                 "for all jobs at once)")
-    tenants_p.add_argument("--warmup", type=int, default=1)
     tenants_p.add_argument("--weights",
                            help="comma list of per-tenant weights "
                                 "(weighted policy)")
     tenants_p.add_argument("--stagger", type=float, default=0.0,
                            help="seconds between tenant arrivals")
-    tenants_p.add_argument("--seed", type=int, default=0)
     tenants_p.add_argument("--monitor", action="store_true",
                            help="run with the cross-job invariant monitor")
     tenants_p.add_argument("--sweep", action="store_true",
@@ -625,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma list of tenant counts (--sweep)")
     tenants_p.add_argument("--policies", default="weighted,equal,none",
                            help="comma list of policies (--sweep)")
-    report_p = add("report", cmd_report, "full evaluation -> markdown report")
+    report_p = add("report", cmd_report, "full evaluation -> markdown report",
+                   GRID)
     report_p.add_argument("--quick", action="store_true")
     report_p.add_argument("--out", dest="out", default="report.md")
     return parser

@@ -1,5 +1,7 @@
 """Driver tests: each figure driver runs on scaled-down settings and
-produces data with the paper's qualitative structure."""
+produces data with the paper's qualitative structure.  (The sweeps'
+ids, labels, series and notes are pinned byte for byte by
+``test_figures_golden.py``; what stays here is who wins, and where.)"""
 
 from __future__ import annotations
 
@@ -48,26 +50,24 @@ def test_fig6_slicing_cuts_stall():
 
 
 def test_fig7_sweep_tiny():
-    fig = fig7_bandwidth_sweep("resnet50", bandwidths=(2.0, 8.0),
+    fig = fig7_bandwidth_sweep("resnet50", values=(2.0, 8.0),
                                iterations=4, warmup=1)
-    assert set(fig.labels) == {"baseline", "slicing", "p3"}
     # P3 >= baseline at the constrained point
     assert fig.get("p3").y_at(2.0) >= fig.get("baseline").y_at(2.0)
     # Both near compute bound when bandwidth is ample
     assert fig.get("p3").y_at(8.0) == pytest.approx(104.0, rel=0.05)
-    assert "max_p3_speedup" in fig.notes
 
 
 def test_fig7_sweep_default_grid_for_extension_models():
     """Models outside the paper's four panels fall back to a wide grid."""
-    fig = fig7_bandwidth_sweep("alexnet", bandwidths=(5.0, 20.0),
+    fig = fig7_bandwidth_sweep("alexnet", values=(5.0, 20.0),
                                iterations=3, warmup=1)
     # AlexNet's 89%-FC skew: slicing alone already beats baseline.
     assert fig.get("slicing").y_at(5.0) > fig.get("baseline").y_at(5.0)
 
 
 def test_fig10_scalability_tiny():
-    fig = fig10_scalability("resnet50", cluster_sizes=(2, 4),
+    fig = fig10_scalability("resnet50", values=(2, 4),
                             iterations=4, warmup=1)
     base, fast = fig.get("baseline"), fig.get("p3")
     assert fast.y[1] > fast.y[0]  # throughput grows with cluster size
@@ -75,7 +75,7 @@ def test_fig10_scalability_tiny():
 
 
 def test_fig12_interior_optimum():
-    fig = fig12_slice_size_sweep("vgg19", slice_sizes=(2_000, 50_000, 1_000_000),
+    fig = fig12_slice_size_sweep("vgg19", values=(2_000, 50_000, 1_000_000),
                                  iterations=3, warmup=1)
     y = fig.get("p3").y
     assert y[1] > y[0] and y[1] > y[2]  # peak at the interior point
@@ -126,7 +126,7 @@ def test_component_ablation_ordering():
 
 def test_latency_sensitivity_quick():
     fig = latency_sensitivity("resnet50", bandwidth_gbps=4.0,
-                              latencies_us=(50, 1000), iterations=4)
+                              values=(50, 1000), iterations=4)
     p3_series = fig.get("p3")
     # P3's gains are bandwidth-scheduling gains: mild latency sensitivity.
     assert p3_series.y[1] > 0.8 * p3_series.y[0]

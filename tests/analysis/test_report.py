@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import repro.analysis.report as report_mod
-from repro.analysis.report import generate_report, main
+from repro.analysis.report import generate_report
+from repro.cli import main
 from repro.analysis.schedules import ScheduleOutcome
 from repro.analysis.series import FigureData
 
@@ -44,7 +45,7 @@ def stubbed(monkeypatch):
                                       "p3": {"idle_frac": 0.1,
                                              "iteration_time_s": 0.4}})
     monkeypatch.setattr(report_mod, "fig10_scalability",
-                        lambda name, cluster_sizes, iterations, jobs=1,
+                        lambda name, values, iterations, jobs=1,
                         cache=None: _fig("fig10", {
                             "max_p3_speedup": 1.4, "max_p3_speedup_at_size": 8,
                             "scaling_efficiency_p3": 0.95}))
@@ -53,7 +54,7 @@ def stubbed(monkeypatch):
                             "p3_final_mean": 0.93, "dgc_final_mean": 0.91,
                             "mean_accuracy_drop": 0.02}))
     monkeypatch.setattr(report_mod, "fig12_slice_size_sweep",
-                        lambda name, slice_sizes, iterations, jobs=1,
+                        lambda name, values, iterations, jobs=1,
                         cache=None: _fig("fig12", {
                             "best_slice_size": 50000}))
     monkeypatch.setattr(report_mod, "fig13_tensorflow_utilization",
@@ -91,6 +92,6 @@ def test_progress_callback_invoked(stubbed):
 
 def test_main_writes_file(stubbed, tmp_path, capsys):
     out = tmp_path / "r.md"
-    assert main(["--quick", "--out", str(out)]) == 0
+    assert main(["report", "--quick", "--out", str(out)]) == 0
     assert out.exists()
     assert "P3 reproduction report" in out.read_text()

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import analysis
 from repro.analysis import (
+    FigureData,
     SimCache,
     fig7_bandwidth_sweep,
     save_figure,
@@ -133,22 +135,58 @@ def test_run_grid_partial_hits_preserve_order(tmp_path):
     assert results == run_grid(points)
 
 
-def test_figure_bytes_identical_serial_pool_cache(tmp_path, monkeypatch):
-    """The acceptance property: serialized figures match byte for byte."""
-    kwargs = dict(model_name="resnet50", bandwidths=(4.0, 10.0),
-                  n_workers=2, iterations=3)
-    fig_serial = fig7_bandwidth_sweep(**kwargs)
+def _blob(out, path: Path) -> bytes:
+    """A driver's output as bytes: the saved figure, else its repr."""
+    if isinstance(out, FigureData):
+        return save_figure(out, path).read_bytes()
+    return repr(out).encode()
+
+
+def _assert_serial_pool_cache_identical(driver, kwargs, tmp_path, monkeypatch):
+    serial = driver(**kwargs)
     cache = SimCache(tmp_path / "cache")
     monkeypatch.setattr(runner, "available_cpus", lambda: 4)
-    fig_pool = fig7_bandwidth_sweep(**kwargs, jobs=4, cache=cache)
-    fig_warm = fig7_bandwidth_sweep(**kwargs, jobs=4,
-                                    cache=SimCache(tmp_path / "cache"))
-    blobs = [
-        save_figure(fig, tmp_path / f"{name}.json").read_bytes()
-        for name, fig in (("serial", fig_serial), ("pool", fig_pool),
-                          ("warm", fig_warm))
-    ]
+    pool = driver(**kwargs, jobs=2, cache=cache)
+    assert cache.stats()["misses"] > 0
+    warm_cache = SimCache(tmp_path / "cache")
+    warm = driver(**kwargs, jobs=2, cache=warm_cache)
+    assert warm_cache.stats() == {"hits": sum(cache.stats().values()),
+                                  "misses": 0}
+    blobs = [_blob(out, tmp_path / f"{name}.json")
+             for name, out in (("serial", serial), ("pool", pool),
+                               ("warm", warm))]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_figure_bytes_identical_serial_pool_cache(tmp_path, monkeypatch):
+    """The acceptance property: serialized figures match byte for byte."""
+    _assert_serial_pool_cache_identical(
+        fig7_bandwidth_sweep,
+        dict(model_name="resnet50", values=(4.0, 10.0), n_workers=2,
+             iterations=3),
+        tmp_path, monkeypatch)
+
+
+TOY = dict(model_name="toy3", iterations=3)
+
+
+@pytest.mark.parametrize("driver, kwargs", [
+    # Everything that joined the grid path with the sweeps: a row of the
+    # table, the ablations that rearrange Figure 7's output, the seed
+    # statistics, and the figures that arrange their own grid.
+    (analysis.straggler_sensitivity, dict(TOY, values=(1.0, 2.0))),
+    (analysis.priority_policy_ablation, TOY),
+    (analysis.colocation_ablation, TOY),
+    (analysis.speedup_stats, dict(TOY, bandwidth_gbps=2.0, seeds=(0, 1))),
+    (analysis.speedup_at, dict(TOY, cfg=ClusterConfig(**QUICK))),
+    (analysis.sensitivity_scan, dict(TOY, sweeps={"latency_s": (1e-5, 5e-4)})),
+    (analysis.placement_sweep, dict(TOY, cluster_sizes=(4, 8), n_servers=2,
+                                    agg_group_size=2)),
+    (analysis.robustness_sweep, dict(TOY, severities=(0.0, 0.5))),
+], ids=lambda arg: getattr(arg, "__name__", None))
+def test_every_grid_driver_identical_serial_pool_cache(driver, kwargs,
+                                                       tmp_path, monkeypatch):
+    _assert_serial_pool_cache_identical(driver, kwargs, tmp_path, monkeypatch)
 
 
 # ----------------------------------------------------------------------

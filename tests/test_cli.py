@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
+import re
 
 import pytest
 
+from repro import analysis, cli
 from repro.cli import build_parser, main
 
 
@@ -90,3 +94,56 @@ def test_requires_subcommand():
 def test_unknown_model_rejected():
     with pytest.raises(SystemExit):
         main(["fig7", "--model", "lenet5"])
+
+
+def _reads(fn, seen) -> set:
+    """Every ``args.<dest>`` a handler reads, following the ``cli``
+    helpers that take ``args``."""
+    if fn in seen:
+        return set()
+    seen.add(fn)
+    source = inspect.getsource(fn)
+    dests = set(re.findall(r"\bargs\.(\w+)", source))
+    for name in re.findall(r"\b(\w+)\(", source):
+        helper = getattr(cli, name, None)
+        if (inspect.isfunction(helper)
+                and "args" in inspect.signature(helper).parameters):
+            dests |= _reads(helper, seen)
+    return dests
+
+
+def test_no_subcommand_accepts_a_flag_its_handler_ignores():
+    """83 (subcommand, flag) pairs were accepted and ignored before each
+    subcommand declared its own flags."""
+    subparsers, = [a.choices for a in build_parser()._actions if a.choices]
+    for name, sub in subparsers.items():
+        accepted = {a.dest for a in sub._actions if a.option_strings}
+        assert accepted - {"help"} <= _reads(sub.get_default("fn"), set()), name
+
+
+def test_ignored_flag_is_a_parse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["models", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_accepted_flag_changes_the_run(monkeypatch, capsys):
+    """fig12 took ``--workers`` and ran four workers whatever it said."""
+    monkeypatch.setattr(analysis, "fig12_slice_size_sweep", dataclasses.replace(
+        analysis.fig12_slice_size_sweep, grid=(50_000, 1_000_000)))
+    outs = []
+    for workers in ("2", "4"):
+        assert main(["fig12", "--iterations", "3", "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
+
+
+def test_shared_runs_through_the_grid_and_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["shared", "--model", "toy3", "--iterations", "3",
+            "--jobs", "2", "--cache"]
+    assert main(argv) == 0
+    assert "cache: 0 hits, 8 misses" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "cache: 8 hits, 0 misses" in capsys.readouterr().out

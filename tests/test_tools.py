@@ -46,6 +46,12 @@ def test_generate_produces_markdown(tmp_path):
     assert "ClusterConfig" in text
 
 
+def test_committed_reference_is_fresh():
+    """docs/api.md is what the generator produces from this source tree
+    (regenerate with ``python tools/gen_api_reference.py``)."""
+    assert (TOOLS.parent / "docs" / "api.md").read_text() == _load_gen().generate()
+
+
 def test_main_writes_file(tmp_path):
     gen = _load_gen()
     out = tmp_path / "api.md"

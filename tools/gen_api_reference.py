@@ -70,6 +70,7 @@ MODULES = [
     "repro.analysis.warmstart",
     "repro.analysis.cache",
     "repro.analysis.bounds",
+    "repro.analysis.sweep",
     "repro.analysis.bandwidth",
     "repro.analysis.utilization",
     "repro.analysis.scalability",
@@ -117,25 +118,50 @@ def _first_line(obj) -> str:
 def _signature(obj) -> str:
     try:
         # typing.NamedTuple keeps postponed annotations as ForwardRefs.
-        return re.sub(r"ForwardRef\(('[^']*')\)", r"\1",
-                      str(inspect.signature(obj)))
+        sig = re.sub(r"ForwardRef\(('[^']*')\)", r"\1",
+                     str(inspect.signature(obj)))
+        # A function-valued default prints with its address.
+        return re.sub(r"<function (\w+) at 0x[0-9a-f]+>", r"\1", sig)
     except (TypeError, ValueError):
         return "(...)"
 
 
+def _sweep_row(attr: str, sweep) -> str:
+    """A figure that is a row of ``repro.analysis.sweep.Sweep``: it has
+    no signature or docstring of its own, so list what the row says."""
+    grid = f"default grid `{tuple(sweep.grid)}`"
+    if sweep.model_grids:
+        grid += f" (own grids for {', '.join(sweep.model_grids)})"
+    return (f"- `{attr}` — `Sweep` row `{sweep.figure_id}`: "
+            f"{', '.join(s.name for s in sweep.strategies())} × "
+            f"{sweep.x_label}, {grid}, default model `{sweep.model}`.  "
+            f"{sweep.doc}")
+
+
 def document_module(name: str) -> List[str]:
+    from repro.analysis.sweep import Sweep
+
     mod = importlib.import_module(name)
     lines = [f"## `{name}`", "", _first_line(mod), ""]
     members = []
     for attr, obj in sorted(vars(mod).items()):
         if attr.startswith("_"):
             continue
+        if isinstance(obj, Sweep):
+            # An instance carries its class's module; it is local to the
+            # module whose source assigns it.
+            if re.search(rf"^{attr} = ", inspect.getsource(mod), re.M):
+                members.append(_sweep_row(attr, obj))
+            continue
         if getattr(obj, "__module__", None) != name:
             continue  # only locally defined symbols
         if inspect.isclass(obj):
             members.append(f"- **class `{attr}{_signature(obj)}`** — {_first_line(obj)}")
             for mname, meth in sorted(vars(obj).items()):
-                if mname.startswith("_") or not callable(meth):
+                if mname in getattr(obj, "__dataclass_fields__", ()):
+                    continue  # a field whose default happens to be callable
+                if not callable(meth) or (mname.startswith("_") and not (
+                        mname == "__call__" and meth.__doc__)):
                     continue
                 members.append(f"    - `.{mname}{_signature(meth)}` — "
                                f"{_first_line(meth)}")
