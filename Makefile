@@ -51,10 +51,11 @@ bench-e2e:
 
 # The benchmark's own tests, then the paper's headline sweep once, the
 # observed run at test size (the one workload that checks observed
-# == unobserved, the exporters and the schema validator) and the live
+# == unobserved, the exporters and the schema validator), the live
 # cluster at test size (final parameters bit-identical to the in-process
-# oracle, 0 failed operations): fails on a wrong output ("correct":
-# false), never on timing — shared runners are too noisy for a
+# oracle, 0 failed operations) and the multi-tenant run at test size
+# (the one workload that retunes link rates mid-run): fails on a wrong
+# output ("correct": false), never on timing — shared runners are too noisy for a
 # wall-clock floor
 perf-smoke:
 	python3 -m pytest bench/ -q
@@ -63,6 +64,8 @@ perf-smoke:
 	python3 -m bench --workload obs_traced_sim --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload aio_live --scale tiny \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m bench --workload tenants8 --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 live-demo:

@@ -337,8 +337,7 @@ class ClusterSim:
                  config: ClusterConfig, trace_utilization: bool = False,
                  obs: Optional[ObsSession] = None,
                  artifacts: Optional[PlanArtifacts] = None,
-                 cycle_hook=None, sim: Optional[Simulator] = None,
-                 link_cancellable: Optional[bool] = None) -> None:
+                 cycle_hook=None, sim: Optional[Simulator] = None) -> None:
         if config.two_tier and strategy.async_updates:
             # The one combination two-tier cannot mean anything for,
             # refused before anything is built.
@@ -386,18 +385,6 @@ class ClusterSim:
         rate = gbps_to_bytes_per_s(config.bandwidth_gbps)
         discipline = strategy.queue_discipline
         self.n_machines = self.n_workers + (0 if config.colocate_servers else self.n_servers)
-        # Link faults reschedule in-flight completions via set_rate;
-        # without a fault plan every channel is static, which unlocks
-        # the handle-free completion fast path (see network.Channel).
-        # ``link_cancellable=True`` forces the dynamic path for callers
-        # that retune rates mid-run (cross-job fair sharing).
-        dynamic_links = config.fault_plan is not None and bool(config.fault_plan)
-        if link_cancellable is not None:
-            dynamic_links = dynamic_links or link_cancellable
-        # Background tenants enqueue NOISE straight onto RX channels, so
-        # those cannot commit arrivals ahead of time (Channel.fuse_hop
-        # needs the transport as the only producer).
-        dynamic_rx = dynamic_links or config.background_load > 0
         fabric = None
         if config.oversubscription > 1.0:
             # Shared core switch: aggregate edge bandwidth divided by the
@@ -407,8 +394,7 @@ class ClusterSim:
                              rate * self.n_machines / config.oversubscription,
                              make_queue("fifo"), on_complete=lambda _m: None,
                              overhead_bytes=config.overhead_bytes,
-                             per_message_cpu_s=0.0,
-                             cancellable=dynamic_links)
+                             per_message_cpu_s=0.0)
         self.transport = Transport(self.sim, latency_s=config.latency_s,
                                    loopback_latency_s=config.loopback_latency_s,
                                    fabric=fabric)
@@ -420,7 +406,6 @@ class ClusterSim:
                          overhead_bytes=config.overhead_bytes,
                          per_message_cpu_s=config.per_message_cpu_s,
                          trace=self.utilization,
-                         cancellable=dynamic_links,
                          observer=(_ChannelObsAdapter(self, obs, m)
                                    if obs is not None else None))
             # Receive order is arrival order regardless of strategy; P3's
@@ -429,8 +414,7 @@ class ClusterSim:
                          on_complete=lambda _m: None,
                          overhead_bytes=config.overhead_bytes,
                          per_message_cpu_s=config.per_message_cpu_s,
-                         trace=self.utilization,
-                         cancellable=dynamic_rx)
+                         trace=self.utilization)
             self.tx_channels.append(tx)
             self.rx_channels.append(rx)
 

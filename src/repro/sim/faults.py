@@ -54,7 +54,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ClusterSim
-    from .network import Channel
 
 
 def _validate_schedule(name: str, start: float, duration: Optional[float],
@@ -438,25 +437,27 @@ class FaultInjector:
         worker = self.ctx.workers[spec.worker]
         worker.fault_slowdown = float(np.prod(factors)) if factors else 1.0
 
-    def _channels(self, spec: LinkFault) -> List[Tuple[str, "Channel"]]:
-        out = []
-        for direction in spec.directions:
-            chans = self.ctx.tx_channels if direction == "tx" else self.ctx.rx_channels
-            out.append((direction, chans[spec.machine]))
-        return out
+    def _scale_link(self, machine: int, direction: str, factor: float,
+                    on: bool) -> None:
+        """Push (or remove) ``factor`` on one NIC direction and retune
+        the channel to ``nominal * product`` of what is active."""
+        factors = self._link_factors.setdefault((machine, direction), [])
+        if on:
+            factors.append(factor)
+        else:
+            factors.remove(factor)
+        chans = (self.ctx.tx_channels if direction == "tx"
+                 else self.ctx.rx_channels)
+        channel = chans[machine]
+        nominal = channel.nominal_rate
+        if nominal is None:
+            return  # infinite links cannot be fractionally degraded
+        channel.set_rate(nominal * float(np.prod(factors)) if factors
+                         else nominal)
 
     def _apply_link(self, spec: LinkFault, on: bool) -> None:
-        for direction, channel in self._channels(spec):
-            factors = self._link_factors.setdefault((spec.machine, direction), [])
-            if on:
-                factors.append(spec.rate_factor)
-            else:
-                factors.remove(spec.rate_factor)
-            nominal = channel.nominal_rate
-            if nominal is None:
-                continue  # infinite links cannot be fractionally degraded
-            effective = nominal * float(np.prod(factors)) if factors else nominal
-            channel.set_rate(effective)
+        for direction in spec.directions:
+            self._scale_link(spec.machine, direction, spec.rate_factor, on)
 
     def _apply_chaos(self, spec: ChaosFault, on: bool) -> None:
         """Fluid-flow interpretation of a lossy channel.
@@ -473,21 +474,8 @@ class FaultInjector:
                     else (spec.machine,))
         factor = spec.goodput_factor
         for machine in machines:
-            for direction, chans in (("tx", self.ctx.tx_channels),
-                                     ("rx", self.ctx.rx_channels)):
-                factors = self._link_factors.setdefault((machine, direction),
-                                                        [])
-                if on:
-                    factors.append(factor)
-                else:
-                    factors.remove(factor)
-                channel = chans[machine]
-                nominal = channel.nominal_rate
-                if nominal is None:
-                    continue
-                effective = (nominal * float(np.prod(factors))
-                             if factors else nominal)
-                channel.set_rate(effective)
+            for direction in ("tx", "rx"):
+                self._scale_link(machine, direction, factor, on)
 
     def _apply_stall(self, spec: ServerStallFault, on: bool) -> None:
         server = self.ctx.servers[spec.server]

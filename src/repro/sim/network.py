@@ -170,6 +170,8 @@ def make_queue(discipline: str) -> TxQueue:
 TraceCallback = Callable[[int, str, float, float, int], None]
 """(machine, direction, start, end, wire_bytes) -> None"""
 
+_INF = float("inf")
+
 
 class ChannelObserver:
     """Observation-only hooks of the one channel an observer is given to.
@@ -202,11 +204,18 @@ class Channel:
     in-flight message is never preempted (P3's consumer thread uses
     blocking sends — preemption happens between slices, not within one).
 
-    The rate may change mid-transmission (:meth:`set_rate` — link
-    degradation faults, :mod:`repro.sim.faults`): the in-flight
-    message's completion is recomputed from the bytes still on the wire,
-    so a message that started on a healthy link finishes late on a
-    degraded one, and stalls outright while the rate is zero.
+    There is one implementation for every configuration.  The
+    per-message path is a chain of closures over the channel's state,
+    the rate included (:meth:`_bind_path`); a receive channel also
+    commits arrivals ahead of time (:meth:`fuse_hop`).  A rate change
+    (:meth:`set_rate` — link faults, tenancy re-sharing) is the rare
+    path and re-times what is in flight, so a message that started on a
+    healthy link finishes late on a degraded one and stalls outright
+    while the rate is zero.
+
+    ``cancellable`` is accepted and ignored: it used to choose between
+    two implementations and ``bench/probes.py::network_msgs_per_s``
+    still passes it.  Remove it together with that probe.
     """
 
     def __init__(
@@ -242,33 +251,15 @@ class Channel:
         self.bytes_transferred = 0
         self.messages_transferred = 0
         self.busy_time = 0.0
-        # In-flight transmission state (valid while busy): the message,
-        # its wire size, segment start, last progress sync, and what is
-        # still owed — CPU first, then wire bytes at the current rate.
-        self._seg_msg: Optional[Message] = None
-        self._seg_wire_bytes = 0
-        self._seg_start = 0.0
-        self._seg_last = 0.0
-        self._seg_cpu_left = 0.0
-        self._seg_bytes_left = 0.0
-        self._finish_handle: Optional[EventHandle] = None
-        # Hot-path bindings: the engine methods, the queue's C-level
-        # push/pop, and the queue's backing container (emptiness checks
-        # without a __len__ frame; None falls back to len(queue)).
-        self._sched = sim.schedule
-        self._finish_cb = self._finish
-        self._q_push = queue.push
-        self._q_pop = queue.pop
-        self._backing = getattr(queue, "backing", None)
-        # ``cancellable=False`` declares that ``set_rate`` will never be
-        # called mid-transmission (no link faults target this channel),
-        # which unlocks the handle-free fast path: completions are
-        # fire-and-forget ``after`` events carrying their own state, and
-        # no per-segment debt bookkeeping is maintained.  Timestamps are
-        # identical either way — only allocations differ.
-        self.cancellable = cancellable
-        if not cancellable and self._backing is not None:
-            self._bind_static_path()
+        # Rare-path state, never cleared per message.  ``_stalled``: the
+        # completion args of an in-flight message with no completion in
+        # the heap (the link is down).  ``_debt``: what the last re-timed
+        # message still owed — (its completion args, when reckoned, CPU
+        # seconds left, wire bytes left) — so a second rate change
+        # during the same message continues from the first.
+        self._stalled: Optional[tuple] = None
+        self._debt: tuple = (None, 0.0, 0.0, 0.0)
+        self._bind_path()
         if observer is not None:
             # The enqueue hook exists only on an observed channel: an
             # unobserved one pays nothing for it.
@@ -288,156 +279,107 @@ class Channel:
         if self.rate is None:
             return self.per_message_cpu_s
         if self.rate <= 0:
-            return float("inf")
+            return _INF
         return wire_bytes / self.rate + self.per_message_cpu_s
 
     def enqueue(self, msg: Message) -> None:
-        self._q_push(msg)
-        if not self.busy:
-            self._start_next()
+        """Queue ``msg``; an idle channel starts it at once."""
+        raise NotImplementedError  # a closure per instance, see _bind_path
 
     def set_rate(self, rate_bytes_per_s: Optional[float]) -> None:
-        """Change the link rate, rescheduling any in-flight completion.
+        """Change the link rate, re-timing whatever is in flight.
 
-        ``0.0`` models a fully-down link: the in-flight message keeps
-        its remaining bytes and resumes when the rate recovers.
-        Requires a ``cancellable`` channel — static channels have no
-        completion handle to reschedule.
+        ``0.0`` is a link that is down: the in-flight message keeps its
+        remaining bytes and resumes when the rate recovers.
         """
         if rate_bytes_per_s is not None and rate_bytes_per_s < 0:
             raise ValueError("rate_bytes_per_s must be >= 0 (or None for infinite)")
-        if not self.cancellable:
-            raise SimulationError(
-                "set_rate on a static channel; construct with "
-                "cancellable=True for fault-injectable links")
-        if self.busy:
-            self._sync_progress()
-            self.rate = rate_bytes_per_s
-            if self._finish_handle is not None:
-                self._finish_handle.cancel()
-            self._schedule_finish()
-        else:
-            self.rate = rate_bytes_per_s
+        self._set_rate(rate_bytes_per_s)
 
-    def _remaining(self) -> float:
-        """Seconds until the in-flight message completes at current rate."""
-        rem = self._seg_cpu_left
-        if self._seg_bytes_left > 0:
-            if self.rate is None:
-                pass  # infinite rate: bytes are free
-            elif self.rate <= 0:
-                return float("inf")
+    def _retime(self, finish: Callable[..., None],
+                new_rate: Optional[float]) -> float:
+        """Move the in-flight message's completion to where ``new_rate``
+        puts it; returns the new completion time (``inf`` while the
+        link is down).  ``self.rate`` is still the old rate.
+
+        A busy channel has at most one completion in the engine heap and
+        its callback is the channel's own ``finish`` closure, so a scan
+        finds it — O(heap), once per rate change, never per message.
+        It is retired in place (same ``(time, seq)``, a cancelled
+        :class:`EventHandle`), which is what ``Simulator.schedule`` +
+        ``cancel`` would have left, so ``pending`` and
+        ``check_invariants`` stay exact.  The debt is reckoned CPU
+        first, then bytes at the old rate; the new completion goes at
+        ``now + remaining`` with the next sequence number.  No
+        completion and nothing stalled means the channel is between
+        messages (``set_rate`` called from its own ``on_complete``):
+        the successor starts now.
+        """
+        sim = self.sim
+        heap = sim._heap
+        now = sim.now
+        args = self._stalled
+        if args is None:
+            for i, entry in enumerate(heap):
+                if entry[2] is finish and entry[4] is None:
+                    break
             else:
-                rem += self._seg_bytes_left / self.rate
-        return rem
+                return now
+            time, seq, _, args, _ = entry
+            handle = EventHandle(time, seq, finish, args, sim)
+            handle.cancel()
+            heap[i] = (time, seq, finish, args, handle)
+        old_rate = self.rate
+        owed_by, last, cpu_left, bytes_left = self._debt
+        if owed_by is not args:
+            # First change during this message: it has run at
+            # ``old_rate`` since its start (an infinite link owes no bytes).
+            last, cpu_left = args[1], self.per_message_cpu_s
+            bytes_left = 0.0 if old_rate is None else float(args[2])
+        elapsed = now - last
+        cpu_done = min(elapsed, cpu_left)
+        cpu_left -= cpu_done
+        elapsed -= cpu_done
+        if elapsed > 0 and old_rate is not None and old_rate > 0:
+            bytes_left = max(0.0, bytes_left - elapsed * old_rate)
+        self._debt = (args, now, cpu_left, bytes_left)
+        remaining = cpu_left
+        if bytes_left > 0 and new_rate is not None:
+            if new_rate <= 0:
+                self._stalled = args
+                return _INF
+            remaining += bytes_left / new_rate
+        self._stalled = None
+        heappush(heap, (now + remaining, next(sim._seq), finish, args, None))
+        return now + remaining
 
-    def _sync_progress(self) -> None:
-        """Account elapsed time against the in-flight message's debt."""
-        elapsed = self.sim.now - self._seg_last
-        self._seg_last = self.sim.now
-        cpu = min(elapsed, self._seg_cpu_left)
-        self._seg_cpu_left -= cpu
-        elapsed -= cpu
-        if elapsed > 0 and self.rate is not None and self.rate > 0:
-            self._seg_bytes_left = max(0.0, self._seg_bytes_left - elapsed * self.rate)
+    def _bind_path(self) -> None:
+        """Close the transmit loop over this channel's state.
 
-    def _schedule_finish(self) -> None:
-        rem = self._remaining()
-        if rem == float("inf"):
-            self._finish_handle = None  # stalled until the rate recovers
-        else:
-            self._finish_handle = self.sim.schedule(rem, self._finish)
-
-    def _start_next(self) -> None:
-        if self.busy:
-            raise SimulationError("channel started while busy")
-        backing = self._backing
-        if backing is not None:
-            if not backing:
-                return
-        elif len(self.queue) == 0:
-            return
-        msg = self._q_pop()
-        if self.observer is not None:
-            self.observer.on_pop(msg)
-        self.busy = True
-        now = self.sim.now
-        rate = self.rate
-        cpu = self.per_message_cpu_s
-        wire_bytes = msg.payload_bytes + self.overhead_bytes
-        self._seg_msg = msg
-        self._seg_wire_bytes = wire_bytes
-        self._seg_start = now
-        self._seg_last = now
-        self._seg_cpu_left = cpu
-        self.bytes_transferred += wire_bytes
-        self.messages_transferred += 1
-        # Fast path for the overwhelmingly common case of a healthy
-        # link: the occupancy is fully determined here, so schedule the
-        # completion directly.  The arithmetic matches `_remaining()`
-        # term for term (cpu + bytes/rate), keeping timestamps
-        # bit-identical; the segment state above stays valid in case a
-        # mid-flight `set_rate` needs to resync.
-        if rate is None:
-            self._seg_bytes_left = 0.0
-            self._finish_handle = self._sched(cpu, self._finish_cb)
-        elif rate > 0:
-            self._seg_bytes_left = float(wire_bytes)
-            self._finish_handle = self._sched(
-                cpu + wire_bytes / rate, self._finish_cb)
-        else:
-            self._seg_bytes_left = float(wire_bytes)
-            self._schedule_finish()
-
-    def _finish(self) -> None:
-        msg = self._seg_msg
-        now = self.sim.now
-        self.busy_time += now - self._seg_start
-        if self.trace is not None:
-            self.trace(self.machine, self.direction, self._seg_start,
-                       now, self._seg_wire_bytes)
-        if self.observer is not None:
-            self.observer.on_sent(msg, self._seg_start, now)
-        self.busy = False
-        self._seg_msg = None
-        self._finish_handle = None
-        self.on_complete(msg)
-        backing = self._backing
-        if backing is not None:
-            if backing:
-                self._start_next()
-        elif len(self.queue) > 0:
-            self._start_next()
-
-    # ------------------------------------------------------------------
-    # Static-channel fast path (cancellable=False): the occupancy is
-    # fully determined at start, so the completion is a fire-and-forget
-    # event carrying (msg, start, wire_bytes) as arguments — no
-    # EventHandle, no per-segment debt attributes.  Scheduling order and
-    # timestamps are identical to the generic path.
-    # ------------------------------------------------------------------
-    def _bind_static_path(self) -> None:
-        """Close the transmit loop over this channel's immutable state.
-
-        ``cancellable=False`` guarantees ``set_rate`` never runs, so the
-        rate, overhead, CPU cost, queue, trace sink and observer are all
-        fixed for the channel's lifetime and can be captured as closure
-        cells — no ``self.`` lookups on the per-message path.  Completion
-        events push directly onto the engine heap with the exact
-        arithmetic of :meth:`Simulator.after` (``now + delay``, same
-        sequence counter), so timestamps and tie-breaks are
-        bit-identical; only the Python frame and EventHandle disappear.
-        Mutable state (``busy``, transfer counters, ``on_complete``)
-        stays on ``self`` because faults and the invariant harness
-        rebind or read it dynamically.
+        Overhead, CPU cost, queue, trace sink and observer are fixed for
+        the channel's lifetime and the rate is a closure cell that only
+        ``set_rate`` rebinds, so the per-message path has no ``self.``
+        lookup for any of them and pays nothing for being retunable.
+        Completion events carry ``(msg, start, wire_bytes)`` and are
+        pushed straight onto the engine heap with the arithmetic of
+        :meth:`Simulator.after` (``now + delay``, same sequence counter)
+        — no Python frame, no EventHandle.  A start at rate zero is the
+        ``ZeroDivisionError`` branch of that arithmetic (free when it
+        does not raise): in flight, no completion until the rate
+        recovers.  Mutable state (``busy``, transfer counters,
+        ``on_complete``) stays on ``self`` because faults and the
+        invariant harness rebind or read it dynamically.
         """
         sim = self.sim
         heap = sim._heap
         seq_next = sim._seq.__next__
         push = heappush
-        q_push = self._q_push
-        q_pop = self._q_pop
-        backing = self._backing
+        queue = self.queue
+        q_push = queue.push
+        q_pop = queue.pop
+        # The queue's container, for emptiness checks without a
+        # ``__len__`` frame; a queue without one is asked itself.
+        backing = getattr(queue, "backing", queue)
         overhead = self.overhead_bytes
         cpu = self.per_message_cpu_s
         rate = self.rate
@@ -446,7 +388,7 @@ class Channel:
         machine = self.machine
         direction = self.direction
 
-        def finish_fast(msg: Message, start: float, wire_bytes: int) -> None:
+        def finish(msg: Message, start: float, wire_bytes: int) -> None:
             now = sim.now
             self.busy_time += now - start
             if trace is not None:
@@ -469,54 +411,77 @@ class Channel:
             self.bytes_transferred += wire_bytes
             self.messages_transferred += 1
             now = sim.now
-            push(heap, (now + (cpu if rate is None
-                               else cpu + wire_bytes / rate),
-                        seq_next(), finish_fast,
-                        (msg, now, wire_bytes), None))
+            try:
+                push(heap, (now + (cpu if rate is None
+                                   else cpu + wire_bytes / rate),
+                            seq_next(), finish, (msg, now, wire_bytes), None))
+            except ZeroDivisionError:
+                self._stalled = (msg, now, wire_bytes)
 
         def enqueue(msg: Message) -> None:
             q_push(msg)
             if not self.busy:
                 start_next()
 
-        self._start_next = start_next  # type: ignore[method-assign]
+        def set_rate(new_rate: Optional[float]) -> None:
+            nonlocal rate
+            if self.busy:
+                self._retime(finish, new_rate)
+            self.rate = rate = new_rate
+
         self.enqueue = enqueue  # type: ignore[method-assign]
+        self._set_rate = set_rate
 
     def fuse_hop(self, latency_s: float) -> Callable[[Message], None]:
-        """Skip the link-latency events in front of this receive channel
-        that decide nothing; returns ``arrive(msg)``, which the transport
-        calls the moment ``msg`` leaves the sender's TX (or the shared
-        fabric).
+        """Make this the receive side of a link and skip the link-latency
+        events in front of it that decide nothing.  Returns
+        ``arrive(msg)``, which the transport calls the moment ``msg``
+        leaves the sender's TX (or the shared fabric).
 
-        A static FIFO RX is a pure function of arrival order, and with a
+        A FIFO RX is a pure function of arrival order, and with a
         constant latency arrival order is the order of ``arrive`` calls.
         So when ``arrive`` sees that the channel's committed work ends
-        after ``now + latency``, the hop event would only append ``msg`` to a
-        busy channel's queue: it is elided (and credited to
+        after ``now + latency``, the hop event would only append ``msg``
+        to a busy channel's queue: it is elided (and credited to
         ``events_processed``, which counts protocol events), and ``msg``
         is committed on the spot — service starts when its predecessor
         completes and ends ``cpu + wire/rate`` later, term for term what
-        ``finish_fast`` -> ``start_next`` computes.  Otherwise the
-        channel may be idle when ``msg`` lands, the hop is the event
-        that starts it, and it is scheduled as usual.  Either way every
-        completion is pushed where the unfused path pushes it (from the
-        hop on an idle channel, else after the predecessor's
-        ``on_complete`` returns), so simultaneous events keep their
-        order and a fused run is the unfused run, event for event.
+        ``finish`` -> ``start_next`` computes.  Otherwise the channel
+        may be idle when ``msg`` lands, the hop is the event that starts
+        it, and it is scheduled as usual.  Either way every completion
+        is pushed where an event-per-hop channel pushes it (from the hop
+        on an idle channel, else after the predecessor's ``on_complete``
+        returns), so simultaneous events keep their order and the run is
+        the event-per-hop run, event for event.
 
-        At most one completion per channel sits in the engine heap: the
-        head of line.  Committed messages wait here, so a wide incast
-        backs up in this deque, not in the global heap.
+        An elided hop still draws the sequence number its event would
+        have carried and the committed entry keeps it, with the arrival
+        time: the sequence stream stays the event-per-hop run's, which
+        lets a commitment be taken back.  When the rate changes or
+        another producer enqueues directly (background NOISE), every
+        committed entry that has not landed (``arrival > now``) is
+        *un-elided*: popped off the tail, its credit returned, its hop
+        pushed at the reserved ``(arrival, seq)``, where it sorts as if
+        scheduled all along.  The channel is then the event-per-hop
+        channel — a queue of what has landed, and hops on the link.  A
+        rate change re-times the head (:meth:`_retime`) and re-cuts the
+        landed tail behind it; a direct enqueue joins behind the landed
+        tail, ahead of what is still on the link.  While hops are in
+        flight later arrivals schedule real hops; fusion resumes by
+        itself.  ``arrival == now`` counts as landed: only the current
+        event's sequence number, which the engine does not expose, could
+        order the two, and the golden signatures in ``tests/sim`` hold
+        with this choice.
 
-        Requires an unobserved static FIFO channel with no other
-        producer: a direct :meth:`enqueue` at ``now`` would be overtaken
-        by arrivals already committed, so it raises once the channel is
-        fused.
+        At most one completion per channel sits in the engine heap, the
+        head of line; a wide incast backs up in this deque, not in the
+        global heap.  Requires an unobserved FIFO channel (a committed
+        message is never pushed on or popped off the queue, so those
+        hooks could not fire); the transport fuses every RX it registers.
         """
-        if (self.cancellable or self.observer is not None
-                or not isinstance(self._backing, deque)):
+        if self.observer is not None or not isinstance(self.queue, FifoQueue):
             raise SimulationError(
-                "only an unobserved static FIFO channel can be fused")
+                "only an unobserved FIFO channel can be fused")
         sim = self.sim
         heap = sim._heap
         seq_next = sim._seq.__next__
@@ -527,17 +492,23 @@ class Channel:
         trace = self.trace
         machine = self.machine
         direction = self.direction
-        # (completion time, completion args) of committed messages behind
-        # the head of line, the completion time of the last one, and the
-        # hop events in flight (a later message must not be committed
-        # ahead of one that has yet to land).
-        waiting: Deque[Tuple[float, tuple]] = deque()
+        inf = _INF
+        # Committed messages behind the head of line, in arrival order:
+        # (completion time, completion args, arrival time, hop sequence
+        # number), the last two zero where the hop was a real event.
+        # ``free_at``: when the last of them completes; ``head_done``:
+        # when the head of line does (what ``free_at`` falls back to when
+        # the tail is taken back); ``hops``: hop events in flight (a later
+        # message must not be committed ahead of one yet to land).
+        waiting: Deque[Tuple[float, tuple, float, int]] = deque()
         wait = waiting.append
         next_waiting = waiting.popleft
         free_at = 0.0
+        head_done = 0.0
         hops = 0
 
         def deliver(msg: Message, start: float, wire_bytes: int) -> None:
+            nonlocal head_done
             now = sim.now
             self.busy_time += now - start
             self.bytes_transferred += wire_bytes
@@ -546,25 +517,35 @@ class Channel:
                 trace(machine, direction, start, now, wire_bytes)
             self.on_complete(msg)
             if waiting:
-                done, args = next_waiting()
-                push(heap, (done, seq_next(), deliver, args, None))
+                head_done, args, _, _ = next_waiting()
+                if head_done < inf:
+                    push(heap, (head_done, seq_next(), deliver, args, None))
+                else:
+                    self._stalled = args
             else:
                 self.busy = False
 
         def land(msg: Message) -> None:
-            nonlocal free_at, hops
+            nonlocal free_at, head_done, hops
             hops -= 1
             busy = self.busy
             wire_bytes = msg.payload_bytes + overhead
             start = free_at if busy else sim.now
-            free_at = done = start + (cpu if rate is None
-                                      else cpu + wire_bytes / rate)
+            try:
+                free_at = done = start + (cpu if rate is None
+                                          else cpu + wire_bytes / rate)
+            except ZeroDivisionError:
+                free_at = done = inf
+            args = (msg, start, wire_bytes)
             if busy:
-                wait((done, (msg, start, wire_bytes)))
+                wait((done, args, 0.0, 0))
+                return
+            self.busy = True
+            head_done = done
+            if done < inf:
+                push(heap, (done, seq_next(), deliver, args, None))
             else:
-                self.busy = True
-                push(heap, (done, seq_next(), deliver,
-                            (msg, start, wire_bytes), None))
+                self._stalled = args  # the link is down
 
         def arrive(msg: Message) -> None:
             nonlocal free_at, hops
@@ -573,19 +554,50 @@ class Channel:
                 sim._events_processed += 1  # the elided link-latency hop
                 wire_bytes = msg.payload_bytes + overhead
                 start = free_at
-                free_at = done = start + (cpu if rate is None
-                                          else cpu + wire_bytes / rate)
-                wait((done, (msg, start, wire_bytes)))
+                try:
+                    free_at = done = start + (cpu if rate is None
+                                              else cpu + wire_bytes / rate)
+                except ZeroDivisionError:
+                    free_at = done = inf
+                wait((done, (msg, start, wire_bytes), arrival, seq_next()))
             else:
                 hops += 1
                 push(heap, (arrival, seq_next(), land, (msg,), None))
 
+        def unelide() -> None:
+            """Put every committed hop that has not landed back on the link."""
+            nonlocal free_at, hops
+            now = sim.now
+            while waiting and waiting[-1][2] > now:
+                _, args, arrival, hop_seq = waiting.pop()
+                sim._events_processed -= 1
+                hops += 1
+                push(heap, (arrival, hop_seq, land, (args[0],), None))
+            free_at = waiting[-1][0] if waiting else head_done
+
         def enqueue(msg: Message) -> None:
-            raise SimulationError(
-                f"direct enqueue on fused channel {machine}/{direction}; "
-                "construct it with cancellable=True")
+            nonlocal hops
+            if self.busy:
+                unelide()
+            hops += 1  # a hop of no length: ``msg`` lands now
+            land(msg)
+
+        def set_rate(new_rate: Optional[float]) -> None:
+            nonlocal rate, free_at, head_done
+            if self.busy:
+                unelide()
+                free_at = head_done = self._retime(deliver, new_rate)
+            self.rate = rate = new_rate
+            landed = list(waiting)  # empty on an idle channel
+            waiting.clear()
+            for _, (msg, _, wire_bytes), arrival, hop_seq in landed:
+                start = free_at
+                free_at = inf if rate == 0 else start + (
+                    cpu if rate is None else cpu + wire_bytes / rate)
+                wait((free_at, (msg, start, wire_bytes), arrival, hop_seq))
 
         self.enqueue = enqueue  # type: ignore[method-assign]
+        self._set_rate = set_rate
         return arrive
 
 
@@ -599,13 +611,10 @@ class Transport:
     bypasses the NIC — ps-lite sends to self over loopback, which is not
     bandwidth-constrained — and is delivered after ``loopback_latency_s``.
 
-    A remote message goes TX -> (fabric ->) link latency -> RX.  Where a
-    machine's RX is a static FIFO channel, the RX itself takes messages
-    as they leave the TX (or the fabric) and schedules a latency event
-    only for those that may find it idle (:meth:`Channel.fuse_hop`);
-    otherwise every hop is its own event that enqueues on the RX
-    channel.  :meth:`register` picks per machine from what the channel
-    it is handed already says.
+    A remote message goes TX -> (fabric ->) link latency -> RX.  The RX
+    itself takes messages as they leave the TX (or the fabric) and
+    schedules a latency event only for those that may find it idle
+    (:meth:`Channel.fuse_hop`).
     """
 
     def __init__(
@@ -625,8 +634,8 @@ class Transport:
         # the fabric) towards that machine.
         self._forward: dict = {}
         # Hot-path bindings: the raw heap/sequence pair for the inlined
-        # pushes below (the per-message event rate makes even the
-        # ``Simulator.after`` frame measurable; the inline sites repeat
+        # push below (the per-message event rate makes even the
+        # ``Simulator.after`` frame measurable; the inline site repeats
         # its exact arithmetic).
         self._heap = sim._heap
         self._seq_next = sim._seq.__next__
@@ -651,27 +660,13 @@ class Transport:
         # RX completion delivers straight to the endpoint: a closure
         # over this machine's deliver callback skips the generic
         # `_local_deliver` dict-lookup chain on every received message.
-        sim = self.sim
 
-        def _rx_done(msg: Message, _sim=sim, _deliver=deliver) -> None:
+        def _rx_done(msg: Message, _sim=self.sim, _deliver=deliver) -> None:
             msg.deliver_time = _sim.now
             _deliver(msg)
 
         rx.on_complete = _rx_done
-        if not rx.cancellable and isinstance(rx.queue, FifoQueue):
-            self._forward[machine] = rx.fuse_hop(self.latency_s)
-        else:
-            heap = self._heap
-            seq_next = self._seq_next
-            latency = self.latency_s
-            rx_enqueue = rx.enqueue
-
-            def hop(msg: Message) -> None:
-                # Inlined Simulator.after: one link-latency event.
-                heappush(heap, (sim.now + latency, seq_next(), rx_enqueue,
-                                (msg,), None))
-
-            self._forward[machine] = hop
+        self._forward[machine] = rx.fuse_hop(self.latency_s)
 
     def send(self, msg: Message) -> None:
         now = self.sim.now

@@ -16,10 +16,12 @@ share to the active ones (work conservation), matching the live
 substrate's :class:`~repro.tenancy.shaper.FairShaper` semantics at the
 fluid limit.
 
-Zero-overhead-when-alone: a single-job workload takes the exact
-standalone construction path — static channels, no retune events — and
-is bit-identical to :func:`repro.sim.simulate` with the same config
-(``tests/tenancy/test_isolation.py``).
+Zero-overhead-when-alone: a single-job workload is bit-identical to
+:func:`repro.sim.simulate` with the same config
+(``tests/tenancy/test_isolation.py``) because there is nothing to do
+differently — every ``ClusterSim`` wires the same channels, a lone job's
+share is always 1, and ``_reshare`` skips a job whose rate did not
+change.
 """
 
 from __future__ import annotations
@@ -88,11 +90,6 @@ class MultiJobSim:
         self.scheduler = JobScheduler(jobs, ClusterLease(self.config.n_slots))
         self.jobs = self.scheduler.jobs
         self.weights = tenant_weights(self.jobs)
-        # A lone job keeps static channels (the fast path — and the
-        # bit-identity guarantee); any multi-job workload under a
-        # sharing policy needs cancellable links for mid-run retunes.
-        self._retune = (len(self.jobs) > 1
-                        and self.config.policy != "none")
         self._running: Dict[str, _Running] = {}
         self._results: Dict[str, JobResult] = {}
         self.monitor = None
@@ -153,8 +150,7 @@ class MultiJobSim:
             seed=job.seed,
         )
         cluster = ClusterSim(job.resolve_model(), job.resolve_strategy(),
-                             cfg, obs=obs, sim=self.sim,
-                             link_cancellable=self._retune)
+                             cfg, obs=obs, sim=self.sim)
         if self.monitor is not None:
             self.monitor.attach(job.name, cluster)
         # Completion detection: piggyback on the worker-done callback.
@@ -208,8 +204,6 @@ class MultiJobSim:
         return out
 
     def _reshare(self) -> None:
-        if not self._retune or not self._running:
-            return
         full = gbps_to_bytes_per_s(self.config.bandwidth_gbps)
         for name, frac in self.shares().items():
             rj = self._running[name]

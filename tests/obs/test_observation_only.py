@@ -50,12 +50,11 @@ def test_observed_run_is_bit_identical(tiny_model):
 
 
 @pytest.mark.parametrize("config", [
-    # A link fault makes every channel cancellable: the generic
-    # Channel._start_next/_finish path, not the static closures.
+    # A link fault retimes in-flight completions under the observer.
     dict(fault_plan=FaultPlan((LinkFault(machine=0, rate_factor=0.5,
                                          start=0.01, duration=0.05),))),
     # Background tenants enqueue NOISE next to the slices on every TX
-    # and keep the RX channels generic and unfused.
+    # and take back what the RX channels had committed.
     dict(background_load=0.3),
 ], ids=["fault_plan", "background_load"])
 def test_observed_run_is_bit_identical_on_dynamic_channels(skewed_model,

@@ -3,9 +3,8 @@
 The TX-channel observer decides in O(1) whether a pop overtook an older
 waiting slice: it keeps the waiting slices in enqueue order and looks at
 the head.  This test drives random enqueue/pop interleavings through a
-real :class:`Channel` — both transmit paths, both queue disciplines,
-control traffic mixed in, many messages sharing one ``enqueue_time`` —
-and holds the observer to the scan it replaced (kept here only):
+real :class:`Channel` — both queue disciplines, control traffic mixed
+in, many messages sharing one ``enqueue_time`` — and holds the observer to the scan it replaced (kept here only):
 
 * a preemption is reported exactly when some waiting slice is strictly
   older than the popped one;
@@ -83,7 +82,7 @@ class ReferenceScan(ChannelObserver):
         self.inner.on_sent(msg, start, end)
 
 
-def _drive(discipline: str, cancellable: bool, arrivals) -> ReferenceScan:
+def _drive(discipline: str, arrivals) -> ReferenceScan:
     sim = Simulator()
     session = sim_session()
     cluster = SimpleNamespace(
@@ -92,7 +91,7 @@ def _drive(discipline: str, cancellable: bool, arrivals) -> ReferenceScan:
     check = ReferenceScan(_ChannelObsAdapter(cluster, session, 0), session)
     channel = Channel(sim, 0, "tx", 1e6, make_queue(discipline),
                       on_complete=lambda _m: None, overhead_bytes=0,
-                      cancellable=cancellable, observer=check)
+                      observer=check)
 
     def send(msg: Message) -> None:  # what Transport.send does
         msg.enqueue_time = sim.now
@@ -121,15 +120,15 @@ ARRIVALS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrivals=ARRIVALS, cancellable=st.booleans())
-def test_priority_channel_matches_reference_scan(arrivals, cancellable):
-    _drive("priority", cancellable, arrivals)
+@given(arrivals=ARRIVALS)
+def test_priority_channel_matches_reference_scan(arrivals):
+    _drive("priority", arrivals)
 
 
 @settings(max_examples=50, deadline=None)
-@given(arrivals=ARRIVALS, cancellable=st.booleans())
-def test_fifo_channel_never_preempts(arrivals, cancellable):
-    assert _drive("fifo", cancellable, arrivals).preemptions == 0
+@given(arrivals=ARRIVALS)
+def test_fifo_channel_never_preempts(arrivals):
+    assert _drive("fifo", arrivals).preemptions == 0
 
 
 def test_ties_name_the_first_enqueued_sibling():
@@ -139,7 +138,7 @@ def test_ties_name_the_first_enqueued_sibling():
     burst = [(0.0, MsgKind.PUSH, 0, 2000)]          # occupies the channel
     burst += [(0.0, MsgKind.PUSH, 4, 500)] * 3      # keys 1, 2, 3 wait
     burst += [(1e-3, MsgKind.PUSH, 1, 500)]         # key 4 overtakes
-    check = _drive("priority", False, burst)
+    check = _drive("priority", burst)
     victims = [e["key"] for e in check.recorder.to_dicts()
                if e["kind"] == "slice_preempted"]
     assert victims == [1]

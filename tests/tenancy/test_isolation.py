@@ -130,8 +130,8 @@ def test_monitor_detects_cross_job_delivery() -> None:
                         agg_group_size=2, seed=0)
     model, strat = get_model(MODEL), get_strategy("p3")
     from repro.sim import ClusterSim
-    a = ClusterSim(model, strat, cfg, sim=sim, link_cancellable=True)
-    b = ClusterSim(model, strat, cfg, sim=sim, link_cancellable=True)
+    a = ClusterSim(model, strat, cfg, sim=sim)
+    b = ClusterSim(model, strat, cfg, sim=sim)
     mon = MultiJobInvariantMonitor(sim)
     mon.attach("a", a)
     mon.attach("b", b)
