@@ -60,10 +60,10 @@ def run_inprocess(cfg: LiveClusterConfig,
     same per-worker gradient shards, same store — without any sockets,
     and returns the final parameters.
     """
-    strategy = strategy or cfg.strategy
+    cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
     net = cfg.build_network()
     dataset = cfg.build_dataset()
-    store = cfg.build_initialized_store(strategy)
+    store = cfg.build_initialized_store()
     for idx in cfg.batch_schedule():
         worker_grads = []
         for w in range(cfg.n_workers):
@@ -229,11 +229,8 @@ class CalibrationReport:
         1.0, or when both sit inside ``1 ± tolerance`` (a predicted and
         measured wash both count as agreement).
         """
-        tol = self.tolerance if tolerance is None else tolerance
-        live, sim = self.live_speedup, self.sim_speedup
-        same_side = (live - 1.0) * (sim - 1.0) > 0
-        both_flat = abs(live - 1.0) <= tol and abs(sim - 1.0) <= tol
-        return bool(same_side or both_flat)
+        return _same_sign(self.live_speedup, self.sim_speedup,
+                          self.tolerance if tolerance is None else tolerance)
 
     def summary(self) -> str:
         lines = [
@@ -256,6 +253,13 @@ class CalibrationReport:
                 lines.append(f"      live  {self.live_phases[strategy].row()}")
                 lines.append(f"      sim   {self.sim_phases[strategy].row()}")
         return "\n".join(lines)
+
+
+def _same_sign(live: float, sim: float, tol: float) -> bool:
+    """Both ratios on one side of 1.0, or both within ``tol`` of it."""
+    same_side = (live - 1.0) * (sim - 1.0) > 0
+    both_flat = abs(live - 1.0) <= tol and abs(sim - 1.0) <= tol
+    return bool(same_side or both_flat)
 
 
 def _max_diff(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray]) -> float:
@@ -305,11 +309,8 @@ class FaultCalibrationReport:
 
     def agrees(self, tolerance: Optional[float] = None) -> bool:
         """Both substrates degrade (or both shrug) under the plan."""
-        tol = self.tolerance if tolerance is None else tolerance
-        live, sim = self.live_degradation, self.sim_degradation
-        same_side = (live - 1.0) * (sim - 1.0) > 0
-        both_flat = abs(live - 1.0) <= tol and abs(sim - 1.0) <= tol
-        return bool(same_side or both_flat)
+        return _same_sign(self.live_degradation, self.sim_degradation,
+                          self.tolerance if tolerance is None else tolerance)
 
     def summary(self) -> str:
         return "\n".join([

@@ -41,13 +41,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..models import get_model
 from ..sim import ClusterConfig, simulate
-from ..sim.faults import (
-    ChaosFault,
-    FaultPlan,
-    LinkFault,
-    ServerStallFault,
-    StragglerFault,
-)
+from ..sim.faults import FAULT_TAGS, FaultPlan, fault_tag
 from ..strategies import StrategyConfig
 from ..strategies.base import PullPolicy
 from .cache import SimCache
@@ -64,20 +58,14 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Serialization: strategies, fault plans, cluster configs
 # ----------------------------------------------------------------------
-_FAULT_TAGS = {
-    StragglerFault: "straggler",
-    LinkFault: "link",
-    ServerStallFault: "stall",
-    ChaosFault: "chaos",
-}
-_FAULT_TYPES = {tag: cls for cls, tag in _FAULT_TAGS.items()}
+_FAULT_TYPES = {tag: cls for cls, tag in FAULT_TAGS.items()}
 
 
 def _fault_plan_to_doc(plan: FaultPlan) -> dict:
     return {
         "seed": plan.seed,
         "faults": [
-            {"type": _FAULT_TAGS[type(f)], **asdict(f)} for f in plan.faults
+            {"type": fault_tag(f), **asdict(f)} for f in plan.faults
         ],
     }
 

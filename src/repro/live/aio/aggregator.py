@@ -4,10 +4,9 @@ A :class:`~repro.live.aio.node.Node` showing both faces: the listener
 face to its members (a shard, as far as they can tell) and the dial
 face to the root shards (one client whose ``sender_id`` is the group
 id).  What is left here is the protocol between the two: member
-gradients are summed in member-id order, the first pull of a round is
-forwarded once and the response cached until the whole group consumed
-it — so two-tier runs stay bit-identical to the in-process grouped
-store.
+gradients are summed in member-id order and pushed upstream as one
+contribution, and the root's answer to it is fanned out to every member
+— so two-tier runs stay bit-identical to the in-process grouped store.
 
 Two-tier topologies are static: the aggregator takes no part in the
 membership handshake and the driver only instantiates it when
@@ -17,7 +16,7 @@ membership handshake and the driver only instantiates it when
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ...placement.keyplan import KeyTable
 from ..config import LiveClusterConfig
@@ -31,19 +30,13 @@ class AioAggregator(Node):
     """One group's combine/forward node on the event loop."""
 
     def __init__(self, group_id: int, cfg: LiveClusterConfig,
-                 plan: KeyTable, strategy: Optional[str] = None,
-                 epoch0: Optional[float] = None,
+                 plan: KeyTable, epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
         super().__init__(f"agg{group_id}", group_id,
-                         cfg.aggregator_machine(group_id), cfg, strategy,
-                         epoch0, shaper)
+                         cfg.aggregator_machine(group_id), cfg, epoch0, shaper)
         self.gid = group_id
         self.members = list(cfg.worker_groups()[group_id])
         self._meta = {pk.key: pk for pk in plan}
-        # (key, iteration) -> members whose pulls await the upstream value
-        self._pull_waiting: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._resp: Dict[Tuple[int, int], bytes] = {}
-        self._resp_served: Dict[Tuple[int, int], Set[int]] = {}
         self._up_conns: List[PeerConnection] = []
         self._done = asyncio.Event()
         self.error: Optional[str] = None
@@ -91,32 +84,10 @@ class AioAggregator(Node):
     # Protocol (synchronous handlers)
     # ------------------------------------------------------------------
     def _on_client(self, conn: PeerConnection, msg: WireMessage) -> None:
+        if msg.kind is not WireKind.PUSH:
+            raise self._unexpected(conn, msg)
         if msg.key not in self._meta:
             raise KeyError(f"aggregator {self.gid}: unknown key {msg.key}")
-        if msg.kind is WireKind.PUSH:
-            self._on_push(msg)
-        elif msg.kind is WireKind.PULL_REQ:
-            self._on_pull(msg)
-        else:
-            raise self._unexpected(conn, msg)
-
-    def _on_reply(self, conn: PeerConnection, msg: WireMessage) -> None:
-        if msg.kind is not WireKind.PULL_RESP:
-            raise self._unexpected(conn, msg)
-        ident = (msg.key, msg.iteration)
-        waiting = self._pull_waiting.pop(ident, [])
-        served = {w for w, _prio in waiting}
-        if len(served) < len(self.members):
-            # Late pulls hit the cache; evicted once everyone consumed
-            # this round's value.
-            self._resp[ident] = msg.payload
-            self._resp_served[ident] = served
-        for worker, priority in waiting:
-            self.client_senders[worker].send(
-                WireKind.PULL_RESP, msg.key, msg.iteration, priority,
-                msg.payload)
-
-    def _on_push(self, msg: WireMessage) -> None:
         staged = self._stage(msg)
         if len(staged) == len(self.members):
             # Sum in member-id order — the in-process grouped store's
@@ -130,23 +101,12 @@ class AioAggregator(Node):
                 WireKind.PUSH, msg.key, msg.iteration, self._priority(meta),
                 encode_array(acc))
 
-    def _on_pull(self, msg: WireMessage) -> None:
-        ident = (msg.key, msg.iteration)
-        cached = self._resp.get(ident)
-        if cached is not None:
-            served = self._resp_served[ident]
-            served.add(msg.sender)
-            if len(served) >= len(self.members):
-                del self._resp[ident]
-                del self._resp_served[ident]
-            self.client_senders[msg.sender].send(
+    def _on_reply(self, conn: PeerConnection, msg: WireMessage) -> None:
+        if msg.kind is not WireKind.PULL_RESP:
+            raise self._unexpected(conn, msg)
+        # The root answered the group's contribution: every member gets
+        # the round's value, at the priority the root gave it.
+        for worker in self.members:
+            self.client_senders[worker].send(
                 WireKind.PULL_RESP, msg.key, msg.iteration, msg.priority,
-                cached)
-            return
-        waiting = self._pull_waiting.setdefault(ident, [])
-        forward = not waiting
-        waiting.append((msg.sender, msg.priority))
-        if forward:
-            # First member pull of this round: fetch from the root once.
-            self._up_conns[self._meta[msg.key].server].sender.send(
-                WireKind.PULL_REQ, msg.key, msg.iteration, msg.priority)
+                msg.payload)

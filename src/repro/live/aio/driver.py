@@ -105,7 +105,8 @@ def run_live_aio(cfg: LiveClusterConfig,
     allocation — the rack-level fair-sharing model of
     :func:`repro.tenancy.run_live_tenants`.
     """
-    return run_leaving_no_task(_run_cluster(cfg, strategy, shaper=shaper))
+    cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
+    return run_leaving_no_task(_run_cluster(cfg, shaper=shaper))
 
 
 def run_leaving_no_task(job: Awaitable[T]) -> T:
@@ -145,14 +146,12 @@ async def leaving_no_task(job: Awaitable[T]) -> T:
 
 
 async def _run_cluster(cfg: LiveClusterConfig,
-                       strategy: Optional[str],
                        shaper=None) -> LiveRunResult:
-    strategy = strategy or cfg.strategy
     epoch0 = time.monotonic()
     sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
                                                         cfg.iterations)
     # Planned once per epoch, here; every node is handed the tables.
-    plans = cfg.key_plan(strategy)
+    plans = cfg.key_plan()
     if cfg.membership is not None:
         # The store's shard layout must match the epoch-0 plan; values
         # are placement-invariant, so this is layout only.
@@ -161,11 +160,10 @@ async def _run_cluster(cfg: LiveClusterConfig,
                                batch_size=cfg.n_workers)
     else:
         store_cfg = cfg
-    store = store_cfg.build_initialized_store(strategy)
+    store = store_cfg.build_initialized_store()
     coordinator = EpochCoordinator(plans, sched)
     servers = [AioServerShard(s, cfg, store.shards[s], plans, sched,
-                              coordinator, strategy=strategy, epoch0=epoch0,
-                              shaper=shaper)
+                              coordinator, epoch0=epoch0, shaper=shaper)
                for s in range(cfg.n_servers)]
     coordinator.servers = servers
     nodes: List[Node] = list(servers)
@@ -179,7 +177,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
     try:
         addresses = [(cfg.host, await srv.start()) for srv in servers]
         if cfg.two_tier:
-            aggregators = [AioAggregator(g, cfg, plans[0], strategy, epoch0,
+            aggregators = [AioAggregator(g, cfg, plans[0], epoch0,
                                          shaper=shaper)
                            for g in range(cfg.n_groups)]
             nodes += aggregators
@@ -192,7 +190,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
                         for agg in aggregators]
         else:
             worker_addresses = {w: addresses for w in sched.all_workers}
-        workers = {w: AioWorker(w, cfg, plans, sched, strategy, epoch0,
+        workers = {w: AioWorker(w, cfg, plans, sched, epoch0,
                                 shaper=shaper)
                    for w in sched.all_workers}
         nodes += workers.values()
@@ -266,7 +264,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
     final = agreed_params({w: r["params"] for w, r in results.items()},
                           sched.active(sched.n_epochs - 1))
     return LiveRunResult(
-        strategy=strategy,
+        strategy=cfg.strategy,
         config=cfg,
         final_params=final,
         iteration_times={w: np.asarray(r["iteration_times"])

@@ -185,12 +185,10 @@ class Node:
     """
 
     def __init__(self, name: str, sender_id: int, machine: int,
-                 cfg: LiveClusterConfig, strategy: Optional[str] = None,
-                 epoch0: Optional[float] = None,
+                 cfg: LiveClusterConfig, epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
         self.name = name
         self.cfg = cfg
-        self.strategy = strategy or cfg.strategy
         self.epoch0 = epoch0 if epoch0 is not None else time.monotonic()
         self._sender_id = sender_id
         self._machine = machine
@@ -256,7 +254,7 @@ class Node:
                                peer_machine, self.epoch0))
 
     def _priority(self, pk: PlacedKey) -> int:
-        if self.strategy == "p3":
+        if self.cfg.strategy == "p3":
             return pk.priority
         self._fifo_seq += 1
         return self._fifo_seq  # FIFO: priority == enqueue order

@@ -45,12 +45,10 @@ class AioServerShard(Node):
     def __init__(self, shard_id: int, cfg: LiveClusterConfig,
                  shard: ServerShard, plans: List[KeyTable],
                  schedule: MembershipSchedule, coordinator,
-                 strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
         super().__init__(f"server{shard_id}", shard_id,
-                         cfg.server_machine(shard_id), cfg, strategy, epoch0,
-                         shaper)
+                         cfg.server_machine(shard_id), cfg, epoch0, shaper)
         self.sid = shard_id
         self.shard = shard
         self.plans = plans
@@ -59,8 +57,6 @@ class AioServerShard(Node):
         self.tracker = EpochTracker(schedule)
         self.my_keys = plans[0].on_server(shard_id)
         self.version: Dict[int, int] = {k: 0 for k in self.my_keys}
-        # key -> list of (iteration, worker, priority) awaiting a value
-        self._waiting: Dict[int, List[Tuple[int, int, int]]] = {}
         self._ready = asyncio.Event()
         self.error: Optional[str] = None
         self.pushes_received = 0
@@ -94,8 +90,6 @@ class AioServerShard(Node):
     def _on_client(self, conn: PeerConnection, msg: WireMessage) -> None:
         if msg.kind is WireKind.PUSH:
             self._on_push(msg)
-        elif msg.kind is WireKind.PULL_REQ:
-            self._on_pull(msg)
         elif msg.kind is WireKind.JOIN:
             self.tracker.note_join(msg.sender, msg.key)
             self._check_ready()
@@ -138,7 +132,6 @@ class AioServerShard(Node):
     def _apply_ready(self, key: int) -> None:
         """Apply complete rounds in iteration order, contributors in
         rank order — the in-process store's exact accumulation order."""
-        responses: List[Tuple[int, int, int, bytes]] = []
         while True:
             round_idx = self.version[key]
             contributors = self._contributors(round_idx) \
@@ -151,8 +144,8 @@ class AioServerShard(Node):
                 self.shard.push(rank, key, ready[worker])
             del self._staged[(key, round_idx)]
             self.version[key] = round_idx + 1
+            pk = self.my_keys[key]
             if self.recorder is not None:
-                pk = self.my_keys[key]
                 detail = f"contribs={len(contributors)}"
                 self.recorder.emit(
                     EventKind.SLICE_APPLIED, node=self.name, key=key,
@@ -163,32 +156,15 @@ class AioServerShard(Node):
                     EventKind.ROUND_APPLIED, node=self.name, key=key,
                     iteration=round_idx, priority=pk.priority,
                     layer=pk.layer_index, detail=detail)
+            # The paper's reply rule (Section 4.2): the update goes back
+            # to everyone who contributed the moment it is applied.
             value = encode_array(self.shard.pull(key))
-            still_waiting = []
-            for iteration, worker, priority in self._waiting.get(key, []):
-                if iteration < self.version[key]:
-                    responses.append((worker, iteration, priority, value))
-                else:
-                    still_waiting.append((iteration, worker, priority))
-            self._waiting[key] = still_waiting
-        for worker, iteration, priority, value in responses:
-            self.client_senders[worker].send(
-                WireKind.PULL_RESP, key, iteration, priority, value)
+            priority = self._priority(pk)
+            for client in contributors:
+                self.client_senders[client].send(
+                    WireKind.PULL_RESP, key, round_idx, priority, value)
         if self._handshake:
             self._check_ready()
-
-    def _on_pull(self, msg: WireMessage) -> None:
-        if msg.key not in self.my_keys:
-            raise KeyError(f"shard {self.sid}: key {msg.key} not placed "
-                           f"here (epoch {self.tracker.current})")
-        if self.version[msg.key] > msg.iteration:
-            value = encode_array(self.shard.pull(msg.key))
-            self.client_senders[msg.sender].send(
-                WireKind.PULL_RESP, msg.key, msg.iteration, msg.priority,
-                value)
-        else:
-            self._waiting.setdefault(msg.key, []).append(
-                (msg.iteration, msg.sender, msg.priority))
 
     # ------------------------------------------------------------------
     # Membership epochs
@@ -212,10 +188,20 @@ class AioServerShard(Node):
             # the coordinator; the last arriver performs the migration.
             await self.coordinator.seal(self.sid, epoch)
             self._install_epoch(epoch)
+            first = self.schedule.first_round(epoch)
+            if first > 0:
+                # A mid-run joiner contributed to no earlier round, so
+                # nothing was sent to it: hand it this shard's keys (the
+                # post-migration plan) at the round it starts from.
+                for key, pk in self.my_keys.items():
+                    value = encode_array(self.shard.pull(key))
+                    for worker in self.schedule.joiners(epoch):
+                        self.client_senders[worker].send(
+                            WireKind.PULL_RESP, key, first - 1,
+                            self._priority(pk), value)
             for worker in self.schedule.active(epoch):
                 self.client_senders[worker].send(
-                    WireKind.EPOCH, epoch, self.schedule.first_round(epoch),
-                    CONTROL_PRIORITY)
+                    WireKind.EPOCH, epoch, first, CONTROL_PRIORITY)
 
     def _install_epoch(self, epoch: int) -> None:
         """Adopt the epoch's key plan and active set; commit the tracker."""
@@ -230,11 +216,10 @@ class AioServerShard(Node):
                                                  Optional[np.ndarray], int]:
         """Hand off one key's full live state: value, momentum, version."""
         staged = sorted(r for k, r in self._staged if k == key)
-        waiting = self._waiting.pop(key, [])
-        if staged or waiting:
+        if staged:
             raise RuntimeError(
                 f"shard {self.sid}: key {key} migrating with pending "
-                f"traffic (staged={staged}, waiting={waiting}) — "
+                f"traffic (staged={staged}) — "
                 "the JOIN/LEAVE barrier should have drained it")
         value, velocity = self.shard.export_key(key)
         return value, velocity, self.version.pop(key)

@@ -1,13 +1,15 @@
-"""Asyncio transport: the pure scheduling core on async streams.
+"""Asyncio transport: the sender state machine on async streams.
 
-:class:`AsyncPrioritySender` hosts :mod:`repro.live.transport`'s sans-IO
-pieces on an event loop — the :class:`ChunkScheduler` heap, the
-:class:`ReliableOutbox` Go-Back-N state, :class:`TokenBucket` shaping,
-the v2 wire frames — with one drain task per connection.  That is what
-lets a single process carry 64+ workers and hundreds of connections:
-each connection costs a task and a heap, not two OS threads
-(:class:`~repro.live.transport.PrioritySender` is the thread-hosted
-twin of the same core).
+:class:`AsyncPrioritySender` hosts :class:`repro.live.transport.
+SenderCore` — the :class:`ChunkScheduler` heap, the
+:class:`ReliableOutbox` Go-Back-N state, the v2 wire frames, the
+per-frame records — on an event loop, with one drain task per
+connection, and adds what a host owns: waiting, :class:`TokenBucket`
+shaping, chaos and the write.  That is what lets a single process carry
+64+ workers and hundreds of connections: each connection costs a task
+and a heap, not two OS threads
+(:class:`~repro.live.transport.PrioritySender` is the thread host of
+the same core).
 
 Two capabilities the thread-hosted sender does not have:
 
@@ -28,25 +30,20 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ...obs.events import EventKind, EventRecorder
+from ...obs.events import EventRecorder
 from ...sim.faults import FaultPlan
 from ..chaos import ChaosChannel, chaos_specs_for
 from ..transport import (
     CONTROL_PRIORITY,
-    DATA_KINDS,
     DEFAULT_CHUNK_BYTES,
-    RELIABLE_KINDS,
-    ChunkRecord,
-    ChunkScheduler,
-    ReliableOutbox,
     RetryPolicy,
+    SenderCore,
     TokenBucket,
     TransportError,
-    _Pending,
 )
-from ..wire import SEQ_NONE, WireKind, encode_frame, reseq_frame
+from ..wire import SEQ_NONE, WireKind
 
 
 def chaos_policy(plan: Optional[FaultPlan], machine: int, peer: int,
@@ -66,16 +63,17 @@ def chaos_policy(plan: Optional[FaultPlan], machine: int, peer: int,
 
 
 class AsyncPrioritySender:
-    """Priority heap + Go-Back-N reliability on one asyncio stream.
+    """:class:`~repro.live.transport.SenderCore` on one asyncio stream.
 
     API mirrors the thread-hosted sender — ``send`` / ``send_ack`` /
     ``handle_ack`` are synchronous and never touch the network (handlers
     may call them from read callbacks); ``flush`` / ``close`` are
-    coroutines.  The draining task pops the most urgent chunk, shapes
-    it, applies chaos, writes, and re-consults the heap — preemption
-    granularity is ``chunk_bytes``.  Unshaped and unsabotaged, a write
-    cannot yield between chunks anyway, so chunks popped back to back go
-    out as one write per burst (still one frame and record per chunk).
+    coroutines.  The draining task takes the most urgent chunk's frame
+    from the core, shapes it, applies chaos, writes, and asks again —
+    preemption granularity is ``chunk_bytes``.  Unshaped and
+    unsabotaged, a write cannot yield between chunks anyway, so the core
+    is asked for a burst up to the transport's high-water mark and it
+    goes out as one write (still one frame and record per chunk).
     """
 
     def __init__(self, writer: asyncio.StreamWriter, sender_id: int,
@@ -87,22 +85,12 @@ class AsyncPrioritySender:
                  retry: Optional[RetryPolicy] = None,
                  chaos: Optional[ChaosChannel] = None) -> None:
         self.writer = writer
-        self.sender_id = sender_id
         self.shaper = shaper
-        self.chunk_bytes = chunk_bytes
-        self.timeline: List[ChunkRecord] = []
-        self._clock = clock
-        self.recorder = recorder
-        self.node = node
-        self.retry = retry
         self.chaos = chaos
-        self._outbox = ReliableOutbox(retry) if retry is not None else None
-        self._next_seq = 0
-        self._sched = ChunkScheduler(chunk_bytes)
-        self._queued_ack: Optional[_Pending] = None  # pushed, not yet popped
-        self._closing = False
-        self._writing = False  # a popped chunk is not on the wire yet
-        self._error: Optional[BaseException] = None
+        self.core = SenderCore(sender_id, chunk_bytes, clock, recorder, node,
+                               retry)
+        self.timeline = self.core.timeline
+        self._clock = clock
         self._broken: Optional[BaseException] = None
         self._wake = asyncio.Event()
         self._progress = asyncio.Event()
@@ -113,46 +101,20 @@ class AsyncPrioritySender:
     # Synchronous entry points (callable from read callbacks)
     # ------------------------------------------------------------------
     def send(self, kind: WireKind, key: int, iteration: int, priority: int,
-             payload: bytes = b"", ack_seq: int = SEQ_NONE) -> _Pending:
+             payload: bytes = b"", ack_seq: int = SEQ_NONE) -> None:
         """Enqueue one logical message for prioritized transmission."""
-        if self._error is not None:
-            raise TransportError("sender already failed") from self._error
-        if self._closing:
-            raise TransportError("sender is closed")
-        now = self._clock()
-        item = self._sched.push(kind, key, iteration, priority, payload,
-                                enqueue_ts=now, ack_seq=ack_seq)
-        if self.recorder is not None and kind in DATA_KINDS:
-            self.recorder.emit(
-                EventKind.SLICE_ENQUEUED, node=self.node, ts=now,
-                key=key, iteration=iteration, priority=priority,
-                nbytes=len(payload), detail=kind.name.lower())
+        self.core.send(kind, key, iteration, priority, payload, ack_seq)
         self._wake.set()
-        return item
 
     def send_ack(self, cum_seq: int) -> None:
-        """Queue a cumulative ``CHUNK_ACK`` for the reverse direction.
-
-        At most one is queued per connection: an ack the drain task has
-        not popped yet is raised in place, since only the last one
-        queued before the next drain step carries news.
-        """
-        if cum_seq < 0:
-            return
-        if self._queued_ack is not None:
-            self._queued_ack.ack_seq = max(self._queued_ack.ack_seq, cum_seq)
-            return
-        try:
-            self._queued_ack = self.send(WireKind.CHUNK_ACK, -1, 0,
-                                         CONTROL_PRIORITY, ack_seq=cum_seq)
-        except TransportError:
-            pass
+        """Queue a cumulative ``CHUNK_ACK`` for the reverse direction
+        (at most one per connection: :meth:`SenderCore.send_ack`)."""
+        if self.core.send_ack(cum_seq):
+            self._wake.set()
 
     def handle_ack(self, acked_seq: int) -> None:
         """Absorb a peer's cumulative ack (read-callback entry point)."""
-        if self._outbox is None:
-            return
-        if self._outbox.ack(acked_seq):
+        if self.core.handle_ack(acked_seq):
             self._progress.set()
             self._wake.set()
 
@@ -160,30 +122,21 @@ class AsyncPrioritySender:
     # Lifecycle
     # ------------------------------------------------------------------
     def rebind(self, writer: asyncio.StreamWriter) -> None:
-        """Move the sender onto a replacement connection.
-
-        The new byte stream's peer inbox expects seq 0: queued acks for
-        the dead stream are purged, the unacked backlog is renumbered
-        onto ``0..n-1`` and marked immediately due, and the drain task
-        is unparked.
-        """
+        """Move the sender onto a replacement connection: the core drops
+        the dead stream's acks and renumbers the unacked backlog
+        (:meth:`SenderCore.rebind`), and the drain task is unparked."""
         self.writer = writer
         self._broken = None
-        self._sched.purge((WireKind.CHUNK_ACK,))
-        self._queued_ack = None
-        if self._outbox is not None:
-            self._next_seq = self._outbox.renumber(reseq_frame, self._clock())
-        else:
-            self._next_seq = 0
+        self.core.rebind()
         self._wake.set()
 
     @property
     def failed(self) -> bool:
-        return self._error is not None
+        return self.core.error is not None
 
     @property
     def failure(self) -> Optional[BaseException]:
-        return self._error
+        return self.core.error
 
     @property
     def broken(self) -> bool:
@@ -194,11 +147,7 @@ class AsyncPrioritySender:
         """Wait until every enqueued message is written — and, when a
         :class:`RetryPolicy` is attached, acknowledged by the peer."""
         deadline = self._clock() + timeout
-        # Partially sent messages re-queue themselves in the heap, so
-        # len(self._sched) covers in-flight multi-chunk messages too.
-        while ((len(self._sched) or self._writing
-                or (self._outbox is not None and len(self._outbox)))
-               and self._error is None):
+        while self.core.busy and self.core.error is None:
             remaining = deadline - self._clock()
             if remaining <= 0:
                 raise TransportError("flush timed out")
@@ -208,15 +157,15 @@ class AsyncPrioritySender:
                                        min(remaining, 0.05))
             except asyncio.TimeoutError:
                 pass
-        if self._error is not None:
-            raise TransportError("sender failed") from self._error
+        if self.core.error is not None:
+            raise TransportError("sender failed") from self.core.error
 
     async def close(self, timeout: float = 30.0) -> None:
         """Flush pending messages, then stop the drain task."""
         try:
             await self.flush(timeout)
         finally:
-            self._closing = True
+            self.core.closing = True
             self._wake.set()
             try:
                 await asyncio.wait_for(asyncio.shield(self._task), timeout)
@@ -225,7 +174,7 @@ class AsyncPrioritySender:
 
     def abort(self) -> None:
         """Stop immediately without flushing (error-path teardown)."""
-        self._closing = True
+        self.core.closing = True
         self._task.cancel()
 
     async def wait_closed(self) -> None:
@@ -233,15 +182,9 @@ class AsyncPrioritySender:
         await asyncio.gather(self._task, return_exceptions=True)
 
     def stats(self) -> Dict[str, int]:
-        """Reliability counters (zeros when no :class:`RetryPolicy`)."""
-        totals: Dict[str, int] = {}
-        if self._outbox is None:
-            totals.update({"frames_retransmitted": 0, "acks_received": 0,
-                           "unacked_frames": 0})
-        else:
-            totals.update({"frames_retransmitted": self._outbox.retransmits,
-                           "acks_received": self._outbox.acks_received,
-                           "unacked_frames": len(self._outbox)})
+        """Reliability counters (zeros when no :class:`RetryPolicy`),
+        plus the chaos channel's when the link is sabotaged."""
+        totals = self.core.stats()
         if self.chaos is not None:
             totals.update(self.chaos.stats())
         return totals
@@ -250,112 +193,51 @@ class AsyncPrioritySender:
     # Drain task
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        core = self.core
         try:
             while True:
                 if self._broken is not None:
                     # Parked on a dead connection: hold every reliable
                     # frame (outbox + heap) until rebind() or close().
-                    if self._closing:
+                    if core.closing:
                         return
                     self._wake.clear()
                     await self._wake.wait()
                     continue
-                now = self._clock()
-                if self._outbox is not None and len(self._outbox):
-                    # May raise TransportError after max_retries —
-                    # surfaced through .failed / flush().
-                    due = self._outbox.due(now)
-                    if due:
-                        for _, frame_bytes in due:
-                            if not await self._write(frame_bytes):
-                                break  # parked; resumes after rebind()
-                        continue
-                popped = self._sched.pop_chunk()
-                if popped is None:
-                    if self._closing:
+                # May raise TransportError after max_retries — surfaced
+                # through .failed / flush().
+                retrans = core.due(self._clock())
+                if retrans:
+                    for frame in retrans:
+                        if not await self._write(frame):
+                            break  # parked; resumes after rebind()
+                    continue
+                # Unshaped and unsabotaged, a write does not yield below
+                # the transport's high-water mark: one write per burst.
+                burst = core.next_burst(
+                    self.writer.transport.get_write_buffer_limits()[1]
+                    if self.shaper is None and self.chaos is None else 0)
+                if burst is None:
+                    if core.closing:
                         return
-                    timeout = None
-                    if self._outbox is not None and len(self._outbox):
-                        deadline = self._outbox.next_deadline(self._clock())
-                        timeout = max(1e-3, deadline - self._clock())
                     self._wake.clear()
                     try:
-                        await asyncio.wait_for(self._wake.wait(), timeout)
+                        await asyncio.wait_for(
+                            self._wake.wait(), core.timeout(self._clock()))
                     except asyncio.TimeoutError:
                         pass
                     continue
-                # An unshaped, unsabotaged write does not yield below the
-                # transport's high-water mark, so nothing more urgent can
-                # arrive between its chunks: gather them into one write.
-                # Shaped or sabotaged links stay one write per chunk.
-                limit = (self.writer.transport.get_write_buffer_limits()[1]
-                         if self.shaper is None and self.chaos is None else 0)
-                self._writing = True
-                frames: List[bytes] = []
-                burst: List[Tuple[_Pending, bool]] = []
-                gathered = 0
-                while popped is not None:
-                    item, chunk, offset, done, preempted = popped
-                    if item is self._queued_ack:
-                        self._queued_ack = None  # the next ack queues afresh
-                    reliable = (self._outbox is not None
-                                and item.kind in RELIABLE_KINDS)
-                    # ack_seq: SEQ_NONE, but for a CHUNK_ACK the reverse
-                    # direction's cumulative ack — neither is sequenced.
-                    seq = self._next_seq if reliable else item.ack_seq
-                    frame = encode_frame(
-                        item.kind, self.sender_id, item.key, item.iteration,
-                        item.priority, chunk, offset=offset,
-                        total=len(item.payload), seq=seq)
-                    if reliable:
-                        # Recorded before the write so an ack racing the
-                        # send can never miss the outbox entry — and so a
-                        # mid-frame disconnect never loses the chunk.
-                        self._next_seq += 1
-                        self._outbox.record(seq, frame, self._clock())
-                    if (preempted is not None and self.recorder is not None
-                            and preempted.kind in DATA_KINDS):
-                        self.recorder.emit(
-                            EventKind.SLICE_PREEMPTED, node=self.node,
-                            ts=self._clock(), key=preempted.key,
-                            iteration=preempted.iteration,
-                            priority=preempted.priority,
-                            nbytes=len(preempted.payload) - preempted.offset,
-                            detail=f"overtaken_by_key={item.key}")
-                    frames.append(frame)
-                    burst.append((item, done))
-                    gathered += len(frame)
-                    popped = (self._sched.pop_chunk() if gathered < limit
-                              else None)
                 t0 = self._clock()
-                if not await self._write(b"".join(frames), item.priority):
-                    self._writing = False  # parked; the outbox holds it
+                if not await self._write(*burst):
+                    core.unwritten()  # parked; the outbox holds it
                     continue
-                t1 = self._clock()
-                for (item, done), frame in zip(burst, frames):
-                    # Every frame carries its burst's write interval; a
-                    # message's own wire time is its share of the bytes.
-                    item.wire_s += (t1 - t0) * len(frame) / gathered
-                    self.timeline.append(ChunkRecord(
-                        self.sender_id, int(item.kind), item.key,
-                        item.iteration, item.priority, t0, t1, len(frame)))
-                    if (done and self.recorder is not None
-                            and item.kind in DATA_KINDS):
-                        queue_s = max(0.0,
-                                      (t1 - item.enqueue_ts) - item.wire_s)
-                        self.recorder.emit(
-                            EventKind.SLICE_SENT, node=self.node, ts=t1,
-                            key=item.key, iteration=item.iteration,
-                            priority=item.priority, nbytes=len(item.payload),
-                            queue_s=queue_s, wire_s=item.wire_s,
-                            detail=item.kind.name.lower())
-                self._writing = False
-                if not len(self._sched):
+                core.wrote(t0, self._clock())
+                if not len(core.sched):
                     self._progress.set()
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported via .failed
-            self._error = exc
+            core.error = exc
             self._progress.set()
 
     async def _write(self, frame: bytes,
@@ -390,7 +272,7 @@ class AsyncPrioritySender:
                 self.writer.write(frame)
             await self.writer.drain()
         except (ConnectionError, OSError) as exc:
-            if self._outbox is None:
+            if not self.core.reliable:
                 raise
             if reserved:
                 self.shaper.refund(reserved)

@@ -3,8 +3,10 @@
 A :class:`~repro.live.aio.node.Node` showing only its dial face.
 Gated forward (layer *i* waits only on its own parameters), real
 gradients, backward emission last-layer-first at P3 or FIFO priorities
-— as coroutines, so that 64+ workers cohabit one process — plus the
-**elastic membership** choreography:
+— as coroutines, so that 64+ workers cohabit one process.  A worker
+only ever pushes: the shard answers every contributor of a round the
+moment it applies it (the paper's Section 4.2 broadcast), so nothing is
+requested.  Plus the **elastic membership** choreography:
 
 * A worker executes each of its schedule *spans* as a fresh
   **incarnation**: new connections, fresh transport state.  Rejoining
@@ -14,9 +16,9 @@ gradients, backward emission last-layer-first at P3 or FIFO priorities
   guaranteed to drain *after* all of its earlier-epoch data — then gates
   on an ``EPOCH`` ack from every shard before emitting any round of the
   new epoch.
-* A mid-run joiner bootstraps its replica by pulling every key at the
-  epoch's predecessor round; the normal gated forward then proceeds as
-  if the worker had been there all along.
+* A mid-run joiner is sent every key at the epoch's predecessor round by
+  the shards as they commit the epoch; the normal gated forward then
+  proceeds as if the worker had been there all along.
 * A departing worker sends ``LEAVE`` then ``BYE``, both at barrier
   priority, so the shards can prove its traffic drained before
   migrating keys.
@@ -50,12 +52,10 @@ class AioWorker(Node):
 
     def __init__(self, worker_id: int, cfg: LiveClusterConfig,
                  plans: List[KeyTable], schedule: MembershipSchedule,
-                 strategy: Optional[str] = None,
                  epoch0: Optional[float] = None,
                  shaper: Optional[TokenBucket] = None) -> None:
         super().__init__(f"worker{worker_id}", worker_id,
-                         cfg.worker_machine(worker_id), cfg, strategy, epoch0,
-                         shaper)
+                         cfg.worker_machine(worker_id), cfg, epoch0, shaper)
         self.wid = worker_id
         self.plans = plans
         self.schedule = schedule
@@ -123,12 +123,15 @@ class AioWorker(Node):
                     f"worker {self.wid}: timed out waiting for {what} "
                     f"(round_timeout_s={self.cfg.round_timeout_s})")
             self._notify.clear()
-            if self._error is not None or pred():
-                continue
+            # A timer that notifies, not wait_for(): that one returns
+            # normally when a notify and the driver's cancel() land
+            # together, and the worker then sat out the round timeout.
+            timer = asyncio.get_running_loop().call_later(
+                remaining, self._notify.set)
             try:
-                await asyncio.wait_for(self._notify.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
+                await self._notify.wait()
+            finally:
+                timer.cancel()
 
     # ------------------------------------------------------------------
     # Connections (one incarnation = one span)
@@ -208,14 +211,6 @@ class AioWorker(Node):
                     lambda: len(self._epoch_acks.get(e, ()))
                     >= cfg.n_servers,
                     f"EPOCH({e}) from all {cfg.n_servers} shards")
-                if e == e0 and first > 0:
-                    # Mid-run joiner: bootstrap the replica at the
-                    # epoch's predecessor round; the round loop's normal
-                    # gather consumes the responses.
-                    for pk in self.plans[e]:
-                        sender = self._conns[self._route[pk.server]].sender
-                        sender.send(WireKind.PULL_REQ, pk.key, first - 1,
-                                    self._priority(pk))
             rank = self.schedule.rank_of(e, self.wid)
             n_active = len(self.schedule.active(e))
             per = cfg.batch_size // n_active
@@ -255,11 +250,9 @@ class AioWorker(Node):
             await asyncio.sleep(cfg.bwd_layer_s)
             grad = grads[self.names[layer]]
             for pk in self.plans[e].by_layer[layer]:
-                prio = self._priority(pk)
-                sender = self._conns[self._route[pk.server]].sender
-                sender.send(WireKind.PUSH, pk.key, t, prio,
-                            encode_array(grad[pk.span]))
-                sender.send(WireKind.PULL_REQ, pk.key, t, prio)
+                self._conns[self._route[pk.server]].sender.send(
+                    WireKind.PUSH, pk.key, t, self._priority(pk),
+                    encode_array(grad[pk.span]))
 
     async def _gather_layer(self, params: Dict[str, np.ndarray], layer: int,
                             iteration: int) -> float:

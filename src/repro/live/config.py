@@ -227,7 +227,7 @@ class LiveClusterConfig:
                             spec=SyntheticSpec(image_size=self.in_size),
                             seed=self.data_seed)
 
-    def key_plan(self, strategy: Optional[str] = None) -> List[KeyTable]:
+    def key_plan(self) -> List[KeyTable]:
         """The run's key tables, one per membership epoch (a static run
         has one): the same planner call the in-process store makes, on
         the same seed, so the tables match the store's by construction.
@@ -237,7 +237,7 @@ class LiveClusterConfig:
         """
         sizes = [value.size
                  for value in self.build_network().parameters().values()]
-        baseline = (strategy or self.strategy) == "baseline"
+        baseline = self.strategy == "baseline"
         spec = self.placement_spec()
         policies = ([self.placement] if self.membership is None else
                     [e.placement or self.placement
@@ -251,20 +251,19 @@ class LiveClusterConfig:
                           n_workers=self.n_workers)
                 for policy in policies]
 
-    def build_store(self, strategy: Optional[str] = None) -> DistributedStore:
+    def build_store(self) -> DistributedStore:
         """The in-process functional store this live run must reproduce
         bit-for-bit."""
         common = dict(n_workers=self.n_workers, n_servers=self.n_servers,
                       lr=self.lr, momentum=self.momentum,
                       weight_decay=self.weight_decay, seed=self.store_seed,
                       placement=self.placement_spec())
-        if (strategy or self.strategy) == "baseline":
+        if self.strategy == "baseline":
             return BaselineKVStore(threshold=self.threshold, **common)
         return P3Store(slice_params=self.slice_params, **common)
 
-    def build_initialized_store(
-            self, strategy: Optional[str] = None) -> DistributedStore:
-        store = self.build_store(strategy)
+    def build_initialized_store(self) -> DistributedStore:
+        store = self.build_store()
         store.init(self.build_network().parameters())
         return store
 

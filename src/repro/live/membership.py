@@ -345,14 +345,14 @@ def elastic_reference(cfg: "LiveClusterConfig",
     touching values, which is precisely what the live conformance test
     asserts by comparing against this function.
     """
-    strategy = strategy or cfg.strategy
+    cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
     sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
                                                         cfg.iterations)
     net = cfg.build_network()
     dataset = cfg.build_dataset()
     base = (dc_replace(cfg, membership=None, batch_size=cfg.n_workers)
             if cfg.membership is not None else cfg)
-    store = base.build_initialized_store(strategy)
+    store = base.build_initialized_store()
     for t, idx in enumerate(cfg.batch_schedule()):
         active = sched.active(sched.round_epoch(t))
         n_active = len(active)

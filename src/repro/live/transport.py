@@ -8,12 +8,15 @@ is that machinery in userspace:
   testbed uses kernel traffic control to emulate slower networks
   (Section 5.3), we meter our own sends so a localhost link behaves like
   a bandwidth-limited one.
-* :class:`PrioritySender` — a per-connection sender thread draining a
-  heap of pending messages in ``(priority, enqueue order)`` order, one
-  chunk frame at a time.  Because it re-consults the heap *between
-  chunks*, a newly enqueued urgent slice genuinely preempts the rest of
-  a large low-priority transfer — P3's scheduling claim, happening on a
-  real socket rather than in a simulator event loop.
+* :class:`SenderCore` — one connection's sender state machine: a heap
+  of pending messages drained in ``(priority, enqueue order)`` order,
+  one chunk frame at a time, numbered and kept for Go-Back-N
+  retransmission.  Because the heap is re-consulted *between chunks*, a
+  newly enqueued urgent slice genuinely preempts the rest of a large
+  low-priority transfer — P3's scheduling claim, happening on a real
+  socket rather than in a simulator event loop.  It does no I/O and no
+  waiting; :class:`PrioritySender` hosts it on a thread and
+  :class:`repro.live.aio.AsyncPrioritySender` on an event loop.
 
 Every transmitted chunk is recorded as a :class:`ChunkRecord`; these
 convert directly into the simulator's transmission-record schema so the
@@ -42,6 +45,7 @@ from .wire import (
     WireKind,
     WireMessage,
     encode_frame,
+    reseq_frame,
 )
 
 #: Priority used for control traffic (heartbeats, byes): more urgent
@@ -192,7 +196,7 @@ DATA_KINDS = (WireKind.PUSH, WireKind.PULL_RESP)
 
 
 class ChunkScheduler:
-    """The pure scheduling core of :class:`PrioritySender`.
+    """The pure scheduling core of :class:`SenderCore`.
 
     Holds the pending-message heap and implements chunking and
     preemption with no sockets, threads or clocks, so property tests
@@ -318,7 +322,7 @@ class ReliableOutbox:
 
     Pure bookkeeping — no sockets, no threads, injectable clock values —
     so retry/backoff arithmetic is unit-testable deterministically
-    (``tests/live/test_chaos.py``).  Not thread-safe; the owning
+    (``tests/live/test_chaos.py``).  Not thread-safe; the thread-hosted
     :class:`PrioritySender` serializes access under its own lock.
     """
 
@@ -459,7 +463,7 @@ class ReliableReceiver:
     * discarding duplicate/gap frames, and
     * calling the sender's ``send_ack`` with the cumulative ack before
       every completed message is handed up and once more when the batch
-      ends — the async sender keeps at most one such ack queued per
+      ends — the sender keeps at most one such ack queued per
       connection and raises it in place, so a batch costs one frame.
 
     ``sender_for`` maps a decoded frame to the connection's local
@@ -529,29 +533,228 @@ class ReliableReceiver:
             ack_sender.send_ack(self.inbox.cumulative_ack)
 
 
+class SenderCore:
+    """One connection's sender state machine — no socket, thread or loop.
+
+    What a sender *decides* lives here once: which chunk leaves next
+    (:class:`ChunkScheduler`), its sequence number, the frame's bytes,
+    what stays in the :class:`ReliableOutbox` until acknowledged, the one
+    queued ``CHUNK_ACK``, and what is recorded about each frame.  A host
+    (:class:`PrioritySender` on a thread,
+    :class:`repro.live.aio.AsyncPrioritySender` on an event loop) keeps
+    only waiting, shaping, chaos and writing: it calls :meth:`due` and
+    :meth:`next_burst` for bytes to put on the wire, reports the write
+    with :meth:`wrote` (or :meth:`unwritten`), and sleeps at most
+    :meth:`timeout` when both come back empty.  Not thread-safe: a
+    threaded host makes every call under its own lock.
+
+    Preemption granularity is ``chunk_bytes``, the software analogue of
+    the paper's observation that slice granularity bounds how long an
+    urgent update can be stuck behind bulk traffic.  With a
+    :class:`RetryPolicy` the sender is *reliable*: a lossy channel
+    (:mod:`repro.live.chaos`) delays a :data:`RELIABLE_KINDS` message
+    but never loses it.
+    """
+
+    def __init__(self, sender_id: int,
+                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+                 clock: Callable[[], float] = time.monotonic,
+                 recorder: Optional[EventRecorder] = None,
+                 node: str = "",
+                 retry: Optional[RetryPolicy] = None) -> None:
+        self.sender_id = sender_id
+        self.sched = ChunkScheduler(chunk_bytes)
+        #: Without a policy nothing is sequenced and the outbox stays empty.
+        self.reliable = retry is not None
+        self.outbox = ReliableOutbox(retry or RetryPolicy())
+        #: One :class:`ChunkRecord` per written frame; appended in place.
+        self.timeline: List[ChunkRecord] = []
+        # Shared-schema observability (repro.obs); None = zero overhead.
+        self.recorder = recorder
+        self.node = node
+        #: Set by the host: no further :meth:`send` is accepted.
+        self.closing = False
+        #: Set by the host when its drain loop died; ends :meth:`send`.
+        self.error: Optional[BaseException] = None
+        self._clock = clock
+        self._next_seq = 0
+        self._queued_ack: Optional[_Pending] = None  # pushed, not yet popped
+        # (item, done, frame bytes) of the burst handed out, not yet wrote()
+        self._burst: List[Tuple[_Pending, bool, int]] = []
+
+    # ------------------------------------------------------------------
+    # Producers
+    # ------------------------------------------------------------------
+    def send(self, kind: WireKind, key: int, iteration: int, priority: int,
+             payload: bytes = b"", ack_seq: int = SEQ_NONE) -> _Pending:
+        """Enqueue one logical message for prioritized transmission."""
+        if self.error is not None:
+            raise TransportError("sender already failed") from self.error
+        if self.closing:
+            raise TransportError("sender is closed")
+        now = self._clock()
+        item = self.sched.push(kind, key, iteration, priority, payload,
+                               enqueue_ts=now, ack_seq=ack_seq)
+        if self.recorder is not None and kind in DATA_KINDS:
+            self.recorder.emit(
+                EventKind.SLICE_ENQUEUED, node=self.node, ts=now,
+                key=key, iteration=iteration, priority=priority,
+                nbytes=len(payload), detail=kind.name.lower())
+        return item
+
+    def send_ack(self, cum_seq: int) -> bool:
+        """Queue a cumulative ``CHUNK_ACK`` for the reverse direction;
+        return whether a message was queued (the host wakes its drain).
+
+        At most one is queued per connection: one not popped yet is
+        raised in place, since only the last before the next drain step
+        carries news.  An ack to a closing or failed sender is swallowed:
+        the peer's retransmission elicits a fresh one if it is needed.
+        """
+        if cum_seq < 0:
+            return False
+        if self._queued_ack is not None:
+            self._queued_ack.ack_seq = max(self._queued_ack.ack_seq, cum_seq)
+            return False
+        try:
+            self._queued_ack = self.send(WireKind.CHUNK_ACK, -1, 0,
+                                         CONTROL_PRIORITY, ack_seq=cum_seq)
+        except TransportError:
+            return False
+        return True
+
+    def handle_ack(self, acked_seq: int) -> bool:
+        """Absorb a peer's cumulative ack; return whether it made
+        progress (the host wakes whoever waits in ``flush``)."""
+        return self.outbox.ack(acked_seq) > 0
+
+    def rebind(self) -> None:
+        """Move onto a replacement byte stream, whose peer inbox expects
+        seq 0: queued acks for the dead stream are purged and the unacked
+        backlog is renumbered onto ``0..n-1`` and made immediately due."""
+        self.sched.purge((WireKind.CHUNK_ACK,))
+        self._queued_ack = None
+        self._next_seq = self.outbox.renumber(reseq_frame, self._clock())
+
+    # ------------------------------------------------------------------
+    # What a host asks
+    # ------------------------------------------------------------------
+    def due(self, now: float) -> List[bytes]:
+        """Frames to retransmit now, in seq order (empty = timer not
+        due).  Raises :class:`TransportError` after ``max_retries``."""
+        return [frame for _, frame in self.outbox.due(now)]
+
+    def next_burst(self, limit: int = 0) -> Optional[Tuple[bytes, int]]:
+        """Encode the most urgent chunk — and the chunks behind it while
+        the burst is under ``limit`` bytes — as ``(bytes, priority)``;
+        ``None`` when nothing is pending.
+
+        ``limit`` is how much the host can write without yielding: below
+        it nothing more urgent can arrive between chunks, so they go out
+        as one write (still one frame and one record per chunk).  A host
+        that shapes, sabotages or blocks per write passes 0.
+        """
+        frames: List[bytes] = []
+        gathered = 0
+        popped = self.sched.pop_chunk()
+        while popped is not None:
+            item, chunk, offset, done, preempted = popped
+            if item is self._queued_ack:
+                self._queued_ack = None  # the next ack queues afresh
+            reliable = self.reliable and item.kind in RELIABLE_KINDS
+            # ack_seq: SEQ_NONE, but for a CHUNK_ACK the reverse
+            # direction's cumulative ack — neither is sequenced.
+            seq = self._next_seq if reliable else item.ack_seq
+            frame = encode_frame(
+                item.kind, self.sender_id, item.key, item.iteration,
+                item.priority, chunk, offset=offset,
+                total=len(item.payload), seq=seq)
+            if reliable:
+                # Recorded before the write so an ack racing the send
+                # can never miss the outbox entry — and so a mid-frame
+                # disconnect never loses the chunk.
+                self._next_seq += 1
+                self.outbox.record(seq, frame, self._clock())
+            if (preempted is not None and self.recorder is not None
+                    and preempted.kind in DATA_KINDS):
+                self.recorder.emit(
+                    EventKind.SLICE_PREEMPTED, node=self.node,
+                    ts=self._clock(), key=preempted.key,
+                    iteration=preempted.iteration,
+                    priority=preempted.priority,
+                    nbytes=len(preempted.payload) - preempted.offset,
+                    detail=f"overtaken_by_key={item.key}")
+            frames.append(frame)
+            self._burst.append((item, done, len(frame)))
+            gathered += len(frame)
+            popped = self.sched.pop_chunk() if gathered < limit else None
+        return (b"".join(frames), item.priority) if frames else None
+
+    def timeout(self, now: float) -> Optional[float]:
+        """Seconds a host with nothing to write may sleep before the
+        retransmit timer needs it (``None`` = until woken)."""
+        if not len(self.outbox):
+            return None
+        return max(1e-3, self.outbox.next_deadline(now) - now)
+
+    def wrote(self, t0: float, t1: float) -> None:
+        """The burst from :meth:`next_burst` was on the wire over
+        ``[t0, t1]``: one :class:`ChunkRecord` per frame, each carrying
+        the burst's write interval; a message's own wire time is its
+        share of the bytes."""
+        gathered = sum(nbytes for _, _, nbytes in self._burst)
+        for item, done, nbytes in self._burst:
+            item.wire_s += (t1 - t0) * nbytes / gathered
+            self.timeline.append(ChunkRecord(
+                self.sender_id, int(item.kind), item.key, item.iteration,
+                item.priority, t0, t1, nbytes))
+            if (done and self.recorder is not None
+                    and item.kind in DATA_KINDS):
+                # Same queueing definition as the simulator adapter:
+                # time since enqueue not spent on this message's own
+                # wire occupancy (shaper waits count as queueing).
+                queue_s = max(0.0, (t1 - item.enqueue_ts) - item.wire_s)
+                self.recorder.emit(
+                    EventKind.SLICE_SENT, node=self.node, ts=t1,
+                    key=item.key, iteration=item.iteration,
+                    priority=item.priority, nbytes=len(item.payload),
+                    queue_s=queue_s, wire_s=item.wire_s,
+                    detail=item.kind.name.lower())
+        self._burst.clear()
+
+    def unwritten(self) -> None:
+        """The burst never reached the wire (the connection died): no
+        record; its reliable frames wait in the outbox for a rebind."""
+        self._burst.clear()
+
+    @property
+    def busy(self) -> bool:
+        """Something is queued, handed out but not yet recorded, or
+        unacknowledged — what ``flush`` waits out.  Partially sent
+        messages stay in the heap, so it covers them too."""
+        return bool(len(self.sched) or self._burst or len(self.outbox))
+
+    def stats(self) -> Dict[str, int]:
+        """Reliability counters (zeros when no :class:`RetryPolicy`)."""
+        return {"frames_retransmitted": self.outbox.retransmits,
+                "acks_received": self.outbox.acks_received,
+                "unacked_frames": len(self.outbox)}
+
+
 class PrioritySender:
-    """Drains a priority heap of messages onto one socket, chunk by chunk.
+    """:class:`SenderCore` hosted on a thread over one blocking socket.
 
     ``send()`` never blocks on the network: it enqueues and wakes the
-    sender thread, which pops the most urgent pending message, emits its
-    *next chunk* (shaped by the optional shared :class:`TokenBucket`),
-    and re-inserts the remainder.  Preemption granularity is therefore
-    ``chunk_bytes``, the software analogue of the paper's observation
-    that slice granularity bounds how long an urgent update can be stuck
-    behind bulk traffic.
-
-    With a :class:`RetryPolicy` the sender is *reliable*: every data
-    chunk (:data:`RELIABLE_KINDS`) is assigned a per-connection sequence
-    number, kept in a :class:`ReliableOutbox` until the peer's
-    cumulative ``CHUNK_ACK`` covers it, and retransmitted with
-    exponential backoff when the ack timer expires — so a lossy channel
-    (:mod:`repro.live.chaos`) delays delivery but never loses it.
-    ``flush()`` then waits for acknowledgement, not just for the write.
+    sender thread, which shapes each frame the core hands it with the
+    optional shared :class:`TokenBucket` and ``sendall``\\ s it.  Every
+    core call is made under the sender's lock; the network I/O happens
+    outside it.  With a :class:`RetryPolicy`, ``flush()`` waits for
+    acknowledgement, not just for the write.
 
     The cluster's nodes use :class:`repro.live.aio.AsyncPrioritySender`,
-    the event-loop host of the same :class:`ChunkScheduler` core; this
-    thread-hosted one is what ``bench/probes.py``'s ``sender.*`` probes
-    and ``tests/live/test_transport.py`` drive.
+    the event-loop host of the same core; this one is what
+    ``bench/probes.py``'s ``sender.*`` probes and
+    ``tests/live/test_transport.py`` drive.
     """
 
     def __init__(self, sock, sender_id: int,
@@ -562,23 +765,12 @@ class PrioritySender:
                  node: str = "",
                  retry: Optional[RetryPolicy] = None) -> None:
         self.sock = sock
-        self.sender_id = sender_id
         self.shaper = shaper
-        self.chunk_bytes = chunk_bytes
-        self.timeline: List[ChunkRecord] = []
+        self.core = SenderCore(sender_id, chunk_bytes, clock, recorder, node,
+                               retry)
+        self.timeline = self.core.timeline
         self._clock = clock
-        # Shared-schema observability (repro.obs); None = zero overhead.
-        self.recorder = recorder
-        self.node = node
-        self.retry = retry
-        self._outbox = ReliableOutbox(retry) if retry is not None else None
-        self._next_seq = 0
-        self._sched = ChunkScheduler(chunk_bytes)
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._closing = False
-        self._writing = False  # a popped chunk is not on the wire yet
-        self._error: Optional[BaseException] = None
+        self._cond = threading.Condition(threading.Lock())
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"sender-{sender_id}")
         self._thread.start()
@@ -588,42 +780,20 @@ class PrioritySender:
              payload: bytes = b"", ack_seq: int = SEQ_NONE) -> None:
         """Enqueue one logical message for prioritized transmission."""
         with self._cond:
-            if self._error is not None:
-                raise TransportError("sender already failed") from self._error
-            if self._closing:
-                raise TransportError("sender is closed")
-            now = self._clock()
-            self._sched.push(kind, key, iteration, priority, payload,
-                             enqueue_ts=now, ack_seq=ack_seq)
-            if self.recorder is not None and kind in DATA_KINDS:
-                self.recorder.emit(
-                    EventKind.SLICE_ENQUEUED, node=self.node, ts=now,
-                    key=key, iteration=iteration, priority=priority,
-                    nbytes=len(payload), detail=kind.name.lower())
+            self.core.send(kind, key, iteration, priority, payload, ack_seq)
             self._cond.notify()
 
     def send_ack(self, cum_seq: int) -> None:
-        """Enqueue a cumulative ``CHUNK_ACK`` for the reverse direction.
-
-        Called from the connection's reader thread.  Acks jump every
-        queue (control priority) and are themselves unsequenced; a
-        shutdown race (sender already closing) is swallowed, because the
-        peer's retransmission will elicit a fresh ack if one is needed.
-        """
-        if cum_seq < 0:
-            return
-        try:
-            self.send(WireKind.CHUNK_ACK, -1, 0, CONTROL_PRIORITY,
-                      ack_seq=cum_seq)
-        except TransportError:
-            pass
+        """Queue a cumulative ``CHUNK_ACK`` (reader thread entry point;
+        see :meth:`SenderCore.send_ack`)."""
+        with self._cond:
+            if self.core.send_ack(cum_seq):
+                self._cond.notify()
 
     def handle_ack(self, acked_seq: int) -> None:
         """Absorb a peer's cumulative ack (reader thread entry point)."""
-        if self._outbox is None:
-            return
         with self._cond:
-            if self._outbox.ack(acked_seq):
+            if self.core.handle_ack(acked_seq):
                 self._cond.notify_all()
 
     def flush(self, timeout: float = 30.0) -> None:
@@ -631,15 +801,13 @@ class PrioritySender:
         :class:`RetryPolicy` is attached, acknowledged by the peer."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            while (len(self._sched) or self._writing
-                   or (self._outbox is not None and len(self._outbox))) \
-                    and self._error is None:
+            while self.core.busy and self.core.error is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TransportError("flush timed out")
                 self._cond.wait(min(remaining, 0.05))
-            if self._error is not None:
-                raise TransportError("sender failed") from self._error
+            if self.core.error is not None:
+                raise TransportError("sender failed") from self.core.error
 
     def close(self, timeout: float = 30.0) -> None:
         """Flush pending messages, then stop the sender thread."""
@@ -647,132 +815,59 @@ class PrioritySender:
             self.flush(timeout)
         finally:
             with self._cond:
-                self._closing = True
+                self.core.closing = True
                 self._cond.notify()
             self._thread.join(timeout)
 
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._error
-
     def stats(self) -> Dict[str, int]:
         """Reliability counters (zeros when no :class:`RetryPolicy`)."""
-        with self._lock:
-            if self._outbox is None:
-                return {"frames_retransmitted": 0, "acks_received": 0,
-                        "unacked_frames": 0}
-            return {"frames_retransmitted": self._outbox.retransmits,
-                    "acks_received": self._outbox.acks_received,
-                    "unacked_frames": len(self._outbox)}
+        with self._cond:
+            return self.core.stats()
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        core = self.core
         try:
             while True:
-                frame = None
-                retrans: List[bytes] = []
                 with self._cond:
                     while True:
                         now = self._clock()
-                        if self._outbox is not None and len(self._outbox):
-                            # May raise TransportError after max_retries:
-                            # surfaced through .failed / flush() below.
-                            due = self._outbox.due(now)
-                            if due:
-                                retrans = [fb for _, fb in due]
-                                break
-                        if len(self._sched):
+                        # May raise TransportError after max_retries:
+                        # surfaced through send() / flush() below.
+                        retrans = core.due(now)
+                        burst = None if retrans else core.next_burst()
+                        if retrans or burst is not None:
                             break
-                        if self._closing:
+                        if core.closing:
                             return
-                        timeout = None
-                        if self._outbox is not None and len(self._outbox):
-                            deadline = self._outbox.next_deadline(now)
-                            timeout = max(1e-3, deadline - now)
-                        self._cond.wait(timeout)
-                    if not retrans:
-                        item, chunk, offset, done, preempted = \
-                            self._sched.pop_chunk()
-                        self._writing = True
-                        seq = SEQ_NONE
-                        if (self._outbox is not None
-                                and item.kind in RELIABLE_KINDS):
-                            seq = self._next_seq
-                            self._next_seq += 1
-                        frame = self._encode_chunk(item, chunk, offset, seq)
-                        if seq != SEQ_NONE:
-                            # Recorded before the write so an ack racing
-                            # the send can never miss the outbox entry.
-                            self._outbox.record(seq, frame, self._clock())
-                        if (preempted is not None and self.recorder is not None
-                                and preempted.kind in DATA_KINDS):
-                            self.recorder.emit(
-                                EventKind.SLICE_PREEMPTED, node=self.node,
-                                ts=self._clock(), key=preempted.key,
-                                iteration=preempted.iteration,
-                                priority=preempted.priority,
-                                nbytes=(len(preempted.payload)
-                                        - preempted.offset),
-                                detail=f"overtaken_by_key={item.key}")
+                        self._cond.wait(core.timeout(now))
                 # Network I/O happens outside the lock so send() callers
                 # (and preempting messages) are never blocked by the wire.
                 if retrans:
-                    for fb in retrans:
-                        if self.shaper is not None:
-                            wait = self.shaper.reserve(len(fb))
-                            if wait > 0:
-                                time.sleep(wait)
-                        self.sock.sendall(fb)
+                    for frame in retrans:
+                        self._shape(len(frame))
+                        self.sock.sendall(frame)
                     continue
-                # CONTROL lane: admission/completion and ack traffic
-                # (priority <= CONTROL_PRIORITY) bypasses the shaper so
-                # cluster control never starves behind bulk gradients of
-                # a backlogged tenant.
-                if (self.shaper is not None
-                        and item.priority > CONTROL_PRIORITY):
-                    wait = self.shaper.reserve(len(frame))
-                    if wait > 0:
-                        time.sleep(wait)
+                frame, priority = burst
+                self._shape(len(frame), priority)
                 t0 = self._clock()
                 self.sock.sendall(frame)
                 t1 = self._clock()
-                item.wire_s += t1 - t0
-                self.timeline.append(ChunkRecord(
-                    self.sender_id, int(item.kind), item.key, item.iteration,
-                    item.priority, t0, t1, len(frame)))
-                if (done and self.recorder is not None
-                        and item.kind in DATA_KINDS):
-                    # Same queueing definition as the simulator adapter:
-                    # time since enqueue not spent on this message's own
-                    # wire occupancy (shaper waits count as queueing).
-                    queue_s = max(0.0, (t1 - item.enqueue_ts) - item.wire_s)
-                    self.recorder.emit(
-                        EventKind.SLICE_SENT, node=self.node, ts=t1,
-                        key=item.key, iteration=item.iteration,
-                        priority=item.priority, nbytes=len(item.payload),
-                        queue_s=queue_s, wire_s=item.wire_s,
-                        detail=item.kind.name.lower())
                 with self._cond:
-                    self._writing = False
-                    if not len(self._sched):
+                    core.wrote(t0, t1)
+                    if not core.busy:
                         self._cond.notify_all()
-        except BaseException as exc:  # noqa: BLE001 - reported via .failed
+        except BaseException as exc:  # noqa: BLE001 - raised by flush()
             with self._cond:
-                self._error = exc
+                core.error = exc
                 self._cond.notify_all()
 
-    def _encode_chunk(self, item: _Pending, chunk: bytes, offset: int,
-                      seq: int = SEQ_NONE) -> bytes:
-        # CHUNK_ACK frames carry the cumulative acked seq of the reverse
-        # direction in the seq field; they are never sequenced themselves.
-        if item.kind is WireKind.CHUNK_ACK:
-            seq = item.ack_seq
-        return encode_frame(item.kind, self.sender_id, item.key,
-                            item.iteration, item.priority, chunk,
-                            offset=offset, total=len(item.payload),
-                            seq=seq)
-
+    def _shape(self, nbytes: int,
+               priority: int = CONTROL_PRIORITY + 1) -> None:
+        # CONTROL lane: admission/completion and ack traffic (priority <=
+        # CONTROL_PRIORITY) bypasses the shaper so cluster control never
+        # starves behind bulk gradients of a backlogged tenant.
+        if self.shaper is not None and priority > CONTROL_PRIORITY:
+            wait = self.shaper.reserve(nbytes)
+            if wait > 0:
+                time.sleep(wait)

@@ -82,8 +82,12 @@ class WireKind(IntEnum):
     """Message types of the live data plane."""
 
     PUSH = 1        # worker -> server: gradient slice payload
+    # No node sends or handles PULL_REQ: a shard answers a round's
+    # contributors unasked (the paper's broadcast).  The member stays —
+    # the kind space is pinned by committed wire literals, and the
+    # baseline's notify -> pull round trip (ROADMAP item 3) will use it.
     PULL_REQ = 2    # worker -> server: request key's value for a round
-    PULL_RESP = 3   # server -> worker: parameter slice payload
+    PULL_RESP = 3   # server -> worker: a round's applied parameter slice
     ACK = 4         # server -> worker: heartbeat/control acknowledgement
     HEARTBEAT = 5   # worker -> server: liveness probe
     BYE = 6         # worker -> server: clean shutdown

@@ -221,10 +221,15 @@ class ChaosFault:
 FaultSpec = Union[StragglerFault, LinkFault, ServerStallFault, ChaosFault]
 
 
+#: Short stable tag per fault spec type: result/event labels, and the
+#: ``"type"`` field of a serialized plan (``repro.analysis.runner``).
+FAULT_TAGS = {StragglerFault: "straggler", LinkFault: "link",
+              ServerStallFault: "stall", ChaosFault: "chaos"}
+
+
 def fault_tag(spec: FaultSpec) -> str:
     """Short stable tag naming a fault spec's type (result/event labels)."""
-    return {StragglerFault: "straggler", LinkFault: "link",
-            ServerStallFault: "stall", ChaosFault: "chaos"}[type(spec)]
+    return FAULT_TAGS[type(spec)]
 
 
 def fault_node(spec: FaultSpec) -> str:

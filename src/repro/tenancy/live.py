@@ -51,6 +51,8 @@ def run_live_tenants(jobs: Sequence[JobSpec],
         raise TenancyError(f"unknown policy {policy!r}; "
                            f"choose from {TENANCY_POLICIES}")
     jobs = tuple(jobs)
+    if not jobs:
+        raise TenancyError("no jobs to run")
     for job in jobs:
         if job.name not in configs:
             raise TenancyError(f"no LiveClusterConfig for job {job.name!r}")
@@ -59,8 +61,7 @@ def run_live_tenants(jobs: Sequence[JobSpec],
                 f"job {job.name!r}: spec has {job.n_workers} workers but "
                 f"its config has {configs[job.name].n_workers}")
     if n_slots is None:
-        n_slots = max(sum(j.n_workers for j in jobs),
-                      max(j.n_workers for j in jobs))
+        n_slots = sum(j.n_workers for j in jobs)
     return run_leaving_no_task(_run_tenants(
         jobs, configs, policy, n_slots, rate_bytes_per_s, burst_bytes))
 
@@ -95,8 +96,7 @@ async def _run_tenants(jobs: Sequence[JobSpec],
                 admitted_at[job.name] = now
                 cfg = configs[job.name]
                 running[job.name] = asyncio.get_running_loop().create_task(
-                    _run_cluster(cfg, cfg.strategy,
-                                 shaper=shares.get(job.tenant)),
+                    _run_cluster(cfg, shaper=shares.get(job.tenant)),
                     name=f"tenancy:{job.name}")
             if running:
                 done, _ = await asyncio.wait(

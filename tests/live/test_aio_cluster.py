@@ -14,6 +14,9 @@ real sockets, one event loop) against an independent ground truth:
 * **Chaos under elasticity** — the acceptance run: frames dropped,
   duplicated, and corrupted *while the membership changes mid-run*, and
   the values still match the reference exactly.
+* **Reply rule** — pure push: no node sends ``PULL_REQ``, one that does
+  fails its peer by name, and a mid-run joiner is handed exactly its
+  keys by each shard.
 * **Timing** — P3 front-loads the first layer on a backlogged link,
   and ``calibrate()`` agrees in sign with the simulator; it also
   completes, bit-identical, with 64 workers on one event loop.
@@ -48,7 +51,8 @@ from repro.live.membership import (
     MembershipSchedule,
     elastic_reference,
 )
-from repro.live.wire import WireKind, encode_frame
+from repro.live.transport import BARRIER_PRIORITY, RELIABLE_KINDS
+from repro.live.wire import WIRE_BYTES_PER_PARAM, WireKind, encode_frame
 from repro.sim.faults import ChaosFault, FaultPlan
 
 pytestmark = pytest.mark.slow
@@ -169,6 +173,30 @@ def test_aio_reports_the_run_result_schema():
         "liveness traffic must cross the cluster while gradients move"
 
 
+@pytest.mark.parametrize("strategy", ["baseline", "p3"])
+def test_workers_only_push(strategy):
+    """The paper's reply rule: a shard answers every contributor of a
+    round when it applies it, so a worker's sequenced frames are its
+    PUSH chunks and the membership tokens — nothing asks for a value.
+    (With a ``PULL_REQ`` behind every ``PUSH`` this count was one frame
+    per key per round higher.)"""
+    cfg = aio_cfg(strategy=strategy, chunk_bytes=256)
+    result = run_live_aio(cfg)
+    plan, = cfg.key_plan()
+    push_frames = cfg.iterations * sum(
+        -(-pk.params * WIRE_BYTES_PER_PARAM // cfg.chunk_bytes)
+        for pk in plan)
+    tokens = 2 * cfg.n_servers  # one JOIN and one BYE per shard
+    for wid, records in result.timelines.items():
+        kinds = [WireKind(r.kind) for r in records]
+        assert WireKind.PULL_REQ not in kinds
+        assert set(kinds) <= {WireKind.PUSH, WireKind.JOIN, WireKind.BYE,
+                              WireKind.HEARTBEAT, WireKind.CHUNK_ACK}
+        assert kinds.count(WireKind.PUSH) == push_frames
+        assert sum(k in RELIABLE_KINDS for k in kinds) \
+            == push_frames + tokens, f"worker {wid}"
+
+
 def test_p3_sends_urgent_layers_earlier_than_baseline():
     """On the wire, P3 must front-load the forward-urgent first layer:
     the mean transmission rank of its PUSH chunks drops vs the baseline."""
@@ -246,6 +274,36 @@ def test_random_membership_schedules_match_reference(sched):
     assert_params_equal(live.final_params, ref, f"sched={sched.epochs}")
 
 
+@pytest.mark.parametrize("sched", [JOIN_SCHED, ELASTIC_SCHED],
+                         ids=["join", "join-with-key-migration"])
+def test_mid_run_joiner_is_sent_exactly_its_keys(monkeypatch, sched):
+    """Nobody requests anything, so a worker that joins at round
+    ``first`` is handed round ``first - 1`` unasked: every key, once,
+    from the shard that owns it *after* the epoch's migration."""
+    cfg = aio_cfg(membership=sched)
+    got = []  # (worker, shard, key, round) of every PULL_RESP
+
+    def spy(self, conn, msg, real=AioWorker._on_reply):
+        if msg.kind is WireKind.PULL_RESP:
+            got.append((self.wid, msg.sender, msg.key, msg.iteration))
+        real(self, conn, msg)
+
+    monkeypatch.setattr(AioWorker, "_on_reply", spy)
+    run_live_aio(cfg)
+    plans = cfg.key_plan()
+    assert any(a.server != b.server for a, b in zip(plans[0], plans[1])) \
+        == (sched is ELASTIC_SCHED), "the override must move keys"
+    joins = [(e, w) for e in range(1, sched.n_epochs)
+             for w in sched.joiners(e)]
+    assert (1, 2) in joins
+    for e, w in joins:
+        first = sched.first_round(e)
+        handed = sorted((shard, key) for worker, shard, key, rnd in got
+                        if worker == w and rnd == first - 1)
+        assert handed == sorted((pk.server, pk.key) for pk in plans[e]), \
+            f"worker {w} joining epoch {e}"
+
+
 # ----------------------------------------------------------------------
 # Chaos under elasticity (the acceptance run)
 # ----------------------------------------------------------------------
@@ -315,13 +373,13 @@ def test_calibrate_completes_at_64_workers_on_one_event_loop():
 # ----------------------------------------------------------------------
 # Teardown: nothing outlives a run, whether it succeeds or fails
 # ----------------------------------------------------------------------
-def run_and_audit(cfg, strategy="p3"):
+def run_and_audit(cfg):
     """One cluster on a loop this test owns, and what it left behind:
     ``(result or LiveRunError, pending task names, leaked sockets)``."""
     async def main():
         fds = len(os.listdir("/proc/self/fd"))
         try:
-            outcome = await _run_cluster(cfg, strategy)
+            outcome = await _run_cluster(cfg)
         except LiveRunError as exc:
             outcome = exc
         await asyncio.sleep(0.05)  # a closed transport frees its fd a pass later
@@ -410,6 +468,35 @@ def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
     assert victim in str(outcome) and "boom" in str(outcome)
+    assert elapsed < 5.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
+    assert pending == [] and leaked_fds == 0
+
+
+async def _requesting_iteration(self, params, e, t, lo, hi,
+                                real=AioWorker._iteration):
+    if self.wid == 1 and t == 1:
+        self._conns[0].sender.send(WireKind.PULL_REQ, 0, t, BARRIER_PRIORITY)
+    await real(self, params, e, t, lo, hi)
+
+
+@pytest.mark.parametrize("topology, peer", [
+    (dict(), "server0"),
+    (dict(n_workers=4, batch_size=8, placement="two_tier",
+          agg_group_size=2), "agg0")], ids=["worker-to-shard",
+                                            "member-to-aggregator"])
+def test_a_pull_request_fails_the_peer_that_receives_it(monkeypatch,
+                                                        topology, peer):
+    """``PULL_REQ`` is on no node's protocol any more: a worker that
+    sends one ends its shard (or its group's aggregator) at once, with
+    the kind and the sender in the error — not a silently ignored
+    frame, and not a hang."""
+    monkeypatch.setattr(AioWorker, "_iteration", _requesting_iteration)
+    start = time.monotonic()
+    outcome, pending, leaked_fds = run_and_audit(aio_cfg(**topology))
+    elapsed = time.monotonic() - start
+    assert isinstance(outcome, LiveRunError), "the run must fail"
+    assert f"{peer}: unexpected PULL_REQ from {peer}-conn" in str(outcome)
+    assert "(sender id 1)" in str(outcome)
     assert elapsed < 5.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
     assert pending == [] and leaked_fds == 0
 

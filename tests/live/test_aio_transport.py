@@ -385,7 +385,7 @@ async def test_acks_queued_before_a_drain_step_leave_as_one():
         sender = AsyncPrioritySender(cwriter, sender_id=0)
         for cum in (3, 7, 5, -1):  # -1: nothing delivered yet, no ack
             sender.send_ack(cum)
-        assert len(sender._sched) == 1
+        assert len(sender.core.sched) == 1
         sender.send(WireKind.HEARTBEAT, 0, 0, 0)  # closes the first batch
         await sender.flush(5.0)
         frames = await read_frames_until(
@@ -426,7 +426,7 @@ async def test_rebind_drops_the_queued_ack_and_the_next_queues_afresh():
         sender = AsyncPrioritySender(w0, sender_id=0, retry=_retry())
         sender.send_ack(40)            # queued for the old stream ...
         sender.rebind(w1)              # ... which dies before it drains
-        assert len(sender._sched) == 0
+        assert len(sender.core.sched) == 0
         sender.send_ack(2)             # the fresh stream's first ack
         sender.send(WireKind.HEARTBEAT, 0, 0, 0)
         frames = await read_frames_until(
@@ -457,7 +457,7 @@ async def test_closed_or_failed_sender_swallows_acks():
         await closed.close(5.0)
         closed.send_ack(3)
         closed.send_ack(4)
-        assert len(closed._sched) == 0
+        assert len(closed.core.sched) == 0
         with pytest.raises(TransportError, match="closed"):
             closed.send(WireKind.HEARTBEAT, 0, 0, 0)
 
@@ -544,9 +544,9 @@ async def test_watchdog_fails_the_node_when_a_peer_goes_silent():
     port = server.sockets[0].getsockname()[1]
     loop = asyncio.get_running_loop()
     try:
-        worker = AioWorker(0, cfg, cfg.key_plan("p3"),
+        worker = AioWorker(0, cfg, cfg.key_plan(),
                            MembershipSchedule.static(1, cfg.iterations),
-                           "p3", loop.time())
+                           loop.time())
         start = loop.time()
         with pytest.raises(LiveWorkerError,
                            match="no bytes from server0 .* peer dead"):

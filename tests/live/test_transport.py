@@ -1,12 +1,15 @@
 """Transport tests: token-bucket shaping math (fake clock), property
-tests of the pure scheduling core (:class:`ChunkScheduler`), and genuine
-priority preemption on a rate-shaped loopback socket pair."""
+tests of the pure scheduling core (:class:`ChunkScheduler`) and of the
+sender state machine around it (:class:`SenderCore`, against a
+written-out Go-Back-N + priority reference), and genuine priority
+preemption on a rate-shaped loopback socket pair."""
 
 from __future__ import annotations
 
 import heapq
 import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -17,11 +20,15 @@ from repro.live.transport import (
     CONTROL_PRIORITY,
     ChunkScheduler,
     PrioritySender,
+    RetryPolicy,
+    SenderCore,
     TokenBucket,
+    TransportError,
     goodput_bytes_per_s,
     timeline_utilization,
 )
-from repro.live.wire import FrameDecoder, Reassembler, WireKind
+from repro.live.wire import (HEADER_SIZE, SEQ_NONE, FrameDecoder,
+                             Reassembler, WireKind)
 
 
 class FakeClock:
@@ -354,6 +361,169 @@ def test_scheduler_validates_chunk_bytes():
 
 
 # ----------------------------------------------------------------------
+# SenderCore: the sender state machine with no socket, thread or loop
+# ----------------------------------------------------------------------
+def frames_of(data: bytes):
+    decoder = FrameDecoder()
+    decoder.feed(data)
+    return list(decoder.frames())
+
+
+class SenderReference:
+    """Go-Back-N + strict priority, written out the slow way.
+
+    ``queue`` holds unfinished messages as dicts; the next chunk always
+    comes from the minimal ``(priority, enqueue order)``.  ``unacked``
+    is the retransmission backlog, ``(seq, kind, key, offset, chunk)``
+    in seq order.  At most one ``CHUNK_ACK`` message is ever queued.
+    """
+
+    def __init__(self, chunk_bytes, reliable):
+        self.chunk_bytes, self.reliable = chunk_bytes, reliable
+        self.queue, self.unacked = [], []
+        self.order = self.next_seq = 0
+        self.sent = []  # every frame handed to the host, in order
+
+    def send(self, kind, key, priority, payload, ack_seq=SEQ_NONE):
+        self.queue.append(dict(kind=kind, key=key, priority=priority,
+                               order=self.order, payload=payload, offset=0,
+                               ack_seq=ack_seq))
+        self.order += 1
+
+    def send_ack(self, cum):
+        if cum < 0:
+            return False
+        for msg in self.queue:
+            if msg["kind"] is WireKind.CHUNK_ACK:
+                msg["ack_seq"] = max(msg["ack_seq"], cum)
+                return False
+        self.send(WireKind.CHUNK_ACK, -1, CONTROL_PRIORITY, b"", cum)
+        return True
+
+    def handle_ack(self, upto):
+        before = len(self.unacked)
+        self.unacked = [f for f in self.unacked if f[0] > upto]
+        return len(self.unacked) < before
+
+    def rebind(self):
+        self.queue = [m for m in self.queue
+                      if m["kind"] is not WireKind.CHUNK_ACK]
+        self.unacked = [(seq,) + f[1:]
+                        for seq, f in enumerate(self.unacked)]
+        self.next_seq = len(self.unacked)
+
+    def next_burst(self, limit):
+        """The frames of one burst: ``(seq, kind, key, offset, chunk)``."""
+        burst, gathered = [], 0
+        while self.queue and (not burst or gathered < limit):
+            msg = min(self.queue, key=lambda m: (m["priority"], m["order"]))
+            offset = msg["offset"]
+            chunk = msg["payload"][offset:offset + self.chunk_bytes]
+            msg["offset"] += len(chunk)
+            if msg["offset"] >= len(msg["payload"]):
+                self.queue.remove(msg)
+            sequenced = self.reliable and msg["kind"] is WireKind.PUSH
+            seq = self.next_seq if sequenced else msg["ack_seq"]
+            frame = (seq, msg["kind"], msg["key"], offset, chunk)
+            if sequenced:
+                self.next_seq += 1
+                self.unacked.append(frame)
+            burst.append(frame)
+            gathered += HEADER_SIZE + len(chunk)
+        self.sent += burst
+        return burst
+
+
+def as_tuples(frames):
+    return [(f.seq, f.kind, f.key, f.offset, f.payload) for f in frames]
+
+
+sender_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.sampled_from((WireKind.PUSH,
+                                                    WireKind.HEARTBEAT)),
+                  st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=200)),
+        st.tuples(st.just("send_ack"), st.integers(min_value=-1,
+                                                   max_value=40)),
+        st.tuples(st.just("handle_ack"), st.integers(min_value=-2,
+                                                     max_value=6)),
+        st.tuples(st.just("burst"), st.sampled_from((0, 100, 400))),
+        st.tuples(st.just("expire")),
+        st.tuples(st.just("rebind"))),
+    min_size=1, max_size=60)
+
+
+@given(ops=sender_ops, chunk_bytes=st.sampled_from([16, 64]),
+       reliable=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sender_core_matches_the_go_back_n_priority_reference(
+        ops, chunk_bytes, reliable):
+    """Sends, acks (both directions), timer expiries, ``rebind`` and
+    bursts of every limit, in any order: the frames the core hands its
+    host — order, seqs, offsets, bytes — the retransmission backlog, the
+    single queued ack and ``busy`` all match the reference; every frame
+    written gets exactly one record."""
+    clock = FakeClock()
+    policy = RetryPolicy(ack_timeout_s=0.1, jitter=0.0,
+                         max_retries=10 ** 6) if reliable else None
+    core = SenderCore(5, chunk_bytes, clock, retry=policy)
+    ref = SenderReference(chunk_bytes, reliable)
+    key = 0
+    for op in ops:
+        if op[0] == "send":
+            payload = bytes([key % 251]) * op[3]
+            core.send(op[1], key, 0, op[2], payload)
+            ref.send(op[1], key, op[2], payload)
+            key += 1
+        elif op[0] == "send_ack":
+            assert core.send_ack(op[1]) == ref.send_ack(op[1])
+        elif op[0] == "handle_ack":
+            # Relative to the oldest unacked seq, so acks land around it.
+            upto = (ref.unacked[0][0] if ref.unacked else 0) + op[1]
+            assert core.handle_ack(upto) == ref.handle_ack(upto)
+        elif op[0] == "burst":
+            want = ref.next_burst(op[1])
+            got = core.next_burst(op[1])
+            if not want:
+                assert got is None
+                continue
+            data, _priority = got
+            assert as_tuples(frames_of(data)) == want
+            assert core.busy, "a burst not yet wrote() is still in flight"
+            core.wrote(clock.t, clock.t + 1.0)
+        elif op[0] == "expire":
+            # Arm the timer, outlast any backoff: Go-Back-N resends the
+            # whole backlog, in seq order, renumbered if a rebind was.
+            assert (core.timeout(clock.t) is None) == (not ref.unacked)
+            clock.t += 1_000.0
+            resent = [f for data in core.due(clock.t)
+                      for f in frames_of(data)]
+            assert as_tuples(resent) == ref.unacked
+        else:
+            core.rebind()
+            ref.rebind()
+        assert len(core.sched) == len(ref.queue)
+        assert core.stats()["unacked_frames"] == len(ref.unacked)
+        assert core.busy == bool(ref.queue or ref.unacked)
+        assert [(r.kind, r.key, r.nbytes) for r in core.timeline] == \
+            [(int(kind), key_, HEADER_SIZE + len(chunk))
+             for _seq, kind, key_, _offset, chunk in ref.sent]
+
+
+def test_sender_core_refuses_sends_once_closing_or_failed():
+    core = SenderCore(0)
+    core.closing = True
+    with pytest.raises(TransportError, match="closed"):
+        core.send(WireKind.HEARTBEAT, 0, 0, 0)
+    assert core.send_ack(3) is False and not core.busy
+    core.closing, core.error = False, OSError("wire fell out")
+    with pytest.raises(TransportError, match="failed"):
+        core.send(WireKind.HEARTBEAT, 0, 0, 0)
+    assert core.send_ack(3) is False and not core.busy
+
+
+# ----------------------------------------------------------------------
 # PrioritySender on a real (shaped) loopback link
 # ----------------------------------------------------------------------
 def drain(sock: socket.socket, n_messages: int, timeout: float = 30.0):
@@ -433,6 +603,39 @@ def test_control_priority_jumps_all_queues():
     finally:
         left.close()
         right.close()
+
+
+class GatedSock:
+    """``sendall`` blocks until the gate opens; keeps what was sent."""
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.sent = []
+
+    def sendall(self, data: bytes) -> None:
+        self.entered.set()
+        assert self.gate.wait(10.0)
+        self.sent.append(data)
+
+
+def test_thread_host_keeps_one_queued_ack():
+    """Acks queued while the sender thread is busy writing leave as ONE
+    ``CHUNK_ACK`` carrying the maximum — the thread host runs the same
+    core as the cluster's asyncio sender (it used to send all three)."""
+    sock = GatedSock()
+    sender = PrioritySender(sock, sender_id=0)
+    sender.send(WireKind.HEARTBEAT, 0, 0, 0)
+    assert sock.entered.wait(10.0)  # the thread is inside sendall()
+    for cum in (3, 7, 5):
+        sender.send_ack(cum)
+    sock.gate.set()
+    sender.close(10.0)
+    frames = [f for data in sock.sent for f in frames_of(data)]
+    assert [f.kind for f in frames] == [WireKind.HEARTBEAT,
+                                        WireKind.CHUNK_ACK]
+    assert frames[1].seq == 7
+    assert len(sender.timeline) == 2
 
 
 def test_timeline_records_every_chunk():

@@ -157,9 +157,10 @@ def test_sim_store_and_live_cluster_share_one_table(placement, strategy):
     cfg = LiveClusterConfig(
         n_workers=4, n_servers=2, iterations=3, in_size=8, hidden=16, depth=1,
         n_train=32, n_val=16, batch_size=8, slice_params=1_500,
-        placement=placement, split_factor=1.2, max_splits=3, agg_group_size=2)
-    table, = cfg.key_plan(strategy)
-    store = cfg.build_initialized_store(strategy)
+        placement=placement, split_factor=1.2, max_splits=3, agg_group_size=2,
+        strategy=strategy)
+    table, = cfg.key_plan()
+    store = cfg.build_initialized_store()
     assert tuple(store.keys) == table.keys
     assert store.placement_plan == table.placement
     assert store.groups == table.groups == cfg.worker_groups()
@@ -172,7 +173,7 @@ def test_sim_store_and_live_cluster_share_one_table(placement, strategy):
     assert sim.placed == table.keys
     assert sim.placement_plan == table.placement
     assert all(cfg.group_of(w) == g for w, g in sim.group_of.items())
-    assert cfg.key_plan(strategy) == [table]  # reproducible
+    assert cfg.key_plan() == [table]  # reproducible
 
 
 def test_threshold_boundary_and_single_server():

@@ -23,6 +23,7 @@ from repro.live import LiveClusterConfig
 from repro.tenancy import (
     JobSpec,
     TenancyConfig,
+    TenancyError,
     run_live_tenants,
     run_multi_job,
 )
@@ -129,3 +130,10 @@ def test_no_job_result_is_formatted_on_the_way_out(monkeypatch) -> None:
     res = run_live_tenants(jobs, configs, policy="none")
     assert set(res.jobs) == {"a", "b"}
     assert formatted == []
+
+
+def test_an_empty_workload_is_a_tenancy_error() -> None:
+    """Regression: no jobs used to die sizing the cluster, in ``max()``
+    of an empty sequence, with a bare ``ValueError``."""
+    with pytest.raises(TenancyError, match="no jobs"):
+        run_live_tenants((), {})
