@@ -53,10 +53,12 @@ bench-e2e:
 # observed run at test size (the one workload that checks observed
 # == unobserved, the exporters and the schema validator), the live
 # cluster at test size (final parameters bit-identical to the in-process
-# oracle, 0 failed operations) and the multi-tenant run at test size
-# (the one workload that retunes link rates mid-run): fails on a wrong
-# output ("correct": false), never on timing — shared runners are too noisy for a
-# wall-clock floor
+# oracle, 0 failed operations), the multi-tenant run at test size
+# (the one workload that retunes link rates mid-run), and the scale
+# ladder and warm-start sweep at test size (the two-tier aggregator and
+# the warm-start verifier on the simulator's message path): fails on a
+# wrong output ("correct": false), never on timing — shared runners are
+# too noisy for a wall-clock floor
 perf-smoke:
 	python3 -m pytest bench/ -q
 	python3 -m bench --workload fig7_sweep --seconds 12 --trace 0 \
@@ -66,6 +68,10 @@ perf-smoke:
 	python3 -m bench --workload aio_live --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload tenants8 --scale tiny \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m bench --workload scale_ladder --scale tiny \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m bench --workload warm_cached_sweep --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 live-demo:

@@ -479,26 +479,16 @@ class ClusterSim:
         if agg is not None:
             # Machine hosts a group aggregator alongside its worker (and,
             # when colocated, its shard): dispatch all three roles.
-            if self.config.background_load > 0:
-                def deliver(msg: Message) -> None:
-                    if msg.kind is noise:
-                        return
-                    role = msg.dst_role
-                    if role is worker_role:
-                        worker.on_message(msg)
-                    elif role is server_role:
-                        server.on_message(msg)
-                    else:
-                        agg.on_message(msg)
-            else:
-                def deliver(msg: Message) -> None:
-                    role = msg.dst_role
-                    if role is worker_role:
-                        worker.on_message(msg)
-                    elif role is server_role:
-                        server.on_message(msg)
-                    else:
-                        agg.on_message(msg)
+            def deliver(msg: Message) -> None:
+                if msg.kind is noise:
+                    return  # background tenant traffic terminates here
+                role = msg.dst_role
+                if role is worker_role:
+                    worker.on_message(msg)
+                elif role is server_role:
+                    server.on_message(msg)
+                else:
+                    agg.on_message(msg)
         elif self.config.background_load > 0:
             def deliver(msg: Message) -> None:
                 if msg.kind is noise:

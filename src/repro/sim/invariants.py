@@ -120,10 +120,10 @@ class InvariantMonitor:
 
         # Every delivery — remote RX completion or loopback — terminates
         # in the per-machine endpoint registered with the transport, so
-        # the delivered ledger wraps those.  RX completions bind their
-        # machine's endpoint at register time, so re-register to rebuild
-        # the completion closures around the counting wrappers (must
-        # precede ``_wrap_channels``, which wraps ``on_complete`` last).
+        # the delivered ledger wraps those.  An RX completion *is* its
+        # machine's endpoint, set at register time, so re-register to
+        # install the counting wrappers (must precede ``_wrap_channels``,
+        # which wraps ``on_complete`` last).
         for machine in list(transport._deliver):
             endpoint = transport._deliver[machine]
 
@@ -332,7 +332,7 @@ class MultiJobInvariantMonitor:
         transport = cluster.transport
         # The ledger wraps FIRST, the per-job monitor second: the
         # monitor's own transport wrap re-registers every deliver
-        # endpoint (rebuilding the RX completion closures) and then
+        # endpoint (each RX's ``on_complete``) and then
         # wraps channel ``on_complete`` — anything registered after it
         # would silently discard those channel wrappers.
         orig_send = transport.send

@@ -369,6 +369,10 @@ class Channel:
         recovers.  Mutable state (``busy``, transfer counters,
         ``on_complete``) stays on ``self`` because faults and the
         invariant harness rebind or read it dynamically.
+
+        ``finish`` is the one place a message starts: the completion
+        event starts the successor in the same frame, and an enqueue on
+        an idle channel calls it with nothing to complete.
         """
         sim = self.sim
         heap = sim._heap
@@ -388,21 +392,21 @@ class Channel:
         machine = self.machine
         direction = self.direction
 
-        def finish(msg: Message, start: float, wire_bytes: int) -> None:
+        def finish(msg: Optional[Message], start: float,
+                   wire_bytes: int) -> None:
             now = sim.now
-            self.busy_time += now - start
-            if trace is not None:
-                trace(machine, direction, start, now, wire_bytes)
-            if obs is not None:
-                obs.on_sent(msg, start, now)
-            self.busy = False
-            self.on_complete(msg)
-            if backing:
-                start_next()
-
-        def start_next() -> None:
-            if not backing:
-                return
+            if msg is not None:
+                self.busy_time += now - start
+                if trace is not None:
+                    trace(machine, direction, start, now, wire_bytes)
+                if obs is not None:
+                    obs.on_sent(msg, start, now)
+                self.busy = False
+                self.on_complete(msg)
+                # ``on_complete`` may have enqueued here, and then it
+                # started the successor itself.
+                if self.busy or not backing:
+                    return
             msg = q_pop()
             if obs is not None:
                 obs.on_pop(msg)
@@ -410,7 +414,6 @@ class Channel:
             wire_bytes = msg.payload_bytes + overhead
             self.bytes_transferred += wire_bytes
             self.messages_transferred += 1
-            now = sim.now
             try:
                 push(heap, (now + (cpu if rate is None
                                    else cpu + wire_bytes / rate),
@@ -421,7 +424,7 @@ class Channel:
         def enqueue(msg: Message) -> None:
             q_push(msg)
             if not self.busy:
-                start_next()
+                finish(None, 0.0, 0)
 
         def set_rate(new_rate: Optional[float]) -> None:
             nonlocal rate
@@ -446,7 +449,7 @@ class Channel:
         ``events_processed``, which counts protocol events), and ``msg``
         is committed on the spot — service starts when its predecessor
         completes and ends ``cpu + wire/rate`` later, term for term what
-        ``finish`` -> ``start_next`` computes.  Otherwise the channel
+        a plain channel's ``finish`` computes.  Otherwise the channel
         may be idle when ``msg`` lands, the hop is the event that starts
         it, and it is scheduled as usual.  Either way every completion
         is pushed where an event-per-hop channel pushes it (from the hop
@@ -475,9 +478,12 @@ class Channel:
 
         At most one completion per channel sits in the engine heap, the
         head of line; a wide incast backs up in this deque, not in the
-        global heap.  Requires an unobserved FIFO channel (a committed
-        message is never pushed on or popped off the queue, so those
-        hooks could not fire); the transport fuses every RX it registers.
+        global heap.  A completion stamps ``msg.deliver_time`` and hands
+        ``msg`` to ``on_complete``, which the transport sets to the
+        machine's endpoint.  Requires an unobserved FIFO channel (a
+        committed message is never pushed on or popped off the queue, so
+        those hooks could not fire); the transport fuses every RX it
+        registers.
         """
         if self.observer is not None or not isinstance(self.queue, FifoQueue):
             raise SimulationError(
@@ -509,7 +515,7 @@ class Channel:
 
         def deliver(msg: Message, start: float, wire_bytes: int) -> None:
             nonlocal head_done
-            now = sim.now
+            msg.deliver_time = now = sim.now
             self.busy_time += now - start
             self.bytes_transferred += wire_bytes
             self.messages_transferred += 1
@@ -611,10 +617,14 @@ class Transport:
     bypasses the NIC — ps-lite sends to self over loopback, which is not
     bandwidth-constrained — and is delivered after ``loopback_latency_s``.
 
-    A remote message goes TX -> (fabric ->) link latency -> RX.  The RX
-    itself takes messages as they leave the TX (or the fabric) and
-    schedules a latency event only for those that may find it idle
-    (:meth:`Channel.fuse_hop`).
+    A remote message goes TX -> (fabric ->) link latency -> RX, and each
+    hand-off is one call.  A TX (or fabric) completion calls the
+    destination RX's ``arrive``, which schedules a latency event only
+    for a message that may find the RX idle (:meth:`Channel.fuse_hop`);
+    an RX completion is the machine's endpoint itself; a loopback event
+    calls the endpoint directly.  ``deliver_time`` is stamped where the
+    delivery time is known: by the RX completion, or at send for a
+    loopback message.
     """
 
     def __init__(
@@ -630,21 +640,33 @@ class Transport:
         self._tx: dict = {}
         self._rx: dict = {}
         self._deliver: dict = {}
-        # machine -> callable taking a message that just left a TX (or
-        # the fabric) towards that machine.
-        self._forward: dict = {}
-        # Hot-path bindings: the raw heap/sequence pair for the inlined
-        # push below (the per-message event rate makes even the
-        # ``Simulator.after`` frame measurable; the inline site repeats
-        # its exact arithmetic).
+        # machine -> ``arrive`` of that machine's RX.
+        self._arrive: dict = {}
+        # The raw heap/sequence pair for the loopback push in ``send``
+        # (``Simulator.after``'s exact arithmetic, without its frame).
         self._heap = sim._heap
         self._seq_next = sim._seq.__next__
-        self._local_cb = self._local_deliver
         # Optional shared core fabric: when set, all inter-machine
         # traffic serializes through it (oversubscribed switch model).
         self.fabric = fabric
-        if fabric is not None:
-            fabric.on_complete = self._on_fabric_done
+        arrive = self._arrive
+        noise = MsgKind.NOISE
+        if fabric is None:
+            def tx_done(msg: Message) -> None:
+                if msg.kind is not noise:  # background traffic ends here
+                    arrive[msg.dst](msg)
+        else:
+            into_fabric = fabric.enqueue
+
+            def tx_done(msg: Message) -> None:
+                if msg.kind is not noise:
+                    into_fabric(msg)
+
+            def fabric_done(msg: Message) -> None:
+                arrive[msg.dst](msg)
+
+            fabric.on_complete = fabric_done
+        self._tx_done = tx_done
 
     def register(
         self,
@@ -656,44 +678,19 @@ class Transport:
         self._tx[machine] = tx
         self._rx[machine] = rx
         self._deliver[machine] = deliver
-        tx.on_complete = self._on_tx_done
-        # RX completion delivers straight to the endpoint: a closure
-        # over this machine's deliver callback skips the generic
-        # `_local_deliver` dict-lookup chain on every received message.
-
-        def _rx_done(msg: Message, _sim=self.sim, _deliver=deliver) -> None:
-            msg.deliver_time = _sim.now
-            _deliver(msg)
-
-        rx.on_complete = _rx_done
-        self._forward[machine] = rx.fuse_hop(self.latency_s)
+        self._arrive[machine] = rx.fuse_hop(self.latency_s)
+        tx.on_complete = self._tx_done
+        rx.on_complete = deliver
 
     def send(self, msg: Message) -> None:
-        now = self.sim.now
-        msg.enqueue_time = now
-        if msg.src == msg.dst:
-            # Inlined Simulator.after (same arithmetic, same sequence
-            # counter): loopback delivery fires per local message.
-            heappush(self._heap, (now + self.loopback_latency_s,
-                                  self._seq_next(), self._local_cb,
-                                  (msg,), None))
-        else:
+        msg.enqueue_time = now = self.sim.now
+        dst = msg.dst
+        if msg.src != dst:
             self._tx[msg.src].enqueue(msg)
-
-    def _on_tx_done(self, msg: Message) -> None:
-        if msg.kind is MsgKind.NOISE:
-            return  # background traffic terminates at the wire
-        if self.fabric is not None:
-            self.fabric.enqueue(msg)
         else:
-            self._forward[msg.dst](msg)
-
-    def _on_fabric_done(self, msg: Message) -> None:
-        self._forward[msg.dst](msg)
-
-    def _local_deliver(self, msg: Message) -> None:
-        msg.deliver_time = self.sim.now
-        self._deliver[msg.dst](msg)
+            msg.deliver_time = at = now + self.loopback_latency_s
+            heappush(self._heap, (at, self._seq_next(), self._deliver[dst],
+                                  (msg,), None))
 
 
 def gbps_to_bytes_per_s(gbps: float) -> float:

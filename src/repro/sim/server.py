@@ -26,10 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..placement.keyplan import PlacedKey
     from .cluster import ClusterSim
 
-# Hot-path dispatch constants: module-level bindings skip the
-# ``MsgKind.<member>`` attribute lookup on every delivered message.
+# Hot-path constants: module-level bindings skip the ``MsgKind.<member>``
+# attribute lookup on every delivered and sent message.
 _PUSH = MsgKind.PUSH
 _PULL_REQ = MsgKind.PULL_REQ
+_PARAM = MsgKind.PARAM
+_NOTIFY = MsgKind.NOTIFY
+_ACK = MsgKind.ACK
 
 
 class SimServerShard:
@@ -174,7 +177,7 @@ class SimServerShard:
             # level), never aggregation: an update-level ack would
             # deadlock — a worker's credit window can fill with keys its
             # peers have reprioritized behind their own windows.
-            self._send_control(MsgKind.ACK, key, msg.sender_worker)
+            self._reply(_ACK, key, (msg.sender_worker,))
         if self._async:
             # ASGD: apply this worker's gradient immediately; only the
             # pushing worker gets fresh parameters back.
@@ -194,7 +197,7 @@ class SimServerShard:
         if policy is PullPolicy.NOTIFY_PULL or self._async:
             # The worker only pulls after our notify, so the update is
             # guaranteed complete: reply immediately.
-            self._send_param(msg.key, msg.sender_worker)
+            self._reply(_PARAM, msg.key, (msg.sender_worker,))
         elif policy is PullPolicy.DEFERRED_PULL:
             self._serve_or_park(msg.key, msg.sender_worker)
         else:  # pragma: no cover - broadcast strategies never pull
@@ -259,11 +262,9 @@ class SimServerShard:
         policy = self._pull_policy
         if self._async or policy is PullPolicy.BROADCAST:
             # ASGD replies directly to the pushing worker.
-            for w in recipients:
-                self._send_param(key, w)
+            self._reply(_PARAM, key, recipients)
         elif policy is PullPolicy.NOTIFY_PULL:
-            for w in recipients:
-                self._send_control(MsgKind.NOTIFY, key, w)
+            self._reply(_NOTIFY, key, recipients)
         elif policy is PullPolicy.DEFERRED_PULL:
             # A shard answers the pulls that outran the update in
             # client-id order.
@@ -287,26 +288,26 @@ class SimServerShard:
         waiting.clear()
 
     def _reply_deferred(self, key: int, worker: int) -> None:
-        self._send_param(key, worker)
+        self._reply(_PARAM, key, (worker,))
         self.replies_sent[key] += 1
         if self.replies_sent[key] >= self._n_clients:
             # Every client consumed this round; next round starts clean.
             self.params_available[key] = False
             self.replies_sent[key] = 0
 
-    def _send_param(self, key: int, worker: int) -> None:
-        # Positional Message construction: the dataclass __init__ binds
-        # positional args measurably faster than keywords on this path.
-        # ``worker`` is a client id: a worker id on a flat shard and on
-        # an aggregator, a group id on a two-tier root shard.
-        self._transport.send(Message(
-            MsgKind.PARAM, key, self._param_payload[key],
-            self._key_priority[key], self.machine,
-            self._recipient_machine[worker], self._recipient_role,
-        ))
-
-    def _send_control(self, kind: MsgKind, key: int, worker: int) -> None:
-        self._transport.send(Message(
-            kind, key, 0, self._key_priority[key], self.machine,
-            self._recipient_machine[worker], self._recipient_role,
-        ))
+    def _reply(self, kind: MsgKind, key: int, clients) -> None:
+        """One ``kind`` message about ``key`` to each of ``clients``: a
+        PARAM carries the key's parameters, an ACK or NOTIFY nothing.
+        A client id is a worker id on a flat shard and on an
+        aggregator, a group id on a two-tier root shard."""
+        transport = self._transport
+        payload = self._param_payload[key] if kind is _PARAM else 0
+        priority = self._key_priority[key]
+        machine = self.machine
+        to = self._recipient_machine
+        role = self._recipient_role
+        for client in clients:
+            # Positional: the dataclass __init__ binds positional
+            # arguments measurably faster than keywords.
+            transport.send(Message(kind, key, payload, priority, machine,
+                                   to[client], role))

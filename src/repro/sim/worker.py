@@ -28,8 +28,9 @@ from .trace import IterationRecord
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ClusterSim
 
-# Hot-path dispatch constants: module-level bindings skip the
-# ``MsgKind.<member>`` attribute lookup on every delivered message.
+# Hot-path constants: module-level bindings skip the ``MsgKind.<member>``
+# attribute lookup on every sent and delivered message.
+_PUSH = MsgKind.PUSH
 _PARAM = MsgKind.PARAM
 _NOTIFY = MsgKind.NOTIFY
 _ACK = MsgKind.ACK
@@ -208,8 +209,7 @@ class SimWorker:
     # ------------------------------------------------------------------
     def _push_layer(self, layer: int) -> None:
         if self.credit is None:
-            for pk in self.keys_by_layer[layer]:
-                self._send_push(pk)
+            self._send_pushes(self.keys_by_layer[layer])
             return
         for pk in self.keys_by_layer[layer]:
             heapq.heappush(self._push_backlog,
@@ -218,24 +218,32 @@ class SimWorker:
         self._drain_credit()
 
     def _drain_credit(self) -> None:
-        while self._push_backlog and self._outstanding < self.credit:
-            _, _, pk = heapq.heappop(self._push_backlog)
+        backlog = self._push_backlog
+        while backlog and self._outstanding < self.credit:
             self._outstanding += 1
-            self._send_push(pk)
+            self._send_pushes((heapq.heappop(backlog)[2],))
 
-    def _send_push(self, pk) -> None:
-        key = pk.key
-        payload = self._push_payload[key]
-        if self._obs is not None:
-            self._enqueued_counter.inc()
-            self._obs.recorder.emit(
-                EventKind.SLICE_ENQUEUED, node=f"worker{self.wid}",
-                ts=self.ctx.sim.now, key=key, iteration=self.iteration,
-                priority=pk.priority, layer=pk.layer_index, nbytes=payload)
-        self._transport.send(Message(
-            MsgKind.PUSH, key, payload, pk.priority, self.machine,
-            self._server_machine[key], self._push_role, self.wid,
-        ))
+    def _send_pushes(self, pks) -> None:
+        """Hand each key's gradient slice to the transport, in order."""
+        transport = self._transport
+        payloads = self._push_payload
+        dst = self._server_machine
+        machine = self.machine
+        role = self._push_role
+        wid = self.wid
+        obs = self._obs
+        for pk in pks:
+            key = pk.key
+            payload = payloads[key]
+            if obs is not None:
+                self._enqueued_counter.inc()
+                obs.recorder.emit(
+                    EventKind.SLICE_ENQUEUED, node=f"worker{wid}",
+                    ts=self.ctx.sim.now, key=key, iteration=self.iteration,
+                    priority=pk.priority, layer=pk.layer_index,
+                    nbytes=payload)
+            transport.send(Message(_PUSH, key, payload, pk.priority, machine,
+                                   dst[key], role, wid))
 
     def _send_pull(self, pk) -> None:
         key = pk.key

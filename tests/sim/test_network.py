@@ -112,6 +112,28 @@ def test_channel_serializes_messages():
     assert times == pytest.approx([1.0, 3.0])
 
 
+def test_enqueue_from_own_completion_waits_its_turn():
+    """A completion callback that enqueues onto its own busy-between-
+    messages channel starts the successor itself; ``finish`` must not
+    start a second message on top of it."""
+    sim = Simulator()
+    times = {}
+    ch, _ = _channel(sim, rate=1000.0)
+
+    def on_complete(m):
+        times[m.key] = sim.now
+        if m.key == 1:
+            ch.enqueue(_msg(key=3, payload=1000))
+
+    ch.on_complete = on_complete
+    ch.enqueue(_msg(key=1, payload=1000))
+    ch.enqueue(_msg(key=2, payload=1000))
+    sim.run()
+    assert times == {1: 1.0, 2: 2.0, 3: 3.0}
+    assert ch.busy_time == pytest.approx(3.0)
+    assert ch.messages_transferred == 3
+
+
 def test_channel_priority_reorders_pending_only():
     """The in-flight message is never preempted; queued ones reorder."""
     sim = Simulator()
