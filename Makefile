@@ -27,7 +27,7 @@ test-perf:
 test-live:
 	$(PYTHON) -m pytest tests/live/test_membership.py \
 	    tests/live/test_aio_transport.py tests/live/test_aio_cluster.py \
-	    -x -q
+	    tests/live/test_wait.py -x -q
 
 # The multi-tenant battery: fairness/starvation properties, tenant
 # isolation (bit-identity), cross-substrate scheduler conformance, and

@@ -15,7 +15,6 @@ membership handshake and the driver only instantiates it when
 
 from __future__ import annotations
 
-import asyncio
 from typing import List, Optional, Tuple
 
 from ...placement.keyplan import KeyTable
@@ -38,9 +37,6 @@ class AioAggregator(Node):
         self.members = list(cfg.worker_groups()[group_id])
         self._meta = {pk.key: pk for pk in plan}
         self._up_conns: List[PeerConnection] = []
-        self._done = asyncio.Event()
-        self.error: Optional[str] = None
-        self._byes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -54,9 +50,9 @@ class AioAggregator(Node):
     async def run(self) -> None:
         """Serve until every member said BYE, then say BYE upstream."""
         budget = self.cfg.round_timeout_s * self.cfg.iterations
-        try:
-            await asyncio.wait_for(self._done.wait(), budget)
-        except asyncio.TimeoutError:
+        # Only members dial in: the roots never say BYE to their clients.
+        if not await self._wait(lambda: sum(c.saw_bye for c in self.conns)
+                                >= len(self.members), budget):
             self._fail("members never completed")
         if self.error is not None:
             raise LiveAggregatorError(f"aggregator {self.gid}: {self.error}")
@@ -66,19 +62,6 @@ class AioAggregator(Node):
             except TransportError:
                 pass
         await self.shutdown(self.cfg.peer_timeout_s)
-
-    def _on_bye(self) -> None:
-        self._byes += 1
-        if self._byes >= len(self.members):
-            self._done.set()
-
-    def _fail(self, reason) -> None:
-        """A failed aggregator hangs up on members and shards alike, so
-        they see EOF at once; :meth:`run` then raises :attr:`error`."""
-        if self.error is None:
-            self.error = str(reason)
-        self._done.set()
-        self.abort()
 
     # ------------------------------------------------------------------
     # Protocol (synchronous handlers)

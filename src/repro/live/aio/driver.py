@@ -42,6 +42,7 @@ from ..result import (LiveRunError, LiveRunResult, _fault_events,
 from .aggregator import AioAggregator
 from .node import Node
 from .server import AioServerShard
+from .transport import wait_until
 from .worker import AioWorker
 
 #: Grace added to the run deadline for connection setup and teardown.
@@ -66,18 +67,19 @@ class EpochCoordinator:
         self.schedule = schedule
         self.servers: List[AioServerShard] = []  # set by the driver
         self._sealed: Dict[int, Set[int]] = {}
-        self._events: Dict[int, asyncio.Event] = {}
+        self._changed = asyncio.Event()  # an epoch's last seal landed
         #: Audit log of key moves: (epoch, key, from_shard, to_shard).
         self.migrations: List[Tuple[int, int, int, int]] = []
 
     async def seal(self, sid: int, epoch: int) -> None:
         sealed = self._sealed.setdefault(epoch, set())
-        event = self._events.setdefault(epoch, asyncio.Event())
-        sealed.add(sid)
-        if len(sealed) == len(self.servers):
+        if len(sealed) + 1 == len(self.servers):  # the last to seal
             self._migrate(epoch)
-            event.set()
-        await event.wait()
+            self._changed.set()
+        sealed.add(sid)
+        # Unbudgeted: if a shard never seals, workers' EPOCH gates time out.
+        await wait_until(self._changed,
+                         lambda: len(sealed) == len(self.servers), None)
 
     def _migrate(self, epoch: int) -> None:
         if epoch == 0:
@@ -172,7 +174,8 @@ async def _run_cluster(cfg: LiveClusterConfig,
     loop = asyncio.get_running_loop()
 
     def shard_errors() -> List[str]:
-        return [srv.error for srv in servers if srv.error is not None]
+        return [f"shard {srv.sid}: {srv.error}" for srv in servers
+                if srv.error is not None]
 
     try:
         addresses = [(cfg.host, await srv.start()) for srv in servers]
@@ -209,13 +212,18 @@ async def _run_cluster(cfg: LiveClusterConfig,
         done, pending = await asyncio.wait(
             running, timeout=deadline, return_when=asyncio.FIRST_EXCEPTION)
         # A dead shard is the cause of its clients' errors: name it first.
+        # A node whose task is still tearing down is named by its record.
         failures = shard_errors()
+        records = {node.name: node.error for node in nodes}
         for task in running:
+            name = task.get_name()
             if task in done:
                 outcome, = await asyncio.gather(task, return_exceptions=True)
                 if isinstance(outcome, BaseException):
-                    failures.append(f"{task.get_name()}: "
-                                    f"{type(outcome).__name__}: {outcome}")
+                    failures.append(
+                        f"{name}: {type(outcome).__name__}: {outcome}")
+            elif records[name] is not None:
+                failures.append(f"{name}: {records[name]}")
         if failures:
             raise LiveRunError(f"node failures: {failures}")
         if pending:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (Callable, Coroutine, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from ..transport import (CONTROL_PRIORITY, ReliableReceiver, TokenBucket,
                          TransportError)
 from ..wire import Frame, WireKind, WireMessage
 from .transport import (AsyncPrioritySender, chaos_policy,
-                        open_connection_with_retry)
+                        open_connection_with_retry, wait_until)
 
 #: Read granularity of every connection's read task.
 READ_CHUNK = 65536
@@ -182,6 +182,9 @@ class Node:
     debuggable; ``sender_id`` is what the node's frames carry as their
     sender (worker, shard or group id) and ``machine`` its id in the
     fault plan's machine numbering.
+
+    Every role waits the same way (:meth:`_wait`), on one change event,
+    and fails the same way (:meth:`_fail`), into one record (:attr:`error`).
     """
 
     def __init__(self, name: str, sender_id: int, machine: int,
@@ -216,6 +219,11 @@ class Node:
         # (key, round) -> contributor -> staged gradient vector
         self._staged: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
         self.heartbeat_acks = 0
+        #: The node's first failure (None while it runs).
+        self.error: Optional[str] = None
+        # Set whenever something a wait of this node's is gated on may
+        # have changed — a reply, a barrier token, a BYE — and on failure.
+        self._changed = asyncio.Event()
         self._fifo_seq = 0
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
@@ -235,13 +243,27 @@ class Node:
     def _spawned_done(self, task: asyncio.Task) -> None:
         exc = None if task.cancelled() else task.exception()
         if exc is not None:
-            failure = RuntimeError(f"{task.get_name()} raised {exc!r}")
-            failure.__cause__ = exc
-            self._fail(failure)
+            self._fail(f"{task.get_name()} raised {exc!r}")
 
-    def _fail(self, reason: Union[str, BaseException]) -> None:
-        """Record the node's first failure and hang up on its peers."""
-        raise NotImplementedError
+    def _fail(self, reason: str) -> None:
+        """Record the node's first failure, wake its waits, and hang up
+        on every peer at once, as a dead process would: they see EOF
+        rather than a silent peer."""
+        self._record(reason)
+        self.abort()
+
+    def _record(self, reason: str) -> None:
+        """Keep the first failure; wake whatever waits on this node."""
+        if self.error is None:
+            self.error = reason
+        self._changed.set()
+
+    async def _wait(self, ready: Callable[[], bool],
+                    budget: Optional[float]) -> bool:
+        """:func:`wait_until` ``ready()`` or this node's failure (True;
+        the caller checks :attr:`error`); False once ``budget`` passed."""
+        return await wait_until(
+            self._changed, lambda: self.error is not None or ready(), budget)
 
     def _make_sender(self, writer: asyncio.StreamWriter,
                      peer_machine: int) -> AsyncPrioritySender:
@@ -334,13 +356,9 @@ class Node:
                 WireKind.ACK, msg.key, msg.iteration, CONTROL_PRIORITY)
         elif msg.kind is WireKind.BYE:
             conn.saw_bye = True
-            self._on_bye()
+            self._changed.set()
         else:
             self._on_client(conn, msg)
-
-    def _on_bye(self) -> None:
-        """A client finished cleanly (a role that ends with its clients
-        counts these)."""
 
     # ------------------------------------------------------------------
     # Dial face: what a worker shows its shards
@@ -391,7 +409,6 @@ class Node:
             self.heartbeat_acks += 1  # answers the watchdog's probe
         else:
             self._on_reply(conn, msg)
-
 
     def transport_stats(self) -> Dict[str, int]:
         """Aggregated reliability/chaos counters across every connection

@@ -23,7 +23,6 @@ is bit-identical to :func:`repro.live.membership.elastic_reference`.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -57,8 +56,6 @@ class AioServerShard(Node):
         self.tracker = EpochTracker(schedule)
         self.my_keys = plans[0].on_server(shard_id)
         self.version: Dict[int, int] = {k: 0 for k in self.my_keys}
-        self._ready = asyncio.Event()
-        self.error: Optional[str] = None
         self.pushes_received = 0
         self.recorder = (EventRecorder("live", clock=time.monotonic)
                          if cfg.observe else None)
@@ -75,15 +72,6 @@ class AioServerShard(Node):
             self.spawn(self._membership_loop())
         return port
 
-    def _fail(self, reason: str) -> None:
-        """A failed shard hangs up on everyone, as a dead process would:
-        its clients see EOF at once instead of a silent peer, and the
-        driver attributes their failures to :attr:`error`."""
-        if self.error is None:
-            self.error = f"shard {self.sid}: {reason}"
-        self._ready.set()  # unwedge the membership loop
-        self.abort()
-
     # ------------------------------------------------------------------
     # Message handling (synchronous — called from read tasks)
     # ------------------------------------------------------------------
@@ -92,10 +80,10 @@ class AioServerShard(Node):
             self._on_push(msg)
         elif msg.kind is WireKind.JOIN:
             self.tracker.note_join(msg.sender, msg.key)
-            self._check_ready()
+            self._changed.set()
         elif msg.kind is WireKind.LEAVE:
             self.tracker.note_leave(msg.sender, msg.key)
-            self._check_ready()
+            self._changed.set()
         else:
             raise self._unexpected(conn, msg)
 
@@ -163,25 +151,18 @@ class AioServerShard(Node):
             for client in contributors:
                 self.client_senders[client].send(
                     WireKind.PULL_RESP, key, round_idx, priority, value)
-        if self._handshake:
-            self._check_ready()
+        self._changed.set()  # rounds applied gate the next epoch's commit
 
     # ------------------------------------------------------------------
     # Membership epochs
     # ------------------------------------------------------------------
-    def _check_ready(self) -> None:
-        e = self.tracker.current + 1
-        if (e < self.schedule.n_epochs
-                and self.tracker.ready_to_commit(e, self.rounds_applied())):
-            self._ready.set()
-
     async def _membership_loop(self) -> None:
         """Commit epochs as their barriers clear, greenlighting workers."""
-        while not self.tracker.finished and self.error is None:
+        while not self.tracker.finished:
             epoch = self.tracker.current + 1
-            self._check_ready()
-            await self._ready.wait()
-            self._ready.clear()
+            # Unbudgeted: it waits on workers, whose EPOCH gates time out.
+            await self._wait(lambda: self.tracker.ready_to_commit(
+                epoch, self.rounds_applied()), None)
             if self.error is not None:
                 return
             # All shards must quiesce before keys migrate: barrier at

@@ -24,6 +24,10 @@ Two capabilities the thread-hosted sender does not have:
   retransmitted.  A write failure parks the sender (``broken``) instead
   of killing it, so no enqueued reliable message is ever lost across a
   reconnect.
+
+Every wait of the live cluster — the drain task's, a flush, each node's
+gates and barriers — is :func:`wait_until`: bounded and cancel-safe are
+properties of that one function.
 """
 
 from __future__ import annotations
@@ -44,6 +48,39 @@ from ..transport import (
     TransportError,
 )
 from ..wire import SEQ_NONE, WireKind
+
+
+async def wait_until(event: asyncio.Event, ready: Callable[[], bool],
+                     budget: Optional[float]) -> bool:
+    """Wait until ``ready()`` holds (True) or ``budget`` seconds pass
+    first (False); ``budget=None`` waits for ``ready()`` alone.
+
+    ``ready()`` is checked on entry and re-checked after every wake, so
+    ``event`` only says "look again" and may be shared by several
+    waiters.  The budget is a timer that sets ``event``, not a wrapper:
+    no task is created, and a ``cancel()`` landing in the same loop pass
+    as a set always propagates (``asyncio.wait_for`` on 3.11 returns
+    normally then, and its caller waits on as if never cancelled).
+    """
+    if ready():
+        return True
+    loop = asyncio.get_running_loop()
+    deadline = None if budget is None else loop.time() + budget
+    while True:
+        timer = None
+        if deadline is not None:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return False
+            timer = loop.call_later(remaining, event.set)
+        event.clear()
+        try:
+            await event.wait()
+        finally:
+            if timer is not None:
+                timer.cancel()
+        if ready():
+            return True
 
 
 def chaos_policy(plan: Optional[FaultPlan], machine: int, peer: int,
@@ -92,8 +129,9 @@ class AsyncPrioritySender:
         self.timeline = self.core.timeline
         self._clock = clock
         self._broken: Optional[BaseException] = None
-        self._wake = asyncio.Event()
-        self._progress = asyncio.Event()
+        # Set on every change the drain task or a flush may be waiting
+        # for: a send, an ack, a rebind, a close, an idle drain, a failure.
+        self._changed = asyncio.Event()
         self._task = asyncio.get_running_loop().create_task(
             self._run(), name=f"{node}:send")
 
@@ -104,19 +142,18 @@ class AsyncPrioritySender:
              payload: bytes = b"", ack_seq: int = SEQ_NONE) -> None:
         """Enqueue one logical message for prioritized transmission."""
         self.core.send(kind, key, iteration, priority, payload, ack_seq)
-        self._wake.set()
+        self._changed.set()
 
     def send_ack(self, cum_seq: int) -> None:
         """Queue a cumulative ``CHUNK_ACK`` for the reverse direction
         (at most one per connection: :meth:`SenderCore.send_ack`)."""
         if self.core.send_ack(cum_seq):
-            self._wake.set()
+            self._changed.set()
 
     def handle_ack(self, acked_seq: int) -> None:
         """Absorb a peer's cumulative ack (read-callback entry point)."""
         if self.core.handle_ack(acked_seq):
-            self._progress.set()
-            self._wake.set()
+            self._changed.set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -128,7 +165,7 @@ class AsyncPrioritySender:
         self.writer = writer
         self._broken = None
         self.core.rebind()
-        self._wake.set()
+        self._changed.set()
 
     @property
     def failed(self) -> bool:
@@ -146,19 +183,13 @@ class AsyncPrioritySender:
     async def flush(self, timeout: float = 30.0) -> None:
         """Wait until every enqueued message is written — and, when a
         :class:`RetryPolicy` is attached, acknowledged by the peer."""
-        deadline = self._clock() + timeout
-        while self.core.busy and self.core.error is None:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                raise TransportError("flush timed out")
-            self._progress.clear()
-            try:
-                await asyncio.wait_for(self._progress.wait(),
-                                       min(remaining, 0.05))
-            except asyncio.TimeoutError:
-                pass
-        if self.core.error is not None:
-            raise TransportError("sender failed") from self.core.error
+        core = self.core
+        if not await wait_until(
+                self._changed,
+                lambda: not core.busy or core.error is not None, timeout):
+            raise TransportError("flush timed out")
+        if core.error is not None:
+            raise TransportError("sender failed") from core.error
 
     async def close(self, timeout: float = 30.0) -> None:
         """Flush pending messages, then stop the drain task."""
@@ -166,10 +197,9 @@ class AsyncPrioritySender:
             await self.flush(timeout)
         finally:
             self.core.closing = True
-            self._wake.set()
-            try:
-                await asyncio.wait_for(asyncio.shield(self._task), timeout)
-            except (asyncio.TimeoutError, Exception):
+            self._changed.set()
+            done, _ = await asyncio.wait({self._task}, timeout=timeout)
+            if not done:
                 self._task.cancel()
 
     def abort(self) -> None:
@@ -199,10 +229,11 @@ class AsyncPrioritySender:
                 if self._broken is not None:
                     # Parked on a dead connection: hold every reliable
                     # frame (outbox + heap) until rebind() or close().
-                    if core.closing:
+                    await wait_until(
+                        self._changed,
+                        lambda: self._broken is None or core.closing, None)
+                    if self._broken is not None:
                         return
-                    self._wake.clear()
-                    await self._wake.wait()
                     continue
                 # May raise TransportError after max_retries — surfaced
                 # through .failed / flush().
@@ -220,25 +251,26 @@ class AsyncPrioritySender:
                 if burst is None:
                     if core.closing:
                         return
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(
-                            self._wake.wait(), core.timeout(self._clock()))
-                    except asyncio.TimeoutError:
-                        pass
+                    self._changed.set()  # all written: a flush looks again
+                    # Until a send, a close or a rebind's writer, or the
+                    # retransmit timer (None: nothing unacked).
+                    writer = self.writer
+                    await wait_until(
+                        self._changed,
+                        lambda: (len(core.sched) > 0 or core.closing
+                                 or self.writer is not writer),
+                        core.timeout(self._clock()))
                     continue
                 t0 = self._clock()
                 if not await self._write(*burst):
                     core.unwritten()  # parked; the outbox holds it
                     continue
                 core.wrote(t0, self._clock())
-                if not len(core.sched):
-                    self._progress.set()
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported via .failed
             core.error = exc
-            self._progress.set()
+            self._changed.set()
 
     async def _write(self, frame: bytes,
                      priority: int = CONTROL_PRIORITY + 1) -> bool:
@@ -277,7 +309,6 @@ class AsyncPrioritySender:
             if reserved:
                 self.shaper.refund(reserved)
             self._broken = exc
-            self._progress.set()
             return False
         return True
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -78,8 +78,6 @@ class AioWorker(Node):
         # Inbox of reassembled parameter slices: (key, iteration) -> vector
         self._pulled: Dict[Tuple[int, int], np.ndarray] = {}
         self._epoch_acks: Dict[int, Set[int]] = {}
-        self._notify = asyncio.Event()
-        self._error: Optional[BaseException] = None
         self._conns: List[PeerConnection] = []  # this incarnation's
         self.iter_starts: List[float] = []
         self.iter_end: float = 0.0
@@ -96,42 +94,25 @@ class AioWorker(Node):
             self._epoch_acks.setdefault(msg.key, set()).add(msg.sender)
         else:
             raise self._unexpected(conn, msg)
-        self._notify.set()
+        self._changed.set()
 
-    def _fail(self, reason: Union[str, BaseException]) -> None:
-        """The training loop raises the first failure at its next wait
-        (and hangs up then); nothing is torn down from a read task."""
-        if self._error is None:
-            self._error = (reason if isinstance(reason, BaseException) else
-                           LiveWorkerError(f"worker {self.wid}: {reason}"))
-        self._notify.set()
+    def _fail(self, reason: str) -> None:
+        # The training loop may still be sending: it hangs up at its next
+        # wait, which raises this failure (a closed sender would mask it).
+        self._record(reason)
 
-    async def _wait_for(self, pred, what: str) -> float:
-        """Await ``pred()`` becoming true; return seconds waited."""
+    async def _gate(self, ready, what: str) -> float:
+        """Await ``ready()``; return seconds waited.  Raises the worker's
+        first failure, or a timeout after ``round_timeout_s``."""
         t_enter = self._clock()
-        deadline = t_enter + self.cfg.round_timeout_s
-        while True:
-            if self._error is not None:
-                raise LiveWorkerError(
-                    f"worker {self.wid}: receive path failed while "
-                    f"waiting for {what}: {self._error}") from self._error
-            if pred():
-                return self._clock() - t_enter
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                raise LiveWorkerError(
-                    f"worker {self.wid}: timed out waiting for {what} "
-                    f"(round_timeout_s={self.cfg.round_timeout_s})")
-            self._notify.clear()
-            # A timer that notifies, not wait_for(): that one returns
-            # normally when a notify and the driver's cancel() land
-            # together, and the worker then sat out the round timeout.
-            timer = asyncio.get_running_loop().call_later(
-                remaining, self._notify.set)
-            try:
-                await self._notify.wait()
-            finally:
-                timer.cancel()
+        if not await self._wait(ready, self.cfg.round_timeout_s):
+            raise LiveWorkerError(
+                f"worker {self.wid}: timed out waiting for {what} "
+                f"(round_timeout_s={self.cfg.round_timeout_s})")
+        if self.error is not None:
+            raise LiveWorkerError(f"worker {self.wid}: {self.error} "
+                                  f"(while waiting for {what})")
+        return self._clock() - t_enter
 
     # ------------------------------------------------------------------
     # Connections (one incarnation = one span)
@@ -144,13 +125,10 @@ class AioWorker(Node):
         """
         if self._wd_task is not None:
             self._wd_task.cancel()
-            try:
-                await self._wd_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+            await asyncio.wait({self._wd_task})  # our own cancel() propagates
             self._wd_task = None
         for conn in self._conns:
-            if self._error is not None:
+            if self.error is not None:
                 conn.abort()  # don't flush a broken span during failure
                 continue
             try:
@@ -182,13 +160,14 @@ class AioWorker(Node):
                 leaves = (e1 if e1 + 1 < self.schedule.n_epochs else None)
                 try:
                     await self._run_span(params, e0, e1)
-                except BaseException:
-                    # Died mid-span: hang up.  A LEAVE/BYE would certify
-                    # to the shards that this worker's traffic drained.
-                    self.abort()
+                except BaseException as exc:
+                    # Died mid-span: fail as any node does — record why
+                    # (the driver may look before this task ends) and
+                    # hang up.  A LEAVE/BYE would certify to the shards
+                    # that this worker's traffic drained.
+                    super()._fail(f"{type(exc).__name__}: {exc}")
                     raise
-                await self._disconnect(
-                    leaves if self._error is None else None)
+                await self._disconnect(leaves)  # aborts after a failure
         finally:
             await self.shutdown(cfg.peer_timeout_s)
         self.iter_end = self._clock()
@@ -207,7 +186,7 @@ class AioWorker(Node):
                 for conn in self._conns:
                     conn.sender.send(WireKind.JOIN, e, first,
                                      BARRIER_PRIORITY)
-                await self._wait_for(
+                await self._gate(
                     lambda: len(self._epoch_acks.get(e, ()))
                     >= cfg.n_servers,
                     f"EPOCH({e}) from all {cfg.n_servers} shards")
@@ -259,7 +238,7 @@ class AioWorker(Node):
         """Await every slice of the layer's round; splice in.  Returns
         the seconds spent waiting (the forward gate's stall)."""
         keys = self.plan.by_layer[layer]
-        waited = await self._wait_for(
+        waited = await self._gate(
             lambda: all((pk.key, iteration) in self._pulled for pk in keys),
             f"keys {[pk.key for pk in keys]} @ round {iteration}")
         flat = params[self.names[layer]]

@@ -134,8 +134,15 @@ class LiveClusterConfig:
             raise ValueError("rate_bytes_per_s must be positive or None")
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if self.peer_timeout_s <= 0:
-            raise ValueError("peer_timeout_s must be positive")
+        for name in ("heartbeat_interval_s", "connect_timeout_s",
+                     "round_timeout_s", "peer_timeout_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.heartbeat_interval_s >= self.peer_timeout_s:
+            # A quiet but live peer would be declared dead before its
+            # first probe could be answered.
+            raise ValueError("heartbeat_interval_s must be below "
+                             "peer_timeout_s")
         # Placement knobs validate through the subsystem's own spec.
         self.placement_spec()
         # Fail fast on bad retry knobs (RetryPolicy revalidates).

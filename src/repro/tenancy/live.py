@@ -98,9 +98,14 @@ async def _run_tenants(jobs: Sequence[JobSpec],
                 running[job.name] = asyncio.get_running_loop().create_task(
                     _run_cluster(cfg, shaper=shares.get(job.tenant)),
                     name=f"tenancy:{job.name}")
+            # Admission is re-checked when a job completes and when the
+            # next one arrives, as in the simulator's MultiJobSim.
+            nxt = scheduler.next_arrival(now)
+            until_next = (None if nxt is None
+                          else max(0.0, nxt - (time.monotonic() - t0)))
             if running:
                 done, _ = await asyncio.wait(
-                    running.values(),
+                    running.values(), timeout=until_next,
                     return_when=asyncio.FIRST_COMPLETED)
                 finished = [n for n, t in running.items() if t in done]
                 for name in finished:
@@ -112,13 +117,12 @@ async def _run_tenants(jobs: Sequence[JobSpec],
                         job=by_name[name],
                         admitted_s=admitted_at[name], completed_s=now,
                         slots=slots_of[name], result=live_result)
-                continue
-            nxt = scheduler.next_arrival(now)
-            if nxt is None:
+            elif nxt is None:
                 raise TenancyError(
                     f"live scheduler stuck: nothing running, nothing "
                     f"arriving, queue={[j.name for j in jobs if j.name not in results]}")
-            await asyncio.sleep(max(0.0, nxt - (time.monotonic() - t0)))
+            else:
+                await asyncio.sleep(until_next)
     except BaseException:
         for task in running.values():
             task.cancel()

@@ -452,19 +452,23 @@ def _failing_install(self, epoch, real=AioServerShard._install_epoch):
     real(self, epoch)
 
 
-@pytest.mark.parametrize("cls, method, patch, victim", [
-    (AioWorker, "_iteration", _dying_iteration, "worker1"),
-    (AioServerShard, "_apply_ready", _failing_apply, "shard 0"),
-    (AioServerShard, "_install_epoch", _failing_install, "shard 0")],
-    ids=["worker", "shard", "shard-spawned-task"])
+@pytest.mark.parametrize("cls, method, patch, victim, topology", [
+    (AioWorker, "_iteration", _dying_iteration, "worker1", {}),
+    (AioServerShard, "_apply_ready", _failing_apply, "shard 0", {}),
+    (AioServerShard, "_install_epoch", _failing_install, "shard 0", {}),
+    (AioWorker, "_iteration", _dying_iteration, "worker1",
+     dict(n_workers=4, batch_size=8, placement="two_tier",
+          agg_group_size=2))],
+    ids=["worker", "shard", "shard-spawned-task", "two-tier-member"])
 def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
-                                                  patch, victim):
+                                                  patch, victim, topology):
     """A dead worker or shard is a prompt, attributed LiveRunError — its
     peers must not sit out their 60 s round timeouts — and the failed
-    run still leaves no task pending and no socket open."""
+    run still leaves no task pending and no socket open.  A dead group
+    member ends its aggregator's wait for the members' BYEs the same way."""
     monkeypatch.setattr(cls, method, patch)
     start = time.monotonic()
-    outcome, pending, leaked_fds = run_and_audit(aio_cfg())
+    outcome, pending, leaked_fds = run_and_audit(aio_cfg(**topology))
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
     assert victim in str(outcome) and "boom" in str(outcome)

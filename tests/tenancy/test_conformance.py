@@ -105,6 +105,20 @@ def test_ledger_kinds_order_agrees_with_sim(slots, after_b) -> None:
     assert sim.jobs["a"].queue_wait_s == 0.0
 
 
+def test_live_admits_a_mid_run_arrival_when_it_arrives() -> None:
+    """Regression: the live loop re-checked admission only when a job
+    completed, so ``b``, arriving at 0.1 s into 3 free slots of 6, sat
+    queued until ``a`` finished (~1 s).  MultiJobSim admits at arrival;
+    so must the live driver."""
+    jobs, configs = two_tenant_schedule(arrival_b=0.1)
+    configs["a"] = tenant_cfg("p3", store_seed=7, fwd_layer_s=0.02,
+                              bwd_layer_s=0.04)  # ~1 s of emulated compute
+    res = run_live_tenants(jobs, configs, policy="none", n_slots=6)
+    a, b = res.jobs["a"], res.jobs["b"]
+    assert b.admitted_s >= 0.1
+    assert b.admitted_s < a.completed_s, (b.admitted_s, a.completed_s)
+
+
 def test_live_schedule_survives_unshaped_policy_none() -> None:
     """policy="none" with no shared rate: pure admission scheduling,
     results still exact."""
