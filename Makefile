@@ -21,9 +21,12 @@ test-fast:
 test-perf:
 	$(PYTHON) -m pytest tests/ -x -q -m perf
 
-# The live-cluster battery: membership properties, async transport,
-# static/elastic/two-tier conformance, fail-fast and teardown (CI runs
-# this as its own job)
+# The live-cluster battery: membership properties, async transport, the
+# conformance property (test_aio_cluster.py::
+# test_random_membership_schedules_match_reference: drawn static,
+# elastic and two-tier clusters against run_inprocess) and its lossy
+# twin (::test_random_scenarios_match_reference_over_a_lossy_link),
+# fail-fast and teardown (CI runs this as its own job)
 test-live:
 	$(PYTHON) -m pytest tests/live/test_membership.py \
 	    tests/live/test_aio_transport.py tests/live/test_aio_cluster.py \

@@ -58,16 +58,30 @@ def run_inprocess(cfg: LiveClusterConfig,
 
     Replicates the live workers' schedule exactly — same batch indices,
     same per-worker gradient shards, same store — without any sockets,
-    and returns the final parameters.
+    and returns the final parameters.  Under ``cfg.membership`` each
+    round is trained by its epoch's active workers with the numerics
+    :mod:`repro.live.membership` defines; placement overrides only move
+    state between shards, so they are ignored.
     """
     cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
+    sched = cfg.membership
     net = cfg.build_network()
     dataset = cfg.build_dataset()
-    store = cfg.build_initialized_store()
-    for idx in cfg.batch_schedule():
+    # A scheduled store is resized every round; its batch size only has
+    # to pass the static config's check.
+    store = (cfg if sched is None else dc_replace(
+        cfg, membership=None, batch_size=cfg.n_workers)
+    ).build_initialized_store()
+    for t, idx in enumerate(cfg.batch_schedule()):
+        n = cfg.n_workers
+        if sched is not None:
+            n = store.n_workers = len(sched.active(sched.round_epoch(t)))
+            for shard in store.shards:
+                shard.n_workers = shard.denominator = n
+        per = cfg.batch_size // n
         worker_grads = []
-        for w in range(cfg.n_workers):
-            lo, hi = cfg.worker_slice(w)
+        for rank in range(n):
+            lo, hi = rank * per, (rank + 1) * per
             net.loss_and_grad(dataset.x_train[idx][lo:hi],
                               dataset.y_train[idx][lo:hi])
             worker_grads.append({name: g.copy()

@@ -17,7 +17,6 @@ from .membership import (
     MembershipEpoch,
     MembershipError,
     MembershipSchedule,
-    elastic_reference,
 )
 from .result import (
     LiveAggregatorError,
@@ -78,7 +77,6 @@ __all__ = [
     "WireError",
     "WireKind",
     "WireMessage",
-    "elastic_reference",
     "encode_array",
     "encode_frame",
     "goodput_bytes_per_s",

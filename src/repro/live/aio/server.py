@@ -18,7 +18,7 @@ plus the **membership epoch** machinery:
 
 Because a round's contributor set is the epoch's active workers sorted
 by id (ranks), and the shard divides by the active count, every round
-is bit-identical to :func:`repro.live.membership.elastic_reference`.
+is bit-identical to :func:`repro.analysis.calibration.run_inprocess`.
 """
 
 from __future__ import annotations

@@ -279,7 +279,3 @@ class LiveClusterConfig:
         rng = np.random.default_rng(self.batch_seed)
         return [rng.choice(self.n_train, size=self.batch_size, replace=False)
                 for _ in range(self.iterations)]
-
-    def worker_slice(self, worker_id: int) -> Tuple[int, int]:
-        lo = worker_id * self.worker_batch
-        return lo, lo + self.worker_batch

@@ -20,11 +20,11 @@ stack (:mod:`repro.live.aio`) executes:
   the connection — so a token's arrival certifies the sender's prior
   epoch traffic was fully processed, which is what makes key migration
   between epochs race-free.
-* :func:`elastic_reference` is the ground truth: the in-process
-  functional store driven round by round with whatever membership each
-  epoch prescribes.  The asyncio cluster must reproduce its final
-  parameters bit-for-bit — the elastic extension of the paper's
-  Section 5.6 convergence-neutrality claim.
+* :func:`repro.analysis.calibration.run_inprocess` is the ground truth:
+  the in-process functional store driven round by round with whatever
+  membership each epoch prescribes.  The asyncio cluster must reproduce
+  its final parameters bit-for-bit — the elastic extension of the
+  paper's Section 5.6 convergence-neutrality claim.
 
 Numerics under elasticity are defined exactly once, here: in epoch
 ``e`` the active workers, sorted by id, take **ranks** ``0..n-1``; rank
@@ -37,10 +37,8 @@ re-placement only *moves* state between shards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
-
-import numpy as np
+from dataclasses import dataclass, replace as dc_replace
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports us)
     from .config import LiveClusterConfig
@@ -330,43 +328,3 @@ class EpochTracker:
     @property
     def finished(self) -> bool:
         return self.current == self.schedule.n_epochs - 1
-
-
-def elastic_reference(cfg: "LiveClusterConfig",
-                      strategy: Optional[str] = None
-                      ) -> Dict[str, np.ndarray]:
-    """Ground-truth final parameters under the config's membership.
-
-    The in-process store driven with per-epoch membership: sorted-rank
-    batch slices, gradient mean over the epoch's active count, per-key
-    momentum carried across epochs.  With no membership configured this
-    reduces exactly to the static in-process reference.  Placement
-    overrides are ignored — they move state between shards without
-    touching values, which is precisely what the live conformance test
-    asserts by comparing against this function.
-    """
-    cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
-    sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
-                                                        cfg.iterations)
-    net = cfg.build_network()
-    dataset = cfg.build_dataset()
-    base = (dc_replace(cfg, membership=None, batch_size=cfg.n_workers)
-            if cfg.membership is not None else cfg)
-    store = base.build_initialized_store()
-    for t, idx in enumerate(cfg.batch_schedule()):
-        active = sched.active(sched.round_epoch(t))
-        n_active = len(active)
-        store.n_workers = n_active
-        for shard in store.shards:
-            shard.n_workers = n_active
-            shard.denominator = n_active
-        per = cfg.batch_size // n_active
-        worker_grads = []
-        for rank in range(n_active):
-            lo, hi = rank * per, (rank + 1) * per
-            net.loss_and_grad(dataset.x_train[idx][lo:hi],
-                              dataset.y_train[idx][lo:hi])
-            worker_grads.append({name: g.copy()
-                                 for name, g in net.gradients().items()})
-        net.set_parameters(store.round(worker_grads))
-    return net.parameters()

@@ -48,7 +48,8 @@ invariants hold after recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from itertools import count
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -293,13 +294,28 @@ class FaultOccurrence:
     end: Optional[float]
 
 
+def _occurrence_starts(plan: FaultPlan, index: int) -> Iterator[float]:
+    """Start times of the plan's ``index``-th fault, in occurrence order:
+    ``start + period * k`` plus one ``uniform(0, jitter)`` draw from the
+    fault's own generator, so its draws do not depend on how other
+    faults interleave.  The injector and :func:`occurrences` (the live
+    replay) both read this one rule: the substrates fault in step."""
+    spec = plan.faults[index]
+    rng = np.random.default_rng((plan.seed, index))
+    for k in count():
+        start = spec.start + (spec.period or 0.0) * k
+        if spec.jitter > 0:
+            start += float(rng.uniform(0.0, spec.jitter))
+        yield start
+        if spec.period is None:
+            return
+
+
 def occurrences(plan: FaultPlan, horizon_s: float) -> List[FaultOccurrence]:
     """Expand a plan's seeded schedule into explicit windows.
 
-    Uses the *same* per-fault generator derivation and draw order as
-    :class:`FaultInjector` (one ``uniform(0, jitter)`` per occurrence,
-    in occurrence order), so the windows are exactly when the simulator
-    would fire — this is how the live driver and
+    The windows are exactly when the simulator would fire (both follow
+    :func:`_occurrence_starts`) — this is how the live driver and
     :class:`repro.live.chaos.ChaosChannel` replay a plan without a
     discrete-event engine.  Occurrences starting after ``horizon_s``
     are omitted.
@@ -308,19 +324,11 @@ def occurrences(plan: FaultPlan, horizon_s: float) -> List[FaultOccurrence]:
         raise ValueError("horizon_s must be positive")
     out: List[FaultOccurrence] = []
     for index, spec in enumerate(plan.faults):
-        rng = np.random.default_rng((plan.seed, index))
-        occurrence = 0
-        while True:
-            base = spec.start + (spec.period or 0.0) * occurrence
-            if spec.jitter > 0:
-                base += float(rng.uniform(0.0, spec.jitter))
-            if base > horizon_s:
+        for start in _occurrence_starts(plan, index):
+            if start > horizon_s:
                 break
-            end = None if spec.duration is None else base + spec.duration
-            out.append(FaultOccurrence(index, spec, base, end))
-            if spec.period is None:
-                break
-            occurrence += 1
+            end = None if spec.duration is None else start + spec.duration
+            out.append(FaultOccurrence(index, spec, start, end))
     out.sort(key=lambda o: (o.start, o.index))
     return out
 
@@ -375,23 +383,19 @@ class FaultInjector:
 
     def start(self) -> None:
         for index, spec in enumerate(self.plan.faults):
-            # One independent generator per fault: jitter draws stay
-            # deterministic no matter how fault events interleave.
-            rng = np.random.default_rng((self.plan.seed, index))
-            self._schedule_occurrence(spec, rng, occurrence=0)
+            self._schedule_occurrence(
+                spec, _occurrence_starts(self.plan, index), occurrence=0)
 
     # ------------------------------------------------------------------
     # Occurrence scheduling
     # ------------------------------------------------------------------
-    def _schedule_occurrence(self, spec: FaultSpec,
-                             rng: np.random.Generator, occurrence: int) -> None:
-        base = spec.start + (spec.period or 0.0) * occurrence
-        if spec.jitter > 0:
-            base += float(rng.uniform(0.0, spec.jitter))
-        when = max(base, self.ctx.sim.now)
-        self.ctx.sim.schedule_at(when, self._activate, spec, rng, occurrence)
+    def _schedule_occurrence(self, spec: FaultSpec, starts: Iterator[float],
+                             occurrence: int) -> None:
+        when = max(next(starts), self.ctx.sim.now)
+        self.ctx.sim.schedule_at(when, self._activate, spec, starts,
+                                 occurrence)
 
-    def _activate(self, spec: FaultSpec, rng: np.random.Generator,
+    def _activate(self, spec: FaultSpec, starts: Iterator[float],
                   occurrence: int) -> None:
         if self.ctx.all_workers_done:
             return  # let the simulation drain and terminate
@@ -400,15 +404,15 @@ class FaultInjector:
         self._apply(spec, on=True)
         if spec.duration is not None:
             self.ctx.sim.schedule(spec.duration, self._deactivate,
-                                  spec, rng, occurrence)
+                                  spec, starts, occurrence)
 
-    def _deactivate(self, spec: FaultSpec, rng: np.random.Generator,
+    def _deactivate(self, spec: FaultSpec, starts: Iterator[float],
                     occurrence: int) -> None:
         self.deactivations += 1
         self._emit(spec, on=False)
         self._apply(spec, on=False)
         if spec.period is not None and not self.ctx.all_workers_done:
-            self._schedule_occurrence(spec, rng, occurrence + 1)
+            self._schedule_occurrence(spec, starts, occurrence + 1)
 
     def _emit(self, spec: FaultSpec, on: bool) -> None:
         obs = getattr(self.ctx, "obs", None)

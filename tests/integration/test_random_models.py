@@ -1,81 +1,103 @@
 """Property-based integration tests: simulator invariants must hold for
-*arbitrary* models and strategies, not just the zoo."""
+*arbitrary* models, strategies, clusters and fault plans, not just the
+zoo — this file holds the sim arm of the scenario harness
+(``tests/scenarios.py``)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.base import LayerSpec, ModelSpec
+from repro.obs import sim_session
 from repro.sim import (ClusterConfig, ClusterSim, InvariantMonitor,
                        SimulationError)
-from repro.strategies import STRATEGY_FACTORIES, get_strategy
+from repro.strategies import get_strategy
+from tests.scenarios import (FAULT_PLANS, PLACEMENTS, SKEWED_MODEL,
+                             TWO_TIER_FAULTS, models, pinned, random_model,
+                             run_signature, sim_scenarios, skewed_cluster)
 
-model_st = st.builds(
-    lambda sizes, batch, sps: ModelSpec(
-        name="rand",
-        layers=tuple(LayerSpec(f"l{i}", s, float(s)) for i, s in enumerate(sizes)),
-        batch_size=batch,
-        samples_per_sec=float(sps),
-    ),
-    sizes=st.lists(st.integers(min_value=100, max_value=400_000),
-                   min_size=1, max_size=8),
-    batch=st.integers(min_value=1, max_value=64),
-    sps=st.integers(min_value=10, max_value=2000),
-)
+#: P3 on retimed channels (a flapping link, background NOISE): the
+#: observed rerun must preempt, and send every slice it enqueues.
+PREEMPTING = [
+    (random_model(7), "p3", ClusterConfig(n_workers=2, bandwidth_gbps=1.0,
+                                          seed=0, **dynamic))
+    for dynamic in (dict(fault_plan=FAULT_PLANS["link_flap"]),
+                    dict(background_load=0.3))]
+
+#: The sim arm's regression corpus.
+SIM_CORPUS = [
+    # Every synchronization strategy x fault plan, small random cluster.
+    *[(random_model(42), name, ClusterConfig(
+        n_workers=2, bandwidth_gbps=1.0, fault_plan=plan, seed=0))
+      for name in ("asgd", "baseline", "credit_p3", "p3", "slicing",
+                   "tensorflow")
+      for plan in FAULT_PLANS.values()],
+    # Placement x strategy, with a hot key for `balanced` to split.
+    *[(SKEWED_MODEL, name, skewed_cluster(placement))
+      for placement in PLACEMENTS for name in ("baseline", "p3")],
+    # Credit, deferred pulls and P3 behind aggregators whose machines fault.
+    *[(SKEWED_MODEL, name, skewed_cluster("two_tier",
+                                          fault_plan=TWO_TIER_FAULTS))
+      for name in ("credit_p3", "tensorflow", "p3")],
+    *PREEMPTING,
+]
 
 
-@given(model=model_st,
-       strategy_name=st.sampled_from(sorted(STRATEGY_FACTORIES)),
-       n_workers=st.integers(min_value=1, max_value=5),
-       bandwidth=st.sampled_from([0.3, 1.0, 8.0]),
-       seed=st.integers(min_value=0, max_value=3),
-       placement=st.sampled_from(["round_robin", "two_tier"]),
-       group_size=st.integers(min_value=1, max_value=4))
-@settings(max_examples=60, deadline=None)
-def test_property_simulation_invariants(model, strategy_name, n_workers,
-                                        bandwidth, seed, placement,
-                                        group_size):
-    """For any model x strategy x cluster, flat or behind group
-    aggregators (ragged and single-member groups included):
-    1. the simulation terminates (no protocol deadlock);
-    2. iteration time >= pure compute time;
-    3. throughput <= compute bound;
-    4. every key updates exactly once per worker-iteration round;
-    5. every InvariantMonitor ledger balances, per shard and per
-       aggregator.
-    The one combination that does not run, two_tier x ASGD, refuses."""
+@pinned(SIM_CORPUS)
+@given(sim_scenarios())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_property_simulation_invariants(scenario):
+    """For any drawn scenario: the run terminates, iteration time >=
+    compute time, throughput <= the compute bound, every key updates
+    once per round, every InvariantMonitor ledger balances (per shard
+    and aggregator), the plan's faults fired, and an observed rerun has
+    the same signature — same seed, bit-identical; watching (the
+    monitor too) changes nothing.  two_tier x ASGD refuses."""
+    model, strategy_name, cfg = scenario
     strategy = get_strategy(strategy_name)
-    cfg = ClusterConfig(n_workers=n_workers, bandwidth_gbps=bandwidth,
-                        seed=seed, placement=placement,
-                        agg_group_size=group_size)
     if cfg.two_tier and strategy.async_updates:
         with pytest.raises(SimulationError, match="synchronous"):
             ClusterSim(model, strategy, cfg)
         return
-    sim = ClusterSim(model, strategy, cfg)
+    sim = ClusterSim(model, strategy, cfg, trace_utilization=True)
     monitor = InvariantMonitor(sim)
     iterations = 3
     result = sim.run(iterations=iterations, warmup=1)
     monitor.assert_all_final()
+    assert monitor.summary()["contribs_consumed"] > 0
+    if cfg.fault_plan:
+        assert sim.fault_injector.activations > 0
 
     assert result.throughput > 0
     compute = model.iteration_compute_time()
-    assert result.mean_iteration_time >= compute * 0.999
-    bound = n_workers * model.batch_size / compute
-    assert result.throughput <= bound * 1.001
+    if not model.jitter_sigma:  # bounds on the nominal compute time
+        assert result.mean_iteration_time >= compute * 0.999
+        bound = cfg.n_workers * model.batch_size / compute
+        assert result.throughput <= bound * 1.001
 
     updates = sum(s.updates_done for s in sim.servers)
     if strategy.async_updates:
         # one update per push: keys x workers x iterations
-        assert updates == len(sim.placed) * n_workers * iterations
+        assert updates == len(sim.placed) * cfg.n_workers * iterations
     else:
         assert updates == len(sim.placed) * iterations
 
+    sess = sim_session()
+    watched = ClusterSim(model, get_strategy(strategy_name), cfg,
+                         trace_utilization=True, obs=sess)
+    assert run_signature(watched, watched.run(iterations, warmup=1)) \
+        == run_signature(sim, result)
+    counts = sess.recorder.counts_by_kind()
+    assert counts["forward_gate_open"] \
+        == cfg.n_workers * len(model.layers) * iterations
+    if scenario in PREEMPTING:
+        assert counts["slice_preempted"] > 0
+        assert counts["slice_enqueued"] == counts["slice_sent"]
 
-@given(model=model_st,
+
+@given(model=models,
        n_workers=st.integers(min_value=2, max_value=4),
        seed=st.integers(min_value=0, max_value=3))
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -121,12 +143,3 @@ def test_p3_trails_baseline_when_no_array_fills_a_slice():
     assert 0.96 * speed["baseline"] < speed["p3"] < 0.975 * speed["baseline"]
     assert speed["slicing"] < speed["p3"]
     assert speed["priority_only"] > speed["baseline"]
-
-
-@given(model=model_st, seed=st.integers(min_value=0, max_value=5))
-@settings(max_examples=25, deadline=None)
-def test_property_determinism_for_random_models(model, seed):
-    cfg = ClusterConfig(n_workers=3, bandwidth_gbps=1.0, seed=seed)
-    a = ClusterSim(model, get_strategy("p3"), cfg).run(3, warmup=1)
-    b = ClusterSim(model, get_strategy("p3"), cfg).run(3, warmup=1)
-    assert np.array_equal(a.iteration_times, b.iteration_times)

@@ -3,17 +3,11 @@
 Every test pits the live cluster (:func:`repro.live.aio.run_live_aio`:
 real sockets, one event loop) against an independent ground truth:
 
-* **Cross-substrate conformance** — final parameters bit-identical to
-  the in-process functional store, for every placement policy
-  (round_robin / balanced / two_tier) and both strategies.
-* **Elastic membership** — runs where workers JOIN/LEAVE between epochs
-  (including a leave+rejoin and a placement override with live key
-  migration) match :func:`repro.live.membership.elastic_reference` bit
-  for bit; a hypothesis sweep drives randomly drawn schedules through
-  the real cluster.
-* **Chaos under elasticity** — the acceptance run: frames dropped,
-  duplicated, and corrupted *while the membership changes mid-run*, and
-  the values still match the reference exactly.
+* **Conformance** — the live arm of ``tests/scenarios.py``: any drawn
+  cluster (strategy, placement, static or elastic with live key
+  migration) trains to final parameters bit-identical to
+  :func:`repro.analysis.calibration.run_inprocess`, and so it does
+  over a lossy link (the ``chaos`` twin), where recovery must happen.
 * **Reply rule** — pure push: no node sends ``PULL_REQ``, one that does
   fails its peer by name, and a mid-run joiner is handed exactly its
   keys by each shard.
@@ -33,11 +27,11 @@ import logging
 import os
 import time
 import warnings
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.calibration import (calibrate, calibrate_faults,
                                         run_inprocess)
@@ -46,56 +40,13 @@ from repro.live import (LiveAggregatorError, LiveClusterConfig, LiveRunError,
 from repro.live.aio import (AioAggregator, AioServerShard, AioWorker,
                             run_live_aio)
 from repro.live.aio.driver import _run_cluster, leaving_no_task
-from repro.live.membership import (
-    MembershipEpoch,
-    MembershipSchedule,
-    elastic_reference,
-)
+from repro.live.membership import MembershipSchedule
 from repro.live.transport import BARRIER_PRIORITY, RELIABLE_KINDS
 from repro.live.wire import WIRE_BYTES_PER_PARAM, WireKind, encode_frame
-from repro.sim.faults import ChaosFault, FaultPlan
+from tests.scenarios import (ELASTIC_SCHED, JOIN_SCHED, LOSSY, LOSSY_LINK,
+                             SHAPED, live_cfg, live_scenarios, pinned)
 
 pytestmark = pytest.mark.slow
-
-
-def aio_cfg(**overrides) -> LiveClusterConfig:
-    """3 workers + 2 shards, tiny MLP, no emulated compute: fast enough
-    to run dozens of full clusters in one test module."""
-    defaults = dict(
-        n_workers=3, n_servers=2, iterations=4, batch_size=6,
-        in_size=6, hidden=8, depth=1, n_train=24, n_val=8,
-        fwd_layer_s=0.0, bwd_layer_s=0.0, heartbeat_interval_s=0.2,
-    )
-    defaults.update(overrides)
-    return LiveClusterConfig(**defaults)
-
-
-def shaped_cfg(**overrides) -> LiveClusterConfig:
-    """2 workers + 2 shards, ~7k-param MLP with emulated compute on a
-    1 MB/s shaped link: small, but timing means something."""
-    defaults = dict(
-        n_workers=2, n_servers=2, iterations=3, warmup=1,
-        in_size=8, hidden=16, depth=1, n_train=32, n_val=16, batch_size=8,
-        slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
-        fwd_layer_s=0.004, bwd_layer_s=0.008, heartbeat_interval_s=0.05,
-    )
-    defaults.update(overrides)
-    return LiveClusterConfig(**defaults)
-
-
-#: 8% drop + 3% dup + 3% corrupt on every connection.  The retransmit
-#: timer is cut from 250 ms (still >> a loopback round trip): a lossy run
-#: is mostly spent waiting on it.
-LOSSY = FaultPlan((ChaosFault(machine=-1, drop_rate=0.08, dup_rate=0.03,
-                              corrupt_rate=0.03),), seed=2)
-LOSSY_LINK = dict(fault_plan=LOSSY, rate_bytes_per_s=5_000_000.0,
-                  chunk_bytes=4096, ack_timeout_s=0.05)
-
-#: Worker 2 joins mid-run.
-JOIN_SCHED = MembershipSchedule(epochs=(
-    MembershipEpoch(workers=(0, 1), rounds=2),
-    MembershipEpoch(workers=(0, 1, 2), rounds=2),
-))
 
 
 def transport_totals(per_worker: dict) -> dict:
@@ -115,50 +66,81 @@ def assert_params_equal(got, want, context=""):
             err_msg=f"{context}: {name} diverged")
 
 
-#: The canonical elastic schedule: join (epoch 1, with a placement
-#: override forcing live key migration), leave (epoch 2), rejoin
-#: (epoch 3).  Worker 1 leaves and comes back; worker 2 joins mid-run.
-ELASTIC_SCHED = MembershipSchedule(epochs=(
-    MembershipEpoch(workers=(0, 1), rounds=1),
-    MembershipEpoch(workers=(0, 1, 2), rounds=1, placement="balanced"),
-    MembershipEpoch(workers=(0, 2), rounds=1),
-    MembershipEpoch(workers=(0, 1, 2), rounds=1),
-))
-
-
-# ----------------------------------------------------------------------
-# Cross-substrate conformance (static membership)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("placement", ["round_robin", "balanced"])
-@pytest.mark.parametrize("strategy", ["baseline", "p3"])
-def test_aio_matches_inprocess_bit_for_bit(placement, strategy):
-    cfg = aio_cfg(strategy=strategy, placement=placement)
+def matches_oracle(cfg: LiveClusterConfig) -> LiveRunResult:
+    """Run ``cfg`` live and hold its final parameters to the oracle's."""
     live = run_live_aio(cfg)
     ref = run_inprocess(cfg)
-    assert_params_equal(live.final_params, ref,
-                        f"{placement}/{strategy}")
+    assert_params_equal(live.final_params, ref, "live")
+    static = MembershipSchedule.static(cfg.n_workers, cfg.iterations)
+    if cfg.membership == static:  # one epoch of everyone: the static run
+        assert_params_equal(run_inprocess(dc_replace(cfg, membership=None)),
+                            ref, "static")
+    return live
 
 
-@pytest.mark.parametrize("link", [
-    {}, pytest.param(LOSSY_LINK, marks=pytest.mark.chaos, id="lossy")])
-@pytest.mark.parametrize("strategy", ["baseline", "p3"])
-def test_aio_two_tier_matches_inprocess(strategy, link):
-    cfg = aio_cfg(n_workers=4, batch_size=8, placement="two_tier",
-                  agg_group_size=2, strategy=strategy, **link)
-    live = run_live_aio(cfg)
-    ref = run_inprocess(cfg)
-    assert_params_equal(live.final_params, ref, f"two_tier/{strategy}")
-    if link:
-        totals = transport_totals(live.transport_stats)
-        assert totals["frames_dropped"] > 0 < totals["frames_retransmitted"]
-        assert totals["unacked_frames"] == 0
+#: Two-tier: 4 workers in groups of 2 behind their aggregators.
+TWO_TIER = dict(n_workers=4, batch_size=8, placement="two_tier",
+                agg_group_size=2)
+
+#: The live arm's regression corpus.
+LIVE_CORPUS = [
+    *[live_cfg(strategy=strategy, **topology)
+      for topology in (dict(placement="round_robin"),
+                       dict(placement="balanced"), TWO_TIER,
+                       dict(membership=ELASTIC_SCHED),
+                       dict(membership=MembershipSchedule.static(3, 4)))
+      for strategy in ("baseline", "p3")],
+    # Sliced keys, a hot key `balanced` splits and a real aggregator node
+    # (values depend on neither link nor compute: neither is emulated).
+    *[live_cfg(SHAPED, n_workers=4, placement=placement, strategy="p3",
+               rate_bytes_per_s=None, fwd_layer_s=0.0, bwd_layer_s=0.0,
+               split_factor=1.2, max_splits=3, agg_group_size=2)
+      for placement in ("round_robin", "balanced", "two_tier")],
+]
+
+
+@pinned(LIVE_CORPUS)
+@given(live_scenarios())
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_random_membership_schedules_match_reference(cfg):
+    """Property, end to end: ANY cluster the scenario vocabulary draws —
+    strategy, placement, workers and shards, static or with a membership
+    schedule (joins, leaves, rejoins, key migration) — trains to the
+    exact values of the in-process oracle."""
+    matches_oracle(cfg)
+
+
+#: The chaos twin's regression corpus: runs long enough that chaos must
+#: bite near its configured rate (a small draw may get through whole).
+LOSSY_CORPUS = [
+    live_cfg(LOSSY_LINK, strategy=strategy, **topology)
+    for strategy, topology in (("baseline", TWO_TIER), ("p3", TWO_TIER),
+                               ("p3", dict(membership=JOIN_SCHED)),
+                               ("p3", {}))]
+
+
+@pytest.mark.chaos
+@pinned(LOSSY_CORPUS)
+@given(live_scenarios(LOSSY_LINK))
+@settings(max_examples=2, deadline=None, derandomize=True)
+def test_random_scenarios_match_reference_over_a_lossy_link(cfg):
+    """The same space with frames dropped, duplicated and corrupted on
+    every connection — also while workers join mid-run and behind
+    aggregators: Go-Back-N recovery and the epoch barrier keep the
+    values exactly equal to the clean oracle's."""
+    totals = transport_totals(matches_oracle(cfg).transport_stats)
+    if cfg in LOSSY_CORPUS:  # chaos bit, near the configured 8%
+        assert totals["frames_dropped"] >= 0.025 * totals["frames_seen"]
+    # Recovery happened, and every reliable frame was acknowledged.
+    assert totals["frames_retransmitted"] > 0 or not totals["frames_dropped"]
+    assert totals["acks_received"] > 0 and totals["unacked_frames"] == 0
 
 
 def test_aio_reports_the_run_result_schema():
     """Iteration times, TX timelines, heartbeats, and transport counters
     all reach the :class:`LiveRunResult`."""
-    cfg = aio_cfg(strategy="p3", rate_bytes_per_s=5_000_000.0,
-                  chunk_bytes=4096, heartbeat_interval_s=0.002)
+    cfg = live_cfg(strategy="p3", rate_bytes_per_s=5_000_000.0,
+                   chunk_bytes=4096, heartbeat_interval_s=0.002)
     result = run_live_aio(cfg)
     for wid in range(cfg.n_workers):
         times = result.iteration_times[wid]
@@ -180,7 +162,7 @@ def test_workers_only_push(strategy):
     PUSH chunks and the membership tokens — nothing asks for a value.
     (With a ``PULL_REQ`` behind every ``PUSH`` this count was one frame
     per key per round higher.)"""
-    cfg = aio_cfg(strategy=strategy, chunk_bytes=256)
+    cfg = live_cfg(strategy=strategy, chunk_bytes=256)
     result = run_live_aio(cfg)
     plan, = cfg.key_plan()
     push_frames = cfg.iterations * sum(
@@ -218,60 +200,12 @@ def test_p3_sends_urgent_layers_earlier_than_baseline():
     # heap degenerates to FIFO for both strategies.
     ranks = {}
     for strategy in ("baseline", "p3"):
-        cfg = shaped_cfg(strategy=strategy, hidden=64, iterations=2,
-                         warmup=0, fwd_layer_s=0.001, bwd_layer_s=0.001,
-                         rate_bytes_per_s=150_000.0, chunk_bytes=1_024)
+        cfg = live_cfg(SHAPED, strategy=strategy, hidden=64, iterations=2,
+                       warmup=0, fwd_layer_s=0.001, bwd_layer_s=0.001,
+                       rate_bytes_per_s=150_000.0, chunk_bytes=1_024)
         ranks[strategy] = mean_rank_of_first_layer(cfg, run_live_aio(cfg))
     # Baseline emits in generation order => layer 0 last; P3 pulls it up.
     assert ranks["p3"] < ranks["baseline"]
-
-
-# ----------------------------------------------------------------------
-# Elastic membership
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", ["baseline", "p3"])
-def test_elastic_join_leave_rejoin_matches_reference(strategy):
-    """Workers join, leave, and rejoin between epochs — with a placement
-    override migrating keys live — and every final replica matches the
-    elastic in-process reference bit for bit."""
-    cfg = aio_cfg(membership=ELASTIC_SCHED, strategy=strategy)
-    live = run_live_aio(cfg)
-    ref = elastic_reference(cfg, strategy)
-    assert_params_equal(live.final_params, ref, f"elastic/{strategy}")
-
-
-def test_elastic_run_is_deterministic_under_a_fixed_seed():
-    a = run_live_aio(aio_cfg(membership=ELASTIC_SCHED, strategy="p3"))
-    b = run_live_aio(aio_cfg(membership=ELASTIC_SCHED, strategy="p3"))
-    assert_params_equal(a.final_params, b.final_params, "determinism")
-
-
-@st.composite
-def elastic_schedules(draw):
-    """1-3 epochs over workers {0,1,2}, 1-2 rounds each: small enough to
-    run the real cluster per example, rich enough to cover every join /
-    leave / rejoin shape."""
-    n_epochs = draw(st.integers(min_value=1, max_value=3))
-    epochs = tuple(
-        MembershipEpoch(
-            workers=tuple(sorted(draw(
-                st.sets(st.sampled_from((0, 1, 2)), min_size=1,
-                        max_size=3)))),
-            rounds=draw(st.integers(min_value=1, max_value=2)))
-        for _ in range(n_epochs))
-    return MembershipSchedule(epochs=epochs)
-
-
-@given(sched=elastic_schedules())
-@settings(max_examples=8, deadline=None, derandomize=True)
-def test_random_membership_schedules_match_reference(sched):
-    """Property, end to end: ANY membership schedule the strategy can
-    draw trains to the exact values of the in-process elastic reference
-    (batch 6 divides every possible active-set size)."""
-    cfg = aio_cfg(iterations=sched.total_rounds, warmup=0, membership=sched)
-    live = run_live_aio(cfg, strategy="p3")
-    ref = elastic_reference(cfg, "p3")
-    assert_params_equal(live.final_params, ref, f"sched={sched.epochs}")
 
 
 @pytest.mark.parametrize("sched", [JOIN_SCHED, ELASTIC_SCHED],
@@ -280,7 +214,7 @@ def test_mid_run_joiner_is_sent_exactly_its_keys(monkeypatch, sched):
     """Nobody requests anything, so a worker that joins at round
     ``first`` is handed round ``first - 1`` unasked: every key, once,
     from the shard that owns it *after* the epoch's migration."""
-    cfg = aio_cfg(membership=sched)
+    cfg = live_cfg(membership=sched)
     got = []  # (worker, shard, key, round) of every PULL_RESP
 
     def spy(self, conn, msg, real=AioWorker._on_reply):
@@ -304,32 +238,10 @@ def test_mid_run_joiner_is_sent_exactly_its_keys(monkeypatch, sched):
             f"worker {w} joining epoch {e}"
 
 
-# ----------------------------------------------------------------------
-# Chaos under elasticity (the acceptance run)
-# ----------------------------------------------------------------------
-@pytest.mark.chaos
-@pytest.mark.parametrize("membership", [JOIN_SCHED, None],
-                         ids=["joining", "static"])
-def test_chaos_preserves_bit_identity(membership):
-    """Frames dropped, duplicated and corrupted on every connection —
-    also while worker 2 joins mid-run: Go-Back-N recovery + the epoch
-    barrier keep the values exactly equal to the clean reference."""
-    cfg = aio_cfg(membership=membership, **LOSSY_LINK)
-    live = run_live_aio(cfg, strategy="p3")
-    ref = elastic_reference(cfg, "p3")
-    assert_params_equal(live.final_params, ref, "chaos")
-    totals = transport_totals(live.transport_stats)
-    assert totals["frames_dropped"] >= 0.05 * totals["frames_seen"] * 0.5, \
-        "chaos must actually have bitten, near the configured 8%"
-    assert totals["frames_retransmitted"] > 0 < totals["acks_received"], \
-        "recovery must actually have happened"
-    assert totals["unacked_frames"] == 0, \
-        "every reliable frame must be acknowledged by the end"
-
-
 @pytest.mark.chaos
 def test_fault_calibration_runs_the_plan_through_the_live_cluster():
-    report = calibrate_faults(shaped_cfg(ack_timeout_s=0.05), plan=LOSSY)
+    report = calibrate_faults(live_cfg(SHAPED, ack_timeout_s=0.05),
+                              plan=LOSSY)
     assert report.bit_identical_under_faults
     totals = transport_totals(report.live_transport_stats)
     assert totals["frames_dropped"] > 0 < totals["frames_retransmitted"]
@@ -341,7 +253,7 @@ def test_fault_calibration_runs_the_plan_through_the_live_cluster():
 def test_calibration_report_end_to_end():
     """Bit-identity plus sign agreement with the simulator's prediction,
     within the documented tolerance."""
-    report = calibrate(shaped_cfg(iterations=4))
+    report = calibrate(live_cfg(SHAPED, iterations=4))
     assert report.bit_identical
     assert report.max_abs_diff == 0.0
     assert report.sim_speedup > 1.0, \
@@ -356,14 +268,10 @@ def test_calibration_report_end_to_end():
 def test_calibrate_completes_at_64_workers_on_one_event_loop():
     """A full calibrate() — baseline + P3, live vs in-process — with 64
     workers (128 worker-shard connections) on a single event loop."""
-    cfg = LiveClusterConfig(
-        n_workers=64, n_servers=2, iterations=3, warmup=1,
-        batch_size=64, in_size=6, hidden=8, depth=1,
-        n_train=128, n_val=16,
-        fwd_layer_s=0.0005, bwd_layer_s=0.001,
-        rate_bytes_per_s=50_000_000.0, chunk_bytes=4096,
-        heartbeat_interval_s=0.5,
-    )
+    cfg = live_cfg(n_workers=64, iterations=3, batch_size=64, n_train=128,
+                   n_val=16, fwd_layer_s=0.0005, bwd_layer_s=0.001,
+                   rate_bytes_per_s=50_000_000.0, chunk_bytes=4096,
+                   heartbeat_interval_s=0.5)
     report = calibrate(cfg)
     assert report.bit_identical, \
         f"64-worker aio run diverged (max |diff| = {report.max_abs_diff})"
@@ -400,7 +308,7 @@ def test_successful_run_leaves_no_task_or_socket_behind(overrides, caplog):
     with warnings.catch_warnings(record=True) as caught, \
             caplog.at_level(logging.ERROR, logger="asyncio"):
         warnings.simplefilter("always", ResourceWarning)
-        outcome, pending, leaked_fds = run_and_audit(aio_cfg(**overrides))
+        outcome, pending, leaked_fds = run_and_audit(live_cfg(**overrides))
         gc.collect()
     assert isinstance(outcome, LiveRunResult), outcome
     assert pending == [] and leaked_fds == 0
@@ -418,7 +326,7 @@ def test_the_run_result_is_never_formatted_on_the_way_out(monkeypatch):
     formatted = []
     monkeypatch.setattr(LiveRunResult, "__repr__",
                         lambda self: formatted.append(1) or "<result>")
-    result = run_live_aio(aio_cfg())
+    result = run_live_aio(live_cfg())
     assert isinstance(result, LiveRunResult)
     assert formatted == []
 
@@ -468,7 +376,7 @@ def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
     member ends its aggregator's wait for the members' BYEs the same way."""
     monkeypatch.setattr(cls, method, patch)
     start = time.monotonic()
-    outcome, pending, leaked_fds = run_and_audit(aio_cfg(**topology))
+    outcome, pending, leaked_fds = run_and_audit(live_cfg(**topology))
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
     assert victim in str(outcome) and "boom" in str(outcome)
@@ -496,7 +404,7 @@ def test_a_pull_request_fails_the_peer_that_receives_it(monkeypatch,
     frame, and not a hang."""
     monkeypatch.setattr(AioWorker, "_iteration", _requesting_iteration)
     start = time.monotonic()
-    outcome, pending, leaked_fds = run_and_audit(aio_cfg(**topology))
+    outcome, pending, leaked_fds = run_and_audit(live_cfg(**topology))
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
     assert f"{peer}: unexpected PULL_REQ from {peer}-conn" in str(outcome)
@@ -511,7 +419,7 @@ def test_aggregator_fails_loudly_on_an_unexpected_upstream_frame():
     A root that answers the heartbeat probe with ``ACK`` and then sends
     an ``EPOCH`` (no business of a static topology) must end the
     aggregator at once, naming the kind and the peer."""
-    cfg = aio_cfg(n_servers=1, placement="two_tier", agg_group_size=3)
+    cfg = live_cfg(n_servers=1, placement="two_tier", agg_group_size=3)
 
     async def main():
         async def root(reader, writer):

@@ -1,6 +1,6 @@
 """Membership layer tests: schedule arithmetic, the EpochTracker state
 machine (hypothesis property tests over join/leave orderings), config
-validation, and the elastic in-process reference.
+validation, and the in-process oracle's use of a schedule.
 
 The tracker properties proven here are the protocol's core safety
 claims: epoch commits are strictly monotonic, an epoch never commits
@@ -17,42 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.calibration import run_inprocess
-from repro.live.config import LiveClusterConfig
 from repro.live.membership import (
     EpochTracker,
     MembershipEpoch,
     MembershipError,
     MembershipSchedule,
-    elastic_reference,
 )
-
-WORKER_UNIVERSE = (0, 1, 2, 3, 4)
-
-
-def small_cfg(**overrides) -> LiveClusterConfig:
-    defaults = dict(n_workers=3, n_servers=2, iterations=4, batch_size=6,
-                    in_size=6, hidden=8, depth=1, n_train=24, n_val=8,
-                    fwd_layer_s=0.0, bwd_layer_s=0.0)
-    defaults.update(overrides)
-    return LiveClusterConfig(**defaults)
-
-
-# ----------------------------------------------------------------------
-# Hypothesis strategies
-# ----------------------------------------------------------------------
-epoch_sets = st.lists(
-    st.sets(st.sampled_from(WORKER_UNIVERSE), min_size=1, max_size=5),
-    min_size=1, max_size=4)
-
-
-@st.composite
-def schedules(draw):
-    worker_sets = draw(epoch_sets)
-    epochs = tuple(
-        MembershipEpoch(workers=tuple(sorted(ws)),
-                        rounds=draw(st.integers(min_value=1, max_value=3)))
-        for ws in worker_sets)
-    return MembershipSchedule(epochs=epochs)
+from tests.scenarios import live_cfg, schedules
 
 
 def all_tokens(sched: MembershipSchedule):
@@ -209,14 +180,14 @@ def test_tracker_rejects_commit_before_rounds_applied():
 def test_schedule_must_cover_config_iterations():
     sched = MembershipSchedule.static(2, iterations=3)
     with pytest.raises(MembershipError):
-        small_cfg(n_workers=2, iterations=4, membership=sched)
+        live_cfg(n_workers=2, iterations=4, membership=sched)
 
 
 def test_schedule_rejects_worker_outside_id_space():
     sched = MembershipSchedule(epochs=(
         MembershipEpoch(workers=(0, 5), rounds=4),))
     with pytest.raises(MembershipError):
-        small_cfg(n_workers=3, iterations=4, membership=sched)
+        live_cfg(n_workers=3, iterations=4, membership=sched)
 
 
 def test_schedule_rejects_indivisible_epoch_batch():
@@ -225,14 +196,14 @@ def test_schedule_rejects_indivisible_epoch_batch():
         MembershipEpoch(workers=(0, 1), rounds=2),
     ))
     with pytest.raises(MembershipError):
-        small_cfg(batch_size=9, membership=sched)  # 9 % 2 != 0
+        live_cfg(batch_size=9, membership=sched)  # 9 % 2 != 0
 
 
 def test_schedule_rejects_two_tier():
     sched = MembershipSchedule.static(4, iterations=4)
     with pytest.raises(MembershipError):
-        small_cfg(n_workers=4, batch_size=8, placement="two_tier",
-                  membership=sched)
+        live_cfg(n_workers=4, batch_size=8, placement="two_tier",
+                 membership=sched)
 
 
 def test_epoch_key_tables_share_one_key_universe():
@@ -240,7 +211,7 @@ def test_epoch_key_tables_share_one_key_universe():
         MembershipEpoch(workers=(0, 1), rounds=2),
         MembershipEpoch(workers=(0, 1, 2), rounds=2, placement="balanced"),
     ))
-    cfg = small_cfg(membership=sched)
+    cfg = live_cfg(membership=sched)
     plans = cfg.key_plan()
     assert len(plans) == 2
     ref = [(pk.key, pk.layer_index, pk.span) for pk in plans[0]]
@@ -251,30 +222,16 @@ def test_epoch_key_tables_share_one_key_universe():
 
 
 # ----------------------------------------------------------------------
-# Elastic reference numerics
+# The in-process oracle under a schedule
 # ----------------------------------------------------------------------
-def test_elastic_reference_reduces_to_static_reference():
-    """With a static schedule the elastic reference IS the in-process
-    reference, bit for bit — anchoring elasticity to the existing
-    ground truth."""
-    cfg = small_cfg(membership=MembershipSchedule.static(3, iterations=4))
-    base = small_cfg()
-    for strategy in ("baseline", "p3"):
-        ref = run_inprocess(base, strategy)
-        elastic = elastic_reference(cfg, strategy)
-        assert set(ref) == set(elastic)
-        for name in ref:
-            np.testing.assert_array_equal(elastic[name], ref[name])
-
-
-def test_elastic_reference_depends_on_membership():
+def test_inprocess_oracle_depends_on_membership():
     """A membership change must actually change the trained values
-    (otherwise every elastic conformance test would be vacuous)."""
-    static = small_cfg(membership=MembershipSchedule.static(3, 4))
-    elastic = small_cfg(membership=MembershipSchedule(epochs=(
+    (otherwise every elastic conformance check would be vacuous)."""
+    static = live_cfg(membership=MembershipSchedule.static(3, 4))
+    elastic = live_cfg(membership=MembershipSchedule(epochs=(
         MembershipEpoch(workers=(0, 1), rounds=2),
         MembershipEpoch(workers=(0, 1, 2), rounds=2),
     )))
-    a = elastic_reference(static, "p3")
-    b = elastic_reference(elastic, "p3")
+    a = run_inprocess(static, "p3")
+    b = run_inprocess(elastic, "p3")
     assert any(not np.array_equal(a[name], b[name]) for name in a)

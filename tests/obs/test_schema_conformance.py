@@ -22,6 +22,7 @@ from repro.obs import (
 )
 from repro.sim import ClusterConfig, ClusterSim, simulate
 from repro.strategies import p3
+from tests.scenarios import SHAPED, live_cfg
 
 #: The lifecycle every fully synchronized slice must traverse.  The
 #: optional extra is slice_preempted, which only occurs under backlog.
@@ -103,14 +104,10 @@ def test_two_tier_stream_names_the_aggregators():
 
 @pytest.mark.slow
 def test_live_stream_conforms_and_matches_sim_vocabulary():
-    from repro.live import LiveClusterConfig
     from repro.live.aio import run_live_aio
 
-    cfg = LiveClusterConfig(
-        n_workers=2, n_servers=1, iterations=3, warmup=1,
-        in_size=8, hidden=16, depth=1, n_train=32, n_val=16, batch_size=8,
-        slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
-        fwd_layer_s=0.002, bwd_layer_s=0.004, observe=True)
+    cfg = live_cfg(SHAPED, n_servers=1, fwd_layer_s=0.002, bwd_layer_s=0.004,
+                   heartbeat_interval_s=0.25, observe=True)
     result = run_live_aio(cfg, strategy="p3")
     live_by_key = _check_stream(result.events)
     assert all(e["source"] == "live" for e in result.events)
@@ -148,7 +145,6 @@ def test_same_fault_plan_same_event_vocabulary_on_both_substrates():
     at the slice level — that is the bit-identity guarantee showing up
     in the observability stream).
     """
-    from repro.live import LiveClusterConfig
     from repro.live.aio import run_live_aio
     from repro.sim.faults import ChaosFault, FaultPlan
 
@@ -157,12 +153,8 @@ def test_same_fault_plan_same_event_vocabulary_on_both_substrates():
     plan = FaultPlan((ChaosFault(machine=-1, drop_rate=0.05,
                                  dup_rate=0.02),), seed=11)
 
-    cfg = LiveClusterConfig(
-        n_workers=2, n_servers=1, iterations=3, warmup=1,
-        in_size=8, hidden=16, depth=1, n_train=32, n_val=16, batch_size=8,
-        slice_params=1_500, rate_bytes_per_s=1_000_000.0, chunk_bytes=4_096,
-        fwd_layer_s=0.002, bwd_layer_s=0.004, observe=True,
-        fault_plan=plan)
+    cfg = live_cfg(SHAPED, n_servers=1, fwd_layer_s=0.002, bwd_layer_s=0.004,
+                   heartbeat_interval_s=0.25, observe=True, fault_plan=plan)
     result = run_live_aio(cfg, strategy="p3")
     live_by_key = _check_stream(result.events)
 

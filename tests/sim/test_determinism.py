@@ -1,15 +1,11 @@
-"""Determinism: same config + seed => byte-identical runs.
-
-The fault subsystem draws all of its randomness from generators derived
-from ``(FaultPlan.seed, fault_index)``, so two simulations of the same
-``ClusterConfig`` (fault plan included) must produce identical
-``RunResult`` numbers *and* identical trace event sequences, while a
-different seed (with any randomness in play) must diverge.
-"""
+"""Fault randomness comes from generators derived from
+``(FaultPlan.seed, fault_index)``: another plan seed diverges, and one
+fault's draws do not depend on another's.  That the same config gives
+byte-identical runs is checked on every draw of the sim arm
+(``tests/integration/test_random_models.py``)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.sim import (
@@ -18,22 +14,10 @@ from repro.sim import (
     FaultPlan,
     LinkFault,
     RunResult,
-    ServerStallFault,
     StragglerFault,
 )
-from repro.strategies import baseline, p3
-
-JITTERED_PLAN = FaultPlan(
-    faults=(
-        StragglerFault(worker=1, factor=3.0, start=0.0, duration=0.01,
-                       period=0.04, jitter=0.02),
-        LinkFault(machine=0, rate_factor=0.1, start=0.005, duration=0.004,
-                  period=0.03, jitter=0.015),
-        ServerStallFault(server=0, start=0.002, duration=0.008, period=0.05,
-                         jitter=0.01),
-    ),
-    seed=13,
-)
+from repro.strategies import p3
+from tests.scenarios import JITTERED_PLAN
 
 
 def run(tiny_model, strategy, plan, plan_seed=None, cluster_seed=0) -> RunResult:
@@ -45,46 +29,12 @@ def run(tiny_model, strategy, plan, plan_seed=None, cluster_seed=0) -> RunResult
     return cluster.run(iterations=6, warmup=1)
 
 
-def trace_tuple(result: RunResult):
-    """The full transmission event sequence, as comparable tuples."""
-    return [(r.machine, r.direction, r.start, r.end, r.wire_bytes)
-            for r in result.utilization.records]
-
-
-def iteration_tuple(result: RunResult):
-    return [(r.worker, r.iteration, r.forward_start, r.backward_start,
-             r.backward_end, r.end) for r in result.iterations.records]
-
-
-def assert_identical(a: RunResult, b: RunResult) -> None:
-    assert a.throughput == b.throughput
-    assert a.mean_iteration_time == b.mean_iteration_time
-    assert np.array_equal(a.iteration_times, b.iteration_times)
-    assert a.events_processed == b.events_processed
-    assert a.per_worker_throughput == b.per_worker_throughput
-    assert iteration_tuple(a) == iteration_tuple(b)
-    assert trace_tuple(a) == trace_tuple(b)
-
-
-@pytest.mark.parametrize("strategy_fn", [baseline, p3])
-def test_same_seed_is_bit_identical_with_faults(tiny_model, strategy_fn):
-    a = run(tiny_model, strategy_fn(), JITTERED_PLAN)
-    b = run(tiny_model, strategy_fn(), JITTERED_PLAN)
-    assert_identical(a, b)
-
-
-def test_same_seed_is_bit_identical_without_faults(tiny_model):
-    a = run(tiny_model, p3(), None)
-    b = run(tiny_model, p3(), None)
-    assert_identical(a, b)
-
-
 def test_different_plan_seeds_diverge(tiny_model):
     """Jittered fault occurrences depend on the plan seed, so two seeds
     must yield different traces."""
     a = run(tiny_model, p3(), JITTERED_PLAN, plan_seed=13)
     b = run(tiny_model, p3(), JITTERED_PLAN, plan_seed=14)
-    assert trace_tuple(a) != trace_tuple(b)
+    assert a.utilization.records != b.utilization.records
     assert a.mean_iteration_time != b.mean_iteration_time
 
 

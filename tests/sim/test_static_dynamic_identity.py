@@ -4,12 +4,11 @@
 at the commit *before* ``repro.sim.network.Channel`` became one
 implementation, when a fault plan, background load or a multi-job run
 wired a generic event-per-hop channel and everything else wired static
-closures with elided hops (``Channel.fuse_hop``).  Each entry is the
-sha256 of everything a caller can observe, *in order* (simultaneous
-events included): throughput to the last bit, the logical event count,
-every iteration record, every channel's counters, every utilization row,
-the final clock.  So ``test_static_run_equals_dynamic_run`` still says
-what its name says — today's run equals the generic run of that commit —
+closures with elided hops (``Channel.fuse_hop``).  Each entry is a
+:func:`tests.scenarios.run_signature`: the sha256 of everything a
+caller can observe, *in order*.  So
+``test_static_run_equals_dynamic_run`` still says what its name says —
+today's run equals the generic run of that commit —
 with the generic side read from the file instead of executed (the ids
 are kept because the test floor names them).  The same holds for the
 configurations where a commitment has to be taken back: a rate change or
@@ -45,6 +44,7 @@ from repro.sim.network import (
 )
 from repro.strategies import STRATEGY_FACTORIES
 from repro.tenancy import JobSpec, MultiJobSim, TenancyConfig
+from tests.scenarios import run_signature
 
 GOLDEN = Path(__file__).parent / "golden" / "channel_signatures.json"
 
@@ -119,26 +119,9 @@ def _cluster(strategy_name: str, overrides: dict, **kwargs) -> ClusterSim:
                       trace_utilization=True, **kwargs)
 
 
-def _observable(cluster: ClusterSim, result) -> dict:
-    return {
-        "throughput": repr(result.throughput),
-        "events_processed": result.events_processed,
-        "iterations": result.iterations.records,
-        "channels": [(ch.machine, ch.direction, ch.bytes_transferred,
-                      ch.messages_transferred, repr(ch.busy_time))
-                     for ch in cluster.tx_channels + cluster.rx_channels],
-        "utilization": result.utilization.records,
-        "final_clock": repr(cluster.sim.now),
-    }
-
-
-def _sha(document) -> str:
-    return hashlib.sha256(repr(document).encode()).hexdigest()
-
-
 def _run_signature(strategy_name: str, overrides: dict, **kwargs) -> str:
     cluster = _cluster(strategy_name, overrides, **kwargs)
-    signature = _sha(_observable(cluster, cluster.run(ITERATIONS, WARMUP)))
+    signature = run_signature(cluster, cluster.run(ITERATIONS, WARMUP))
     assert cluster.sim.pending == 0
     cluster.sim.check_invariants()
     return signature
@@ -157,14 +140,14 @@ def _tenancy_signature() -> str:
     result = multi.run()
     assert multi.sim.pending == 0
     multi.sim.check_invariants()
-    return _sha({
+    return hashlib.sha256(repr({
         "makespan": repr(result.makespan_s),
         "events_processed": multi.sim.events_processed,
         "log": [(repr(e.t), e.kind, e.job) for e in result.log],
         "jobs": [(name, repr(job.admitted_s), repr(job.completed_s),
                   repr(job.result.throughput), job.result.iterations.records)
                  for name, job in sorted(result.jobs.items())],
-    })
+    }).encode()).hexdigest()
 
 
 def _check(case_id: str, signature: str) -> None:
@@ -209,7 +192,7 @@ def test_split_run_equals_single_run(strategy_name):
     """``until=`` and ``max_events=`` stop between events; resuming must
     not lose a delivery waiting behind a fused RX's head of line."""
     whole = _cluster(strategy_name, CONFIGS["plain"])
-    want = _observable(whole, whole.run(ITERATIONS, WARMUP))
+    want = run_signature(whole, whole.run(ITERATIONS, WARMUP))
 
     split = _cluster(strategy_name, CONFIGS["plain"])
     split.start_run(ITERATIONS, WARMUP)
@@ -219,9 +202,7 @@ def test_split_run_equals_single_run(strategy_name):
     split.sim.run(max_events=501)
     split.sim.run(until=0.7 * end)
     split.sim.run()
-    got = _observable(split, split.collect())
-    for name in want:
-        assert got[name] == want[name], name
+    assert run_signature(split, split.collect()) == want
 
 
 def test_direct_enqueue_on_busy_fused_rx_keeps_arrival_order():

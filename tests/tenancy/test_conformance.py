@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.calibration import run_inprocess
-from repro.live import LiveClusterConfig
 from repro.tenancy import (
     JobSpec,
     TenancyConfig,
@@ -27,19 +26,9 @@ from repro.tenancy import (
     run_live_tenants,
     run_multi_job,
 )
+from tests.scenarios import live_cfg
 
 pytestmark = [pytest.mark.tenancy, pytest.mark.slow]
-
-
-def tenant_cfg(strategy: str, **overrides) -> LiveClusterConfig:
-    defaults = dict(
-        n_workers=3, n_servers=2, iterations=4, batch_size=6,
-        in_size=6, hidden=8, depth=1, n_train=24, n_val=8,
-        fwd_layer_s=0.0, bwd_layer_s=0.0, heartbeat_interval_s=0.2,
-        strategy=strategy,
-    )
-    defaults.update(overrides)
-    return LiveClusterConfig(**defaults)
 
 
 def two_tenant_schedule(arrival_b=0.0, after_b=(), workers=3):
@@ -51,8 +40,8 @@ def two_tenant_schedule(arrival_b=0.0, after_b=(), workers=3):
                 arrival_s=arrival_b, after=after_b),
     ]
     configs = {
-        "a": tenant_cfg("p3", store_seed=7),
-        "b": tenant_cfg("baseline", store_seed=11),
+        "a": live_cfg(strategy="p3", store_seed=7),
+        "b": live_cfg(strategy="baseline", store_seed=11),
     }
     return jobs, configs
 
@@ -111,8 +100,8 @@ def test_live_admits_a_mid_run_arrival_when_it_arrives() -> None:
     queued until ``a`` finished (~1 s).  MultiJobSim admits at arrival;
     so must the live driver."""
     jobs, configs = two_tenant_schedule(arrival_b=0.1)
-    configs["a"] = tenant_cfg("p3", store_seed=7, fwd_layer_s=0.02,
-                              bwd_layer_s=0.04)  # ~1 s of emulated compute
+    configs["a"] = live_cfg(strategy="p3", store_seed=7, fwd_layer_s=0.02,
+                            bwd_layer_s=0.04)  # ~1 s of emulated compute
     res = run_live_tenants(jobs, configs, policy="none", n_slots=6)
     a, b = res.jobs["a"], res.jobs["b"]
     assert b.admitted_s >= 0.1
