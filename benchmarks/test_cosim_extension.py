@@ -22,6 +22,7 @@ from repro.training import TrainConfig, make_dataset, small_cnn
 from conftest import run_once
 
 
+@pytest.mark.slow  # trains four systems: about a minute on two cores
 def test_four_system_time_to_accuracy(benchmark, report):
     dataset = make_dataset(n_train=2048, n_val=512, seed=0)
     sim_model = resnet110_cifar(batch_size=16)

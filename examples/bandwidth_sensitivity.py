@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import PAPER_PEAK_SPEEDUP, ascii_plot, fig7_bandwidth_sweep
+from repro.analysis import ascii_plot, fig7_bandwidth_sweep
+from repro.analysis.claims import CLAIMS, RUNS
 from repro.analysis.series import speedup
 
 
@@ -29,7 +30,9 @@ def main(model_name: str = "vgg19") -> None:
     print(f"\nP3 peak speedup: {ratios.y[best_idx]:.2f}x at "
           f"{ratios.x[best_idx]:g} Gbps")
     print("Paper peaks: " + ", ".join(
-        f"{name} {peak:.2f}x" for name, peak in PAPER_PEAK_SPEEDUP.items()))
+        f"{RUNS[claim.runs[0]].args[0]} {claim.paper:.2f}x"
+        for key, claim in CLAIMS.items() if key.endswith("_peak_speedup")
+        and key.startswith("fig7")))
 
 
 if __name__ == "__main__":

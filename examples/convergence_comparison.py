@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from repro.analysis.claims import CLAIMS
 from repro.training import (
     DGCConfig,
     TrainConfig,
@@ -54,8 +55,10 @@ def main(epochs: int = 12) -> None:
     print("\nfinal accuracy:")
     for label, res in runs.items():
         print(f"  {label:16s} {res.final_accuracy:.3f}")
-    print("\nExpect: exact sync (= P3) highest, DGC slightly below, "
-          "ASGD lowest (paper: 93% vs 88% for ASGD; DGC drops ~0.4%).")
+    print("\nExpect: exact sync (= P3) highest, DGC slightly below, ASGD "
+          "lowest.  The paper:")
+    for key in ("fig11_dgc_costs_accuracy", "fig15_p3_converges_higher"):
+        print(f"  {CLAIMS[key].where}: {CLAIMS[key].says}")
 
 
 if __name__ == "__main__":

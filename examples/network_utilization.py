@@ -26,7 +26,7 @@ def main(model_name: str = "sockeye") -> None:
         print()
     print("Expect: baseline shows tall bursts separated by idle valleys; "
           "P3 shows flatter, denser usage in both directions "
-          "(paper Figures 8 vs 9).")
+          "(Figures 8 vs 9 of the paper).")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import ClusterConfig, simulate
+from repro.analysis.claims import CLAIMS
 from repro.models import resnet50
 from repro.strategies import baseline, p3, slicing_only
 
@@ -29,7 +30,8 @@ def main() -> None:
 
     speedup = results["p3"].speedup_over(results["baseline"])
     print(f"\nP3 speedup over the MXNet-style baseline at 4 Gbps: "
-          f"{(speedup - 1) * 100:.0f}%  (paper reports up to 25% for ResNet-50)")
+          f"{(speedup - 1) * 100:.0f}%  (the paper reports up to "
+          f"{(CLAIMS['fig7a_resnet50_peak_speedup'].paper - 1) * 100:.0f}% for ResNet-50)")
 
 
 if __name__ == "__main__":

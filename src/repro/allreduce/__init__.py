@@ -1,5 +1,5 @@
 """Allreduce extension: P3's principles applied to collective aggregation
-(paper Sections 2 and 6 argue the design generalizes beyond parameter
+(Sections 2 and 6 of the paper argue the design generalizes beyond parameter
 servers — this package tests that claim)."""
 
 from .buckets import Bucket, fused_buckets, sliced_buckets, total_bytes

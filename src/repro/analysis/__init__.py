@@ -1,7 +1,10 @@
 """Experiment drivers: one per paper figure, plus ablations.
 
-The throughput figures are rows of :class:`~repro.analysis.sweep.Sweep`.
+The throughput figures are rows of :class:`~repro.analysis.sweep.Sweep`;
+the paper's claims about them are rows of :mod:`repro.analysis.claims`.
 """
+
+import types as _types
 
 from .ablations import (
     colocation_ablation,
@@ -20,13 +23,8 @@ from .accuracy import (
     fig15_asgd_vs_p3,
 )
 from .ascii_plot import ascii_plot
-from .bandwidth import (
-    FIG7_GRIDS,
-    PAPER_PEAK_SPEEDUP,
-    fig7_bandwidth_sweep,
-    peak_speedups,
-)
-from .distributions import fig5_param_distribution, skew_statistics
+from .bandwidth import FIG7_GRIDS, fig7_bandwidth_sweep
+from .distributions import fig5_param_distribution
 from .scalability import FIG10_SIZES, fig10_scalability
 from .sharding import (
     PLACEMENT_SIZES,
@@ -76,7 +74,6 @@ from .tenancy import (
 from .slice_size import FIG12_SLICES, fig12_slice_size_sweep
 from .utilization import (
     FIG8_9_CONFIGS,
-    burstiness_comparison,
     fig8_baseline_utilization,
     fig9_p3_utilization,
     fig13_tensorflow_utilization,
@@ -84,84 +81,6 @@ from .utilization import (
     utilization_trace,
 )
 
-__all__ = [
-    "DEFAULT_SETTINGS",
-    "IterationBounds",
-    "baseline_crossover_gbps",
-    "iteration_bounds",
-    "p3_crossover_gbps",
-    "sensitivity_scan",
-    "speedup_at",
-    "wire_bytes_per_direction",
-    "FIG10_SIZES",
-    "FIG12_SLICES",
-    "PLACEMENTS",
-    "PLACEMENT_SIZES",
-    "FIG7_GRIDS",
-    "PAPER_PEAK_SPEEDUP",
-    "FIG8_9_CONFIGS",
-    "FigureData",
-    "HyperSetting",
-    "ScheduleOutcome",
-    "Series",
-    "Sweep",
-    "CalibrationReport",
-    "FaultCalibrationReport",
-    "ascii_plot",
-    "burstiness_comparison",
-    "calibrate",
-    "calibrate_faults",
-    "live_model_spec",
-    "predict_sim",
-    "run_inprocess",
-    "sim_bandwidth_gbps",
-    "colocation_ablation",
-    "component_ablation",
-    "fig10_scalability",
-    "fig11_p3_vs_dgc",
-    "fig12_slice_size_sweep",
-    "fig13_tensorflow_utilization",
-    "fig14_poseidon_utilization",
-    "fig15_asgd_vs_p3",
-    "fig4_schedule_comparison",
-    "fig5_param_distribution",
-    "fig6_granularity_comparison",
-    "fig7_bandwidth_sweep",
-    "fig8_baseline_utilization",
-    "fig9_p3_utilization",
-    "degradation_report",
-    "fault_plan_for",
-    "latency_sensitivity",
-    "load_figure",
-    "oversubscription_sweep",
-    "peak_speedups",
-    "placement_sweep",
-    "robustness_sweep",
-    "skewed_strategies",
-    "SeedStats",
-    "SimCache",
-    "SimPoint",
-    "PointResult",
-    "code_salt",
-    "effective_jobs",
-    "run_grid",
-    "iteration_time_percentiles",
-    "save_figure",
-    "server_count_sweep",
-    "speedup_stats",
-    "summarize",
-    "tail_comparison",
-    "throughput_stats",
-    "priority_policy_ablation",
-    "schedule_figure",
-    "shared_cluster_sweep",
-    "skew_statistics",
-    "straggler_sensitivity",
-    "speedup",
-    "utilization_trace",
-    "SWEEP_POLICIES",
-    "SWEEP_TENANTS",
-    "default_workload",
-    "run_tenant_scenario",
-    "tenancy_sweep",
-]
+#: Every public name imported above; the submodules are not re-exported.
+__all__ = sorted(name for name, value in vars().items()
+                 if not (name.startswith("_") or isinstance(value, _types.ModuleType)))

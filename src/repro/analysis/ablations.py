@@ -81,7 +81,7 @@ def component_ablation(model_name: str = "vgg19",
 def colocation_ablation(model_name: str = "vgg19",
                         bandwidth_gbps: float = 15.0,
                         **run) -> Dict[str, Dict[str, float]]:
-    """Colocated PS shards (paper) vs dedicated PS machines."""
+    """Colocated PS shards (the paper's setup) vs dedicated PS machines."""
     return {
         key: _fig7_column(model_name, bandwidth_gbps, (baseline(), p3()),
                           colocate_servers=colocated, **run)

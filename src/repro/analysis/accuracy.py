@@ -3,9 +3,8 @@
 These run *real* numpy training (not the timing simulator):
 
 * **Figure 11** — P3 (exact synchronous SGD) vs. Deep Gradient
-  Compression across several hyper-parameter settings; the paper reports
-  the min/max validation-accuracy band per epoch and an average final
-  accuracy drop of ~0.4% for DGC.
+  Compression: the min/max validation-accuracy band per epoch over
+  several hyper-parameter settings.
 * **Figure 15** — P3 vs. asynchronous SGD on a wall-clock axis.  The
   accuracy trajectories come from the substrate; the wall-clock mapping
   of iterations comes from the event simulator (ASGD iterates faster
@@ -92,7 +91,7 @@ def fig11_p3_vs_dgc(
     """Min/max validation-accuracy band per epoch, P3 vs DGC.
 
     Note P3 transmits exact gradients, so "P3" here *is* synchronous SGD
-    (paper Section 5.6: baseline and P3 follow the same training curve).
+    (as Section 5.6 has it, baseline and P3 follow one training curve).
     """
     dataset = make_dataset(n_train=n_train, n_val=n_val, seed=data_seed)
     curves: Dict[str, List[np.ndarray]] = {"p3": [], "dgc": []}
@@ -138,8 +137,7 @@ def fig15_asgd_vs_p3(
     Wall-clock per iteration comes from simulating the paper's setup
     (ResNet-110-sized model, 4 machines, 1 Gbps): ASGD iterates faster
     because workers never wait for each other, but staleness costs final
-    accuracy — the paper reports 93% (P3) vs 88% (ASGD), with P3
-    reaching 80% roughly 6x sooner.
+    accuracy (the ledger rows ``fig15_*`` of :mod:`repro.analysis.claims`).
     """
     dataset = make_dataset(n_train=n_train, n_val=n_val, seed=data_seed)
     setting = HyperSetting(lr, 0.9, seed)

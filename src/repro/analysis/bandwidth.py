@@ -25,10 +25,6 @@ FIG7_GRIDS: Dict[str, Sequence[float]] = {
 FIG7_PANELS = {"resnet50": "fig7a", "inceptionv3": "fig7b",
                "vgg19": "fig7c", "sockeye": "fig7d"}
 
-# Abstract / Section 5.3: the paper's maximum P3-over-baseline speedups.
-PAPER_PEAK_SPEEDUP = {"resnet50": 1.25, "inceptionv3": 1.18,
-                      "vgg19": 1.66, "sockeye": 1.38}
-
 
 def default_strategies() -> Sequence[StrategyConfig]:
     return (baseline(), slicing_only(), p3())
@@ -52,12 +48,3 @@ fig7_bandwidth_sweep = Sweep(
     panels=FIG7_PANELS, model_grids=FIG7_GRIDS, notes=_peak_speedup,
 )
 
-
-def peak_speedups(model_names: Sequence[str] = tuple(FIG7_GRIDS),
-                  **kwargs) -> Dict[str, float]:
-    """Max P3-over-baseline speedup per model (the abstract's 25/38/66%)."""
-    out = {}
-    for name in model_names:
-        fig = fig7_bandwidth_sweep(name, **kwargs)
-        out[name] = float(fig.notes["max_p3_speedup"])
-    return out

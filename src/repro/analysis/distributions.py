@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +30,3 @@ def fig5_param_distribution(models: Sequence[str] = _FIG5_MODELS) -> FigureData:
             model.param_fraction(model.heaviest_layer), 3)
     return fig
 
-
-def skew_statistics(model_name: str) -> Dict[str, float]:
-    """Quantify layer-size skew: share of the top array and top decile."""
-    model = get_model(model_name)
-    counts = np.sort(model.param_counts())[::-1]
-    total = counts.sum()
-    top_decile = max(1, len(counts) // 10)
-    return {
-        "n_layers": float(len(counts)),
-        "total_mparams": total / 1e6,
-        "max_share": float(counts[0] / total),
-        "top_decile_share": float(counts[:top_decile].sum() / total),
-    }

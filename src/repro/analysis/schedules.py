@@ -64,11 +64,7 @@ def _run_toy(model, strategy: StrategyConfig, update_fraction: float = 0.0,
 
 
 def fig4_schedule_comparison() -> Dict[str, ScheduleOutcome]:
-    """Aggressive vs priority-based sync on the 3-equal-layer toy model.
-
-    The paper's figure shows the inter-iteration delay halving under
-    priority scheduling (4 units -> 2 units).
-    """
+    """Aggressive vs priority-based sync on the 3-equal-layer toy model."""
     model = fig4_model()
     return {
         "baseline": _run_toy(model, baseline()),
@@ -80,7 +76,7 @@ def fig6_granularity_comparison(update_fraction: float = 1.0) -> Dict[str, Sched
     """Layer-level vs sliced sync on the heavy-middle-layer toy model.
 
     With update time ≈ transfer time (the figure's premise), slicing
-    pipelines receive/update/send and cuts communication cost ~30%.
+    pipelines receive/update/send.
     """
     model = fig6_model()
     return {

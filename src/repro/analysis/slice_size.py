@@ -1,8 +1,7 @@
 """Figure 12: throughput vs. parameter-slice size.
 
 Section 5.7's sweep: below the optimum, per-message overheads dominate;
-above it, pipelining/preemption granularity degrades.  The paper finds
-50,000 parameters per slice optimal.
+above it, pipelining/preemption granularity degrades.
 """
 
 from __future__ import annotations

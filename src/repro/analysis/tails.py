@@ -3,8 +3,8 @@
 Mean throughput hides what jitter does to synchronous training: the
 barrier converts per-worker variance into everyone's tail.  These
 helpers report iteration-time percentiles per strategy — relevant to
-Sockeye (paper Section 5.5's "difference in iteration time in worker
-machines") and to the straggler extension.
+Sockeye (the "difference in iteration time in worker
+machines" of Section 5.5) and to the straggler extension.
 """
 
 from __future__ import annotations

@@ -7,8 +7,6 @@ training under a given strategy and bandwidth cap.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from ..models import get_model
@@ -57,6 +55,10 @@ def utilization_trace(
         fig.notes[f"{label}_peak_gbps"] = round(float(gbps.max()), 3)
         fig.notes[f"{label}_mean_gbps"] = round(float(gbps.mean()), 3)
         fig.notes[f"{label}_idle_frac"] = round(float(np.mean(gbps < 0.01)), 3)
+    busy_tx, busy_rx = (fig.get(label).y > 0.2 for label in ("outbound", "inbound"))
+    fig.notes["tx_rx_overlap"] = round(float(  # both directions busy ÷ either busy
+        np.mean(busy_tx & busy_rx) / max(np.mean(busy_tx | busy_rx), 1e-9)), 3)
+    fig.notes["bandwidth_gbps"] = bandwidth_gbps
     fig.notes["iteration_time_s"] = round(result.mean_iteration_time, 4)
     fig.notes["throughput_per_worker"] = round(result.throughput / n_workers, 2)
     return fig
@@ -86,19 +88,3 @@ def fig14_poseidon_utilization(**kwargs) -> FigureData:
     """Figure 14 (Appendix B.1): InceptionV3 under Poseidon WFBP at 1 Gbps."""
     return utilization_trace("inceptionv3", get_strategy("poseidon"), 1.0,
                              figure_id="fig14", **kwargs)
-
-
-def burstiness_comparison(model_name: str, n_workers: int = 4,
-                          seed: int = 0) -> Dict[str, Dict[str, float]]:
-    """Summary stats showing baseline bursty vs P3 smooth (Figs 8 vs 9)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for strat in (baseline(), p3()):
-        fig = utilization_trace(model_name, strat, FIG8_9_CONFIGS[model_name],
-                                n_workers=n_workers, seed=seed)
-        out[strat.name] = {
-            "peak_gbps": float(fig.notes["outbound_peak_gbps"]),
-            "mean_gbps": float(fig.notes["outbound_mean_gbps"]),
-            "idle_frac": float(fig.notes["outbound_idle_frac"]),
-            "iteration_time_s": float(fig.notes["iteration_time_s"]),
-        }
-    return out

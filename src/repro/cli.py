@@ -112,11 +112,9 @@ def cmd_fig4(args: argparse.Namespace) -> None:
 def cmd_fig5(args: argparse.Namespace) -> None:
     fig = analysis.fig5_param_distribution()
     for label in fig.labels:
-        s = fig.get(label)
-        stats = analysis.skew_statistics(label)
-        print(f"{label}: {int(stats['n_layers'])} arrays, "
-              f"{stats['total_mparams']:.1f}M params, "
-              f"largest array holds {stats['max_share'] * 100:.1f}%")
+        print(f"{label}: {len(fig.get(label).x)} arrays, "
+              f"{fig.notes[f'{label}_total_Mparams']:.1f}M params, largest array "
+              f"holds {fig.notes[f'{label}_heaviest_share'] * 100:.1f}%")
     if args.csv:
         print(f"wrote {fig.to_csv(args.csv)}")
 
@@ -386,25 +384,23 @@ def cmd_sharding(args: argparse.Namespace) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    """Run the full evaluation and write a markdown report."""
-    from .analysis.report import generate_report
+    """Measure every paper claim; write the report (or its block in EXPERIMENTS.md)."""
+    from .analysis.claims import generate_report, write_report
     kwargs = _run_kwargs(args)
-    text = generate_report(quick=args.quick, progress=print, **kwargs)
-    with open(args.out, "w") as f:
-        f.write(text)
+    write_report(generate_report(quick=args.quick, progress=print, **kwargs),
+                 args.out)
     _report_cache(kwargs)
     print(f"wrote {args.out}")
 
 
 def cmd_summary(args: argparse.Namespace) -> None:
-    """Headline numbers: peak P3 speedups (the abstract's 25/38/66%)."""
-    kwargs = _run_kwargs(args)
-    speedups = analysis.peak_speedups(**kwargs)
+    """Headline numbers: the paper-claims ledger's Figure 7 rows."""
+    from .analysis.claims import CLAIMS, measure, table
+    kwargs, figures = _run_kwargs(args), {}
+    rows = [(claim, measure(claim, "full", figures, **kwargs))
+            for key, claim in CLAIMS.items() if key.startswith("fig7")]
     _report_cache(kwargs)
-    paper = analysis.PAPER_PEAK_SPEEDUP
-    print(f"{'model':>12}  {'P3 peak speedup':>16}  {'paper':>8}")
-    for model, s in speedups.items():
-        print(f"{model:>12}  {s:>15.2f}x  {paper.get(model, float('nan')):>7.2f}x")
+    print("\n".join(table(rows)))
 
 
 def cmd_tenants(args: argparse.Namespace) -> None:

@@ -4,7 +4,7 @@ The timing simulator (:mod:`repro.sim`) models *when* bytes move; this
 package models *what* they contain.  A :class:`ServerShard` owns the
 authoritative values of its keys, buffers gradient pushes from each
 worker, and runs the optimizer once all workers contributed — exactly
-KVServer's contract (paper Section 4.1).
+KVServer's contract (Section 4.1 of the paper).
 
 Keys are opaque integers; the worker-side stores (:mod:`.baseline`,
 :mod:`.p3`) decide what a key means (a whole layer shard or a P3 slice).

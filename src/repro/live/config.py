@@ -43,7 +43,6 @@ class LiveClusterConfig:
     # Data plane
     strategy: str = "p3"               # "baseline" | "p3"
     slice_params: int = 5_000          # P3 slice granularity (toy-scaled)
-    threshold: int = 1_000_000         # baseline big-layer split threshold
 
     # Key placement (repro.placement): "round_robin" keeps the store's
     # own plan; "balanced" re-packs keys onto shards by size (splitting
@@ -252,7 +251,6 @@ class LiveClusterConfig:
         return [plan_keys(sizes, self.n_servers,
                           slice_params=(None if baseline
                                         else self.slice_params),
-                          threshold=self.threshold,
                           rng=np.random.default_rng(self.store_seed),
                           spec=replace(spec, policy=policy),
                           n_workers=self.n_workers)
@@ -266,7 +264,7 @@ class LiveClusterConfig:
                       weight_decay=self.weight_decay, seed=self.store_seed,
                       placement=self.placement_spec())
         if self.strategy == "baseline":
-            return BaselineKVStore(threshold=self.threshold, **common)
+            return BaselineKVStore(**common)
         return P3Store(slice_params=self.slice_params, **common)
 
     def build_initialized_store(self) -> DistributedStore:

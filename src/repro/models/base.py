@@ -64,7 +64,7 @@ class ModelSpec:
     jitter_sigma:
         Lognormal sigma of per-iteration compute-time noise.  Nonzero for
         Sockeye, whose variable sequence lengths make worker iteration
-        times uneven (paper Section 5.5).
+        times uneven (Section 5.5 of the paper).
     forward_fraction:
         Fraction of iteration compute spent in the forward pass (backward
         is roughly twice the forward cost for these models).

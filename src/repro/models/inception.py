@@ -2,7 +2,7 @@
 
 Like ResNet-50, InceptionV3 consists of many small convolutions, so
 parameter slicing alone does not help and all of P3's benefit comes from
-priority scheduling (paper Figure 7(b)).
+priority scheduling (Figure 7(b) of the paper).
 """
 
 from __future__ import annotations

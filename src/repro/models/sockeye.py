@@ -65,5 +65,5 @@ def sockeye(batch_size: int = 64, samples_per_sec: float = 190.0,
         batch_size=batch_size,
         samples_per_sec=samples_per_sec,
         sample_unit="sentences",
-        jitter_sigma=0.10,  # variable sequence lengths (paper Section 5.5)
+        jitter_sigma=0.10,  # variable sequence lengths (Section 5.5 of the paper)
     )

@@ -1,6 +1,6 @@
 """VGG-19 descriptor (Simonyan & Zisserman, 2014).
 
-The key property for the paper: a single fully-connected array (fc6
+The key property for P3: a single fully-connected array (fc6
 weight, 25088 x 4096 = 102.8 M parameters) holds 71.5% of the model —
 the disproportionately heavy layer that dominates baseline communication
 (Figure 5b / Section 3).

@@ -50,7 +50,7 @@ class ClusterConfig:
     """
 
     n_workers: int = 4
-    n_servers: Optional[int] = None  # defaults to n_workers (paper Section 5.1)
+    n_servers: Optional[int] = None  # defaults to n_workers (Section 5.1 of the paper)
     bandwidth_gbps: float = 10.0
     latency_s: float = 50e-6
     loopback_latency_s: float = 5e-6

@@ -8,7 +8,7 @@ with the synchronization protocol chosen by the strategy:
   are handed to the NIC TX queue (aggressive sync — all strategies);
 * a forward layer of the *next* iteration cannot start until every one
   of that layer's keys has come back from the servers — this is the
-  consumption-side dependency P3 exploits (paper Figure 1).
+  consumption-side dependency P3 exploits (Figure 1 of the paper).
 
 The worker is intentionally oblivious to queue disciplines: priority
 vs. FIFO lives entirely in the NIC channels and the server work queue.

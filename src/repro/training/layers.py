@@ -1,9 +1,9 @@
 """Neural-network layers with hand-written backprop (pure numpy).
 
-The substrate exists so the convergence experiments (paper Figures 11
-and 15) run *real* optimization: DGC's sparsification error and ASGD's
-staleness must act on actual gradients, not a timing model.  Layers
-follow a simple contract:
+The substrate exists so the convergence experiments (the paper's
+Figures 11 and 15) run *real* optimization: DGC's sparsification error
+and ASGD's staleness must act on actual gradients, not a timing model.
+Layers follow a simple contract:
 
 * ``forward(x, train)`` caches what backward needs;
 * ``backward(dy)`` returns ``dx`` and fills ``grads`` (same keys as

@@ -5,7 +5,7 @@ rule pluggable:
 
 * ``"exact"``  — synchronous SGD on the mean of worker gradients.  This
   is what both the MXNet baseline *and* P3 compute: P3 changes only the
-  transmission schedule, never the values (paper Section 5.6: "the
+  transmission schedule, never the values (the paper's Section 5.6: "the
   baseline and the P3 would follow the same training curve"), so one
   exact-sync run stands for both.
 * ``"dgc"``    — Deep Gradient Compression: each worker transmits only

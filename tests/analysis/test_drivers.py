@@ -10,20 +10,20 @@ import pytest
 
 from repro.analysis import (
     HyperSetting,
-    burstiness_comparison,
     colocation_ablation,
     component_ablation,
     fig4_schedule_comparison,
     fig5_param_distribution,
     fig6_granularity_comparison,
     fig7_bandwidth_sweep,
+    fig8_baseline_utilization,
+    fig9_p3_utilization,
     fig10_scalability,
     fig11_p3_vs_dgc,
     fig12_slice_size_sweep,
     fig15_asgd_vs_p3,
     latency_sensitivity,
     priority_policy_ablation,
-    skew_statistics,
     utilization_trace,
 )
 from repro.strategies import baseline, p3
@@ -40,8 +40,7 @@ def test_fig5_structure():
     assert set(fig.labels) == {"resnet50", "vgg19", "sockeye"}
     vgg = fig.get("vgg19")
     assert vgg.y.max() > 100  # the 102.8M fc6 array, in millions
-    stats = skew_statistics("vgg19")
-    assert stats["max_share"] == pytest.approx(0.715, abs=0.01)
+    assert fig.notes["vgg19_heaviest_share"] == pytest.approx(0.715, abs=0.01)
 
 
 def test_fig6_slicing_cuts_stall():
@@ -91,9 +90,9 @@ def test_utilization_trace_structure():
 
 
 def test_burstiness_baseline_idles_more_than_p3():
-    out = burstiness_comparison("vgg19")
-    assert out["baseline"]["idle_frac"] > out["p3"]["idle_frac"]
-    assert out["p3"]["iteration_time_s"] < out["baseline"]["iteration_time_s"]
+    base, fast = fig8_baseline_utilization("vgg19"), fig9_p3_utilization("vgg19")
+    assert base.notes["outbound_idle_frac"] > fast.notes["outbound_idle_frac"]
+    assert fast.notes["iteration_time_s"] < base.notes["iteration_time_s"]
 
 
 def test_fig11_quick():

@@ -67,8 +67,8 @@ def test_time_to_accuracy(setup):
 
 def test_compare_systems(setup):
     dataset, sim_model, cluster, cfg, factory = setup
-    out = compare_systems(paper_systems(dgc_density=0.1), factory, dataset,
-                          sim_model, cluster, cfg)
+    systems = paper_systems(dgc_density=0.1)
+    out = compare_systems(systems, factory, dataset, sim_model, cluster, cfg)
     assert set(out) == {"baseline", "p3", "dgc", "asgd"}
     # DGC moves fewer bytes: its iterations are no slower than baseline's.
     assert out["dgc"].iteration_time_mean <= out["baseline"].iteration_time_mean * 1.01

@@ -1,157 +1,36 @@
-"""End-to-end checks of the paper's qualitative claims.
-
-Each test states a claim from the paper and verifies the reproduction
-exhibits it (on settings small enough for CI).  These are the invariants
-EXPERIMENTS.md reports quantitatively at full scale.
-"""
+"""The paper's claims in tier-1: every row of the ledger
+(:mod:`repro.analysis.claims`) whose runs all have ``ci`` settings holds
+at that scale, and EXPERIMENTS.md's generated block lists the ledger's
+rows as they stand."""
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 
-from repro.models import resnet50, sockeye, vgg19
-from repro.sim import ClusterConfig, simulate
-from repro.strategies import baseline, p3, slicing_only
-
+from repro.analysis.claims import BEGIN, CLAIMS, END, measure, table
 
 @pytest.fixture(scope="module")
-def cfg4():
-    return lambda bw: ClusterConfig(n_workers=4, bandwidth_gbps=bw, seed=0)
+def figures():
+    """Run id -> figure, shared by the rows that read the same run."""
+    return {}
 
 
-def _tput(model, strategy, bw, iters=4):
-    cfg = ClusterConfig(n_workers=4, bandwidth_gbps=bw, seed=0)
-    return simulate(model, strategy, cfg, iterations=iters, warmup=1).throughput / 4
+@pytest.mark.parametrize("claim", [claim for claim in CLAIMS.values() if claim.ci],
+                         ids=lambda claim: claim.key)
+def test_claim(claim, figures):
+    value = measure(claim, "ci", figures)
+    assert claim.holds(value), f"{claim.key} = {value:.4g}, not {claim.check}"
 
 
-def test_claim_p3_beats_baseline_under_limited_bandwidth():
-    """Abstract: P3 improves ResNet-50 throughput by as much as 25%."""
-    model = resnet50()
-    base = _tput(model, baseline(), 4.0)
-    fast = _tput(model, p3(), 4.0)
-    assert fast / base > 1.15
-
-
-def test_claim_vgg_gains_most():
-    """Abstract: VGG-19 improves by as much as 66% (at 15 Gbps)."""
-    model = vgg19()
-    base = _tput(model, baseline(), 15.0)
-    fast = _tput(model, p3(), 15.0)
-    assert fast / base > 1.4
-
-
-def test_claim_sockeye_gains_despite_heavy_first_layer():
-    """Section 5.3: Sockeye improves up to 38% even though its heaviest
-    layer is the initial one."""
-    model = sockeye()
-    base = _tput(model, baseline(), 4.0)
-    fast = _tput(model, p3(), 4.0)
-    assert fast / base > 1.1
-
-
-def test_claim_slicing_alone_helps_heavy_models_only():
-    """Section 5.3: ResNet-50/InceptionV3 do not benefit from slicing
-    alone (small layers), VGG-19 does (one huge layer)."""
-    resnet_gain = _tput(resnet50(), slicing_only(), 5.0) / _tput(resnet50(), baseline(), 5.0)
-    vgg_gain = _tput(vgg19(), slicing_only(), 15.0) / _tput(vgg19(), baseline(), 15.0)
-    assert vgg_gain > 1.3
-    assert resnet_gain < 1.15
-    assert vgg_gain > resnet_gain
-
-
-def test_claim_speedup_shrinks_at_both_bandwidth_extremes():
-    """Section 5.3: gains diminish when bandwidth is ample (compute
-    bound) and when it is scarce (communication dominates everything)."""
-    model = resnet50()
-    gains = {}
-    for bw in (0.5, 4.0, 10.0):
-        gains[bw] = _tput(model, p3(), bw) / _tput(model, baseline(), bw)
-    assert gains[4.0] > gains[10.0] - 0.02
-    # at 10 Gbps both are compute-bound: near parity
-    assert gains[10.0] == pytest.approx(1.0, abs=0.05)
-
-
-def test_claim_baseline_crossover_near_6gbps_resnet():
-    """Section 5.3: baseline ResNet-50 throughput starts dropping below
-    ~6 Gbps while P3 holds until ~4 Gbps."""
-    model = resnet50()
-    compute_bound = model.samples_per_sec
-    base_6 = _tput(model, baseline(), 6.0)
-    base_3 = _tput(model, baseline(), 3.0)
-    p3_4 = _tput(model, p3(), 4.0)
-    assert base_6 > 0.90 * compute_bound   # still near plateau at 6
-    assert base_3 < 0.80 * compute_bound   # clearly degraded at 3
-    assert p3_4 > 0.93 * compute_bound     # P3 holds at 4
-
-
-def test_claim_p3_reduces_peak_bandwidth():
-    """Section 5.3/5.4: P3 reduces the peak bandwidth required, smoothing
-    the bursty baseline traffic."""
-    model = vgg19()
-    cfg = ClusterConfig(n_workers=4, bandwidth_gbps=15.0, seed=0)
-    base = simulate(model, baseline(), cfg, iterations=4, warmup=1,
-                    trace_utilization=True)
-    fast = simulate(model, p3(), cfg, iterations=4, warmup=1,
-                    trace_utilization=True)
-
-    def peak(run):
-        _, gbps = run.utilization.series(0, "tx", bin_s=0.01,
-                                         t_start=run.steady_start,
-                                         t_end=run.steady_end)
-        return np.percentile(gbps, 95)
-
-    def idle(run):
-        _, gbps = run.utilization.series(0, "tx", bin_s=0.01,
-                                         t_start=run.steady_start,
-                                         t_end=run.steady_end)
-        return float(np.mean(gbps < 0.01))
-
-    assert idle(fast) < idle(base)
-
-
-def test_claim_p3_overlaps_bidirectional_bandwidth():
-    """Section 5.4: P3 overlaps inbound and outbound traffic; the
-    baseline's directions are largely disjoint in time."""
-    model = sockeye()
-    cfg = ClusterConfig(n_workers=4, bandwidth_gbps=4.0, seed=0)
-
-    def overlap(strategy):
-        run = simulate(model, strategy, cfg, iterations=4, warmup=1,
-                       trace_utilization=True)
-        _, tx = run.utilization.series(0, "tx", bin_s=0.01,
-                                       t_start=run.steady_start,
-                                       t_end=run.steady_end)
-        _, rx = run.utilization.series(0, "rx", bin_s=0.01,
-                                       t_start=run.steady_start,
-                                       t_end=run.steady_end)
-        both = np.mean((tx > 0.2) & (rx > 0.2))
-        either = np.mean((tx > 0.2) | (rx > 0.2))
-        return both / max(either, 1e-9)
-
-    assert overlap(p3()) > overlap(baseline())
-
-
-def test_claim_scalability_gap_grows_for_vgg():
-    """Section 5.5: P3's VGG-19 advantage persists/grows on larger
-    clusters at 10 Gbps."""
-    model = vgg19()
-    gains = []
-    for n in (2, 8):
-        cfg = ClusterConfig(n_workers=n, bandwidth_gbps=10.0,
-                            compute_scale=0.5, seed=0)
-        base = simulate(model, baseline(), cfg, iterations=4, warmup=1)
-        fast = simulate(model, p3(), cfg, iterations=4, warmup=1)
-        gains.append(fast.throughput / base.throughput)
-    assert gains[1] > 1.2
-    assert gains[1] >= gains[0] * 0.9
-
-
-def test_claim_p3_never_hurts():
-    """P3 ≥ baseline across every model/bandwidth combination tested."""
-    for model, bws in ((resnet50(), (2.0, 6.0, 10.0)),
-                       (vgg19(), (5.0, 15.0, 30.0)),
-                       (sockeye(), (2.0, 8.0))):
-        for bw in bws:
-            assert _tput(model, p3(), bw) >= 0.97 * _tput(model, baseline(), bw), \
-                f"{model.name} @ {bw} Gbps"
+def test_experiments_block_matches_the_ledger():
+    """Every cell of the block's table that comes from the ledger — all
+    but the measured value and its verdict — as the ledger renders it."""
+    text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+    block = text[text.index(BEGIN):text.index(END)].splitlines()
+    expected = table([(claim, None) for claim in CLAIMS.values()])
+    start = block.index(expected[0])
+    committed = block[start:block.index("", start)]
+    assert ([row.rsplit(" | ", 2)[0] for row in committed]
+            == [row.rsplit(" | ", 2)[0] for row in expected])

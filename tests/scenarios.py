@@ -1,4 +1,4 @@
-"""One scenario vocabulary for the bit-identity bar (paper Section 5.6:
+"""One scenario vocabulary for the bit-identity bar (Section 5.6 of the paper:
 P3 reorders transmissions, never values), checked by a sim arm
 (``tests/integration/test_random_models.py``: balanced ledgers, and an
 observed rerun with the plain run's :func:`run_signature`) and a live

@@ -82,7 +82,7 @@ MODULES = [
     "repro.analysis.sensitivity",
     "repro.analysis.stats",
     "repro.analysis.tails",
-    "repro.analysis.report",
+    "repro.analysis.claims",
     "repro.analysis.storage",
     "repro.analysis.ascii_plot",
     "repro.analysis.distributions",
