@@ -56,7 +56,9 @@ bench-e2e:
 # observed run at test size (the one workload that checks observed
 # == unobserved, the exporters and the schema validator), the live
 # cluster at test size (final parameters bit-identical to the in-process
-# oracle, 0 failed operations), the multi-tenant run at test size
+# oracle, 0 failed operations), the shaped live run at test size (p3
+# and the baseline over a rate-limited link, each against the same
+# oracle), the multi-tenant run at test size
 # (the one workload that retunes link rates mid-run), and the scale
 # ladder and warm-start sweep at test size (the two-tier aggregator and
 # the warm-start verifier on the simulator's message path): fails on a
@@ -69,6 +71,8 @@ perf-smoke:
 	python3 -m bench --workload obs_traced_sim --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload aio_live --scale tiny \
+	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m bench --workload aio_shaped --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload tenants8 --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'

@@ -34,22 +34,36 @@ Quickstart
 True
 """
 
-from . import allreduce, analysis, core, kvstore, live, models, sim, strategies, training
-from .sim import ClusterConfig, RunResult, simulate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterConfig",
-    "RunResult",
-    "__version__",
-    "analysis",
-    "core",
-    "kvstore",
-    "live",
-    "models",
-    "sim",
-    "simulate",
-    "strategies",
-    "training",
-]
+#: Every public name -> the subpackage that defines it (a subpackage
+#: maps to itself).  Nothing is imported until first use (PEP 562), so
+#: ``import repro.sim`` costs only what ``repro.sim`` itself imports.
+_EXPORTS = {
+    "ClusterConfig": "sim",
+    "RunResult": "sim",
+    "simulate": "sim",
+    **{name: name for name in ("allreduce", "analysis", "core", "kvstore",
+                               "live", "models", "sim", "strategies",
+                               "training")},
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -16,7 +16,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import analysis
-from .analysis import FigureData, SimCache, ascii_plot
+from .analysis.ascii_plot import ascii_plot
+from .analysis.cache import SimCache
+from .analysis.series import FigureData
 from .models import available_models, get_model
 
 

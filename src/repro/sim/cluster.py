@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
+# Imported, not reached as ``np.random``: numpy loads that subpackage
+# on first attribute access, which would bill it to the first plan.
+from numpy.random import default_rng
 
 from ..models.base import ModelSpec
 from ..obs.events import EventKind
@@ -297,7 +300,7 @@ def build_plan(model: ModelSpec, strategy: StrategyConfig,
     n_workers = config.n_workers
     loads = config.measured_key_loads
     table = strategy.plan(model, config.servers,
-                          np.random.default_rng(config.seed),
+                          default_rng(config.seed),
                           config.placement_spec(), n_workers,
                           dict(loads) if loads is not None else None)
     placed = table.keys
@@ -417,6 +420,31 @@ class ClusterSim:
                          trace=self.utilization)
             self.tx_channels.append(tx)
             self.rx_channels.append(rx)
+
+        # Tables every worker or shard reads and none writes, built once
+        # here so wire-up stays linear in workers + shards + keys.  Compute
+        # durations are plain floats (exact copies of the float64s) for
+        # the workers' one-element-at-a-time reads.
+        scale = config.compute_scale
+        self.fwd_times = [float(t) for t in model.forward_times(scale)]
+        self.bwd_times = [float(t) for t in model.backward_times(scale)]
+        self.keys_per_layer = [len(k) for k in self.keys_by_layer]
+        # Each shard's keys, in placed order (one grouping pass).
+        self.keys_by_server: List[Dict[int, PlacedKey]] = [
+            {} for _ in range(self.n_servers)]
+        for pk in self.placed:
+            self.keys_by_server[pk.server][pk.key] = pk
+        # A shard's clients: the workers, or under two-tier the group
+        # aggregators (a worker then sends every key to its group's).
+        if self.two_tier:
+            self.client_machines = [self.aggregator_machine(g)
+                                    for g in range(self.n_groups)]
+            self.group_key_machine = [dict.fromkeys(self.keys, m)
+                                      for m in self.client_machines]
+        else:
+            self.client_machines = [self.worker_machine(w)
+                                    for w in range(self.n_workers)]
+        self.clients = list(range(len(self.client_machines)))
 
         self.workers = [SimWorker(self, w) for w in range(self.n_workers)]
         self.servers = [SimServerShard(self, s) for s in range(self.n_servers)]

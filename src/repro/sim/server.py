@@ -43,15 +43,9 @@ class SimServerShard:
         # Under the two-tier topology the shard's clients are the group
         # aggregators, not the workers: rounds complete after n_groups
         # combined pushes and replies fan back through the aggregators.
-        if ctx.two_tier:
-            machines = [ctx.aggregator_machine(g)
-                        for g in range(ctx.n_groups)]
-        else:
-            machines = [ctx.worker_machine(w) for w in range(ctx.n_workers)]
         self._init_pipeline(
             ctx, f"server{server_id}", ctx.server_machine(server_id),
-            {pk.key: pk for pk in ctx.placed if pk.server == server_id},
-            list(range(len(machines))), machines,
+            ctx.keys_by_server[server_id], ctx.clients, ctx.client_machines,
             Role.AGGREGATOR if ctx.two_tier else Role.WORKER)
         # Observability (repro.obs): pure emission, never scheduling.
         self._obs = ctx.obs

@@ -43,17 +43,15 @@ class SimWorker:
         self.ctx = ctx
         self.wid = worker_id
         self.machine = worker_id
-        model = ctx.model
-        scale = ctx.config.compute_scale
         # Plain lists of floats, not numpy arrays: these are indexed one
         # element at a time per compute segment / PARAM / NOTIFY event,
         # where ndarray scalar access costs several times a list index.
-        # float() of a float64 is exact, so durations are bit-identical.
-        self.fwd_times = [float(t) for t in model.forward_times(scale)]
-        self.bwd_times = [float(t) for t in model.backward_times(scale)]
-        self.n_layers = model.n_layers
+        # Shared with every worker (ClusterSim builds them once).
+        self.fwd_times = ctx.fwd_times
+        self.bwd_times = ctx.bwd_times
+        self.n_layers = ctx.model.n_layers
         self.keys_by_layer = ctx.keys_by_layer
-        self.keys_per_layer = [len(k) for k in self.keys_by_layer]
+        self.keys_per_layer = ctx.keys_per_layer
         # Hot-path bindings and per-key precomputation (immutable
         # strategy/placement state resolved once).
         self._after = ctx.sim.after
@@ -64,8 +62,8 @@ class SimWorker:
         if ctx.two_tier:
             # Two-tier topology: every push/pull goes to this worker's
             # group aggregator, which combines and forwards upstream.
-            agg_machine = ctx.aggregator_machine(ctx.group_of[worker_id])
-            self._server_machine = {k: agg_machine for k in ctx.keys}
+            self._server_machine = ctx.group_key_machine[
+                ctx.group_of[worker_id]]
             self._push_role = Role.AGGREGATOR
         else:
             self._server_machine = ctx.key_server_machine

@@ -204,9 +204,13 @@ class MaxPool2D(Layer):
             raise ValueError(f"spatial dims ({h},{w}) not divisible by pool size {k}")
         xr = x.reshape(n, c, h // k, k, w // k, k)
         y = xr.max(axis=(3, 5))
-        mask = xr == y[:, :, :, None, :, None]
-        # Break ties: keep only the first max per window.
-        mask &= np.cumsum(np.cumsum(mask, axis=3), axis=5) == 1
+        # Each window's gradient goes to exactly one maximum: the first
+        # in row-major order, the argmax of the flattened window.
+        windows = xr.transpose(0, 1, 2, 4, 3, 5).reshape(
+            n, c, h // k, w // k, k * k)
+        first = windows.argmax(axis=-1)[..., None] == np.arange(k * k)
+        mask = first.reshape(n, c, h // k, w // k, k, k).transpose(
+            0, 1, 2, 4, 3, 5)
         self._cache = (mask, x.shape)
         return y
 

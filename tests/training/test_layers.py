@@ -145,6 +145,18 @@ def test_maxpool_tie_routes_gradient_once():
     assert (dx > 0).sum() == 1  # ties broken to a single element
 
 
+@pytest.mark.parametrize("window, routed", [
+    ([[0, 1], [1, 0]], [[0, 1], [0, 0]]),  # anti-diagonal tie
+    ([[1, 0], [0, 1]], [[1, 0], [0, 0]]),  # diagonal tie
+    ([[2, 2], [2, 2]], [[1, 0], [0, 0]]),  # all equal
+], ids=["anti_diagonal", "diagonal", "all_equal"])
+def test_maxpool_tie_routes_to_first_max_row_major(window, routed):
+    pool = MaxPool2D(2)
+    pool.forward(np.array(window, dtype=float)[None, None])
+    dx = pool.backward(np.array([[[[3.0]]]]))
+    np.testing.assert_array_equal(dx[0, 0], 3.0 * np.array(routed))
+
+
 def test_maxpool_requires_divisible_dims():
     with pytest.raises(ValueError):
         MaxPool2D(2).forward(np.zeros((1, 1, 5, 4)))
