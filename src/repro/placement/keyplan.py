@@ -69,20 +69,28 @@ class KeyTable:
 
     ``placement`` is the :class:`PlacementPlan` that re-packed the table
     (``None`` under round-robin); ``by_layer`` groups the keys by owning
-    layer, in span order.
+    layer, in span order, and ``by_server`` maps each shard's key ids to
+    its keys, in table order.  Both are built in one pass and are
+    read-only.
     """
 
     keys: Tuple[PlacedKey, ...]
     placement: Optional[PlacementPlan] = None
     by_layer: Tuple[Tuple[PlacedKey, ...], ...] = field(
         init=False, repr=False, compare=False)
+    by_server: Tuple[Dict[int, PlacedKey], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         layers: List[List[PlacedKey]] = [
             [] for _ in range(self.keys[-1].layer_index + 1)]
+        shards: List[Dict[int, PlacedKey]] = [
+            {} for _ in range(max(pk.server for pk in self.keys) + 1)]
         for pk in self.keys:
             layers[pk.layer_index].append(pk)
+            shards[pk.server][pk.key] = pk
         object.__setattr__(self, "by_layer", tuple(map(tuple, layers)))
+        object.__setattr__(self, "by_server", tuple(shards))
 
     def __iter__(self) -> Iterator[PlacedKey]:
         return iter(self.keys)
@@ -99,7 +107,10 @@ class KeyTable:
         return self.placement.groups if self.placement is not None else ()
 
     def on_server(self, server: int) -> Dict[int, PlacedKey]:
-        return {pk.key: pk for pk in self.keys if pk.server == server}
+        """Shard ``server``'s keys in table order (shared; do not mutate)."""
+        if server < len(self.by_server):
+            return self.by_server[server]
+        return {}
 
 
 def _cut(out: List[PlacedKey], layer_index: int, priority: int, offset: int,

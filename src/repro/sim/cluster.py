@@ -278,6 +278,8 @@ class PlanArtifacts:
     group_of: Dict[int, int]
     keys: Dict[int, PlacedKey]
     keys_by_layer: Tuple[Tuple[PlacedKey, ...], ...]
+    keys_per_layer: Tuple[int, ...]
+    keys_by_server: Tuple[Dict[int, PlacedKey], ...]
     push_payload: Dict[int, int]
     key_server_machine: Dict[int, int]
     key_layer: Dict[int, int]
@@ -326,6 +328,9 @@ def build_plan(model: ModelSpec, strategy: StrategyConfig,
                   for w in members},
         keys=keys,
         keys_by_layer=table.by_layer,
+        keys_per_layer=tuple(map(len, table.by_layer)),
+        keys_by_server=tuple(table.on_server(s)
+                             for s in range(config.servers)),
         push_payload={pk.key: max(1, int(pk.bytes * gs)) for pk in placed},
         key_server_machine={pk.key: server_machine(pk.server)
                             for pk in placed},
@@ -377,6 +382,8 @@ class ClusterSim:
         self.group_of = artifacts.group_of
         self.keys = artifacts.keys
         self.keys_by_layer = artifacts.keys_by_layer
+        self.keys_per_layer = artifacts.keys_per_layer
+        self.keys_by_server = artifacts.keys_by_server
         self.push_payload = artifacts.push_payload
         self.key_server_machine = artifacts.key_server_machine
         self.key_layer = artifacts.key_layer
@@ -422,18 +429,13 @@ class ClusterSim:
             self.rx_channels.append(rx)
 
         # Tables every worker or shard reads and none writes, built once
-        # here so wire-up stays linear in workers + shards + keys.  Compute
-        # durations are plain floats (exact copies of the float64s) for
-        # the workers' one-element-at-a-time reads.
+        # here (the per-plan ones come from ``artifacts``) so wire-up stays
+        # linear in workers + shards + keys.  Compute durations are plain
+        # floats (exact copies of the float64s) for the workers'
+        # one-element-at-a-time reads.
         scale = config.compute_scale
         self.fwd_times = [float(t) for t in model.forward_times(scale)]
         self.bwd_times = [float(t) for t in model.backward_times(scale)]
-        self.keys_per_layer = [len(k) for k in self.keys_by_layer]
-        # Each shard's keys, in placed order (one grouping pass).
-        self.keys_by_server: List[Dict[int, PlacedKey]] = [
-            {} for _ in range(self.n_servers)]
-        for pk in self.placed:
-            self.keys_by_server[pk.server][pk.key] = pk
         # A shard's clients: the workers, or under two-tier the group
         # aggregators (a worker then sends every key to its group's).
         if self.two_tier:

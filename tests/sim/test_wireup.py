@@ -24,6 +24,7 @@ def rack() -> ClusterSim:
 def test_shard_key_tables_partition_placed_in_order(rack):
     position = {pk.key: i for i, pk in enumerate(rack.placed)}
     seen = []
+    assert rack.keys_by_server is rack.plan_artifacts.keys_by_server
     for shard in rack.servers:
         assert shard.keys is rack.keys_by_server[shard.sid]
         assert all(pk.server == shard.sid and pk.key == key
@@ -38,7 +39,7 @@ def test_workers_and_shards_share_one_table_each(rack):
     model = rack.model
     assert rack.fwd_times == [float(t) for t in model.forward_times(1.0)]
     assert rack.bwd_times == [float(t) for t in model.backward_times(1.0)]
-    assert rack.keys_per_layer == [len(k) for k in rack.keys_by_layer]
+    assert rack.keys_per_layer == tuple(len(k) for k in rack.keys_by_layer)
     assert rack.client_machines == list(range(1024))
     assert rack.clients == list(range(1024))
     for worker in rack.workers:
@@ -70,3 +71,15 @@ def test_two_tier_wireup():
         assert worker._server_machine is table
         assert list(table) == list(cluster.keys)
         assert set(table.values()) == {8 * (worker.wid // 8)}
+
+
+def test_plan_tables_are_shared_across_clusters(rack):
+    """The per-plan tables live in :class:`PlanArtifacts`: a cluster
+    built from another's artifacts reads the same objects."""
+    other = ClusterSim(resnet50(), p3(),
+                       ClusterConfig(n_workers=1024, bandwidth_gbps=25.0),
+                       artifacts=rack.plan_artifacts)
+    assert other.keys_by_server is rack.keys_by_server
+    assert other.keys_per_layer is rack.keys_per_layer
+    for mine, theirs in zip(other.servers, rack.servers):
+        assert mine.keys is theirs.keys
