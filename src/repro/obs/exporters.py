@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 import zlib
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -110,6 +112,90 @@ def _chrome_events(iteration_records, transmissions, events
         yield _instant(record)
 
 
+#: An instant event's fields, in the order :func:`_encode_instants`
+#: reads them.
+_read_instant = itemgetter("ts", "node", "kind", "key", "iteration",
+                           "priority", "layer", "nbytes", "queue_s",
+                           "wire_s", "detail")
+_NUMBER = (int, float)
+#: ``json.dumps(_instant(record))`` is the head (filled with the name),
+#: the ts, the middle (filled with the pid), the args and the tail.
+_INSTANT_HEAD = '{"name": %s, "cat": "obs", "ph": "i", "s": "t", "ts": '
+_INSTANT_MIDDLE = ', "pid": %d, "tid": ' + str(TID_EVENTS) + ', "args": {'
+_INSTANT_TAIL = "}}"
+#: Arg values :func:`_instant` leaves out.
+_DROPPED = (-1, 0, 0.0, "")
+
+
+def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
+    """Each record's instant event as JSON text, byte for byte
+    ``json.dumps(_instant(record))``.
+
+    A plain dict whose fields hold exactly the schema's types and finite
+    numbers is written straight into the ``_INSTANT_*`` template; any
+    other record is encoded by that spec expression itself, which also
+    raises what it raises.  Text a run repeats is made once: the head
+    and middle per (kind, node), and each float's ``repr``, which is
+    most of a record's cost.
+    """
+    heads: Dict[tuple, tuple] = {}
+    floats: Dict[float, str] = {}
+
+    def number(x) -> str:
+        if type(x) is float and x:  # (0.0 == -0.0: zeros are not kept)
+            text = floats.get(x)
+            if text is None:
+                text = floats[x] = repr(x)
+            return text
+        return repr(x)
+
+    for record in events:
+        ts = None
+        if type(record) is dict:
+            try:
+                (ts, node, kind, key, iteration, priority, layer, nbytes,
+                 queue_s, wire_s, detail) = _read_instant(record)
+            except KeyError:
+                ts = None
+        # (A None ts stops the test before any stale field is read.)
+        if (type(ts) in _NUMBER and type(queue_s) in _NUMBER
+                and type(wire_s) in _NUMBER
+                and type(node) is type(kind) is type(detail) is str
+                and type(key) is type(iteration) is type(priority)
+                is type(layer) is type(nbytes) is int):
+            ts = float(ts) * 1e6
+            # x - x is 0 for every finite number and NaN for inf and NaN,
+            # which json writes as bare words.
+            if ts - ts == 0 and queue_s - queue_s == 0 \
+                    and wire_s - wire_s == 0:
+                head = heads.get((kind, node))
+                if head is None:
+                    head = heads[kind, node] = (
+                        _INSTANT_HEAD % _json_str(kind),
+                        _INSTANT_MIDDLE % node_pid(node))
+                args = []
+                if key not in _DROPPED:
+                    args.append(f'"key": {key}')
+                if iteration not in _DROPPED:
+                    args.append(f'"iteration": {iteration}')
+                if priority not in _DROPPED:
+                    args.append(f'"priority": {priority}')
+                if layer not in _DROPPED:
+                    args.append(f'"layer": {layer}')
+                if nbytes not in _DROPPED:
+                    args.append(f'"nbytes": {nbytes}')
+                if queue_s not in _DROPPED:
+                    args.append('"queue_s": ' + number(queue_s))
+                if wire_s not in _DROPPED:
+                    args.append('"wire_s": ' + number(wire_s))
+                if detail:
+                    args.append('"detail": ' + _json_str(detail))
+                yield (head[0] + number(ts) + head[1] + ", ".join(args)
+                       + _INSTANT_TAIL)
+                continue
+        yield json.dumps(_instant(record))
+
+
 def build_chrome_events(
     iteration_records: Optional[Iterable] = None,
     transmissions: Optional[Iterable] = None,
@@ -126,6 +212,18 @@ def build_chrome_events(
     return list(_chrome_events(iteration_records, transmissions, events))
 
 
+def _trace_event_texts(iteration_records, transmissions, events
+                       ) -> Iterator[str]:
+    """The trace events of :func:`_chrome_events` as JSON text, a batch
+    of comma-separated events at a time."""
+    spans = _chrome_events(iteration_records, transmissions, None)
+    while batch := list(islice(spans, _EXPORT_BATCH)):
+        yield json.dumps(batch)[1:-1]  # less its [ ]
+    instants = _encode_instants(events or ())
+    while batch := list(islice(instants, _EXPORT_BATCH)):
+        yield ", ".join(batch)
+
+
 def export_chrome_trace(
     path: Union[str, Path],
     iteration_records: Optional[Iterable] = None,
@@ -137,18 +235,19 @@ def export_chrome_trace(
 
     One pass, a batch of trace events at a time, so neither the event
     list nor the text is ever whole in memory; the bytes are those of
-    ``json.dumps`` over the whole document.  Each batch goes through the
-    C encoder (``json.dump`` to a file drives the pure-Python one).
+    ``json.dumps`` over the whole document.  Spans go through the C
+    encoder a batch at a time (``json.dump`` to a file drives the
+    pure-Python one); instants through :func:`_encode_instants`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    trace_events = _chrome_events(iteration_records, transmissions, events)
     other = json.dumps(dict(metadata or {}, schema=SCHEMA_VERSION))
     with open(path, "w") as f:
         f.write('{"traceEvents": [')
         separator = ""
-        while batch := list(islice(trace_events, _EXPORT_BATCH)):
-            f.write(separator + json.dumps(batch)[1:-1])  # less its [ ]
+        for text in _trace_event_texts(iteration_records, transmissions,
+                                       events):
+            f.write(separator + text)
             separator = ", "
         f.write('], "displayTimeUnit": "ms", "otherData": %s}' % other)
     return path

@@ -111,7 +111,11 @@ class Histogram:
             if value <= self._lo:
                 self._underflow += 1
             else:
-                self._buckets[self._index(value)] += 1
+                # _index, inlined: this runs once per observed slice.
+                buckets = self._buckets
+                idx = int(math.log10(value / self._lo) * self._per_decade)
+                last = len(buckets) - 1
+                buckets[idx if idx < last else last] += 1
 
     def observe_many(self, values) -> None:
         """Observe an iterable of samples (one lock acquisition total).

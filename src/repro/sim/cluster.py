@@ -158,13 +158,20 @@ class RunResult:
         return self.throughput / other.throughput
 
 
+#: The kind strings the adapter's rows carry, and a sent slice's detail.
+_PREEMPTED = EventKind.SLICE_PREEMPTED.value
+_SENT = EventKind.SLICE_SENT.value
+_MSG_KIND_VALUE = {kind: kind.value for kind in MsgKind}
+
+
 class _ChannelObsAdapter(ChannelObserver):
     """Feeds one TX channel's activity into a :class:`repro.obs.ObsSession`.
 
-    Emission is a list append plus histogram bucket increments with the
-    simulator's own clock as the timestamp — no events are scheduled and
-    no randomness is consumed, so an observed run stays bit-identical to
-    an unobserved one (tested in ``tests/obs/test_observation_only.py``).
+    Emission is one finished row appended to the recorder plus histogram
+    bucket increments, with the simulator's own clock as the timestamp —
+    no events are scheduled and no randomness is consumed, so an observed
+    run stays bit-identical to an unobserved one (tested in
+    ``tests/obs/test_observation_only.py``).
     """
 
     #: Message kinds that correspond to parameter/gradient slices; control
@@ -176,7 +183,9 @@ class _ChannelObsAdapter(ChannelObserver):
                  machine: int) -> None:
         self._sim = cluster.sim
         self._layer_of = cluster.key_layer.get
-        self._emit = obs.recorder.emit
+        self._emit = obs.recorder.sink()
+        # Node names by sending worker, formatted on first use.
+        self._worker_nodes: Dict[int, str] = {}
         # PUSHes leave workers; PARAMs leave the PS shard on this machine.
         self._server = "server%d" % (
             machine if cluster.config.colocate_servers
@@ -203,7 +212,11 @@ class _ChannelObsAdapter(ChannelObserver):
                 and msg.dst_role is not Role.AGGREGATOR):
             return self.aggregator
         if msg.kind is MsgKind.PUSH:
-            return f"worker{msg.sender_worker}"
+            wid = msg.sender_worker
+            node = self._worker_nodes.get(wid)
+            if node is None:
+                node = self._worker_nodes[wid] = f"worker{wid}"
+            return node
         return self._server
 
     def on_enqueue(self, msg: Message) -> None:
@@ -224,39 +237,27 @@ class _ChannelObsAdapter(ChannelObserver):
         # waiting slice and, among equally old ones, the first enqueued.
         if waiting and waiting[0].enqueue_time < msg.enqueue_time:
             overtaken = waiting[0]
+            key = overtaken.key
             self._preempted.inc()
-            self._emit(
-                EventKind.SLICE_PREEMPTED,
-                node=self._node(overtaken),
-                ts=self._sim.now,
-                key=overtaken.key,
-                priority=overtaken.priority,
-                layer=self._layer_of(overtaken.key, -1),
-                nbytes=overtaken.payload_bytes,
-                detail=f"overtaken_by_key={msg.key}",
-            )
+            self._emit((float(self._sim.now), self._node(overtaken),
+                        _PREEMPTED, key, -1, overtaken.priority,
+                        self._layer_of(key, -1), overtaken.payload_bytes,
+                        0.0, 0.0, f"overtaken_by_key={msg.key}"))
 
     def on_sent(self, msg: Message, start: float, end: float) -> None:
         if msg.kind not in self._SLICE_KINDS:
             return
         queue_s = max(0.0, start - msg.enqueue_time)
         wire_s = end - start
+        key = msg.key
+        nbytes = msg.payload_bytes
         self._queue_delay.observe(queue_s)
         self._wire.observe(wire_s)
         self._slices.inc()
-        self._bytes.inc(msg.payload_bytes)
-        self._emit(
-            EventKind.SLICE_SENT,
-            node=self._node(msg),
-            ts=end,
-            key=msg.key,
-            priority=msg.priority,
-            layer=self._layer_of(msg.key, -1),
-            nbytes=msg.payload_bytes,
-            queue_s=queue_s,
-            wire_s=wire_s,
-            detail=msg.kind.value,
-        )
+        self._bytes.inc(nbytes)
+        self._emit((float(end), self._node(msg), _SENT, key, -1,
+                    msg.priority, self._layer_of(key, -1), nbytes, queue_s,
+                    wire_s, _MSG_KIND_VALUE[msg.kind]))
 
 
 @dataclass

@@ -33,6 +33,9 @@ _PULL_REQ = MsgKind.PULL_REQ
 _PARAM = MsgKind.PARAM
 _NOTIFY = MsgKind.NOTIFY
 _ACK = MsgKind.ACK
+# The kind strings of the rows an observed shard records.
+_APPLIED = EventKind.SLICE_APPLIED.value
+_ROUND_APPLIED = EventKind.ROUND_APPLIED.value
 
 
 class SimServerShard:
@@ -55,6 +58,7 @@ class SimServerShard:
                 "server.updates_applied")
             self._rounds_counter = self._obs.registry.counter(
                 "server.rounds_applied")
+            self._obs_emit = self._obs.recorder.sink()
 
     def _init_pipeline(self, ctx: "ClusterSim", name: str, machine: int,
                        keys: Dict[int, "PlacedKey"], clients: List[int],
@@ -230,23 +234,21 @@ class SimServerShard:
         so its parameters go back to the clients."""
         if self._obs is not None:
             pk = self.keys[key]
-            now = self.ctx.sim.now
+            now = float(self.ctx.sim.now)
             node = self.name
             dur = (pk.bytes * n_contribs / self.ctx.config.update_bytes_per_s
                    + self.ctx.config.per_update_s)
             self._update_hist.observe(dur)
             self._applied_counter.inc()
-            self._obs.recorder.emit(
-                EventKind.SLICE_APPLIED, node=node, ts=now, key=key,
-                priority=pk.priority, layer=pk.layer_index, nbytes=pk.bytes,
-                wire_s=dur, detail=f"contribs={n_contribs}")
+            detail = f"contribs={n_contribs}"
+            self._obs_emit((now, node, _APPLIED, key, -1, pk.priority,
+                            pk.layer_index, pk.bytes, 0.0, dur, detail))
             if n_contribs >= self._n_clients:
                 # A full synchronous round of this key is now applied.
                 self._rounds_counter.inc()
-                self._obs.recorder.emit(
-                    EventKind.ROUND_APPLIED, node=node, ts=now, key=key,
-                    priority=pk.priority, layer=pk.layer_index,
-                    detail=f"contribs={n_contribs}")
+                self._obs_emit((now, node, _ROUND_APPLIED, key, -1,
+                                pk.priority, pk.layer_index, 0, 0.0, 0.0,
+                                detail))
         self._dispatch(key, recipients)
 
     # ------------------------------------------------------------------

@@ -34,6 +34,9 @@ _PUSH = MsgKind.PUSH
 _PARAM = MsgKind.PARAM
 _NOTIFY = MsgKind.NOTIFY
 _ACK = MsgKind.ACK
+# The kind strings of the rows an observed worker records.
+_GATE_OPEN = EventKind.FORWARD_GATE_OPEN.value
+_ENQUEUED = EventKind.SLICE_ENQUEUED.value
 
 
 class SimWorker:
@@ -109,6 +112,8 @@ class SimWorker:
                 "worker.gate_wait_s")
             self._enqueued_counter = self._obs.registry.counter(
                 "worker.slices_enqueued")
+            self._obs_emit = self._obs.recorder.sink()
+            self._obs_node = f"worker{worker_id}"
 
     # ------------------------------------------------------------------
     # Iteration lifecycle
@@ -153,9 +158,8 @@ class SimWorker:
             now = self.ctx.sim.now
             waited = now - self._gate_block_start if self.waiting_forward else 0.0
             self._gate_wait_hist.observe(waited)
-            self._obs.recorder.emit(
-                EventKind.FORWARD_GATE_OPEN, node=f"worker{self.wid}",
-                ts=now, iteration=self.iteration, layer=i, queue_s=waited)
+            self._obs_emit((float(now), self._obs_node, _GATE_OPEN, -1,
+                            self.iteration, 0, i, 0, waited, 0.0, ""))
         self.waiting_forward = False
         dur = self.fwd_times[i] * self._jitter_mult * self.fault_slowdown
         self._after(dur, self._fwd_cb)
@@ -235,11 +239,9 @@ class SimWorker:
             payload = payloads[key]
             if obs is not None:
                 self._enqueued_counter.inc()
-                obs.recorder.emit(
-                    EventKind.SLICE_ENQUEUED, node=f"worker{wid}",
-                    ts=self.ctx.sim.now, key=key, iteration=self.iteration,
-                    priority=pk.priority, layer=pk.layer_index,
-                    nbytes=payload)
+                self._obs_emit((float(self.ctx.sim.now), self._obs_node,
+                                _ENQUEUED, key, self.iteration, pk.priority,
+                                pk.layer_index, payload, 0.0, 0.0, ""))
             transport.send(Message(_PUSH, key, payload, pk.priority, machine,
                                    dst[key], role, wid))
 
