@@ -30,6 +30,7 @@ both sides must satisfy (see ``tests/obs/test_schema_conformance.py``).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from enum import Enum
 from operator import itemgetter
@@ -67,7 +68,7 @@ SLICE_KINDS: Set[str] = {
 #: ``priority`` is more urgent.  ``queue_s``/``wire_s`` are filled on
 #: ``slice_sent``: time the slice spent waiting (not on the wire) and
 #: transmitting — the raw material of the per-phase calibration
-#: breakdown.  What an :class:`EventRecorder` returns always conforms;
+#: breakdown.  ``ts``, ``queue_s`` and ``wire_s`` are finite.  What an :class:`EventRecorder` returns always conforms;
 #: the validator exists so *foreign* streams (JSON re-loaded from an
 #: exporter, another process's records) can be checked against the same
 #: contract.
@@ -87,6 +88,8 @@ EVENT_SCHEMA: Dict[str, tuple] = {
 }
 
 VALID_SOURCES = ("sim", "live")
+#: Numeric fields that must be finite (an int always is).
+_FINITE_FIELDS = ("ts", "queue_s", "wire_s")
 VALID_KINDS: Set[str] = {k.value for k in EventKind}
 #: ``EventKind`` member or its value -> the plain ``str`` a record holds
 #: (a member hashes and compares as its value).
@@ -118,6 +121,12 @@ def validate_event(record: Dict[str, object]) -> None:
                           f"got {record['source']!r}")
     if record["kind"] not in VALID_KINDS:
         raise SchemaError(f"unknown event kind {record['kind']!r}")
+    # NaN passes every comparison's "not less than" test, and json
+    # writes NaN and infinities as bare words no trace viewer parses.
+    for name in _FINITE_FIELDS:
+        value = record[name]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"field {name!r} is not finite: {value}")
     if record["ts"] < 0:
         raise SchemaError(f"negative timestamp {record['ts']}")
     if record["kind"] in SLICE_KINDS and record["key"] < 0:
@@ -128,6 +137,7 @@ def validate_event(record: Dict[str, object]) -> None:
 _read_fields = itemgetter(*EVENT_SCHEMA)
 _N_FIELDS = len(EVENT_SCHEMA)
 _NUMBER = (int, float)
+_INF = math.inf
 
 
 def validate_events(records: Iterable[Dict[str, object]]) -> int:
@@ -157,7 +167,9 @@ def validate_events(records: Iterable[Dict[str, object]]) -> int:
                 and type(key) is type(iteration) is type(priority)
                 is type(layer) is type(nbytes) is int
                 and source in VALID_SOURCES and kind in VALID_KINDS
-                and ts >= 0 and (key >= 0 or kind not in SLICE_KINDS)):
+                and 0 <= ts < _INF and -_INF < queue_s < _INF
+                and -_INF < wire_s < _INF
+                and (key >= 0 or kind not in SLICE_KINDS)):
             validate_event(record)
         n += 1
     return n

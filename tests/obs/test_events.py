@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -97,12 +98,25 @@ def test_counts_by_kind_and_len():
     (lambda d: d.update(key=True), "has type"),
     (lambda d: d.update(extra=1), "unknown fields"),
     (lambda d: d.update(key=-1), "slice event without a key"),
+    (lambda d: d.update(ts=math.nan), "'ts' is not finite"),
+    (lambda d: d.update(ts=math.inf), "'ts' is not finite"),
+    (lambda d: d.update(queue_s=math.inf), "'queue_s' is not finite"),
+    (lambda d: d.update(wire_s=-math.inf), "'wire_s' is not finite"),
+    (lambda d: d.update(wire_s=math.nan), "'wire_s' is not finite"),
 ])
 def test_validator_rejects_malformed_records(mutation, message):
     d = _record()
     mutation(d)
     with pytest.raises(SchemaError, match=message):
         validate_event(d)
+    with pytest.raises(SchemaError, match=message):
+        validate_events([_record(), d])
+
+
+def test_validator_accepts_finite_extremes():
+    """Huge ints are finite (the check never converts them to float)."""
+    assert validate_events([_record(ts=10 ** 400, queue_s=10 ** 400,
+                                    wire_s=-1e308)]) == 1
 
 
 def test_kinds_per_slice_groups_by_key():

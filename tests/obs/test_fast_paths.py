@@ -18,7 +18,7 @@ from collections import OrderedDict, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models import get_model, toy_model
@@ -144,6 +144,12 @@ def _verdict(fn, record):
 
 @SETTINGS
 @given(records())
+@example(_plain(ts=math.inf))
+@example(_plain(ts=math.nan))
+@example(_plain(queue_s=-math.inf))
+@example(_plain(wire_s=math.nan))
+@example(_plain(source="dream"))
+@example(_plain(key=-1))
 def test_fast_validator_agrees_with_validate_event(record):
     want = _verdict(validate_event, record)
     assert _verdict(lambda r: validate_events([_plain(), r]), record) == want
