@@ -27,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .events import EventKind
+from .events import SLICE_KINDS, EventKind
 from .registry import ObsSession
 
 #: Version tag stamped into every exported artifact.
@@ -73,11 +73,17 @@ def _complete(name: str, cat: str, start: float, end: float,
     return ev
 
 
+#: Each arg's "not known" value, in arg order: an instant event leaves
+#: out an arg that holds it.  A slice's priority is always known (P3
+#: gives layer 0's slices priority 0).
+_UNKNOWN_ARGS = {"key": -1, "iteration": -1, "priority": 0, "layer": -1,
+                 "nbytes": 0, "queue_s": 0.0, "wire_s": 0.0, "detail": ""}
+
+
 def _instant(record: Dict[str, object]) -> dict:
-    args = {k: record[k] for k in
-            ("key", "iteration", "priority", "layer", "nbytes",
-             "queue_s", "wire_s", "detail")
-            if record.get(k) not in (-1, 0, 0.0, "")}
+    known = ("priority",) if record["kind"] in SLICE_KINDS else ()
+    args = {k: record[k] for k, unknown in _UNKNOWN_ARGS.items()
+            if k in known or record.get(k) != unknown}
     return {
         "name": str(record["kind"]),
         "cat": "obs",
@@ -123,8 +129,6 @@ _NUMBER = (int, float)
 _INSTANT_HEAD = '{"name": %s, "cat": "obs", "ph": "i", "s": "t", "ts": '
 _INSTANT_MIDDLE = ', "pid": %d, "tid": ' + str(TID_EVENTS) + ', "args": {'
 _INSTANT_TAIL = "}}"
-#: Arg values :func:`_instant` leaves out.
-_DROPPED = (-1, 0, 0.0, "")
 
 
 def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
@@ -172,21 +176,23 @@ def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
                 if head is None:
                     head = heads[kind, node] = (
                         _INSTANT_HEAD % _json_str(kind),
-                        _INSTANT_MIDDLE % node_pid(node))
+                        _INSTANT_MIDDLE % node_pid(node),
+                        kind in SLICE_KINDS)
+                # The args _UNKNOWN_ARGS does not leave out.
                 args = []
-                if key not in _DROPPED:
+                if key != -1:
                     args.append(f'"key": {key}')
-                if iteration not in _DROPPED:
+                if iteration != -1:
                     args.append(f'"iteration": {iteration}')
-                if priority not in _DROPPED:
+                if priority or head[2]:
                     args.append(f'"priority": {priority}')
-                if layer not in _DROPPED:
+                if layer != -1:
                     args.append(f'"layer": {layer}')
-                if nbytes not in _DROPPED:
+                if nbytes:
                     args.append(f'"nbytes": {nbytes}')
-                if queue_s not in _DROPPED:
+                if queue_s:
                     args.append('"queue_s": ' + number(queue_s))
-                if wire_s not in _DROPPED:
+                if wire_s:
                     args.append('"wire_s": ' + number(wire_s))
                 if detail:
                     args.append('"detail": ' + _json_str(detail))

@@ -88,6 +88,24 @@ def test_build_chrome_events_covers_all_streams():
     assert bare and all(e["cat"] in ("compute", "stall") for e in bare)
 
 
+def test_instant_args_drop_only_unknown_values():
+    """Key 0, layer 0 and iteration 0 are real; an arg is left out only
+    at its "not known" value, and a slice's priority is always kept."""
+    rec = EventRecorder("sim")
+    rec.emit(EventKind.SLICE_SENT, node="worker0", ts=1.0, key=0,
+             iteration=0, priority=0, layer=0)
+    rec.emit(EventKind.FORWARD_GATE_OPEN, node="worker0", ts=2.0,
+             iteration=0, layer=0)
+    rec.emit(EventKind.SLICE_ENQUEUED, node="worker1", ts=3.0, key=5,
+             priority=2, nbytes=8, queue_s=0.5, wire_s=0.25, detail="d")
+    sent, gate, enqueued = (e["args"] for e in
+                            build_chrome_events(events=rec.to_dicts()))
+    assert sent == {"key": 0, "iteration": 0, "priority": 0, "layer": 0}
+    assert gate == {"iteration": 0, "layer": 0}
+    assert enqueued == {"key": 5, "priority": 2, "nbytes": 8,
+                        "queue_s": 0.5, "wire_s": 0.25, "detail": "d"}
+
+
 def test_export_chrome_trace_writes_valid_json(tmp_path):
     result, sess = _observed_run()
     path = export_chrome_trace(tmp_path / "sub" / "trace.json",
