@@ -61,9 +61,11 @@ bench-e2e:
 # oracle), the multi-tenant run at test size
 # (the one workload that retunes link rates mid-run), and the scale
 # ladder and warm-start sweep at test size (the two-tier aggregator and
-# the warm-start verifier on the simulator's message path): fails on a
-# wrong output ("correct": false), never on timing — shared runners are
-# too noisy for a wall-clock floor
+# the warm-start verifier on the simulator's message path), then the
+# user-facing `repro run --trace` export, parsed strictly (no bare NaN)
+# with one instant per recorded event: fails on a wrong output
+# ("correct": false), never on timing — shared runners are too noisy
+# for a wall-clock floor
 perf-smoke:
 	python3 -m pytest bench/ -q
 	python3 -m bench --workload fig7_sweep --seconds 12 --trace 0 \
@@ -80,6 +82,8 @@ perf-smoke:
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m bench --workload warm_cached_sweep --scale tiny \
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
+	python3 -m repro run --model toy3 --trace trace.json --metrics metrics.json
+	python3 tools/check_trace.py trace.json metrics.json
 
 live-demo:
 	$(PYTHON) examples/live_cluster.py
@@ -94,5 +98,5 @@ figures:
 	$(PYTHON) -m repro.cli summary
 
 clean:
-	rm -rf results report.md trace.json .pytest_cache
+	rm -rf results report.md trace.json metrics.json .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

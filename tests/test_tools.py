@@ -57,3 +57,41 @@ def test_main_writes_file(tmp_path):
     out = tmp_path / "api.md"
     assert gen.main(["--out", str(out)]) == 0
     assert out.exists()
+
+
+def _load_check_trace():
+    spec = importlib.util.spec_from_file_location(
+        "check_trace", TOOLS / "check_trace.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_check_trace_accepts_a_run_and_refuses_bare_nan(tmp_path, capsys):
+    import json
+
+    from repro.models import toy_model
+    from repro.obs import export_chrome_trace, export_metrics_summary
+    from repro.obs import sim_session
+    from repro.sim import ClusterConfig, simulate
+    from repro.strategies import p3
+
+    check = _load_check_trace()
+    sess = sim_session()
+    result = simulate(toy_model(), p3(), ClusterConfig(n_workers=2, seed=0),
+                      iterations=2, warmup=0, obs=sess)
+    trace, metrics = tmp_path / "trace.json", tmp_path / "metrics.json"
+    events = sess.events()
+    export_chrome_trace(trace, result.iterations.records, events=events)
+    export_metrics_summary(sess, metrics)
+    assert check.main([str(trace), str(metrics)]) == 0
+    # One instant short of the summary's count.
+    export_chrome_trace(trace, result.iterations.records, events=events[1:])
+    assert check.main([str(trace), str(metrics)]) == 1
+    # What the exporter writes for a NaN that skipped validation.
+    events[0]["wire_s"] = float("nan")
+    export_chrome_trace(trace, events=events)
+    assert "NaN" in trace.read_text()
+    assert check.main([str(trace), str(metrics)]) == 1
+    assert "bare NaN" in capsys.readouterr().err
+    json.loads(trace.read_text())  # what the default parser lets through
