@@ -68,10 +68,10 @@ SLICE_KINDS: Set[str] = {
 #: ``priority`` is more urgent.  ``queue_s``/``wire_s`` are filled on
 #: ``slice_sent``: time the slice spent waiting (not on the wire) and
 #: transmitting — the raw material of the per-phase calibration
-#: breakdown.  ``ts``, ``queue_s`` and ``wire_s`` are finite.  What an :class:`EventRecorder` returns always conforms;
-#: the validator exists so *foreign* streams (JSON re-loaded from an
-#: exporter, another process's records) can be checked against the same
-#: contract.
+#: breakdown.  ``ts``, ``queue_s`` and ``wire_s`` are finite.  What an
+#: :class:`EventRecorder` returns always conforms; the validator exists
+#: so *foreign* streams (JSON re-loaded from an exporter, another
+#: process's records) can be checked against the same contract.
 EVENT_SCHEMA: Dict[str, tuple] = {
     "ts": ((int, float), True),
     "source": ((str,), True),

@@ -158,10 +158,9 @@ class RunResult:
         return self.throughput / other.throughput
 
 
-#: The kind strings the adapter's rows carry, and a sent slice's detail.
+#: The kind strings the adapter's rows carry.
 _PREEMPTED = EventKind.SLICE_PREEMPTED.value
 _SENT = EventKind.SLICE_SENT.value
-_MSG_KIND_VALUE = {kind: kind.value for kind in MsgKind}
 
 
 class _ChannelObsAdapter(ChannelObserver):
@@ -257,7 +256,7 @@ class _ChannelObsAdapter(ChannelObserver):
         self._bytes.inc(nbytes)
         self._emit((float(end), self._node(msg), _SENT, key, -1,
                     msg.priority, self._layer_of(key, -1), nbytes, queue_s,
-                    wire_s, _MSG_KIND_VALUE[msg.kind]))
+                    wire_s, msg.kind.value))
 
 
 @dataclass
