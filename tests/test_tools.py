@@ -1,19 +1,28 @@
-"""Tests for repository tooling (docs generator)."""
+"""Tests for repository tooling (docs generator, trace checker)."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+
+from repro.models import toy_model
+from repro.obs import export_chrome_trace, export_metrics_summary, sim_session
+from repro.sim import ClusterConfig, simulate
+from repro.strategies import p3
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location(
-        "gen_api_reference", TOOLS / "gen_api_reference.py")
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _load_gen():
+    return _load_tool("gen_api_reference")
 
 
 def test_every_listed_module_documents():
@@ -59,24 +68,8 @@ def test_main_writes_file(tmp_path):
     assert out.exists()
 
 
-def _load_check_trace():
-    spec = importlib.util.spec_from_file_location(
-        "check_trace", TOOLS / "check_trace.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_check_trace_accepts_a_run_and_refuses_bare_nan(tmp_path, capsys):
-    import json
-
-    from repro.models import toy_model
-    from repro.obs import export_chrome_trace, export_metrics_summary
-    from repro.obs import sim_session
-    from repro.sim import ClusterConfig, simulate
-    from repro.strategies import p3
-
-    check = _load_check_trace()
+    check = _load_tool("check_trace")
     sess = sim_session()
     result = simulate(toy_model(), p3(), ClusterConfig(n_workers=2, seed=0),
                       iterations=2, warmup=0, obs=sess)
