@@ -63,9 +63,11 @@ bench-e2e:
 # ladder and warm-start sweep at test size (the two-tier aggregator and
 # the warm-start verifier on the simulator's message path), then the
 # user-facing `repro run --trace` export, parsed strictly (no bare NaN)
-# with one instant per recorded event: fails on a wrong output
-# ("correct": false), never on timing — shared runners are too noisy
-# for a wall-clock floor
+# with one instant per recorded event, then the user-facing `repro live`
+# (p3 and the baseline over a shaped link, 5-frame messages; exits
+# nonzero when the live run is not bit-identical to the in-process
+# store): fails on a wrong output ("correct": false), never on timing —
+# shared runners are too noisy for a wall-clock floor
 perf-smoke:
 	python3 -m pytest bench/ -q
 	python3 -m bench --workload fig7_sweep --seconds 12 --trace 0 \
@@ -84,6 +86,7 @@ perf-smoke:
 	    | tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 	python3 -m repro run --model toy3 --trace trace.json --metrics metrics.json
 	python3 tools/check_trace.py trace.json metrics.json
+	python3 -m repro live --workers 2 --shards 1 --iterations 3 --warmup 1
 
 live-demo:
 	$(PYTHON) examples/live_cluster.py

@@ -339,6 +339,8 @@ def cmd_live(args: argparse.Namespace) -> None:
                 totals[name] = totals.get(name, 0) + value
         print("  recovery counters (all workers): " +
               ", ".join(f"{k}={v}" for k, v in sorted(totals.items())))
+        if not report.bit_identical_under_faults:
+            raise SystemExit(_diverged(report.max_abs_diff))
         return
     results = {}
     for strategy in ("baseline", "p3"):
@@ -367,6 +369,15 @@ def cmd_live(args: argparse.Namespace) -> None:
             sess = session_from_events(res.events, source="live")
             path = export_metrics_summary(sess, args.metrics, metadata=meta)
             print(f"wrote {path}")
+    if not report.bit_identical:
+        raise SystemExit(_diverged(report.max_abs_diff))
+
+
+def _diverged(max_abs_diff: float) -> str:
+    """Why ``repro live`` fails: its one claim that is not a finding.  A
+    disagreement in sign is printed, not fatal."""
+    return ("live final parameters are not bit-identical to the in-process "
+            f"store (max |diff| = {max_abs_diff:.2e})")
 
 
 def cmd_sharding(args: argparse.Namespace) -> None:

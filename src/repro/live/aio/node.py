@@ -52,8 +52,10 @@ from ..wire import Frame, WireKind, WireMessage
 from .transport import (AsyncPrioritySender, chaos_policy,
                         open_connection_with_retry, wait_until)
 
-#: Read granularity of every connection's read task.
-READ_CHUNK = 65536
+#: Most bytes one read of a connection's read task takes: it takes
+#: whatever the stream holds up to this, so one ``feed`` (and one
+#: cumulative ``CHUNK_ACK``) covers every frame that arrived meanwhile.
+READ_CHUNK = 1 << 20
 
 
 class PeerConnection:
@@ -307,7 +309,7 @@ class Node:
             raise RuntimeError(
                 f"{self.name}: client {msg.sender} double-pushed key "
                 f"{msg.key} @ round {msg.iteration}")
-        staged[msg.sender] = msg.array()
+        staged[msg.sender] = msg.view()  # read-only: rounds only read it
         return staged
 
     # ------------------------------------------------------------------

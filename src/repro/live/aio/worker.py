@@ -89,7 +89,8 @@ class AioWorker(Node):
     # ------------------------------------------------------------------
     def _on_reply(self, conn: PeerConnection, msg: WireMessage) -> None:
         if msg.kind is WireKind.PULL_RESP:
-            self._pulled[(msg.key, msg.iteration)] = msg.array()
+            # Read-only: _gather_layer copies it into the parameters.
+            self._pulled[(msg.key, msg.iteration)] = msg.view()
         elif msg.kind is WireKind.EPOCH:
             self._epoch_acks.setdefault(msg.key, set()).add(msg.sender)
         else:

@@ -27,6 +27,7 @@ from ..training.model import Network
 from ..training.zoo import mlp
 from .membership import MembershipSchedule
 from .transport import RetryPolicy
+from .wire import MAX_FRAME_PAYLOAD
 
 STRATEGIES = ("baseline", "p3")
 
@@ -133,6 +134,10 @@ class LiveClusterConfig:
             raise ValueError("rate_bytes_per_s must be positive or None")
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
+        if self.chunk_bytes > MAX_FRAME_PAYLOAD:
+            # Or every message over the cap fails mid-run in a drain task.
+            raise ValueError(f"chunk_bytes {self.chunk_bytes} exceeds "
+                             f"MAX_FRAME_PAYLOAD={MAX_FRAME_PAYLOAD}")
         for name in ("heartbeat_interval_s", "connect_timeout_s",
                      "round_timeout_s", "peer_timeout_s"):
             if getattr(self, name) <= 0:

@@ -10,11 +10,12 @@ is that machinery in userspace:
   a bandwidth-limited one.
 * :class:`SenderCore` — one connection's sender state machine: a heap
   of pending messages drained in ``(priority, enqueue order)`` order,
-  one chunk frame at a time, numbered and kept for Go-Back-N
-  retransmission.  Because the heap is re-consulted *between chunks*, a
-  newly enqueued urgent slice genuinely preempts the rest of a large
-  low-priority transfer — P3's scheduling claim, happening on a real
-  socket rather than in a simulator event loop.  It does no I/O and no
+  one frame per chunk, numbered and kept for Go-Back-N retransmission.
+  Because the heap is re-consulted between runs of chunks, and a run
+  never outlasts a write that cannot yield, a newly enqueued urgent
+  slice genuinely preempts the rest of a large low-priority transfer —
+  P3's scheduling claim, happening on a real socket rather than in a
+  simulator event loop.  It does no I/O and no
   waiting; :class:`PrioritySender` hosts it on a thread and
   :class:`repro.live.aio.AsyncPrioritySender` on an event loop.
 
@@ -33,18 +34,20 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 from ..obs.events import EventKind, EventRecorder
 from ..sim.trace import UtilizationTrace
 from .wire import (
+    HEADER_SIZE,
+    MAX_FRAME_PAYLOAD,
     SEQ_NONE,
     Frame,
     FrameDecoder,
     Reassembler,
     WireKind,
     WireMessage,
-    encode_frame,
+    encode_run,
     reseq_frame,
 )
 
@@ -165,11 +168,18 @@ def timeline_utilization(records: List[ChunkRecord],
 
 
 def goodput_bytes_per_s(records: List[ChunkRecord]) -> float:
-    """Payload bytes per second over the busy span of a timeline."""
+    """Payload bytes per second of a timeline's data frames.
+
+    Counts only ``PUSH`` and ``PULL_RESP`` payload (a record's wire
+    bytes minus the frame header): headers and control frames are not
+    goodput.  The span is the timeline's first write to its last, over
+    every record.
+    """
     if not records:
         return 0.0
     span = max(r.end for r in records) - min(r.start for r in records)
-    total = sum(r.nbytes for r in records)
+    total = sum(r.nbytes - HEADER_SIZE for r in records
+                if r.kind in DATA_KINDS)
     return total / span if span > 0 else float("inf")
 
 
@@ -203,8 +213,9 @@ class ChunkScheduler:
     (``tests/live/test_transport.py``) can drive arbitrary push/pop
     interleavings deterministically.  Invariants it guarantees:
 
-    * every popped chunk belongs to the most urgent pending message —
-      minimal ``(priority, enqueue order)`` at the moment of the pop;
+    * every popped run of chunks belongs to the most urgent pending
+      message — minimal ``(priority, enqueue order)`` at the moment of
+      the pop;
     * a message's chunks are emitted in offset order with no gaps or
       duplicates, regardless of how often it is preempted;
     * preemption is detected (the previously transmitting message was
@@ -214,6 +225,11 @@ class ChunkScheduler:
     def __init__(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
+        if chunk_bytes > MAX_FRAME_PAYLOAD:
+            # Fail here, not mid-drain: encode_run refuses any run whose
+            # chunks would exceed the frame cap.
+            raise ValueError(f"chunk_bytes {chunk_bytes} exceeds "
+                             f"MAX_FRAME_PAYLOAD={MAX_FRAME_PAYLOAD}")
         self.chunk_bytes = chunk_bytes
         self._heap: List[Tuple[int, int, _Pending]] = []
         self._seq = 0
@@ -231,34 +247,50 @@ class ChunkScheduler:
         heapq.heappush(self._heap, (priority, item.seq, item))
         return item
 
-    def pop_chunk(self) -> Optional[Tuple[_Pending, bytes, int, bool,
-                                          Optional[_Pending]]]:
-        """Take the most urgent message's next chunk.
+    def pop_run(self, max_chunks: int) -> Optional[Tuple[_Pending, int, int,
+                                                         bool,
+                                                         Optional[_Pending]]]:
+        """Take a run of the most urgent message's next chunks.
 
-        Returns ``(item, chunk, offset, done, preempted)`` or ``None``
-        when nothing is pending.  ``offset`` is the chunk's start within
-        the message payload (``item.offset`` has already advanced past
-        it); ``done`` is True when ``chunk`` is the message's final
-        chunk; ``preempted`` names the message whose in-progress
-        transmission this pop interrupted (it stays queued and resumes
-        later), or ``None``.
+        At most ``max_chunks`` of them, and at least one.  Returns
+        ``(item, offset, end, done, preempted)`` or ``None`` when nothing
+        is pending.  The run is ``item.payload[offset:end]``
+        (``item.offset`` has already advanced to ``end``), cut into
+        ``chunk_bytes`` chunks; an empty message is one empty chunk.
+        ``done`` is True when the run ends the message; ``preempted``
+        names the message whose in-progress transmission this pop
+        interrupted (it stays queued and resumes later), or ``None``.
         """
         if not self._heap:
             return None
         # The head's key does not change while it transmits, so it is
         # advanced where it sits and leaves the heap only when done.
         item = self._heap[0][2]
-        offset = item.offset
-        chunk = item.payload[offset:offset + self.chunk_bytes]
-        done = offset + len(chunk) >= len(item.payload)
+        offset, size = item.offset, len(item.payload)
+        end = offset + max_chunks * self.chunk_bytes
+        if end > size:
+            end = size
         prev = self._last
         preempted = (prev if prev is not None and prev is not item
                      and prev.offset < len(prev.payload) else None)
-        item.offset += len(chunk)
+        item.offset = end
+        done = end >= size
         if done:
             heapq.heappop(self._heap)
         self._last = item
-        return item, chunk, offset, done, preempted
+        return item, offset, end, done, preempted
+
+    def pop_chunk(self) -> Optional[Tuple[_Pending, bytes, int, bool,
+                                          Optional[_Pending]]]:
+        """Take the most urgent message's next chunk.
+
+        :meth:`pop_run`'s one-chunk case, as ``(item, chunk, offset,
+        done, preempted)``."""
+        run = self.pop_run(1)
+        if run is None:
+            return None
+        item, offset, end, done, preempted = run
+        return item, item.payload[offset:end], offset, done, preempted
 
     def purge(self, kinds: Tuple[WireKind, ...]) -> int:
         """Drop every queued message of the given kinds; return the count.
@@ -347,6 +379,13 @@ class ReliableOutbox:
     def record(self, seq: int, frame: bytes, now: float) -> None:
         """Track one sent sequenced frame until its ack arrives."""
         self._pending.append((seq, frame))
+        if self._deadline is None:
+            self._deadline = now + self.policy.deadline_after(0, self._rng)
+
+    def record_run(self, seq: int, frames: Sequence[bytes],
+                   now: float) -> None:
+        """:meth:`record` frames ``seq, seq + 1, ...`` in one call."""
+        self._pending.extend(enumerate(frames, seq))
         if self._deadline is None:
             self._deadline = now + self.policy.deadline_after(0, self._rng)
 
@@ -504,33 +543,36 @@ class ReliableReceiver:
 
     def feed(self, data: bytes) -> Iterator[WireMessage]:
         self.decoder.feed(data)
+        sender_for, inbox = self._sender_for, self.inbox
+        accept, add = inbox.accept, self.reassembler.add
+        chunk_ack = WireKind.CHUNK_ACK
         ack_sender: Optional["PrioritySender"] = None
         ack_due = False
         for frame in self.decoder.frames():
-            if self._sender_for is not None:
+            kind, seq = frame.kind, frame.seq
+            if sender_for is not None:
                 if ack_sender is None:
-                    ack_sender = self._sender_for(frame)
-                if frame.kind is WireKind.CHUNK_ACK:
+                    ack_sender = sender_for(frame)
+                if kind is chunk_ack:
                     if ack_sender is not None:
-                        ack_sender.handle_ack(frame.seq)
+                        ack_sender.handle_ack(seq)
                     continue
-            elif frame.kind is WireKind.CHUNK_ACK:
+            elif kind is chunk_ack:
                 continue
-            if frame.seq != SEQ_NONE:
-                verdict = self.inbox.accept(frame.seq)
+            if seq != SEQ_NONE:
                 ack_due = True
-                if verdict != "deliver":
+                if accept(seq) != "deliver":
                     continue
-            msg = self.reassembler.add(frame)
+            msg = add(frame)
             if msg is not None:
                 # Ack everything decoded so far *before* handing the
                 # message up: a BYE's handler may tear the sender down.
                 if ack_due and ack_sender is not None:
-                    ack_sender.send_ack(self.inbox.cumulative_ack)
+                    ack_sender.send_ack(inbox.cumulative_ack)
                     ack_due = False
                 yield msg
         if ack_due and ack_sender is not None:
-            ack_sender.send_ack(self.inbox.cumulative_ack)
+            ack_sender.send_ack(inbox.cumulative_ack)
 
 
 class SenderCore:
@@ -579,8 +621,10 @@ class SenderCore:
         self._clock = clock
         self._next_seq = 0
         self._queued_ack: Optional[_Pending] = None  # pushed, not yet popped
-        # (item, done, frame bytes) of the burst handed out, not yet wrote()
-        self._burst: List[Tuple[_Pending, bool, int]] = []
+        # (item, done, frames) per run of the burst handed out, not yet
+        # recorded by wrote(), and the bytes of those frames
+        self._burst: List[Tuple[_Pending, bool, List[bytes]]] = []
+        self._gathered = 0
 
     # ------------------------------------------------------------------
     # Producers
@@ -652,43 +696,59 @@ class SenderCore:
         ``limit`` is how much the host can write without yielding: below
         it nothing more urgent can arrive between chunks, so they go out
         as one write (still one frame and one record per chunk).  A host
-        that shapes, sabotages or blocks per write passes 0.
+        that shapes, sabotages or blocks per write passes 0.  Each
+        message's share of the burst is popped as one run and encoded by
+        one :func:`~repro.live.wire.encode_run` call.
         """
+        sched = self.sched
+        # Whole frames that keep the burst under limit, plus the one that
+        # reaches it — where a chunk at a time would stop; at least one.
+        frame_bytes = HEADER_SIZE + sched.chunk_bytes
+        popped = sched.pop_run(-(-limit // frame_bytes)
+                               if limit > frame_bytes else 1)
+        if popped is None:
+            return None
+        now = self._clock()
+        sender_id, outbox, burst = self.sender_id, self.outbox, self._burst
         frames: List[bytes] = []
         gathered = 0
-        popped = self.sched.pop_chunk()
-        while popped is not None:
-            item, chunk, offset, done, preempted = popped
+        while True:
+            item, offset, end, done, preempted = popped
             if item is self._queued_ack:
                 self._queued_ack = None  # the next ack queues afresh
             reliable = self.reliable and item.kind in RELIABLE_KINDS
             # ack_seq: SEQ_NONE, but for a CHUNK_ACK the reverse
             # direction's cumulative ack — neither is sequenced.
             seq = self._next_seq if reliable else item.ack_seq
-            frame = encode_frame(
-                item.kind, self.sender_id, item.key, item.iteration,
-                item.priority, chunk, offset=offset,
-                total=len(item.payload), seq=seq)
+            payload = item.payload
+            run = encode_run(item.kind, sender_id, item.key, item.iteration,
+                             item.priority, memoryview(payload)[offset:end],
+                             offset, len(payload), sched.chunk_bytes, seq,
+                             reliable)
             if reliable:
                 # Recorded before the write so an ack racing the send
                 # can never miss the outbox entry — and so a mid-frame
                 # disconnect never loses the chunk.
-                self._next_seq += 1
-                self.outbox.record(seq, frame, self._clock())
+                self._next_seq += len(run)
+                outbox.record_run(seq, run, now)
             if (preempted is not None and self.recorder is not None
                     and preempted.kind in DATA_KINDS):
                 self.recorder.emit(
-                    EventKind.SLICE_PREEMPTED, node=self.node,
-                    ts=self._clock(), key=preempted.key,
-                    iteration=preempted.iteration,
+                    EventKind.SLICE_PREEMPTED, node=self.node, ts=now,
+                    key=preempted.key, iteration=preempted.iteration,
                     priority=preempted.priority,
                     nbytes=len(preempted.payload) - preempted.offset,
                     detail=f"overtaken_by_key={item.key}")
-            frames.append(frame)
-            self._burst.append((item, done, len(frame)))
-            gathered += len(frame)
-            popped = self.sched.pop_chunk() if gathered < limit else None
-        return (b"".join(frames), item.priority) if frames else None
+            frames += run
+            burst.append((item, done, run))
+            gathered += end - offset + HEADER_SIZE * len(run)
+            if gathered >= limit:
+                break
+            popped = sched.pop_run(-((gathered - limit) // frame_bytes))
+            if popped is None:
+                break
+        self._gathered += gathered
+        return b"".join(frames), item.priority
 
     def timeout(self, now: float) -> Optional[float]:
         """Seconds a host with nothing to write may sleep before the
@@ -702,30 +762,38 @@ class SenderCore:
         ``[t0, t1]``: one :class:`ChunkRecord` per frame, each carrying
         the burst's write interval; a message's own wire time is its
         share of the bytes."""
-        gathered = sum(nbytes for _, _, nbytes in self._burst)
-        for item, done, nbytes in self._burst:
-            item.wire_s += (t1 - t0) * nbytes / gathered
-            self.timeline.append(ChunkRecord(
-                self.sender_id, int(item.kind), item.key, item.iteration,
-                item.priority, t0, t1, nbytes))
-            if (done and self.recorder is not None
-                    and item.kind in DATA_KINDS):
+        burst, recorder, gathered = self._burst, self.recorder, self._gathered
+        append, record, sender_id = self.timeline.append, tuple.__new__, \
+            self.sender_id
+        elapsed = t1 - t0
+        for item, done, run in burst:
+            kind, key, iteration, priority = (int(item.kind), item.key,
+                                              item.iteration, item.priority)
+            wire_s = item.wire_s
+            for frame in run:
+                nbytes = len(frame)
+                wire_s += elapsed * nbytes / gathered
+                append(record(ChunkRecord, (sender_id, kind, key, iteration,
+                                            priority, t0, t1, nbytes)))
+            item.wire_s = wire_s
+            if done and recorder is not None and item.kind in DATA_KINDS:
                 # Same queueing definition as the simulator adapter:
                 # time since enqueue not spent on this message's own
                 # wire occupancy (shaper waits count as queueing).
-                queue_s = max(0.0, (t1 - item.enqueue_ts) - item.wire_s)
-                self.recorder.emit(
+                queue_s = max(0.0, (t1 - item.enqueue_ts) - wire_s)
+                recorder.emit(
                     EventKind.SLICE_SENT, node=self.node, ts=t1,
-                    key=item.key, iteration=item.iteration,
-                    priority=item.priority, nbytes=len(item.payload),
-                    queue_s=queue_s, wire_s=item.wire_s,
-                    detail=item.kind.name.lower())
-        self._burst.clear()
+                    key=key, iteration=iteration, priority=priority,
+                    nbytes=len(item.payload), queue_s=queue_s,
+                    wire_s=wire_s, detail=item.kind.name.lower())
+        burst.clear()
+        self._gathered = 0
 
     def unwritten(self) -> None:
         """The burst never reached the wire (the connection died): no
         record; its reliable frames wait in the outbox for a rebind."""
         self._burst.clear()
+        self._gathered = 0
 
     @property
     def busy(self) -> bool:

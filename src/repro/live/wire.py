@@ -45,7 +45,7 @@ import struct
 import zlib
 from bisect import bisect_right
 from enum import IntEnum
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,13 @@ HEADER_SIZE = struct.calcsize(HEADER_FMT)
 CRC_OFFSET = HEADER_SIZE - 4  # crc32 is the last header field
 _HEADER = struct.Struct(HEADER_FMT)
 _HEAD = struct.Struct(HEADER_FMT[:-1])  # the CRC_OFFSET bytes the CRC covers
+# An encoder packs a run's fixed fields (magic .. priority) once and only
+# offset, total, length and seq per frame.
+_PREFIX = struct.Struct(HEADER_FMT[:9])
+_TAIL = struct.Struct("<" + HEADER_FMT[9:-1])
+# A decoder reads magic, version and kind as one u32 tag: one dict
+# lookup (:data:`_TAGS`) vets all three.
+_DECODE = struct.Struct("<IHhiiiIIIII")
 _U32 = struct.Struct("<I")
 
 #: ``seq`` value of unsequenced (control) frames: they are delivered
@@ -85,7 +92,7 @@ class WireKind(IntEnum):
     # No node sends or handles PULL_REQ: a shard answers a round's
     # contributors unasked (the paper's broadcast).  The member stays —
     # the kind space is pinned by committed wire literals, and the
-    # baseline's notify -> pull round trip (ROADMAP item 3) will use it.
+    # baseline's notify -> pull round trip (ROADMAP item 8) will use it.
     PULL_REQ = 2    # worker -> server: request key's value for a round
     PULL_RESP = 3   # server -> worker: a round's applied parameter slice
     ACK = 4         # server -> worker: heartbeat/control acknowledgement
@@ -101,7 +108,8 @@ class WireKind(IntEnum):
     EPOCH = 10      # server -> worker: epoch committed, rounds may start
 
 
-_KINDS = {int(kind): kind for kind in WireKind}
+#: The first header word of every valid frame -> its kind.
+_TAGS = {MAGIC | VERSION << 16 | int(kind) << 24: kind for kind in WireKind}
 
 
 class Frame(NamedTuple):
@@ -140,10 +148,64 @@ class WireMessage(NamedTuple):
         """Decode the payload as the fp64 vector it carries."""
         return np.frombuffer(self.payload, dtype=WIRE_DTYPE).copy()
 
+    def view(self) -> np.ndarray:
+        """The fp64 vector, read-only over the payload bytes (no copy)."""
+        return np.frombuffer(self.payload, dtype=WIRE_DTYPE)
+
 
 def encode_array(vec: np.ndarray) -> bytes:
     """Encode a numpy vector as wire payload bytes."""
     return np.ascontiguousarray(vec, dtype=WIRE_DTYPE).tobytes()
+
+
+def encode_run(kind: WireKind, sender: int, key: int, iteration: int,
+               priority: int, data: Union[bytes, memoryview], offset: int,
+               total: int, chunk_bytes: int, seq: int = SEQ_NONE,
+               sequenced: bool = False) -> List[bytes]:
+    """Encode a run of one message's chunks: the one framing routine.
+
+    ``data`` is the message's bytes from ``offset`` on; each frame
+    carries at most ``chunk_bytes`` of it (one frame when ``data`` is
+    empty).  The frames' ``seq`` is ``seq``, counting up one per frame
+    when ``sequenced``.  The limits are checked once per run, in the
+    order a frame-at-a-time encoder would meet them: the first chunk
+    (the largest) against :data:`MAX_FRAME_PAYLOAD`, ``total``, the
+    run's end, then every seq the run uses.  Pass ``data`` as a
+    ``memoryview`` to cut chunks without copying them.
+    """
+    size = len(data)
+    first = size if size < chunk_bytes else chunk_bytes
+    if first > MAX_FRAME_PAYLOAD:
+        raise WireError(f"frame payload {first} exceeds "
+                        f"MAX_FRAME_PAYLOAD={MAX_FRAME_PAYLOAD}")
+    if total > MAX_MESSAGE_BYTES:
+        raise WireError(f"message of {total} bytes exceeds "
+                        f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
+    if offset + size > total:
+        raise WireError("chunk extends past the declared message total")
+    step = 1 if sequenced else 0
+    last_seq = seq + step * ((size - 1) // chunk_bytes) if size else seq
+    if not (0 <= seq and last_seq <= SEQ_NONE):
+        raise WireError(f"seq {seq if seq < 0 else last_seq} out of the "
+                        "u32 range")
+    if size <= chunk_bytes:  # one frame: its header is packed whole
+        head = _HEAD.pack(MAGIC, VERSION, kind, 0, sender, key, iteration,
+                          priority, offset, total, size, seq)
+        crc = zlib.crc32(data, zlib.crc32(head))
+        return [b"".join((head, _U32.pack(crc), data))]
+    prefix = _PREFIX.pack(MAGIC, VERSION, kind, 0, sender, key, iteration,
+                          priority)
+    prefix_crc = zlib.crc32(prefix)
+    tail, u32, crc32, join = _TAIL.pack, _U32.pack, zlib.crc32, b"".join
+    frames = []
+    for at in range(0, size, chunk_bytes):
+        chunk = data[at:at + chunk_bytes]
+        head = tail(offset + at, total, len(chunk), seq)
+        frames.append(join((prefix, head,
+                            u32(crc32(chunk, crc32(head, prefix_crc))),
+                            chunk)))
+        seq += step
+    return frames
 
 
 def encode_frame(kind: WireKind, sender: int, key: int, iteration: int,
@@ -152,20 +214,8 @@ def encode_frame(kind: WireKind, sender: int, key: int, iteration: int,
     """Encode one frame; ``total`` defaults to ``len(payload)``."""
     if total is None:
         total = len(payload)
-    if len(payload) > MAX_FRAME_PAYLOAD:
-        raise WireError(f"frame payload {len(payload)} exceeds "
-                        f"MAX_FRAME_PAYLOAD={MAX_FRAME_PAYLOAD}")
-    if total > MAX_MESSAGE_BYTES:
-        raise WireError(f"message of {total} bytes exceeds "
-                        f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
-    if offset + len(payload) > total:
-        raise WireError("chunk extends past the declared message total")
-    if not (0 <= seq <= SEQ_NONE):
-        raise WireError(f"seq {seq} out of the u32 range")
-    head = _HEAD.pack(MAGIC, VERSION, kind, 0, sender, key, iteration,
-                      priority, offset, total, len(payload), seq)
-    crc = zlib.crc32(payload, zlib.crc32(head))
-    return b"".join((head, _U32.pack(crc), payload))
+    return encode_run(kind, sender, key, iteration, priority, payload,
+                      offset, total, len(payload) or 1, seq)[0]
 
 
 def reseq_frame(frame: bytes, seq: int) -> bytes:
@@ -198,14 +248,30 @@ def split_message(kind: WireKind, sender: int, key: int, iteration: int,
     """
     if chunk_bytes <= 0:
         raise ValueError("chunk_bytes must be positive")
-    total = len(payload)
-    if total == 0:
-        return [encode_frame(kind, sender, key, iteration, priority)]
-    return [
-        encode_frame(kind, sender, key, iteration, priority,
-                     payload[off:off + chunk_bytes], offset=off, total=total)
-        for off in range(0, total, chunk_bytes)
-    ]
+    return encode_run(kind, sender, key, iteration, priority,
+                      memoryview(payload), 0, len(payload), chunk_bytes)
+
+
+def _header_error(buf: Union[bytes, bytearray], pos: int) -> WireError:
+    """The error for a header that failed the decoder's combined sanity
+    test: the first failing field, checked one at a time."""
+    (magic, version, kind_i, flags, _sender, _key, _iteration, _priority,
+     offset, total, length, _seq, _crc) = _HEADER.unpack_from(buf, pos)
+    if magic != MAGIC:
+        return WireError(f"bad magic 0x{magic:04x} (stream desync?)")
+    if version != VERSION:
+        return WireError(f"unsupported protocol version {version}")
+    if flags != 0:
+        return WireError(f"nonzero reserved flags 0x{flags:04x}")
+    if length > MAX_FRAME_PAYLOAD:
+        return WireError(f"frame length {length} exceeds cap "
+                         f"{MAX_FRAME_PAYLOAD}")
+    if total > MAX_MESSAGE_BYTES:
+        return WireError(f"message total {total} exceeds cap "
+                         f"{MAX_MESSAGE_BYTES}")
+    if offset + length > total:
+        return WireError("chunk extends past the declared message total")
+    return WireError(f"unknown message kind {kind_i}")
 
 
 class FrameDecoder:
@@ -226,8 +292,15 @@ class FrameDecoder:
     """
 
     def __init__(self, strict: bool = True) -> None:
-        self._buf = bytearray()
-        self._pos = 0  # read cursor: bytes before it are decoded already
+        # The bytes being decoded and the read cursor: bytes before it
+        # are decoded already.  A read that arrives while nothing is
+        # pending is decoded where it lies, never copied.
+        self._buf: Union[bytes, bytearray] = b""
+        self._pos = 0
+        # (read, cursor) to go on with once _buf — the one frame that
+        # straddled two reads — is decoded: feed() copies that frame,
+        # not the read it ends in.
+        self._next: Optional[Tuple[bytes, int]] = None
         self.strict = strict
         self.crc_failures = 0
 
@@ -239,61 +312,73 @@ class FrameDecoder:
         :attr:`crc_failures`, so per-connection stats never inherit the
         previous connection's skip count.
         """
-        self._buf.clear()
-        self._pos = 0
+        self._buf, self._pos, self._next = b"", 0, None
         self.crc_failures = 0
 
     def feed(self, data: bytes) -> None:
-        if self._pos:  # compact once per read, not once per frame
-            del self._buf[:self._pos]
-            self._pos = 0
-        self._buf += data
+        data = bytes(data)  # kept until decoded: it must not change
+        buf, pos, after = self._buf, self._pos, self._next
+        if after is None:
+            if pos == len(buf):
+                self._buf, self._pos = data, 0
+                return
+            need = _straddle(buf, pos, data)
+            if need:
+                self._buf = b"".join((memoryview(buf)[pos:],
+                                      memoryview(data)[:need]))
+                self._pos = 0
+                self._next = (data, need) if need < len(data) else None
+                return
+        # A frame longer than this read, or a feed before the last one
+        # was drained: one growing buffer (amortized, like any bytearray).
+        if type(buf) is bytearray:
+            del buf[:pos]
+        else:
+            buf = bytearray(memoryview(buf)[pos:])
+        if after is not None:
+            buf += memoryview(after[0])[after[1]:]
+        buf += data
+        self._buf, self._pos, self._next = buf, 0, None
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf) - self._pos
+        after = self._next
+        return len(self._buf) - self._pos + (
+            0 if after is None else len(after[0]) - after[1])
 
     def frames(self) -> Iterator[Frame]:
-        while True:
-            frame = self._try_decode()
-            if frame is None:
-                return
-            yield frame
+        """Yield every complete frame buffered so far, in stream order.
 
-    def _try_decode(self) -> Optional[Frame]:
-        buf = self._buf
+        One sanity test covers each header (a valid magic, version and
+        kind are one tag lookup); only a header that fails it is checked
+        field by field, for the error to raise.
+        """
+        unpack, tags, crc32, new = (_DECODE.unpack_from, _TAGS, zlib.crc32,
+                                    tuple.__new__)
         while True:
-            pos = self._pos
+            # Re-read: a feed between two frames may have replaced them.
+            buf, pos = self._buf, self._pos
             start = pos + HEADER_SIZE
             if len(buf) < start:
-                return None
-            (magic, version, kind_i, flags, sender, key, iteration, priority,
-             offset, total, length, seq, crc) = _HEADER.unpack_from(buf, pos)
-            if magic != MAGIC:
-                raise WireError(f"bad magic 0x{magic:04x} (stream desync?)")
-            if version != VERSION:
-                raise WireError(f"unsupported protocol version {version}")
-            if flags != 0:
-                raise WireError(f"nonzero reserved flags 0x{flags:04x}")
-            if length > MAX_FRAME_PAYLOAD:
-                raise WireError(f"frame length {length} exceeds cap "
-                                f"{MAX_FRAME_PAYLOAD}")
-            if total > MAX_MESSAGE_BYTES:
-                raise WireError(f"message total {total} exceeds cap "
-                                f"{MAX_MESSAGE_BYTES}")
-            if offset + length > total:
-                raise WireError("chunk extends past the declared message total")
-            kind = _KINDS.get(kind_i)
-            if kind is None:
-                raise WireError(f"unknown message kind {kind_i}")
+                if pos == len(buf) and self._next is not None:
+                    # The straddling frame is done: on into its read.
+                    self._buf, self._pos = self._next
+                    self._next = None
+                    continue
+                return
+            (tag, flags, sender, key, iteration, priority, offset, total,
+             length, seq, crc) = unpack(buf, pos)
+            kind = tags.get(tag)
+            if (kind is None or flags or length > MAX_FRAME_PAYLOAD
+                    or total > MAX_MESSAGE_BYTES or offset + length > total):
+                raise _header_error(buf, pos)
             end = start + length
             if len(buf) < end:
-                return None
-            with memoryview(buf) as view:  # released before buf can resize
-                payload = bytes(view[start:end])
-                expect = zlib.crc32(payload,
-                                    zlib.crc32(view[pos:pos + CRC_OFFSET]))
-            if crc != expect:
+                return
+            # One copy out of a read; two out of the rare bytearray.
+            payload = bytes(buf[start:end])
+            intact = crc32(payload, crc32(buf[pos:start - 4])) == crc
+            if not intact:
                 if self.strict:
                     raise WireError(f"CRC mismatch on {kind.name} frame "
                                     f"(key={key}, offset={offset})")
@@ -303,8 +388,24 @@ class FrameDecoder:
                 self._pos = end
                 continue
             self._pos = end
-            return Frame(kind, sender, key, iteration, priority, offset,
-                         total, payload, seq)
+            yield new(Frame, (kind, sender, key, iteration, priority, offset,
+                              total, payload, seq))
+
+
+def _straddle(buf: Union[bytes, bytearray], pos: int, data: bytes) -> int:
+    """How many bytes of ``data`` complete the frame that starts at
+    ``buf[pos:]``, when it ends within ``data`` (0 when it does not, or
+    when its header is not whole or not plausible yet)."""
+    head = bytes(memoryview(buf)[pos:pos + HEADER_SIZE])
+    if len(head) < HEADER_SIZE:
+        head += data[:HEADER_SIZE - len(head)]
+        if len(head) < HEADER_SIZE:
+            return 0
+    length = _DECODE.unpack(head)[8]
+    if length > MAX_FRAME_PAYLOAD:
+        return 0
+    need = HEADER_SIZE + length - (len(buf) - pos)
+    return need if 0 < need <= len(data) else 0
 
 
 class Reassembler:
@@ -323,35 +424,50 @@ class Reassembler:
 
     def add(self, frame: Frame) -> Optional[WireMessage]:
         """Absorb one frame; return the message if now complete."""
-        payload, total, start = frame.payload, frame.total, frame.offset
+        kind, sender, key, iteration, priority, start, total, payload, _ = \
+            frame
         end = start + len(payload)
-        ident = (frame.sender, int(frame.kind), frame.key, frame.iteration)
+        ident = (sender, kind, key, iteration)  # WireKind hashes as int
         part = self._partial.get(ident)
         if total == 0 or (part is None and end - start == total):
-            return WireMessage(frame.kind, frame.sender, frame.key,
-                               frame.iteration, frame.priority, payload)
+            return WireMessage(kind, sender, key, iteration, priority,
+                               payload)
         if part is None:
+            if payload:  # a first chunk opens the message's one run
+                self._partial[ident] = (total, [[start, end]],
+                                        {start: payload})
+                return None
             part = self._partial[ident] = (total, [], {})
         expected, runs, chunks = part
-        if expected != total:
-            raise WireError(f"message {ident} changed its total length")
-        i = bisect_right(runs, [start, total])  # runs[:i] start <= start
-        if ((i and runs[i - 1][1] > start and runs[i - 1][0] < end)
-                or (i < len(runs) and runs[i][0] < end)):
-            raise WireError(f"message {ident} received overlapping chunks")
-        if payload:
+        if payload and len(runs) == 1 and runs[0][1] == start \
+                and expected == total:
+            # In order: the chunk extends the one run.
+            run = runs[0]
+            run[1] = end
             chunks[start] = payload
-        if i and runs[i - 1][1] == start:
-            runs[i - 1][1] = end
-            if i < len(runs) and runs[i][0] == end:  # gap closed
-                runs[i - 1][1] = runs.pop(i)[1]
-        elif i < len(runs) and runs[i][0] == end:
-            runs[i][0] = start
-        elif payload:
-            runs.insert(i, [start, end])
-        if runs == [[0, total]]:
-            del self._partial[ident]
-            return WireMessage(
-                frame.kind, frame.sender, frame.key, frame.iteration,
-                frame.priority, b"".join(map(chunks.get, sorted(chunks))))
-        return None
+            if end != total or run[0]:
+                return None
+        else:
+            named = (sender, int(kind), key, iteration)
+            if expected != total:
+                raise WireError(f"message {named} changed its total length")
+            i = bisect_right(runs, [start, total])  # runs[:i] start <= start
+            if ((i and runs[i - 1][1] > start and runs[i - 1][0] < end)
+                    or (i < len(runs) and runs[i][0] < end)):
+                raise WireError(f"message {named} received overlapping "
+                                "chunks")
+            if payload:
+                chunks[start] = payload
+            if i and runs[i - 1][1] == start:
+                runs[i - 1][1] = end
+                if i < len(runs) and runs[i][0] == end:  # gap closed
+                    runs[i - 1][1] = runs.pop(i)[1]
+            elif i < len(runs) and runs[i][0] == end:
+                runs[i][0] = start
+            elif payload:
+                runs.insert(i, [start, end])
+            if runs != [[0, total]]:
+                return None
+        del self._partial[ident]
+        return WireMessage(kind, sender, key, iteration, priority,
+                           b"".join([chunks[at] for at in sorted(chunks)]))

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.live import LiveClusterConfig
 from repro.live.transport import (
     CONTROL_PRIORITY,
+    ChunkRecord,
     ChunkScheduler,
     PrioritySender,
     RetryPolicy,
@@ -27,8 +29,8 @@ from repro.live.transport import (
     goodput_bytes_per_s,
     timeline_utilization,
 )
-from repro.live.wire import (HEADER_SIZE, SEQ_NONE, FrameDecoder,
-                             Reassembler, WireKind)
+from repro.live.wire import (HEADER_SIZE, MAX_FRAME_PAYLOAD, SEQ_NONE,
+                             FrameDecoder, Reassembler, WireKind)
 
 
 class FakeClock:
@@ -360,6 +362,22 @@ def test_scheduler_validates_chunk_bytes():
         ChunkScheduler(chunk_bytes=0)
 
 
+def test_scheduler_refuses_chunks_over_the_frame_cap():
+    """A chunk over ``MAX_FRAME_PAYLOAD`` used to be accepted, then fail
+    the first large message mid-drain with a ``WireError``."""
+    ChunkScheduler(chunk_bytes=MAX_FRAME_PAYLOAD)
+    with pytest.raises(ValueError, match="exceeds MAX_FRAME_PAYLOAD"):
+        ChunkScheduler(chunk_bytes=MAX_FRAME_PAYLOAD + 1)
+    with pytest.raises(ValueError, match="exceeds MAX_FRAME_PAYLOAD"):
+        SenderCore(0, chunk_bytes=8 << 20)
+
+
+def test_live_config_refuses_chunks_over_the_frame_cap():
+    LiveClusterConfig(chunk_bytes=MAX_FRAME_PAYLOAD)
+    with pytest.raises(ValueError, match="chunk_bytes 8388608 exceeds"):
+        LiveClusterConfig(chunk_bytes=8 << 20)
+
+
 # ----------------------------------------------------------------------
 # SenderCore: the sender state machine with no socket, thread or loop
 # ----------------------------------------------------------------------
@@ -663,6 +681,22 @@ def test_timeline_records_every_chunk():
         sys.setswitchinterval(interval)
         left.close()
         right.close()
+
+
+def test_goodput_counts_data_payload_only():
+    """Headers and control frames are wire bytes, not goodput; the span
+    is first write to last write over every record."""
+    records = [
+        ChunkRecord(0, int(WireKind.PUSH), 1, 0, 0, 0.0, 1.0,
+                    HEADER_SIZE + 1000),
+        ChunkRecord(0, int(WireKind.PUSH), 1, 0, 0, 1.0, 2.0,
+                    HEADER_SIZE + 500),
+        ChunkRecord(0, int(WireKind.CHUNK_ACK), -1, 0, CONTROL_PRIORITY,
+                    2.0, 3.0, HEADER_SIZE),
+    ]
+    assert goodput_bytes_per_s(records) == pytest.approx(1500 / 3.0)
+    assert timeline_utilization(records).total_bytes(0, "tx") == \
+        3 * HEADER_SIZE + 1500
 
 
 def test_shaped_goodput_near_configured_rate():

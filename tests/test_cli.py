@@ -34,11 +34,65 @@ def test_live_parser_flags():
 
 @pytest.mark.slow
 def test_live_command_runs(capsys):
-    """Full live run via the CLI: forks processes, so marked slow."""
+    """Full live run via the CLI: baseline and p3 over a shaped link."""
     assert main(["live", "--iterations", "3", "--warmup", "1"]) == 0
     out = capsys.readouterr().out
     assert "bit-identical" in out
     assert "speedup" in out
+
+
+class _StubRun:
+    def goodput_bytes_per_s(self, worker):
+        return 1e6
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_live_command_exits_nonzero_when_the_run_diverges(monkeypatch,
+                                                          capsys, identical):
+    """A diverged live run fails the command; a sign disagreement alone
+    stays a printed finding."""
+    from repro.analysis import calibration
+    from repro.live import aio
+
+    def calibrate(cfg, live_results=None, observe=False):
+        return calibration.CalibrationReport(
+            live_baseline_s=1.0, live_p3_s=2.0, sim_baseline_s=2.0,
+            sim_p3_s=1.0, bit_identical=identical,
+            max_abs_diff=0.0 if identical else 3.5e-7)
+
+    monkeypatch.setattr(aio, "run_live_aio", lambda cfg, strategy: _StubRun())
+    monkeypatch.setattr(calibration, "calibrate", calibrate)
+    argv = ["live", "--iterations", "3", "--warmup", "1"]
+    if identical:
+        assert main(argv) == 0
+        assert "sign agreement (tolerance ±0.15): NO" in \
+            capsys.readouterr().out
+    else:
+        with pytest.raises(SystemExit, match=r"max \|diff\| = 3\.50e-07"):
+            main(argv)
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_live_faults_command_exits_nonzero_when_recovery_diverges(
+        monkeypatch, identical):
+    from repro.analysis import calibration
+
+    def calibrate_faults(cfg, plan, strategy):
+        return calibration.FaultCalibrationReport(
+            strategy=strategy, plan=plan, live_clean_s=1.0,
+            live_faulty_s=1.5, sim_clean_s=1.0, sim_faulty_s=1.4,
+            bit_identical_under_faults=identical,
+            max_abs_diff=0.0 if identical else 1.25e-3,
+            live_transport_stats={0: {"frames_retransmitted": 4}})
+
+    monkeypatch.setattr(calibration, "calibrate_faults", calibrate_faults)
+    argv = ["live", "--iterations", "3", "--warmup", "1",
+            "--faults", "drop=0.05"]
+    if identical:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit, match=r"max \|diff\| = 1\.25e-03"):
+            main(argv)
 
 
 def test_models_command(capsys):
