@@ -1,7 +1,7 @@
 """Shared benchmark utilities.
 
-Every benchmark regenerates one paper figure's data series, prints the
-rows (visible with ``pytest benchmarks/ --benchmark-only -s`` or in the
+Every figure benchmark regenerates one ledger run's data series, prints
+them (visible with ``pytest benchmarks/ --benchmark-only -s`` or in the
 captured output summary), and writes a CSV under ``results/`` so the
 data survives the run.
 """

@@ -1,6 +1,6 @@
-"""Every paper figure at the benchmark's scale, from the paper-claims
-ledger (:mod:`repro.analysis.claims`): one case per figure run
-regenerates the figure, writes ``results/<id>.csv`` and checks each
+"""Every figure run of the claims ledger (:mod:`repro.analysis.claims`)
+at the benchmark's scale, the paper's and the extensions': one case per
+run regenerates the figure, writes ``results/<id>.csv`` and checks each
 ledger row whose last run it is (``-s`` prints those rows)."""
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from repro.analysis.claims import CLAIMS, FIGURE_RUNS, measure, run_figure, tabl
 
 from conftest import run_once
 
-#: The training figures take minutes (Fig 11 ~2.5, Fig 15 ~0.5 on two cores).
-SLOW = {"fig11", "fig15"}
+#: The training runs take minutes (Fig 11 ~2.5, Fig 15 ~0.5, the
+#: co-simulation ~1 on two cores).
+SLOW = {"fig11", "fig15", "ext_cosim"}
 ORDER = [run.id for run in FIGURE_RUNS]
 
 

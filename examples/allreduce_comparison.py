@@ -13,42 +13,18 @@ from __future__ import annotations
 
 import sys
 
-from repro.allreduce import (
-    AllreduceConfig,
-    framework_bucketing,
-    priority_allreduce,
-    simulate_allreduce,
-    unsliced_priority_allreduce,
-)
-from repro.models import get_model
+from repro.allreduce import allreduce_sweep
 
 
 def main(model_name: str = "vgg19") -> None:
-    model = get_model(model_name)
-    cfg = AllreduceConfig(n_workers=4, bandwidth_gbps=10.0)
-
-    print(f"== {model_name} on a 4-worker ring @ 10 Gbps ==")
-    base = None
-    for strategy in (framework_bucketing(), unsliced_priority_allreduce(),
-                     priority_allreduce()):
-        result = simulate_allreduce(model, strategy, cfg, iterations=6, warmup=2)
-        if base is None:
-            base = result
-        print(f"{strategy.name:25s} {result.throughput / 4:8.1f} "
-              f"{model.sample_unit}/s/worker  "
-              f"({result.speedup_over(base):.2f}x, {result.n_buckets} buckets)")
-
-    print("\n== slice-size sweep for priority allreduce ==")
-    for mb in (0.2, 1, 4, 16, 64):
-        strategy = priority_allreduce(bucket_bytes=int(mb * 1e6))
-        result = simulate_allreduce(model, strategy, cfg, iterations=6, warmup=2)
-        print(f"  {mb:5.1f} MB slices: {result.throughput / 4:8.1f} "
-              f"{model.sample_unit}/s/worker")
-
-    print("\nNote the useful granularity is much coarser than the parameter "
-          "server's 50k params (0.2 MB): a ring collective pays its fixed "
-          "overhead 2(W-1) times per op, so sub-MB slices hurt and the "
-          "benefit saturates above a few MB.")
+    fig = allreduce_sweep(model_name, (0.2e6, 1e6, 4e6, 16e6, 64e6),
+                          iterations=6, warmup=2)
+    print(fig.summary())
+    print("\nThe fused-bucket disciplines do not slice, so their columns are "
+          "flat.  Note the useful granularity is much coarser than the "
+          "parameter server's 50k params (0.2 MB): a ring collective pays "
+          "its fixed overhead 2(W-1) times per op, so sub-MB slices hurt "
+          "and the benefit saturates above a few MB.")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from .sim import (
     AllreduceConfig,
     AllreduceResult,
     AllreduceStrategy,
+    allreduce_sweep,
     framework_bucketing,
     priority_allreduce,
     simulate_allreduce,
@@ -19,6 +20,7 @@ __all__ = [
     "AllreduceResult",
     "AllreduceStrategy",
     "Bucket",
+    "allreduce_sweep",
     "RingCostModel",
     "framework_bucketing",
     "fused_buckets",

@@ -17,10 +17,9 @@ from .ascii_plot import ascii_plot as ascii_plot
 
 #: Submodule -> the public names it defines and this package re-exports.
 _MODULE_EXPORTS = {
-    "ablations": ("colocation_ablation", "component_ablation",
-                  "latency_sensitivity", "oversubscription_sweep",
-                  "priority_policy_ablation", "server_count_sweep",
-                  "shared_cluster_sweep", "straggler_sensitivity"),
+    "ablations": ("latency_sensitivity", "oversubscription_sweep",
+                  "server_count_sweep", "shared_cluster_sweep",
+                  "straggler_sensitivity"),
     "accuracy": ("DEFAULT_SETTINGS", "HyperSetting", "fig11_p3_vs_dgc",
                  "fig15_asgd_vs_p3"),
     "ascii_plot": ("ascii_plot",),
@@ -39,12 +38,12 @@ _MODULE_EXPORTS = {
     "scalability": ("FIG10_SIZES", "fig10_scalability"),
     "schedules": ("ScheduleOutcome", "fig4_schedule_comparison",
                   "fig6_granularity_comparison", "schedule_figure"),
-    "sensitivity": ("sensitivity_scan", "speedup_at"),
+    "sensitivity": ("sensitivity_scan",),
     "series": ("FigureData", "Series", "speedup"),
     "sharding": ("PLACEMENTS", "PLACEMENT_SIZES", "placement_sweep",
                  "skewed_strategies"),
     "slice_size": ("FIG12_SLICES", "fig12_slice_size_sweep"),
-    "stats": ("SeedStats", "speedup_stats", "summarize", "throughput_stats"),
+    "stats": ("SeedStats", "summarize"),
     "storage": ("load_figure", "save_figure"),
     "sweep": ("Sweep",),
     "tails": ("iteration_time_percentiles", "tail_comparison"),

@@ -1,93 +1,19 @@
 """Ablation studies (DESIGN.md Section 6) — beyond the paper's figures.
 
-Each ablation isolates one design choice of P3:
-
-* ``priority_policy_ablation`` — is *consumption order* the right
-  priority, or does any prioritization help?  (forward vs reverse vs
-  random vs uniform)
-* ``component_ablation`` — slicing-only vs priority-only vs full P3.
-* ``latency_sensitivity`` — P3's gains come from bandwidth scheduling,
-  so they should be robust to propagation latency.
-* ``colocation_ablation`` — dedicated PS machines double the aggregate
-  PS bandwidth but add machines; the paper colocates.
-
-The sweeps are rows of :class:`~repro.analysis.sweep.Sweep`; the three
-single-operating-point ablations are Figure 7 read at one bandwidth
-with their own strategies, so they take its run parameters (``**run``:
-``n_workers``, ``iterations``, ``warmup``, ``seed``, ``jobs``,
-``cache``) and only rearrange its output.
+Each sweep here isolates one condition P3's gains depend on: propagation
+latency (its gains are bandwidth scheduling, not latency hiding),
+tenant traffic sharing the NIC, the number of PS shards, an
+oversubscribed FIFO core, and one slow worker.  The single-point
+ablations (components, priority policies, dedicated PS machines) are
+Figure 7 columns with their own strategies: runs of
+:mod:`repro.analysis.claims`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from ..models import get_model
-from ..strategies import (
-    asgd,
-    baseline,
-    p3,
-    p3_with_policy,
-    priority_only,
-    slicing_only,
-)
-from .bandwidth import fig7_bandwidth_sweep
+from ..strategies import asgd, baseline, p3
 from .series import FigureData
 from .sweep import Sweep, config_axis
-
-POLICIES = ("forward", "reverse", "random", "uniform")
-
-
-def _fig7_column(model_name: str, bandwidth_gbps: float, strategies,
-                 **run) -> Dict[str, float]:
-    """Figure 7 read at one bandwidth: per-worker throughput by strategy."""
-    column = fig7_bandwidth_sweep(model_name, (bandwidth_gbps,),
-                                  strategies=strategies, **run)
-    return {series.label: float(series.y[0]) for series in column.series}
-
-
-def priority_policy_ablation(
-    model_name: str = "resnet50",
-    bandwidth_gbps: float = 4.0,
-    policies: Sequence[str] = POLICIES,
-    **run,
-) -> FigureData:
-    """P3 throughput under alternative priority orderings."""
-    throughputs = _fig7_column(
-        model_name, bandwidth_gbps,
-        [p3_with_policy(policy) if policy != "forward" else p3()
-         for policy in policies], **run)
-    fig = FigureData(
-        figure_id="ablation_priority",
-        title=f"Priority policy ablation: {model_name} @ {bandwidth_gbps:g} Gbps",
-        x_label="policy#",
-        y_label=(f"throughput ({get_model(model_name).sample_unit}/s "
-                 f"per worker)"),
-    )
-    for i, (policy, y) in enumerate(zip(policies, throughputs.values())):
-        fig.add(policy, [i], [y])
-        fig.notes[policy] = round(y, 2)
-    return fig
-
-
-def component_ablation(model_name: str = "vgg19",
-                       bandwidth_gbps: float = 15.0, **run) -> Dict[str, float]:
-    """Throughput of baseline / slicing-only / priority-only / full P3."""
-    return _fig7_column(
-        model_name, bandwidth_gbps,
-        (baseline(), slicing_only(), priority_only(), p3()), **run)
-
-
-def colocation_ablation(model_name: str = "vgg19",
-                        bandwidth_gbps: float = 15.0,
-                        **run) -> Dict[str, Dict[str, float]]:
-    """Colocated PS shards (the paper's setup) vs dedicated PS machines."""
-    return {
-        key: _fig7_column(model_name, bandwidth_gbps, (baseline(), p3()),
-                          colocate_servers=colocated, **run)
-        for key, colocated in (("colocated", True), ("dedicated", False))
-    }
-
 
 latency_sensitivity = Sweep(
     "ablation_latency", "Latency sensitivity: {model} @ {bandwidth_gbps:g} Gbps",

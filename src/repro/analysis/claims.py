@@ -1,34 +1,49 @@
-"""The paper's claims, stated once: one row per claim of P3 (arXiv:1905.03960).
+"""Every claim, stated once: one row per claim of P3 (arXiv:1905.03960) or of an extension.
 
-A row holds where the paper makes the claim, what it says, its number (``None`` if
-qualitative), the :data:`FIGURE_RUNS` measuring it, the measured quantity and the shape
-check (who wins, by roughly what factor, where a crossover falls: DESIGN.md).  The benchmark
-checks every row at ``full`` settings, tier-1 those whose runs all have ``ci`` ones.
+A row holds where the claim is made (a paper section, or ``extension`` and what it extends),
+what it says, the paper's number (``None`` if qualitative or not the paper's), the
+:data:`FIGURE_RUNS` measuring it, the measured quantity and the shape check (who wins, by
+roughly what factor, where a crossover falls: DESIGN.md).  The benchmark checks every row at
+``full`` settings, tier-1 those whose runs all have ``ci`` ones.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from ..models import get_model
+import numpy as np
+
+from ..allreduce import allreduce_sweep
+from ..cosim import compare_systems, paper_systems
+from ..models import get_model, resnet110_cifar
+from ..sim import ClusterConfig
+from ..strategies import (baseline, credit_p3, p3, p3_with_compression, p3_with_policy,
+                          priority_only, slicing_only)
+from ..training import TrainConfig, make_dataset, small_cnn
+from .ablations import (latency_sensitivity, oversubscription_sweep, server_count_sweep,
+                        shared_cluster_sweep, straggler_sensitivity)
 from .accuracy import fig11_p3_vs_dgc, fig15_asgd_vs_p3
 from .bandwidth import FIG7_PANELS, fig7_bandwidth_sweep
 from .cache import SimCache
 from .distributions import fig5_param_distribution
 from .scalability import FIG10_PANELS, fig10_scalability
 from .schedules import fig4_schedule_comparison, fig6_granularity_comparison, schedule_figure
+from .sensitivity import sensitivity_scan
 from .series import FigureData, speedup
 from .slice_size import FIG12_PANELS, fig12_slice_size_sweep
+from .stats import _across_seeds, summarize
 from .sweep import Sweep
+from .tails import tail_comparison
 from .utilization import (FIG8_9_CONFIGS, fig8_baseline_utilization, fig9_p3_utilization,
                           fig13_tensorflow_utilization, fig14_poseidon_utilization)
 
 
 class FigureRun(NamedTuple):
-    """``driver(*args, **full)`` writes ``results/<id>.csv``; ``ci``: tier-1's (None: too slow)."""
+    """``driver(*args, **full)`` writes ``results/<id>.csv``; ``ci``: tier-1's settings, if any."""
 
     id: str
     driver: Callable[..., FigureData]
@@ -37,11 +52,25 @@ class FigureRun(NamedTuple):
     ci: Optional[Mapping[str, Any]] = None
 
 
-_TIER1 = {"iterations": 4, "warmup": 1}
+_SHORT = {"iterations": 4, "warmup": 1}
 _FIG7_CI = {"resnet50": (2, 4, 6, 10), "vgg19": (15, 30), "sockeye": (2, 4, 8)}
 _UTIL = {8: fig8_baseline_utilization, 9: fig9_p3_utilization}
 # VGG-19 at 1k-parameter slices needs ~10^7 events; its grid starts at 3k.
 _SLICES = (1_000, 3_000, 10_000, 50_000, 200_000, 1_000_000)
+_COMPONENTS = (baseline(), slicing_only(), priority_only(), p3())
+_POLICIES = (p3(), *map(p3_with_policy, ("reverse", "random", "uniform")))
+_CREDITS = (1, 2, 4, 8, 16, 64)
+_CREDIT = (p3(), *(replace(credit_p3(c), name=f"credit_{c}") for c in _CREDITS))
+
+
+def _four_systems(epochs: int) -> FigureData:
+    """All four systems on Figure 15's data, learning rate and network (1 Gbps, ResNet-110)."""
+    return compare_systems(
+        paper_systems(), lambda: small_cnn(np.random.default_rng(2)),
+        make_dataset(n_train=2048, n_val=512, seed=0), resnet110_cifar(batch_size=16),
+        ClusterConfig(n_workers=4, bandwidth_gbps=1.0, seed=0),
+        TrainConfig(n_workers=4, epochs=epochs, batch_size=64, lr=0.05, seed=3))
+
 
 FIGURE_RUNS: Tuple[FigureRun, ...] = (
     FigureRun("fig4", lambda: schedule_figure(
@@ -50,15 +79,12 @@ FIGURE_RUNS: Tuple[FigureRun, ...] = (
     FigureRun("fig6", lambda: schedule_figure(
         fig6_granularity_comparison(), "fig6", "Toy granularity: layer vs sliced"), ci={}),
     *(FigureRun(panel, fig7_bandwidth_sweep, (model,), {"iterations": 5},
-                {**_TIER1, "values": _FIG7_CI[model]} if model in _FIG7_CI else None)
+                {**_SHORT, "values": _FIG7_CI[model]} if model in _FIG7_CI else None)
       for model, panel in FIG7_PANELS.items()),
-    # Section 5.3's crossovers on their own grid; the rows read the same points on fig7a.
-    FigureRun("fig7_crossover", fig7_bandwidth_sweep, ("resnet50",),
-              {"values": (3, 4, 5, 6, 7, 8), "iterations": 5}),
-    *(FigureRun(f"fig{n}_{model}", _UTIL[n], (model,), ci=_TIER1)
+    *(FigureRun(f"fig{n}_{model}", _UTIL[n], (model,), ci=_SHORT)
       for n in _UTIL for model in sorted(FIG8_9_CONFIGS)),
     *(FigureRun(panel, fig10_scalability, (model,), {"iterations": 5},
-                {**_TIER1, "values": (2, 8)} if model == "vgg19" else None)
+                {**_SHORT, "values": (2, 8)} if model == "vgg19" else None)
       for model, panel in FIG10_PANELS.items()),
     FigureRun("fig11", fig11_p3_vs_dgc, full={"epochs": 16}),
     *(FigureRun(panel, fig12_slice_size_sweep, (model,),
@@ -67,6 +93,34 @@ FIGURE_RUNS: Tuple[FigureRun, ...] = (
     FigureRun("fig13", fig13_tensorflow_utilization),
     FigureRun("fig14", fig14_poseidon_utilization),
     FigureRun("fig15", fig15_asgd_vs_p3, full={"epochs": 16}),
+    # Extensions.  The single-point ablations are Figure 7 columns with their own strategies.
+    *(FigureRun(f"ext_components_{model}", fig7_bandwidth_sweep, (model, (gbps,)),
+                {"strategies": _COMPONENTS}) for model, gbps in (("vgg19", 15), ("resnet50", 4))),
+    FigureRun("ext_policies", fig7_bandwidth_sweep, ("resnet50", (4,)), {"strategies": _POLICIES}),
+    FigureRun("ext_dedicated_ps", fig7_bandwidth_sweep, ("vgg19", (15,)),
+              {"strategies": (baseline(), p3()), "colocate_servers": False}),
+    FigureRun("ext_latency", latency_sensitivity, ("resnet50",)),
+    FigureRun("ext_server_count", server_count_sweep, ("vgg19",)),
+    FigureRun("ext_shared_cluster", shared_cluster_sweep, ("resnet50",)),
+    FigureRun("ext_straggler", straggler_sensitivity, ("resnet50", (1, 1.5, 2))),
+    FigureRun("ext_oversubscription", oversubscription_sweep, ("resnet50",)),
+    FigureRun("ext_compression", fig7_bandwidth_sweep, ("vgg19", (1,)),
+              {"strategies": (baseline(), p3(), p3_with_compression(0.01)), **_SHORT}),
+    *(FigureRun(f"ext_credit_{where}", fig7_bandwidth_sweep, ("resnet50", (4,)),
+                {"strategies": _CREDIT, "oversubscription": ratio, **_SHORT})
+      for where, ratio in (("edge", 1.0), ("core", 2.0))),
+    FigureRun("ext_transformer", fig7_bandwidth_sweep, ("transformer_lm", (5, 10, 20, 40))),
+    FigureRun("ext_transformer_tied", fig7_bandwidth_sweep, ("transformer_lm_tied", (10,)),
+              {"strategies": (baseline(), p3())}),
+    *(FigureRun(f"ext_allreduce_{model}", allreduce_sweep, (model, sizes),
+                {"iterations": 5, "warmup": 2})
+      for model, sizes in (("resnet50", (4e6,)), ("vgg19", (2e5, 1e6, 4e6, 1.6e7, 6.4e7)),
+                           ("sockeye", (4e6,)))),
+    FigureRun("ext_sensitivity", sensitivity_scan, ("resnet50",), {"iterations": 4}),
+    FigureRun("ext_tails", tail_comparison, ("sockeye",), {"iterations": 30}),
+    FigureRun("ext_sockeye_seeds", _across_seeds, ("sockeye",),
+              {"bandwidth_gbps": 4.0, "iterations": 5}),
+    FigureRun("ext_cosim", _four_systems, full={"epochs": 16}),
 )
 RUNS = {run.id: run for run in FIGURE_RUNS}
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
@@ -122,11 +176,42 @@ def _vs_best(*ends: int) -> Callable[[FigureData], float]:
     return lambda fig: fig.get("p3").y[list(ends)].max() / fig.get("p3").y.max()
 
 
+def _over(of: str, over: str, at: int = 0) -> Callable[[FigureData], float]:
+    """``of`` ÷ ``over`` at the ``at``-th point (a Figure 7 column has one)."""
+    return lambda fig: fig.get(of).y[at] / fig.get(over).y[at]
+
+
+def _trend(label: str) -> Callable[[FigureData], float]:
+    """``label`` at the last point ÷ at the first."""
+    return lambda fig: fig.get(label).y[-1] / fig.get(label).y[0]
+
+
+def _final(of: str, over: str) -> Callable[[FigureData], float]:
+    return lambda fig: fig.get(of).y[-1] - fig.get(over).y[-1]
+
+
+def _credits(fig: FigureData) -> np.ndarray:
+    return np.array([fig.get(f"credit_{c}").y[0] for c in _CREDITS])
+
+
+def _ring_gain(fig: FigureData) -> float:
+    """Priority launch of 4 MB slices ÷ FIFO launch of 25 MB fused buckets."""
+    return fig.get("allreduce_p3").y_at(4e6) / fig.get("allreduce_fifo").y[0]
+
+
+def _best(label: str) -> Callable[[FigureData], float]:
+    return lambda fig: fig.get(label).x[fig.get(label).y.argmax()]
+
+
 _DIV, _SUB = operator.truediv, operator.sub
 _FIG8_9 = tuple(f"fig{n}_{model}" for n in _UTIL for model in sorted(FIG8_9_CONFIGS))
 _FIG8, _FIG12 = _FIG8_9[:3], tuple(FIG12_PANELS.values())
 _LINK = _notes(_DIV, "outbound_peak_gbps", "bandwidth_gbps")
 _PEAK, _SLICING = "peak P3 ÷ baseline", "peak slicing ÷ baseline"
+_ABL, _WANG, _BYTESCHED = ("extension, ablation", "extension of §5.3: Wang et al., arXiv:2008.08445",
+                           "extension: ByteScheduler, SOSP '19")
+_RING, _LM, _COSIM = "extension of §6: allreduce", "extension: transformer LM", "extension of App. B.2"
+_P3 = "P3 ÷ baseline"
 
 PAPER_CLAIMS: Tuple[PaperClaim, ...] = tuple(map(PaperClaim._make, (
     ("fig4_priority_halves_delay", "§3, Fig 4", "priority sync halves the toy's delay", 0.5,
@@ -218,6 +303,108 @@ PAPER_CLAIMS: Tuple[PaperClaim, ...] = tuple(map(PaperClaim._make, (
      "<= 1.05"),
     ("fig15_p3_sooner_to_80pct", "App. B.2, Fig 15", "P3 reaches 80 % accuracy ~6× sooner", 6.0,
      ("fig15",), "ASGD ÷ P3 time to 80 %", "asgd_to_p3_time_ratio", "> 1"),
+    ("ext_components_p3_keeps_slicing_gain", _ABL, "VGG-19 @ 15 Gbps: priorities cost nothing "
+     "on top of slicing", None, ("ext_components_vgg19",), "P3 ÷ slicing-only",
+     _over("p3", "slicing"), ">= 0.98"),
+    ("ext_components_slicing_carries_vgg19", _ABL, "slicing does most of that work", None,
+     ("ext_components_vgg19",), "slicing-only ÷ baseline", _over("slicing", "baseline"), "> 1.2"),
+    ("ext_components_p3_helps_resnet50", _ABL, "ResNet-50 @ 4 Gbps: P3 helps", None,
+     ("ext_components_resnet50",), _P3, _over("p3", "baseline"), "> 1.1"),
+    ("ext_components_slicing_alone_resnet50", _ABL, "but not slicing alone: priorities do the "
+     "work", None, ("ext_components_resnet50",), "slicing-only ÷ baseline",
+     _over("slicing", "baseline"), "< 1.15"),
+    ("ext_policy_forward_beats_reverse", _ABL, "consumption order is the priority to use: it "
+     "beats reverse order", None, ("ext_policies",), "forward ÷ reverse-order P3",
+     _over("p3", "p3_reverse"), ">= 1"),
+    ("ext_policy_forward_beats_random", _ABL, "and random ones", None, ("ext_policies",),
+     "forward ÷ random-order P3", _over("p3", "p3_random"), ">= 0.999"),
+    ("ext_policy_forward_beats_uniform", _ABL, "and one priority for all", None, ("ext_policies",),
+     "forward ÷ uniform-priority P3", _over("p3", "p3_uniform"), ">= 0.999"),
+    ("ext_dedicated_ps_p3_insensitive", _ABL, "P3 does not care whether the PS shards share the "
+     "workers' machines", None, ("ext_components_vgg19", "ext_dedicated_ps"),
+     "P3 on dedicated ÷ colocated PS", lambda colo, ded: ded.get("p3").y[0] / colo.get("p3").y[0],
+     ">= 0.9, <= 1.15"),
+    ("ext_latency_p3_robust", _ABL, "P3's gain is bandwidth scheduling, not latency hiding: "
+     "10–1000 µs latency barely moves it", None, ("ext_latency",), "lowest ÷ highest P3",
+     lambda fig: fig.get("p3").y.min() / fig.get("p3").y.max(), "> 0.75"),
+    ("ext_server_count_incast", _ABL, "fewer PS shards concentrate traffic on fewer NICs "
+     "(incast)", None, ("ext_server_count",), "P3 on 4 shards ÷ on 1", "p3_full_sharding_gain",
+     "> 1.5"),
+    ("ext_shared_p3_gain_holds", "extension of §5.3", "P3's lead holds when other tenants take "
+     "up to 60 % of each NIC", None, ("ext_shared_cluster",), "P3 ÷ baseline, loaded − unloaded",
+     _notes(_SUB, "speedup_loaded", "speedup_unloaded"), ">= -0.03"),
+    ("ext_shared_contention_hurts", "extension of §5.3", "while the contention slows everyone",
+     None, ("ext_shared_cluster",), "baseline at 60 % load ÷ unloaded", _trend("baseline"), "< 1"),
+    ("ext_straggler_sync_pays", "extension of §5.5", "one 2×-slow worker sets synchronous SGD's "
+     "pace", None, ("ext_straggler",), "baseline with a 2× straggler ÷ without",
+     _trend("baseline"), "< 0.65"),
+    ("ext_straggler_asgd_shrugs", "extension of App. B.2", "ASGD does not wait for it", None,
+     ("ext_straggler",), "ASGD ÷ baseline with a 2× straggler", _over("asgd", "baseline", -1),
+     "> 1.2"),
+    ("ext_fifo_core_erases_gain", _WANG, "once a FIFO core, which ignores end-host priorities, is "
+     "the bottleneck, P3's gain is gone", None, ("ext_oversubscription",),
+     "P3 ÷ baseline at 4:1 oversubscription", "speedup_at_core_bottleneck", "< 1.10"),
+    ("ext_fifo_core_binds", _WANG, "the oversubscribed core is the bottleneck", None,
+     ("ext_oversubscription",), "baseline at 4:1 ÷ at 1:1", _trend("baseline"), "< 1"),
+    ("ext_compression_stacks_on_p3", "extension of §6", "compression on top of P3 recovers the "
+     "compute bound at 1 Gbps (VGG-19)", None, ("ext_compression",), "P3 + 1 % compression ÷ P3",
+     _over("p3_compressed", "p3"), "> 5"),
+    ("ext_p3_helps_at_1gbps", "extension of §6", "P3 alone still beats the baseline there", None,
+     ("ext_compression",), _P3, _over("p3", "baseline"), "> 1"),
+    ("ext_credit_grows_at_the_edge", _BYTESCHED, "at the edge bottleneck a credit window only "
+     "idles the pipe: throughput grows with it", None, ("ext_credit_edge",),
+     "credit 64 ÷ credit 1", lambda fig: _credits(fig)[-1] / _credits(fig)[0], "> 1"),
+    ("ext_credit_widest_best_at_the_edge", _BYTESCHED, "the widest window is the best there",
+     None, ("ext_credit_edge",), "credit 64 ÷ best credit",
+     lambda fig: _credits(fig)[-1] / _credits(fig).max(), "== 1"),
+    ("ext_credit_wins_behind_a_fifo_core", _BYTESCHED, "behind a 2:1 FIFO core a finite window "
+     "beats plain P3", None, ("ext_credit_core",), "best credit ÷ plain P3",
+     lambda fig: _credits(fig).max() / fig.get("p3").y[0], "> 1"),
+    ("ext_credit_best_window", _BYTESCHED, "at a moderate window", None, ("ext_credit_core",),
+     "best credit (slices in flight)", lambda fig: _CREDITS[_credits(fig).argmax()],
+     ">= 2, <= 32"),
+    ("ext_transformer_gain", _LM, "P3's conclusions carry over to a GPT-2-small-like LM", None,
+     ("ext_transformer",), _PEAK, _ratio("p3"), "> 1.1"),
+    ("ext_tying_speeds_p3", _LM, "tying its head to the embedding cuts traffic: P3 gets faster",
+     None, ("ext_transformer", "ext_transformer_tied"), "tied ÷ untied P3 at 10 Gbps",
+     lambda untied, tied: tied.get("p3").y[0] / untied.get("p3").y_at(10), ">= 1"),
+    ("ext_tied_p3_still_helps", _LM, "and still beats the baseline", None,
+     ("ext_transformer_tied",), "P3 ÷ baseline, tied, at 10 Gbps", _over("p3", "baseline"),
+     ">= 1"),
+    ("ext_allreduce_p3_never_hurts", _RING, "priority launch of sliced buckets never loses to "
+     "25 MB FIFO fusion", None, ("ext_allreduce_resnet50", "ext_allreduce_vgg19",
+                                 "ext_allreduce_sockeye"),
+     "lowest sliced priority ÷ FIFO", _each(_ring_gain, min), ">= 0.98"),
+    ("ext_allreduce_vgg19_gain", _RING, "and wins on VGG-19", None, ("ext_allreduce_vgg19",),
+     "sliced priority ÷ FIFO", _ring_gain, "> 1.1"),
+    ("ext_allreduce_small_slices_hurt", _RING, "sub-MB slices pay the ring's per-step overhead "
+     "2(W−1) times per op", None, ("ext_allreduce_vgg19",), "200 kB slices ÷ best",
+     lambda fig: fig.get("allreduce_p3").y[0] / fig.get("allreduce_p3").y.max(), "< 0.8"),
+    ("ext_allreduce_coarse_optimum", _RING, "so the best slice is far coarser than the PS's "
+     "200 kB", None, ("ext_allreduce_vgg19",), "best slice (bytes)", _best("allreduce_p3"),
+     ">= 1000000"),
+    ("ext_sensitivity_headline_survives", "extension: cost constants", "P3 beats the baseline "
+     "(ResNet-50 @ 4 Gbps) under order-of-magnitude sweeps of every cost constant", None,
+     ("ext_sensitivity",), "lowest P3 ÷ baseline over the sweeps", "min_speedup", "> 1.05"),
+    ("ext_tails_p3_shifts_median", "extension of §5.5", "under Sockeye's jitter P3 shortens the "
+     "median iteration", None, ("ext_tails",), "P3 ÷ baseline median iteration time",
+     _over("p3", "baseline"), "< 1"),
+    ("ext_sockeye_speedup_ci", "extension of §5.5", "Sockeye's speedup holds across seeds: its "
+     "95 % CI excludes parity", None, ("ext_sockeye_seeds",), "95 % CI low end of P3 ÷ baseline, "
+     "5 seeds", lambda fig: summarize(fig.get("p3").y / fig.get("baseline").y).lo, "> 1"),
+    ("ext_cosim_same_curve", _COSIM, "baseline and P3 follow one accuracy curve", None,
+     ("ext_cosim",), "largest accuracy gap, P3 vs baseline",
+     lambda fig: np.abs(fig.get("p3").y - fig.get("baseline").y).max(), "== 0"),
+    ("ext_cosim_p3_clock_faster", _COSIM, "on a faster clock", None, ("ext_cosim",),
+     "P3 ÷ baseline training time", lambda fig: fig.get("p3").x[-1] / fig.get("baseline").x[-1],
+     "< 1"),
+    ("ext_cosim_p3_beats_dgc", _COSIM, "exact P3 ends at least as accurate as DGC", None,
+     ("ext_cosim",), "final accuracy, P3 − DGC", _final("p3", "dgc"), ">= 0"),
+    ("ext_cosim_p3_beats_asgd", _COSIM, "and above ASGD", None, ("ext_cosim",),
+     "final accuracy, P3 − ASGD", _final("p3", "asgd"), "> 0"),
+    ("ext_cosim_dgc_iterates_faster", _COSIM, "DGC's compressed pushes iterate faster than the "
+     "baseline at 1 Gbps", None, ("ext_cosim",), "DGC ÷ baseline iteration time",
+     _notes(_DIV, "dgc_iter_time_s", "baseline_iter_time_s"), "< 1"),
 )))
 CLAIMS = {claim.key: claim for claim in PAPER_CLAIMS}  # by key, in ledger order
 
@@ -243,7 +430,7 @@ def measure(claim: PaperClaim, scale: str, figures: Dict[str, FigureData],
     return float(claim.measure(*figs))
 
 
-HEADER = ("row", "where", "the paper says", "paper", "measured quantity", "check", "measured", "holds")
+HEADER = ("row", "where", "the claim", "paper", "measured quantity", "check", "measured", "holds")
 BEGIN, END = "<!-- repro report: begin -->", "<!-- repro report: end -->"
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from ..sim import ClusterConfig
-from ..strategies import baseline, p3
-from .runner import SimPoint, run_grid
 from .series import FigureData
 from .sweep import Sweep, config_axis
 
@@ -25,19 +23,6 @@ DEFAULT_SWEEPS: Dict[str, Sequence[float]] = {
     "latency_s": (10e-6, 50e-6, 500e-6),
     "loopback_latency_s": (1e-6, 5e-6, 50e-6),
 }
-
-
-def speedup_at(model_name: str, cfg: ClusterConfig,
-               iterations: int = 4, warmup: int = 1, **grid) -> float:
-    """P3-over-baseline throughput ratio at one configuration.
-
-    ``**grid`` goes to :func:`repro.analysis.runner.run_grid`
-    (``jobs``, ``cache``).
-    """
-    base, fast = run_grid(
-        [SimPoint(model_name, strategy, cfg, iterations, warmup)
-         for strategy in (baseline(), p3())], **grid)
-    return fast.throughput / base.throughput
 
 
 def sensitivity_scan(
@@ -63,8 +48,8 @@ def sensitivity_scan(
     )
     for knob, values in sweeps.items():
         default = getattr(ClusterConfig, knob)
-        # speedup_at's iteration counts (4, warmup 1) are part of the
-        # published numbers; the knob sweeps keep them.
+        # The knob sweeps' iteration counts (4, warmup 1) are part of the
+        # published numbers.
         totals = Sweep(
             "sensitivity", "{model}", knob, config_axis(knob, type(default)),
             values, per_worker=False, iterations=4, warmup=1,

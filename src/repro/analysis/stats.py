@@ -1,10 +1,10 @@
 """Multi-seed statistics for stochastic simulations.
 
 Sockeye's jitter and the random placement of small KVStore keys make
-some simulated throughputs seed-dependent.  These helpers rerun a
-configuration across seeds and report mean / std / a normal-theory
-confidence interval, so EXPERIMENTS.md can state results as
-point ± uncertainty where it matters.
+some simulated throughputs seed-dependent.  ``_across_seeds`` reruns a
+configuration across seeds and :func:`summarize` reports mean / std / a
+normal-theory confidence interval, so a ledger row can bound a result's
+uncertainty where it matters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..strategies import StrategyConfig
 from .sweep import Sweep, config_axis
 
 
@@ -60,34 +59,3 @@ _across_seeds = Sweep(
     config_axis("seed", int), (0, 1, 2, 3, 4), per_worker=False,
 )
 
-
-def throughput_stats(
-    model_name: str,
-    strategy: StrategyConfig,
-    bandwidth_gbps: float,
-    seeds: Sequence[int] = _across_seeds.grid,
-    n_workers: int = 4,
-    per_worker: bool = True,
-    **run,
-) -> SeedStats:
-    """Per-worker throughput across seeds for one configuration.
-
-    ``**run`` are the sweep's run parameters (``iterations``,
-    ``warmup``, ``jobs``, ``cache``).
-    """
-    fig = _across_seeds(model_name, seeds, strategies=(strategy,),
-                        bandwidth_gbps=bandwidth_gbps, n_workers=n_workers,
-                        **run)
-    return summarize(fig.series[0].y / (n_workers if per_worker else 1))
-
-
-def speedup_stats(
-    model_name: str,
-    bandwidth_gbps: float,
-    seeds: Sequence[int] = _across_seeds.grid,
-    **run,
-) -> SeedStats:
-    """P3-over-baseline speedup across seeds (paired per seed)."""
-    fig = _across_seeds(model_name, seeds, bandwidth_gbps=bandwidth_gbps,
-                        **run)
-    return summarize(fig.get("p3").y / fig.get("baseline").y)

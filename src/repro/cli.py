@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -24,10 +25,10 @@ from .models import available_models, get_model
 
 def _emit(fig: FigureData, args: argparse.Namespace, logx: bool = False) -> None:
     print(fig.summary())
-    if args.plot:
+    if "plot" in args and args.plot:
         print()
         print(ascii_plot(fig, logx=logx))
-    if args.csv:
+    if "csv" in args and args.csv:
         path = fig.to_csv(args.csv)
         print(f"\nwrote {path}")
 
@@ -66,8 +67,9 @@ def _sensitivity_range(fig: FigureData) -> None:
 
 
 #: The subcommands that are one figure call share one handler; a row is
-#: the driver's name in :mod:`repro.analysis`, whether ``--plot`` draws
-#: a log-scale x axis, and what to print after the figure.
+#: the driver's name in :mod:`repro.analysis` (``package.name`` for one
+#: elsewhere under :mod:`repro`), whether ``--plot`` draws a log-scale x
+#: axis, and what to print after the figure.
 FIGURES = {
     "fig7": ("fig7_bandwidth_sweep", False, None),
     "fig8": ("fig8_baseline_utilization", False, None),
@@ -80,6 +82,7 @@ FIGURES = {
     "fig15": ("fig15_asgd_vs_p3", False, None),
     "shared": ("shared_cluster_sweep", False, None),
     "sensitivity": ("sensitivity_scan", False, _sensitivity_range),
+    "allreduce": ("allreduce.allreduce_sweep", False, None),
 }
 
 
@@ -87,9 +90,11 @@ def cmd_figure(args: argparse.Namespace) -> None:
     """Run one row of :data:`FIGURES` on the model (where the subcommand
     declares ``--model``) with the run flags it declares."""
     driver, logx, epilogue = FIGURES[args.command]
+    package, _, driver = driver.rpartition(".")
+    module = importlib.import_module(f".{package}", __package__) if package else analysis
     kwargs = _run_kwargs(args)
     model = (args.model,) if "model" in args else ()
-    fig = getattr(analysis, driver)(*model, **kwargs)
+    fig = getattr(module, driver)(*model, **kwargs)
     _emit(fig, args, logx=logx)
     _report_cache(kwargs)
     if epilogue is not None:
@@ -147,27 +152,6 @@ def cmd_bounds(args: argparse.Namespace) -> None:
         print(f"  @{bw:4.1f} Gbps: compute {b.compute * 1000:7.1f} ms, "
               f"wire {b.wire * 1000:7.1f} ms -> P3 >= {b.p3_bound * 1000:7.1f} ms, "
               f"baseline >= {b.baseline_bound * 1000:7.1f} ms")
-
-
-def cmd_allreduce(args: argparse.Namespace) -> None:
-    """Extension: P3's principles on ring allreduce."""
-    from .allreduce import (
-        AllreduceConfig,
-        framework_bucketing,
-        priority_allreduce,
-        simulate_allreduce,
-        unsliced_priority_allreduce,
-    )
-    model = get_model(args.model)
-    cfg = AllreduceConfig(n_workers=args.workers)
-    base = None
-    for strat in (framework_bucketing(), unsliced_priority_allreduce(),
-                  priority_allreduce()):
-        r = simulate_allreduce(model, strat, cfg, iterations=args.iterations,
-                               warmup=1)
-        base = base or r
-        print(f"{strat.name:25s} {r.throughput / args.workers:8.1f} "
-              f"{model.sample_unit}/s/worker ({r.speedup_over(base):.2f}x)")
 
 
 def _export_sim_trace(result, path, events=None):
@@ -518,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("iterations",) + GRID)
     add("bounds", cmd_bounds, "fluid-limit bounds and crossovers",
         ("workers",), model="resnet50")
-    add("allreduce", cmd_allreduce, "P3 principles on ring allreduce", RUN,
+    add("allreduce", cmd_figure, "P3 principles on ring allreduce", RUN,
         model="vgg19")
     add("shared", cmd_figure, "shared-cluster contention sweep",
         RUN + EMIT + GRID, model="resnet50")

@@ -1,12 +1,10 @@
 """Co-simulation: real training on simulated wall-clock (Figure-15-style
 comparisons generalized to every system the paper discusses)."""
 
-from .cosim import CosimResult, SystemSpec, compare_systems, cosimulate, paper_systems
+from .cosim import SystemSpec, compare_systems, paper_systems
 
 __all__ = [
-    "CosimResult",
     "SystemSpec",
     "compare_systems",
-    "cosimulate",
     "paper_systems",
 ]

@@ -24,10 +24,11 @@ than a single mean, preserving jitter effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.series import FigureData
 from ..models.base import ModelSpec
 from ..sim import ClusterConfig, simulate
 from ..strategies import StrategyConfig
@@ -59,62 +60,6 @@ def paper_systems(dgc_density: float = 0.01) -> List[SystemSpec]:
     ]
 
 
-@dataclass
-class CosimResult:
-    """Accuracy trajectory of one system on simulated wall-clock."""
-
-    system: str
-    val_accuracy: np.ndarray     # per epoch
-    epoch_end_times: np.ndarray  # seconds, cumulative simulated wall-clock
-    iteration_time_mean: float
-    steps_per_epoch: int
-
-    @property
-    def final_accuracy(self) -> float:
-        return float(self.val_accuracy[-1])
-
-    @property
-    def total_time(self) -> float:
-        return float(self.epoch_end_times[-1])
-
-    def time_to_accuracy(self, target: float) -> Optional[float]:
-        """First simulated time at which validation accuracy ≥ target."""
-        hits = np.nonzero(self.val_accuracy >= target)[0]
-        return float(self.epoch_end_times[hits[0]]) if len(hits) else None
-
-
-def cosimulate(
-    system: SystemSpec,
-    network: Network,
-    dataset: Dataset,
-    sim_model: ModelSpec,
-    cluster: ClusterConfig,
-    train_config: TrainConfig,
-    timing_iterations: int = 6,
-    timing_warmup: int = 2,
-) -> CosimResult:
-    """Run one system end to end: train for accuracy, simulate for time."""
-    timing = simulate(sim_model, system.strategy, cluster,
-                      iterations=timing_iterations, warmup=timing_warmup)
-    iter_times = np.asarray(timing.iteration_times, dtype=float)
-
-    result = train_data_parallel(network, dataset, train_config,
-                                 method=system.method,
-                                 dgc_config=system.dgc_config)
-    total_steps = result.steps_per_epoch * train_config.epochs
-    rng = np.random.default_rng(cluster.seed + 1)
-    sampled = rng.choice(iter_times, size=total_steps, replace=True)
-    cumulative = np.cumsum(sampled)
-    epoch_ends = cumulative[result.steps_per_epoch - 1::result.steps_per_epoch]
-    return CosimResult(
-        system=system.name,
-        val_accuracy=result.val_accuracy,
-        epoch_end_times=epoch_ends,
-        iteration_time_mean=float(iter_times.mean()),
-        steps_per_epoch=result.steps_per_epoch,
-    )
-
-
 def compare_systems(
     systems: Sequence[SystemSpec],
     network_factory: Callable[[], Network],
@@ -122,10 +67,37 @@ def compare_systems(
     sim_model: ModelSpec,
     cluster: ClusterConfig,
     train_config: TrainConfig,
-) -> Dict[str, CosimResult]:
-    """Co-simulate several systems from identical initialization."""
-    out: Dict[str, CosimResult] = {}
+) -> FigureData:
+    """Accuracy over simulated wall-clock, one series per system, each
+    trained from ``network_factory()``'s identical initialization.
+
+    A series' x is the clock at each epoch's end.  Notes: each system's
+    simulated mean iteration time (``<name>_iter_time_s``), final
+    accuracy and, where reached, time to 80 % accuracy.
+    """
+    fig = FigureData(
+        figure_id="cosim",
+        title=f"Accuracy over simulated wall-clock: {sim_model.name} "
+              f"@ {cluster.bandwidth_gbps:g} Gbps",
+        x_label="simulated time (s)",
+        y_label="validation accuracy",
+    )
     for system in systems:
-        out[system.name] = cosimulate(system, network_factory(), dataset,
-                                      sim_model, cluster, train_config)
-    return out
+        network = network_factory()
+        timing = simulate(sim_model, system.strategy, cluster,
+                          iterations=6, warmup=2)
+        iter_times = np.asarray(timing.iteration_times, dtype=float)
+        result = train_data_parallel(network, dataset, train_config,
+                                     method=system.method,
+                                     dgc_config=system.dgc_config)
+        steps = result.steps_per_epoch
+        rng = np.random.default_rng(cluster.seed + 1)
+        clock = np.cumsum(rng.choice(iter_times, size=steps * train_config.epochs,
+                                     replace=True))
+        series = fig.add(system.name, clock[steps - 1::steps], result.val_accuracy)
+        fig.notes[f"{system.name}_iter_time_s"] = float(iter_times.mean())
+        fig.notes[f"{system.name}_final"] = round(float(series.y[-1]), 4)
+        hits = np.nonzero(series.y >= 0.8)[0]
+        if len(hits):
+            fig.notes[f"{system.name}_time_to_80pct_s"] = round(float(series.x[hits[0]]), 2)
+    return fig

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List
 
 from .alexnet import alexnet
@@ -24,6 +25,7 @@ _REGISTRY: Dict[str, Callable[[], ModelSpec]] = {
     "toy_fig4": fig4_model,
     "toy_fig6": fig6_model,
     "transformer_lm": transformer_lm,
+    "transformer_lm_tied": partial(transformer_lm, tied_head=True),
 }
 
 

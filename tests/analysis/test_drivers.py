@@ -10,8 +10,6 @@ import pytest
 
 from repro.analysis import (
     HyperSetting,
-    colocation_ablation,
-    component_ablation,
     fig4_schedule_comparison,
     fig5_param_distribution,
     fig6_granularity_comparison,
@@ -23,10 +21,9 @@ from repro.analysis import (
     fig12_slice_size_sweep,
     fig15_asgd_vs_p3,
     latency_sensitivity,
-    priority_policy_ablation,
     utilization_trace,
 )
-from repro.strategies import baseline, p3
+from repro.strategies import baseline, p3, p3_with_policy, priority_only, slicing_only
 
 
 def test_fig4_priority_reduces_stall():
@@ -110,15 +107,20 @@ def test_fig15_quick():
     assert fig.notes["asgd_iter_time_s"] <= fig.notes["p3_iter_time_s"] * 1.05
 
 
+def _column(model, gbps, strategies, **run):
+    """The single-point ablations: Figure 7 at one bandwidth, by label."""
+    fig = fig7_bandwidth_sweep(model, (gbps,), strategies=strategies, **run)
+    return {series.label: float(series.y[0]) for series in fig.series}
+
+
 def test_priority_policy_ablation_quick():
-    fig = priority_policy_ablation("resnet50", bandwidth_gbps=3.0,
-                                   policies=("forward", "reverse"),
-                                   iterations=4)
-    assert fig.notes["forward"] >= fig.notes["reverse"] * 0.999
+    out = _column("resnet50", 3.0, (p3(), p3_with_policy("reverse")), iterations=4)
+    assert out["p3"] >= out["p3_reverse"] * 0.999
 
 
 def test_component_ablation_ordering():
-    out = component_ablation("vgg19", bandwidth_gbps=15.0, iterations=4)
+    out = _column("vgg19", 15.0, (baseline(), slicing_only(), priority_only(), p3()),
+                  iterations=4)
     assert out["p3"] >= out["slicing"] * 0.98
     assert out["slicing"] > out["baseline"]
 
@@ -132,7 +134,9 @@ def test_latency_sensitivity_quick():
 
 
 def test_colocation_ablation_quick():
-    out = colocation_ablation("vgg19", bandwidth_gbps=15.0, iterations=3)
-    assert set(out) == {"colocated", "dedicated"}
+    out = {colocated: _column("vgg19", 15.0, (baseline(), p3()), iterations=3,
+                              colocate_servers=colocated)
+           for colocated in (True, False)}
+    assert out[True] != out[False]
     for mode in out.values():
         assert mode["p3"] > 0 and mode["baseline"] > 0

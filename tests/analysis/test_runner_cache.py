@@ -30,6 +30,7 @@ from repro.analysis.runner import (
     execute_point,
     run_grid,
 )
+from repro.analysis.stats import _across_seeds
 from repro.sim import ClusterConfig
 from repro.sim.faults import (
     FaultPlan,
@@ -37,7 +38,7 @@ from repro.sim.faults import (
     ServerStallFault,
     StragglerFault,
 )
-from repro.strategies import baseline, p3
+from repro.strategies import baseline, credit_p3, p3, p3_with_policy
 
 QUICK = dict(n_workers=2, bandwidth_gbps=4.0)
 
@@ -168,17 +169,21 @@ def test_figure_bytes_identical_serial_pool_cache(tmp_path, monkeypatch):
 
 
 TOY = dict(model_name="toy3", iterations=3)
+COLUMN = dict(TOY, values=(2.0,))
 
 
 @pytest.mark.parametrize("driver, kwargs", [
     # Everything that joined the grid path with the sweeps: a row of the
-    # table, the ablations that rearrange Figure 7's output, the seed
-    # statistics, and the figures that arrange their own grid.
+    # table, the ablations that are Figure 7 columns with their own
+    # strategies or cluster, the seed spread, and the figures that
+    # arrange their own grid.
     (analysis.straggler_sensitivity, dict(TOY, values=(1.0, 2.0))),
-    (analysis.priority_policy_ablation, TOY),
-    (analysis.colocation_ablation, TOY),
-    (analysis.speedup_stats, dict(TOY, bandwidth_gbps=2.0, seeds=(0, 1))),
-    (analysis.speedup_at, dict(TOY, cfg=ClusterConfig(**QUICK))),
+    (analysis.fig7_bandwidth_sweep,
+     dict(COLUMN, strategies=(p3(), p3_with_policy("reverse")))),
+    (analysis.fig7_bandwidth_sweep, dict(COLUMN, colocate_servers=False)),
+    (_across_seeds, dict(TOY, values=(0, 1), bandwidth_gbps=2.0)),
+    (analysis.fig7_bandwidth_sweep,
+     dict(COLUMN, strategies=(p3(), credit_p3(2)), oversubscription=2.0)),
     (analysis.sensitivity_scan, dict(TOY, sweeps={"latency_s": (1e-5, 5e-4)})),
     (analysis.placement_sweep, dict(TOY, cluster_sizes=(4, 8), n_servers=2,
                                     agg_group_size=2)),

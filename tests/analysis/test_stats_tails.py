@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stats import SeedStats, speedup_stats, summarize, throughput_stats
+from repro.analysis.stats import SeedStats, _across_seeds, summarize
 from repro.analysis.tails import iteration_time_percentiles, tail_comparison
-from repro.strategies import baseline
+from repro.strategies import baseline, p3
 
 
 def test_summarize_basic():
@@ -28,22 +28,25 @@ def test_summarize_empty_rejected():
         summarize([])
 
 
+def _seed_spread(model, seeds, **run):
+    return _across_seeds(model, seeds, bandwidth_gbps=4.0, iterations=4, **run)
+
+
 def test_throughput_stats_deterministic_model_has_zero_std():
     """ResNet-50 has no jitter; only placement randomness (none for P3's
     round-robin) — seeds must agree for deterministic strategies."""
-    from repro.strategies import p3
-    s = throughput_stats("resnet50", p3(), 4.0, seeds=(0, 1, 2), iterations=4)
+    s = summarize(_seed_spread("resnet50", (0, 1, 2), strategies=(p3(),)).get("p3").y)
     assert s.std == pytest.approx(0.0, abs=1e-6)
 
 
 def test_throughput_stats_jittery_model_varies():
-    s = throughput_stats("sockeye", baseline(), 4.0, seeds=(0, 1, 2),
-                         iterations=4)
-    assert s.std > 0.0
+    fig = _seed_spread("sockeye", (0, 1, 2), strategies=(baseline(),))
+    assert summarize(fig.get("baseline").y).std > 0.0
 
 
 def test_speedup_stats():
-    s = speedup_stats("resnet50", 4.0, seeds=(0, 1), iterations=4)
+    fig = _seed_spread("resnet50", (0, 1))
+    s = summarize(fig.get("p3").y / fig.get("baseline").y)
     assert s.mean > 1.1  # P3 wins at the constrained point, across seeds
 
 

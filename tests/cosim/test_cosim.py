@@ -5,25 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cosim import SystemSpec, compare_systems, cosimulate, paper_systems
+from repro.cosim import compare_systems, paper_systems
 from repro.models import resnet110_cifar
 from repro.sim import ClusterConfig
-from repro.strategies import baseline as baseline_strategy
-from repro.strategies import p3 as p3_strategy
 from repro.training import TrainConfig, make_dataset, mlp
 from repro.training.data import SyntheticSpec
 
+EPOCHS = 3
+
 
 @pytest.fixture(scope="module")
-def setup():
+def fig():
+    """All four systems on a tiny dataset and network."""
     spec = SyntheticSpec(n_classes=4, image_size=8, channels=1, noise=1.0)
     dataset = make_dataset(n_train=128, n_val=64, spec=spec, seed=0)
-    sim_model = resnet110_cifar(batch_size=8)
     cluster = ClusterConfig(n_workers=4, bandwidth_gbps=1.0, seed=0)
-    cfg = TrainConfig(n_workers=4, epochs=3, batch_size=32, lr=0.05, seed=5)
+    cfg = TrainConfig(n_workers=4, epochs=EPOCHS, batch_size=32, lr=0.05, seed=5)
     factory = lambda: mlp(np.random.default_rng(2), in_dim=64, hidden=16,
                           n_classes=4)
-    return dataset, sim_model, cluster, cfg, factory
+    return compare_systems(paper_systems(dgc_density=0.1), factory, dataset,
+                           resnet110_cifar(batch_size=8), cluster, cfg)
 
 
 def test_paper_systems_listing():
@@ -32,45 +33,35 @@ def test_paper_systems_listing():
     assert systems[2].dgc_config is not None
 
 
-def test_cosimulate_structure(setup):
-    dataset, sim_model, cluster, cfg, factory = setup
-    sys_ = SystemSpec("p3", "exact", p3_strategy())
-    res = cosimulate(sys_, factory(), dataset, sim_model, cluster, cfg)
-    assert len(res.val_accuracy) == cfg.epochs
-    assert len(res.epoch_end_times) == cfg.epochs
-    assert np.all(np.diff(res.epoch_end_times) > 0)
-    assert res.total_time == pytest.approx(
-        res.epoch_end_times[-1])
-    assert res.iteration_time_mean > 0
+def test_cosimulate_structure(fig):
+    """One point per epoch, on a clock that only moves forward."""
+    for series in fig.series:
+        assert len(series.y) == EPOCHS
+        assert np.all(np.diff(series.x) > 0)
+        assert fig.notes[f"{series.label}_iter_time_s"] > 0
+        assert fig.notes[f"{series.label}_final"] == round(float(series.y[-1]), 4)
 
 
-def test_same_method_same_accuracy_different_clock(setup):
+def test_same_method_same_accuracy_different_clock(fig):
     """baseline and P3 share value semantics: identical accuracy curves,
     but P3's clock runs faster under constrained bandwidth."""
-    dataset, sim_model, cluster, cfg, factory = setup
-    base = cosimulate(SystemSpec("baseline", "exact", baseline_strategy()),
-                      factory(), dataset, sim_model, cluster, cfg)
-    fast = cosimulate(SystemSpec("p3", "exact", p3_strategy()),
-                      factory(), dataset, sim_model, cluster, cfg)
-    np.testing.assert_array_equal(base.val_accuracy, fast.val_accuracy)
-    assert fast.total_time <= base.total_time * 1.001
+    base, fast = fig.get("baseline"), fig.get("p3")
+    np.testing.assert_array_equal(base.y, fast.y)
+    assert fast.x[-1] <= base.x[-1] * 1.001
 
 
-def test_time_to_accuracy(setup):
-    dataset, sim_model, cluster, cfg, factory = setup
-    res = cosimulate(SystemSpec("p3", "exact", p3_strategy()),
-                     factory(), dataset, sim_model, cluster, cfg)
-    t = res.time_to_accuracy(0.0)
-    assert t == pytest.approx(res.epoch_end_times[0])
-    assert res.time_to_accuracy(1.01) is None
+def test_time_to_accuracy(fig):
+    """The clock at the first epoch that reaches 80 %, where one does."""
+    for series in fig.series:
+        hits = np.nonzero(series.y >= 0.8)[0]
+        note = fig.notes.get(f"{series.label}_time_to_80pct_s")
+        assert note == (round(float(series.x[hits[0]]), 2) if len(hits) else None)
 
 
-def test_compare_systems(setup):
-    dataset, sim_model, cluster, cfg, factory = setup
-    systems = paper_systems(dgc_density=0.1)
-    out = compare_systems(systems, factory, dataset, sim_model, cluster, cfg)
-    assert set(out) == {"baseline", "p3", "dgc", "asgd"}
+def test_compare_systems(fig):
+    assert fig.labels == ["baseline", "p3", "dgc", "asgd"]
+    iter_time = {label: fig.notes[f"{label}_iter_time_s"] for label in fig.labels}
     # DGC moves fewer bytes: its iterations are no slower than baseline's.
-    assert out["dgc"].iteration_time_mean <= out["baseline"].iteration_time_mean * 1.01
+    assert iter_time["dgc"] <= iter_time["baseline"] * 1.01
     # ASGD has no barrier: no slower than synchronous baseline.
-    assert out["asgd"].iteration_time_mean <= out["baseline"].iteration_time_mean * 1.01
+    assert iter_time["asgd"] <= iter_time["baseline"] * 1.01

@@ -1,7 +1,7 @@
-"""The paper's claims in tier-1: every row of the ledger
-(:mod:`repro.analysis.claims`) whose runs all have ``ci`` settings holds
-at that scale, and EXPERIMENTS.md's generated block lists the ledger's
-rows as they stand."""
+"""The claims ledger (:mod:`repro.analysis.claims`) in tier-1: it is well
+formed, every row whose runs all have ``ci`` settings holds at that
+scale, and EXPERIMENTS.md's generated block lists the ledger's rows as
+they stand."""
 
 from __future__ import annotations
 
@@ -9,7 +9,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.claims import BEGIN, CLAIMS, END, measure, table
+from repro.analysis.claims import _OPS, BEGIN, CLAIMS, END, FIGURE_RUNS, RUNS, measure, table
+
+def test_every_run_is_read_by_a_row():
+    read = {run for claim in CLAIMS.values() for run in claim.runs}
+    assert read <= set(RUNS)
+    assert [run.id for run in FIGURE_RUNS if run.id not in read] == []
+
+
+@pytest.mark.parametrize("claim", CLAIMS.values(), ids=lambda claim: claim.key)
+def test_row_is_well_formed(claim):
+    """Its check is ``<op> <number>`` terms, so a typo fails here and not
+    minutes into the benchmark; an extension's row has no paper value."""
+    for term in claim.check.split(","):
+        op, number = term.split()
+        assert op in _OPS, claim.check
+        float(number)
+    assert claim.where.startswith("extension") == claim.key.startswith("ext_")
+    assert claim.paper is None or not claim.key.startswith("ext_")
+
 
 @pytest.fixture(scope="module")
 def figures():

@@ -10,7 +10,10 @@ import re
 import pytest
 
 from repro import analysis, cli
+from repro.allreduce import (AllreduceConfig, framework_bucketing,
+                             priority_allreduce, simulate_allreduce)
 from repro.cli import build_parser, main
+from repro.models import get_model
 
 
 def test_parser_lists_all_figures():
@@ -126,9 +129,16 @@ def test_bounds_command(capsys):
 
 
 def test_allreduce_command(capsys):
+    """The figure row prints each launch discipline's per-worker
+    throughput: one simulation per strategy, warmup 1."""
     assert main(["allreduce", "--model", "resnet50", "--iterations", "3"]) == 0
     out = capsys.readouterr().out
     assert "allreduce_fifo" in out and "allreduce_p3" in out
+    for strategy in (framework_bucketing(), priority_allreduce()):
+        result = simulate_allreduce(get_model("resnet50"), strategy,
+                                    AllreduceConfig(n_workers=4),
+                                    iterations=3, warmup=1)
+        assert f"{result.throughput / 4:.3f}" in out
 
 
 def test_trace_command(tmp_path, capsys):

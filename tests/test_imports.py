@@ -61,8 +61,9 @@ def test_cli_loads_no_substrate():
     assert not under(loaded, "repro.sim", "repro.live", "repro.training")
 
 
-#: ``repro.analysis``'s public names, as the package re-exported them
-#: when it imported every driver module eagerly.
+#: ``repro.analysis``'s public names: those the package re-exported when
+#: it imported every driver module eagerly, less the drivers no ledger
+#: row, CLI command or benchmark reads any more.
 ANALYSIS_NAMES = [
     "CalibrationReport", "DEFAULT_SETTINGS", "FIG10_SIZES", "FIG12_SLICES",
     "FIG7_GRIDS", "FIG8_9_CONFIGS", "FaultCalibrationReport", "FigureData",
@@ -70,22 +71,20 @@ ANALYSIS_NAMES = [
     "PointResult", "SWEEP_POLICIES", "SWEEP_TENANTS", "ScheduleOutcome",
     "SeedStats", "Series", "SimCache", "SimPoint", "Sweep", "ascii_plot",
     "baseline_crossover_gbps", "calibrate", "calibrate_faults", "code_salt",
-    "colocation_ablation", "component_ablation", "default_workload",
-    "degradation_report", "effective_jobs", "fault_plan_for",
-    "fig10_scalability", "fig11_p3_vs_dgc", "fig12_slice_size_sweep",
-    "fig13_tensorflow_utilization", "fig14_poseidon_utilization",
-    "fig15_asgd_vs_p3", "fig4_schedule_comparison",
-    "fig5_param_distribution", "fig6_granularity_comparison",
-    "fig7_bandwidth_sweep", "fig8_baseline_utilization",
-    "fig9_p3_utilization", "iteration_bounds", "iteration_time_percentiles",
-    "latency_sensitivity", "live_model_spec", "load_figure",
-    "oversubscription_sweep", "p3_crossover_gbps", "placement_sweep",
-    "predict_sim", "priority_policy_ablation", "robustness_sweep",
-    "run_grid", "run_inprocess", "run_tenant_scenario", "save_figure",
-    "schedule_figure", "sensitivity_scan", "server_count_sweep",
-    "shared_cluster_sweep", "sim_bandwidth_gbps", "skewed_strategies",
-    "speedup", "speedup_at", "speedup_stats", "straggler_sensitivity",
-    "summarize", "tail_comparison", "tenancy_sweep", "throughput_stats",
+    "default_workload", "degradation_report", "effective_jobs",
+    "fault_plan_for", "fig10_scalability", "fig11_p3_vs_dgc",
+    "fig12_slice_size_sweep", "fig13_tensorflow_utilization",
+    "fig14_poseidon_utilization", "fig15_asgd_vs_p3",
+    "fig4_schedule_comparison", "fig5_param_distribution",
+    "fig6_granularity_comparison", "fig7_bandwidth_sweep",
+    "fig8_baseline_utilization", "fig9_p3_utilization", "iteration_bounds",
+    "iteration_time_percentiles", "latency_sensitivity", "live_model_spec",
+    "load_figure", "oversubscription_sweep", "p3_crossover_gbps",
+    "placement_sweep", "predict_sim", "robustness_sweep", "run_grid",
+    "run_inprocess", "run_tenant_scenario", "save_figure", "schedule_figure",
+    "sensitivity_scan", "server_count_sweep", "shared_cluster_sweep",
+    "sim_bandwidth_gbps", "skewed_strategies", "speedup",
+    "straggler_sensitivity", "summarize", "tail_comparison", "tenancy_sweep",
     "utilization_trace", "wire_bytes_per_direction",
 ]
 
