@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.allreduce import allreduce_sweep
+from repro.analysis import allreduce_sweep
 
 
 def main(model_name: str = "vgg19") -> None:

@@ -8,7 +8,6 @@ from .sim import (
     AllreduceConfig,
     AllreduceResult,
     AllreduceStrategy,
-    allreduce_sweep,
     framework_bucketing,
     priority_allreduce,
     simulate_allreduce,
@@ -20,7 +19,6 @@ __all__ = [
     "AllreduceResult",
     "AllreduceStrategy",
     "Bucket",
-    "allreduce_sweep",
     "RingCostModel",
     "framework_bucketing",
     "fused_buckets",

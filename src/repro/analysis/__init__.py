@@ -20,8 +20,9 @@ _MODULE_EXPORTS = {
     "ablations": ("latency_sensitivity", "oversubscription_sweep",
                   "server_count_sweep", "shared_cluster_sweep",
                   "straggler_sensitivity"),
-    "accuracy": ("DEFAULT_SETTINGS", "HyperSetting", "fig11_p3_vs_dgc",
-                 "fig15_asgd_vs_p3"),
+    "accuracy": ("DEFAULT_SETTINGS", "HyperSetting", "compare_systems",
+                 "fig11_p3_vs_dgc", "fig15_asgd_vs_p3"),
+    "allreduce": ("allreduce_sweep",),
     "ascii_plot": ("ascii_plot",),
     "bandwidth": ("FIG7_GRIDS", "fig7_bandwidth_sweep"),
     "bounds": ("IterationBounds", "baseline_crossover_gbps",

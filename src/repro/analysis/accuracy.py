@@ -9,6 +9,8 @@ These run *real* numpy training (not the timing simulator):
   accuracy trajectories come from the substrate; the wall-clock mapping
   of iterations comes from the event simulator (ASGD iterates faster
   but converges worse).
+* :func:`compare_systems` — the same coupling for any list of
+  :mod:`repro.cosim` systems (the ledger's ``ext_cosim`` run).
 
 Substitution note (DESIGN.md): ResNet-110/CIFAR-10 is replaced by a
 small CNN on a synthetic dataset tuned to the same accuracy regime
@@ -19,17 +21,20 @@ substitute model is ~200x smaller than ResNet-110.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cosim import SystemSpec
 from ..models import resnet110_cifar
+from ..models.base import ModelSpec
 from ..sim import ClusterConfig, simulate
 from ..strategies import asgd as asgd_strategy
 from ..strategies import p3 as p3_strategy
 from ..training import (
     DGCConfig,
     Dataset,
+    Network,
     TrainConfig,
     TrainResult,
     make_dataset,
@@ -180,6 +185,53 @@ def fig15_asgd_vs_p3(
         fig.notes["asgd_time_to_80pct_s"] = round(t_asgd, 2)
     if t_sync is not None and t_asgd is not None and t_sync > 0:
         fig.notes["asgd_to_p3_time_ratio"] = round(t_asgd / t_sync, 2)
+    return fig
+
+
+def compare_systems(
+    systems: Sequence[SystemSpec],
+    network_factory: Callable[[], Network],
+    dataset: Dataset,
+    sim_model: ModelSpec,
+    cluster: ClusterConfig,
+    train_config: TrainConfig,
+) -> FigureData:
+    """Accuracy over simulated wall-clock, one series per system.
+
+    Each :class:`~repro.cosim.SystemSpec` trains from
+    ``network_factory()``'s identical initialization.
+
+    Iteration time is steady-state stationary, so each step's duration is
+    drawn from the simulator's measured ones rather than their mean,
+    which keeps the jitter.  A series' x is the clock at each epoch's end.  Notes: each system's
+    simulated mean iteration time (``<name>_iter_time_s``), final
+    accuracy and, where reached, time to 80 % accuracy.
+    """
+    fig = FigureData(
+        figure_id="cosim",
+        title=f"Accuracy over simulated wall-clock: {sim_model.name} "
+              f"@ {cluster.bandwidth_gbps:g} Gbps",
+        x_label="simulated time (s)",
+        y_label="validation accuracy",
+    )
+    for system in systems:
+        network = network_factory()
+        timing = simulate(sim_model, system.strategy, cluster,
+                          iterations=6, warmup=2)
+        iter_times = np.asarray(timing.iteration_times, dtype=float)
+        result = train_data_parallel(network, dataset, train_config,
+                                     method=system.method,
+                                     dgc_config=system.dgc_config)
+        steps = result.steps_per_epoch
+        rng = np.random.default_rng(cluster.seed + 1)
+        clock = np.cumsum(rng.choice(iter_times, size=steps * train_config.epochs,
+                                     replace=True))
+        series = fig.add(system.name, clock[steps - 1::steps], result.val_accuracy)
+        fig.notes[f"{system.name}_iter_time_s"] = float(iter_times.mean())
+        fig.notes[f"{system.name}_final"] = round(float(series.y[-1]), 4)
+        t80 = _time_to(series.y, series.x, 0.8)
+        if t80 is not None:
+            fig.notes[f"{system.name}_time_to_80pct_s"] = round(t80, 2)
     return fig
 
 

@@ -17,16 +17,15 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tup
 
 import numpy as np
 
-from ..allreduce import allreduce_sweep
-from ..cosim import compare_systems, paper_systems
+from ..cosim import paper_systems
 from ..models import get_model, resnet110_cifar
 from ..sim import ClusterConfig
-from ..strategies import (baseline, credit_p3, p3, p3_with_compression, p3_with_policy,
-                          priority_only, slicing_only)
+from ..strategies import baseline, credit_p3, p3, p3_with_compression, p3_with_policy
 from ..training import TrainConfig, make_dataset, small_cnn
 from .ablations import (latency_sensitivity, oversubscription_sweep, server_count_sweep,
                         shared_cluster_sweep, straggler_sensitivity)
-from .accuracy import fig11_p3_vs_dgc, fig15_asgd_vs_p3
+from .accuracy import compare_systems, fig11_p3_vs_dgc, fig15_asgd_vs_p3
+from .allreduce import allreduce_sweep
 from .bandwidth import FIG7_PANELS, fig7_bandwidth_sweep
 from .cache import SimCache
 from .distributions import fig5_param_distribution
@@ -57,8 +56,6 @@ _FIG7_CI = {"resnet50": (2, 4, 6, 10), "vgg19": (15, 30), "sockeye": (2, 4, 8)}
 _UTIL = {8: fig8_baseline_utilization, 9: fig9_p3_utilization}
 # VGG-19 at 1k-parameter slices needs ~10^7 events; its grid starts at 3k.
 _SLICES = (1_000, 3_000, 10_000, 50_000, 200_000, 1_000_000)
-_COMPONENTS = (baseline(), slicing_only(), priority_only(), p3())
-_POLICIES = (p3(), *map(p3_with_policy, ("reverse", "random", "uniform")))
 _CREDITS = (1, 2, 4, 8, 16, 64)
 _CREDIT = (p3(), *(replace(credit_p3(c), name=f"credit_{c}") for c in _CREDITS))
 
@@ -93,12 +90,12 @@ FIGURE_RUNS: Tuple[FigureRun, ...] = (
     FigureRun("fig13", fig13_tensorflow_utilization),
     FigureRun("fig14", fig14_poseidon_utilization),
     FigureRun("fig15", fig15_asgd_vs_p3, full={"epochs": 16}),
-    # Extensions.  The single-point ablations are Figure 7 columns with their own strategies.
-    *(FigureRun(f"ext_components_{model}", fig7_bandwidth_sweep, (model, (gbps,)),
-                {"strategies": _COMPONENTS}) for model, gbps in (("vgg19", 15), ("resnet50", 4))),
-    FigureRun("ext_policies", fig7_bandwidth_sweep, ("resnet50", (4,)), {"strategies": _POLICIES}),
+    # Extensions.  The single-point ablations are Figure 7 columns with their own strategies;
+    # the component and policy rows compare them with Figure 7's own points.
+    FigureRun("ext_policies", fig7_bandwidth_sweep, ("resnet50", (4,)),
+              {"strategies": tuple(map(p3_with_policy, ("reverse", "random", "uniform")))}),
     FigureRun("ext_dedicated_ps", fig7_bandwidth_sweep, ("vgg19", (15,)),
-              {"strategies": (baseline(), p3()), "colocate_servers": False}),
+              {"strategies": (p3(),), "colocate_servers": False}),
     FigureRun("ext_latency", latency_sensitivity, ("resnet50",)),
     FigureRun("ext_server_count", server_count_sweep, ("vgg19",)),
     FigureRun("ext_shared_cluster", shared_cluster_sweep, ("resnet50",)),
@@ -179,6 +176,16 @@ def _vs_best(*ends: int) -> Callable[[FigureData], float]:
 def _over(of: str, over: str, at: int = 0) -> Callable[[FigureData], float]:
     """``of`` ÷ ``over`` at the ``at``-th point (a Figure 7 column has one)."""
     return lambda fig: fig.get(of).y[at] / fig.get(over).y[at]
+
+
+def _over_at(x: float, of: str, over: str) -> Callable[[FigureData], float]:
+    """``of`` ÷ ``over`` at ``x`` (the grids differ between ``full`` and ``ci``)."""
+    return lambda fig: fig.get(of).y_at(x) / fig.get(over).y_at(x)
+
+
+def _p3_at(x: float, vs: str) -> Callable[[FigureData, FigureData], float]:
+    """Figure 7's P3 at ``x`` ÷ the one-point column's ``vs``."""
+    return lambda fig7, column: fig7.get("p3").y_at(x) / column.get(vs).y[0]
 
 
 def _trend(label: str) -> Callable[[FigureData], float]:
@@ -304,26 +311,26 @@ PAPER_CLAIMS: Tuple[PaperClaim, ...] = tuple(map(PaperClaim._make, (
     ("fig15_p3_sooner_to_80pct", "App. B.2, Fig 15", "P3 reaches 80 % accuracy ~6× sooner", 6.0,
      ("fig15",), "ASGD ÷ P3 time to 80 %", "asgd_to_p3_time_ratio", "> 1"),
     ("ext_components_p3_keeps_slicing_gain", _ABL, "VGG-19 @ 15 Gbps: priorities cost nothing "
-     "on top of slicing", None, ("ext_components_vgg19",), "P3 ÷ slicing-only",
-     _over("p3", "slicing"), ">= 0.98"),
+     "on top of slicing", None, ("fig7c",), "P3 ÷ slicing-only", _over_at(15, "p3", "slicing"),
+     ">= 0.98"),
     ("ext_components_slicing_carries_vgg19", _ABL, "slicing does most of that work", None,
-     ("ext_components_vgg19",), "slicing-only ÷ baseline", _over("slicing", "baseline"), "> 1.2"),
-    ("ext_components_p3_helps_resnet50", _ABL, "ResNet-50 @ 4 Gbps: P3 helps", None,
-     ("ext_components_resnet50",), _P3, _over("p3", "baseline"), "> 1.1"),
+     ("fig7c",), "slicing-only ÷ baseline", _over_at(15, "slicing", "baseline"), "> 1.2"),
+    ("ext_components_p3_helps_resnet50", _ABL, "ResNet-50 @ 4 Gbps: P3 helps", None, ("fig7a",),
+     _P3, _over_at(4, "p3", "baseline"), "> 1.1"),
     ("ext_components_slicing_alone_resnet50", _ABL, "but not slicing alone: priorities do the "
-     "work", None, ("ext_components_resnet50",), "slicing-only ÷ baseline",
-     _over("slicing", "baseline"), "< 1.15"),
+     "work", None, ("fig7a",), "slicing-only ÷ baseline", _over_at(4, "slicing", "baseline"),
+     "< 1.15"),
     ("ext_policy_forward_beats_reverse", _ABL, "consumption order is the priority to use: it "
-     "beats reverse order", None, ("ext_policies",), "forward ÷ reverse-order P3",
-     _over("p3", "p3_reverse"), ">= 1"),
-    ("ext_policy_forward_beats_random", _ABL, "and random ones", None, ("ext_policies",),
-     "forward ÷ random-order P3", _over("p3", "p3_random"), ">= 0.999"),
-    ("ext_policy_forward_beats_uniform", _ABL, "and one priority for all", None, ("ext_policies",),
-     "forward ÷ uniform-priority P3", _over("p3", "p3_uniform"), ">= 0.999"),
+     "beats reverse order", None, ("fig7a", "ext_policies"), "forward ÷ reverse-order P3",
+     _p3_at(4, "p3_reverse"), ">= 1"),
+    ("ext_policy_forward_beats_random", _ABL, "and random ones", None, ("fig7a", "ext_policies"),
+     "forward ÷ random-order P3", _p3_at(4, "p3_random"), ">= 0.999"),
+    ("ext_policy_forward_beats_uniform", _ABL, "and one priority for all", None,
+     ("fig7a", "ext_policies"), "forward ÷ uniform-priority P3", _p3_at(4, "p3_uniform"),
+     ">= 0.999"),
     ("ext_dedicated_ps_p3_insensitive", _ABL, "P3 does not care whether the PS shards share the "
-     "workers' machines", None, ("ext_components_vgg19", "ext_dedicated_ps"),
-     "P3 on dedicated ÷ colocated PS", lambda colo, ded: ded.get("p3").y[0] / colo.get("p3").y[0],
-     ">= 0.9, <= 1.15"),
+     "workers' machines", None, ("fig7c", "ext_dedicated_ps"), "P3 on dedicated ÷ colocated PS",
+     lambda colo, ded: ded.get("p3").y[0] / colo.get("p3").y_at(15), ">= 0.9, <= 1.15"),
     ("ext_latency_p3_robust", _ABL, "P3's gain is bandwidth scheduling, not latency hiding: "
      "10–1000 µs latency barely moves it", None, ("ext_latency",), "lowest ÷ highest P3",
      lambda fig: fig.get("p3").y.min() / fig.get("p3").y.max(), "> 0.75"),

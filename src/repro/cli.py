@@ -12,7 +12,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -67,9 +66,8 @@ def _sensitivity_range(fig: FigureData) -> None:
 
 
 #: The subcommands that are one figure call share one handler; a row is
-#: the driver's name in :mod:`repro.analysis` (``package.name`` for one
-#: elsewhere under :mod:`repro`), whether ``--plot`` draws a log-scale x
-#: axis, and what to print after the figure.
+#: the driver's name in :mod:`repro.analysis`, whether ``--plot`` draws
+#: a log-scale x axis, and what to print after the figure.
 FIGURES = {
     "fig7": ("fig7_bandwidth_sweep", False, None),
     "fig8": ("fig8_baseline_utilization", False, None),
@@ -82,7 +80,7 @@ FIGURES = {
     "fig15": ("fig15_asgd_vs_p3", False, None),
     "shared": ("shared_cluster_sweep", False, None),
     "sensitivity": ("sensitivity_scan", False, _sensitivity_range),
-    "allreduce": ("allreduce.allreduce_sweep", False, None),
+    "allreduce": ("allreduce_sweep", False, None),
 }
 
 
@@ -90,11 +88,9 @@ def cmd_figure(args: argparse.Namespace) -> None:
     """Run one row of :data:`FIGURES` on the model (where the subcommand
     declares ``--model``) with the run flags it declares."""
     driver, logx, epilogue = FIGURES[args.command]
-    package, _, driver = driver.rpartition(".")
-    module = importlib.import_module(f".{package}", __package__) if package else analysis
     kwargs = _run_kwargs(args)
     model = (args.model,) if "model" in args else ()
-    fig = getattr(module, driver)(*model, **kwargs)
+    fig = getattr(analysis, driver)(*model, **kwargs)
     _emit(fig, args, logx=logx)
     _report_cache(kwargs)
     if epilogue is not None:

@@ -16,27 +16,20 @@ Pairings (value semantics ↔ timing semantics):
 | DGC | dgc | `strategies.dgc_timing(density)` |
 | ASGD | asgd | `strategies.asgd()` |
 
-Because iteration time is steady-state stationary, per-iteration
-durations are sampled from the simulator's measured distribution rather
-than a single mean, preserving jitter effects.
+The driver that runs them is :func:`repro.analysis.compare_systems`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
-import numpy as np
-
-from ..analysis.series import FigureData
-from ..models.base import ModelSpec
-from ..sim import ClusterConfig, simulate
 from ..strategies import StrategyConfig
 from ..strategies import asgd as asgd_strategy
 from ..strategies import baseline as baseline_strategy
 from ..strategies import dgc_timing
 from ..strategies import p3 as p3_strategy
-from ..training import DGCConfig, Dataset, Network, TrainConfig, train_data_parallel
+from ..training import DGCConfig
 
 
 @dataclass(frozen=True)
@@ -59,45 +52,3 @@ def paper_systems(dgc_density: float = 0.01) -> List[SystemSpec]:
         SystemSpec("asgd", "asgd", asgd_strategy()),
     ]
 
-
-def compare_systems(
-    systems: Sequence[SystemSpec],
-    network_factory: Callable[[], Network],
-    dataset: Dataset,
-    sim_model: ModelSpec,
-    cluster: ClusterConfig,
-    train_config: TrainConfig,
-) -> FigureData:
-    """Accuracy over simulated wall-clock, one series per system, each
-    trained from ``network_factory()``'s identical initialization.
-
-    A series' x is the clock at each epoch's end.  Notes: each system's
-    simulated mean iteration time (``<name>_iter_time_s``), final
-    accuracy and, where reached, time to 80 % accuracy.
-    """
-    fig = FigureData(
-        figure_id="cosim",
-        title=f"Accuracy over simulated wall-clock: {sim_model.name} "
-              f"@ {cluster.bandwidth_gbps:g} Gbps",
-        x_label="simulated time (s)",
-        y_label="validation accuracy",
-    )
-    for system in systems:
-        network = network_factory()
-        timing = simulate(sim_model, system.strategy, cluster,
-                          iterations=6, warmup=2)
-        iter_times = np.asarray(timing.iteration_times, dtype=float)
-        result = train_data_parallel(network, dataset, train_config,
-                                     method=system.method,
-                                     dgc_config=system.dgc_config)
-        steps = result.steps_per_epoch
-        rng = np.random.default_rng(cluster.seed + 1)
-        clock = np.cumsum(rng.choice(iter_times, size=steps * train_config.epochs,
-                                     replace=True))
-        series = fig.add(system.name, clock[steps - 1::steps], result.val_accuracy)
-        fig.notes[f"{system.name}_iter_time_s"] = float(iter_times.mean())
-        fig.notes[f"{system.name}_final"] = round(float(series.y[-1]), 4)
-        hits = np.nonzero(series.y >= 0.8)[0]
-        if len(hits):
-            fig.notes[f"{system.name}_time_to_80pct_s"] = round(float(series.x[hits[0]]), 2)
-    return fig

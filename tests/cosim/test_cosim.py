@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cosim import compare_systems, paper_systems
+from repro.analysis import compare_systems
+from repro.cosim import paper_systems
 from repro.models import resnet110_cifar
 from repro.sim import ClusterConfig
 from repro.training import TrainConfig, make_dataset, mlp

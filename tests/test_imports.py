@@ -63,14 +63,17 @@ def test_cli_loads_no_substrate():
 
 #: ``repro.analysis``'s public names: those the package re-exported when
 #: it imported every driver module eagerly, less the drivers no ledger
-#: row, CLI command or benchmark reads any more.
+#: row, CLI command or benchmark reads any more, plus the allreduce and
+#: co-simulation drivers.
 ANALYSIS_NAMES = [
     "CalibrationReport", "DEFAULT_SETTINGS", "FIG10_SIZES", "FIG12_SLICES",
     "FIG7_GRIDS", "FIG8_9_CONFIGS", "FaultCalibrationReport", "FigureData",
     "HyperSetting", "IterationBounds", "PLACEMENTS", "PLACEMENT_SIZES",
     "PointResult", "SWEEP_POLICIES", "SWEEP_TENANTS", "ScheduleOutcome",
-    "SeedStats", "Series", "SimCache", "SimPoint", "Sweep", "ascii_plot",
+    "SeedStats", "Series", "SimCache", "SimPoint", "Sweep",
+    "allreduce_sweep", "ascii_plot",
     "baseline_crossover_gbps", "calibrate", "calibrate_faults", "code_salt",
+    "compare_systems",
     "default_workload", "degradation_report", "effective_jobs",
     "fault_plan_for", "fig10_scalability", "fig11_p3_vs_dgc",
     "fig12_slice_size_sweep", "fig13_tensorflow_utilization",

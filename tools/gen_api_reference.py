@@ -78,6 +78,7 @@ MODULES = [
     "repro.analysis.schedules",
     "repro.analysis.accuracy",
     "repro.analysis.ablations",
+    "repro.analysis.allreduce",
     "repro.analysis.robustness",
     "repro.analysis.sensitivity",
     "repro.analysis.stats",
