@@ -33,8 +33,7 @@ _MODULE_EXPORTS = {
                     "calibrate", "calibrate_faults", "live_model_spec",
                     "predict_sim", "run_inprocess", "sim_bandwidth_gbps"),
     "distributions": ("fig5_param_distribution",),
-    "robustness": ("degradation_report", "fault_plan_for",
-                   "robustness_sweep"),
+    "robustness": ("fault_plan_for", "robustness_sweep"),
     "runner": ("PointResult", "SimPoint", "effective_jobs", "run_grid"),
     "scalability": ("FIG10_SIZES", "fig10_scalability"),
     "schedules": ("ScheduleOutcome", "fig4_schedule_comparison",

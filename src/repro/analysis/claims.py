@@ -29,14 +29,17 @@ from .allreduce import allreduce_sweep
 from .bandwidth import FIG7_PANELS, fig7_bandwidth_sweep
 from .cache import SimCache
 from .distributions import fig5_param_distribution
+from .robustness import robustness_sweep
 from .scalability import FIG10_PANELS, fig10_scalability
 from .schedules import fig4_schedule_comparison, fig6_granularity_comparison, schedule_figure
 from .sensitivity import sensitivity_scan
 from .series import FigureData, speedup
+from .sharding import placement_sweep
 from .slice_size import FIG12_PANELS, fig12_slice_size_sweep
 from .stats import _across_seeds, summarize
 from .sweep import Sweep
 from .tails import tail_comparison
+from .tenancy import tenancy_sweep
 from .utilization import (FIG8_9_CONFIGS, fig8_baseline_utilization, fig9_p3_utilization,
                           fig13_tensorflow_utilization, fig14_poseidon_utilization)
 
@@ -58,6 +61,7 @@ _UTIL = {8: fig8_baseline_utilization, 9: fig9_p3_utilization}
 _SLICES = (1_000, 3_000, 10_000, 50_000, 200_000, 1_000_000)
 _CREDITS = (1, 2, 4, 8, 16, 64)
 _CREDIT = (p3(), *(replace(credit_p3(c), name=f"credit_{c}") for c in _CREDITS))
+_FAULTS_CI = {**_SHORT, "severities": (0.0, 0.75)}
 
 
 def _four_systems(epochs: int) -> FigureData:
@@ -118,6 +122,11 @@ FIGURE_RUNS: Tuple[FigureRun, ...] = (
     FigureRun("ext_sockeye_seeds", _across_seeds, ("sockeye",),
               {"bandwidth_gbps": 4.0, "iterations": 5}),
     FigureRun("ext_cosim", _four_systems, full={"epochs": 16}),
+    FigureRun("ext_robustness", robustness_sweep, ci=_FAULTS_CI),
+    FigureRun("ext_robustness_link", robustness_sweep, full={"kinds": ("link",)},
+              ci={**_FAULTS_CI, "kinds": ("link",)}),
+    FigureRun("ext_placement", placement_sweep),
+    FigureRun("ext_tenancy", tenancy_sweep),
 )
 RUNS = {run.id: run for run in FIGURE_RUNS}
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
@@ -210,6 +219,11 @@ def _best(label: str) -> Callable[[FigureData], float]:
     return lambda fig: fig.get(label).x[fig.get(label).y.argmax()]
 
 
+def _placed(placement: str, pick: Callable = min) -> Callable[[FigureData], float]:
+    """``pick`` of coarse-sliced P3's ``placement`` ÷ round-robin over the cluster sizes."""
+    return lambda fig: pick(fig.get(f"p3/{placement}").y / fig.get("p3/round_robin").y)
+
+
 _DIV, _SUB = operator.truediv, operator.sub
 _FIG8_9 = tuple(f"fig{n}_{model}" for n in _UTIL for model in sorted(FIG8_9_CONFIGS))
 _FIG8, _FIG12 = _FIG8_9[:3], tuple(FIG12_PANELS.values())
@@ -219,6 +233,8 @@ _ABL, _WANG, _BYTESCHED = ("extension, ablation", "extension of §5.3: Wang et a
                            "extension: ByteScheduler, SOSP '19")
 _RING, _LM, _COSIM = "extension of §6: allreduce", "extension: transformer LM", "extension of App. B.2"
 _P3 = "P3 ÷ baseline"
+_FAULTS, _TENANCY = "extension of §5.3: faults", "extension of §5.3: tenancy"
+_PHUB = "extension: Parameter Hub, arXiv:1805.07891"
 
 PAPER_CLAIMS: Tuple[PaperClaim, ...] = tuple(map(PaperClaim._make, (
     ("fig4_priority_halves_delay", "§3, Fig 4", "priority sync halves the toy's delay", 0.5,
@@ -412,14 +428,46 @@ PAPER_CLAIMS: Tuple[PaperClaim, ...] = tuple(map(PaperClaim._make, (
     ("ext_cosim_dgc_iterates_faster", _COSIM, "DGC's compressed pushes iterate faster than the "
      "baseline at 1 Gbps", None, ("ext_cosim",), "DGC ÷ baseline iteration time",
      _notes(_DIV, "dgc_iter_time_s", "baseline_iter_time_s"), "< 1"),
+    ("ext_faults_p3_degrades_no_worse", _FAULTS, "a straggler, a degraded NIC and PS stalls "
+     "together cost P3 no larger share of its throughput than the baseline", None,
+     ("ext_robustness",), "P3 − baseline retention at severity 0.75",
+     "p3_minus_baseline_retention", ">= -0.005"),
+    ("ext_faults_p3_keeps_its_lead", _FAULTS, "and keeps at least the baseline's absolute "
+     "throughput", None, ("ext_robustness",), "P3 ÷ baseline at severity 0.75",
+     "p3_over_baseline_under_faults", ">= 0.995"),
+    ("ext_faults_bite", _FAULTS, "the plan really bites: every strategy loses throughput", None,
+     ("ext_robustness",), "highest retention at severity 0.75",
+     lambda fig: max(fig.get(s).y[-1] for s in ("baseline", "slicing", "p3")), "< 0.95"),
+    ("ext_faults_link_favors_p3", _FAULTS, "a sustained NIC degradation alone costs P3 a "
+     "smaller share than the baseline", None, ("ext_robustness_link",),
+     "P3 − baseline retention at severity 0.75, NIC only", "p3_minus_baseline_retention", "> 0"),
+    ("ext_placement_balanced_fixes_skew", _PHUB, "2M-parameter slices leave P3's keys skewed: "
+     "balanced placement beats round-robin at 16, 64 and 256 workers", None, ("ext_placement",),
+     "lowest balanced ÷ round-robin, P3", _placed("balanced"), "> 1.05"),
+    ("ext_placement_baseline_gains_little", _PHUB, "the baseline, whose big arrays are already "
+     "split across every shard, gains almost nothing from it", None, ("ext_placement",),
+     "best balanced ÷ round-robin, baseline", "max_balanced_gain_baseline", "< 1.05"),
+    ("ext_placement_two_tier_wins_at_256", _PHUB, "two-tier aggregation pays where root fan-in "
+     "dominates: 256 workers", None, ("ext_placement",), "two-tier ÷ round-robin at 256, P3",
+     _placed("two_tier", lambda gains: gains[-1]), "> 2"),
+    ("ext_placement_two_tier_costs_below", _PHUB, "but costs P3 throughput at 16 and 64", None,
+     ("ext_placement",), "highest two-tier ÷ round-robin below 256, P3",
+     _placed("two_tier", lambda gains: gains[:-1].max()), "< 1"),
+    ("ext_tenancy_p3_p95_lead", _TENANCY, "8 tenants alternating P3 and baseline jobs on one "
+     "fabric: under weighted or equal fair sharing P3's jobs keep a shorter p95 iteration",
+     None, ("ext_tenancy",), "lower baseline ÷ P3 p95, weighted and equal",
+     _notes(min, "p3_p95_advantage_weighted", "p3_p95_advantage_equal"), "> 1.1"),
+    ("ext_tenancy_lead_needs_contention", _TENANCY, "with no sharing each job keeps its whole NIC, "
+     "and the two strategies tie", None, ("ext_tenancy",), "baseline ÷ P3 p95, no sharing",
+     "p3_p95_advantage_none", ">= 0.99, <= 1.01"),
 )))
 CLAIMS = {claim.key: claim for claim in PAPER_CLAIMS}  # by key, in ledger order
 
 
 def run_figure(run: FigureRun, scale: str, **grid: Any) -> FigureData:
-    """Run ``run`` at ``scale``, ``"full"`` or ``"ci"``; ``grid`` reaches only ``Sweep``s."""
-    kwargs = {**(run.full if scale == "full" else run.ci),
-              **(grid if isinstance(run.driver, Sweep) else {})}
+    """Run ``run`` at ``scale``, ``"full"`` or ``"ci"``; ``grid`` reaches ``run_grid`` drivers."""
+    takes_grid = isinstance(run.driver, Sweep) or run.driver in (placement_sweep, robustness_sweep)
+    kwargs = {**(run.full if scale == "full" else run.ci), **(grid if takes_grid else {})}
     return run.driver(*run.args, **kwargs)
 
 

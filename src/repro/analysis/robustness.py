@@ -131,7 +131,8 @@ def robustness_sweep(
     unhurt and lower is worse.  ``notes`` records each strategy's
     retention at the harshest severity, the P3-vs-baseline retention
     margin, and the *absolute* P3-over-baseline throughput ratio under
-    the harshest plan — the numbers the integration test asserts on.
+    the harshest plan — the numbers the claims ledger's ``ext_faults_*``
+    rows read.
 
     Execution is two-phase because the grid is data-dependent: the
     clean reference runs must finish first (the first strategy's
@@ -187,16 +188,3 @@ def robustness_sweep(
     fig.notes["iteration_time_unit_s"] = round(iter_t, 6)
     return fig
 
-
-def degradation_report(fig: FigureData) -> str:
-    """Human-readable per-strategy degradation summary of a sweep."""
-    lines = [fig.title]
-    for s in fig.series:
-        worst = min(s.y)
-        lines.append(f"  {s.label:10s} retains {100 * worst:5.1f}% "
-                     f"throughput at worst severity")
-    ratio = fig.notes.get("p3_over_baseline_under_faults")
-    if ratio is not None:
-        lines.append(f"  P3 stays {ratio:.2f}x the baseline's absolute "
-                     f"throughput under the harshest plan")
-    return "\n".join(lines)

@@ -3,8 +3,8 @@
 P3's gains come from *intra-job* priority scheduling on the sender's
 NIC.  On a shared cluster the NIC rate itself becomes a moving target —
 the fair-sharing policy retunes every job's bandwidth as tenants come
-and go — so the open question (ROADMAP item 3, Parameter Hub's regime)
-is whether the priority structure still buys anything once jobs contend.
+and go — so the open question is whether the priority structure still
+buys anything once jobs contend (the ledger's ``ext_tenancy_*`` rows).
 
 The sweep's workload makes the comparison inside one contended cluster:
 ``n`` tenants each submit one job, alternating ``p3`` and ``baseline``

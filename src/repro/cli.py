@@ -245,15 +245,13 @@ def cmd_metrics(args: argparse.Namespace) -> None:
 
 def cmd_robustness(args: argparse.Namespace) -> None:
     """Extension: per-strategy throughput degradation under faults."""
-    from .analysis.robustness import degradation_report, robustness_sweep
+    from .analysis.robustness import robustness_sweep
     kwargs = _run_kwargs(args)
     fig = robustness_sweep(args.model, bandwidth_gbps=args.bandwidth,
                            kinds=tuple(args.kinds.split(",")),
                            seed=args.seed, **kwargs)
     _emit(fig, args)
     _report_cache(kwargs)
-    print()
-    print(degradation_report(fig))
 
 
 def _parse_faults(spec: str, seed: int):
@@ -372,8 +370,6 @@ def cmd_sharding(args: argparse.Namespace) -> None:
         seed=args.seed, measured=args.measured, **kwargs)
     _emit(fig, args, logx=True)
     _report_cache(kwargs)
-    for name, value in sorted(fig.notes.items()):
-        print(f"  {name} = {value}")
 
 
 def cmd_report(args: argparse.Namespace) -> None:
@@ -407,8 +403,6 @@ def cmd_tenants(args: argparse.Namespace) -> None:
             bandwidth_gbps=args.bandwidth, workers_per_job=args.workers,
             iterations=args.iterations, warmup=args.warmup, seed=args.seed)
         _emit(fig, args)
-        for name, value in sorted(fig.notes.items()):
-            print(f"  {name} = {value}")
         return
     weights = ([float(w) for w in args.weights.split(",")]
                if args.weights else None)

@@ -39,7 +39,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     ObsSession,
     live_session,
     sim_session,
@@ -53,7 +52,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "ObsSession",
     "SCHEMA_VERSION",
     "SLICE_KINDS",

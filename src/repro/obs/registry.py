@@ -4,11 +4,10 @@ Instrumentation points throughout the simulator and the live data plane
 record into these instruments.  Two properties matter more than
 features:
 
-* **near-zero overhead when disabled** — the shared
-  :data:`NULL_REGISTRY` hands out singleton no-op instruments, so an
-  uninstrumented run pays one attribute load and a no-op call at most
-  (and the hot paths guard even that behind an ``is not None`` check);
-* **observation-only when enabled** — instruments only accumulate
+* **near-zero overhead when off** — an unobserved run has no session
+  (``obs is None``), and the hot paths guard emission behind that one
+  check;
+* **observation-only when on** — instruments only accumulate
   Python numbers; they never schedule events, sleep, or touch any RNG,
   so enabling metrics cannot perturb a run (the bit-identity guarantee
   tested in ``tests/obs/test_observation_only.py``).
@@ -186,50 +185,19 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:  # pragma: no cover - trivial
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # pragma: no cover - trivial
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # pragma: no cover - trivial
-        pass
-
-    def observe_many(self, values) -> None:  # pragma: no cover - trivial
-        pass
-
-
 class MetricsRegistry:
     """Names instruments and serializes their state.
 
     ``counter``/``gauge``/``histogram`` create on first use and return
     the same instrument thereafter, so instrumentation sites never need
-    set-up code.  A registry created with ``enabled=False`` (or the
-    shared :data:`NULL_REGISTRY`) returns no-op instruments.
+    set-up code.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[str, object] = {}
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
 
-    def _get(self, name: str, factory, null):
-        if not self.enabled:
-            return null
+    def _get(self, name: str, factory):
         with self._lock:
             inst = self._instruments.get(name)
             if inst is None:
@@ -238,15 +206,14 @@ class MetricsRegistry:
             return inst
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, self._null_counter)
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, self._null_gauge)
+        return self._get(name, Gauge)
 
     def histogram(self, name: str, lo: float = DEFAULT_BUCKET_LO,
                   hi: float = DEFAULT_BUCKET_HI) -> Histogram:
-        return self._get(name, lambda n: Histogram(n, lo, hi),
-                         self._null_histogram)
+        return self._get(name, lambda n: Histogram(n, lo, hi))
 
     def names(self) -> List[str]:
         with self._lock:
@@ -257,11 +224,6 @@ class MetricsRegistry:
         with self._lock:
             items: List[Tuple[str, object]] = sorted(self._instruments.items())
         return {name: inst.snapshot() for name, inst in items}
-
-
-#: Shared disabled registry: hand this to instrumented code to turn all
-#: metric recording into no-ops without any conditional at the call site.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 class ObsSession:

@@ -8,9 +8,11 @@ from collections import defaultdict
 import pytest
 
 import repro.analysis.claims as claims
-from repro.analysis.claims import (BEGIN, CLAIMS, END, FIGURE_RUNS, generate_report,
-                                   write_report)
+from repro.analysis.cache import SimCache
+from repro.analysis.claims import (BEGIN, CLAIMS, END, FIGURE_RUNS, FigureRun, generate_report,
+                                   run_figure, write_report)
 from repro.analysis.series import FigureData, Series
+from repro.analysis.sharding import placement_sweep
 from repro.cli import main
 
 
@@ -62,6 +64,17 @@ def test_main_writes_file(ran, tmp_path, capsys):
     out = tmp_path / "r.md"
     assert main(["report", "--quick", "--out", str(out)]) == 0
     assert "P3 reproduction report" in out.read_text()
+
+
+def test_run_figure_hands_the_grid_to_drivers_that_arrange_their_own(tmp_path):
+    """``repro report --jobs/--cache`` reaches the placement and robustness
+    sweeps, not only the ``Sweep`` rows."""
+    cache = SimCache(tmp_path)
+    run = FigureRun("toy", placement_sweep, full={
+        "model_name": "toy3", "cluster_sizes": (4,), "n_servers": 2, "agg_group_size": 2,
+        "iterations": 3})
+    run_figure(run, "full", cache=cache)
+    assert cache.misses == 6
 
 
 def test_write_report_replaces_only_the_generated_block(tmp_path):

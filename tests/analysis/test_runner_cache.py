@@ -177,18 +177,26 @@ COLUMN = dict(TOY, values=(2.0,))
     # table, the ablations that are Figure 7 columns with their own
     # strategies or cluster, the seed spread, and the figures that
     # arrange their own grid.
-    (analysis.straggler_sensitivity, dict(TOY, values=(1.0, 2.0))),
-    (analysis.fig7_bandwidth_sweep,
-     dict(COLUMN, strategies=(p3(), p3_with_policy("reverse")))),
-    (analysis.fig7_bandwidth_sweep, dict(COLUMN, colocate_servers=False)),
-    (_across_seeds, dict(TOY, values=(0, 1), bandwidth_gbps=2.0)),
-    (analysis.fig7_bandwidth_sweep,
-     dict(COLUMN, strategies=(p3(), credit_p3(2)), oversubscription=2.0)),
-    (analysis.sensitivity_scan, dict(TOY, sweeps={"latency_s": (1e-5, 5e-4)})),
-    (analysis.placement_sweep, dict(TOY, cluster_sizes=(4, 8), n_servers=2,
-                                    agg_group_size=2)),
-    (analysis.robustness_sweep, dict(TOY, severities=(0.0, 0.5))),
-], ids=lambda arg: getattr(arg, "__name__", None))
+    pytest.param(analysis.straggler_sensitivity, dict(TOY, values=(1.0, 2.0)),
+                 id="straggler_sensitivity"),
+    pytest.param(analysis.fig7_bandwidth_sweep,
+                 dict(COLUMN, strategies=(p3(), p3_with_policy("reverse"))),
+                 id="fig7-policies"),
+    pytest.param(analysis.fig7_bandwidth_sweep, dict(COLUMN, colocate_servers=False),
+                 id="fig7-dedicated_ps"),
+    pytest.param(_across_seeds, dict(TOY, values=(0, 1), bandwidth_gbps=2.0),
+                 id="across_seeds"),
+    pytest.param(analysis.fig7_bandwidth_sweep,
+                 dict(COLUMN, strategies=(p3(), credit_p3(2)), oversubscription=2.0),
+                 id="fig7-credit"),
+    pytest.param(analysis.sensitivity_scan,
+                 dict(TOY, sweeps={"latency_s": (1e-5, 5e-4)}), id="sensitivity_scan"),
+    pytest.param(analysis.placement_sweep,
+                 dict(TOY, cluster_sizes=(4, 8), n_servers=2, agg_group_size=2),
+                 id="placement_sweep"),
+    pytest.param(analysis.robustness_sweep, dict(TOY, severities=(0.0, 0.5)),
+                 id="robustness_sweep"),
+])
 def test_every_grid_driver_identical_serial_pool_cache(driver, kwargs,
                                                        tmp_path, monkeypatch):
     _assert_serial_pool_cache_identical(driver, kwargs, tmp_path, monkeypatch)

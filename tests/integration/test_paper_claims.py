@@ -1,7 +1,7 @@
 """The claims ledger (:mod:`repro.analysis.claims`) in tier-1: it is well
 formed, every row whose runs all have ``ci`` settings holds at that
-scale, and EXPERIMENTS.md's generated block lists the ledger's rows as
-they stand."""
+scale, and EXPERIMENTS.md's generated block, its only table, lists the
+ledger's rows as they stand."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.claims import _OPS, BEGIN, CLAIMS, END, FIGURE_RUNS, RUNS, measure, table
+
+EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+
 
 def test_every_run_is_read_by_a_row():
     read = {run for claim in CLAIMS.values() for run in claim.runs}
@@ -45,10 +48,18 @@ def test_claim(claim, figures):
 def test_experiments_block_matches_the_ledger():
     """Every cell of the block's table that comes from the ledger — all
     but the measured value and its verdict — as the ledger renders it."""
-    text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+    text = EXPERIMENTS.read_text()
     block = text[text.index(BEGIN):text.index(END)].splitlines()
     expected = table([(claim, None) for claim in CLAIMS.values()])
     start = block.index(expected[0])
     committed = block[start:block.index("", start)]
     assert ([row.rsplit(" | ", 2)[0] for row in committed]
             == [row.rsplit(" | ", 2)[0] for row in expected])
+
+
+def test_experiments_has_no_table_outside_the_block():
+    """Every table in EXPERIMENTS.md is the report's: numbers typed by hand
+    beside it would stop matching the code that made them."""
+    text = EXPERIMENTS.read_text()
+    outside = text[:text.index(BEGIN)] + text[text.index(END):]
+    assert [line for line in outside.splitlines() if line.lstrip().startswith("|")] == []

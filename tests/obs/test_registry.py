@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     live_session,
     sim_session,
 )
@@ -73,19 +72,6 @@ def test_histogram_underflow_and_empty():
         h.percentile(101)
     with pytest.raises(ValueError):
         Histogram("bad", lo=0.0)
-
-
-def test_null_registry_instruments_are_inert_singletons():
-    c = NULL_REGISTRY.counter("a")
-    g = NULL_REGISTRY.gauge("b")
-    h = NULL_REGISTRY.histogram("c")
-    c.inc(100)
-    g.set(9.0)
-    h.observe(1.0)
-    assert c.value == 0 and g.value == 0.0 and h.count == 0
-    assert NULL_REGISTRY.counter("other") is c
-    assert NULL_REGISTRY.names() == []
-    assert NULL_REGISTRY.snapshot() == {}
 
 
 def test_registry_snapshot_is_json_ready_and_sorted():

@@ -74,7 +74,7 @@ ANALYSIS_NAMES = [
     "allreduce_sweep", "ascii_plot",
     "baseline_crossover_gbps", "calibrate", "calibrate_faults", "code_salt",
     "compare_systems",
-    "default_workload", "degradation_report", "effective_jobs",
+    "default_workload", "effective_jobs",
     "fault_plan_for", "fig10_scalability", "fig11_p3_vs_dgc",
     "fig12_slice_size_sweep", "fig13_tensorflow_utilization",
     "fig14_poseidon_utilization", "fig15_asgd_vs_p3",
