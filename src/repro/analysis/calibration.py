@@ -27,11 +27,13 @@ Mapping a live config into the simulator
   equal parameter counts.
 * Live shards are separate nodes with their own shapers, i.e. their
   own NICs: ``colocate_servers=False``.
+* Topology and placement fields carry over under the names both configs
+  share, and the twin runs the live run's ``strategy_config``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -43,7 +45,6 @@ from ..models.base import BYTES_PER_PARAM, LayerSpec, ModelSpec
 from ..obs import ObsSession, sim_session
 from ..sim.cluster import ClusterConfig, simulate
 from ..sim.faults import FaultPlan
-from ..strategies import base as strategies
 
 #: Documented default tolerance for sign agreement: live and simulated
 #: speedups must lie on the same side of 1.0, or both within this band
@@ -67,11 +68,8 @@ def run_inprocess(cfg: LiveClusterConfig,
     sched = cfg.membership
     net = cfg.build_network()
     dataset = cfg.build_dataset()
-    # A scheduled store is resized every round; its batch size only has
-    # to pass the static config's check.
-    store = (cfg if sched is None else dc_replace(
-        cfg, membership=None, batch_size=cfg.n_workers)
-    ).build_initialized_store()
+    # Epoch 0's table; a scheduled store is resized every round.
+    store = cfg.build_store(cfg.key_plan()[0])
     for t, idx in enumerate(cfg.batch_schedule()):
         n = cfg.n_workers
         if sched is not None:
@@ -114,7 +112,7 @@ def sim_bandwidth_gbps(cfg: LiveClusterConfig) -> float:
     return effective * 8.0 / 1e9
 
 
-def _simulate_twin(cfg: LiveClusterConfig, strategy: str,
+def _simulate_twin(cfg: LiveClusterConfig,
                    plan: Optional[FaultPlan] = None,
                    obs: Optional[ObsSession] = None) -> float:
     """Mean simulated iteration time of the live config's twin cluster.
@@ -122,21 +120,14 @@ def _simulate_twin(cfg: LiveClusterConfig, strategy: str,
     The one place the live → ``ClusterConfig`` mapping (module
     docstring) is written; ``plan`` is the only thing its callers vary.
     """
-    sim_cfg = ClusterConfig(
-        n_workers=cfg.n_workers,
-        n_servers=cfg.n_servers,
-        bandwidth_gbps=sim_bandwidth_gbps(cfg),
-        colocate_servers=False,
-        seed=cfg.store_seed,
-        fault_plan=plan,
-        placement=cfg.placement,
-        placement_split_factor=cfg.split_factor,
-        placement_max_splits=cfg.max_splits,
-        agg_group_size=cfg.agg_group_size,
-    )
-    strat = (strategies.baseline() if strategy == "baseline"
-             else strategies.p3(cfg.slice_params))
-    result = simulate(live_model_spec(cfg), strat, sim_cfg,
+    sim_names = {f.name for f in fields(ClusterConfig)}
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+              if f.name in sim_names}
+    shared.update(bandwidth_gbps=sim_bandwidth_gbps(cfg),
+                  colocate_servers=False, seed=cfg.store_seed,
+                  fault_plan=plan)
+    result = simulate(live_model_spec(cfg), cfg.strategy_config,
+                      ClusterConfig(**shared),
                       iterations=max(cfg.iterations, cfg.warmup + 2),
                       warmup=cfg.warmup, obs=obs)
     return result.mean_iteration_time
@@ -155,7 +146,8 @@ def predict_sim(cfg: LiveClusterConfig,
     times = {}
     for name in ("baseline", "p3"):
         sess = sim_session() if obs_sessions is not None else None
-        times[name] = _simulate_twin(cfg, name, obs=sess)
+        times[name] = _simulate_twin(dc_replace(cfg, strategy=name),
+                                     obs=sess)
         if obs_sessions is not None:
             obs_sessions[name] = sess
     return times["baseline"], times["p3"]
@@ -361,19 +353,19 @@ def calibrate_faults(cfg: LiveClusterConfig,
     # Imported on use: importing repro.analysis must not load asyncio.
     from ..live.aio import run_live_aio
 
-    clean_cfg = dc_replace(cfg, fault_plan=None)
-    faulty_cfg = dc_replace(cfg, fault_plan=plan)
+    clean_cfg = dc_replace(cfg, strategy=strategy, fault_plan=None)
+    faulty_cfg = dc_replace(clean_cfg, fault_plan=plan)
 
-    live_clean = run_live_aio(clean_cfg, strategy=strategy)
-    live_faulty = run_live_aio(faulty_cfg, strategy=strategy)
-    ref = run_inprocess(cfg, strategy)
+    live_clean = run_live_aio(clean_cfg)
+    live_faulty = run_live_aio(faulty_cfg)
+    ref = run_inprocess(clean_cfg)
     return FaultCalibrationReport(
         strategy=strategy,
         plan=plan,
         live_clean_s=live_clean.mean_iteration_time,
         live_faulty_s=live_faulty.mean_iteration_time,
-        sim_clean_s=_simulate_twin(clean_cfg, strategy),
-        sim_faulty_s=_simulate_twin(faulty_cfg, strategy, plan),
+        sim_clean_s=_simulate_twin(clean_cfg),
+        sim_faulty_s=_simulate_twin(faulty_cfg, plan),
         bit_identical_under_faults=_identical(live_faulty.final_params, ref),
         max_abs_diff=_max_diff(live_faulty.final_params, ref),
         tolerance=tolerance,

@@ -136,8 +136,8 @@ def robustness_sweep(
 
     Execution is two-phase because the grid is data-dependent: the
     clean reference runs must finish first (the first strategy's
-    iteration time scales every fault plan), then the full
-    severity × strategy grid fans out through
+    iteration time scales every fault plan), then the faulted
+    severity × strategy grid (severity 0 is the clean runs) fans out through
     :func:`repro.analysis.runner.run_grid`, which ``**grid`` (``jobs``,
     ``cache``) goes to, with results identical to a serial run.
     """
@@ -166,16 +166,18 @@ def robustness_sweep(
     )
     absolute: Dict[str, list] = {name: [] for name in strategies}
     retention: Dict[str, list] = {name: [] for name in strategies}
-    cells = []
-    for severity in severities:
-        plan = fault_plan_for(severity, iter_t, n_workers=n_workers,
-                              kinds=kinds, seed=seed)
-        for name in strategies:
-            cells.append((name, point(name, plan)))
-    grid_results = run_grid([p for _, p in cells], **grid)
-    for (name, _), result in zip(cells, grid_results):
-        absolute[name].append(result.throughput)
-        retention[name].append(result.throughput / clean[name])
+    plans = [fault_plan_for(severity, iter_t, n_workers=n_workers,
+                            kinds=kinds, seed=seed)
+             for severity in severities]
+    # An empty plan (severity 0) makes the very points the clean runs
+    # simulated: read those instead of simulating them again.
+    faulted = iter(run_grid([point(name, plan) for plan in plans if plan
+                             for name in strategies], **grid))
+    for plan in plans:
+        for name, clean_result in zip(strategies, clean_results):
+            result = next(faulted) if plan else clean_result
+            absolute[name].append(result.throughput)
+            retention[name].append(result.throughput / clean[name])
     for name in strategies:
         fig.add(name, list(severities), retention[name])
         fig.notes[f"{name}_retention_at_{severities[-1]:g}"] = round(

@@ -300,7 +300,7 @@ def cmd_live(args: argparse.Namespace) -> None:
         fault_plan=plan,
         placement=args.placement,
         agg_group_size=args.group_size,
-        split_factor=args.split_factor,
+        placement_split_factor=args.split_factor,
     )
     print(f"live cluster: {cfg.n_workers} workers + {cfg.n_servers} shards "
           f"on {cfg.host}, link shaped to {args.rate_mbps:.0f} Mbit/s "

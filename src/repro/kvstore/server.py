@@ -6,8 +6,9 @@ authoritative values of its keys, buffers gradient pushes from each
 worker, and runs the optimizer once all workers contributed — exactly
 KVServer's contract (Section 4.1 of the paper).
 
-Keys are opaque integers; the worker-side stores (:mod:`.baseline`,
-:mod:`.p3`) decide what a key means (a whole layer shard or a P3 slice).
+Keys are opaque integers; the key table the worker-side store
+(:mod:`.store`) executes decides what a key means (a whole layer shard
+or a P3 slice).
 """
 
 from __future__ import annotations

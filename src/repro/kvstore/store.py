@@ -1,64 +1,51 @@
-"""Worker-facing distributed key-value stores (functional data plane).
+"""The worker-facing distributed key-value store (functional data plane).
 
-Two implementations of the same synchronous API:
+:class:`DistributedStore` moves *real* numpy gradients through one key
+table: ``round()`` performs one synchronous iteration — every client
+pushes every key, shards aggregate and update, workers pull and
+reassemble.  The table comes from outside: the planner
+(:func:`repro.placement.plan_keys`) cuts it by MXNet KVStore's rule
+(Section 4.1: whole arrays, ones above 10^6 parameters split across all
+shards) or by P3's (Section 4.2: slices dealt round-robin), and the
+store only executes it.
 
-* :class:`BaselineKVStore` — MXNet KVStore semantics (Section 4.1):
-  one key per parameter array; arrays above 10^6 parameters are split
-  equally across all shards, smaller ones land on a random shard.
-* :class:`P3Store` — P3 semantics (Section 4.2): arrays are sliced into
-  at most ``slice_params`` parameters, slices are dealt round-robin to
-  shards and carry their layer's forward index as priority.
-
-Both move *real* numpy gradients: ``round()`` performs one synchronous
-iteration — every worker pushes every key, shards aggregate and update,
-workers pull and reassemble.  Because slicing, placement and priority
-only change *transmission order*, both stores must produce bit-identical
-parameters — the functional form of the paper's "P3 does not affect
-model convergence" (Section 5.6), which the test suite asserts.
+A shard accumulates a key's contributions in client order whatever
+order the keys arrive in, so slicing, placement and priority cannot
+change a value: stores over the baseline's and P3's tables produce
+bit-identical parameters — the functional form of the paper's "P3 does
+not affect model convergence" (Section 5.6), which the test suite
+asserts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..placement.keyplan import (DEFAULT_SLICE_PARAMS,
-                                 KVSTORE_BIG_LAYER_THRESHOLD, PlacedKey,
-                                 plan_keys)
-from ..placement.plan import PlacementSpec, worker_groups
+from ..placement.keyplan import KeyTable
 from ..training.optim import SGD
 from .server import ServerShard, scatter_add
 
 
 class DistributedStore:
-    """Shared machinery: key planning, push/aggregate/pull, reassembly.
+    """Push/aggregate/pull and reassembly over one planned key table.
 
-    Subclasses only choose the planner's rule: ``slice_params`` (P3's
-    slice size, or ``None`` for KVStore's threshold split) and
-    ``threshold``.
+    ``table`` fixes the keys, their shards and, under two-tier
+    placement, the worker groups whose aggregators push one partial sum
+    each.
     """
 
-    slice_params: Optional[int] = None
-    threshold: int = KVSTORE_BIG_LAYER_THRESHOLD
-
-    def __init__(self, n_workers: int, n_servers: int,
+    def __init__(self, table: KeyTable, n_workers: int, n_servers: int,
                  lr: float = 0.1, momentum: float = 0.9,
-                 weight_decay: float = 0.0, seed: int = 0,
-                 placement: PlacementSpec = PlacementSpec()) -> None:
+                 weight_decay: float = 0.0) -> None:
         if n_workers <= 0 or n_servers <= 0:
             raise ValueError("n_workers and n_servers must be positive")
         self.n_workers = n_workers
-        self.n_servers = n_servers
-        self._rng = np.random.default_rng(seed)
-        # A non-round-robin policy re-packs the key plan at init() time;
-        # "two_tier" additionally groups workers so each shard sees one
-        # partial sum per group instead of one gradient per worker.
-        self.placement_spec = placement
-        self.placement_plan = None
-        self.groups: Tuple[Tuple[int, ...], ...] = ()
-        if placement.policy == "two_tier":
-            self.groups = worker_groups(n_workers, placement.group_size)
+        self.table = table
+        # Two-tier: each shard sees one partial sum per group instead of
+        # one gradient per worker.
+        self.groups: Tuple[Tuple[int, ...], ...] = table.groups
         n_clients = len(self.groups) if self.groups else n_workers
         denominator = n_workers if self.groups else None
         self.shards = [
@@ -66,28 +53,25 @@ class DistributedStore:
                         denominator=denominator)
             for s in range(n_servers)
         ]
-        self.keys: List[PlacedKey] = []
         self._names: List[str] = []   # forward order; key.layer_index indexes it
         self._shapes: Dict[str, Tuple[int, ...]] = {}
-        self._by_layer: Sequence[Sequence[PlacedKey]] = ()
         self._initialized = False
 
     def init(self, params: Dict[str, np.ndarray]) -> None:
-        """Install initial parameters; dict order defines forward order."""
+        """Install initial parameters; dict order is the table's layer
+        order, and each array must have its layer's parameter count."""
         if self._initialized:
             raise RuntimeError("store already initialized")
-        table = plan_keys(
-            [value.size for value in params.values()], self.n_servers,
-            slice_params=self.slice_params, threshold=self.threshold,
-            rng=self._rng, spec=self.placement_spec,
-            n_workers=self.n_workers)
-        self.placement_plan = table.placement
-        self.keys = list(table)
-        self._by_layer = table.by_layer
+        sizes = [int(value.size) for value in params.values()]
+        planned = [sum(pk.params for pk in layer)
+                   for layer in self.table.by_layer]
+        if sizes != planned:
+            raise ValueError(f"params have layer sizes {sizes}; the key "
+                             f"table was planned for {planned}")
         self._names = list(params)
         self._shapes = {name: value.shape for name, value in params.items()}
         flats = self._flatten(params)
-        for pk in self.keys:
+        for pk in self.table:
             self.shards[pk.server].init_key(pk.key,
                                             flats[pk.layer_index][pk.span])
         self._initialized = True
@@ -126,7 +110,7 @@ class DistributedStore:
         if self.groups:
             return self._round_dense(worker_sparse, self._densify)
         for worker, sparse in enumerate(worker_sparse):
-            for pk in self.transmission_order():
+            for pk in self.table:
                 idx, values = sparse[self._names[pk.layer_index]]
                 idx = np.asarray(idx, dtype=np.int64)
                 values = np.asarray(values, dtype=np.float64)
@@ -165,7 +149,7 @@ class DistributedStore:
         else:
             contributions = [flats_of(c) for c in per_worker]
         for client, flats in enumerate(contributions):
-            for pk in self.transmission_order():
+            for pk in self.table:
                 self.shards[pk.server].push(
                     client, pk.key, flats[pk.layer_index][pk.span])
         return self.pull_all()
@@ -184,20 +168,13 @@ class DistributedStore:
         """Reassemble every parameter array from its shards."""
         self._check_ready()
         out: Dict[str, np.ndarray] = {}
-        for name, layer_keys in zip(self._names, self._by_layer):
+        for name, layer_keys in zip(self._names, self.table.by_layer):
             shape = self._shapes[name]
             flat = np.empty(int(np.prod(shape)), dtype=np.float64)
             for pk in layer_keys:
                 flat[pk.span] = self.shards[pk.server].pull(pk.key)
             out[name] = flat.reshape(shape)
         return out
-
-    def transmission_order(self) -> List[PlacedKey]:
-        """The order a worker would emit keys; FIFO generation order for
-        the baseline, priority order for P3.  Pure introspection for the
-        functional store — aggregation results cannot depend on it,
-        which is exactly why P3 is convergence-neutral."""
-        return self.keys
 
     def set_lr(self, lr: float) -> None:
         for shard in self.shards:
@@ -206,40 +183,3 @@ class DistributedStore:
     def _check_ready(self) -> None:
         if not self._initialized:
             raise RuntimeError("store not initialized; call init() first")
-
-    # ------------------------------------------------------------------
-    @property
-    def n_keys(self) -> int:
-        return len(self.keys)
-
-    def server_load(self) -> np.ndarray:
-        """Parameters per shard (load-balance introspection)."""
-        load = np.zeros(self.n_servers, dtype=np.int64)
-        for pk in self.keys:
-            load[pk.server] += pk.params
-        return load
-
-
-class BaselineKVStore(DistributedStore):
-    """MXNet KVStore placement: whole arrays, threshold-split big ones."""
-
-    def __init__(self, *args, threshold: int = KVSTORE_BIG_LAYER_THRESHOLD,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.threshold = threshold
-
-
-class P3Store(DistributedStore):
-    """P3 placement: balanced slices, round-robin shards, priorities."""
-
-    def __init__(self, *args, slice_params: int = DEFAULT_SLICE_PARAMS,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if slice_params <= 0:
-            raise ValueError("slice_params must be positive")
-        self.slice_params = slice_params
-
-    def transmission_order(self) -> List[PlacedKey]:
-        """Priority order (stable): what the P3Worker consumer thread
-        would drain if every key were enqueued at once."""
-        return sorted(self.keys, key=lambda pk: (pk.priority, pk.key))

@@ -1,7 +1,7 @@
 """Data-parallel training through the functional KVStore data plane.
 
 This is the end-to-end functional check of the paper's Section 5.6
-claim: training through :class:`BaselineKVStore` and :class:`P3Store`
+claim: training through stores over the baseline's and P3's key tables
 must follow *identical* trajectories (P3 reorders transmissions but
 never changes values), and both must match the reference harness in
 :mod:`repro.training.parallel`.
@@ -63,7 +63,7 @@ def train_with_store(
         val_acc.append(network.accuracy(dataset.x_val, dataset.y_val))
         losses.append(float(np.mean(epoch_losses)))
     return TrainResult(
-        method=f"kvstore:{type(store).__name__}",
+        method="kvstore",
         val_accuracy=np.array(val_acc),
         train_loss=np.array(losses),
         steps_per_epoch=steps_per_epoch,

@@ -152,17 +152,10 @@ async def _run_cluster(cfg: LiveClusterConfig,
     epoch0 = time.monotonic()
     sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
                                                         cfg.iterations)
-    # Planned once per epoch, here; every node is handed the tables.
+    # Planned once per epoch, here; every node is handed the tables, and
+    # the shards start from epoch 0's.
     plans = cfg.key_plan()
-    if cfg.membership is not None:
-        # The store's shard layout must match the epoch-0 plan; values
-        # are placement-invariant, so this is layout only.
-        policy0 = cfg.membership.epochs[0].placement or cfg.placement
-        store_cfg = dc_replace(cfg, membership=None, placement=policy0,
-                               batch_size=cfg.n_workers)
-    else:
-        store_cfg = cfg
-    store = store_cfg.build_initialized_store()
+    store = cfg.build_store(plans[0])
     coordinator = EpochCoordinator(plans, sched)
     servers = [AioServerShard(s, cfg, store.shards[s], plans, sched,
                               coordinator, epoch0=epoch0, shaper=shaper)

@@ -226,6 +226,7 @@ class Node:
         # Set whenever something a wait of this node's is gated on may
         # have changed — a reply, a barrier token, a BYE — and on failure.
         self._changed = asyncio.Event()
+        self._prioritized = cfg.strategy_config.prioritized
         self._fifo_seq = 0
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
@@ -278,7 +279,7 @@ class Node:
                                peer_machine, self.epoch0))
 
     def _priority(self, pk: PlacedKey) -> int:
-        if self.cfg.strategy == "p3":
+        if self._prioritized:
             return pk.priority
         self._fifo_seq += 1
         return self._fifo_seq  # FIFO: priority == enqueue order

@@ -18,10 +18,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..kvstore.store import BaselineKVStore, DistributedStore, P3Store
+from ..kvstore.store import DistributedStore
 from ..placement.keyplan import KeyTable, plan_keys
-from ..placement.plan import PlacementSpec, worker_groups
+from ..placement.plan import worker_groups
+from ..sim.cluster import ClusterConfig
 from ..sim.faults import FaultPlan
+from ..strategies import StrategyConfig, get_strategy
 from ..training.data import Dataset, SyntheticSpec, make_dataset
 from ..training.model import Network
 from ..training.zoo import mlp
@@ -45,13 +47,14 @@ class LiveClusterConfig:
     strategy: str = "p3"               # "baseline" | "p3"
     slice_params: int = 5_000          # P3 slice granularity (toy-scaled)
 
-    # Key placement (repro.placement): "round_robin" keeps the store's
-    # own plan; "balanced" re-packs keys onto shards by size (splitting
-    # hot keys); "two_tier" additionally interposes one aggregator
-    # process per ``agg_group_size`` workers in front of the shards.
+    # Key placement (repro.placement), under the simulator's names:
+    # "round_robin" keeps the strategy's own plan; "balanced" re-packs
+    # keys onto shards by size (splitting hot keys); "two_tier"
+    # additionally interposes one aggregator node per ``agg_group_size``
+    # workers in front of the shards.
     placement: str = "round_robin"
-    split_factor: float = 2.0
-    max_splits: int = 4
+    placement_split_factor: float = 2.0
+    placement_max_splits: int = 4
     agg_group_size: int = 2
 
     # Link shaping (None = unshaped loopback)
@@ -184,18 +187,20 @@ class LiveClusterConfig:
         return self.n_workers + self.n_servers + group_id
 
     # ------------------------------------------------------------------
-    # Placement / two-tier topology
+    # Strategy, placement and two-tier topology
     # ------------------------------------------------------------------
-    def placement_spec(self) -> PlacementSpec:
-        return PlacementSpec(
-            policy=self.placement, split_factor=self.split_factor,
-            max_splits=self.max_splits,
-            group_size=(self.agg_group_size
-                        if self.placement == "two_tier" else 0))
-
     @property
-    def two_tier(self) -> bool:
-        return self.placement == "two_tier"
+    def strategy_config(self) -> StrategyConfig:
+        """The run's contender, resolved from its name here only: what
+        the key plan, the nodes' queues and the simulated twin read."""
+        spec = get_strategy(self.strategy)
+        return (spec if spec.slice_params is None
+                else spec.with_slice(self.slice_params))
+
+    # The placement fields carry the simulator's names, so its reading
+    # of them is this config's too.
+    placement_spec = ClusterConfig.placement_spec
+    two_tier = ClusterConfig.two_tier
 
     def worker_groups(self) -> Tuple[Tuple[int, ...], ...]:
         if not self.two_tier:
@@ -240,40 +245,32 @@ class LiveClusterConfig:
 
     def key_plan(self) -> List[KeyTable]:
         """The run's key tables, one per membership epoch (a static run
-        has one): the same planner call the in-process store makes, on
-        the same seed, so the tables match the store's by construction.
+        has one), planned here once for the driver, every node and the
+        in-process oracle.
 
         An epoch's placement override re-packs the same keys; the rng is
-        reseeded per epoch, as a fresh store's would be.
+        reseeded per epoch, so every epoch cuts the same keys.
         """
         sizes = [value.size
                  for value in self.build_network().parameters().values()]
-        baseline = self.strategy == "baseline"
         spec = self.placement_spec()
+        slice_params = self.strategy_config.slice_params
         policies = ([self.placement] if self.membership is None else
                     [e.placement or self.placement
                      for e in self.membership.epochs])
-        return [plan_keys(sizes, self.n_servers,
-                          slice_params=(None if baseline
-                                        else self.slice_params),
+        return [plan_keys(sizes, self.n_servers, slice_params=slice_params,
                           rng=np.random.default_rng(self.store_seed),
                           spec=replace(spec, policy=policy),
                           n_workers=self.n_workers)
                 for policy in policies]
 
-    def build_store(self) -> DistributedStore:
-        """The in-process functional store this live run must reproduce
-        bit-for-bit."""
-        common = dict(n_workers=self.n_workers, n_servers=self.n_servers,
-                      lr=self.lr, momentum=self.momentum,
-                      weight_decay=self.weight_decay, seed=self.store_seed,
-                      placement=self.placement_spec())
-        if self.strategy == "baseline":
-            return BaselineKVStore(**common)
-        return P3Store(slice_params=self.slice_params, **common)
-
-    def build_initialized_store(self) -> DistributedStore:
-        store = self.build_store()
+    def build_store(self, table: KeyTable) -> DistributedStore:
+        """The in-process functional store over ``table``, holding the
+        model's initial parameters: the oracle a live run must reproduce
+        bit for bit, and the numerics behind each live shard."""
+        store = DistributedStore(table, self.n_workers, self.n_servers,
+                                 lr=self.lr, momentum=self.momentum,
+                                 weight_decay=self.weight_decay)
         store.init(self.build_network().parameters())
         return store
 

@@ -15,10 +15,10 @@ gives two rules for cutting layers into keys:
 :func:`plan_keys` applies one of them, then lets
 :func:`~repro.placement.plan.plan_placement` re-pack the result when a
 non-round-robin :class:`~repro.placement.plan.PlacementSpec` is given.
-The simulator (:meth:`repro.strategies.StrategyConfig.plan`), the
-in-process store (:meth:`repro.kvstore.DistributedStore.init`) and the
-live cluster (:meth:`repro.live.LiveClusterConfig.key_plan`) all call
-it, so their key tables agree by construction: same inputs, same table.
+The simulator (:meth:`repro.strategies.StrategyConfig.plan`) and the
+live cluster (:meth:`repro.live.LiveClusterConfig.key_plan`, whose
+tables its nodes and the in-process store execute) both call it, so
+their key tables agree by construction: same inputs, same table.
 
 The rng is consumed in one fixed order — one ``rng.integers(n_servers)``
 per layer the threshold rule leaves whole, in forward order — and keys

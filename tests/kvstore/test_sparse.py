@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kvstore import BaselineKVStore, P3Store
 from repro.kvstore.server import ServerShard
 from repro.placement import PlacementSpec
 from repro.training.dgc import DGCCompressor, DGCConfig
 from repro.training.optim import SGD
+from tests.kvstore import planned_store
 
 
 def test_shard_push_sparse_accumulates():
@@ -46,21 +46,19 @@ def _full_density_sparse(grads):
             for name, g in grads.items()}
 
 
-@pytest.mark.parametrize("store_cls,kw", [
-    (P3Store, {"slice_params": 37}),
-    (BaselineKVStore, {"threshold": 100}),
-])
-def test_sparse_round_full_density_matches_dense(store_cls, kw):
+@pytest.mark.parametrize("kw", [{"slice_params": 37}, {"threshold": 100}],
+                         ids=["p3", "baseline"])
+def test_sparse_round_full_density_matches_dense(kw):
     """density=1 sparse pushes must equal dense pushes exactly, across
     both placements — compression composes with slicing/sharding."""
     rng = np.random.default_rng(0)
     params = {"a": rng.normal(size=300), "b": rng.normal(size=(5, 9))}
     grads = [{k: rng.normal(size=v.shape) for k, v in params.items()}
              for _ in range(2)]
-    dense_store = store_cls(n_workers=2, n_servers=2, lr=0.1, momentum=0.9,
-                            seed=3, **kw)
-    sparse_store = store_cls(n_workers=2, n_servers=2, lr=0.1, momentum=0.9,
-                             seed=3, **kw)
+    dense_store = planned_store(params, 2, 2, lr=0.1, momentum=0.9,
+                                seed=3, **kw)
+    sparse_store = planned_store(params, 2, 2, lr=0.1, momentum=0.9,
+                                 seed=3, **kw)
     dense_store.init(params)
     sparse_store.init(params)
     out_d = dense_store.round(grads)
@@ -73,8 +71,8 @@ def test_sparse_round_with_real_dgc_compressor():
     """End-to-end: DGCCompressor output flows through the sliced store."""
     rng = np.random.default_rng(1)
     params = {"w": rng.normal(size=500)}
-    store = P3Store(n_workers=2, n_servers=2, lr=0.1, momentum=0.0,
-                    slice_params=100)
+    store = planned_store(params, 2, 2, lr=0.1, momentum=0.0,
+                          slice_params=100)
     store.init(params)
     comps = [DGCCompressor(DGCConfig(density=0.1, momentum=0.0, clip_norm=0.0,
                                      warmup_epochs=0, warmup_densities=()))
@@ -98,8 +96,9 @@ def test_grouped_sparse_round_is_the_grouped_dense_round_bit_for_bit():
     rng = np.random.default_rng(4)
     params = {"a": rng.normal(size=300), "b": rng.normal(size=(5, 9))}
     spec = PlacementSpec(policy="two_tier", group_size=2)
-    stores = [P3Store(n_workers=5, n_servers=2, lr=0.1, momentum=0.9, seed=3,
-                      slice_params=37, placement=spec) for _ in range(2)]
+    stores = [planned_store(params, 5, 2, lr=0.1, momentum=0.9, seed=3,
+                            slice_params=37, placement=spec)
+              for _ in range(2)]
     for store in stores:
         store.init(params)
     assert stores[0].groups == ((0, 1), (2, 3), (4,))
@@ -121,8 +120,9 @@ def test_grouped_sparse_round_is_the_grouped_dense_round_bit_for_bit():
 
 
 def test_sparse_round_validates_inputs():
-    store = P3Store(n_workers=2, n_servers=1)
-    store.init({"w": np.zeros(10)})
+    params = {"w": np.zeros(10)}
+    store = planned_store(params, 2, 1)
+    store.init(params)
     with pytest.raises(ValueError):
         store.round_sparse([{"w": (np.array([0]), np.array([1.0]))}])
     with pytest.raises(KeyError):

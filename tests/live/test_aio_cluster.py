@@ -25,6 +25,7 @@ import asyncio
 import gc
 import logging
 import os
+import sys
 import time
 import warnings
 from dataclasses import replace as dc_replace
@@ -94,7 +95,8 @@ LIVE_CORPUS = [
     # (values depend on neither link nor compute: neither is emulated).
     *[live_cfg(SHAPED, n_workers=4, placement=placement, strategy="p3",
                rate_bytes_per_s=None, fwd_layer_s=0.0, bwd_layer_s=0.0,
-               split_factor=1.2, max_splits=3, agg_group_size=2)
+               placement_split_factor=1.2, placement_max_splits=3,
+               agg_group_size=2)
       for placement in ("round_robin", "balanced", "two_tier")],
 ]
 
@@ -134,6 +136,24 @@ def test_random_scenarios_match_reference_over_a_lossy_link(cfg):
     # Recovery happened, and every reliable frame was acknowledged.
     assert totals["frames_retransmitted"] > 0 or not totals["frames_dropped"]
     assert totals["acks_received"] > 0 and totals["unacked_frames"] == 0
+
+
+def test_a_static_run_plans_its_keys_once(monkeypatch):
+    """The driver plans the run's one table and every node and the
+    shards' numerics are handed it; nothing plans a second time."""
+    from repro.placement import plan_keys
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_keys(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every importer
+        if name.startswith("repro") and vars(module).get(
+                "plan_keys") is plan_keys:
+            monkeypatch.setattr(module, "plan_keys", counted)
+    run_live_aio(live_cfg())
+    assert len(calls) == 1
 
 
 def test_aio_reports_the_run_result_schema():

@@ -9,11 +9,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kvstore import P3Store
 from repro.models import toy_model
 from repro.placement import PlacementSpec
 from repro.sim import ClusterSim, SimulationError, simulate
 from repro.strategies import baseline, p3
+from tests.kvstore import planned_store
 from tests.scenarios import SKEWED_MODEL, skewed_cluster as _cfg
 
 
@@ -59,13 +59,13 @@ def test_placement_throughput_is_deterministic():
 # kvstore: split-merge numerics
 # ----------------------------------------------------------------------
 def _run_store(**kw):
-    store = P3Store(n_servers=kw.pop("n_servers", 2),
-                    n_workers=kw.pop("n_workers", 4),
-                    lr=0.1, seed=7, slice_params=500, **kw)
     rng = np.random.default_rng(3)
     shapes = {"fc": (300, 10), "bias": (17,)}
-    store.init({name: rng.standard_normal(shape)
-                for name, shape in shapes.items()})
+    params = {name: rng.standard_normal(shape)
+              for name, shape in shapes.items()}
+    store = planned_store(params, 4, 2, lr=0.1, seed=7, slice_params=500,
+                          **kw)
+    store.init(params)
     params = None
     for _ in range(3):
         grads = [{name: rng.standard_normal(shape)

@@ -4,7 +4,7 @@ One checker, :func:`check_table`, states what a key table must satisfy;
 hypothesis runs it over tables planned from both kinds of input the
 repo has — :class:`ModelSpec` layer lists (through ``StrategyConfig.plan``
 and ``sim.build_plan``) and live parameter dicts (through
-``DistributedStore.init`` and ``LiveClusterConfig.key_plan``).
+``plan_keys`` itself and ``LiveClusterConfig.key_plan``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.calibration import live_model_spec
 from repro.core.priority import make_priorities
-from repro.kvstore import BaselineKVStore, P3Store
 from repro.live import LiveClusterConfig
 from repro.models import vgg19
 from repro.models.base import BYTES_PER_PARAM, LayerSpec, ModelSpec
@@ -24,6 +23,7 @@ from repro.placement import (KVSTORE_BIG_LAYER_THRESHOLD, PlacedKey,
                              PlacementSpec, plan_keys)
 from repro.sim import ClusterConfig, build_plan
 from repro.strategies import baseline, p3, p3_with_policy
+from tests.kvstore import planned_store
 
 PLACEMENTS = ("round_robin", "balanced", "two_tier")
 
@@ -137,39 +137,41 @@ def test_modelspec_layer_lists(strategy, policy, sizes, n_servers, seed):
        threshold=st.integers(0, 3_000), seed=seeds)
 def test_live_parameter_dicts(sliced, policy, sizes, n_servers, slice_size,
                               threshold, seed):
-    common = dict(n_workers=4, n_servers=n_servers, seed=seed,
-                  placement=spec_for(policy))
     slice_params = slice_size if sliced else None
-    store = (P3Store(slice_params=slice_params, **common) if sliced
-             else BaselineKVStore(threshold=threshold, **common))
-    store.init({f"p{i}": np.zeros(size) for i, size in enumerate(sizes)})
-    check_table(store.keys, sizes, range(len(sizes)), n_servers,
+    params = {f"p{i}": np.zeros(size) for i, size in enumerate(sizes)}
+    store = planned_store(params, 4, n_servers, slice_params=slice_params,
+                          threshold=threshold, seed=seed,
+                          placement=spec_for(policy))
+    store.init(params)
+    check_table(store.table, sizes, range(len(sizes)), n_servers,
                 slice_params, threshold, repacked=policy != "round_robin")
-    assert store.server_load().sum() == sum(sizes)
+    assert store.pull_all().keys() == params.keys()
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("strategy", ["baseline", "p3"])
 def test_sim_store_and_live_cluster_share_one_table(placement, strategy):
     """What the conformance suite used to compare across two planners:
-    the live nodes' table, the in-process oracle's and the simulator's
-    (for the live workload's ModelSpec) are one table."""
+    the live nodes' table and the simulator's (for the live workload's
+    ModelSpec, under the run's own StrategyConfig and placement spec)
+    are one table.  The in-process oracle's store is built over the
+    live table, so it is that table by construction."""
     cfg = LiveClusterConfig(
         n_workers=4, n_servers=2, iterations=3, in_size=8, hidden=16, depth=1,
         n_train=32, n_val=16, batch_size=8, slice_params=1_500,
-        placement=placement, split_factor=1.2, max_splits=3, agg_group_size=2,
-        strategy=strategy)
+        placement=placement, placement_split_factor=1.2,
+        placement_max_splits=3, agg_group_size=2, strategy=strategy)
     table, = cfg.key_plan()
-    store = cfg.build_initialized_store()
-    assert tuple(store.keys) == table.keys
-    assert store.placement_plan == table.placement
+    store = cfg.build_store(table)
     assert store.groups == table.groups == cfg.worker_groups()
     sim_cfg = ClusterConfig(
         n_workers=4, n_servers=2, colocate_servers=False,
         seed=cfg.store_seed, placement=placement, placement_split_factor=1.2,
         placement_max_splits=3, agg_group_size=2)
-    strat = p3(cfg.slice_params) if strategy == "p3" else baseline()
-    sim = build_plan(live_model_spec(cfg), strat, sim_cfg)
+    assert cfg.placement_spec() == sim_cfg.placement_spec()
+    assert cfg.strategy_config == (p3(cfg.slice_params) if strategy == "p3"
+                                   else baseline())
+    sim = build_plan(live_model_spec(cfg), cfg.strategy_config, sim_cfg)
     assert sim.placed == table.keys
     assert sim.placement_plan == table.placement
     assert all(cfg.group_of(w) == g for w, g in sim.group_of.items())

@@ -30,7 +30,8 @@ def test_example_importable_with_main(name):
 
 @pytest.mark.slow
 def test_live_cluster_runs(capsys, monkeypatch):
-    """Forks real worker/server processes; excluded from make test-fast."""
+    """Runs real worker/server nodes over localhost TCP on one event
+    loop; excluded from make test-fast."""
     import dataclasses
 
     mod = _load("live_cluster")
@@ -41,6 +42,13 @@ def test_live_cluster_runs(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "bit-identical" in out
     assert "speedup" in out
+
+
+def test_functional_equivalence_runs(capsys):
+    """The example asserts the two stores' models are bit-identical."""
+    _load("functional_equivalence").main()
+    out = capsys.readouterr().out
+    assert "max |param difference| after training: 0.00e+00" in out
 
 
 def test_quickstart_runs(capsys):
