@@ -127,32 +127,65 @@ class PriorityQueue(TxQueue):
     """Priority order (lower value first); FIFO among equal priorities.
 
     This is the P3Worker/P3Server producer-consumer queue of Section 4.2.
-    Entries are ``(priority, seq, msg)`` tuples: the unique sequence
-    number both breaks ties FIFO and guarantees the heap never has to
-    compare two :class:`Message` objects — ordering stays entirely in
-    C-level int comparisons.
+    The heap holds one entry per *run*: consecutive pushes of one
+    priority, such as a layer's slices or a shard's reply to every
+    worker.  An entry is a ``[priority, seq, item]`` list; ``item`` is
+    the run's one message, or a deque of them once a second joins, and
+    ``None`` once the entry has left the heap.  A push joins the most
+    recently pushed entry when that entry has the same priority and
+    still holds messages; otherwise it opens a new entry with the next
+    sequence number.  Every other entry was opened before the one
+    joined, so none sorts between a run's messages, and the pop order is
+    that of a heap of per-message ``(priority, seq)`` pairs.  The unique
+    sequence number also keeps the heap from ever comparing two items:
+    ordering stays in C-level int comparisons.
     """
 
     __slots__ = ("_heap", "_seq", "push", "pop", "backing")
 
     def __init__(self) -> None:
-        heap: List[Tuple[int, int, Message]] = []
+        heap: List[list] = []
         self._heap = heap
         self._seq = itertools.count()
+        # The queue is empty exactly when the heap is: an entry leaves
+        # it with its last message.
         self.backing = heap
         nxt = self._seq.__next__
+        last = [None, -1, None]  # the most recently pushed entry
 
-        def push(msg: Message, _push=heappush, _heap=heap, _next=nxt) -> None:
-            _push(_heap, (msg.priority, _next(), msg))
+        def push(msg: Message, _push=heappush, _heap=heap, _next=nxt,
+                 _deque=deque) -> None:
+            nonlocal last
+            priority = msg.priority
+            item = last[2]
+            if item is not None and last[0] == priority:
+                if item.__class__ is _deque:
+                    item.append(msg)
+                else:
+                    last[2] = _deque((item, msg))
+                return
+            last = [priority, _next(), msg]
+            _push(_heap, last)
 
-        def pop(_pop=heappop, _heap=heap) -> Message:
-            return _pop(_heap)[2]
+        def pop(_pop=heappop, _heap=heap, _deque=deque) -> Message:
+            entry = _heap[0]
+            item = entry[2]
+            if item.__class__ is _deque:
+                msg = item.popleft()
+                if item:
+                    return msg
+            else:
+                msg = item
+            _pop(_heap)
+            entry[2] = None
+            return msg
 
         self.push = push
         self.pop = pop
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(item) if item.__class__ is deque else 1
+                   for _, _, item in self._heap)
 
 
 def make_queue(discipline: str) -> TxQueue:
@@ -499,14 +532,16 @@ class Channel:
         machine = self.machine
         direction = self.direction
         inf = _INF
-        # Committed messages behind the head of line, in arrival order:
-        # (completion time, completion args, arrival time, hop sequence
-        # number), the last two zero where the hop was a real event.
+        # Committed messages behind the head of line, in arrival order,
+        # one flat tuple each: (completion time, message, service start,
+        # arrival time, hop sequence number), the last two zero where
+        # the hop was a real event.  The completion args ``(msg, start,
+        # wire_bytes)`` are built when an entry reaches the head of line.
         # ``free_at``: when the last of them completes; ``head_done``:
         # when the head of line does (what ``free_at`` falls back to when
         # the tail is taken back); ``hops``: hop events in flight (a later
         # message must not be committed ahead of one yet to land).
-        waiting: Deque[Tuple[float, tuple, float, int]] = deque()
+        waiting: Deque[Tuple[float, Message, float, float, int]] = deque()
         wait = waiting.append
         next_waiting = waiting.popleft
         free_at = 0.0
@@ -523,7 +558,8 @@ class Channel:
                 trace(machine, direction, start, now, wire_bytes)
             self.on_complete(msg)
             if waiting:
-                head_done, args, _, _ = next_waiting()
+                head_done, msg, start, _, _ = next_waiting()
+                args = (msg, start, msg.payload_bytes + overhead)
                 if head_done < inf:
                     push(heap, (head_done, seq_next(), deliver, args, None))
                 else:
@@ -542,12 +578,12 @@ class Channel:
                                           else cpu + wire_bytes / rate)
             except ZeroDivisionError:
                 free_at = done = inf
-            args = (msg, start, wire_bytes)
             if busy:
-                wait((done, args, 0.0, 0))
+                wait((done, msg, start, 0.0, 0))
                 return
             self.busy = True
             head_done = done
+            args = (msg, start, wire_bytes)
             if done < inf:
                 push(heap, (done, seq_next(), deliver, args, None))
             else:
@@ -565,7 +601,7 @@ class Channel:
                                               else cpu + wire_bytes / rate)
                 except ZeroDivisionError:
                     free_at = done = inf
-                wait((done, (msg, start, wire_bytes), arrival, seq_next()))
+                wait((done, msg, start, arrival, seq_next()))
             else:
                 hops += 1
                 push(heap, (arrival, seq_next(), land, (msg,), None))
@@ -574,11 +610,11 @@ class Channel:
             """Put every committed hop that has not landed back on the link."""
             nonlocal free_at, hops
             now = sim.now
-            while waiting and waiting[-1][2] > now:
-                _, args, arrival, hop_seq = waiting.pop()
+            while waiting and waiting[-1][3] > now:
+                _, msg, _, arrival, hop_seq = waiting.pop()
                 sim._events_processed -= 1
                 hops += 1
-                push(heap, (arrival, hop_seq, land, (args[0],), None))
+                push(heap, (arrival, hop_seq, land, (msg,), None))
             free_at = waiting[-1][0] if waiting else head_done
 
         def enqueue(msg: Message) -> None:
@@ -596,11 +632,12 @@ class Channel:
             self.rate = rate = new_rate
             landed = list(waiting)  # empty on an idle channel
             waiting.clear()
-            for _, (msg, _, wire_bytes), arrival, hop_seq in landed:
+            for _, msg, _, arrival, hop_seq in landed:
                 start = free_at
                 free_at = inf if rate == 0 else start + (
-                    cpu if rate is None else cpu + wire_bytes / rate)
-                wait((free_at, (msg, start, wire_bytes), arrival, hop_seq))
+                    cpu if rate is None
+                    else cpu + (msg.payload_bytes + overhead) / rate)
+                wait((free_at, msg, start, arrival, hop_seq))
 
         self.enqueue = enqueue  # type: ignore[method-assign]
         self._set_rate = set_rate

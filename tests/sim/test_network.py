@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.models import get_model
+from repro.sim import ClusterConfig, ClusterSim
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     Channel,
@@ -18,6 +22,7 @@ from repro.sim.network import (
     gbps_to_bytes_per_s,
     make_queue,
 )
+from repro.strategies import p3
 
 
 def _msg(key=0, payload=1000, priority=0, src=0, dst=1, kind=MsgKind.PUSH):
@@ -68,6 +73,42 @@ def test_property_priority_queue_is_stable_sort(priorities):
     keys = [m.key for m in popped]
     expected = [i for _, i in sorted((p, i) for i, p in enumerate(priorities))]
     assert keys == expected
+
+
+# One op per step: a priority pushes the next key at it, "pop" pops one
+# message when any waits, "drain" pops every waiting message.  Three
+# priorities and rarer drains keep several same-priority runs queued.
+_QUEUE_OPS = st.lists(st.sampled_from([0, 1, 2, "pop", "pop", "drain"]),
+                      max_size=60)
+
+
+@given(_QUEUE_OPS)
+@example([2, 0, 2, "drain"])                       # one priority, two runs
+@example([1, 0, 1, "pop", 1, "drain"])             # a run split by a pop
+@example([2, 2, 2, "pop", 2, 2, "drain"])          # extended after a pop
+@example([1, 1, "drain", 1, 0, 1, "drain"])        # reopened after a drain
+@settings(max_examples=300, deadline=None)
+def test_property_priority_queue_interleaved_matches_reference(ops):
+    """Pushes and pops in any interleaving pop in the order of a heap of
+    per-message ``(priority, seq)`` pairs, and ``len`` and ``backing``
+    count messages after every step."""
+    q = PriorityQueue()
+    ref: list = []
+    popped, expected = [], []
+    for i, op in enumerate(ops):
+        if op == "pop" and ref:
+            expected.append(heapq.heappop(ref)[1])
+            popped.append(q.pop().key)
+        elif op == "drain":
+            while ref:
+                expected.append(heapq.heappop(ref)[1])
+                popped.append(q.pop().key)
+        elif isinstance(op, int):
+            heapq.heappush(ref, (op, i))
+            q.push(_msg(key=i, priority=op))
+        assert popped == expected
+        assert len(q) == len(ref)
+        assert bool(q.backing) == bool(ref)
 
 
 # ----------------------------------------------------------------------
@@ -211,3 +252,31 @@ def test_transport_records_enqueue_time():
 
 def test_gbps_conversion():
     assert gbps_to_bytes_per_s(8.0) == pytest.approx(1e9)
+
+
+# ----------------------------------------------------------------------
+# Queued state per message
+# ----------------------------------------------------------------------
+@pytest.mark.perf
+@pytest.mark.parametrize("model, workers, iterations, warmup, entries, "
+                         "messages, events", [
+    ("vgg19", 4, 2, 1, 662, 34_824, 122_492),
+    ("resnet50", 32, 1, 0, 5_811, 39_866, 131_831),
+])
+def test_tx_heap_entries_per_run(model, workers, iterations, warmup, entries,
+                                 messages, events):
+    """P3's TX queues hold one heap entry per run of same-priority pushes
+    (a layer's slices, a shard's reply to its workers), not one per
+    message: the count of entries opened, read off each queue's sequence
+    counter, is pinned at a point of each shape, with the messages sent
+    and the events fired, which the run structure does not change."""
+    cluster = ClusterSim(get_model(model), p3(),
+                         ClusterConfig(n_workers=workers, bandwidth_gbps=10.0,
+                                       seed=0))
+    result = cluster.run(iterations=iterations, warmup=warmup)
+    txs = cluster.tx_channels
+    assert all(isinstance(tx.queue, PriorityQueue) and not tx.queue.backing
+               for tx in txs)
+    assert sum(next(tx.queue._seq) for tx in txs) == entries
+    assert sum(tx.messages_transferred for tx in txs) == messages
+    assert result.events_processed == events

@@ -1,4 +1,4 @@
-"""Tests for repository tooling (docs generator, trace checker)."""
+"""Tests for repository tooling (docs generator, trace checker, pair judge)."""
 
 from __future__ import annotations
 
@@ -88,3 +88,20 @@ def test_check_trace_accepts_a_run_and_refuses_bare_nan(tmp_path, capsys):
     assert check.main([str(trace), str(metrics)]) == 1
     assert "bare NaN" in capsys.readouterr().err
     json.loads(trace.read_text())  # what the default parser lets through
+
+
+def test_bench_pairs_verdicts():
+    """The four verdicts of the pair rule, for a lower- and a
+    higher-is-better metric."""
+    verdict = _load_tool("bench_pairs").verdict
+    parent = [10.0, 10.2, 9.8, 10.1, 10.0, 9.9, 10.0, 10.1, 9.9, 10.0]
+    faster = [9.0] * 9 + [10.5]  # wins 9 of 10, by more than the IQR
+    assert verdict(parent, faster, 0.1, True) == (9, "claim met")
+    assert verdict(parent, [10.3] * 10, 0.1, True) == (0, "within bound")
+    assert verdict(parent, [12.0] * 10, 0.1, True) == (0, "over bound")
+    assert verdict([10.0, 14.0, 7.0], [10.5, 11.0, 9.0], 0.1,
+                   True) == (1, "unresolved")
+    assert verdict([1.0, 1.0, 1.0], [0.5, 0.49, 0.51], 0.1,
+                   False) == (0, "over bound")
+    assert verdict([1.0, 1.0, 1.0], [1.5, 1.4, 1.6], 0.1,
+                   False) == (3, "claim met")
