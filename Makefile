@@ -21,16 +21,14 @@ test-fast:
 test-perf:
 	$(PYTHON) -m pytest tests/ -x -q -m perf
 
-# The live-cluster battery: membership properties, async transport, the
-# conformance property (test_aio_cluster.py::
-# test_random_membership_schedules_match_reference: drawn static,
-# elastic and two-tier clusters against run_inprocess) and its lossy
-# twin (::test_random_scenarios_match_reference_over_a_lossy_link),
-# fail-fast and teardown (CI runs this as its own job)
+# The live-cluster battery: async transport, the conformance property
+# (test_aio_cluster.py::test_random_live_clusters_match_reference: drawn
+# flat and two-tier clusters against run_inprocess) and its lossy twin
+# (::test_random_scenarios_match_reference_over_a_lossy_link), fail-fast
+# and teardown (CI runs this as its own job)
 test-live:
-	$(PYTHON) -m pytest tests/live/test_membership.py \
-	    tests/live/test_aio_transport.py tests/live/test_aio_cluster.py \
-	    tests/live/test_wait.py -x -q
+	$(PYTHON) -m pytest tests/live/test_aio_transport.py \
+	    tests/live/test_aio_cluster.py tests/live/test_wait.py -x -q
 
 # The multi-tenant battery: fairness/starvation properties, tenant
 # isolation (bit-identity), cross-substrate scheduler conformance, and

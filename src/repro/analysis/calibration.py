@@ -59,26 +59,16 @@ def run_inprocess(cfg: LiveClusterConfig,
 
     Replicates the live workers' schedule exactly — same batch indices,
     same per-worker gradient shards, same store — without any sockets,
-    and returns the final parameters.  Under ``cfg.membership`` each
-    round is trained by its epoch's active workers with the numerics
-    :mod:`repro.live.membership` defines; placement overrides only move
-    state between shards, so they are ignored.
+    and returns the final parameters.
     """
     cfg = dc_replace(cfg, strategy=strategy or cfg.strategy)
-    sched = cfg.membership
     net = cfg.build_network()
     dataset = cfg.build_dataset()
-    # Epoch 0's table; a scheduled store is resized every round.
-    store = cfg.build_store(cfg.key_plan()[0])
-    for t, idx in enumerate(cfg.batch_schedule()):
-        n = cfg.n_workers
-        if sched is not None:
-            n = store.n_workers = len(sched.active(sched.round_epoch(t)))
-            for shard in store.shards:
-                shard.n_workers = shard.denominator = n
-        per = cfg.batch_size // n
+    store = cfg.build_store(cfg.key_plan())
+    per = cfg.worker_batch
+    for idx in cfg.batch_schedule():
         worker_grads = []
-        for rank in range(n):
+        for rank in range(cfg.n_workers):
             lo, hi = rank * per, (rank + 1) * per
             net.loss_and_grad(dataset.x_train[idx][lo:hi],
                               dataset.y_train[idx][lo:hi])

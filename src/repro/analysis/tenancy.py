@@ -115,7 +115,10 @@ def tenancy_sweep(
 ) -> FigureData:
     """p95 iteration time vs tenant count, per (strategy, policy).
 
-    One series per ``"<strategy>/<policy>"`` pair.  The figure's
+    Tenant ``i`` weighs ``1 + (i // 2) % 4``: each P3/baseline pair
+    shares a weight, so ``weighted`` and ``equal`` share the fabric
+    differently while neither strategy gets more bandwidth from its
+    weight.  One series per ``"<strategy>/<policy>"`` pair.  The figure's
     headline note, ``p3_p95_advantage_<policy>``, is the
     baseline-to-p3 p95 ratio at the largest tenant count — values above
     1 mean the paper's intra-job priority still pays off under that
@@ -133,7 +136,8 @@ def tenancy_sweep(
             int(n), policy=policy, model=model_name,
             bandwidth_gbps=bandwidth_gbps,
             workers_per_job=workers_per_job,
-            iterations=iterations, warmup=warmup, seed=seed)
+            iterations=iterations, warmup=warmup,
+            weights=[1 + (i // 2) % 4 for i in range(int(n))], seed=seed)
             for n in tenants]
         for policy in policies
     }

@@ -116,33 +116,6 @@ class ServerShard:
         self._contributed[key].clear()
         self.updates_applied += 1
 
-    # ------------------------------------------------------------------
-    # Elastic re-placement (repro.live.membership): keys move between
-    # shards at epoch boundaries, carrying their optimizer state so the
-    # update stream stays bit-identical regardless of which shard hosts
-    # the key.  Export/adopt is only legal between rounds (no partial
-    # contributions outstanding).
-    # ------------------------------------------------------------------
-    def export_key(self, key: int) -> tuple:
-        """Remove ``key`` and return ``(value, velocity)`` for handoff."""
-        if key not in self.values:
-            raise KeyError(f"key {key} not on shard {self.sid}")
-        if self._contributed[key]:
-            raise RuntimeError(
-                f"key {key} has pending contributions; cannot migrate "
-                "mid-round")
-        value = self.values.pop(key)
-        del self._accum[key]
-        del self._contributed[key]
-        velocity = self.optimizer.export_state(key)
-        return value, velocity
-
-    def adopt_key(self, key: int, value: np.ndarray,
-                  velocity: np.ndarray | None = None) -> None:
-        """Install a migrated key with its optimizer state."""
-        self.init_key(key, value)
-        self.optimizer.adopt_state(key, velocity)
-
     def pull(self, key: int) -> np.ndarray:
         """Read the current value of a key (a copy, like a network reply)."""
         if key not in self.values:

@@ -12,12 +12,6 @@ never loads ``asyncio``.  See ``docs/live.md``.
 
 from .chaos import ChaosChannel
 from .config import LiveClusterConfig
-from .membership import (
-    EpochTracker,
-    MembershipEpoch,
-    MembershipError,
-    MembershipSchedule,
-)
 from .result import (
     LiveAggregatorError,
     LiveRunError,
@@ -55,12 +49,8 @@ __all__ = [
     "CONTROL_PRIORITY",
     "ChaosChannel",
     "ChunkRecord",
-    "EpochTracker",
     "Frame",
     "FrameDecoder",
-    "MembershipEpoch",
-    "MembershipError",
-    "MembershipSchedule",
     "LiveAggregatorError",
     "LiveClusterConfig",
     "LiveRunError",

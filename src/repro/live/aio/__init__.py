@@ -1,13 +1,13 @@
-"""Asyncio live substrate: event-loop cluster with elastic membership.
+"""Asyncio live substrate: the whole cluster on one event loop.
 
 Everything in :mod:`repro.live` rebuilt on one event loop — same v2
 wire protocol, same Go-Back-N reliability, same chaos injection, same
-numerics — plus the membership epoch handshake that lets workers join
-and leave between rounds.  See ``docs/live.md`` for the architecture.
+numerics — for a fixed set of workers and shards.  See
+``docs/live.md`` for the architecture.
 """
 
 from .aggregator import AioAggregator
-from .driver import EpochCoordinator, run_live_aio
+from .driver import run_live_aio
 from .node import Node, PeerConnection
 from .server import AioServerShard
 from .transport import (
@@ -22,7 +22,6 @@ __all__ = [
     "AioServerShard",
     "AioWorker",
     "AsyncPrioritySender",
-    "EpochCoordinator",
     "Node",
     "PeerConnection",
     "chaos_policy",

@@ -7,10 +7,7 @@ id).  What is left here is the protocol between the two: member
 gradients are summed in member-id order and pushed upstream as one
 contribution, and the root's answer to it is fanned out to every member
 — so two-tier runs stay bit-identical to the in-process grouped store.
-
-Two-tier topologies are static: the aggregator takes no part in the
-membership handshake and the driver only instantiates it when
-``cfg.two_tier`` is set (the membership layer rejects that combination).
+The driver only instantiates it when ``cfg.two_tier`` is set.
 """
 
 from __future__ import annotations

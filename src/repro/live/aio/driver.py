@@ -6,9 +6,9 @@ and worker as coroutine-hosted :class:`~repro.live.aio.node.Node`\\ s
 on a single loop, wired over real localhost TCP with the v2 wire
 protocol, waits with hard deadlines (no hung test suites), and returns
 a :class:`~repro.live.result.LiveRunResult`.  One loop is what makes
-64-worker runs practical on one machine — and what makes **elastic
-membership** simple: workers just appear (dial + JOIN) and disappear
-(LEAVE + BYE) between epochs.
+64-worker runs practical on one machine.  The cluster is static: every
+worker dials its shards (or its group's aggregator), pushes every round,
+gathers the last one and says ``BYE``.
 
 A node that fails hangs up on its peers, so the first failure surfaces
 within a round trip; the driver then aborts every node, awaits the end
@@ -16,13 +16,6 @@ of every task, and raises a :class:`~repro.live.result.LiveRunError`
 naming the nodes that failed.  A run that *succeeds* is held to the
 same standard: :func:`run_live_aio` refuses to return while any task it
 started is still pending.
-
-The :class:`EpochCoordinator` is the driver-side half of the membership
-handshake: shards *seal* an epoch once their tracker says every barrier
-token arrived and every earlier round is applied; the last shard to
-seal migrates re-placed keys (value, momentum, round version) between
-shards, then all shards install the epoch's plan and greenlight their
-workers with ``EPOCH`` acks.
 """
 
 from __future__ import annotations
@@ -30,70 +23,23 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import replace as dc_replace
-from typing import Awaitable, Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Awaitable, List, Optional, TypeVar
 
 import numpy as np
 
 from ...obs.events import normalize_timestamps
 from ..config import LiveClusterConfig
-from ..membership import MembershipSchedule
 from ..result import (LiveRunError, LiveRunResult, _fault_events,
                       agreed_params)
 from .aggregator import AioAggregator
 from .node import Node
 from .server import AioServerShard
-from .transport import wait_until
 from .worker import AioWorker
 
 #: Grace added to the run deadline for connection setup and teardown.
 LAUNCH_MARGIN_S = 30.0
 
 T = TypeVar("T")
-
-
-class EpochCoordinator:
-    """Barrier + key-migration point shared by every shard.
-
-    ``seal(sid, epoch)`` blocks until *all* shards sealed the epoch; the
-    last arriver migrates every key whose shard assignment changes
-    between the consecutive epoch plans.  Because each shard only seals
-    after its barrier tokens certified that all prior-epoch traffic was
-    processed, migration happens on quiescent shards — no frame
-    referencing a migrating key can be in flight.
-    """
-
-    def __init__(self, plans, schedule: MembershipSchedule) -> None:
-        self.plans = plans
-        self.schedule = schedule
-        self.servers: List[AioServerShard] = []  # set by the driver
-        self._sealed: Dict[int, Set[int]] = {}
-        self._changed = asyncio.Event()  # an epoch's last seal landed
-        #: Audit log of key moves: (epoch, key, from_shard, to_shard).
-        self.migrations: List[Tuple[int, int, int, int]] = []
-
-    async def seal(self, sid: int, epoch: int) -> None:
-        sealed = self._sealed.setdefault(epoch, set())
-        if len(sealed) + 1 == len(self.servers):  # the last to seal
-            self._migrate(epoch)
-            self._changed.set()
-        sealed.add(sid)
-        # Unbudgeted: if a shard never seals, workers' EPOCH gates time out.
-        await wait_until(self._changed,
-                         lambda: len(sealed) == len(self.servers), None)
-
-    def _migrate(self, epoch: int) -> None:
-        if epoch == 0:
-            return
-        old, new = self.plans[epoch - 1], self.plans[epoch]
-        for pk_old, pk_new in zip(old, new):
-            if pk_old.server == pk_new.server:
-                continue
-            value, velocity, version = \
-                self.servers[pk_old.server].export_live_key(pk_old.key)
-            self.servers[pk_new.server].adopt_live_key(
-                pk_new.key, value, velocity, version)
-            self.migrations.append(
-                (epoch, pk_old.key, pk_old.server, pk_new.server))
 
 
 def run_live_aio(cfg: LiveClusterConfig,
@@ -150,17 +96,12 @@ async def leaving_no_task(job: Awaitable[T]) -> T:
 async def _run_cluster(cfg: LiveClusterConfig,
                        shaper=None) -> LiveRunResult:
     epoch0 = time.monotonic()
-    sched = cfg.membership or MembershipSchedule.static(cfg.n_workers,
-                                                        cfg.iterations)
-    # Planned once per epoch, here; every node is handed the tables, and
-    # the shards start from epoch 0's.
-    plans = cfg.key_plan()
-    store = cfg.build_store(plans[0])
-    coordinator = EpochCoordinator(plans, sched)
-    servers = [AioServerShard(s, cfg, store.shards[s], plans, sched,
-                              coordinator, epoch0=epoch0, shaper=shaper)
+    # Planned once, here; every node is handed the table.
+    plan = cfg.key_plan()
+    store = cfg.build_store(plan)
+    servers = [AioServerShard(s, cfg, store.shards[s], plan, epoch0=epoch0,
+                              shaper=shaper)
                for s in range(cfg.n_servers)]
-    coordinator.servers = servers
     nodes: List[Node] = list(servers)
     #: Every aggregator's and worker's run(), named after its node.
     running: List[asyncio.Task] = []
@@ -173,30 +114,28 @@ async def _run_cluster(cfg: LiveClusterConfig,
     try:
         addresses = [(cfg.host, await srv.start()) for srv in servers]
         if cfg.two_tier:
-            aggregators = [AioAggregator(g, cfg, plans[0], epoch0,
+            aggregators = [AioAggregator(g, cfg, plan, epoch0,
                                          shaper=shaper)
                            for g in range(cfg.n_groups)]
             nodes += aggregators
             agg_ports = [await agg.start(addresses) for agg in aggregators]
-            worker_addresses = {
-                w: [(cfg.host, agg_ports[cfg.group_of(w)])]
-                for w in sched.all_workers}
+            worker_addresses = [[(cfg.host, agg_ports[cfg.group_of(w)])]
+                                for w in range(cfg.n_workers)]
             # Aggregators exit once all their members said BYE.
             running += [loop.create_task(agg.run(), name=agg.name)
                         for agg in aggregators]
         else:
-            worker_addresses = {w: addresses for w in sched.all_workers}
-        workers = {w: AioWorker(w, cfg, plans, sched, epoch0,
-                                shaper=shaper)
-                   for w in sched.all_workers}
-        nodes += workers.values()
+            worker_addresses = [addresses] * cfg.n_workers
+        workers = [AioWorker(w, cfg, plan, epoch0, shaper=shaper)
+                   for w in range(cfg.n_workers)]
+        nodes += workers
 
-        async def _drive(w: int) -> dict:
-            final = await workers[w].run(worker_addresses[w])
-            return workers[w].result(final)
+        async def _drive(worker: AioWorker, peers) -> dict:
+            return worker.result(await worker.run(peers))
 
-        worker_tasks = [loop.create_task(_drive(w), name=workers[w].name)
-                        for w in sched.all_workers]
+        worker_tasks = [loop.create_task(_drive(worker, peers),
+                                         name=worker.name)
+                        for worker, peers in zip(workers, worker_addresses)]
         running += worker_tasks
         deadline = cfg.round_timeout_s * cfg.iterations + LAUNCH_MARGIN_S
         # The first node to fail ends the run: its peers would otherwise
@@ -223,8 +162,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
             raise LiveRunError(
                 f"live run: {sorted(t.get_name() for t in pending)} did "
                 f"not complete within {deadline:.1f}s")
-        results = {w: task.result()
-                   for w, task in zip(sched.all_workers, worker_tasks)}
+        results = {w: task.result() for w, task in enumerate(worker_tasks)}
         run_end = time.monotonic()
         for srv in servers:
             await srv.shutdown(cfg.peer_timeout_s)
@@ -260,10 +198,8 @@ async def _run_cluster(cfg: LiveClusterConfig,
                     c._replace(start=c.start - t0, end=c.end - t0)
                     for c in r["timeline"]]
 
-    # Replicas can only be compared within the final epoch's membership:
-    # a worker that left mid-run froze at its last active round.
     final = agreed_params({w: r["params"] for w, r in results.items()},
-                          sched.active(sched.n_epochs - 1))
+                          range(cfg.n_workers))
     return LiveRunResult(
         strategy=cfg.strategy,
         config=cfg,

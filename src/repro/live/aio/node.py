@@ -198,10 +198,7 @@ class Node:
         self._sender_id = sender_id
         self._machine = machine
         self._clock = time.monotonic
-        # Two-tier runs are static: a shard's clients are aggregators and
-        # the membership handshake is skipped entirely.
-        self._handshake = not cfg.two_tier
-        # One bucket across connections and incarnations: the "NIC".
+        # One bucket across connections: the "NIC".
         # An injected shaper (any object with reserve/refund — e.g. a
         # repro.tenancy TenantShare) replaces the private bucket so many
         # nodes can draw from one fair-shared allocation.
@@ -213,8 +210,8 @@ class Node:
                             if cfg.rate_bytes_per_s is not None else None)
         #: Set by the roles whose events the driver collects.
         self.recorder: Optional[EventRecorder] = None
-        #: Every connection this node ever dialled or accepted, dead
-        #: incarnations included (their counters feed the run's stats).
+        #: Every connection this node dialled or accepted (their counters
+        #: feed the run's stats).
         self.conns: List[PeerConnection] = []
         #: Listener face: client id -> the sender replies to it go out on.
         self.client_senders: Dict[int, AsyncPrioritySender] = {}
@@ -224,13 +221,12 @@ class Node:
         #: The node's first failure (None while it runs).
         self.error: Optional[str] = None
         # Set whenever something a wait of this node's is gated on may
-        # have changed — a reply, a barrier token, a BYE — and on failure.
+        # have changed — a reply, a BYE — and on failure.
         self._changed = asyncio.Event()
         self._prioritized = cfg.strategy_config.prioritized
         self._fifo_seq = 0
         self._listener: Optional[asyncio.AbstractServer] = None
         self._tasks: List[asyncio.Task] = []
-        self._wd_task: Optional[asyncio.Task] = None
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -348,8 +344,6 @@ class Node:
         if conn.sender is None:
             conn.sender = self._make_sender(conn.writer,
                                             self._client_machine(client))
-            # Latest connection wins: a rejoining worker's fresh link
-            # replaces its dead incarnation's sender.
             self.client_senders[client] = conn.sender
         return conn.sender
 
@@ -383,7 +377,7 @@ class Node:
                 on_eof=self._on_eof, clock=self._clock)
             self.conns.append(conn)
             conns.append(conn)
-        self._wd_task = self.spawn(self._watchdog(conns))
+        self.spawn(self._watchdog(conns))
         return conns
 
     async def _watchdog(self, conns: List[PeerConnection]) -> None:
@@ -415,7 +409,7 @@ class Node:
 
     def transport_stats(self) -> Dict[str, int]:
         """Aggregated reliability/chaos counters across every connection
-        (and incarnation) of this node."""
+        of this node."""
         totals: Dict[str, int] = {}
         for conn in self.conns:
             for part in (conn.sender, conn.receiver):

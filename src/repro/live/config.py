@@ -5,15 +5,15 @@ receives the same :class:`LiveClusterConfig` and derives its share of
 the world from it deterministically: the network replica, the dataset
 and the batch schedule.  The key plan (slicing + placement +
 priorities) is computed once by the driver
-(:meth:`LiveClusterConfig.key_plan`, one table per membership epoch)
-and handed to every node, so all of them agree on what key 17 means,
-which server owns it and how urgent it is, exactly as MXNet workers
-and servers agree through their common KVStore configuration.
+(:meth:`LiveClusterConfig.key_plan`) and handed to every node, so all
+of them agree on what key 17 means, which server owns it and how urgent
+it is, exactly as MXNet workers and servers agree through their common
+KVStore configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,7 +27,6 @@ from ..strategies import StrategyConfig, get_strategy
 from ..training.data import Dataset, SyntheticSpec, make_dataset
 from ..training.model import Network
 from ..training.zoo import mlp
-from .membership import MembershipSchedule
 from .transport import RetryPolicy
 from .wire import MAX_FRAME_PAYLOAD
 
@@ -108,14 +107,6 @@ class LiveClusterConfig:
     max_retries: int = 12
     peer_timeout_s: float = 10.0       # no frames/acks for this long = dead
 
-    # Elastic membership.  When set, the run's
-    # rounds are partitioned into epochs with per-epoch active worker
-    # sets (and optional placement overrides); workers JOIN/LEAVE at
-    # epoch boundaries via the membership handshake.  ``n_workers`` then
-    # bounds the worker *id space* (machine-id layout), not the live
-    # count.
-    membership: Optional[MembershipSchedule] = None
-
     # Observability (repro.obs): when True every node records the
     # shared event stream (slice enqueued/sent/preempted/applied, gate
     # opens, round applies) and the driver merges it into
@@ -128,8 +119,7 @@ class LiveClusterConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.n_workers <= 0 or self.n_servers <= 0:
             raise ValueError("n_workers and n_servers must be positive")
-        if self.membership is None and self.batch_size % self.n_workers:
-            # Elastic runs divide per epoch instead (validated below).
+        if self.batch_size % self.n_workers:
             raise ValueError("batch_size must be divisible by n_workers")
         if self.iterations <= self.warmup:
             raise ValueError("iterations must exceed warmup")
@@ -154,8 +144,6 @@ class LiveClusterConfig:
         self.placement_spec()
         # Fail fast on bad retry knobs (RetryPolicy revalidates).
         self.retry_policy(0)
-        if self.membership is not None:
-            self.membership.validate(self)
 
     # ------------------------------------------------------------------
     # Fault tolerance
@@ -243,26 +231,16 @@ class LiveClusterConfig:
                             spec=SyntheticSpec(image_size=self.in_size),
                             seed=self.data_seed)
 
-    def key_plan(self) -> List[KeyTable]:
-        """The run's key tables, one per membership epoch (a static run
-        has one), planned here once for the driver, every node and the
-        in-process oracle.
-
-        An epoch's placement override re-packs the same keys; the rng is
-        reseeded per epoch, so every epoch cuts the same keys.
-        """
+    def key_plan(self) -> KeyTable:
+        """The run's key table, planned here once for the driver, every
+        node and the in-process oracle."""
         sizes = [value.size
                  for value in self.build_network().parameters().values()]
-        spec = self.placement_spec()
-        slice_params = self.strategy_config.slice_params
-        policies = ([self.placement] if self.membership is None else
-                    [e.placement or self.placement
-                     for e in self.membership.epochs])
-        return [plan_keys(sizes, self.n_servers, slice_params=slice_params,
-                          rng=np.random.default_rng(self.store_seed),
-                          spec=replace(spec, policy=policy),
-                          n_workers=self.n_workers)
-                for policy in policies]
+        return plan_keys(sizes, self.n_servers,
+                         slice_params=self.strategy_config.slice_params,
+                         rng=np.random.default_rng(self.store_seed),
+                         spec=self.placement_spec(),
+                         n_workers=self.n_workers)
 
     def build_store(self, table: KeyTable) -> DistributedStore:
         """The in-process functional store over ``table``, holding the

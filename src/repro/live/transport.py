@@ -55,11 +55,11 @@ from .wire import (
 #: than any data priority so liveness never queues behind gradients.
 CONTROL_PRIORITY = -(1 << 30)
 
-#: Priority of membership barrier tokens (JOIN/LEAVE): *less* urgent
-#: than any data priority, so a token drains only after every data
-#: message the worker enqueued before it — its arrival therefore
-#: certifies that the connection's prior epoch traffic was delivered
-#: (TCP FIFO + FIFO-within-priority in the sender heap).
+#: Priority of a worker's closing ``BYE``: *less* urgent than any data
+#: priority, so it drains only after every data message the worker
+#: enqueued before it — its arrival therefore certifies that the
+#: connection's traffic was delivered (TCP FIFO + FIFO-within-priority
+#: in the sender heap).
 BARRIER_PRIORITY = 1 << 30
 
 DEFAULT_CHUNK_BYTES = 16_384
@@ -68,10 +68,8 @@ DEFAULT_CHUNK_BYTES = 16_384
 #: the retransmit outbox, and duplicate-suppressed at the receiver.
 #: Control traffic (heartbeats, heartbeat ACKs, CHUNK_ACKs) is bare —
 #: periodic or cumulative, so a lost one is repaired by the next.
-#: Membership messages are sequenced: a lost JOIN would wedge an epoch.
 RELIABLE_KINDS = frozenset(
-    (WireKind.PUSH, WireKind.PULL_REQ, WireKind.PULL_RESP, WireKind.BYE,
-     WireKind.JOIN, WireKind.LEAVE, WireKind.EPOCH))
+    (WireKind.PUSH, WireKind.PULL_REQ, WireKind.PULL_RESP, WireKind.BYE))
 
 
 class TransportError(Exception):

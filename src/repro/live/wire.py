@@ -99,13 +99,13 @@ class WireKind(IntEnum):
     HEARTBEAT = 5   # worker -> server: liveness probe
     BYE = 6         # worker -> server: clean shutdown
     CHUNK_ACK = 7   # either direction: cumulative ack of received seqs
-    # Elastic membership (asyncio stack).  These extend the *kind* space
-    # only; the frame layout is unchanged, so protocol version stays 2.
-    # ``key`` carries the membership epoch index, ``iteration`` the
-    # epoch's first global round.
-    JOIN = 8        # worker -> server: ready to participate in epoch
-    LEAVE = 9       # worker -> server: done with epoch, departing
-    EPOCH = 10      # server -> worker: epoch committed, rounds may start
+    # Reserved, as PULL_REQ is: the elastic-membership handshake that
+    # used them is gone, and no node sends them — one that receives one
+    # fails, naming the peer.  The values stay because committed wire
+    # literals pin the kind space.
+    JOIN = 8
+    LEAVE = 9
+    EPOCH = 10
 
 
 #: The first header word of every valid frame -> its kind.

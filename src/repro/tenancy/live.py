@@ -8,9 +8,9 @@ loop.  Cross-job fairness is enforced where it physically lives — at
 the senders: every node of a job draws from its tenant's
 :class:`~repro.tenancy.shaper.TenantShare` of one cluster-wide
 :class:`~repro.tenancy.shaper.FairShaper`, replacing the per-node
-private ``TokenBucket``.  CONTROL-priority traffic (acks, heartbeats,
-membership) bypasses the shaper entirely, so job lifecycle messages
-never starve behind a backlogged tenant's gradients.
+private ``TokenBucket``.  CONTROL-priority traffic (acks, heartbeats)
+bypasses the shaper entirely, so liveness probes never starve behind a
+backlogged tenant's gradients.
 """
 
 from __future__ import annotations

@@ -45,19 +45,6 @@ class SGD:
     def reset(self) -> None:
         self._velocity.clear()
 
-    def export_state(self, name) -> np.ndarray | None:
-        """Remove and return one entry's momentum buffer (``None`` if the
-        entry never stepped) — the handoff half of key migration."""
-        return self._velocity.pop(name, None)
-
-    def adopt_state(self, name, velocity: np.ndarray | None) -> None:
-        """Install a migrated momentum buffer under ``name``."""
-        if velocity is None:
-            return
-        if name in self._velocity:
-            raise KeyError(f"optimizer already holds state for {name!r}")
-        self._velocity[name] = np.asarray(velocity, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class StepSchedule:

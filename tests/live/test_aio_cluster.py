@@ -1,16 +1,16 @@
-"""End-to-end live cluster tests: conformance, elasticity, chaos, teardown.
+"""End-to-end live cluster tests: conformance, chaos, teardown.
 
 Every test pits the live cluster (:func:`repro.live.aio.run_live_aio`:
 real sockets, one event loop) against an independent ground truth:
 
 * **Conformance** — the live arm of ``tests/scenarios.py``: any drawn
-  cluster (strategy, placement, static or elastic with live key
-  migration) trains to final parameters bit-identical to
+  cluster (strategy, placement, workers, shards) trains to final
+  parameters bit-identical to
   :func:`repro.analysis.calibration.run_inprocess`, and so it does
   over a lossy link (the ``chaos`` twin), where recovery must happen.
-* **Reply rule** — pure push: no node sends ``PULL_REQ``, one that does
-  fails its peer by name, and a mid-run joiner is handed exactly its
-  keys by each shard.
+* **Reply rule** — pure push: a worker sends its pushes and one ``BYE``
+  per shard, and a node that receives a kind no node sends
+  (``PULL_REQ``, ``JOIN``, ``EPOCH``) fails by name.
 * **Timing** — P3 front-loads the first layer on a backlogged link,
   and ``calibrate()`` agrees in sign with the simulator; it also
   completes, bit-identical, with 64 workers on one event loop.
@@ -28,7 +28,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -41,11 +40,11 @@ from repro.live import (LiveAggregatorError, LiveClusterConfig, LiveRunError,
 from repro.live.aio import (AioAggregator, AioServerShard, AioWorker,
                             run_live_aio)
 from repro.live.aio.driver import _run_cluster, leaving_no_task
-from repro.live.membership import MembershipSchedule
-from repro.live.transport import BARRIER_PRIORITY, RELIABLE_KINDS
+from repro.live.transport import (BARRIER_PRIORITY, CONTROL_PRIORITY,
+                                  RELIABLE_KINDS)
 from repro.live.wire import WIRE_BYTES_PER_PARAM, WireKind, encode_frame
-from tests.scenarios import (ELASTIC_SCHED, JOIN_SCHED, LOSSY, LOSSY_LINK,
-                             SHAPED, live_cfg, live_scenarios, pinned)
+from tests.scenarios import (LOSSY, LOSSY_LINK, SHAPED, live_cfg,
+                             live_scenarios, pinned)
 
 pytestmark = pytest.mark.slow
 
@@ -72,10 +71,6 @@ def matches_oracle(cfg: LiveClusterConfig) -> LiveRunResult:
     live = run_live_aio(cfg)
     ref = run_inprocess(cfg)
     assert_params_equal(live.final_params, ref, "live")
-    static = MembershipSchedule.static(cfg.n_workers, cfg.iterations)
-    if cfg.membership == static:  # one epoch of everyone: the static run
-        assert_params_equal(run_inprocess(dc_replace(cfg, membership=None)),
-                            ref, "static")
     return live
 
 
@@ -87,9 +82,7 @@ TWO_TIER = dict(n_workers=4, batch_size=8, placement="two_tier",
 LIVE_CORPUS = [
     *[live_cfg(strategy=strategy, **topology)
       for topology in (dict(placement="round_robin"),
-                       dict(placement="balanced"), TWO_TIER,
-                       dict(membership=ELASTIC_SCHED),
-                       dict(membership=MembershipSchedule.static(3, 4)))
+                       dict(placement="balanced"), TWO_TIER)
       for strategy in ("baseline", "p3")],
     # Sliced keys, a hot key `balanced` splits and a real aggregator node
     # (values depend on neither link nor compute: neither is emulated).
@@ -104,11 +97,10 @@ LIVE_CORPUS = [
 @pinned(LIVE_CORPUS)
 @given(live_scenarios())
 @settings(max_examples=10, deadline=None, derandomize=True)
-def test_random_membership_schedules_match_reference(cfg):
+def test_random_live_clusters_match_reference(cfg):
     """Property, end to end: ANY cluster the scenario vocabulary draws —
-    strategy, placement, workers and shards, static or with a membership
-    schedule (joins, leaves, rejoins, key migration) — trains to the
-    exact values of the in-process oracle."""
+    strategy, placement, workers and shards — trains to the exact values
+    of the in-process oracle."""
     matches_oracle(cfg)
 
 
@@ -117,7 +109,6 @@ def test_random_membership_schedules_match_reference(cfg):
 LOSSY_CORPUS = [
     live_cfg(LOSSY_LINK, strategy=strategy, **topology)
     for strategy, topology in (("baseline", TWO_TIER), ("p3", TWO_TIER),
-                               ("p3", dict(membership=JOIN_SCHED)),
                                ("p3", {}))]
 
 
@@ -127,9 +118,8 @@ LOSSY_CORPUS = [
 @settings(max_examples=2, deadline=None, derandomize=True)
 def test_random_scenarios_match_reference_over_a_lossy_link(cfg):
     """The same space with frames dropped, duplicated and corrupted on
-    every connection — also while workers join mid-run and behind
-    aggregators: Go-Back-N recovery and the epoch barrier keep the
-    values exactly equal to the clean oracle's."""
+    every connection — also behind aggregators: Go-Back-N recovery keeps
+    the values exactly equal to the clean oracle's."""
     totals = transport_totals(matches_oracle(cfg).transport_stats)
     if cfg in LOSSY_CORPUS:  # chaos bit, near the configured 8%
         assert totals["frames_dropped"] >= 0.025 * totals["frames_seen"]
@@ -179,20 +169,22 @@ def test_aio_reports_the_run_result_schema():
 def test_workers_only_push(strategy):
     """The paper's reply rule: a shard answers every contributor of a
     round when it applies it, so a worker's sequenced frames are its
-    PUSH chunks and the membership tokens — nothing asks for a value.
-    (With a ``PULL_REQ`` behind every ``PUSH`` this count was one frame
-    per key per round higher.)"""
+    PUSH chunks plus one ``BYE`` per shard — nothing asks for a value,
+    and no handshake precedes the pushes.  (With a ``PULL_REQ`` behind
+    every ``PUSH`` this count was one frame per key per round higher;
+    with the membership handshake, one ``JOIN`` per shard higher.)"""
     cfg = live_cfg(strategy=strategy, chunk_bytes=256)
     result = run_live_aio(cfg)
-    plan, = cfg.key_plan()
+    plan = cfg.key_plan()
     push_frames = cfg.iterations * sum(
         -(-pk.params * WIRE_BYTES_PER_PARAM // cfg.chunk_bytes)
         for pk in plan)
-    tokens = 2 * cfg.n_servers  # one JOIN and one BYE per shard
+    tokens = cfg.n_servers  # one BYE per shard
     for wid, records in result.timelines.items():
         kinds = [WireKind(r.kind) for r in records]
-        assert WireKind.PULL_REQ not in kinds
-        assert set(kinds) <= {WireKind.PUSH, WireKind.JOIN, WireKind.BYE,
+        assert not {WireKind.PULL_REQ, WireKind.JOIN, WireKind.LEAVE,
+                    WireKind.EPOCH} & set(kinds)
+        assert set(kinds) <= {WireKind.PUSH, WireKind.BYE,
                               WireKind.HEARTBEAT, WireKind.CHUNK_ACK}
         assert kinds.count(WireKind.PUSH) == push_frames
         assert sum(k in RELIABLE_KINDS for k in kinds) \
@@ -203,7 +195,7 @@ def test_p3_sends_urgent_layers_earlier_than_baseline():
     """On the wire, P3 must front-load the forward-urgent first layer:
     the mean transmission rank of its PUSH chunks drops vs the baseline."""
     def mean_rank_of_first_layer(cfg, result):
-        plan, = cfg.key_plan()
+        plan = cfg.key_plan()
         first_keys = {pk.key for pk in plan.by_layer[0]}
         ranks = []
         for records in result.timelines.values():
@@ -226,36 +218,6 @@ def test_p3_sends_urgent_layers_earlier_than_baseline():
         ranks[strategy] = mean_rank_of_first_layer(cfg, run_live_aio(cfg))
     # Baseline emits in generation order => layer 0 last; P3 pulls it up.
     assert ranks["p3"] < ranks["baseline"]
-
-
-@pytest.mark.parametrize("sched", [JOIN_SCHED, ELASTIC_SCHED],
-                         ids=["join", "join-with-key-migration"])
-def test_mid_run_joiner_is_sent_exactly_its_keys(monkeypatch, sched):
-    """Nobody requests anything, so a worker that joins at round
-    ``first`` is handed round ``first - 1`` unasked: every key, once,
-    from the shard that owns it *after* the epoch's migration."""
-    cfg = live_cfg(membership=sched)
-    got = []  # (worker, shard, key, round) of every PULL_RESP
-
-    def spy(self, conn, msg, real=AioWorker._on_reply):
-        if msg.kind is WireKind.PULL_RESP:
-            got.append((self.wid, msg.sender, msg.key, msg.iteration))
-        real(self, conn, msg)
-
-    monkeypatch.setattr(AioWorker, "_on_reply", spy)
-    run_live_aio(cfg)
-    plans = cfg.key_plan()
-    assert any(a.server != b.server for a, b in zip(plans[0], plans[1])) \
-        == (sched is ELASTIC_SCHED), "the override must move keys"
-    joins = [(e, w) for e in range(1, sched.n_epochs)
-             for w in sched.joiners(e)]
-    assert (1, 2) in joins
-    for e, w in joins:
-        first = sched.first_round(e)
-        handed = sorted((shard, key) for worker, shard, key, rnd in got
-                        if worker == w and rnd == first - 1)
-        assert handed == sorted((pk.server, pk.key) for pk in plans[e]), \
-            f"worker {w} joining epoch {e}"
 
 
 @pytest.mark.chaos
@@ -320,7 +282,7 @@ def run_and_audit(cfg):
 
 
 @pytest.mark.parametrize("overrides", [
-    pytest.param(dict(membership=JOIN_SCHED), id="joining"),
+    pytest.param({}, id="clean"),
     pytest.param(LOSSY_LINK, marks=pytest.mark.chaos, id="lossy")])
 def test_successful_run_leaves_no_task_or_socket_behind(overrides, caplog):
     """Regression: shards never closed the connections they accepted, so
@@ -361,11 +323,10 @@ def test_standing_check_names_a_task_left_pending():
         asyncio.run(leaving_no_task(leaky()))
 
 
-async def _dying_iteration(self, params, e, t, lo, hi,
-                           real=AioWorker._iteration):
+async def _dying_iteration(self, params, t, real=AioWorker._iteration):
     if self.wid == 1 and t == 1:
         raise RuntimeError("boom")
-    await real(self, params, e, t, lo, hi)
+    await real(self, params, t)
 
 
 def _failing_apply(self, key, real=AioServerShard._apply_ready):
@@ -374,20 +335,20 @@ def _failing_apply(self, key, real=AioServerShard._apply_ready):
     real(self, key)
 
 
-def _failing_install(self, epoch, real=AioServerShard._install_epoch):
-    if self.sid == 0:
-        raise RuntimeError("boom")  # inside the spawned _membership_loop
-    real(self, epoch)
+async def _dying_watchdog(self, conns, real=AioWorker._watchdog):
+    if self.wid == 1:
+        raise RuntimeError("boom")  # inside the spawned task, mid-round 0
+    await real(self, conns)
 
 
 @pytest.mark.parametrize("cls, method, patch, victim, topology", [
     (AioWorker, "_iteration", _dying_iteration, "worker1", {}),
     (AioServerShard, "_apply_ready", _failing_apply, "shard 0", {}),
-    (AioServerShard, "_install_epoch", _failing_install, "shard 0", {}),
+    (AioWorker, "_watchdog", _dying_watchdog, "worker1", {}),
     (AioWorker, "_iteration", _dying_iteration, "worker1",
      dict(n_workers=4, batch_size=8, placement="two_tier",
           agg_group_size=2))],
-    ids=["worker", "shard", "shard-spawned-task", "two-tier-member"])
+    ids=["worker", "shard", "worker-spawned-task", "two-tier-member"])
 def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
                                                   patch, victim, topology):
     """A dead worker or shard is a prompt, attributed LiveRunError — its
@@ -404,31 +365,52 @@ def test_node_dying_mid_round_fails_fast_naming_it(monkeypatch, cls, method,
     assert pending == [] and leaked_fds == 0
 
 
-async def _requesting_iteration(self, params, e, t, lo, hi,
-                                real=AioWorker._iteration):
-    if self.wid == 1 and t == 1:
-        self._conns[0].sender.send(WireKind.PULL_REQ, 0, t, BARRIER_PRIORITY)
-    await real(self, params, e, t, lo, hi)
+def _worker_sending(kind):
+    """``AioWorker._iteration`` with worker 1 sending ``kind`` to its
+    first peer at round 1."""
+    async def _iteration(self, params, t, real=AioWorker._iteration):
+        if self.wid == 1 and t == 1:
+            self.conns[0].sender.send(kind, 0, t, BARRIER_PRIORITY)
+        await real(self, params, t)
+    return _iteration
 
 
-@pytest.mark.parametrize("topology, peer", [
-    (dict(), "server0"),
+def _announcing_apply(self, key, real=AioServerShard._apply_ready):
+    """Shard 0 sends worker 1 an ``EPOCH`` once its first key's first
+    round is applied."""
+    real(self, key)
+    if self.sid == 0 and key == min(self.my_keys) and self.version[key] == 1:
+        self.client_senders[1].send(WireKind.EPOCH, 0, 0, CONTROL_PRIORITY)
+
+
+@pytest.mark.parametrize("topology, cls, method, patch, receiver, kind, "
+                         "source, sender", [
+    (dict(), AioWorker, "_iteration", _worker_sending(WireKind.PULL_REQ),
+     "server0", "PULL_REQ", "server0-conn", 1),
     (dict(n_workers=4, batch_size=8, placement="two_tier",
-          agg_group_size=2), "agg0")], ids=["worker-to-shard",
-                                            "member-to-aggregator"])
-def test_a_pull_request_fails_the_peer_that_receives_it(monkeypatch,
-                                                        topology, peer):
-    """``PULL_REQ`` is on no node's protocol any more: a worker that
-    sends one ends its shard (or its group's aggregator) at once, with
-    the kind and the sender in the error — not a silently ignored
-    frame, and not a hang."""
-    monkeypatch.setattr(AioWorker, "_iteration", _requesting_iteration)
+          agg_group_size=2), AioWorker, "_iteration",
+     _worker_sending(WireKind.PULL_REQ), "agg0", "PULL_REQ", "agg0-conn", 1),
+    (dict(), AioWorker, "_iteration", _worker_sending(WireKind.JOIN),
+     "server0", "JOIN", "server0-conn", 1),
+    (dict(), AioServerShard, "_apply_ready", _announcing_apply,
+     "worker1", "EPOCH", "server0", 0)],
+    ids=["worker-to-shard", "member-to-aggregator", "join-to-shard",
+         "epoch-to-worker"])
+def test_a_pull_request_fails_the_peer_that_receives_it(
+        monkeypatch, topology, cls, method, patch, receiver, kind, source,
+        sender):
+    """``PULL_REQ``, ``JOIN`` and ``EPOCH`` are on no node's protocol: a
+    worker that sends one ends its shard (or its group's aggregator) at
+    once, and a shard that sends one ends the worker, with the kind and
+    the sender in the error — not a silently ignored frame, and not a
+    hang."""
+    monkeypatch.setattr(cls, method, patch)
     start = time.monotonic()
     outcome, pending, leaked_fds = run_and_audit(live_cfg(**topology))
     elapsed = time.monotonic() - start
     assert isinstance(outcome, LiveRunError), "the run must fail"
-    assert f"{peer}: unexpected PULL_REQ from {peer}-conn" in str(outcome)
-    assert "(sender id 1)" in str(outcome)
+    assert f"{receiver}: unexpected {kind} from {source}" in str(outcome)
+    assert f"(sender id {sender})" in str(outcome)
     assert elapsed < 5.0, f"fail-fast took {elapsed:.1f}s — that is a hang"
     assert pending == [] and leaked_fds == 0
 
@@ -450,7 +432,7 @@ def test_aggregator_fails_loudly_on_an_unexpected_upstream_frame():
             writer.close()
 
         server = await asyncio.start_server(root, cfg.host, 0)
-        agg = AioAggregator(0, cfg, cfg.key_plan()[0])
+        agg = AioAggregator(0, cfg, cfg.key_plan())
         try:
             await agg.start([server.sockets[0].getsockname()[:2]])
             with pytest.raises(LiveAggregatorError,

@@ -526,13 +526,12 @@ async def test_unshaped_sender_writes_bursts_and_records_every_frame():
 # ----------------------------------------------------------------------
 @pytest.mark.asyncio
 async def test_watchdog_fails_the_node_when_a_peer_goes_silent():
-    """A shard that accepts and never answers — no ack, no ``EPOCH``, no
+    """A shard that accepts and never answers — no ack, no value, no
     heartbeat reply — is a dead peer: the worker's watchdog must fail it
     with an error naming ``server0`` within ``peer_timeout_s`` plus one
     heartbeat interval, not leave it to the 60 s round timeout."""
     from repro.live import LiveClusterConfig, LiveWorkerError
     from repro.live.aio import AioWorker
-    from repro.live.membership import MembershipSchedule
 
     cfg = LiveClusterConfig(
         n_workers=1, n_servers=1, iterations=2, batch_size=4, in_size=4,
@@ -544,9 +543,7 @@ async def test_watchdog_fails_the_node_when_a_peer_goes_silent():
     port = server.sockets[0].getsockname()[1]
     loop = asyncio.get_running_loop()
     try:
-        worker = AioWorker(0, cfg, cfg.key_plan(),
-                           MembershipSchedule.static(1, cfg.iterations),
-                           loop.time())
+        worker = AioWorker(0, cfg, cfg.key_plan(), loop.time())
         start = loop.time()
         with pytest.raises(LiveWorkerError,
                            match="no bytes from server0 .* peer dead"):

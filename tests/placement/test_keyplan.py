@@ -161,7 +161,7 @@ def test_sim_store_and_live_cluster_share_one_table(placement, strategy):
         n_train=32, n_val=16, batch_size=8, slice_params=1_500,
         placement=placement, placement_split_factor=1.2,
         placement_max_splits=3, agg_group_size=2, strategy=strategy)
-    table, = cfg.key_plan()
+    table = cfg.key_plan()
     store = cfg.build_store(table)
     assert store.groups == table.groups == cfg.worker_groups()
     sim_cfg = ClusterConfig(
@@ -175,7 +175,7 @@ def test_sim_store_and_live_cluster_share_one_table(placement, strategy):
     assert sim.placed == table.keys
     assert sim.placement_plan == table.placement
     assert all(cfg.group_of(w) == g for w, g in sim.group_of.items())
-    assert cfg.key_plan() == [table]  # reproducible
+    assert cfg.key_plan() == table  # reproducible
 
 
 def test_threshold_boundary_and_single_server():

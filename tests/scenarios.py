@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example
 from hypothesis import strategies as st
 
-from repro.live import LiveClusterConfig, MembershipEpoch, MembershipSchedule
+from repro.live import LiveClusterConfig
 from repro.models.base import LayerSpec, ModelSpec
 from repro.sim import ClusterConfig, ClusterSim
 from repro.sim.faults import (ChaosFault, FaultPlan, LinkFault,
@@ -165,38 +165,6 @@ def fitted(plan, cfg: ClusterConfig, unit: float):
 
 
 @st.composite
-def schedules(draw, workers=range(5), max_epochs: int = 4,
-              max_rounds: int = 3, placements=(None,)):
-    """Every join / leave / rejoin shape over ``workers``: up to
-    ``max_epochs`` epochs of 1..``max_rounds`` rounds, each optionally
-    re-placing keys by one of ``placements``."""
-    epochs = draw(st.lists(st.tuples(
-        st.sets(st.sampled_from(tuple(workers)), min_size=1),
-        st.integers(1, max_rounds), st.sampled_from(placements)),
-        min_size=1, max_size=max_epochs))
-    return MembershipSchedule(epochs=tuple(
-        MembershipEpoch(workers=tuple(sorted(ws)), rounds=rounds,
-                        placement=placement)
-        for ws, rounds, placement in epochs))
-
-
-#: Worker 2 joins mid-run.
-JOIN_SCHED = MembershipSchedule(epochs=(
-    MembershipEpoch(workers=(0, 1), rounds=2),
-    MembershipEpoch(workers=(0, 1, 2), rounds=2),
-))
-
-#: Join (with a placement override forcing live key migration), leave,
-#: rejoin: worker 2 joins mid-run, worker 1 leaves and comes back.
-ELASTIC_SCHED = MembershipSchedule(epochs=(
-    MembershipEpoch(workers=(0, 1), rounds=1),
-    MembershipEpoch(workers=(0, 1, 2), rounds=1, placement="balanced"),
-    MembershipEpoch(workers=(0, 2), rounds=1),
-    MembershipEpoch(workers=(0, 1, 2), rounds=1),
-))
-
-
-@st.composite
 def sim_scenarios(draw):
     """``(model, strategy name, ClusterConfig)``: any model (jittered or
     not) and strategy on 1-5 workers, flat, balanced or two-tier (ragged
@@ -250,24 +218,17 @@ def live_cfg(*presets: dict, **overrides) -> LiveClusterConfig:
 def live_scenarios(draw, link=None):
     """A :func:`live_cfg` with ``link`` laid over it: either strategy,
     every placement (any group size), 1-4 workers on 1-2 shards, two
-    slice and chunk sizes, and — off two-tier, which cannot change
-    membership — static or a :func:`schedules` draw re-placing keys."""
+    slice and chunk sizes and 1-3 rounds."""
     n_workers = draw(st.integers(1, 4))
-    placement = draw(st.sampled_from(PLACEMENTS))
-    membership = None
-    if placement != "two_tier" and draw(st.booleans()):
-        membership = draw(schedules(
-            range(n_workers), max_epochs=3, max_rounds=2,
-            placements=(None, "round_robin", "balanced")))
     return live_cfg(dict(
         strategy=draw(st.sampled_from(["baseline", "p3"])),
         n_workers=n_workers, n_servers=draw(st.integers(1, 2)),
-        placement=placement, agg_group_size=draw(st.integers(1, n_workers)),
+        placement=draw(st.sampled_from(PLACEMENTS)),
+        agg_group_size=draw(st.integers(1, n_workers)),
         slice_params=draw(st.sampled_from([500, 5_000])),
         chunk_bytes=draw(st.sampled_from([1_024, 8_192])),
-        batch_size=12, warmup=0, membership=membership,
-        iterations=(membership.total_rounds if membership
-                    else draw(st.integers(1, 3)))), link or {})
+        batch_size=12, warmup=0,
+        iterations=draw(st.integers(1, 3))), link or {})
 
 
 def run_signature(cluster: ClusterSim, result) -> str:

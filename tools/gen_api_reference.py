@@ -95,7 +95,6 @@ MODULES = [
     "repro.live.chaos",
     "repro.live.config",
     "repro.live.result",
-    "repro.live.membership",
     "repro.live.aio.transport",
     "repro.live.aio.node",
     "repro.live.aio.server",
