@@ -31,8 +31,8 @@ test-live:
 	    tests/live/test_aio_cluster.py tests/live/test_wait.py -x -q
 
 # The multi-tenant battery: fairness/starvation properties, tenant
-# isolation (bit-identity), cross-substrate scheduler conformance, and
-# the shaper-accounting regressions (run by the blocking CI tenancy job)
+# isolation (bit-identity) and cross-substrate scheduler conformance
+# (run by the blocking CI tenancy job)
 test-tenancy:
 	$(PYTHON) -m pytest tests/tenancy/ -x -q -m tenancy
 	$(PYTHON) -m pytest tests/live/test_transport.py \

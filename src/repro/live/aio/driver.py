@@ -47,7 +47,7 @@ def run_live_aio(cfg: LiveClusterConfig,
                  shaper=None) -> LiveRunResult:
     """Run one full live training job on a single event loop.
 
-    ``shaper`` (any reserve/refund object, e.g. a
+    ``shaper`` (any object with ``reserve``, e.g. a
     :class:`repro.tenancy.TenantShare`) replaces every node's private
     :class:`TokenBucket` so the whole job draws from one shared
     allocation — the rack-level fair-sharing model of

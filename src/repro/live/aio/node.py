@@ -1,4 +1,4 @@
-"""Event-loop node plumbing: named peers, the two faces, reconnect.
+"""Event-loop node plumbing: named peers and the two faces.
 
 A :class:`Node` is the shared substrate of every role (worker, server
 shard, aggregator): it owns every :class:`PeerConnection` it dials or
@@ -27,11 +27,8 @@ sender, and hands fully reassembled messages to a synchronous
 ``on_message`` callback — handlers never await, so message handling for
 one peer can't starve another's.
 
-Reconnect: :meth:`PeerConnection.reconnect` dials the peer again,
-resets the receive pipeline (:meth:`ReliableReceiver.reset` — fresh
-decoder, inbox, and reassembler, no inherited ``crc_failures`` or
-partial frames) and rebinds the sender (backlog renumbered and
-retransmitted).  Reliable traffic survives the hop in both directions.
+A connection lives as long as the run: a failed write fails its
+sender, and the dial face's watchdog or the peer's EOF fails the node.
 """
 
 from __future__ import annotations
@@ -104,31 +101,11 @@ class PeerConnection:
         except asyncio.CancelledError:
             raise
         except (ConnectionError, OSError):
-            pass  # torn connection == EOF; reconnect/on_eof decides
+            pass  # torn connection == EOF; on_eof decides
         except BaseException as exc:  # noqa: BLE001 - surfaced via .error
             self.error = exc
         if not self.closed and self.on_eof is not None:
             self.on_eof(self)
-
-    async def reconnect(self, host: str, port: int,
-                        timeout_s: float = 15.0) -> None:
-        """Replace a dead connection with a fresh one, preserving the
-        sender's reliable backlog and resetting all per-stream state."""
-        self._read_task.cancel()
-        try:
-            self.writer.close()
-        except Exception:  # noqa: BLE001 - already-dead writer
-            pass
-        reader, writer = await open_connection_with_retry(host, port,
-                                                          timeout_s)
-        self.reader = reader
-        self.writer = writer
-        self.receiver.reset()
-        self.last_rx = self._clock()
-        if self.sender is not None:
-            self.sender.rebind(writer)
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop(), name=f"{self.name}:read")
 
     async def close(self, flush_timeout_s: float = 30.0) -> None:
         """End the connection from this side, leaving no task behind.
@@ -199,7 +176,7 @@ class Node:
         self._machine = machine
         self._clock = time.monotonic
         # One bucket across connections: the "NIC".
-        # An injected shaper (any object with reserve/refund — e.g. a
+        # An injected shaper (any object with reserve — e.g. a
         # repro.tenancy TenantShare) replaces the private bucket so many
         # nodes can draw from one fair-shared allocation.
         if shaper is not None:

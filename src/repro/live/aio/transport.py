@@ -11,19 +11,14 @@ and a heap, not two OS threads
 (:class:`~repro.live.transport.PrioritySender` is the thread host of
 the same core).
 
-Two capabilities the thread-hosted sender does not have:
+One capability the thread-hosted sender does not have: **chaos
+without a socket** — fault injection reuses
+:meth:`repro.live.chaos.ChaosChannel.plan_frame` (the exact seeded draw
+discipline) with the delay applied as ``await asyncio.sleep`` and the
+payloads written to the stream writer.
 
-* **Chaos without a socket** — fault injection reuses
-  :meth:`repro.live.chaos.ChaosChannel.plan_frame` (the exact seeded
-  draw discipline) with the delay applied as ``await asyncio.sleep``
-  and the payloads written to the stream writer.
-* **Reconnect** — :meth:`AsyncPrioritySender.rebind` moves the sender
-  onto a replacement connection: queued ``CHUNK_ACK``\\ s for the dead
-  byte stream are purged, the unacked backlog is renumbered onto the
-  fresh seq space (:func:`repro.live.wire.reseq_frame`) and immediately
-  retransmitted.  A write failure parks the sender (``broken``) instead
-  of killing it, so no enqueued reliable message is ever lost across a
-  reconnect.
+A failed write fails the sender, as it does on the thread host: the
+drain task ends, ``failed`` turns True and ``flush`` raises at once.
 
 Every wait of the live cluster — the drain task's, a flush, each node's
 gates and barriers — is :func:`wait_until`: bounded and cancel-safe are
@@ -128,9 +123,8 @@ class AsyncPrioritySender:
                                retry)
         self.timeline = self.core.timeline
         self._clock = clock
-        self._broken: Optional[BaseException] = None
         # Set on every change the drain task or a flush may be waiting
-        # for: a send, an ack, a rebind, a close, an idle drain, a failure.
+        # for: a send, an ack, a close, an idle drain, a failure.
         self._changed = asyncio.Event()
         self._task = asyncio.get_running_loop().create_task(
             self._run(), name=f"{node}:send")
@@ -158,15 +152,6 @@ class AsyncPrioritySender:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def rebind(self, writer: asyncio.StreamWriter) -> None:
-        """Move the sender onto a replacement connection: the core drops
-        the dead stream's acks and renumbers the unacked backlog
-        (:meth:`SenderCore.rebind`), and the drain task is unparked."""
-        self.writer = writer
-        self._broken = None
-        self.core.rebind()
-        self._changed.set()
-
     @property
     def failed(self) -> bool:
         return self.core.error is not None
@@ -174,11 +159,6 @@ class AsyncPrioritySender:
     @property
     def failure(self) -> Optional[BaseException]:
         return self.core.error
-
-    @property
-    def broken(self) -> bool:
-        """Parked on a dead connection, awaiting :meth:`rebind`."""
-        return self._broken is not None
 
     async def flush(self, timeout: float = 30.0) -> None:
         """Wait until every enqueued message is written — and, when a
@@ -226,22 +206,12 @@ class AsyncPrioritySender:
         core = self.core
         try:
             while True:
-                if self._broken is not None:
-                    # Parked on a dead connection: hold every reliable
-                    # frame (outbox + heap) until rebind() or close().
-                    await wait_until(
-                        self._changed,
-                        lambda: self._broken is None or core.closing, None)
-                    if self._broken is not None:
-                        return
-                    continue
                 # May raise TransportError after max_retries — surfaced
                 # through .failed / flush().
                 retrans = core.due(self._clock())
                 if retrans:
                     for frame in retrans:
-                        if not await self._write(frame):
-                            break  # parked; resumes after rebind()
+                        await self._write(frame)
                     continue
                 # Unshaped and unsabotaged, a write does not yield below
                 # the transport's high-water mark: one write per burst.
@@ -252,65 +222,45 @@ class AsyncPrioritySender:
                     if core.closing:
                         return
                     self._changed.set()  # all written: a flush looks again
-                    # Until a send, a close or a rebind's writer, or the
-                    # retransmit timer (None: nothing unacked).
-                    writer = self.writer
+                    # Until a send or a close, or the retransmit timer
+                    # (None: nothing unacked).
                     await wait_until(
                         self._changed,
-                        lambda: (len(core.sched) > 0 or core.closing
-                                 or self.writer is not writer),
+                        lambda: len(core.sched) > 0 or core.closing,
                         core.timeout(self._clock()))
                     continue
                 t0 = self._clock()
-                if not await self._write(*burst):
-                    core.unwritten()  # parked; the outbox holds it
-                    continue
+                await self._write(*burst)
                 core.wrote(t0, self._clock())
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported via .failed
+            # A failed write lands here too: the sender fails, as the
+            # thread host's does, and flush() raises at once.
             core.error = exc
             self._changed.set()
 
     async def _write(self, frame: bytes,
-                     priority: int = CONTROL_PRIORITY + 1) -> bool:
+                     priority: int = CONTROL_PRIORITY + 1) -> None:
         """Shape, sabotage, and write one frame.
 
         Messages at or below ``CONTROL_PRIORITY`` ride the unshaped
         CONTROL lane (cluster admission/completion and acks must not
-        starve behind a backlogged tenant's gradients).  Returns False
-        when the connection died mid-write: the sender parks (``broken``)
-        and the frame survives in the outbox for the post-:meth:`rebind`
-        retransmission (unreliable frames — acks and heartbeats — are
-        repairable by design and simply dropped).  A failed write refunds
-        its shaper reservation: the bytes never reached the wire and the
-        retransmission reserves again, so without the refund a shared
-        bucket would be debited twice per reconnect.
+        starve behind a backlogged tenant's gradients).
         """
-        reserved = 0
         if self.shaper is not None and priority > CONTROL_PRIORITY:
-            reserved = len(frame)
-            wait = self.shaper.reserve(reserved)
+            wait = self.shaper.reserve(len(frame))
             if wait > 0:
                 await asyncio.sleep(wait)
-        try:
-            if self.chaos is not None:
-                delay, payloads = self.chaos.plan_frame(frame)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                for payload in payloads:
-                    self.writer.write(payload)
-            else:
-                self.writer.write(frame)
-            await self.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            if not self.core.reliable:
-                raise
-            if reserved:
-                self.shaper.refund(reserved)
-            self._broken = exc
-            return False
-        return True
+        if self.chaos is not None:
+            delay, payloads = self.chaos.plan_frame(frame)
+            if delay > 0:
+                await asyncio.sleep(delay)
+            for payload in payloads:
+                self.writer.write(payload)
+        else:
+            self.writer.write(frame)
+        await self.writer.drain()
 
 
 async def open_connection_with_retry(

@@ -161,9 +161,15 @@ class AioWorker(Node):
             await asyncio.sleep(cfg.bwd_layer_s)
             grad = grads[self.names[layer]]
             for pk in self.plan.by_layer[layer]:
-                self.conns[self._route[pk.server]].sender.send(
-                    WireKind.PUSH, pk.key, t, self._priority(pk),
-                    encode_array(grad[pk.span]))
+                conn = self.conns[self._route[pk.server]]
+                try:
+                    conn.sender.send(WireKind.PUSH, pk.key, t,
+                                     self._priority(pk),
+                                     encode_array(grad[pk.span]))
+                except TransportError as exc:  # e.g. a write to it failed
+                    raise LiveWorkerError(
+                        f"worker {self.wid}: transport to {conn.name} "
+                        f"failed: {exc.__cause__ or exc!r}") from exc
 
     async def _gather_layer(self, params: Dict[str, np.ndarray], layer: int,
                             iteration: int) -> float:

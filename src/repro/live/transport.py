@@ -48,7 +48,6 @@ from .wire import (
     WireKind,
     WireMessage,
     encode_run,
-    reseq_frame,
 )
 
 #: Priority used for control traffic (heartbeats, byes): more urgent
@@ -115,23 +114,6 @@ class TokenBucket:
             if self._tokens >= 0:
                 return 0.0
             return -self._tokens / self.rate
-
-    def refund(self, nbytes: int) -> None:
-        """Return ``nbytes`` of a prior :meth:`reserve` that never hit
-        the wire (e.g. the write failed on a broken connection).
-
-        Without the refund, a frame that is reserved, fails to send, and
-        is later retransmitted is debited twice; on a bucket shared by
-        several senders those ghost bytes permanently steal tokens from
-        the co-owners, and the drift grows with every reconnect.  Capped
-        at ``burst`` — a refund can never mint capacity the bucket could
-        not have held.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        with self._lock:
-            self._tokens = min(self.burst, self._tokens + nbytes)
-
 
 class ChunkRecord(NamedTuple):
     """One chunk's occupancy of the (shaped) link.
@@ -290,23 +272,6 @@ class ChunkScheduler:
         item, offset, end, done, preempted = run
         return item, item.payload[offset:end], offset, done, preempted
 
-    def purge(self, kinds: Tuple[WireKind, ...]) -> int:
-        """Drop every queued message of the given kinds; return the count.
-
-        Used on reconnect: queued ``CHUNK_ACK``\\ s reference the dead
-        connection's sequence space and would corrupt the peer's fresh
-        outbox if they drained onto the new byte stream.
-        """
-        kept = [entry for entry in self._heap if entry[2].kind not in kinds]
-        removed = len(self._heap) - len(kept)
-        if removed:
-            heapq.heapify(kept)
-            self._heap = kept
-        if self._last is not None and self._last.kind in kinds:
-            self._last = None
-        return removed
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retransmission knobs of the reliable transport.
@@ -359,8 +324,8 @@ class ReliableOutbox:
     def __init__(self, policy: RetryPolicy) -> None:
         self.policy = policy
         self._rng = random.Random(policy.seed)
-        #: (seq, frame bytes), ascending: record() and renumber() append
-        #: in seq order, so a cumulative ack only ever trims the front.
+        #: (seq, frame bytes), ascending: record() appends in seq order,
+        #: so a cumulative ack only ever trims the front.
         self._pending: "Deque[Tuple[int, bytes]]" = deque()
         self._retries = 0
         self._deadline: Optional[float] = None
@@ -398,26 +363,6 @@ class ReliableOutbox:
             self._retries = 0       # progress: reset the backoff ladder
             self._deadline = None   # re-armed on the next due() / record()
         return acked
-
-    def renumber(self, reseq: Callable[[bytes, int], bytes],
-                 now: float) -> int:
-        """Rebase every pending frame onto a fresh ``0..n-1`` seq space.
-
-        Reconnect support: the peer's replacement connection starts a new
-        byte stream whose inbox expects seq 0, so the unacked backlog is
-        renumbered in original order (``reseq`` rewrites one frame's seq
-        and CRC — see :func:`repro.live.wire.reseq_frame`), the backoff
-        ladder resets, and the retransmit timer is made immediately due
-        so the backlog retransmits on the new stream without waiting out
-        a timeout.  Returns how many frames were rebased (the caller's
-        next fresh seq).
-        """
-        self._pending = deque(
-            (new_seq, reseq(frame, new_seq))
-            for new_seq, (_, frame) in enumerate(self._pending))
-        self._retries = 0
-        self._deadline = now if self._pending else None
-        return len(self._pending)
 
     def next_deadline(self, now: float) -> Optional[float]:
         """When the retransmit timer next fires (None = nothing pending)."""
@@ -522,18 +467,6 @@ class ReliableReceiver:
     def crc_failures(self) -> int:
         return self.decoder.crc_failures
 
-    def reset(self) -> None:
-        """Rebind the pipeline to a fresh connection.
-
-        Sequence numbers, reassembly state and the decode buffer are all
-        per-byte-stream, so everything restarts — including the decoder's
-        lenient-mode ``crc_failures`` skip count, which used to leak from
-        the previous connection into the new one's stats.
-        """
-        self.decoder.reset()
-        self.inbox = ReliableInbox()
-        self.reassembler = Reassembler()
-
     def stats(self) -> Dict[str, int]:
         return {"crc_failures": self.decoder.crc_failures,
                 "duplicate_frames": self.inbox.duplicates,
@@ -584,7 +517,7 @@ class SenderCore:
     :class:`repro.live.aio.AsyncPrioritySender` on an event loop) keeps
     only waiting, shaping, chaos and writing: it calls :meth:`due` and
     :meth:`next_burst` for bytes to put on the wire, reports the write
-    with :meth:`wrote` (or :meth:`unwritten`), and sleeps at most
+    with :meth:`wrote`, and sleeps at most
     :meth:`timeout` when both come back empty.  Not thread-safe: a
     threaded host makes every call under its own lock.
 
@@ -670,14 +603,6 @@ class SenderCore:
         progress (the host wakes whoever waits in ``flush``)."""
         return self.outbox.ack(acked_seq) > 0
 
-    def rebind(self) -> None:
-        """Move onto a replacement byte stream, whose peer inbox expects
-        seq 0: queued acks for the dead stream are purged and the unacked
-        backlog is renumbered onto ``0..n-1`` and made immediately due."""
-        self.sched.purge((WireKind.CHUNK_ACK,))
-        self._queued_ack = None
-        self._next_seq = self.outbox.renumber(reseq_frame, self._clock())
-
     # ------------------------------------------------------------------
     # What a host asks
     # ------------------------------------------------------------------
@@ -725,8 +650,7 @@ class SenderCore:
                              reliable)
             if reliable:
                 # Recorded before the write so an ack racing the send
-                # can never miss the outbox entry — and so a mid-frame
-                # disconnect never loses the chunk.
+                # can never miss the outbox entry.
                 self._next_seq += len(run)
                 outbox.record_run(seq, run, now)
             if (preempted is not None and self.recorder is not None
@@ -785,12 +709,6 @@ class SenderCore:
                     nbytes=len(item.payload), queue_s=queue_s,
                     wire_s=wire_s, detail=item.kind.name.lower())
         burst.clear()
-        self._gathered = 0
-
-    def unwritten(self) -> None:
-        """The burst never reached the wire (the connection died): no
-        record; its reliable frames wait in the outbox for a rebind."""
-        self._burst.clear()
         self._gathered = 0
 
     @property

@@ -218,27 +218,6 @@ def encode_frame(kind: WireKind, sender: int, key: int, iteration: int,
                       offset, total, len(payload) or 1, seq)[0]
 
 
-def reseq_frame(frame: bytes, seq: int) -> bytes:
-    """Rewrite an encoded frame's ``seq`` field, recomputing the CRC.
-
-    Used by the reconnect path: sequence numbers are per-*connection*
-    state, so when a sender rebinds its unacked Go-Back-N window onto a
-    fresh connection it renumbers the retained frames ``0..n-1`` for the
-    peer's fresh :class:`~repro.live.transport.ReliableInbox`.
-    """
-    if len(frame) < HEADER_SIZE:
-        raise WireError("frame shorter than a header")
-    if not (0 <= seq <= SEQ_NONE):
-        raise WireError(f"seq {seq} out of the u32 range")
-    magic, = struct.unpack_from("<H", frame)
-    if magic != MAGIC:
-        raise WireError(f"bad magic 0x{magic:04x}")
-    head = frame[:CRC_OFFSET - 4] + _U32.pack(seq)  # seq: last pre-CRC field
-    payload = frame[HEADER_SIZE:]
-    crc = zlib.crc32(payload, zlib.crc32(head))
-    return b"".join((head, _U32.pack(crc), payload))
-
-
 def split_message(kind: WireKind, sender: int, key: int, iteration: int,
                   priority: int, payload: bytes,
                   chunk_bytes: int) -> List[bytes]:
@@ -302,17 +281,6 @@ class FrameDecoder:
         # not the read it ends in.
         self._next: Optional[Tuple[bytes, int]] = None
         self.strict = strict
-        self.crc_failures = 0
-
-    def reset(self) -> None:
-        """Make the decoder safe to reuse on a *new* connection.
-
-        Discards any partial frame buffered from the previous byte
-        stream (whose continuation will never arrive) and zeroes
-        :attr:`crc_failures`, so per-connection stats never inherit the
-        previous connection's skip count.
-        """
-        self._buf, self._pos, self._next = b"", 0, None
         self.crc_failures = 0
 
     def feed(self, data: bytes) -> None:

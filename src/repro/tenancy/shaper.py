@@ -15,8 +15,8 @@ the link rate (starvation freedom).  ``tests/tenancy/test_fairness.py``
 holds all three properties under hypothesis.
 
 :class:`TenantShare` is the adapter that makes one tenant's view of the
-shaper duck-type a ``TokenBucket`` — ``reserve``/``refund`` with the
-same signatures — so it drops into :class:`PrioritySender` /
+shaper duck-type a ``TokenBucket`` — ``reserve`` with the same
+signature — so it drops into :class:`PrioritySender` /
 :class:`AsyncPrioritySender` unchanged.
 """
 
@@ -166,15 +166,6 @@ class FairShaper:
                 return 0.0
             return self._drain_time(st)
 
-    def refund(self, tenant: str, nbytes: int) -> None:
-        """Return bytes that never hit the wire (failed write), capped
-        at the tenant's burst share — mirrors ``TokenBucket.refund``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        with self._lock:
-            st = self._tenants[tenant]
-            st.tokens = min(self._burst_cap(st), st.tokens + nbytes)
-
     # ------------------------------------------------------------------
     # Introspection (tests / reports)
     # ------------------------------------------------------------------
@@ -193,7 +184,7 @@ class TenantShare:
     """One tenant's handle on a :class:`FairShaper`.
 
     Duck-types :class:`repro.live.transport.TokenBucket` (``reserve`` /
-    ``refund`` / ``rate`` / ``burst``) so a whole job's senders can be
+    ``rate`` / ``burst``) so a whole job's senders can be
     pointed at their tenant's fair share with zero sender changes.
     """
 
@@ -205,9 +196,6 @@ class TenantShare:
 
     def reserve(self, nbytes: int) -> float:
         return self.shaper.reserve(self.tenant, nbytes)
-
-    def refund(self, nbytes: int) -> None:
-        self.shaper.refund(self.tenant, nbytes)
 
     @property
     def rate(self) -> float:

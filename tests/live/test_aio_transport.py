@@ -6,13 +6,10 @@ the cluster relies on:
 * **Preemption on the event loop** — an urgent message enqueued while a
   bulk transfer is mid-flight overtakes it at chunk granularity, exactly
   as on the thread stack.
-* **Reconnect** — a connection torn down *mid-frame* (partial frame
-  buffered in the decoder, reliable messages parked in the outbox) comes
-  back via :meth:`PeerConnection.reconnect` with no inherited
-  ``crc_failures``, no stale sequence state, and the parked backlog
-  retransmitted exactly once (satellite: ``FrameDecoder.reset`` /
-  ``ReliableReceiver.reset`` exercised through an actual reconnect, not
-  unit calls).
+* **Fail fast on a dead connection** — a write that raises fails its
+  sender, reliable or not, as on the thread stack: ``failed`` turns True
+  and ``flush`` raises at once, and the dial face's watchdog reports the
+  node by the peer's name within one heartbeat interval.
 * **Chaos parity** — the socket-less async chaos path
   (:meth:`ChaosChannel.plan_frame`) consumes the seeded draw stream
   identically to the blocking ``sendall`` path, so a fault plan
@@ -26,7 +23,6 @@ import asyncio
 import pytest
 
 from repro.live.chaos import ChaosChannel
-from repro.live.aio.node import PeerConnection
 from repro.live.aio.transport import AsyncPrioritySender
 from repro.live.transport import RetryPolicy, TokenBucket
 from repro.live.wire import FrameDecoder, WireKind, encode_frame
@@ -134,32 +130,11 @@ async def test_flush_waits_for_the_last_chunk_to_be_written():
 
 
 # ----------------------------------------------------------------------
-# Reconnect: decoder/inbox reset + backlog retransmission
+# Reliable senders and waiting helpers
 # ----------------------------------------------------------------------
 def _retry():
     return RetryPolicy(ack_timeout_s=0.05, backoff=1.5, max_backoff_s=0.2,
                        max_retries=100, jitter=0.0)
-
-
-class ServerSide:
-    """Accept loop: every client connection becomes a PeerConnection
-    with its own reliable sender; messages land in ``inbox`` tagged with
-    the accept ordinal."""
-
-    def __init__(self):
-        self.conns = asyncio.Queue()
-        self.all_conns = []
-        self.inbox = []
-
-    def accept(self, reader, writer):
-        idx = len(self.all_conns)
-        conn = PeerConnection(
-            f"client@{idx}", reader, writer,
-            on_message=lambda _c, m, i=idx: self.inbox.append((i, m)))
-        conn.sender = AsyncPrioritySender(writer, sender_id=99,
-                                          retry=_retry())
-        self.all_conns.append(conn)
-        self.conns.put_nowait(conn)
 
 
 async def _wait_until(pred, what, timeout_s=5.0):
@@ -168,86 +143,6 @@ async def _wait_until(pred, what, timeout_s=5.0):
         assert asyncio.get_running_loop().time() < deadline, \
             f"timed out waiting for {what}"
         await asyncio.sleep(0.005)
-
-
-@pytest.mark.asyncio
-async def test_reconnect_resets_stream_state_and_preserves_backlog():
-    """Tear a connection down mid-frame and reconnect: the fresh stream
-    inherits no CRC failures, no partial frame, no stale seq state, and
-    the reliable message parked during the outage arrives exactly once."""
-    side = ServerSide()
-    server = await asyncio.start_server(side.accept, HOST, 0)
-    port = server.sockets[0].getsockname()[1]
-    try:
-        creader, cwriter = await asyncio.open_connection(HOST, port)
-        csender = AsyncPrioritySender(cwriter, sender_id=7, retry=_retry())
-        client_msgs = []
-        eof = asyncio.Event()
-        conn = PeerConnection("server", creader, cwriter,
-                              on_message=lambda _c, m: client_msgs.append(m),
-                              sender=csender,
-                              on_eof=lambda _c: eof.set())
-
-        # Phase 1: reliable traffic both ways on the first connection.
-        sconn0 = await asyncio.wait_for(side.conns.get(), 5.0)
-        csender.send(WireKind.PUSH, key=1, iteration=0, priority=1,
-                     payload=b"p1" * 100)
-        await csender.flush(5.0)
-        sconn0.sender.send(WireKind.PULL_RESP, key=6, iteration=0,
-                           priority=1, payload=b"r6" * 100)
-        await sconn0.sender.flush(5.0)
-        await _wait_until(lambda: any(m.key == 6 for m in client_msgs),
-                          "first PULL_RESP")
-
-        # Kill the connection MID-FRAME: write a prefix of a valid frame
-        # (header + part of the payload), then close.  The client's
-        # decoder is left holding a partial frame whose continuation
-        # will never arrive.
-        partial = encode_frame(WireKind.PULL_RESP, 99, 5, 0, 0,
-                               payload=b"z" * 64)
-        sconn0.writer.write(partial[:70])
-        await sconn0.writer.drain()
-        sconn0.abort()
-        await asyncio.wait_for(eof.wait(), 5.0)
-        assert conn.receiver.decoder.pending_bytes > 0, \
-            "test must actually leave a partial frame buffered"
-
-        # Enqueue a reliable message while disconnected: it must park in
-        # the outbox, not vanish.
-        csender.send(WireKind.PUSH, key=2, iteration=1, priority=1,
-                     payload=b"p2" * 100)
-
-        # Reconnect — fresh accept on the server side.
-        await conn.reconnect(HOST, port, timeout_s=5.0)
-        sconn1 = await asyncio.wait_for(side.conns.get(), 5.0)
-        await csender.flush(5.0)  # parked PUSH retransmitted + acked
-
-        # Fresh server->client traffic starts at seq 0 again: without
-        # ReliableReceiver.reset() the client inbox would drop it as a
-        # duplicate of the first connection's seq 0.
-        sconn1.sender.send(WireKind.PULL_RESP, key=7, iteration=1,
-                           priority=1, payload=b"r7" * 100)
-        await sconn1.sender.flush(5.0)
-        await _wait_until(lambda: any(m.key == 7 for m in client_msgs),
-                          "post-reconnect PULL_RESP")
-
-        pushes = [(i, m.key) for i, m in side.inbox
-                  if m.kind is WireKind.PUSH]
-        assert pushes == [(0, 1), (1, 2)], \
-            "each PUSH delivered exactly once, on the right connection"
-        stats = conn.receiver.stats()
-        assert stats["crc_failures"] == 0, \
-            "reset must not inherit the torn connection's partial frame"
-        assert stats["duplicate_frames"] == 0
-        assert stats["gap_frames"] == 0
-        assert [m.key for m in client_msgs
-                if m.kind is WireKind.PULL_RESP] == [6, 7]
-
-        await conn.close(5.0)
-        sconn1.abort()
-    finally:
-        server.close()
-        await server.wait_closed()
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +187,7 @@ def test_chaos_plan_frame_matches_sendall_byte_for_byte():
 
 
 # ----------------------------------------------------------------------
-# Shaper accounting on the async sender (tenancy satellite)
+# A dead connection and the shaper's CONTROL lane
 # ----------------------------------------------------------------------
 class BrokenWriter:
     """StreamWriter stand-in whose connection is already dead."""
@@ -313,27 +208,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.t
-
-
-@pytest.mark.asyncio
-async def test_broken_write_refunds_shaper_reservation():
-    """Regression: a write that dies on a dead connection must refund
-    its token reservation.  The frame survives in the outbox and is
-    *reserved again* when retransmitted after rebind — without the
-    refund, every reconnect double-debits a shared (per-tenant) bucket,
-    permanently stealing bandwidth from the tenant's other senders."""
-    clock = FakeClock()
-    shaper = TokenBucket(1000.0, burst_bytes=10_000, clock=clock)
-    sender = AsyncPrioritySender(
-        BrokenWriter(), sender_id=0, shaper=shaper,
-        retry=RetryPolicy(ack_timeout_s=60.0, max_backoff_s=60.0))
-    frame = b"x" * 500
-    assert not await sender._write(frame)
-    assert sender.broken
-    # The reservation came back in full: the burst is untouched.
-    assert shaper.reserve(10_000) == 0.0
-    sender.abort()
-    await asyncio.gather(sender._task, return_exceptions=True)
 
 
 @pytest.mark.asyncio
@@ -411,40 +285,6 @@ async def test_acks_queued_before_a_drain_step_leave_as_one():
 
 
 @pytest.mark.asyncio
-async def test_rebind_drops_the_queued_ack_and_the_next_queues_afresh():
-    """A queued ack names the dead stream's sequence space: ``rebind``
-    purges it and forgets it, so the next ``send_ack`` is not folded
-    into a heap entry that no longer exists."""
-    server, port, accepted = await start_accept_server()
-    writers = []
-    try:
-        _r0, w0 = await asyncio.open_connection(HOST, port)
-        sreader0, sw0 = await accepted.get()
-        _r1, w1 = await asyncio.open_connection(HOST, port)
-        sreader1, sw1 = await accepted.get()
-        writers += [w0, sw0, w1, sw1]
-        sender = AsyncPrioritySender(w0, sender_id=0, retry=_retry())
-        sender.send_ack(40)            # queued for the old stream ...
-        sender.rebind(w1)              # ... which dies before it drains
-        assert len(sender.core.sched) == 0
-        sender.send_ack(2)             # the fresh stream's first ack
-        sender.send(WireKind.HEARTBEAT, 0, 0, 0)
-        frames = await read_frames_until(
-            sreader1, lambda fs: any(f.kind is WireKind.HEARTBEAT
-                                     for f in fs))
-        assert _acks(frames) == [2]
-        sender.abort()
-        await sender.wait_closed()
-        w0.close()
-        assert await sreader0.read() == b""  # the old stream carried none
-    finally:
-        for writer in writers:
-            writer.close()
-        server.close()
-        await server.wait_closed()
-
-
-@pytest.mark.asyncio
 async def test_closed_or_failed_sender_swallows_acks():
     """The peer's retransmission elicits a fresh ack if one is needed,
     so an ack to a sender that is closing or has failed is dropped
@@ -461,16 +301,24 @@ async def test_closed_or_failed_sender_swallows_acks():
         with pytest.raises(TransportError, match="closed"):
             closed.send(WireKind.HEARTBEAT, 0, 0, 0)
 
-        # No RetryPolicy: a dead connection fails the sender outright.
-        failed = AsyncPrioritySender(
-            BrokenWriter(), sender_id=0,
-            shaper=TokenBucket(rate_bytes_per_s=1e9))
-        failed.send_ack(1)
-        await _wait_until(lambda: failed.failed, "the write to fail")
-        failed.send_ack(2)
-        with pytest.raises(TransportError, match="failed"):
-            failed.send(WireKind.HEARTBEAT, 0, 0, 0)
-        await failed.wait_closed()
+        # A dead connection fails the sender outright, reliable or not:
+        # flush raises at once, well inside its timeout.
+        loop = asyncio.get_running_loop()
+        for retry in (None, _retry()):
+            failed = AsyncPrioritySender(
+                BrokenWriter(), sender_id=0,
+                shaper=TokenBucket(rate_bytes_per_s=1e9), retry=retry)
+            failed.send_ack(1)
+            start = loop.time()
+            with pytest.raises(TransportError, match="sender failed") as info:
+                await failed.flush(5.0)
+            assert loop.time() - start < 1.0
+            assert isinstance(info.value.__cause__, ConnectionResetError)
+            await _wait_until(lambda: failed.failed, "the write to fail")
+            failed.send_ack(2)
+            with pytest.raises(TransportError, match="failed"):
+                failed.send(WireKind.HEARTBEAT, 0, 0, 0)
+            await failed.wait_closed()
     finally:
         for writer in (cwriter, swriter):
             writer.close()
@@ -522,43 +370,57 @@ async def test_unshaped_sender_writes_bursts_and_records_every_frame():
 
 
 # ----------------------------------------------------------------------
-# The watchdog's silent-peer branch
+# The watchdog: a silent peer, a failed write
 # ----------------------------------------------------------------------
 @pytest.mark.asyncio
-async def test_watchdog_fails_the_node_when_a_peer_goes_silent():
+async def test_watchdog_fails_the_node_when_a_peer_goes_silent(monkeypatch):
     """A shard that accepts and never answers — no ack, no value, no
     heartbeat reply — is a dead peer: the worker's watchdog must fail it
     with an error naming ``server0`` within ``peer_timeout_s`` plus one
-    heartbeat interval, not leave it to the 60 s round timeout."""
+    heartbeat interval, not leave it to the 60 s round timeout.  A write
+    to the shard that fails is reported the same way, by name, within
+    one heartbeat interval: it does not wait out ``peer_timeout_s``."""
     from repro.live import LiveClusterConfig, LiveWorkerError
     from repro.live.aio import AioWorker
 
-    cfg = LiveClusterConfig(
-        n_workers=1, n_servers=1, iterations=2, batch_size=4, in_size=4,
-        hidden=4, depth=1, n_train=8, n_val=4, fwd_layer_s=0.0,
-        bwd_layer_s=0.0, heartbeat_interval_s=0.05, peer_timeout_s=0.3)
-    mute = []  # accepted, held open, never read from or written to
-    server = await asyncio.start_server(lambda r, w: mute.append((r, w)),
-                                        HOST, 0)
-    port = server.sockets[0].getsockname()[1]
-    loop = asyncio.get_running_loop()
-    try:
-        worker = AioWorker(0, cfg, cfg.key_plan(), loop.time())
-        start = loop.time()
-        with pytest.raises(LiveWorkerError,
-                           match="no bytes from server0 .* peer dead"):
-            await worker.run([(HOST, port)])
-        elapsed = loop.time() - start
-        assert mute, "the listener must have accepted the connection"
-        assert elapsed >= cfg.peer_timeout_s
-        # + 0.25 s: loaded CI boxes stretch every sleep and the teardown
-        limit = cfg.peer_timeout_s + cfg.heartbeat_interval_s + 0.25
-        assert elapsed < limit, f"took {elapsed:.2f}s"
-        pending = [t.get_name() for t in asyncio.all_tasks()
-                   if t is not asyncio.current_task() and not t.done()]
-        assert pending == []
-    finally:
-        for _reader, writer in mute:
-            writer.close()
-        server.close()
-        await server.wait_closed()
+    async def reset_drain(_writer):
+        raise ConnectionResetError("peer went away")
+
+    # (peer_timeout_s, whether the worker's writes fail, expected error)
+    cases = [(0.3, False, "no bytes from server0 .* peer dead"),
+             (5.0, True, "transport to server0 failed")]
+    for peer_timeout_s, write_fails, expected in cases:
+        cfg = LiveClusterConfig(
+            n_workers=1, n_servers=1, iterations=2, batch_size=4,
+            in_size=4, hidden=4, depth=1, n_train=8, n_val=4,
+            fwd_layer_s=0.0, bwd_layer_s=0.0, heartbeat_interval_s=0.05,
+            peer_timeout_s=peer_timeout_s)
+        mute = []  # accepted, held open, never read from or written to
+        server = await asyncio.start_server(
+            lambda r, w: mute.append((r, w)), HOST, 0)
+        port = server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        try:
+            with monkeypatch.context() as patch:
+                if write_fails:
+                    patch.setattr(asyncio.StreamWriter, "drain", reset_drain)
+                worker = AioWorker(0, cfg, cfg.key_plan(), loop.time())
+                start = loop.time()
+                with pytest.raises(LiveWorkerError, match=expected):
+                    await worker.run([(HOST, port)])
+                elapsed = loop.time() - start
+            assert mute, "the listener must have accepted the connection"
+            # + 0.25 s: loaded CI boxes stretch every sleep and the teardown
+            limit = cfg.heartbeat_interval_s + 0.25
+            if not write_fails:
+                assert elapsed >= cfg.peer_timeout_s
+                limit += cfg.peer_timeout_s
+            assert elapsed < limit, f"took {elapsed:.2f}s"
+            pending = [t.get_name() for t in asyncio.all_tasks()
+                       if t is not asyncio.current_task() and not t.done()]
+            assert pending == []
+        finally:
+            for _reader, writer in mute:
+                writer.close()
+            server.close()
+            await server.wait_closed()

@@ -130,8 +130,7 @@ def test_outbox_gives_up_after_max_retries():
 outbox_ops = st.lists(
     st.one_of(
         st.tuples(st.just("record"), st.integers(min_value=1, max_value=3)),
-        st.tuples(st.just("ack"), st.integers(min_value=-2, max_value=12)),
-        st.tuples(st.just("renumber"))),
+        st.tuples(st.just("ack"), st.integers(min_value=-2, max_value=12))),
     min_size=1, max_size=50)
 
 
@@ -140,8 +139,7 @@ outbox_ops = st.lists(
 def test_outbox_ack_matches_the_filter_definition(ops):
     """``ack(upto)`` drops exactly ``{seq : seq <= upto}`` — checked
     against that filter over a plain dict, with gaps in the seq space,
-    acks below, inside, above and repeated, before and after
-    ``renumber`` rebases the backlog onto ``0..n-1``."""
+    acks below, inside, above and repeated."""
     policy = RetryPolicy(ack_timeout_s=0.1, jitter=0.0, max_retries=10 ** 6)
     outbox, model = ReliableOutbox(policy), {}
     next_seq, now, acks = 0, 0.0, 0
@@ -152,7 +150,7 @@ def test_outbox_ack_matches_the_filter_definition(ops):
             outbox.record(next_seq, frame, now)
             model[next_seq] = frame
             next_seq += 1
-        elif op[0] == "ack":
+        else:
             # Relative to the oldest pending seq, so acks land around it.
             upto = min(model, default=0) + op[1]
             acked = [s for s in model if s <= upto]
@@ -160,12 +158,6 @@ def test_outbox_ack_matches_the_filter_definition(ops):
                 del model[s]
             acks += bool(acked)
             assert outbox.ack(upto) == len(acked)
-        else:
-            n = outbox.renumber(lambda frame, seq: frame + b"@%d" % seq, now)
-            model = {i: frame + b"@%d" % i
-                     for i, (_, frame) in enumerate(sorted(model.items()))}
-            assert n == len(model)
-            next_seq = n
         assert len(outbox) == len(model)
         assert outbox.acks_received == acks
         outbox.next_deadline(now)  # an ack disarms the timer: re-arm it,

@@ -165,8 +165,7 @@ def sender_scenarios(draw):
         st.tuples(st.just("send_ack"), st.integers(-1, 50)),
         st.tuples(st.just("handle_ack"), st.integers(-1, 30)),
         st.tuples(st.just("burst"),
-                  st.one_of(st.just(0), st.integers(0, 256 * 1024)),
-                  st.booleans()),  # written, or the connection died
+                  st.one_of(st.just(0), st.integers(0, 256 * 1024))),
         st.tuples(st.just("tick"), st.floats(0.0, 0.5)))
     ops = draw(st.lists(op, min_size=1, max_size=40))
     return chunk_bytes, draw(st.booleans()), ops
@@ -203,11 +202,9 @@ def test_run_encoder_matches_one_frame_per_chunk(scenario):
         elif op[0] == "burst":
             got, want = (core.next_burst(op[1]) for core in cores)
             assert got == want
-            for core in cores:
-                if got is not None and op[2]:
+            if got is not None:
+                for core in cores:
                     core.wrote(clock.t, clock.t + 0.25)
-                elif got is not None:
-                    core.unwritten()
         else:
             clock.t += op[1]
         new, ref = cores

@@ -79,59 +79,6 @@ def test_bucket_validates_args():
         TokenBucket(0.0)
     with pytest.raises(ValueError):
         TokenBucket(100.0).reserve(-1)
-    with pytest.raises(ValueError):
-        TokenBucket(100.0).refund(-1)
-
-
-def test_bucket_refund_restores_reserved_tokens():
-    """Regression: a failed write must give its bytes back.  Before
-    ``refund`` existed, a broken connection left the reservation debited
-    — harmless for a private bucket (it dies with the sender) but a
-    permanent ghost-byte debt on a *shared* bucket, silently shrinking
-    every other sender's rate after each retransmission."""
-    clock = FakeClock()
-    bucket = TokenBucket(1000.0, burst_bytes=500, clock=clock)
-    assert bucket.reserve(400) == 0.0
-    bucket.refund(400)                        # the write never happened
-    assert bucket.reserve(500) == 0.0         # full burst is back
-    # Retrying the same frame after a refund costs the same as the
-    # first attempt — no drift across fail/refund/retry cycles.
-    for _ in range(50):
-        wait = bucket.reserve(500)
-        bucket.refund(500)
-    assert bucket.reserve(500) == pytest.approx(wait)
-
-
-def test_bucket_refund_caps_at_burst():
-    """Refunding more than was reserved (or refunding after a refill)
-    must not mint tokens beyond the burst."""
-    clock = FakeClock()
-    bucket = TokenBucket(1000.0, burst_bytes=100, clock=clock)
-    bucket.refund(10_000)
-    assert bucket.reserve(100) == 0.0
-    assert bucket.reserve(100) == pytest.approx(0.1)
-
-
-def test_shared_bucket_conserves_tokens_across_senders():
-    """Two senders on one bucket: interleaved reserve/refund cycles by a
-    flaky sender leave the healthy sender's long-run rate intact."""
-    clock = FakeClock()
-    bucket = TokenBucket(1000.0, burst_bytes=100, clock=clock)
-    healthy = 0
-    for step in range(1, 201):
-        clock.t = step * 0.1                  # +100 tokens per step
-        # Flaky sender reserves and always fails, refunding in full.
-        bucket.reserve(60)
-        bucket.refund(60)
-        # Healthy sender takes whatever is immediately available
-        # (float accrual can leave ~1e-17 s of residual wait).
-        if bucket.reserve(100) < 1e-9:
-            healthy += 100
-        else:
-            bucket.refund(100)
-    # 20 simulated seconds at 1000 B/s: the healthy sender alone should
-    # see the full rate (the flaky one never put bytes on the wire).
-    assert healthy == pytest.approx(20_000, rel=0.05)
 
 
 # ----------------------------------------------------------------------
@@ -298,31 +245,20 @@ class PopRepushScheduler:
         self.last = msg
         return msg["key"], offset, len(chunk), done, preempted
 
-    def purge(self, kinds):
-        kept = [e for e in self.heap if self.msgs[e[1]]["kind"] not in kinds]
-        removed = len(self.heap) - len(kept)
-        heapq.heapify(kept)
-        self.heap = kept
-        if self.last is not None and self.last["kind"] in kinds:
-            self.last = None
-        return removed
-
-
 scheduler_ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
                   st.sampled_from([WireKind.PUSH, WireKind.CHUNK_ACK]),
                   st.integers(min_value=-2, max_value=4),   # priority
                   st.integers(min_value=0, max_value=40)),  # payload size
-        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=6)),
-        st.tuples(st.just("purge"))),
+        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=6))),
     min_size=1, max_size=60)
 
 
 @given(ops=scheduler_ops, chunk_bytes=st.sampled_from([1, 5, 16]))
 @settings(max_examples=300, deadline=None)
 def test_scheduler_matches_the_pop_and_repush_rule(ops, chunk_bytes):
-    """Any interleaving of pushes, pops and purges yields the chunk
+    """Any interleaving of pushes and pops yields the chunk
     sequence pop-and-re-push yields — key, offset, length, ``done`` and
     the preempted key — then drains to the same end."""
     sched, model = ChunkScheduler(chunk_bytes), PopRepushScheduler(chunk_bytes)
@@ -345,12 +281,9 @@ def test_scheduler_matches_the_pop_and_repush_rule(ops, chunk_bytes):
             sched.push(kind, key, 0, priority, payload)
             model.push(kind, key, priority, payload)
             key += 1
-        elif op[0] == "pop":
+        else:
             for _ in range(op[1]):
                 pop_both()
-        else:
-            assert sched.purge((WireKind.CHUNK_ACK,)) == \
-                model.purge((WireKind.CHUNK_ACK,))
         assert len(sched) == len(model.heap)
     while pop_both():
         pass
@@ -423,13 +356,6 @@ class SenderReference:
         self.unacked = [f for f in self.unacked if f[0] > upto]
         return len(self.unacked) < before
 
-    def rebind(self):
-        self.queue = [m for m in self.queue
-                      if m["kind"] is not WireKind.CHUNK_ACK]
-        self.unacked = [(seq,) + f[1:]
-                        for seq, f in enumerate(self.unacked)]
-        self.next_seq = len(self.unacked)
-
     def next_burst(self, limit):
         """The frames of one burst: ``(seq, kind, key, offset, chunk)``."""
         burst, gathered = [], 0
@@ -467,8 +393,7 @@ sender_ops = st.lists(
         st.tuples(st.just("handle_ack"), st.integers(min_value=-2,
                                                      max_value=6)),
         st.tuples(st.just("burst"), st.sampled_from((0, 100, 400))),
-        st.tuples(st.just("expire")),
-        st.tuples(st.just("rebind"))),
+        st.tuples(st.just("expire"))),
     min_size=1, max_size=60)
 
 
@@ -477,8 +402,8 @@ sender_ops = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_sender_core_matches_the_go_back_n_priority_reference(
         ops, chunk_bytes, reliable):
-    """Sends, acks (both directions), timer expiries, ``rebind`` and
-    bursts of every limit, in any order: the frames the core hands its
+    """Sends, acks (both directions), timer expiries and bursts of
+    every limit, in any order: the frames the core hands its
     host — order, seqs, offsets, bytes — the retransmission backlog, the
     single queued ack and ``busy`` all match the reference; every frame
     written gets exactly one record."""
@@ -510,17 +435,14 @@ def test_sender_core_matches_the_go_back_n_priority_reference(
             assert as_tuples(frames_of(data)) == want
             assert core.busy, "a burst not yet wrote() is still in flight"
             core.wrote(clock.t, clock.t + 1.0)
-        elif op[0] == "expire":
+        else:
             # Arm the timer, outlast any backoff: Go-Back-N resends the
-            # whole backlog, in seq order, renumbered if a rebind was.
+            # whole backlog, in seq order.
             assert (core.timeout(clock.t) is None) == (not ref.unacked)
             clock.t += 1_000.0
             resent = [f for data in core.due(clock.t)
                       for f in frames_of(data)]
             assert as_tuples(resent) == ref.unacked
-        else:
-            core.rebind()
-            ref.rebind()
         assert len(core.sched) == len(ref.queue)
         assert core.stats()["unacked_frames"] == len(ref.unacked)
         assert core.busy == bool(ref.queue or ref.unacked)
@@ -798,26 +720,3 @@ def test_scheduler_is_starvation_free_within_a_priority_class(
         assert got == expected, (
             f"priority {priority}: completion order {got} != enqueue "
             f"order {expected} — intra-class FIFO (bounded bypass) broken")
-
-
-@given(specs=adversarial_specs, chunk_bytes=st.sampled_from([1, 16, 128]))
-@settings(max_examples=100, deadline=None)
-def test_scheduler_purge_removes_only_the_named_kinds(specs, chunk_bytes):
-    """Reconnect surgery: purging CHUNK_ACKs drops every queued ack and
-    nothing else, and the survivors still drain in (priority, FIFO)
-    order with all their bytes."""
-    sched = ChunkScheduler(chunk_bytes=chunk_bytes)
-    expected_survivors = {}
-    for key, (priority, size) in enumerate(specs):
-        kind = WireKind.CHUNK_ACK if key % 3 == 0 else WireKind.PUSH
-        sched.push(kind, key, 0, priority, b"p" * size)
-        if kind is not WireKind.CHUNK_ACK:
-            expected_survivors[key] = size
-    purged = sched.purge((WireKind.CHUNK_ACK,))
-    assert purged == len(specs) - len(expected_survivors)
-    drained = {}
-    while len(sched):
-        item, chunk, _, done, _ = sched.pop_chunk()
-        assert item.kind is not WireKind.CHUNK_ACK
-        drained[item.key] = drained.get(item.key, 0) + len(chunk)
-    assert drained == expected_survivors

@@ -20,7 +20,6 @@ from repro.live.wire import (
     WireKind,
     encode_array,
     encode_frame,
-    reseq_frame,
     split_message,
 )
 
@@ -155,92 +154,10 @@ def test_crc_covers_payload():
         list(decoder.frames())
 
 
-# ----------------------------------------------------------------------
-# Connection reuse
-# ----------------------------------------------------------------------
 def _corrupted_frame(payload: bytes = b"c" * 64) -> bytes:
     data = bytearray(encode_frame(WireKind.PUSH, 0, 1, 0, 0, payload))
     data[HEADER_SIZE] ^= 0x01  # payload bit flip: CRC fails, framing sane
     return bytes(data)
-
-
-def test_reset_clears_crc_failures_between_connections():
-    """Regression: a lenient decoder reused on a new connection used to
-    carry the previous connection's ``crc_failures`` skip count (there
-    was no way to zero it), so per-connection chaos stats compounded."""
-    decoder = FrameDecoder(strict=False)
-    decoder.feed(_corrupted_frame())
-    assert list(decoder.frames()) == []
-    assert decoder.crc_failures == 1
-
-    decoder.reset()
-    assert decoder.crc_failures == 0  # the new connection starts clean
-    good = encode_frame(WireKind.PUSH, 0, 2, 0, 0, b"ok")
-    decoder.feed(good)
-    assert len(list(decoder.frames())) == 1
-    assert decoder.crc_failures == 0
-
-
-def test_reset_discards_partial_frame():
-    """A partial frame from a dead connection must not desync the next
-    connection's byte stream."""
-    stale = encode_frame(WireKind.PUSH, 0, 1, 0, 0, b"x" * 100)
-    decoder = FrameDecoder()
-    decoder.feed(stale[:-10])  # connection dies mid-frame
-    assert list(decoder.frames()) == []
-    decoder.reset()
-    assert decoder.pending_bytes == 0
-    decoder.feed(encode_frame(WireKind.PUSH, 0, 2, 0, 0, b"fresh"))
-    (frame,) = list(decoder.frames())
-    assert frame.key == 2 and frame.payload == b"fresh"
-
-
-@settings(max_examples=30, deadline=None)
-@given(n_bad=st.integers(min_value=0, max_value=5),
-       cut=st.integers(min_value=0, max_value=200))
-def test_reset_equivalent_to_fresh_decoder(n_bad, cut):
-    """After ``reset()`` a reused decoder behaves exactly like a new one,
-    regardless of how much corruption or truncation it saw before."""
-    used = FrameDecoder(strict=False)
-    for _ in range(n_bad):
-        used.feed(_corrupted_frame())
-        list(used.frames())
-    leftover = encode_frame(WireKind.PUSH, 0, 9, 0, 0, b"t" * 150)
-    used.feed(leftover[:min(cut, len(leftover) - 1)])
-    list(used.frames())
-    used.reset()
-
-    fresh = FrameDecoder(strict=False)
-    stream = (_corrupted_frame(b"d" * 32)
-              + encode_frame(WireKind.PULL_REQ, 1, 3, 2, 1, b"q"))
-    for decoder in (used, fresh):
-        decoder.feed(stream)
-        frames = list(decoder.frames())
-        assert [f.key for f in frames] == [3]
-        assert decoder.crc_failures == 1
-
-
-def test_receiver_reset_restarts_pipeline():
-    """ReliableReceiver.reset() rebinds decoder, inbox and reassembler
-    so sequence tracking restarts with the new connection's stream."""
-    from repro.live.transport import ReliableReceiver
-    receiver = ReliableReceiver()
-    first = (encode_frame(WireKind.PUSH, 0, 1, 0, 0, b"a", seq=0)
-             + encode_frame(WireKind.PUSH, 0, 2, 0, 0, b"b", seq=1))
-    assert [m.key for m in receiver.feed(first)] == [1, 2]
-    assert list(receiver.feed(_corrupted_frame())) == []
-    assert receiver.crc_failures == 1
-
-    receiver.reset()
-    assert receiver.stats() == {"crc_failures": 0, "duplicate_frames": 0,
-                                "gap_frames": 0}
-    # The new peer's stream restarts its seq numbering from zero; without
-    # the inbox reset these frames would be dropped as duplicates.
-    again = (encode_frame(WireKind.PUSH, 0, 4, 1, 0, b"c", seq=0)
-             + encode_frame(WireKind.PUSH, 0, 5, 1, 0, b"d", seq=1))
-    msgs = list(receiver.feed(again))
-    assert [m.key for m in msgs] == [4, 5]
-    assert receiver.stats()["duplicate_frames"] == 0
 
 
 def test_overlapping_chunks_rejected():
@@ -272,10 +189,6 @@ def test_wire_v2_bytes_are_pinned():
     assert ack == bytes.fromhex(
         "3350" "02" "07" "0000" "0100" "ffffffff" "00000000" "000000c0"
         "00000000" "00000000" "00000000" "29000000" "ab4f40ed")
-    assert reseq_frame(data, 77) == bytes.fromhex(
-        "3350" "02" "03" "0000" "feff" "07000000" "03000000" "fbffffff"
-        "04000000" "20000000" "0a000000" "4d000000" "4c60bc7d"
-    ) + b"P3 wire v2"
 
 
 # ----------------------------------------------------------------------
@@ -343,24 +256,6 @@ def test_one_byte_feeds_yield_every_frame():
         got.extend(decoder.frames())
     assert [(f.kind, f.key, f.iteration, f.payload, f.seq)
             for f in got] == good
-    assert decoder.pending_bytes == 0
-
-
-def test_reset_mid_frame_forgets_the_cursor():
-    """Frames already handed out sit *before* the read cursor until the
-    next feed compacts them; ``reset()`` must drop cursor and bytes
-    together or the next connection's stream is read from the middle."""
-    first = encode_frame(WireKind.PUSH, 0, 1, 0, 0, b"a" * 50)
-    second = encode_frame(WireKind.PUSH, 0, 2, 0, 0, b"b" * 50)
-    decoder = FrameDecoder()
-    decoder.feed(first + second[:60])
-    assert [f.key for f in decoder.frames()] == [1]
-    assert decoder.pending_bytes == 60  # cursor past frame 1, mid frame 2
-    decoder.reset()
-    assert decoder.pending_bytes == 0
-    decoder.feed(encode_frame(WireKind.PULL_REQ, 0, 3, 0, 0, b"fresh"))
-    (frame,) = decoder.frames()
-    assert (frame.key, frame.payload) == (3, b"fresh")
     assert decoder.pending_bytes == 0
 
 

@@ -112,16 +112,16 @@ def test_idle_tenant_donates_share(w_active: int, w_idle: int) -> None:
 
 @SETTINGS
 @given(ops=st.lists(
-    st.tuples(st.sampled_from(("reserve", "refund", "tick")),
+    st.tuples(st.sampled_from(("reserve", "tick")),
               st.integers(min_value=0, max_value=2),
               st.integers(min_value=0, max_value=500)),
     max_size=60))
 def test_tokens_never_exceed_burst_cap(ops) -> None:
-    """Arbitrary reserve/refund/advance interleavings never *lift* a
+    """Arbitrary reserve/advance interleavings never *lift* a
     tenant above its burst share: after any op, tokens <= max(before,
     cap).  (A tenant registered early may start above its final cap —
     add_tenant splits the burst among the members known so far — but no
-    accrual or refund ever adds to a surplus.)"""
+    accrual ever adds to a surplus.)"""
     clk = FakeClock()
     shaper = FairShaper(1000.0, 300, clock=clk)
     names = ["a", "b", "c"]
@@ -132,8 +132,6 @@ def test_tokens_never_exceed_burst_cap(ops) -> None:
         before = {n: shaper.tokens(n) for n in names}
         if kind == "reserve":
             assert shares[name].reserve(amount) >= 0.0
-        elif kind == "refund":
-            shares[name].refund(amount)
         else:
             clk.t += amount / 1000.0
             shaper.reserve(name, 0)  # force an _advance at the new time
