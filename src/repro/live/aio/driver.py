@@ -200,7 +200,7 @@ async def _run_cluster(cfg: LiveClusterConfig,
 
     final = agreed_params({w: r["params"] for w, r in results.items()},
                           range(cfg.n_workers))
-    return LiveRunResult(
+    result = LiveRunResult(
         strategy=cfg.strategy,
         config=cfg,
         final_params=final,
@@ -213,3 +213,9 @@ async def _run_cluster(cfg: LiveClusterConfig,
                          for w, r in results.items()},
         events=events,
     )
+    # Every task of every node has ended: cut the nodes' cycles so the
+    # run's graph (senders, records, connections) is freed by reference
+    # counting, not by a full collection that may come much later.
+    for node in nodes:
+        node.release()
+    return result

@@ -150,6 +150,19 @@ class PeerConnection:
             tasks.append(self.sender.wait_closed())
         await asyncio.gather(*tasks, return_exceptions=True)
 
+    def release(self) -> None:
+        """After :meth:`wait_closed`: drop what ties this connection, its
+        node and its sender into reference cycles — the node's
+        callbacks, the receiver's sender lookup, the ended tasks and the
+        closed stream, whose protocol holds a listener's accept callback.
+        Counters stay readable."""
+        self.on_message = self.on_eof = None
+        self.receiver.sender_for = None
+        self._read_task = None
+        self.reader = self.writer = None
+        if self.sender is not None:
+            self.sender.release()
+
 
 class Node:
     """One logical cluster member on the event loop.
@@ -432,3 +445,14 @@ class Node:
         await asyncio.gather(*self._tasks,
                              *(conn.wait_closed() for conn in self.conns),
                              return_exceptions=True)
+
+    def release(self) -> None:
+        """After :meth:`shutdown` or :meth:`wait_closed`: cut this node's
+        reference cycles — its connections' (:meth:`PeerConnection.
+        release`), its ended tasks and the listener, whose protocol
+        factory holds the accept callback — so a finished run is freed
+        by reference counting.  Counters and records stay readable."""
+        for conn in self.conns:
+            conn.release()
+        self._tasks.clear()
+        self._listener = None

@@ -191,6 +191,13 @@ class AsyncPrioritySender:
         """After :meth:`close` / :meth:`abort`: until the drain task ended."""
         await asyncio.gather(self._task, return_exceptions=True)
 
+    def release(self) -> None:
+        """After :meth:`wait_closed`: drop the ended drain task, whose
+        ``CancelledError`` traceback holds this sender's frame, and the
+        closed stream."""
+        self._task = None
+        self.writer = None
+
     def stats(self) -> Dict[str, int]:
         """Reliability counters (zeros when no :class:`RetryPolicy`),
         plus the chaos channel's when the link is sabotaged."""

@@ -461,7 +461,7 @@ class ReliableReceiver:
         self.decoder = FrameDecoder(strict=strict)
         self.inbox = ReliableInbox()
         self.reassembler = Reassembler()
-        self._sender_for = sender_for
+        self.sender_for = sender_for
 
     @property
     def crc_failures(self) -> int:
@@ -474,7 +474,7 @@ class ReliableReceiver:
 
     def feed(self, data: bytes) -> Iterator[WireMessage]:
         self.decoder.feed(data)
-        sender_for, inbox = self._sender_for, self.inbox
+        sender_for, inbox = self.sender_for, self.inbox
         accept, add = inbox.accept, self.reassembler.add
         chunk_ack = WireKind.CHUNK_ACK
         ack_sender: Optional["PrioritySender"] = None

@@ -45,6 +45,10 @@ class BackgroundTraffic:
         self.period = burst_bytes / (rate * load) if load > 0 else float("inf")
         self.bursts_injected = 0
 
+    def release(self) -> None:
+        """Drop ``ctx`` once the run is over (:meth:`ClusterSim.release`)."""
+        self.ctx = None
+
     def start(self) -> None:
         if self.load <= 0:
             return

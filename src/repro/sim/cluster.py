@@ -467,6 +467,7 @@ class ClusterSim:
         self._done_count = 0
         self._run_iterations = 0
         self._run_warmup = 0
+        self._released = False
         self.background: Optional[BackgroundTraffic] = None
         if config.background_load > 0:
             self.background = BackgroundTraffic(
@@ -537,6 +538,31 @@ class ClusterSim:
                     server.on_message(msg)
         return deliver
 
+    def release(self) -> None:
+        """Cut the reference cycles of a finished run, so reference
+        counting frees the cluster as soon as its owner lets go.
+
+        Channels, transport, workers, shards and aggregators point back
+        at each other and at this cluster through installed closures,
+        routing tables, cached bound methods and ``ctx``; each part drops
+        those edges.  Counters, records and queues stay readable
+        (``iterations``, channel and shard counters, what
+        :meth:`InvariantMonitor.assert_all_final` reads).  Call it only
+        once no event of this cluster can fire; a released cluster
+        refuses to run again.  Idempotent.
+        """
+        if self._released:
+            return
+        self._released = True
+        for ch in self.tx_channels + self.rx_channels:
+            ch.release()
+        self.transport.release()
+        for node in (*self.workers, *self.servers, *self.aggregators):
+            node.release()
+        for part in (self.background, self.fault_injector):
+            if part is not None:
+                part.release()
+
     def on_worker_done(self, worker_id: int) -> None:
         self._done_count += 1
 
@@ -564,6 +590,11 @@ class ClusterSim:
         finish.  ``run`` is exactly ``start_run`` + ``sim.run`` +
         ``collect``.
         """
+        if self._released:
+            raise SimulationError(
+                f"this ClusterSim (model={self.model.name}, "
+                f"strategy={self.strategy.name}) finished its run and was "
+                "released; build a new one to run again")
         if iterations <= warmup:
             raise ValueError("iterations must exceed warmup")
         self._run_iterations = iterations
@@ -577,7 +608,10 @@ class ClusterSim:
 
     def collect(self) -> RunResult:
         """Assemble the :class:`RunResult` after the engine has drained
-        (or after :attr:`all_workers_done` on a shared engine)."""
+        (or after :attr:`all_workers_done` on a shared engine).  A
+        drained engine can fire nothing more of this cluster's, so the
+        cluster then releases itself (:meth:`release`); on a shared
+        engine its owner releases it once that engine drains."""
         warmup = self._run_warmup
         if self._done_count < self.n_workers:
             stuck = [w.wid for w in self.workers if not w.done]
@@ -599,6 +633,8 @@ class ClusterSim:
         recs = self.iterations.worker_iterations(0)
         steady_start = recs[warmup].forward_start
         steady_end = recs[-1].end
+        if not self.sim.pending:
+            self.release()
         return RunResult(
             model_name=self.model.name,
             strategy_name=self.strategy.name,

@@ -23,7 +23,9 @@ Hot-path design (this loop dominates every sweep's wall time, see
 * :meth:`Simulator.run` is one loop: it pops each entry exactly once
   and runs with the cyclic garbage collector paused — per-event garbage
   is acyclic and freed by refcounting, so collection passes only add
-  jitter;
+  jitter.  So is a finished run: once its engine drains, a cluster cuts
+  the cycles its wiring made (``ClusterSim.release``), and reference
+  counting frees it as soon as its owner lets go;
 * ``pending`` is derived — heap length minus the cancelled entries the
   loop has not reached yet — so neither a push nor a pop maintains a
   counter for it, and it is exact whenever a callback reads it.

@@ -381,6 +381,11 @@ class FaultInjector:
         else:
             raise TypeError(f"unknown fault spec {spec!r}")
 
+    def release(self) -> None:
+        """Drop ``ctx`` once the run is over (:meth:`ClusterSim.release`);
+        the activation counters stay readable."""
+        self.ctx = None
+
     def start(self) -> None:
         for index, spec in enumerate(self.plan.faults):
             self._schedule_occurrence(

@@ -317,7 +317,25 @@ class Channel:
 
     def enqueue(self, msg: Message) -> None:
         """Queue ``msg``; an idle channel starts it at once."""
-        raise NotImplementedError  # a closure per instance, see _bind_path
+        # Each instance installs a closure (see _bind_path); this one
+        # answers only once :meth:`release` has dropped it.
+        raise SimulationError(
+            f"channel {self.machine}/{self.direction} was released")
+
+    def release(self) -> None:
+        """Drop the transmit closures and the completion callback.
+
+        The closures capture the channel and themselves (``finish`` and
+        ``deliver`` reschedule themselves), and ``on_complete`` leads to
+        the machine's endpoints, so a finished run's channels sit in
+        reference cycles that only the cyclic collector would free.
+        Called once no event of the run can fire
+        (:meth:`ClusterSim.release`), once; counters, ``busy``,
+        ``rate`` and the queue stay readable, and enqueueing raises.
+        """
+        self._cut()
+        del self.enqueue, self._set_rate, self._cut
+        self.on_complete = None
 
     def set_rate(self, rate_bytes_per_s: Optional[float]) -> None:
         """Change the link rate, re-timing whatever is in flight.
@@ -405,7 +423,9 @@ class Channel:
 
         ``finish`` is the one place a message starts: the completion
         event starts the successor in the same frame, and an enqueue on
-        an idle channel calls it with nothing to complete.
+        an idle channel calls it with nothing to complete.  It reaches
+        itself through its closure cell, which ``cut`` empties
+        (:meth:`release`); the cell costs nothing per message.
         """
         sim = self.sim
         heap = sim._heap
@@ -465,8 +485,13 @@ class Channel:
                 self._retime(finish, new_rate)
             self.rate = rate = new_rate
 
+        def cut() -> None:
+            nonlocal finish
+            finish = None
+
         self.enqueue = enqueue  # type: ignore[method-assign]
-        self._set_rate = set_rate
+        self._set_rate = set_rate  # type: ignore[method-assign]
+        self._cut = cut  # type: ignore[method-assign]
 
     def fuse_hop(self, latency_s: float) -> Callable[[Message], None]:
         """Make this the receive side of a link and skip the link-latency
@@ -516,11 +541,13 @@ class Channel:
         machine's endpoint.  Requires an unobserved FIFO channel (a
         committed message is never pushed on or popped off the queue, so
         those hooks could not fire); the transport fuses every RX it
-        registers.
+        registers.  Like ``finish``, ``deliver`` reaches itself through
+        its closure cell, which ``cut`` empties.
         """
         if self.observer is not None or not isinstance(self.queue, FifoQueue):
             raise SimulationError(
                 "only an unobserved FIFO channel can be fused")
+        self._cut()  # retire the plain path this one replaces
         sim = self.sim
         heap = sim._heap
         seq_next = sim._seq.__next__
@@ -639,8 +666,13 @@ class Channel:
                     else cpu + (msg.payload_bytes + overhead) / rate)
                 wait((free_at, msg, start, arrival, hop_seq))
 
+        def cut() -> None:
+            nonlocal deliver
+            deliver = None
+
         self.enqueue = enqueue  # type: ignore[method-assign]
-        self._set_rate = set_rate
+        self._set_rate = set_rate  # type: ignore[method-assign]
+        self._cut = cut  # type: ignore[method-assign]
         return arrive
 
 
@@ -704,6 +736,17 @@ class Transport:
 
             fabric.on_complete = fabric_done
         self._tx_done = tx_done
+
+    def release(self) -> None:
+        """Drop the routing tables and ``tx_done`` (and release the
+        fabric, whose completion the transport owns): they lead from
+        every channel to every other and to the machines' endpoints.
+        Sending after this raises."""
+        for table in (self._tx, self._rx, self._deliver, self._arrive):
+            table.clear()
+        self._tx_done = None
+        if self.fabric is not None:
+            self.fabric.release()
 
     def register(
         self,

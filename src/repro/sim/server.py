@@ -135,6 +135,14 @@ class SimServerShard:
         # wedged consumer thread, not a killed one.
         self._pause_count = 0
 
+    def release(self) -> None:
+        """Drop the edges back into the cluster's cycle — ``ctx`` and the
+        cached bound ``_job_done`` — once the run is over
+        (:meth:`ClusterSim.release`).  Keys, counters and the work queue
+        stay readable."""
+        self.ctx = None
+        self._job_done_cb = None
+
     # ------------------------------------------------------------------
     # Fault hooks
     # ------------------------------------------------------------------

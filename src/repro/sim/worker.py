@@ -115,6 +115,14 @@ class SimWorker:
             self._obs_emit = self._obs.recorder.sink()
             self._obs_node = f"worker{worker_id}"
 
+    def release(self) -> None:
+        """Drop the edges back into the cluster's cycle — ``ctx`` and the
+        cached bound methods, which hold the worker itself — once the
+        run is over (:meth:`ClusterSim.release`).  Counters and
+        iteration state stay readable."""
+        self.ctx = None
+        self._fwd_cb = self._bwd_cb = None
+
     # ------------------------------------------------------------------
     # Iteration lifecycle
     # ------------------------------------------------------------------

@@ -92,6 +92,9 @@ class MultiJobSim:
         self.weights = tenant_weights(self.jobs)
         self._running: Dict[str, _Running] = {}
         self._results: Dict[str, JobResult] = {}
+        # Collected jobs, released once the shared engine drains: a job
+        # is collected while its last pushes may still be in flight.
+        self._finished: List[ClusterSim] = []
         self.monitor = None
         if monitor:
             from ..sim.invariants import MultiJobInvariantMonitor
@@ -108,6 +111,12 @@ class MultiJobSim:
             self.sim.schedule_at(t, self._admit_ready)
         self._admit_ready()
         self.sim.run(max_events=max_events)
+        if not self.sim.pending:
+            for cluster in self._finished:
+                # The completion hook _launch installed holds the job.
+                del cluster.on_worker_done
+                cluster.release()
+            self._finished.clear()
         if not self.scheduler.done:
             stuck = [j.name for j in self.jobs if j.name not in self._results]
             raise SimulationError(
@@ -174,6 +183,7 @@ class MultiJobSim:
         self._results[job.name] = JobResult(
             job=job, admitted_s=rj.admitted_s, completed_s=now,
             slots=rj.slots, result=rj.cluster.collect())
+        self._finished.append(rj.cluster)
         # A completion both frees capacity (new admissions) and changes
         # the contender set (reshare for the survivors).
         self._admit_ready()
