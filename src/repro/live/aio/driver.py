@@ -27,10 +27,9 @@ from typing import Awaitable, List, Optional, TypeVar
 
 import numpy as np
 
-from ...obs.events import normalize_timestamps
 from ..config import LiveClusterConfig
 from ..result import (LiveRunError, LiveRunResult, _fault_events,
-                      agreed_params)
+                      agreed_params, merge_event_rows)
 from .aggregator import AioAggregator
 from .node import Node
 from .server import AioServerShard
@@ -179,24 +178,19 @@ async def _run_cluster(cfg: LiveClusterConfig,
                              return_exceptions=True)
         raise
 
-    events: List[dict] = []
+    streams: List[List[tuple]] = []
     if cfg.observe:
+        streams += [r["event_rows"] for r in results.values()]
+        streams.append(_fault_events(cfg, epoch0, run_end - epoch0))
+        streams += [srv.recorder.log().rows for srv in servers
+                    if srv.recorder is not None]
+    events, t0 = merge_event_rows(streams)
+    if t0 is not None:
+        # Rebase the chunk timelines onto the events' zero so a merged
+        # trace export lines them up.
         for r in results.values():
-            events.extend(r.get("events", []))
-        events.extend(_fault_events(cfg, epoch0, run_end - epoch0))
-        for srv in servers:
-            if srv.recorder is not None:
-                events.extend(srv.recorder.to_dicts())
-        if events:
-            # Rebase events AND chunk timelines onto the same zero so a
-            # merged trace export lines them up.
-            t0 = min(float(e["ts"]) for e in events)
-            events = normalize_timestamps(events)
-            events.sort(key=lambda e: (e["ts"], e["node"], e["kind"]))
-            for r in results.values():
-                r["timeline"] = [
-                    c._replace(start=c.start - t0, end=c.end - t0)
-                    for c in r["timeline"]]
+            r["timeline"] = [c._replace(start=c.start - t0, end=c.end - t0)
+                             for c in r["timeline"]]
 
     final = agreed_params({w: r["params"] for w, r in results.items()},
                           range(cfg.n_workers))

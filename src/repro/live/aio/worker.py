@@ -207,6 +207,6 @@ class AioWorker(Node):
             "timeline": self.timeline(),
             "heartbeat_acks": self.heartbeat_acks,
             "transport": self.transport_stats(),
-            "events": (self.recorder.to_dicts()
-                       if self.recorder is not None else []),
+            "event_rows": (self.recorder.log().rows
+                           if self.recorder is not None else []),
         }

@@ -11,11 +11,12 @@ name these types without loading the event-loop stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.events import EventKind, EventRecorder
+from ..obs.events import EventKind, EventLog, EventRecorder
 from ..sim.faults import fault_node, fault_tag, occurrences
 from ..sim.trace import UtilizationTrace
 from .config import LiveClusterConfig
@@ -76,8 +77,9 @@ class LiveRunResult:
     transport_stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
     #: Merged repro.obs event stream from every node (populated only
     #: when ``config.observe`` is set), timestamps rebased to t=0 and
-    #: sorted; validates against :data:`repro.obs.EVENT_SCHEMA`.
-    events: List[dict] = field(default_factory=list)
+    #: sorted (:func:`merge_event_rows`); validates against
+    #: :data:`repro.obs.EVENT_SCHEMA`.
+    events: EventLog = field(default_factory=lambda: EventLog("live", []))
 
     @property
     def mean_iteration_time(self) -> float:
@@ -104,14 +106,15 @@ class LiveRunResult:
 
 
 def _fault_events(cfg: LiveClusterConfig, epoch: float,
-                  horizon_s: float) -> List[dict]:
+                  horizon_s: float) -> List[tuple]:
     """The driver's FAULT_ON/FAULT_OFF stream for a live run.
 
     Live fault windows are wall-clock intervals computed by every
     node from the shared plan + epoch, not discrete events, so the
     driver synthesizes the same records the simulator's injector emits —
     from the *same* :func:`repro.sim.faults.occurrences` expansion —
-    keeping the cross-substrate event streams comparable.
+    keeping the cross-substrate event streams comparable.  Returns the
+    records as rows (:meth:`repro.obs.EventRecorder.sink`).
     """
     if cfg.fault_plan is None or not cfg.fault_plan:
         return []
@@ -123,4 +126,27 @@ def _fault_events(cfg: LiveClusterConfig, epoch: float,
         if occ.end is not None and occ.end <= horizon_s:
             recorder.emit(EventKind.FAULT_OFF, node=fault_node(occ.spec),
                           ts=epoch + occ.end, detail=fault_tag(occ.spec))
-    return recorder.to_dicts()
+    return recorder.log().rows
+
+
+#: A row's (ts, node, kind): the merged stream's sort key.
+_merge_key = itemgetter(0, 1, 2)
+
+
+def merge_event_rows(streams: Iterable[List[tuple]]
+                     ) -> Tuple[EventLog, Optional[float]]:
+    """One live run's event stream from its nodes' rows.
+
+    Live processes record raw ``CLOCK_MONOTONIC`` times; the merged
+    stream is rebased so its earliest event is at t=0 and sorted stably
+    by ``(ts, node, kind)``.  Returns the stream and the time it was
+    rebased by (None for no events), which the driver subtracts from the
+    chunk timelines too so a merged trace export lines them up.
+    """
+    rows = [row for stream in streams for row in stream]
+    if not rows:
+        return EventLog("live", rows), None
+    t0 = min(row[0] for row in rows)
+    rows = [(row[0] - t0, *row[1:]) for row in rows]
+    rows.sort(key=_merge_key)
+    return EventLog("live", rows), t0

@@ -15,6 +15,7 @@ counts) to an unmonitored one.  See ``docs/observability.md``.
 from .events import (
     EVENT_SCHEMA,
     EventKind,
+    EventLog,
     EventRecorder,
     SLICE_KINDS,
     SchemaError,
@@ -48,6 +49,7 @@ __all__ = [
     "Counter",
     "EVENT_SCHEMA",
     "EventKind",
+    "EventLog",
     "EventRecorder",
     "Gauge",
     "Histogram",

@@ -26,15 +26,20 @@ Event kinds
 Every record is a flat, JSON-serializable dict with the fields of
 :data:`EVENT_SCHEMA`; :func:`validate_event` is the executable schema
 both sides must satisfy (see ``tests/obs/test_schema_conformance.py``).
+A recorder keeps each event as one row tuple; an :class:`EventLog`
+reads a stream from those rows and builds a record only when one is
+asked for, so a recorded stream is held once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 
 class EventKind(str, Enum):
@@ -133,32 +138,123 @@ def validate_event(record: Dict[str, object]) -> None:
         raise SchemaError(f"slice event without a key: {record}")
 
 
-#: A record's fields in schema order, read in one call.
-_read_fields = itemgetter(*EVENT_SCHEMA)
+#: A record's fields in row order: the schema's, less ``source``.
+_read_row = itemgetter(*(name for name in EVENT_SCHEMA if name != "source"))
+_read_kind = itemgetter(2)  # of a row
 _N_FIELDS = len(EVENT_SCHEMA)
 _NUMBER = (int, float)
 _INF = math.inf
+#: Stands for "the record is the row's own dict" in :func:`_rows`.
+_FROM_ROW = object()
+
+
+def _record(source: str, row: tuple) -> Dict[str, object]:
+    """The schema dict of one row: the only place a record is built."""
+    (ts, node, kind, key, iteration, priority, layer, nbytes, queue_s,
+     wire_s, detail) = row
+    return {"ts": ts, "source": source, "node": node, "kind": kind,
+            "key": key, "iteration": iteration, "priority": priority,
+            "layer": layer, "nbytes": nbytes, "queue_s": queue_s,
+            "wire_s": wire_s, "detail": detail}
+
+
+class EventLog(Sequence):
+    """A recorded event stream, read from its recorder's rows.
+
+    ``rows`` is a snapshot of the recorder's row list (see
+    :meth:`EventRecorder.sink` for a row's fields) and ``source`` the
+    ``source`` every record carries.  The log holds no record: indexing
+    and iteration build a fresh schema dict per item, so JSON, ``dict``
+    readers and :func:`validate_event` see plain records while a stream
+    costs one pointer per event on top of the rows it shares with the
+    recorder.  Writing into a yielded dict changes nothing recorded (and
+    the next read builds the record again); take ``list(log)`` for
+    records to edit.  A slice is a log; ``==`` compares the records,
+    against another log or a list of dicts.
+
+    The readers in :mod:`repro.obs` (the Chrome exporter,
+    :func:`validate_events`, :func:`~repro.obs.session_from_events`)
+    read ``rows`` in place.
+    """
+
+    __slots__ = ("source", "rows")
+
+    def __init__(self, source: str, rows: List[tuple]) -> None:
+        self.source = source
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventLog(self.source, self.rows[index])
+        return _record(self.source, self.rows[index])
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        source = self.source
+        for row in self.rows:
+            yield _record(source, row)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventLog):
+            return self.source == other.source and self.rows == other.rows
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventLog({self.source!r}, {len(self)} events)"
+
+
+def _rows(records: Iterable[Dict[str, object]]) -> Iterator[tuple]:
+    """Each record of a stream as ``(source, row, record)``.
+
+    An :class:`EventLog`'s rows come as they are, with its source and
+    ``_FROM_ROW`` for the record; a plain dict holding the row's fields
+    is read into its row at the door (``source`` None if it has none);
+    anything else comes with ``row`` None.  Readers check rows inline and
+    take a doubtful one's record (:func:`_record_of`) to the spec.
+    """
+    if isinstance(records, EventLog):
+        return zip(repeat(records.source), records.rows, repeat(_FROM_ROW))
+    return _dict_rows(records)
+
+
+def _dict_rows(records: Iterable[Dict[str, object]]) -> Iterator[tuple]:
+    for record in records:
+        # A dict subclass could answer a read by inserting (defaultdict).
+        if type(record) is dict:
+            try:
+                yield record.get("source"), _read_row(record), record
+                continue
+            except KeyError:
+                pass
+        yield None, None, record
+
+
+def _record_of(source, row, record):
+    """The record a :func:`_rows` triple stands for."""
+    return _record(source, row) if record is _FROM_ROW else record
 
 
 def validate_events(records: Iterable[Dict[str, object]]) -> int:
     """Validate a whole stream; return how many records were checked.
 
-    A plain dict holding the schema's fields with exactly its types (no
-    subclass: ``bool`` is an ``int`` the schema refuses) is checked
-    inline.  Anything else, and any record the inline checks doubt, goes
+    An :class:`EventLog` is checked row by row; a plain dict holding the
+    schema's fields is read into its row and checked the same way.  Each field must hold exactly the schema's types (no
+    subclass: ``bool`` is an ``int`` the schema refuses).  Any record
+    the inline checks doubt, and anything that is not such a dict, goes
     to :func:`validate_event`, so the verdict and the message are always
     that function's.
     """
     n = 0
-    for record in records:
+    for source, row, record in _rows(records):
         ts = None
-        # A dict subclass could answer a read by inserting (defaultdict).
-        if type(record) is dict and len(record) == _N_FIELDS:
-            try:
-                (ts, source, node, kind, key, iteration, priority, layer,
-                 nbytes, queue_s, wire_s, detail) = _read_fields(record)
-            except KeyError:
-                ts = None
+        if row is not None and (record is _FROM_ROW
+                                or len(record) == _N_FIELDS):
+            (ts, node, kind, key, iteration, priority, layer, nbytes,
+             queue_s, wire_s, detail) = row
         # (A None ts stops the test before any stale field is read.)
         if not (type(ts) in _NUMBER and type(queue_s) in _NUMBER
                 and type(wire_s) in _NUMBER
@@ -170,7 +266,7 @@ def validate_events(records: Iterable[Dict[str, object]]) -> int:
                 and 0 <= ts < _INF and -_INF < queue_s < _INF
                 and -_INF < wire_s < _INF
                 and (key >= 0 or kind not in SLICE_KINDS)):
-            validate_event(record)
+            validate_event(_record_of(source, row, record))
         n += 1
     return n
 
@@ -181,8 +277,9 @@ class EventRecorder:
     The recorder never schedules work, never sleeps, and never consumes
     randomness: attaching one to a run is observation-only by
     construction (the guarantee ``tests/obs/test_observation_only.py``
-    enforces).  Recording costs one tuple; the dicts the schema
-    describes are built when the stream is read.
+    enforces).  Recording costs one tuple; :meth:`log` reads the rows
+    as an :class:`EventLog`, which builds the dicts the schema describes
+    only as they are read.
 
     It needs no lock: its only state is one list, and every access is a
     single ``list`` operation (``append``, ``len``, a slice copy) that
@@ -231,18 +328,18 @@ class EventRecorder:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def log(self) -> EventLog:
+        """The events recorded so far, in emission order, as an
+        :class:`EventLog` over a snapshot of the rows."""
+        return EventLog(self.source, self._rows[:])
+
     def to_dicts(self) -> List[Dict[str, object]]:
         """The recorded events as schema dicts, in emission order."""
-        source = self.source
-        return [{"ts": ts, "source": source, "node": node, "kind": kind,
-                 "key": key, "iteration": iteration, "priority": priority,
-                 "layer": layer, "nbytes": nbytes, "queue_s": queue_s,
-                 "wire_s": wire_s, "detail": detail}
-                for (ts, node, kind, key, iteration, priority, layer,
-                     nbytes, queue_s, wire_s, detail) in self._rows[:]]
+        return list(self.log())
 
     def counts_by_kind(self) -> Dict[str, int]:
-        return dict(Counter(row[2] for row in self._rows[:]))
+        return dict(Counter(map(_read_kind, self._rows[:])))
+
 
 
 def kinds_per_slice(records: Iterable[Dict[str, object]]) -> Dict[int, Set[str]]:

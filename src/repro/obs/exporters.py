@@ -23,11 +23,10 @@ import json
 import zlib
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .events import SLICE_KINDS, EventKind
+from .events import SLICE_KINDS, EventKind, EventLog, _record_of, _rows
 from .registry import ObsSession
 
 #: Version tag stamped into every exported artifact.
@@ -118,11 +117,6 @@ def _chrome_events(iteration_records, transmissions, events
         yield _instant(record)
 
 
-#: An instant event's fields, in the order :func:`_encode_instants`
-#: reads them.
-_read_instant = itemgetter("ts", "node", "kind", "key", "iteration",
-                           "priority", "layer", "nbytes", "queue_s",
-                           "wire_s", "detail")
 _NUMBER = (int, float)
 #: ``json.dumps(_instant(record))`` is the head (filled with the name),
 #: the ts, the middle (filled with the pid), the args and the tail.
@@ -135,12 +129,14 @@ def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
     """Each record's instant event as JSON text, byte for byte
     ``json.dumps(_instant(record))``.
 
-    A plain dict whose fields hold exactly the schema's types and finite
-    numbers is written straight into the ``_INSTANT_*`` template; any
-    other record is encoded by that spec expression itself, which also
-    raises what it raises.  Text a run repeats is made once: the head
-    and middle per (kind, node), and each float's ``repr``, which is
-    most of a record's cost.
+    Records are read as rows (:func:`repro.obs.events._rows`): an
+    :class:`~repro.obs.events.EventLog`'s in place, a plain dict's read
+    into its row.  A row whose fields hold exactly the schema's types
+    and finite numbers is written straight into the ``_INSTANT_*``
+    template; any other record is encoded by that spec expression
+    itself, which also raises what it raises.  Text a run repeats is
+    made once: the head and middle per (kind, node), and each float's
+    ``repr``, which is most of a record's cost.
     """
     heads: Dict[tuple, tuple] = {}
     floats: Dict[float, str] = {}
@@ -153,14 +149,11 @@ def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
             return text
         return repr(x)
 
-    for record in events:
+    for source, row, record in _rows(events):
         ts = None
-        if type(record) is dict:
-            try:
-                (ts, node, kind, key, iteration, priority, layer, nbytes,
-                 queue_s, wire_s, detail) = _read_instant(record)
-            except KeyError:
-                ts = None
+        if row is not None:
+            (ts, node, kind, key, iteration, priority, layer, nbytes,
+             queue_s, wire_s, detail) = row
         # (A None ts stops the test before any stale field is read.)
         if (type(ts) in _NUMBER and type(queue_s) in _NUMBER
                 and type(wire_s) in _NUMBER
@@ -199,7 +192,7 @@ def _encode_instants(events: Iterable[Dict[str, object]]) -> Iterator[str]:
                 yield (head[0] + number(ts) + head[1] + ", ".join(args)
                        + _INSTANT_TAIL)
                 continue
-        yield json.dumps(_instant(record))
+        yield json.dumps(_instant(_record_of(source, row, record)))
 
 
 def build_chrome_events(
@@ -296,23 +289,26 @@ def session_from_events(events: Iterable[Dict[str, object]],
     process boundaries); the driver derives metrics from them afterwards
     using the SAME instrument names the simulator adapters populate, so
     a live :func:`metrics_summary` is field-for-field comparable with a
-    simulated one.
+    simulated one.  An :class:`~repro.obs.events.EventLog` is read from
+    its rows; a dict may leave out the fields after ``kind``, which then
+    hold their "not known" values.
     """
     sess = ObsSession(source)
     reg = sess.registry
-    for e in events:
-        kind = str(e["kind"])
+    rows = (events.rows if isinstance(events, EventLog)
+            else map(_row_with_defaults, events))
+    for (ts, node, kind, key, iteration, priority, layer, nbytes, queue_s,
+         wire_s, detail) in rows:
+        kind = str(kind)
         if kind == EventKind.SLICE_SENT:
-            reg.histogram("net.queue_delay_s").observe(
-                float(e.get("queue_s", 0.0)))
-            reg.histogram("net.wire_s").observe(float(e.get("wire_s", 0.0)))
+            reg.histogram("net.queue_delay_s").observe(float(queue_s))
+            reg.histogram("net.wire_s").observe(float(wire_s))
             reg.counter("net.slices_sent").inc()
-            reg.counter("net.bytes_sent").inc(int(e.get("nbytes", 0)))
+            reg.counter("net.bytes_sent").inc(int(nbytes))
         elif kind == EventKind.SLICE_PREEMPTED:
             reg.counter("net.preemptions").inc()
         elif kind == EventKind.FORWARD_GATE_OPEN:
-            reg.histogram("worker.gate_wait_s").observe(
-                float(e.get("queue_s", 0.0)))
+            reg.histogram("worker.gate_wait_s").observe(float(queue_s))
         elif kind == EventKind.SLICE_ENQUEUED:
             reg.counter("worker.slices_enqueued").inc()
         elif kind == EventKind.SLICE_APPLIED:
@@ -320,14 +316,18 @@ def session_from_events(events: Iterable[Dict[str, object]],
         elif kind == EventKind.ROUND_APPLIED:
             reg.counter("server.rounds_applied").inc()
         sess.recorder.emit(
-            EventKind(kind), node=str(e["node"]), ts=float(e["ts"]),
-            key=int(e.get("key", -1)), iteration=int(e.get("iteration", -1)),
-            priority=int(e.get("priority", 0)), layer=int(e.get("layer", -1)),
-            nbytes=int(e.get("nbytes", 0)),
-            queue_s=float(e.get("queue_s", 0.0)),
-            wire_s=float(e.get("wire_s", 0.0)),
-            detail=str(e.get("detail", "")))
+            EventKind(kind), node=str(node), ts=float(ts), key=int(key),
+            iteration=int(iteration), priority=int(priority),
+            layer=int(layer), nbytes=int(nbytes), queue_s=float(queue_s),
+            wire_s=float(wire_s), detail=str(detail))
     return sess
+
+
+def _row_with_defaults(record: Dict[str, object]) -> tuple:
+    """A record's row, its missing args at their "not known" values."""
+    return (record["ts"], record["node"], record["kind"],
+            *(record.get(name, unknown)
+              for name, unknown in _UNKNOWN_ARGS.items()))
 
 
 def metrics_summary(session: ObsSession,

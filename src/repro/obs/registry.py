@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .events import EventLog
 
 #: Default histogram bucket range: 1 microsecond .. 1000 seconds, which
 #: covers every latency this repo measures (simulated queueing delays,
@@ -241,8 +244,10 @@ class ObsSession:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.recorder = EventRecorder(source, clock=clock)
 
-    def events(self) -> List[Dict[str, object]]:
-        return self.recorder.to_dicts()
+    def events(self) -> EventLog:
+        """The recorded stream: an :class:`~repro.obs.events.EventLog`,
+        read-only, its dicts built as they are read."""
+        return self.recorder.log()
 
     def metrics(self) -> Dict[str, Dict[str, float]]:
         return self.registry.snapshot()

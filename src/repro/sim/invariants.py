@@ -32,7 +32,7 @@ when no monitor is attached.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .cluster import ClusterConfig, ClusterSim, RunResult
 from .network import Message, MsgKind
@@ -59,11 +59,15 @@ class InvariantMonitor:
     Live checks (clock, forward gating, duplicate deliveries) raise
     :class:`InvariantViolation` the moment they fail;
     :meth:`assert_all_final` verifies the end-of-run conservation
-    ledgers balance.
+    ledgers balance.  The wrappers are instance attributes that close
+    over the monitor and the part they wrap; :meth:`release` deletes
+    them once the run has been asserted.
     """
 
     def __init__(self, cluster: ClusterSim, wrap_clock: bool = True) -> None:
         self.cluster = cluster
+        # (part, attribute) of every wrapper installed, for release().
+        self._installed: List[Tuple[object, str]] = []
         # Ledgers: (src, dst, kind) -> [messages, payload_bytes]
         self.sent: Dict[Tuple[int, int, str], list] = defaultdict(lambda: [0, 0])
         self.delivered: Dict[Tuple[int, int, str], list] = defaultdict(lambda: [0, 0])
@@ -90,6 +94,17 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     # Wrappers
     # ------------------------------------------------------------------
+    def release(self) -> None:
+        """Delete the installed wrappers and drop the cluster.
+
+        Each wrapper closes over the monitor and the part it is set on,
+        so a monitored run would otherwise outlive its owner in
+        reference cycles.  Call it once the run has been asserted; the
+        ledgers and :meth:`summary` stay readable.  Idempotent.
+        """
+        _uninstall(self._installed)
+        self.cluster = None
+
     def _wrap_clock(self) -> None:
         sim = self.cluster.sim
         orig_step = sim.step
@@ -105,7 +120,7 @@ class InvariantMonitor:
                 self.events_seen += 1
             return ran
 
-        sim.step = step  # type: ignore[method-assign]
+        _install(self._installed, sim, "step", step)
 
     def _wrap_transport(self) -> None:
         transport = self.cluster.transport
@@ -116,7 +131,7 @@ class InvariantMonitor:
             self.sent[(msg.src, msg.dst, msg.kind.value)][1] += msg.payload_bytes
             orig_send(msg)
 
-        transport.send = send  # type: ignore[method-assign]
+        _install(self._installed, transport, "send", send)
 
         # Every delivery — remote RX completion or loopback — terminates
         # in the per-machine endpoint registered with the transport, so
@@ -164,8 +179,8 @@ class InvariantMonitor:
             self.contribs_consumed[(node, key)] += n_contribs
             return key, recipients, n_contribs
 
-        server._on_push = on_push
-        server._queue_pop = queue_pop
+        _install(self._installed, server, "_on_push", on_push)
+        _install(self._installed, server, "_queue_pop", queue_pop)
 
     def _wrap_worker(self, worker) -> None:
         """Forward gating, checked against an *independent* ledger.
@@ -210,9 +225,10 @@ class InvariantMonitor:
             arrived[layer] = 0  # pushing the gradients opens a new round
             orig_push_layer(layer)
 
-        worker._try_forward_layer = try_forward_layer
-        worker._on_param = on_param
-        worker._push_layer = push_layer
+        _install(self._installed, worker, "_try_forward_layer",
+                 try_forward_layer)
+        _install(self._installed, worker, "_on_param", on_param)
+        _install(self._installed, worker, "_push_layer", push_layer)
 
     # ------------------------------------------------------------------
     # Final checks
@@ -287,6 +303,23 @@ class InvariantMonitor:
         }
 
 
+def _install(installed: List[Tuple[object, str]], part: object, name: str,
+             wrapper) -> None:
+    """Set ``wrapper`` as ``part``'s instance attribute ``name``."""
+    setattr(part, name, wrapper)
+    installed.append((part, name))
+
+
+def _uninstall(installed: List[Tuple[object, str]]) -> None:
+    """Delete wrappers set as instance attributes, so each part's class
+    method shows again.  Two monitors may have wrapped the same
+    attribute (a job's transport ``send``); its one instance attribute
+    goes with the first deletion."""
+    for part, name in installed:
+        vars(part).pop(name, None)
+    installed.clear()
+
+
 class MultiJobInvariantMonitor:
     """Invariants for a shared-engine multi-tenant run, plus the
     cross-job ledger.
@@ -313,6 +346,7 @@ class MultiJobInvariantMonitor:
         self.sent_by_job: Dict[str, int] = defaultdict(int)
         self.delivered_by_job: Dict[str, int] = defaultdict(int)
         self.crossings = 0
+        self._installed: List[Tuple[object, str]] = []
         orig_step = sim.step
 
         def step() -> bool:
@@ -321,7 +355,7 @@ class MultiJobInvariantMonitor:
                 self.events_seen += 1
             return ran
 
-        sim.step = step  # type: ignore[method-assign]
+        _install(self._installed, sim, "step", step)
 
     def attach(self, job: str, cluster: ClusterSim) -> InvariantMonitor:
         """Wrap one job's cluster; call before its ``start_run``."""
@@ -343,7 +377,7 @@ class MultiJobInvariantMonitor:
             self.sent_by_job[_job] += 1
             orig_send(msg)
 
-        transport.send = send  # type: ignore[method-assign]
+        _install(self._installed, transport, "send", send)
         for machine in list(transport._deliver):
             endpoint = transport._deliver[machine]
 
@@ -386,6 +420,16 @@ class MultiJobInvariantMonitor:
                     f"job {job!r}: {sent} messages claimed at send but "
                     f"{delivered} delivered inside the job")
 
+    def release(self) -> None:
+        """Delete every wrapper this monitor and its job monitors
+        installed, and drop their clusters and the claimed messages
+        (see :meth:`InvariantMonitor.release`); counters stay."""
+        _uninstall(self._installed)
+        for monitor in self.monitors.values():
+            monitor.release()
+        self._owner.clear()
+        self._refs.clear()
+
     def summary(self) -> Dict[str, int]:
         return {
             "jobs": len(self.monitors),
@@ -409,4 +453,5 @@ def simulate_checked(
     monitor = InvariantMonitor(cluster)
     result = cluster.run(iterations=iterations, warmup=warmup)
     monitor.assert_all_final()
+    monitor.release()
     return result

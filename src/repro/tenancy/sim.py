@@ -233,4 +233,5 @@ def run_multi_job(jobs: Sequence[JobSpec],
     result = mjs.run()
     if mjs.monitor is not None:
         mjs.monitor.assert_all_final()
+        mjs.monitor.release()
     return result

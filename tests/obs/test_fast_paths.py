@@ -3,17 +3,21 @@
 * the Chrome exporter's instant encoder against
   ``json.dumps(_instant(record))``, the spec;
 * :func:`validate_events`' inline checks against :func:`validate_event`;
+* both readers of an :class:`EventLog`'s rows against the same readers
+  over ``list(log)``, its records as dicts;
 * the simulator's row emitters against :meth:`EventRecorder.emit`.
 
-The first two are derandomized properties over drawn records: zeros and
--1s, huge ints, NaN and infinities, bools, numpy scalars, and strings
-with quotes, backslashes, control characters and non-ASCII text.
+The first three are derandomized properties over drawn records (or
+rows): zeros and -1s, huge ints, NaN and infinities, bools, numpy
+scalars, and strings with quotes, backslashes, control characters and
+non-ASCII text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
 from collections import OrderedDict, defaultdict
 
 import numpy as np
@@ -26,13 +30,16 @@ from repro.obs import (
     EVENT_SCHEMA,
     SCHEMA_VERSION,
     EventKind,
+    EventLog,
     EventRecorder,
+    SchemaError,
     build_chrome_events,
     export_chrome_trace,
     sim_session,
     validate_event,
     validate_events,
 )
+from repro.obs.events import VALID_SOURCES
 from repro.obs.exporters import _encode_instants, _instant
 from repro.sim import ClusterConfig, simulate
 from repro.strategies import p3
@@ -162,6 +169,91 @@ def test_validate_events_counts_what_it_checked():
     assert validate_events([]) == 0
 
 
+ROW_FIELDS = tuple(name for name in FIELDS if name != "source")
+
+
+def _row(**overrides):
+    """A row as :meth:`EventRecorder.sink` takes it."""
+    record = _plain(**overrides)
+    return tuple(record[name] for name in ROW_FIELDS)
+
+
+@st.composite
+def rows(draw):
+    """A row with some fields redrawn: what an emitter that builds its
+    rows unchecked may append."""
+    row = dict(zip(ROW_FIELDS, _row()))
+    for name in draw(st.lists(st.sampled_from(ROW_FIELDS), max_size=4)):
+        row[name] = draw(values[name])
+    return tuple(row[name] for name in ROW_FIELDS)
+
+
+def _count_or_error(stream):
+    try:
+        return validate_events(stream)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _export_bytes(path, stream):
+    try:
+        export_chrome_trace(path, events=stream)
+    except Exception as exc:  # noqa: BLE001 - the type is the verdict
+        return type(exc)
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _spec_document(stream):
+    try:
+        return json.dumps({"traceEvents": build_chrome_events(events=stream),
+                           "displayTimeUnit": "ms",
+                           "otherData": {"schema": SCHEMA_VERSION}}).encode()
+    except Exception as exc:  # noqa: BLE001 - the type is the verdict
+        return type(exc)
+
+
+@SETTINGS
+@given(st.sampled_from(VALID_SOURCES), st.lists(rows(), max_size=8))
+@example("sim", [_row(key=True)])
+@example("sim", [_row(ts=np.float64(0.5))])
+@example("live", [_row(), _row(queue_s=math.nan), _row(queue_s=math.inf)])
+@example("sim", [_row(ts=-1.0)])
+@example("sim", [_row(kind="teleport")])
+@example("live", [_row(kind="slice_sent", key=-1)])
+@example("sim", [_row(detail=7)])
+def test_reading_rows_matches_reading_their_dicts(source, batch):
+    """An :class:`EventLog` read in place gives what its records give as
+    dicts: the validator's count or message, the exporter's bytes, and
+    those bytes are the ``json.dumps`` document."""
+    recorder = EventRecorder(source)
+    append = recorder.sink()
+    for row in batch:
+        append(row)
+    log = recorder.log()
+    records = list(log)
+    assert _count_or_error(log) == _count_or_error(records)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = f"{scratch}/t.json"
+        got = _export_bytes(path, log)
+        assert got == _export_bytes(path, records) == _spec_document(records)
+
+
+def test_an_event_log_is_a_read_only_sequence_of_records():
+    log = EventLog("live", [_row(key=1), _row(key=2), _row(key=3)])
+    want = [_plain(key=k, source="live") for k in (1, 2, 3)]
+    assert log == want and list(log) == want and len(log) == 3
+    assert log[-1] == want[-1] and log[1:] == want[1:]
+    assert isinstance(log[1:], EventLog)
+    log[0]["key"] = 99  # a fresh dict: nothing recorded changes
+    assert log[0]["key"] == 1
+    assert log != want[:2] and log != EventLog("sim", log.rows)
+    # A log with a source the schema refuses: every row is doubted, and
+    # the verdict is validate_event's.
+    with pytest.raises(SchemaError, match="source must be one of"):
+        validate_events(EventLog("dream", log.rows))
+
+
 def _typed(dicts):
     return [[(name, type(value), value) for name, value in d.items()]
             for d in dicts]
@@ -205,8 +297,8 @@ def test_export_with_spans_and_instants_is_json_dumps(tmp_path):
                       ClusterConfig(n_workers=2, bandwidth_gbps=1.0, seed=0),
                       iterations=2, warmup=0, trace_utilization=True,
                       obs=sess)
-    events = sess.events() + [_plain(detail='odd "text"\n'),
-                              _plain(ts=np.float64(2.0))]
+    events = list(sess.events()) + [_plain(detail='odd "text"\n'),
+                                    _plain(ts=np.float64(2.0))]
     streams = dict(iteration_records=result.iterations.records,
                    transmissions=result.utilization.records)
     for kwargs in (streams, dict(events=events),

@@ -10,6 +10,7 @@ call's objects only and stays cheap in a large test process.
 from __future__ import annotations
 
 import gc
+import os
 import tracemalloc
 
 import pytest
@@ -17,10 +18,12 @@ import pytest
 from repro.analysis.runner import SimPoint, run_grid
 from repro.analysis.warmstart import execute_family
 from repro.models import get_model
+from repro.obs import export_chrome_trace, validate_events
 from repro.obs.registry import sim_session
 from repro.sim import ClusterConfig, ClusterSim, SimulationError, simulate
+from repro.sim.invariants import InvariantMonitor, simulate_checked
 from repro.strategies import STRATEGY_FACTORIES, get_strategy
-from repro.tenancy import JobSpec, MultiJobSim, TenancyConfig
+from repro.tenancy import JobSpec, MultiJobSim, TenancyConfig, run_multi_job
 
 from ..scenarios import FAULT_PLANS, PLACEMENTS, fitted
 
@@ -96,6 +99,42 @@ def test_a_multi_job_run_leaves_no_cycle():
         lambda: MultiJobSim(jobs, TenancyConfig(n_slots=4)).run()) == 0
 
 
+def test_a_monitored_run_leaves_no_more_than_a_plain_one():
+    """The invariant monitor's wrappers close over the monitor and the
+    parts they are set on; it deletes them once the run is asserted."""
+    fields = dict(n_workers=4)
+    plain = cyclic_garbage_after(
+        lambda: simulate(TOY, get_strategy("p3"), ClusterConfig(**fields),
+                         iterations=3, warmup=1))
+    checked = cyclic_garbage_after(
+        lambda: simulate_checked(TOY, get_strategy("p3"),
+                                 ClusterConfig(**fields), iterations=3,
+                                 warmup=1))
+    assert checked <= plain == 0
+
+
+def test_a_monitored_multi_job_run_leaves_no_cycle():
+    jobs = [JobSpec(f"j{i}", f"t{i % 2}", n_workers=2, iterations=3,
+                    warmup=1, arrival_s=0.001 * i) for i in range(3)]
+    assert cyclic_garbage_after(lambda: run_multi_job(
+        jobs, TenancyConfig(n_slots=4), monitor=True)) == 0
+
+
+def test_a_released_monitor_keeps_its_counters():
+    cluster = ClusterSim(TOY, get_strategy("p3"), ClusterConfig(n_workers=2))
+    monitor = InvariantMonitor(cluster)
+    cluster.run(iterations=3, warmup=1)
+    monitor.assert_all_final()
+    before = monitor.summary()
+    monitor.release()
+    assert monitor.summary() == before and before["events"] > 0
+    assert monitor.cluster is None
+    for worker in cluster.workers:
+        assert "_on_param" not in vars(worker)
+    assert "step" not in vars(cluster.sim)
+    monitor.release()  # idempotent
+
+
 def test_a_released_cluster_stays_readable_and_refuses_to_run():
     cluster = ClusterSim(TOY, get_strategy("p3"), ClusterConfig(n_workers=2))
     result = cluster.run(iterations=3, warmup=1)
@@ -137,3 +176,34 @@ def test_a_sweep_holds_one_points_memory():
     assert left <= one_point / 4, (
         f"{left / 2**20:.2f} MiB still traced after the sweep; one point "
         f"peaks at {one_point / 2**20:.2f} MiB")
+
+
+@pytest.mark.perf
+def test_reading_an_observed_run_copies_no_record(tmp_path):
+    """A recorded stream is read from its rows.  On a resnet50/p3
+    2-worker point (5 400 events) ``events()`` and ``validate_events``
+    together peak at one pointer per event, not a dict per event (about
+    480 B); the Chrome export peaks at the text of one batch of
+    instants, about 550 B per event here."""
+    sess = sim_session()
+    simulate(get_model("resnet50"), get_strategy("p3"),
+             ClusterConfig(n_workers=2, bandwidth_gbps=1.0, seed=0),
+             iterations=1, warmup=0, obs=sess)
+    n = len(sess.recorder)
+    assert n > 5000
+    path = os.fspath(tmp_path / "trace.json")
+    export_chrome_trace(path, events=sess.events())  # first-use caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        events = sess.events()
+        assert validate_events(events) == n
+        read = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        export_chrome_trace(path, events=events)
+        export = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert read < 32 * n, f"reading peaked at {read / n:.0f} B per event"
+    assert export < 640 * n, f"export peaked at {export / n:.0f} B per event"

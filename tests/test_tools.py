@@ -82,6 +82,7 @@ def test_check_trace_accepts_a_run_and_refuses_bare_nan(tmp_path, capsys):
     export_chrome_trace(trace, result.iterations.records, events=events[1:])
     assert check.main([str(trace), str(metrics)]) == 1
     # What the exporter writes for a NaN that skipped validation.
+    events = list(events)
     events[0]["wire_s"] = float("nan")
     export_chrome_trace(trace, events=events)
     assert "NaN" in trace.read_text()
